@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Collection, Iterable
 
-from .fsm import Automaton, state_display, sorted_states
+from .fsm import Automaton, state_display
 
 
 def _quote(text: str) -> str:
@@ -33,24 +33,24 @@ def emit_dot(
     lines.append('  __start [shape=point, label=""];')
     nonblocking = set(nonblocking)
     pruned = set(pruned)
-    for x in sorted_states(a.states):
+    names = {x: state_display(x) for x in a.states}
+    quoted = {name: _quote(name) for name in names.values()}
+    for x in sorted(a.states, key=names.__getitem__):
         attrs = []
         if x in nonblocking:
             attrs.append('style=filled, fillcolor="#e05a4e"')
         elif x in pruned:
             attrs.append('style=filled, fillcolor="#66bb6a"')
         suffix = f" [{', '.join(attrs)}]" if attrs else ""
-        lines.append(f"  {_quote(state_display(x))}{suffix};")
-    for x in sorted_states(a.initial):
-        lines.append(f"  __start -> {_quote(state_display(x))};")
+        lines.append(f"  {quoted[names[x]]}{suffix};")
+    for x in sorted(a.initial, key=names.__getitem__):
+        lines.append(f"  __start -> {quoted[names[x]]};")
     rows = []
     for (src, label), targets in a.transitions.items():
         for dst in targets:
-            rows.append(
-                (state_display(src), state_display(dst), label.display(), label.inserted)
-            )
+            rows.append((names[src], names[dst], label.display(), label.inserted))
     for src, dst, text, inserted in sorted(rows):
         style = ', style=dashed' if inserted else ""
-        lines.append(f"  {_quote(src)} -> {_quote(dst)} [label={_quote(text)}{style}];")
+        lines.append(f"  {quoted[src]} -> {quoted[dst]} [label={_quote(text)}{style}];")
     lines.append("}")
     return "\n".join(lines) + "\n"

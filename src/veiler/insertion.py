@@ -80,6 +80,191 @@ class IndicatorState:
         return f"({state_display(self.dummy)},{state_display(self.actual)})"
 
 
+class _PairKernel:
+    """The indicator of a deterministic system on integer pair ids.
+
+    States of g, in display order, become ids 0..n-1 and its actual labels
+    ids 0..k-1; the pair (dummy d, actual x) is the id ``d*n + x``.  A dashed
+    move changes only the dummy, along an edge of g, and the reachable pairs
+    are closed under dashed moves, so the dashed SCC of (d, x) is exactly
+    SCC_g(d) x {x}.  That component is the id ``c*n + x``, where c is the
+    SCC of d in g.  ``IndicatorState`` objects are made only by
+    ``automaton``, for the pairs a caller keeps.
+    """
+
+    def __init__(self, g: Automaton) -> None:
+        if not g.deterministic:
+            raise ValueError("insertion analysis requires a deterministic automaton")
+        self.states = sorted_states(g.states)
+        self.labels = _actual_labels(g)
+        self.inserted = [EventLabel(e.symbol, Tag.INSERTED) for e in self.labels]
+        self.events = frozenset(self.labels) | frozenset(self.inserted)
+        n = self.n = len(self.states)
+        index = {x: i for i, x in enumerate(self.states)}
+        label_index = {e: i for i, e in enumerate(self.labels)}
+        self.delta = [[-1] * len(self.labels) for _ in range(n)]
+        for (x, e), (y,) in g.transitions.items():
+            if e in label_index:
+                self.delta[index[x]][label_index[e]] = index[y]
+        (x0,) = g.initial
+        self.x0 = index[x0]
+        self.start = self.x0 * n + self.x0
+        self.secret = {index[x] for x in g.secret}
+        partition = strongly_connected_components(
+            range(n), ((x, y) for x, row in enumerate(self.delta) for y in row if y >= 0)
+        )
+        self.scc = [partition.component_of[x] for x in range(n)]
+        self.members = [sorted(c) for c in partition.components]
+        # SCCs of g one edge of g away from each SCC: the dashed moves out
+        # of every component (c, x), whatever x is.
+        self.dashed = [
+            {self.scc[y] for d in members for y in self.delta[d] if y >= 0} - {c}
+            for c, members in enumerate(self.members)
+        ]
+
+    def reachable_pairs(self, alive: set | None = None) -> set[int]:
+        """Pairs reachable from (x0, x0); with ``alive``, only through those components."""
+        n, delta, scc = self.n, self.delta, self.scc
+        if alive is not None and scc[self.x0] * n + self.x0 not in alive:
+            return set()
+        seen = {self.start}
+        stack = [self.start]
+        while stack:
+            d, x = divmod(stack.pop(), n)
+            row_x = delta[x]
+            for e, dd in enumerate(delta[d]):
+                if dd < 0:
+                    continue
+                xx = row_x[e]
+                for y in (x, xx) if xx >= 0 else (x,):
+                    if alive is not None and scc[dd] * n + y not in alive:
+                        continue
+                    target = dd * n + y
+                    if target not in seen:
+                        seen.add(target)
+                        stack.append(target)
+        return seen
+
+    def prune(self, pairs: set[int]) -> set[int]:
+        """Components of ``pairs`` that survive trapping-component pruning.
+
+        A component is trapping when it has no dashed move out of itself and
+        no solid move at all, counting only moves into surviving components.
+        Each component counts its moves (its escapes), each component lists
+        the moves into it, and a falling component decrements the counts of
+        the components those moves come from.  This reaches the same fixpoint
+        as the round-by-round removal of ``build_verifier``.
+        """
+        n, delta, scc = self.n, self.delta, self.scc
+        components = {scc[p // n] * n + p % n for p in pairs}
+        escapes: dict[int, int] = {}
+        sources: dict[int, list[int]] = {}
+        for key in components:
+            c, x = divmod(key, n)
+            row_x = delta[x]
+            targets = [s * n + x for s in self.dashed[c]]
+            for d in self.members[c]:
+                for e, dd in enumerate(delta[d]):
+                    if dd >= 0 and row_x[e] >= 0:
+                        targets.append(scc[dd] * n + row_x[e])
+            escapes[key] = len(targets)
+            for target in targets:
+                sources.setdefault(target, []).append(key)
+        falling = [key for key, count in escapes.items() if not count]
+        alive = set(components)
+        while falling:
+            key = falling.pop()
+            alive.discard(key)
+            for source in sources.get(key, ()):
+                escapes[source] -= 1
+                if not escapes[source]:
+                    falling.append(source)
+        return alive
+
+    def staying(self, pairs: set[int]) -> set[int]:
+        """The staying-nonblocking pairs of the verifier ``pairs``.
+
+        The greatest fixpoint of ``find_staying_nonblocking``, on components:
+        every event enabled at x needs a dashed walk inside the verifier and
+        then a solid move onto a staying component.  Each (component, event)
+        watches the first landing it finds, and a falling component re-tests
+        only its watchers.
+        """
+        n, delta, scc = self.n, self.delta, self.scc
+        components = {scc[p // n] * n + p % n for p in pairs}
+        closures: dict[int, list[int]] = {}
+        for key in components:
+            x = key % n
+            closure = [key // n]
+            seen = set(closure)
+            for c in closure:
+                for s in self.dashed[c]:
+                    if s * n + x in components and s not in seen:
+                        seen.add(s)
+                        closure.append(s)
+            closures[key] = closure
+        alive = set(components)
+        watchers: dict[int, list] = {}
+        recheck = [
+            (key, e) for key in components for e, y in enumerate(delta[key % n]) if y >= 0
+        ]
+        while recheck:
+            key, e = recheck.pop()
+            if key not in alive:
+                continue
+            xx = delta[key % n][e]
+            landing = next(
+                (
+                    target
+                    for c in closures[key]
+                    for d in self.members[c]
+                    if delta[d][e] >= 0
+                    for target in (scc[delta[d][e]] * n + xx,)
+                    if target in alive
+                ),
+                None,
+            )
+            if landing is not None:
+                watchers.setdefault(landing, []).append((key, e))
+                continue
+            alive.discard(key)
+            recheck.extend(watchers.pop(key, ()))
+        return {p for p in pairs if scc[p // n] * n + p % n in alive}
+
+    def automaton(self, pairs: set[int]) -> tuple[Automaton, dict[int, IndicatorState]]:
+        """The indicator restricted to ``pairs``, and the state of every pair id."""
+        n, delta, states = self.n, self.delta, self.states
+        if not pairs:
+            return Automaton(frozenset(), self.events, {}, frozenset(), frozenset(), False), {}
+        objects = {p: IndicatorState(states[p // n], states[p % n]) for p in pairs}
+        singletons = {p: frozenset((pair,)) for p, pair in objects.items()}
+        transitions: dict[tuple[State, EventLabel], frozenset] = {}
+        for p, pair in objects.items():
+            d, x = divmod(p, n)
+            row_x = delta[x]
+            for e, dd in enumerate(delta[d]):
+                if dd < 0:
+                    continue
+                # Dashed: the insertion moves only the observer's belief.
+                target = singletons.get(dd * n + x)
+                if target is not None:
+                    transitions[(pair, self.inserted[e])] = target
+                # Solid: the real event is relayed, both components advance.
+                target = singletons.get(dd * n + row_x[e]) if row_x[e] >= 0 else None
+                if target is not None:
+                    transitions[(pair, self.labels[e])] = target
+        secret = frozenset(pair for p, pair in objects.items() if p // n in self.secret)
+        automaton = Automaton(
+            frozenset(objects.values()),
+            self.events,
+            transitions,
+            singletons[self.start],
+            secret,
+            True,
+        )
+        return automaton, objects
+
+
 def build_indicator(g: Automaton, gf: Automaton) -> Automaton:
     """Product of the system with its insertion automaton.
 
@@ -91,46 +276,8 @@ def build_indicator(g: Automaton, gf: Automaton) -> Automaton:
     """
     if gf != build_insertion_automaton(g):
         raise ValueError("second argument must be the insertion automaton of the first")
-    (x0,) = g.initial
-    actual = _actual_labels(g)
-    inserted = {e: EventLabel(e.symbol, Tag.INSERTED) for e in actual}
-
-    initial = IndicatorState(x0, x0)
-    states = {initial}
-    transitions: dict[tuple[State, EventLabel], frozenset] = {}
-    frontier = [initial]
-    while frontier:
-        pair = frontier.pop()
-        for e in actual:
-            dummy_next = g.step(pair.dummy, e)
-            if not dummy_next:
-                continue
-            (dummy,) = dummy_next
-            # Dashed: the insertion moves only the observer's belief.
-            dashed_target = IndicatorState(dummy, pair.actual)
-            transitions[(pair, inserted[e])] = frozenset({dashed_target})
-            if dashed_target not in states:
-                states.add(dashed_target)
-                frontier.append(dashed_target)
-            # Solid: the real event is relayed, both components advance.
-            actual_next = g.step(pair.actual, e)
-            if actual_next:
-                (act,) = actual_next
-                solid_target = IndicatorState(dummy, act)
-                transitions[(pair, e)] = frozenset({solid_target})
-                if solid_target not in states:
-                    states.add(solid_target)
-                    frontier.append(solid_target)
-
-    secret = frozenset(p for p in states if p.dummy in g.secret)
-    return Automaton(
-        frozenset(states),
-        frozenset(actual) | frozenset(inserted.values()),
-        transitions,
-        frozenset({initial}),
-        secret,
-        True,
-    )
+    kernel = _PairKernel(g)
+    return kernel.automaton(kernel.reachable_pairs())[0]
 
 
 @dataclass(frozen=True)
@@ -339,10 +486,11 @@ def check_ei_enforceable(g: Automaton) -> EiReport:
     g itself; those can never acquire a pair, so they are reported
     separately to make the verdict legible.
     """
-    gf = build_insertion_automaton(g)
-    ia = build_indicator(g, gf)
-    verifier = build_verifier(ia, g)
-    snb = find_staying_nonblocking(verifier, g)
+    kernel = _PairKernel(g)
+    verifier_pairs = kernel.reachable_pairs(kernel.prune(kernel.reachable_pairs()))
+    verifier, objects = kernel.automaton(verifier_pairs)
+    staying = kernel.staying(verifier_pairs)
+    snb = frozenset(objects[p] for p in staying)
     admissible = admissible_states(verifier, snb, g.secret)
     covered = {pair.actual for pair in admissible}
     uncovered = frozenset(g.states - covered)

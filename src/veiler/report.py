@@ -12,7 +12,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 from . import __version__
 from .constrained import EicReport, InsertionConstraints
-from .fsm import state_display, sorted_states
+from .fsm import state_display
 from .insertion import EiReport
 from .observer import OpacityVerdict
 
@@ -20,7 +20,7 @@ _TOOL = "veiler"
 
 
 def _displays(states: Iterable) -> list[str]:
-    return [state_display(x) for x in sorted_states(states)]
+    return sorted(map(state_display, states))
 
 
 def _base(command: str, name: str) -> dict:

@@ -53,8 +53,10 @@ _REQUIRED = {"automaton", "events", "states", "initial", "end"}
 def parse_document(text: str) -> AutomatonDocument:
     name = ""
     events: list[str] = []
+    event_set: set = set()
     unobservable: list[str] = []
     states: list[State] = []
+    state_set: set = set()
     initial: list[State] = []
     secret: list[State] = []
     trans: list[tuple[State, str, State, int]] = []
@@ -90,10 +92,12 @@ def parse_document(text: str) -> AutomatonDocument:
             name = args[0]
         elif keyword == "events":
             events = args
+            event_set = set(events)
         elif keyword == "unobservable":
             unobservable = args
         elif keyword == "states":
             states = [_state_token(t) for t in args]
+            state_set = set(states)
         elif keyword == "initial":
             initial = [_state_token(t) for t in args]
         elif keyword == "secret":
@@ -104,11 +108,11 @@ def parse_document(text: str) -> AutomatonDocument:
             if len(args) != 3:
                 raise ParseError(lineno, "trans takes source, event, target")
             src, sym, dst = _state_token(args[0]), args[1], _state_token(args[2])
-            if src not in set(states):
+            if src not in state_set:
                 raise ParseError(lineno, f"undeclared state {args[0]!r}")
-            if dst not in set(states):
+            if dst not in state_set:
                 raise ParseError(lineno, f"undeclared state {args[2]!r}")
-            if sym not in set(events):
+            if sym not in event_set:
                 raise ParseError(lineno, f"undeclared event {sym!r}")
             trans.append((src, sym, dst, lineno))
         elif keyword == "end":
@@ -119,7 +123,6 @@ def parse_document(text: str) -> AutomatonDocument:
     if missing:
         raise ParseError(last_line or 1, f"missing {missing[0]} section")
 
-    state_set = set(states)
     for group, label in ((initial, "initial"), (secret, "secret")):
         for x in group:
             if x not in state_set:
@@ -127,7 +130,7 @@ def parse_document(text: str) -> AutomatonDocument:
                     seen[label], f"undeclared state {state_display(x)!r}"
                 )
     for sym in unobservable:
-        if sym not in set(events):
+        if sym not in event_set:
             raise ParseError(seen["unobservable"], f"undeclared event {sym!r}")
 
     table: dict[tuple[State, str], set] = {}

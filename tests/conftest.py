@@ -1,8 +1,33 @@
 from __future__ import annotations
 
+import os
+from pathlib import Path
+
 import pytest
 
 from veiler.fsm import Automaton
+from veiler.insertion import (
+    EiReport,
+    admissible_states,
+    build_indicator,
+    build_insertion_automaton,
+    build_verifier,
+    find_staying_nonblocking,
+)
+
+
+@pytest.fixture(scope="session", autouse=True)
+def checkout_on_subprocess_path():
+    """Let ``python -m veiler`` subprocesses import this checkout's package.
+
+    pyproject's ``pythonpath`` setting puts ``src`` on the test process's
+    path only; this does the same for the processes the CLI tests start.
+    """
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    paths = [src, os.environ.get("PYTHONPATH", "")]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("PYTHONPATH", os.pathsep.join(p for p in paths if p))
+        yield
 
 
 @pytest.fixture
@@ -52,3 +77,22 @@ def tracking_trap() -> Automaton:
         initial=0,
         secret=[2],
     )
+
+
+@pytest.fixture
+def staged_ei_report():
+    """The unconstrained pipeline run stage by stage, as the paper builds it.
+
+    ``check_ei_enforceable`` decides on interned pair ids instead; its
+    report must equal this one field for field.
+    """
+
+    def run(g: Automaton) -> EiReport:
+        v = build_verifier(build_indicator(g, build_insertion_automaton(g)), g)
+        snb = find_staying_nonblocking(v, g)
+        admissible = admissible_states(v, snb, g.secret)
+        uncovered = frozenset(g.states - {pair.actual for pair in admissible})
+        unreachable = frozenset(g.states - g.accessible_part().states)
+        return EiReport(not uncovered, v, snb, admissible, uncovered, unreachable)
+
+    return run

@@ -18,7 +18,11 @@ from veiler.cli import (
     cli_main,
 )
 from veiler.constrained import check_eic_enforceable
-from veiler.insertion import check_ei_enforceable
+from veiler.dot import emit_dot
+from veiler.insertion import build_indicator, build_insertion_automaton, check_ei_enforceable
+from veiler.oracle import random_dfa
+from veiler.report import ei_report, to_json
+from veiler.textio import emit_automaton, parse_document
 
 DATA = Path(__file__).parent / "data"
 G1 = str(DATA / "g1.aut")
@@ -143,6 +147,29 @@ class TestVerifyEi:
         assert len(payload["admissible"]) == 8
         assert payload["uncovered_actual_states"] == []
         assert payload["unreachable_actual_states"] == []
+
+    def test_output_matches_the_staged_reference(self, capsys, tmp_path, staged_ei_report):
+        paths = [Path(G1)]
+        for seed in range(20):
+            path = tmp_path / f"r{seed}.aut"
+            g = random_dfa(seed, n_states=3 + seed % 6, live=seed % 2 == 0)
+            path.write_text(emit_automaton(g, f"r{seed}"))
+            paths.append(path)
+        for path in paths:
+            doc = parse_document(path.read_text())
+            g = doc.automaton
+            expected = staged_ei_report(g)
+            indicator = build_indicator(g, build_insertion_automaton(g))
+            dot = tmp_path / "out.dot"
+            code = cli_main(["verify-ei", str(path), "--json", "--dot", str(dot)])
+            assert code == (EXIT_OK if expected.enforceable else EXIT_NOT_ENFORCEABLE)
+            assert capsys.readouterr().out == to_json(ei_report(doc.name, expected))
+            assert dot.read_text() == emit_dot(
+                indicator,
+                doc.name,
+                nonblocking=expected.staying_nonblocking,
+                pruned=indicator.states - expected.verifier.states,
+            )
 
 
 class TestVerifyEic:

@@ -2,8 +2,9 @@ from __future__ import annotations
 
 import pytest
 
-from veiler.fsm import Automaton, as_label, state_display, word
+from veiler.fsm import Automaton, EventLabel, Tag, as_label, state_display, word
 from veiler.insertion import (
+    IndicatorState,
     admissible_states,
     apply_mask_mi,
     apply_projection_pi,
@@ -262,6 +263,48 @@ class TestCheckEiEnforceable:
     def test_single_safe_state_is_enforceable(self):
         g = Automaton.dfa([0], ["a"], {(0, "a"): 0}, 0)
         assert check_ei_enforceable(g).enforceable
+
+    def test_matches_the_staged_reference(self, staged_ei_report):
+        # The decision runs on interned pair ids; the paper's stages, and a
+        # product built pair by pair for the indicator, are the reference.
+        def naive_indicator(g):
+            (x0,) = g.initial
+            start = IndicatorState(x0, x0)
+            states, frontier, transitions = {start}, [start], {}
+            while frontier:
+                pair = frontier.pop()
+                for e in g.outgoing(pair.dummy):
+                    (dummy,) = g.step(pair.dummy, e)
+                    moves = [(EventLabel(e.symbol, Tag.INSERTED), pair.actual)]
+                    moves += [(e, act) for act in g.step(pair.actual, e)]
+                    for label, act in moves:
+                        target = IndicatorState(dummy, act)
+                        transitions[(pair, label)] = frozenset({target})
+                        if target not in states:
+                            states.add(target)
+                            frontier.append(target)
+            events = g.events | {EventLabel(e.symbol, Tag.INSERTED) for e in g.events}
+            secret = frozenset(p for p in states if p.dummy in g.secret)
+            return Automaton(
+                frozenset(states), events, transitions, frozenset({start}), secret, True
+            )
+
+        pruned = emptied = 0
+        for seed in range(320):
+            g = random_dfa(
+                seed,
+                n_states=2 + seed % 8,
+                trans_density=(0.2, 0.5, 0.8)[seed % 3],
+                live=seed % 16 < 8,
+            )
+            ia = build_indicator(g, build_insertion_automaton(g))
+            assert ia == naive_indicator(g), seed
+            expected = staged_ei_report(g)
+            assert check_ei_enforceable(g) == expected, seed
+            pruned += expected.verifier.states != ia.states
+            emptied += not expected.verifier.states
+        # the sample must exercise pruning, down to the empty verifier
+        assert pruned > 50 and emptied > 5
 
 
 class TestPathInvariants:
