@@ -23,6 +23,7 @@ from .fsm import (
     sorted_states,
     state_display,
 )
+from .insertion import _InternedDfa, _restrict
 
 
 @dataclass(frozen=True)
@@ -177,81 +178,243 @@ class EicIndicatorState:
         return f"({state_display(self.dummy)},{state_display(self.actual)})"
 
 
+_SOLID, _BEFORE, _AFTER = range(3)
+
+
+class _EicKernel(_InternedDfa):
+    """The constrained indicator of a deterministic system on integer ids.
+
+    The decorated actual state (x, dec) is the id ``dec*n + x`` and the pair
+    (dummy d, actual a) the id ``d*4n + a``.  ``moves`` maps every pair
+    reachable from (x0, x0) to its moves, (kind, label id, target) triples
+    whose kind is solid, before or after.  ``EicIndicatorState`` objects are
+    made only by ``automaton``, for the pairs a caller keeps.
+    """
+
+    def __init__(self, g: Automaton, c: InsertionConstraints) -> None:
+        super().__init__(g)
+        c.validate_against(g)
+        n, delta = self.n, self.delta
+        n4 = 4 * n
+        self.start = self.x0 * n4 + self.x0
+        before = [e for e, label in enumerate(self.labels) if label.symbol in c.before]
+        after = [e for e, label in enumerate(self.labels) if label.symbol in c.after]
+        self.move_labels = (
+            self.labels,
+            [EventLabel(label.symbol, Tag.INSERTED_BEFORE) for label in self.labels],
+            [EventLabel(label.symbol, Tag.INSERTED_AFTER) for label in self.labels],
+        )
+        self.events = (
+            frozenset(self.labels)
+            | frozenset(self.move_labels[_BEFORE][e] for e in before)
+            | frozenset(self.move_labels[_AFTER][e] for e in after)
+        )
+        # The rule of build_eic_insertion_automaton: x0 has no after-phase
+        # unless some move of g leads back to it.
+        x0 = self.states[self.x0]
+        entered = any(x0 in targets for targets in g.transitions.values())
+        absent = () if entered else (Decoration.A * n + self.x0, Decoration.AB * n + self.x0)
+        # Per insertion kind: its symbols and, per decorated state, the
+        # decorated state the insertion leads to, or -1.
+        insertions = []
+        for kind, symbols, table in ((_BEFORE, before, _BEFORE_MOVE), (_AFTER, after, _AFTER_MOVE)):
+            shift = [-1] * n4
+            for decoration, target in table.items():
+                for x in range(n):
+                    if target * n + x not in absent:
+                        shift[decoration * n + x] = target * n + x
+            insertions.append((kind, symbols, shift))
+
+        moves: dict[int, list] = {self.start: []}
+        stack = [self.start]
+        while stack:
+            p = stack.pop()
+            d, a = divmod(p, n4)
+            row_d, row_x = delta[d], delta[a % n]
+            out = moves[p]
+            for e, dd in enumerate(row_d):
+                if dd >= 0 and row_x[e] >= 0:
+                    out.append((_SOLID, e, dd * n4 + row_x[e]))
+            for kind, symbols, shift in insertions:
+                b = shift[a]
+                if b < 0:
+                    continue
+                for e in symbols:
+                    if row_d[e] >= 0:
+                        out.append((kind, e, row_d[e] * n4 + b))
+            for _, _, t in out:
+                if t not in moves:
+                    moves[t] = []
+                    stack.append(t)
+        self.moves = moves
+
+    def verifier(self) -> set[int]:
+        """Pairs of the EIC verifier: dead ends pruned, then the accessible part.
+
+        A pair dies when it has no move into a pair still alive.  Each pair
+        counts its moves, each pair lists the moves into it, and a dying pair
+        decrements the counts of the pairs those moves come from.  This
+        reaches the same fixpoint as the round-by-round removal of
+        ``build_eic_verifier``.
+        """
+        moves = self.moves
+        escapes = {p: len(out) for p, out in moves.items()}
+        sources: dict[int, list[int]] = {}
+        for p, out in moves.items():
+            for _, _, t in out:
+                sources.setdefault(t, []).append(p)
+        dying = [p for p, count in escapes.items() if not count]
+        dead = set(dying)
+        while dying:
+            for source in sources.get(dying.pop(), ()):
+                escapes[source] -= 1
+                if not escapes[source]:
+                    dead.add(source)
+                    dying.append(source)
+        if self.start in dead:
+            return set()
+        seen = {self.start}
+        stack = [self.start]
+        while stack:
+            for _, _, t in moves[stack.pop()]:
+                if t not in dead and t not in seen:
+                    seen.add(t)
+                    stack.append(t)
+        return seen
+
+    def staying(self, pairs: set[int]) -> dict[int, int]:
+        """The staying-nonblocking pairs of the verifier ``pairs``, with their type.
+
+        The greatest fixpoint of ``find_staying_eic_nonblocking``: a resting
+        pair stays when every event enabled at its actual state has a relay
+        target, a solid move after a before-walk, from which an after-walk
+        reaches a staying pair.  Each (pair, event) watches one relay target
+        that is not stranded, and each relay target one staying pair its
+        after-walk reaches.  Pairs only ever fall and relay targets only
+        ever strand, so a watch whose target does resumes its scan of the
+        candidates where it stopped.
+        """
+        n, n4, moves = self.n, 4 * self.n, self.moves
+        enabled = [sum(y >= 0 for y in row) for row in self.delta]
+        resting = [p for p in pairs if p % n4 < 2 * n]
+        alive = set(resting)
+        dropped = []
+        relay_watchers: dict[int, list] = {}
+        for p in resting:
+            # One before-walk from p, collecting the relay targets per event.
+            found: dict[int, list[int]] = {}
+            reached = [p]
+            seen = {p}
+            for q in reached:
+                for kind, e, t in moves[q]:
+                    if t not in pairs:
+                        continue
+                    if kind == _SOLID:
+                        found.setdefault(e, []).append(t)
+                    elif kind == _BEFORE and t not in seen:
+                        seen.add(t)
+                        reached.append(t)
+            if len(found) < enabled[p % n]:
+                alive.discard(p)
+                dropped.append(p)
+                continue
+            for targets in found.values():
+                relay_watchers.setdefault(targets[0], []).append((p, [targets, 0]))
+
+        settles: dict[int, list] = {}
+        settle_watchers: dict[int, list[int]] = {}
+        stranded: set[int] = set()
+        while dropped:
+            q = dropped.pop()
+            recheck = settle_watchers.pop(q, [])
+            if q % n4 < n:
+                # A plain pair is a relay target that settles on itself.
+                recheck.append(q)
+            for t in recheck:
+                if t in stranded:
+                    continue
+                settle = settles.get(t)
+                if settle is None:
+                    reach = [t]
+                    seen = {t}
+                    for r in reach:
+                        for kind, _, u in moves[r]:
+                            if kind == _AFTER and u in pairs and u not in seen:
+                                seen.add(u)
+                                reach.append(u)
+                    settle = settles[t] = [reach, 0]
+                reach, i = settle
+                while i < len(reach) and reach[i] not in alive:
+                    i += 1
+                settle[1] = i
+                if i < len(reach):
+                    settle_watchers.setdefault(reach[i], []).append(t)
+                    continue
+                stranded.add(t)
+                for p, watch in relay_watchers.pop(t, ()):
+                    if p not in alive:
+                        continue
+                    targets, j = watch
+                    while j < len(targets) and targets[j] in stranded:
+                        j += 1
+                    watch[1] = j
+                    if j < len(targets):
+                        relay_watchers.setdefault(targets[j], []).append((p, watch))
+                    else:
+                        alive.discard(p)
+                        dropped.append(p)
+        return {p: 1 if p % n4 < n else 2 for p in alive}
+
+    def automaton(
+        self, pairs: set[int]
+    ) -> tuple[Automaton, dict[int, EicIndicatorState]]:
+        """The indicator restricted to ``pairs``, and the state of every pair id."""
+        if not pairs:
+            return Automaton(frozenset(), self.events, {}, frozenset(), frozenset(), False), {}
+        n, n4, labels = self.n, 4 * self.n, self.move_labels
+        actual = [_decorate(self.states[a % n], Decoration(a // n)) for a in range(n4)]
+        objects = {p: EicIndicatorState(self.states[p // n4], actual[p % n4]) for p in pairs}
+        singletons = {p: frozenset((pair,)) for p, pair in objects.items()}
+        transitions: dict[tuple[State, EventLabel], frozenset] = {}
+        for p, pair in objects.items():
+            for kind, e, t in self.moves[p]:
+                target = singletons.get(t)
+                if target is not None:
+                    transitions[(pair, labels[kind][e])] = target
+        secret = frozenset(pair for p, pair in objects.items() if p // n4 in self.secret)
+        automaton = Automaton(
+            frozenset(objects.values()),
+            self.events,
+            transitions,
+            singletons[self.start],
+            secret,
+            True,
+        )
+        return automaton, objects
+
+
 def build_eic_indicator(g: Automaton, geic: Automaton) -> Automaton:
     """Product of the system with its constrained insertion automaton.
 
     Dashed edges require both sides to move: the decoration must allow the
     insertion and the dummy must have a real transition on the inserted
-    symbol, because the observer re-runs every event it sees.
+    symbol, because the observer re-runs every event it sees.  Only the
+    accessible part is materialized, by the search that
+    ``check_eic_enforceable`` runs.
     """
-    if geic != build_eic_insertion_automaton(g, _constraints_of(geic)):
+    c = _constraints_of(geic)
+    if geic != build_eic_insertion_automaton(g, c):
         raise ValueError(
             "second argument must be a constrained insertion automaton of the first"
         )
-    (x0,) = g.initial
-    actual_labels = sorted_labels(e for e in g.events if not e.inserted)
-    dashed_labels = sorted_labels(e for e in geic.events if e.inserted)
-
-    initial = EicIndicatorState(x0, x0)
-    states = {initial}
-    transitions: dict[tuple[State, EventLabel], frozenset] = {}
-    frontier = [initial]
-    while frontier:
-        pair = frontier.pop()
-        for e in actual_labels:
-            dummy_next = g.step(pair.dummy, e)
-            act_next = geic.step(pair.actual, e)
-            if dummy_next and act_next:
-                (dummy,) = dummy_next
-                (act,) = act_next
-                target = EicIndicatorState(dummy, act)
-                transitions[(pair, e)] = frozenset({target})
-                if target not in states:
-                    states.add(target)
-                    frontier.append(target)
-        for label in dashed_labels:
-            dummy_next = g.step(pair.dummy, label.as_actual())
-            act_next = geic.step(pair.actual, label)
-            if dummy_next and act_next:
-                (dummy,) = dummy_next
-                (act,) = act_next
-                target = EicIndicatorState(dummy, act)
-                transitions[(pair, label)] = frozenset({target})
-                if target not in states:
-                    states.add(target)
-                    frontier.append(target)
-
-    secret = frozenset(p for p in states if p.dummy in g.secret)
-    return Automaton(
-        frozenset(states),
-        frozenset(actual_labels) | frozenset(dashed_labels),
-        transitions,
-        frozenset({initial}),
-        secret,
-        True,
-    )
+    kernel = _EicKernel(g, c)
+    return kernel.automaton(set(kernel.moves))[0]
 
 
 def find_eic_trapping_states(eia: Automaton) -> frozenset:
     """States with no outgoing move of any kind: nothing can be relayed or inserted."""
     have_out = {x for (x, _) in eia.transitions}
     return frozenset(eia.states - have_out)
-
-
-def _restrict(a: Automaton, keep: frozenset) -> Automaton:
-    transitions = {
-        (x, e): targets
-        for (x, e), targets in a.transitions.items()
-        if x in keep and targets <= keep
-    }
-    return Automaton(
-        keep,
-        a.events,
-        transitions,
-        a.initial & keep,
-        a.secret & keep,
-        a.deterministic if a.initial & keep else False,
-    )
 
 
 def build_eic_verifier(eia: Automaton) -> Automaton:
@@ -404,10 +567,10 @@ class EicReport:
 def check_eic_enforceable(g: Automaton, c: InsertionConstraints) -> EicReport:
     """Full pipeline: enforceable iff every actual state's subspace has an
     admissible pair."""
-    geic = build_eic_insertion_automaton(g, c)
-    eia = build_eic_indicator(g, geic)
-    verifier = build_eic_verifier(eia)
-    nb = find_staying_eic_nonblocking(verifier, g)
+    kernel = _EicKernel(g, c)
+    verifier_pairs = kernel.verifier()
+    verifier, objects = kernel.automaton(verifier_pairs)
+    nb = {objects[p]: kind for p, kind in kernel.staying(verifier_pairs).items()}
     admissible = eic_admissible_states(verifier, nb, g.secret)
     covered = {base_of(pair.actual) for pair in admissible}
     uncovered = frozenset(g.states - covered)

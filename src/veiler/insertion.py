@@ -80,16 +80,12 @@ class IndicatorState:
         return f"({state_display(self.dummy)},{state_display(self.actual)})"
 
 
-class _PairKernel:
-    """The indicator of a deterministic system on integer pair ids.
+class _InternedDfa:
+    """A deterministic system on dense integer ids, shared by the pair kernels.
 
     States of g, in display order, become ids 0..n-1 and its actual labels
-    ids 0..k-1; the pair (dummy d, actual x) is the id ``d*n + x``.  A dashed
-    move changes only the dummy, along an edge of g, and the reachable pairs
-    are closed under dashed moves, so the dashed SCC of (d, x) is exactly
-    SCC_g(d) x {x}.  That component is the id ``c*n + x``, where c is the
-    SCC of d in g.  ``IndicatorState`` objects are made only by
-    ``automaton``, for the pairs a caller keeps.
+    ids 0..k-1; ``delta[x][e]`` is the successor of x on e, or -1 where the
+    move is undefined.
     """
 
     def __init__(self, g: Automaton) -> None:
@@ -97,8 +93,6 @@ class _PairKernel:
             raise ValueError("insertion analysis requires a deterministic automaton")
         self.states = sorted_states(g.states)
         self.labels = _actual_labels(g)
-        self.inserted = [EventLabel(e.symbol, Tag.INSERTED) for e in self.labels]
-        self.events = frozenset(self.labels) | frozenset(self.inserted)
         n = self.n = len(self.states)
         index = {x: i for i, x in enumerate(self.states)}
         label_index = {e: i for i, e in enumerate(self.labels)}
@@ -108,8 +102,26 @@ class _PairKernel:
                 self.delta[index[x]][label_index[e]] = index[y]
         (x0,) = g.initial
         self.x0 = index[x0]
-        self.start = self.x0 * n + self.x0
         self.secret = {index[x] for x in g.secret}
+
+
+class _PairKernel(_InternedDfa):
+    """The indicator of a deterministic system on integer pair ids.
+
+    The pair (dummy d, actual x) is the id ``d*n + x``.  A dashed move
+    changes only the dummy, along an edge of g, and the reachable pairs are
+    closed under dashed moves, so the dashed SCC of (d, x) is exactly
+    SCC_g(d) x {x}.  That component is the id ``c*n + x``, where c is the
+    SCC of d in g.  ``IndicatorState`` objects are made only by
+    ``automaton``, for the pairs a caller keeps.
+    """
+
+    def __init__(self, g: Automaton) -> None:
+        super().__init__(g)
+        n = self.n
+        self.inserted = [EventLabel(e.symbol, Tag.INSERTED) for e in self.labels]
+        self.events = frozenset(self.labels) | frozenset(self.inserted)
+        self.start = self.x0 * n + self.x0
         partition = strongly_connected_components(
             range(n), ((x, y) for x, row in enumerate(self.delta) for y in row if y >= 0)
         )

@@ -5,6 +5,16 @@ from pathlib import Path
 
 import pytest
 
+from veiler.constrained import (
+    EicReport,
+    InsertionConstraints,
+    base_of,
+    build_eic_indicator,
+    build_eic_insertion_automaton,
+    build_eic_verifier,
+    eic_admissible_states,
+    find_staying_eic_nonblocking,
+)
 from veiler.fsm import Automaton
 from veiler.insertion import (
     EiReport,
@@ -94,5 +104,24 @@ def staged_ei_report():
         uncovered = frozenset(g.states - {pair.actual for pair in admissible})
         unreachable = frozenset(g.states - g.accessible_part().states)
         return EiReport(not uncovered, v, snb, admissible, uncovered, unreachable)
+
+    return run
+
+
+@pytest.fixture
+def staged_eic_report():
+    """The constrained pipeline run stage by stage, as the paper builds it.
+
+    ``check_eic_enforceable`` decides on interned pair ids instead; its
+    report must equal this one field for field.
+    """
+
+    def run(g: Automaton, c: InsertionConstraints) -> EicReport:
+        v = build_eic_verifier(build_eic_indicator(g, build_eic_insertion_automaton(g, c)))
+        nb = find_staying_eic_nonblocking(v, g)
+        admissible = eic_admissible_states(v, nb, g.secret)
+        uncovered = frozenset(g.states - {base_of(pair.actual) for pair in admissible})
+        unreachable = frozenset(g.states - g.accessible_part().states)
+        return EicReport(not uncovered, v, nb, admissible, uncovered, unreachable)
 
     return run

@@ -17,11 +17,16 @@ from veiler.cli import (
     EXIT_OK,
     cli_main,
 )
-from veiler.constrained import check_eic_enforceable
+from veiler.constrained import (
+    InsertionConstraints,
+    build_eic_indicator,
+    build_eic_insertion_automaton,
+    check_eic_enforceable,
+)
 from veiler.dot import emit_dot
 from veiler.insertion import build_indicator, build_insertion_automaton, check_ei_enforceable
-from veiler.oracle import random_dfa
-from veiler.report import ei_report, to_json
+from veiler.oracle import random_constraints, random_dfa
+from veiler.report import ei_report, eic_report, to_json
 from veiler.textio import emit_automaton, parse_document
 
 DATA = Path(__file__).parent / "data"
@@ -237,6 +242,41 @@ class TestVerifyEic:
         )
         assert code == EXIT_OK
         assert target.read_text().startswith('digraph "g1" {')
+
+    def test_output_matches_the_staged_reference(self, capsys, tmp_path, staged_eic_report):
+        cases = [(Path(G1), InsertionConstraints.of({"b", "c"}, {"a"}))]
+        for seed in range(20):
+            path = tmp_path / f"r{seed}.aut"
+            g = random_dfa(seed, n_states=3 + seed % 6, live=seed % 2 == 0)
+            path.write_text(emit_automaton(g, f"r{seed}"))
+            cases.append((path, random_constraints(seed, "abc")))
+        for path, c in cases:
+            doc = parse_document(path.read_text())
+            g = doc.automaton
+            expected = staged_eic_report(g, c)
+            indicator = build_eic_indicator(g, build_eic_insertion_automaton(g, c))
+            dot = tmp_path / "out.dot"
+            code = cli_main(
+                [
+                    "verify-eic",
+                    str(path),
+                    "--insert-before",
+                    ",".join(sorted(c.before)),
+                    "--insert-after",
+                    ",".join(sorted(c.after)),
+                    "--json",
+                    "--dot",
+                    str(dot),
+                ]
+            )
+            assert code == (EXIT_OK if expected.enforceable else EXIT_NOT_ENFORCEABLE)
+            assert capsys.readouterr().out == to_json(eic_report(doc.name, expected, c))
+            assert dot.read_text() == emit_dot(
+                indicator,
+                doc.name,
+                nonblocking=expected.staying_nonblocking,
+                pruned=indicator.states - expected.eic_verifier.states,
+            )
 
 
 def _negated(decide):

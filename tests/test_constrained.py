@@ -4,6 +4,7 @@ import pytest
 
 from veiler.constrained import (
     Decoration,
+    EicIndicatorState,
     InsertionConstraints,
     base_of,
     build_eic_indicator,
@@ -15,7 +16,7 @@ from veiler.constrained import (
     find_eic_trapping_states,
     find_staying_eic_nonblocking,
 )
-from veiler.fsm import Automaton, Tag, state_display, word
+from veiler.fsm import Automaton, Tag, sorted_labels, state_display, word
 from veiler.oracle import random_constraints, random_dfa
 
 BC_A = InsertionConstraints.of({"b", "c"}, {"a"})
@@ -314,3 +315,47 @@ class TestCheckEicEnforceable:
             assert report.eic_verifier.states <= eia.states
             assert frozenset(report.staying_nonblocking) <= report.eic_verifier.states
             assert report.admissible <= frozenset(report.staying_nonblocking)
+
+    def test_matches_the_staged_reference(self, staged_eic_report):
+        # The decision runs on interned pair ids; the paper's stages, and a
+        # product built pair by pair for the indicator, are the reference.
+        def naive_indicator(g, geic):
+            (x0,) = g.initial
+            start = EicIndicatorState(x0, x0)
+            labels = sorted_labels(g.events | geic.events)
+            states, frontier, transitions = {start}, [start], {}
+            while frontier:
+                pair = frontier.pop()
+                for label in labels:
+                    for dummy in g.step(pair.dummy, label.as_actual()):
+                        for act in geic.step(pair.actual, label):
+                            target = EicIndicatorState(dummy, act)
+                            transitions[(pair, label)] = frozenset({target})
+                            if target not in states:
+                                states.add(target)
+                                frontier.append(target)
+            secret = frozenset(p for p in states if p.dummy in g.secret)
+            return Automaton(
+                frozenset(states), frozenset(labels), transitions, frozenset({start}), secret, True
+            )
+
+        subsets = [frozenset(s for i, s in enumerate("abc") if mask >> i & 1) for mask in range(8)]
+        pruned = emptied = 0
+        for seed in range(256):
+            g = random_dfa(
+                seed,
+                n_states=2 + seed % 11,
+                trans_density=(0.2, 0.5, 0.8)[seed % 3],
+                live=seed % 22 < 11,
+            )
+            # every before/after pair of subsets of {a, b, c}, four times over
+            c = InsertionConstraints(subsets[seed % 8], subsets[seed // 8 % 8])
+            geic = build_eic_insertion_automaton(g, c)
+            eia = build_eic_indicator(g, geic)
+            assert eia == naive_indicator(g, geic), seed
+            expected = staged_eic_report(g, c)
+            assert check_eic_enforceable(g, c) == expected, seed
+            pruned += expected.eic_verifier.states != eia.states
+            emptied += not expected.eic_verifier.states
+        # the sample must exercise pruning, down to the empty verifier
+        assert pruned > 50 and emptied > 5
