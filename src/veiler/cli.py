@@ -14,10 +14,10 @@ import tempfile
 from typing import Optional, Sequence
 
 from . import __version__
-from .constrained import InsertionConstraints, build_eic_indicator, build_eic_insertion_automaton, check_eic_enforceable
+from .constrained import InsertionConstraints, _decide_eic, check_eic_enforceable
 from .dot import emit_dot
 from .fsm import Automaton, state_display, sorted_states
-from .insertion import build_indicator, build_insertion_automaton, check_ei_enforceable
+from .insertion import _decide_ei, check_ei_enforceable
 from .observer import check_current_state_opacity
 from .oracle import (
     SearchBudget,
@@ -160,14 +160,11 @@ def _cmd_verify_ei(args: argparse.Namespace) -> int:
     doc = _read_document(args.file)
     _require_fully_observable(doc)
     g = doc.automaton
-    report = check_ei_enforceable(g)
+    report, draw_indicator = _decide_ei(g)
     if args.dot:
-        indicator = build_indicator(g, build_insertion_automaton(g))
+        indicator, pruned = draw_indicator()
         dot = emit_dot(
-            indicator,
-            doc.name,
-            nonblocking=report.staying_nonblocking,
-            pruned=indicator.states - report.verifier.states,
+            indicator, doc.name, nonblocking=report.staying_nonblocking, pruned=pruned
         )
         _write_atomic(args.dot, dot)
     if args.json:
@@ -193,15 +190,11 @@ def _cmd_verify_eic(args: argparse.Namespace) -> int:
         _split_events(args.insert_before), _split_events(args.insert_after)
     )
     constraints.validate_against(g)
-    report = check_eic_enforceable(g, constraints)
+    report, draw_indicator = _decide_eic(g, constraints)
     if args.dot:
-        geic = build_eic_insertion_automaton(g, constraints)
-        indicator = build_eic_indicator(g, geic)
+        indicator, pruned = draw_indicator()
         dot = emit_dot(
-            indicator,
-            doc.name,
-            nonblocking=report.staying_nonblocking,
-            pruned=indicator.states - report.eic_verifier.states,
+            indicator, doc.name, nonblocking=report.staying_nonblocking, pruned=pruned
         )
         _write_atomic(args.dot, dot)
     if args.json:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .fsm import (
     Automaton,
@@ -366,14 +366,21 @@ class _EicKernel(_InternedDfa):
         return {p: 1 if p % n4 < n else 2 for p in alive}
 
     def automaton(
-        self, pairs: set[int]
+        self, pairs: set[int], made: Mapping[int, EicIndicatorState] | None = None
     ) -> tuple[Automaton, dict[int, EicIndicatorState]]:
-        """The indicator restricted to ``pairs``, and the state of every pair id."""
+        """The indicator restricted to ``pairs``, and the state of every pair id.
+
+        The states in ``made``, from an earlier call, are reused.
+        """
         if not pairs:
             return Automaton(frozenset(), self.events, {}, frozenset(), frozenset(), False), {}
         n, n4, labels = self.n, 4 * self.n, self.move_labels
+        made = made or {}
         actual = [_decorate(self.states[a % n], Decoration(a // n)) for a in range(n4)]
-        objects = {p: EicIndicatorState(self.states[p // n4], actual[p % n4]) for p in pairs}
+        objects = {
+            p: made[p] if p in made else EicIndicatorState(self.states[p // n4], actual[p % n4])
+            for p in pairs
+        }
         singletons = {p: frozenset((pair,)) for p, pair in objects.items()}
         transitions: dict[tuple[State, EventLabel], frozenset] = {}
         for p, pair in objects.items():
@@ -564,9 +571,15 @@ class EicReport:
     unreachable_actual_states: frozenset
 
 
-def check_eic_enforceable(g: Automaton, c: InsertionConstraints) -> EicReport:
-    """Full pipeline: enforceable iff every actual state's subspace has an
-    admissible pair."""
+def _decide_eic(
+    g: Automaton, c: InsertionConstraints
+) -> tuple[EicReport, Callable[[], tuple[Automaton, frozenset]]]:
+    """The report of ``check_eic_enforceable``, and a function that draws the indicator.
+
+    The function returns ``build_eic_indicator(g, build_eic_insertion_automaton(g, c))``
+    and the pairs that pruning removed from it, from this run's kernel and
+    pair states.  When pruning removes nothing, the indicator is the verifier.
+    """
     kernel = _EicKernel(g, c)
     verifier_pairs = kernel.verifier()
     verifier, objects = kernel.automaton(verifier_pairs)
@@ -575,7 +588,7 @@ def check_eic_enforceable(g: Automaton, c: InsertionConstraints) -> EicReport:
     covered = {base_of(pair.actual) for pair in admissible}
     uncovered = frozenset(g.states - covered)
     unreachable = frozenset(g.states - g.accessible_part().states)
-    return EicReport(
+    report = EicReport(
         not uncovered,
         verifier,
         nb,
@@ -583,3 +596,19 @@ def check_eic_enforceable(g: Automaton, c: InsertionConstraints) -> EicReport:
         uncovered,
         unreachable,
     )
+
+    def indicator() -> tuple[Automaton, frozenset]:
+        # The verifier's pairs are a subset of the searched ones.
+        reachable = kernel.moves
+        if len(verifier_pairs) == len(reachable):
+            return verifier, frozenset()
+        automaton, every = kernel.automaton(set(reachable), objects)
+        return automaton, frozenset(every[p] for p in reachable if p not in verifier_pairs)
+
+    return report, indicator
+
+
+def check_eic_enforceable(g: Automaton, c: InsertionConstraints) -> EicReport:
+    """Full pipeline: enforceable iff every actual state's subspace has an
+    admissible pair."""
+    return _decide_eic(g, c)[0]

@@ -7,6 +7,7 @@ display order and nothing date- or id-dependent goes into the file.
 """
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Collection, Iterable
 
 from .fsm import Automaton, state_display
@@ -35,22 +36,30 @@ def emit_dot(
     pruned = set(pruned)
     names = {x: state_display(x) for x in a.states}
     quoted = {name: _quote(name) for name in names.values()}
-    for x in sorted(a.states, key=names.__getitem__):
-        attrs = []
+    for x, name in sorted(names.items(), key=itemgetter(1)):
         if x in nonblocking:
-            attrs.append('style=filled, fillcolor="#e05a4e"')
+            lines.append(f'  {quoted[name]} [style=filled, fillcolor="#e05a4e"];')
         elif x in pruned:
-            attrs.append('style=filled, fillcolor="#66bb6a"')
-        suffix = f" [{', '.join(attrs)}]" if attrs else ""
-        lines.append(f"  {quoted[names[x]]}{suffix};")
+            lines.append(f'  {quoted[name]} [style=filled, fillcolor="#66bb6a"];')
+        else:
+            lines.append(f"  {quoted[name]};")
     for x in sorted(a.initial, key=names.__getitem__):
         lines.append(f"  __start -> {quoted[names[x]]};")
+    labels = {}
+    for e in a.events:
+        text = e.display()
+        style = ", style=dashed" if e.inserted else ""
+        labels[e] = (text, e.inserted, f" [label={_quote(text)}{style}];")
+    # Edges sort by (source, target, label text, inserted); the attributes
+    # follow from the last two, so they never decide the order.
     rows = []
-    for (src, label), targets in a.transitions.items():
-        for dst in targets:
-            rows.append((names[src], names[dst], label.display(), label.inserted))
-    for src, dst, text, inserted in sorted(rows):
-        style = ', style=dashed' if inserted else ""
-        lines.append(f"  {quoted[src]} -> {quoted[dst]} [label={_quote(text)}{style}];")
+    for src, src_name in names.items():
+        for label, targets in a.outgoing(src).items():
+            text, inserted, attrs = labels[label]
+            for dst in targets:
+                rows.append((src_name, names[dst], text, inserted, attrs))
+    rows.sort()
+    for src, dst, _, _, attrs in rows:
+        lines.append(f"  {quoted[src]} -> {quoted[dst]}{attrs}")
     lines.append("}")
     return "\n".join(lines) + "\n"

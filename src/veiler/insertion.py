@@ -12,7 +12,7 @@ system is in; the actual component is where the system really is.  Dashed
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .fsm import (
     Automaton,
@@ -243,12 +243,21 @@ class _PairKernel(_InternedDfa):
             recheck.extend(watchers.pop(key, ()))
         return {p for p in pairs if scc[p // n] * n + p % n in alive}
 
-    def automaton(self, pairs: set[int]) -> tuple[Automaton, dict[int, IndicatorState]]:
-        """The indicator restricted to ``pairs``, and the state of every pair id."""
+    def automaton(
+        self, pairs: set[int], made: Mapping[int, IndicatorState] | None = None
+    ) -> tuple[Automaton, dict[int, IndicatorState]]:
+        """The indicator restricted to ``pairs``, and the state of every pair id.
+
+        The states in ``made``, from an earlier call, are reused.
+        """
         n, delta, states = self.n, self.delta, self.states
         if not pairs:
             return Automaton(frozenset(), self.events, {}, frozenset(), frozenset(), False), {}
-        objects = {p: IndicatorState(states[p // n], states[p % n]) for p in pairs}
+        made = made or {}
+        objects = {
+            p: made[p] if p in made else IndicatorState(states[p // n], states[p % n])
+            for p in pairs
+        }
         singletons = {p: frozenset((pair,)) for p, pair in objects.items()}
         transitions: dict[tuple[State, EventLabel], frozenset] = {}
         for p, pair in objects.items():
@@ -491,15 +500,16 @@ class EiReport:
     unreachable_actual_states: frozenset
 
 
-def check_ei_enforceable(g: Automaton) -> EiReport:
-    """Full pipeline: enforceable iff every actual state has an admissible pair.
+def _decide_ei(g: Automaton) -> tuple[EiReport, Callable[[], tuple[Automaton, frozenset]]]:
+    """The report of ``check_ei_enforceable``, and a function that draws the indicator.
 
-    The quantifier runs over all states of g, including ones unreachable in
-    g itself; those can never acquire a pair, so they are reported
-    separately to make the verdict legible.
+    The function returns ``build_indicator(g, build_insertion_automaton(g))``
+    and the pairs that pruning removed from it, from this run's kernel and
+    pair states.  When pruning removes nothing, the indicator is the verifier.
     """
     kernel = _PairKernel(g)
-    verifier_pairs = kernel.reachable_pairs(kernel.prune(kernel.reachable_pairs()))
+    reachable = kernel.reachable_pairs()
+    verifier_pairs = kernel.reachable_pairs(kernel.prune(reachable))
     verifier, objects = kernel.automaton(verifier_pairs)
     staying = kernel.staying(verifier_pairs)
     snb = frozenset(objects[p] for p in staying)
@@ -507,7 +517,7 @@ def check_ei_enforceable(g: Automaton) -> EiReport:
     covered = {pair.actual for pair in admissible}
     uncovered = frozenset(g.states - covered)
     unreachable = frozenset(g.states - g.accessible_part().states)
-    return EiReport(
+    report = EiReport(
         not uncovered,
         verifier,
         snb,
@@ -515,3 +525,22 @@ def check_ei_enforceable(g: Automaton) -> EiReport:
         uncovered,
         unreachable,
     )
+
+    def indicator() -> tuple[Automaton, frozenset]:
+        # The verifier's pairs are a subset of the reachable ones.
+        if len(verifier_pairs) == len(reachable):
+            return verifier, frozenset()
+        automaton, every = kernel.automaton(reachable, objects)
+        return automaton, frozenset(every[p] for p in reachable - verifier_pairs)
+
+    return report, indicator
+
+
+def check_ei_enforceable(g: Automaton) -> EiReport:
+    """Full pipeline: enforceable iff every actual state has an admissible pair.
+
+    The quantifier runs over all states of g, including ones unreachable in
+    g itself; those can never acquire a pair, so they are reported
+    separately to make the verdict legible.
+    """
+    return _decide_ei(g)[0]

@@ -252,7 +252,7 @@ def oracle_ei_enforceable(g: Automaton, b: Optional[SearchBudget] = None) -> boo
     changed = True
     while changed:
         changed = False
-        for pair in sorted(w, key=repr):
+        for pair in list(w):
             d, x = pair
             ok = True
             for e in g.enabled_events(x):
@@ -317,7 +317,7 @@ def oracle_eic_enforceable(
     changed = True
     while changed:
         changed = False
-        for pair in sorted(w, key=repr):
+        for pair in list(w):
             d, x = pair
             ok = True
             for e in g.enabled_events(x):

@@ -41,9 +41,11 @@ def opacity_report(name: str, verdict: OpacityVerdict, command: str = "check-opa
 def ei_report(name: str, report: EiReport, command: str = "verify-ei") -> dict:
     payload = _base(command, name)
     payload["enforceable"] = report.enforceable
-    payload["verifier_states"] = _displays(report.verifier.states)
-    payload["staying_nonblocking"] = _displays(report.staying_nonblocking)
-    payload["admissible"] = _displays(report.admissible)
+    # Staying and admissible pairs are verifier pairs: one name per pair.
+    names = {pair: state_display(pair) for pair in report.verifier.states}
+    payload["verifier_states"] = sorted(names.values())
+    payload["staying_nonblocking"] = sorted(names[pair] for pair in report.staying_nonblocking)
+    payload["admissible"] = sorted(names[pair] for pair in report.admissible)
     payload["uncovered_actual_states"] = _displays(report.uncovered_actual_states)
     payload["unreachable_actual_states"] = _displays(report.unreachable_actual_states)
     return payload
@@ -59,14 +61,12 @@ def eic_report(
     payload["enforceable"] = report.enforceable
     payload["insertable_before"] = sorted(constraints.before)
     payload["insertable_after"] = sorted(constraints.after)
-    payload["verifier_states"] = _displays(report.eic_verifier.states)
-    payload["staying_nonblocking"] = {
-        state_display(pair): kind
-        for pair, kind in sorted(
-            report.staying_nonblocking.items(), key=lambda item: state_display(item[0])
-        )
-    }
-    payload["admissible"] = _displays(report.admissible)
+    # Staying and admissible pairs are verifier pairs: one name per pair.
+    names = {pair: state_display(pair) for pair in report.eic_verifier.states}
+    payload["verifier_states"] = sorted(names.values())
+    staying = [(names[pair], kind) for pair, kind in report.staying_nonblocking.items()]
+    payload["staying_nonblocking"] = dict(sorted(staying, key=lambda item: item[0]))
+    payload["admissible"] = sorted(names[pair] for pair in report.admissible)
     payload["uncovered_actual_states"] = _displays(report.uncovered_actual_states)
     payload["unreachable_actual_states"] = _displays(report.unreachable_actual_states)
     return payload

@@ -19,18 +19,37 @@ from veiler.cli import (
 )
 from veiler.constrained import (
     InsertionConstraints,
+    _EicKernel,
     build_eic_indicator,
     build_eic_insertion_automaton,
     check_eic_enforceable,
 )
 from veiler.dot import emit_dot
-from veiler.insertion import build_indicator, build_insertion_automaton, check_ei_enforceable
+from veiler.insertion import (
+    _PairKernel,
+    build_indicator,
+    build_insertion_automaton,
+    check_ei_enforceable,
+)
 from veiler.oracle import random_constraints, random_dfa
 from veiler.report import ei_report, eic_report, to_json
 from veiler.textio import emit_automaton, parse_document
 
 DATA = Path(__file__).parent / "data"
 G1 = str(DATA / "g1.aut")
+
+
+def _count_constructions(monkeypatch, kernel: type) -> list:
+    """A list that gains one entry each time ``kernel`` is constructed."""
+    built = []
+    init = kernel.__init__
+
+    def counted(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(kernel, "__init__", counted)
+    return built
 
 
 @pytest.fixture
@@ -176,6 +195,18 @@ class TestVerifyEi:
                 pruned=indicator.states - expected.verifier.states,
             )
 
+    def test_dot_matches_the_golden_file(self, capsys, tmp_path):
+        # g1-ei.dot is saved output of an earlier emit_dot, so the expected
+        # text does not come from the code under test.
+        dot = tmp_path / "out.dot"
+        assert cli_main(["verify-ei", G1, "--dot", str(dot)]) == EXIT_OK
+        assert dot.read_bytes() == (DATA / "g1-ei.dot").read_bytes()
+
+    def test_dot_comes_from_the_same_kernel_run(self, capsys, monkeypatch, tmp_path):
+        built = _count_constructions(monkeypatch, _PairKernel)
+        assert cli_main(["verify-ei", G1, "--dot", str(tmp_path / "out.dot")]) == EXIT_OK
+        assert len(built) == 1
+
 
 class TestVerifyEic:
     def test_split_alphabets_keep_the_example_enforceable(self, capsys):
@@ -277,6 +308,20 @@ class TestVerifyEic:
                 nonblocking=expected.staying_nonblocking,
                 pruned=indicator.states - expected.eic_verifier.states,
             )
+
+    def test_dot_matches_the_golden_file(self, capsys, tmp_path):
+        # g1-eic.dot is saved output of an earlier emit_dot, so the expected
+        # text does not come from the code under test.
+        dot = tmp_path / "out.dot"
+        argv = ["verify-eic", G1, "--insert-before", "b,c", "--insert-after", "a"]
+        assert cli_main(argv + ["--dot", str(dot)]) == EXIT_OK
+        assert dot.read_bytes() == (DATA / "g1-eic.dot").read_bytes()
+
+    def test_dot_comes_from_the_same_kernel_run(self, capsys, monkeypatch, tmp_path):
+        built = _count_constructions(monkeypatch, _EicKernel)
+        argv = ["verify-eic", G1, "--insert-before", "b,c", "--insert-after", "a"]
+        assert cli_main(argv + ["--dot", str(tmp_path / "out.dot")]) == EXIT_OK
+        assert len(built) == 1
 
 
 def _negated(decide):

@@ -6,6 +6,7 @@ from veiler.constrained import (
     Decoration,
     EicIndicatorState,
     InsertionConstraints,
+    _decide_eic,
     base_of,
     build_eic_indicator,
     build_eic_insertion_automaton,
@@ -355,6 +356,8 @@ class TestCheckEicEnforceable:
             assert eia == naive_indicator(g, geic), seed
             expected = staged_eic_report(g, c)
             assert check_eic_enforceable(g, c) == expected, seed
+            # --dot draws the same indicator, and its pruned pairs, from the decision
+            assert _decide_eic(g, c)[1]() == (eia, eia.states - expected.eic_verifier.states), seed
             pruned += expected.eic_verifier.states != eia.states
             emptied += not expected.eic_verifier.states
         # the sample must exercise pruning, down to the empty verifier

@@ -5,6 +5,7 @@ import pytest
 from veiler.fsm import Automaton, EventLabel, Tag, as_label, state_display, word
 from veiler.insertion import (
     IndicatorState,
+    _decide_ei,
     admissible_states,
     apply_mask_mi,
     apply_projection_pi,
@@ -301,6 +302,8 @@ class TestCheckEiEnforceable:
             assert ia == naive_indicator(g), seed
             expected = staged_ei_report(g)
             assert check_ei_enforceable(g) == expected, seed
+            # --dot draws the same indicator, and its pruned pairs, from the decision
+            assert _decide_ei(g)[1]() == (ia, ia.states - expected.verifier.states), seed
             pruned += expected.verifier.states != ia.states
             emptied += not expected.verifier.states
         # the sample must exercise pruning, down to the empty verifier
