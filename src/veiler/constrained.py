@@ -20,10 +20,9 @@ from .fsm import (
     State,
     Tag,
     sorted_labels,
-    sorted_states,
     state_display,
 )
-from .insertion import _InternedDfa, _restrict
+from .insertion import _InternedDfa, _greatest_fixpoint, _restrict, _walk
 
 
 @dataclass(frozen=True)
@@ -441,22 +440,6 @@ def build_eic_verifier(eia: Automaton) -> Automaton:
     return current.accessible_part()
 
 
-def _before_walk_reach(ev: Automaton, start: State) -> set:
-    """Pairs reachable from start via before-insertion edges only."""
-    reached = set()
-    frontier = [start]
-    while frontier:
-        pair = frontier.pop()
-        for label, targets in ev.outgoing(pair).items():
-            if label.tag is not Tag.INSERTED_BEFORE:
-                continue
-            (target,) = targets
-            if target not in reached:
-                reached.add(target)
-                frontier.append(target)
-    return reached
-
-
 def find_staying_eic_nonblocking(ev: Automaton, g: Automaton) -> Mapping:
     """Largest set of resting pairs from which every next real output stays
     relayable, with their type.
@@ -470,86 +453,25 @@ def find_staying_eic_nonblocking(ev: Automaton, g: Automaton) -> Mapping:
     inserter can relay every output forever, not just the next one.  The
     system g supplies the enabled-event sets, which pruning may have made
     unreadable from the verifier alone.
-
-    A first pass keeps the pairs whose every enabled event has some solid
-    move after a before-walk.  If it drops any, each kept pair watches one
-    relay target per event and each relay target one pair it settles on;
-    a removal re-tests only the watchers of what it removed.
     """
-    resting = [
-        pair
-        for pair in sorted_states(ev.states)
-        if decoration_of(pair.actual) in (Decoration.PLAIN, Decoration.A)
-    ]
-    follow = {pair: {pair} | _before_walk_reach(ev, pair) for pair in resting}
-    stranded: set = set()
-
-    def relay(pair: State, e: EventLabel):
-        """A target of e after a before-walk from pair that is not known to strand."""
-        return next(
-            (t for q in follow[pair] for t in ev.step(q, e) if t not in stranded), None
-        )
-
-    relays: dict[State, list] = {}
-    for pair in resting:
-        found = []
+    # After-walks per solid landing, a plain pair that many relays share.
+    settles: dict[State, set] = {}
+    landings = {}
+    for pair in ev.states:
+        if decoration_of(pair.actual) not in (Decoration.PLAIN, Decoration.A):
+            continue
+        before = _walk(ev, pair, Tag.INSERTED_BEFORE)
+        landings[pair] = found = []
         for e in g.enabled_events(base_of(pair.actual)):
-            relayed = relay(pair, e)
-            if relayed is None:
-                break
-            found.append((relayed, e))
-        else:
-            relays[pair] = found
-    alive = set(relays)
-    dropped = [pair for pair in resting if pair not in alive]
-
-    if dropped:
-        relay_watchers: dict[State, list] = {}
-        settle_watchers: dict[State, list] = {}
-
-        def settle(relayed: State) -> bool:
-            """Watch a staying pair that an after-walk from relayed reaches."""
-            reached = {relayed}
-            frontier = [relayed]
-            while frontier:
-                pair = frontier.pop()
-                if pair in alive:
-                    settle_watchers.setdefault(pair, []).append(relayed)
-                    return True
-                for label, (target,) in ev.outgoing(pair).items():
-                    if label.tag is Tag.INSERTED_AFTER and target not in reached:
-                        reached.add(target)
-                        frontier.append(target)
-            return False
-
-        while dropped:
-            pair = dropped.pop()
-            recheck = settle_watchers.pop(pair, [])
-            if decoration_of(pair.actual) is Decoration.PLAIN:
-                recheck.append(pair)
-            for relayed in recheck:
-                if relayed in stranded or settle(relayed):
-                    continue
-                if not stranded:
-                    # Indexed at the first stranding: many drops strand nothing.
-                    for source, found in relays.items():
-                        for target, e in found:
-                            relay_watchers.setdefault(target, []).append((source, e))
-                stranded.add(relayed)
-                for source, e in relay_watchers.pop(relayed, ()):
-                    if source not in alive:
-                        continue
-                    target = relay(source, e)
-                    if target is None:
-                        alive.discard(source)
-                        dropped.append(source)
-                    else:
-                        relay_watchers.setdefault(target, []).append((source, e))
-
+            targets: set = set()
+            for relayed in (t for q in before for t in ev.step(q, e)):
+                if relayed not in settles:
+                    settles[relayed] = _walk(ev, relayed, Tag.INSERTED_AFTER)
+                targets |= settles[relayed]
+            found.append(targets)
     return {
         pair: 1 if decoration_of(pair.actual) is Decoration.PLAIN else 2
-        for pair in resting
-        if pair in alive
+        for pair in _greatest_fixpoint(landings)
     }
 
 

@@ -413,6 +413,36 @@ def build_verifier(ia: Automaton, g: Automaton) -> Automaton:
     return current.accessible_part()
 
 
+def _walk(a: Automaton, start: State, keep: Tag) -> set:
+    """start and every state a walk along ``keep``-tagged moves reaches from it."""
+    reached = {start}
+    frontier = [start]
+    while frontier:
+        for label, (target,) in a.outgoing(frontier.pop()).items():
+            if label.tag is keep and target not in reached:
+                reached.add(target)
+                frontier.append(target)
+    return reached
+
+
+def _greatest_fixpoint(landings: Mapping[State, list]) -> frozenset:
+    """Largest set of pairs each of whose landing sets meets the set itself.
+
+    ``landings`` maps every candidate pair to one set of pairs per event it
+    must relay.  Every pair is re-tested, round after round, until none falls.
+    """
+    alive = set(landings)
+    while True:
+        falling = {
+            pair
+            for pair in alive
+            if any(alive.isdisjoint(targets) for targets in landings[pair])
+        }
+        if not falling:
+            return frozenset(alive)
+        alive -= falling
+
+
 def find_staying_nonblocking(v: Automaton, g: Automaton) -> frozenset:
     """Largest set of pairs from which every next real output stays relayable.
 
@@ -421,65 +451,14 @@ def find_staying_nonblocking(v: Automaton, g: Automaton) -> frozenset:
     string may be) reaches a pair whose solid move on that event lands on a
     pair that stays too.  This is a greatest fixpoint: from a staying pair
     the inserter can relay every output forever, not just the next one.
-
-    Pairs of one dashed SCC share their walks, so they stay or fall
-    together.  A first pass keeps the SCCs whose every enabled event has
-    some solid move in reach.  If it drops any, each kept SCC watches one
-    staying landing pair per event, and a falling pair re-tests only the
-    SCCs that watched it.
     """
-    components = partition_subspaces(v).second_level
-    key_of = {pair: key for key, component in components.items() for pair in component}
-    successors: dict[tuple[State, int], set] = {key: set() for key in components}
-    for key, component in components.items():
-        for pair in component:
-            for label, (target,) in v.outgoing(pair).items():
-                if label.inserted:
-                    successors[key].add(key_of[target])
-
-    closures: dict[tuple[State, int], set] = {}
-    kept = set()
-    for key in components:
-        closure = {key}
-        stack = [key]
-        while stack:
-            for nxt in successors[stack.pop()]:
-                if nxt not in closure:
-                    closure.add(nxt)
-                    stack.append(nxt)
-        closures[key] = closure
-        walk = [pair for other in closure for pair in components[other]]
-        enabled = g.enabled_events(key[0])
-        if all(any(v.step(pair, e) for pair in walk) for e in enabled):
-            kept.add(key)
-    alive = set().union(*(components[key] for key in kept))
-    if len(alive) == len(v.states):
-        return frozenset(alive)
-
-    watchers: dict[State, list] = {}
-    recheck = [(key, e) for key in kept for e in g.enabled_events(key[0])]
-    while recheck:
-        key, e = recheck.pop()
-        if key not in kept:
-            continue
-        landing = next(
-            (
-                t
-                for other in closures[key]
-                for pair in components[other]
-                for t in v.step(pair, e)
-                if t in alive
-            ),
-            None,
-        )
-        if landing is not None:
-            watchers.setdefault(landing, []).append((key, e))
-            continue
-        kept.discard(key)
-        alive -= components[key]
-        for pair in components[key]:
-            recheck.extend(watchers.pop(pair, ()))
-    return frozenset(alive)
+    landings = {}
+    for pair in v.states:
+        walk = _walk(v, pair, Tag.INSERTED)
+        landings[pair] = [
+            {t for q in walk for t in v.step(q, e)} for e in g.enabled_events(pair.actual)
+        ]
+    return _greatest_fixpoint(landings)
 
 
 def admissible_states(

@@ -46,6 +46,16 @@ def _state_token(token: str) -> State:
     return int(token) if token.isdigit() else token
 
 
+def _declare(lineno: int, kind: str, tokens: list[str], names: list) -> set:
+    """The set of ``names``; the line is an error if two tokens name the same one."""
+    declared: set = set()
+    for token, name in zip(tokens, names):
+        if name in declared:
+            raise ParseError(lineno, f"{kind} {token!r} declared twice")
+        declared.add(name)
+    return declared
+
+
 _SECTION_ORDER = ["automaton", "events", "unobservable", "states", "initial", "secret", "trans", "end"]
 _REQUIRED = {"automaton", "events", "states", "initial", "end"}
 
@@ -92,12 +102,12 @@ def parse_document(text: str) -> AutomatonDocument:
             name = args[0]
         elif keyword == "events":
             events = args
-            event_set = set(events)
+            event_set = _declare(lineno, "event", args, events)
         elif keyword == "unobservable":
             unobservable = args
         elif keyword == "states":
             states = [_state_token(t) for t in args]
-            state_set = set(states)
+            state_set = _declare(lineno, "state", args, states)
         elif keyword == "initial":
             initial = [_state_token(t) for t in args]
         elif keyword == "secret":

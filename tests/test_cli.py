@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import dataclasses
+import importlib
+import importlib.util
 import json
 import subprocess
 import sys
@@ -25,6 +27,7 @@ from veiler.constrained import (
     check_eic_enforceable,
 )
 from veiler.dot import emit_dot
+from veiler.fsm import Automaton
 from veiler.insertion import (
     _PairKernel,
     build_indicator,
@@ -434,3 +437,57 @@ class TestTopLevel:
         assert result.returncode == EXIT_NOT_OPAQUE
         assert cli_main(["check-opacity", G1]) == EXIT_NOT_OPAQUE
         assert result.stdout == capsys.readouterr().out
+
+
+# The paper's stages, by module.  The kernels decide every verdict and draw
+# every DOT file, so these serve only as the tests' reference.
+STAGED = {
+    "insertion": (
+        "build_insertion_automaton", "build_indicator", "partition_subspaces",
+        "find_trapping_sccs", "build_verifier", "find_staying_nonblocking",
+    ),
+    "constrained": (
+        "build_eic_insertion_automaton", "build_eic_indicator", "find_eic_trapping_states",
+        "build_eic_verifier", "find_staying_eic_nonblocking",
+    ),
+}
+
+
+class TestDecisionPath:
+    def test_no_command_calls_a_staged_stage(self, capsys, monkeypatch, tmp_path):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a staged stage ran on the decision path")
+
+        modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "veiler"]
+        for layer, names in STAGED.items():
+            for name in names:
+                original = getattr(importlib.import_module(f"veiler.{layer}"), name)
+                for module in modules:
+                    for attr, value in list(vars(module).items()):
+                        if value is original:
+                            monkeypatch.setattr(module, attr, forbidden)
+
+        dot = tmp_path / "ei.dot"
+        assert cli_main(["verify-ei", G1, "--json", "--dot", str(dot)]) == EXIT_OK
+        assert dot.read_bytes() == (DATA / "g1-ei.dot").read_bytes()
+        dot = tmp_path / "eic.dot"
+        argv = ["verify-eic", G1, "--insert-before", "b,c", "--insert-after", "a"]
+        assert cli_main(argv + ["--dot", str(dot)]) == EXIT_OK
+        assert dot.read_bytes() == (DATA / "g1-eic.dot").read_bytes()
+        for mode in ([], ["--eic"]):
+            assert cli_main(["oracle-check", *mode, "--seed", "0", "--count", "4"]) == EXIT_OK
+
+    def test_every_traced_name_resolves(self, monkeypatch):
+        # perfbench/run.py --trace 1 wraps these names by module; a rename or
+        # move would make Tracer.install raise AttributeError.
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+        spec = importlib.util.spec_from_file_location("_perfbench_tracing", path)
+        tracing = importlib.util.module_from_spec(spec)
+        monkeypatch.setattr(sys, "dont_write_bytecode", True)
+        spec.loader.exec_module(tracing)
+        for layer, names in tracing.TARGETS.items():
+            module = importlib.import_module(f"veiler.{layer}")
+            for name in names:
+                assert callable(getattr(module, name, None)), f"veiler.{layer}.{name}"
+        for method in tracing.AUTOMATON_METHODS:
+            assert callable(getattr(Automaton, method, None)), method

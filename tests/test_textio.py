@@ -239,6 +239,48 @@ class TestParseErrors:
         assert error.line == 5
         assert "undeclared event 'z'" in str(error)
 
+    def test_state_declared_twice(self):
+        error = _error(
+            """\
+            automaton g
+            events a
+            states 0 0
+            initial 0
+            end
+            """
+        )
+        assert error.line == 3
+        assert "state '0' declared twice" in str(error)
+
+    def test_digit_names_of_one_number_are_one_state(self):
+        # 01 and 1 both parse as the integer 1; accepting both would turn
+        # "trans 1 a 01" into a self-loop.
+        error = _error(
+            """\
+            automaton g
+            events a
+            states 01 1
+            initial 1
+            trans 1 a 01
+            end
+            """
+        )
+        assert error.line == 3
+        assert "state '1' declared twice" in str(error)
+
+    def test_event_declared_twice(self):
+        error = _error(
+            """\
+            automaton g
+            events a a
+            states 0
+            initial 0
+            end
+            """
+        )
+        assert error.line == 2
+        assert "event 'a' declared twice" in str(error)
+
     def test_undeclared_initial_state_points_at_its_line(self):
         error = _error(
             """\
