@@ -14,10 +14,10 @@ import tempfile
 from typing import Optional, Sequence
 
 from . import __version__
-from .constrained import InsertionConstraints, _decide_eic, check_eic_enforceable
-from .dot import emit_dot
-from .fsm import Automaton, state_display, sorted_states
-from .insertion import _decide_ei, check_ei_enforceable
+from .constrained import InsertionConstraints, _decide_eic
+from .dot import _digraph
+from .fsm import state_display, sorted_states
+from .insertion import _Decision, _decide_ei
 from .observer import check_current_state_opacity
 from .oracle import (
     SearchBudget,
@@ -26,7 +26,7 @@ from .oracle import (
     random_constraints,
     random_dfa,
 )
-from .report import ei_report, eic_report, opacity_report, oracle_report, to_json
+from .report import _pairs_payload, opacity_report, oracle_report, to_json
 from .textio import AutomatonDocument, ParseError, parse_document
 
 EXIT_OK = 0
@@ -156,30 +156,44 @@ def _cmd_check_opacity(args: argparse.Namespace) -> int:
     return EXIT_OK if verdict.opaque else EXIT_NOT_OPAQUE
 
 
+def _report_decision(
+    args: argparse.Namespace,
+    name: str,
+    decision: _Decision,
+    constraints: Optional[InsertionConstraints] = None,
+) -> int:
+    """Write the DOT file and the report of a verify run, from its pair ids."""
+    kernel, reachable, verifier = decision.kernel, decision.reachable, decision.verifier
+    # Name only the pairs the output shows: all in DOT, the verifier's in JSON.
+    names = kernel.names(reachable if args.dot else verifier if args.json else ())
+    if args.dot:
+        edges = kernel.edges(reachable)
+        staying, pruned = decision.staying_nonblocking, reachable - verifier
+        dot = _digraph(name, names, (kernel.start,), edges, kernel.edge_labels, staying, pruned)
+        _write_atomic(args.dot, dot)
+    if args.json:
+        command = "verify-ei" if constraints is None else "verify-eic"
+        payload = _pairs_payload(command, name, decision, names, verifier, constraints)
+        sys.stdout.write(to_json(payload))
+    else:
+        print(f"automaton {name}: enforceable={_bool(decision.enforceable)}")
+        if constraints is not None:
+            print(f"insertable before: {' '.join(sorted(constraints.before)) or '(none)'}")
+            print(f"insertable after: {' '.join(sorted(constraints.after)) or '(none)'}")
+        print(f"verifier states: {len(verifier)}")
+        print(f"staying-nonblocking pairs: {len(decision.staying_nonblocking)}")
+        print(f"admissible pairs: {len(decision.admissible)}")
+        uncovered = decision.uncovered_actual_states
+        if uncovered:
+            listed = " ".join(state_display(x) for x in sorted_states(uncovered))
+            print(f"uncovered actual states: {listed}")
+    return EXIT_OK if decision.enforceable else EXIT_NOT_ENFORCEABLE
+
+
 def _cmd_verify_ei(args: argparse.Namespace) -> int:
     doc = _read_document(args.file)
     _require_fully_observable(doc)
-    g = doc.automaton
-    report, draw_indicator = _decide_ei(g)
-    if args.dot:
-        indicator, pruned = draw_indicator()
-        dot = emit_dot(
-            indicator, doc.name, nonblocking=report.staying_nonblocking, pruned=pruned
-        )
-        _write_atomic(args.dot, dot)
-    if args.json:
-        sys.stdout.write(to_json(ei_report(doc.name, report)))
-    else:
-        print(f"automaton {doc.name}: enforceable={_bool(report.enforceable)}")
-        print(f"verifier states: {len(report.verifier.states)}")
-        print(f"staying-nonblocking pairs: {len(report.staying_nonblocking)}")
-        print(f"admissible pairs: {len(report.admissible)}")
-        if report.uncovered_actual_states:
-            names = " ".join(
-                state_display(x) for x in sorted_states(report.uncovered_actual_states)
-            )
-            print(f"uncovered actual states: {names}")
-    return EXIT_OK if report.enforceable else EXIT_NOT_ENFORCEABLE
+    return _report_decision(args, doc.name, _decide_ei(doc.automaton))
 
 
 def _cmd_verify_eic(args: argparse.Namespace) -> int:
@@ -190,28 +204,7 @@ def _cmd_verify_eic(args: argparse.Namespace) -> int:
         _split_events(args.insert_before), _split_events(args.insert_after)
     )
     constraints.validate_against(g)
-    report, draw_indicator = _decide_eic(g, constraints)
-    if args.dot:
-        indicator, pruned = draw_indicator()
-        dot = emit_dot(
-            indicator, doc.name, nonblocking=report.staying_nonblocking, pruned=pruned
-        )
-        _write_atomic(args.dot, dot)
-    if args.json:
-        sys.stdout.write(to_json(eic_report(doc.name, report, constraints)))
-    else:
-        print(f"automaton {doc.name}: enforceable={_bool(report.enforceable)}")
-        print(f"insertable before: {' '.join(sorted(constraints.before)) or '(none)'}")
-        print(f"insertable after: {' '.join(sorted(constraints.after)) or '(none)'}")
-        print(f"verifier states: {len(report.eic_verifier.states)}")
-        print(f"staying-nonblocking pairs: {len(report.staying_nonblocking)}")
-        print(f"admissible pairs: {len(report.admissible)}")
-        if report.uncovered_actual_states:
-            names = " ".join(
-                state_display(x) for x in sorted_states(report.uncovered_actual_states)
-            )
-            print(f"uncovered actual states: {names}")
-    return EXIT_OK if report.enforceable else EXIT_NOT_ENFORCEABLE
+    return _report_decision(args, doc.name, _decide_eic(g, constraints), constraints)
 
 
 def _cmd_oracle_check(args: argparse.Namespace) -> int:
@@ -233,10 +226,10 @@ def _cmd_oracle_check(args: argparse.Namespace) -> int:
                 constraints.validate_against(g)
             else:
                 constraints = random_constraints(seed, symbols)
-            lhs = check_eic_enforceable(g, constraints).enforceable
+            lhs = _decide_eic(g, constraints).enforceable
             rhs = oracle_eic_enforceable(g, constraints)
         else:
-            lhs = check_ei_enforceable(g).enforceable
+            lhs = _decide_ei(g).enforceable
             rhs = oracle_ei_enforceable(g)
         trials.append((seed, lhs, rhs))
     name = f"random[{args.seed}:{args.seed + args.count}]"

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Callable, Iterable, Mapping
+from typing import Collection, Iterable, Iterator, Mapping
 
 from .fsm import (
     Automaton,
@@ -22,7 +22,7 @@ from .fsm import (
     sorted_labels,
     state_display,
 )
-from .insertion import _InternedDfa, _greatest_fixpoint, _restrict, _walk
+from .insertion import _Decision, _InternedDfa, _greatest_fixpoint, _restrict, _walk
 
 
 @dataclass(frozen=True)
@@ -186,27 +186,34 @@ class _EicKernel(_InternedDfa):
     The decorated actual state (x, dec) is the id ``dec*n + x`` and the pair
     (dummy d, actual a) the id ``d*4n + a``.  ``moves`` maps every pair
     reachable from (x0, x0) to its moves, (kind, label id, target) triples
-    whose kind is solid, before or after.  ``EicIndicatorState`` objects are
-    made only by ``automaton``, for the pairs a caller keeps.
+    whose kind is solid, before or after; the label index of a move is
+    ``kind*k + e``.  ``EicIndicatorState`` objects are made only by
+    ``automaton``, for library callers.
     """
 
     def __init__(self, g: Automaton, c: InsertionConstraints) -> None:
         super().__init__(g)
         c.validate_against(g)
         n, delta = self.n, self.delta
-        n4 = 4 * n
+        n4 = self.width = 4 * n
+        self.actual_names = [
+            name + _DECORATION_SUFFIX[decoration]
+            for decoration in Decoration
+            for name in self.state_names
+        ]
         self.start = self.x0 * n4 + self.x0
         before = [e for e, label in enumerate(self.labels) if label.symbol in c.before]
         after = [e for e, label in enumerate(self.labels) if label.symbol in c.after]
-        self.move_labels = (
-            self.labels,
-            [EventLabel(label.symbol, Tag.INSERTED_BEFORE) for label in self.labels],
-            [EventLabel(label.symbol, Tag.INSERTED_AFTER) for label in self.labels],
-        )
+        self.edge_labels = [
+            EventLabel(label.symbol, tag)
+            for tag in (Tag.ACTUAL, Tag.INSERTED_BEFORE, Tag.INSERTED_AFTER)
+            for label in self.labels
+        ]
+        k = len(self.labels)
         self.events = (
             frozenset(self.labels)
-            | frozenset(self.move_labels[_BEFORE][e] for e in before)
-            | frozenset(self.move_labels[_AFTER][e] for e in after)
+            | frozenset(self.edge_labels[_BEFORE * k + e] for e in before)
+            | frozenset(self.edge_labels[_AFTER * k + e] for e in after)
         )
         # The rule of build_eic_insertion_automaton: x0 has no after-phase
         # unless some move of g leads back to it.
@@ -364,39 +371,17 @@ class _EicKernel(_InternedDfa):
                         dropped.append(p)
         return {p: 1 if p % n4 < n else 2 for p in alive}
 
-    def automaton(
-        self, pairs: set[int], made: Mapping[int, EicIndicatorState] | None = None
-    ) -> tuple[Automaton, dict[int, EicIndicatorState]]:
-        """The indicator restricted to ``pairs``, and the state of every pair id.
+    def pair(self, d: int, a: int) -> EicIndicatorState:
+        n = self.n
+        return EicIndicatorState(self.states[d], _decorate(self.states[a % n], Decoration(a // n)))
 
-        The states in ``made``, from an earlier call, are reused.
-        """
-        if not pairs:
-            return Automaton(frozenset(), self.events, {}, frozenset(), frozenset(), False), {}
-        n, n4, labels = self.n, 4 * self.n, self.move_labels
-        made = made or {}
-        actual = [_decorate(self.states[a % n], Decoration(a // n)) for a in range(n4)]
-        objects = {
-            p: made[p] if p in made else EicIndicatorState(self.states[p // n4], actual[p % n4])
-            for p in pairs
-        }
-        singletons = {p: frozenset((pair,)) for p, pair in objects.items()}
-        transitions: dict[tuple[State, EventLabel], frozenset] = {}
-        for p, pair in objects.items():
-            for kind, e, t in self.moves[p]:
-                target = singletons.get(t)
-                if target is not None:
-                    transitions[(pair, labels[kind][e])] = target
-        secret = frozenset(pair for p, pair in objects.items() if p // n4 in self.secret)
-        automaton = Automaton(
-            frozenset(objects.values()),
-            self.events,
-            transitions,
-            singletons[self.start],
-            secret,
-            True,
-        )
-        return automaton, objects
+    def edges(self, pairs: Collection[int]) -> Iterator[tuple[int, int, int]]:
+        """The moves between ``pairs``, as (source, label index, target) triples."""
+        moves, k = self.moves, len(self.labels)
+        for p in pairs:
+            for kind, e, t in moves[p]:
+                if t in pairs:
+                    yield p, kind * k + e, t
 
 
 def build_eic_indicator(g: Automaton, geic: Automaton) -> Automaton:
@@ -414,7 +399,7 @@ def build_eic_indicator(g: Automaton, geic: Automaton) -> Automaton:
             "second argument must be a constrained insertion automaton of the first"
         )
     kernel = _EicKernel(g, c)
-    return kernel.automaton(set(kernel.moves))[0]
+    return kernel.automaton(kernel.moves.keys())[0]
 
 
 def find_eic_trapping_states(eia: Automaton) -> frozenset:
@@ -493,44 +478,23 @@ class EicReport:
     unreachable_actual_states: frozenset
 
 
-def _decide_eic(
-    g: Automaton, c: InsertionConstraints
-) -> tuple[EicReport, Callable[[], tuple[Automaton, frozenset]]]:
-    """The report of ``check_eic_enforceable``, and a function that draws the indicator.
-
-    The function returns ``build_eic_indicator(g, build_eic_insertion_automaton(g, c))``
-    and the pairs that pruning removed from it, from this run's kernel and
-    pair states.  When pruning removes nothing, the indicator is the verifier.
-    """
+def _decide_eic(g: Automaton, c: InsertionConstraints) -> _Decision:
+    """The decision of ``check_eic_enforceable``, on pair ids."""
     kernel = _EicKernel(g, c)
-    verifier_pairs = kernel.verifier()
-    verifier, objects = kernel.automaton(verifier_pairs)
-    nb = {objects[p]: kind for p, kind in kernel.staying(verifier_pairs).items()}
-    admissible = eic_admissible_states(verifier, nb, g.secret)
-    covered = {base_of(pair.actual) for pair in admissible}
-    uncovered = frozenset(g.states - covered)
-    unreachable = frozenset(g.states - g.accessible_part().states)
-    report = EicReport(
-        not uncovered,
-        verifier,
-        nb,
-        admissible,
-        uncovered,
-        unreachable,
-    )
-
-    def indicator() -> tuple[Automaton, frozenset]:
-        # The verifier's pairs are a subset of the searched ones.
-        reachable = kernel.moves
-        if len(verifier_pairs) == len(reachable):
-            return verifier, frozenset()
-        automaton, every = kernel.automaton(set(reachable), objects)
-        return automaton, frozenset(every[p] for p in reachable if p not in verifier_pairs)
-
-    return report, indicator
+    verifier = kernel.verifier()
+    return kernel.decide(kernel.moves.keys(), verifier, kernel.staying(verifier))
 
 
 def check_eic_enforceable(g: Automaton, c: InsertionConstraints) -> EicReport:
     """Full pipeline: enforceable iff every actual state's subspace has an
     admissible pair."""
-    return _decide_eic(g, c)[0]
+    decision = _decide_eic(g, c)
+    verifier, objects = decision.kernel.automaton(decision.verifier)
+    return EicReport(
+        decision.enforceable,
+        verifier,
+        {objects[p]: kind for p, kind in decision.staying_nonblocking.items()},
+        frozenset(objects[p] for p in decision.admissible),
+        decision.uncovered_actual_states,
+        decision.unreachable_actual_states,
+    )

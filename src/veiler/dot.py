@@ -7,14 +7,55 @@ display order and nothing date- or id-dependent goes into the file.
 """
 from __future__ import annotations
 
-from operator import itemgetter
-from typing import Collection, Iterable
+from typing import Collection, Container, Iterable, Mapping, Sequence
 
-from .fsm import Automaton, state_display
+from .fsm import Automaton, EventLabel, sorted_labels, state_display
 
 
 def _quote(text: str) -> str:
     return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
+# Node attributes: plain, staying-nonblocking (red), pruned (green).
+_FILLS = ("", ' [style=filled, fillcolor="#e05a4e"]', ' [style=filled, fillcolor="#66bb6a"]')
+
+
+def _digraph(
+    name: str,
+    names: Mapping,
+    initial: Iterable,
+    edges: Iterable[tuple],
+    labels: Sequence[EventLabel],
+    nonblocking: Container,
+    pruned: Container,
+) -> str:
+    """The DOT text of the nodes ``names`` names and the ``edges`` between them.
+
+    An edge is a (source, label index, target) triple over ``labels``.  Nodes
+    in ``nonblocking`` are filled red, other nodes in ``pruned`` green.
+    """
+    lines = [f"digraph {_quote(name)} {{", "  rankdir=LR;", '  node [shape=circle];']
+    lines.append('  __start [shape=point, label=""];')
+    nodes = sorted(
+        (text, 1 if x in nonblocking else 2 if x in pruned else 0) for x, text in names.items()
+    )
+    quoted = {text: _quote(text) for text, _ in nodes}
+    for text, fill in nodes:
+        lines.append(f"  {quoted[text]}{_FILLS[fill]};")
+    for text in sorted(names[x] for x in initial):
+        lines.append(f"  __start -> {quoted[text]};")
+    styles = []
+    for e in labels:
+        text = e.display()
+        style = ", style=dashed" if e.inserted else ""
+        styles.append((text, e.inserted, f" [label={_quote(text)}{style}];"))
+    # Edges sort by (source, target, label text, inserted); the attributes
+    # follow from the last two, so they never decide the order.
+    rows = sorted((names[src], names[dst], *styles[j]) for src, j, dst in edges)
+    for src, dst, _, _, attrs in rows:
+        lines.append(f"  {quoted[src]} -> {quoted[dst]}{attrs}")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
 
 
 def emit_dot(
@@ -30,36 +71,8 @@ def emit_dot(
     in ``a`` (a pruned state is usually absent from the pruned automaton, so
     callers pass the pre-pruning automaton when they want both).
     """
-    lines = [f"digraph {_quote(name)} {{", "  rankdir=LR;", '  node [shape=circle];']
-    lines.append('  __start [shape=point, label=""];')
-    nonblocking = set(nonblocking)
-    pruned = set(pruned)
+    labels = sorted_labels(a.events)
+    index = {e: j for j, e in enumerate(labels)}
+    edges = ((x, index[e], y) for (x, e), targets in a.transitions.items() for y in targets)
     names = {x: state_display(x) for x in a.states}
-    quoted = {name: _quote(name) for name in names.values()}
-    for x, name in sorted(names.items(), key=itemgetter(1)):
-        if x in nonblocking:
-            lines.append(f'  {quoted[name]} [style=filled, fillcolor="#e05a4e"];')
-        elif x in pruned:
-            lines.append(f'  {quoted[name]} [style=filled, fillcolor="#66bb6a"];')
-        else:
-            lines.append(f"  {quoted[name]};")
-    for x in sorted(a.initial, key=names.__getitem__):
-        lines.append(f"  __start -> {quoted[names[x]]};")
-    labels = {}
-    for e in a.events:
-        text = e.display()
-        style = ", style=dashed" if e.inserted else ""
-        labels[e] = (text, e.inserted, f" [label={_quote(text)}{style}];")
-    # Edges sort by (source, target, label text, inserted); the attributes
-    # follow from the last two, so they never decide the order.
-    rows = []
-    for src, src_name in names.items():
-        for label, targets in a.outgoing(src).items():
-            text, inserted, attrs = labels[label]
-            for dst in targets:
-                rows.append((src_name, names[dst], text, inserted, attrs))
-    rows.sort()
-    for src, dst, _, _, attrs in rows:
-        lines.append(f"  {quoted[src]} -> {quoted[dst]}{attrs}")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return _digraph(name, names, a.initial, edges, labels, set(nonblocking), set(pruned))

@@ -12,7 +12,7 @@ system is in; the actual component is where the system really is.  Dashed
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .fsm import (
     Automaton,
@@ -85,13 +85,17 @@ class _InternedDfa:
 
     States of g, in display order, become ids 0..n-1 and its actual labels
     ids 0..k-1; ``delta[x][e]`` is the successor of x on e, or -1 where the
-    move is undefined.
+    move is undefined.  A kernel numbers the pair (dummy d, actual a) as
+    ``d*width + a``, names its actual states ``actual_names`` and lists its
+    moves with ``edges``, as (source, label index, target) triples over
+    ``edge_labels``.
     """
 
     def __init__(self, g: Automaton) -> None:
         if not g.deterministic:
             raise ValueError("insertion analysis requires a deterministic automaton")
         self.states = sorted_states(g.states)
+        self.state_names = [state_display(x) for x in self.states]
         self.labels = _actual_labels(g)
         n = self.n = len(self.states)
         index = {x: i for i, x in enumerate(self.states)}
@@ -104,6 +108,50 @@ class _InternedDfa:
         self.x0 = index[x0]
         self.secret = {index[x] for x in g.secret}
 
+    def names(self, pairs: Iterable[int]) -> dict[int, str]:
+        """The display name of every pair id in ``pairs``, as its pair object shows it."""
+        width, dummy, actual = self.width, self.state_names, self.actual_names
+        return {p: f"({dummy[p // width]},{actual[p % width]})" for p in pairs}
+
+    def automaton(self, pairs: Collection[int]) -> tuple[Automaton, dict[int, State]]:
+        """The indicator restricted to ``pairs``, and the pair object of every pair id."""
+        if not pairs:
+            return Automaton(frozenset(), self.events, {}, frozenset(), frozenset(), False), {}
+        width, labels = self.width, self.edge_labels
+        objects = {p: self.pair(*divmod(p, width)) for p in pairs}
+        singletons = {p: frozenset((pair,)) for p, pair in objects.items()}
+        transitions = {(objects[p], labels[j]): singletons[t] for p, j, t in self.edges(pairs)}
+        secret = frozenset(pair for p, pair in objects.items() if p // width in self.secret)
+        automaton = Automaton(
+            frozenset(objects.values()),
+            self.events,
+            transitions,
+            singletons[self.start],
+            secret,
+            True,
+        )
+        return automaton, objects
+
+    def decide(
+        self, reachable: Collection[int], verifier: set[int], staying: Collection[int]
+    ) -> _Decision:
+        """The verdict on the verifier pairs ``verifier`` and their staying pairs ``staying``."""
+        width, n, delta = self.width, self.n, self.delta
+        admissible = [p for p in staying if p // width not in self.secret]
+        covered = {p % width % n for p in admissible}
+        accessible = {self.x0}
+        stack = [self.x0]
+        while stack:
+            for y in delta[stack.pop()]:
+                if y >= 0 and y not in accessible:
+                    accessible.add(y)
+                    stack.append(y)
+        uncovered = frozenset(x for i, x in enumerate(self.states) if i not in covered)
+        unreachable = frozenset(x for i, x in enumerate(self.states) if i not in accessible)
+        return _Decision(
+            not uncovered, self, reachable, verifier, staying, admissible, uncovered, unreachable
+        )
+
 
 class _PairKernel(_InternedDfa):
     """The indicator of a deterministic system on integer pair ids.
@@ -113,14 +161,17 @@ class _PairKernel(_InternedDfa):
     closed under dashed moves, so the dashed SCC of (d, x) is exactly
     SCC_g(d) x {x}.  That component is the id ``c*n + x``, where c is the
     SCC of d in g.  ``IndicatorState`` objects are made only by
-    ``automaton``, for the pairs a caller keeps.
+    ``automaton``, for library callers.
     """
 
     def __init__(self, g: Automaton) -> None:
         super().__init__(g)
-        n = self.n
-        self.inserted = [EventLabel(e.symbol, Tag.INSERTED) for e in self.labels]
-        self.events = frozenset(self.labels) | frozenset(self.inserted)
+        n = self.width = self.n
+        self.actual_names = self.state_names
+        inserted = [EventLabel(e.symbol, Tag.INSERTED) for e in self.labels]
+        # Label index e is the solid move on event e, k + e the dashed one.
+        self.edge_labels = self.labels + inserted
+        self.events = frozenset(self.edge_labels)
         self.start = self.x0 * n + self.x0
         partition = strongly_connected_components(
             range(n), ((x, y) for x, row in enumerate(self.delta) for y in row if y >= 0)
@@ -243,47 +294,24 @@ class _PairKernel(_InternedDfa):
             recheck.extend(watchers.pop(key, ()))
         return {p for p in pairs if scc[p // n] * n + p % n in alive}
 
-    def automaton(
-        self, pairs: set[int], made: Mapping[int, IndicatorState] | None = None
-    ) -> tuple[Automaton, dict[int, IndicatorState]]:
-        """The indicator restricted to ``pairs``, and the state of every pair id.
+    def pair(self, d: int, x: int) -> IndicatorState:
+        return IndicatorState(self.states[d], self.states[x])
 
-        The states in ``made``, from an earlier call, are reused.
-        """
-        n, delta, states = self.n, self.delta, self.states
-        if not pairs:
-            return Automaton(frozenset(), self.events, {}, frozenset(), frozenset(), False), {}
-        made = made or {}
-        objects = {
-            p: made[p] if p in made else IndicatorState(states[p // n], states[p % n])
-            for p in pairs
-        }
-        singletons = {p: frozenset((pair,)) for p, pair in objects.items()}
-        transitions: dict[tuple[State, EventLabel], frozenset] = {}
-        for p, pair in objects.items():
+    def edges(self, pairs: Collection[int]) -> Iterator[tuple[int, int, int]]:
+        """The moves between ``pairs``, as (source, label index, target) triples."""
+        n, delta, k = self.n, self.delta, len(self.labels)
+        for p in pairs:
             d, x = divmod(p, n)
             row_x = delta[x]
             for e, dd in enumerate(delta[d]):
                 if dd < 0:
                     continue
                 # Dashed: the insertion moves only the observer's belief.
-                target = singletons.get(dd * n + x)
-                if target is not None:
-                    transitions[(pair, self.inserted[e])] = target
+                if dd * n + x in pairs:
+                    yield p, k + e, dd * n + x
                 # Solid: the real event is relayed, both components advance.
-                target = singletons.get(dd * n + row_x[e]) if row_x[e] >= 0 else None
-                if target is not None:
-                    transitions[(pair, self.labels[e])] = target
-        secret = frozenset(pair for p, pair in objects.items() if p // n in self.secret)
-        automaton = Automaton(
-            frozenset(objects.values()),
-            self.events,
-            transitions,
-            singletons[self.start],
-            secret,
-            True,
-        )
-        return automaton, objects
+                if row_x[e] >= 0 and dd * n + row_x[e] in pairs:
+                    yield p, e, dd * n + row_x[e]
 
 
 def build_indicator(g: Automaton, gf: Automaton) -> Automaton:
@@ -479,40 +507,31 @@ class EiReport:
     unreachable_actual_states: frozenset
 
 
-def _decide_ei(g: Automaton) -> tuple[EiReport, Callable[[], tuple[Automaton, frozenset]]]:
-    """The report of ``check_ei_enforceable``, and a function that draws the indicator.
+class _Decision(NamedTuple):
+    """A kernel run's verdict and the pair ids behind it, with no pair object.
 
-    The function returns ``build_indicator(g, build_insertion_automaton(g))``
-    and the pairs that pruning removed from it, from this run's kernel and
-    pair states.  When pruning removes nothing, the indicator is the verifier.
+    ``reachable`` holds the indicator's pairs and ``verifier`` those pruning
+    keeps; the other fields mean what they mean in ``EiReport`` and
+    ``EicReport``, with pair ids for pairs.  The CLI renders its report and
+    DOT file from these ids.
     """
+
+    enforceable: bool
+    kernel: _InternedDfa
+    reachable: Collection[int]
+    verifier: set[int]
+    staying_nonblocking: Collection[int]
+    admissible: list[int]
+    uncovered_actual_states: frozenset
+    unreachable_actual_states: frozenset
+
+
+def _decide_ei(g: Automaton) -> _Decision:
+    """The decision of ``check_ei_enforceable``, on pair ids."""
     kernel = _PairKernel(g)
     reachable = kernel.reachable_pairs()
-    verifier_pairs = kernel.reachable_pairs(kernel.prune(reachable))
-    verifier, objects = kernel.automaton(verifier_pairs)
-    staying = kernel.staying(verifier_pairs)
-    snb = frozenset(objects[p] for p in staying)
-    admissible = admissible_states(verifier, snb, g.secret)
-    covered = {pair.actual for pair in admissible}
-    uncovered = frozenset(g.states - covered)
-    unreachable = frozenset(g.states - g.accessible_part().states)
-    report = EiReport(
-        not uncovered,
-        verifier,
-        snb,
-        admissible,
-        uncovered,
-        unreachable,
-    )
-
-    def indicator() -> tuple[Automaton, frozenset]:
-        # The verifier's pairs are a subset of the reachable ones.
-        if len(verifier_pairs) == len(reachable):
-            return verifier, frozenset()
-        automaton, every = kernel.automaton(reachable, objects)
-        return automaton, frozenset(every[p] for p in reachable - verifier_pairs)
-
-    return report, indicator
+    verifier = kernel.reachable_pairs(kernel.prune(reachable))
+    return kernel.decide(reachable, verifier, kernel.staying(verifier))
 
 
 def check_ei_enforceable(g: Automaton) -> EiReport:
@@ -522,4 +541,13 @@ def check_ei_enforceable(g: Automaton) -> EiReport:
     g itself; those can never acquire a pair, so they are reported
     separately to make the verdict legible.
     """
-    return _decide_ei(g)[0]
+    decision = _decide_ei(g)
+    verifier, objects = decision.kernel.automaton(decision.verifier)
+    return EiReport(
+        decision.enforceable,
+        verifier,
+        frozenset(objects[p] for p in decision.staying_nonblocking),
+        frozenset(objects[p] for p in decision.admissible),
+        decision.uncovered_actual_states,
+        decision.unreachable_actual_states,
+    )

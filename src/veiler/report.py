@@ -38,17 +38,41 @@ def opacity_report(name: str, verdict: OpacityVerdict, command: str = "check-opa
     return payload
 
 
-def ei_report(name: str, report: EiReport, command: str = "verify-ei") -> dict:
+def _pairs_payload(
+    command: str,
+    name: str,
+    report,
+    names: Mapping,
+    verifier: Iterable,
+    constraints: Optional[InsertionConstraints] = None,
+) -> dict:
+    """The verify-ei / verify-eic layout of ``report``, with ``names`` naming its pairs.
+
+    ``report`` is an ``EiReport`` or ``EicReport``, whose pairs are pair
+    objects, or the CLI's decision, whose pairs are pair ids.  Under
+    ``constraints``, the staying pairs map to their type.
+    """
     payload = _base(command, name)
     payload["enforceable"] = report.enforceable
-    # Staying and admissible pairs are verifier pairs: one name per pair.
-    names = {pair: state_display(pair) for pair in report.verifier.states}
-    payload["verifier_states"] = sorted(names.values())
-    payload["staying_nonblocking"] = sorted(names[pair] for pair in report.staying_nonblocking)
+    staying = report.staying_nonblocking
+    if constraints is None:
+        payload["staying_nonblocking"] = sorted(names[pair] for pair in staying)
+    else:
+        payload["insertable_before"] = sorted(constraints.before)
+        payload["insertable_after"] = sorted(constraints.after)
+        typed = [(names[pair], kind) for pair, kind in staying.items()]
+        payload["staying_nonblocking"] = dict(sorted(typed, key=lambda item: item[0]))
+    payload["verifier_states"] = sorted(names[pair] for pair in verifier)
     payload["admissible"] = sorted(names[pair] for pair in report.admissible)
     payload["uncovered_actual_states"] = _displays(report.uncovered_actual_states)
     payload["unreachable_actual_states"] = _displays(report.unreachable_actual_states)
     return payload
+
+
+def ei_report(name: str, report: EiReport, command: str = "verify-ei") -> dict:
+    # Staying and admissible pairs are verifier pairs: one name per pair.
+    names = {pair: state_display(pair) for pair in report.verifier.states}
+    return _pairs_payload(command, name, report, names, names)
 
 
 def eic_report(
@@ -57,19 +81,8 @@ def eic_report(
     constraints: InsertionConstraints,
     command: str = "verify-eic",
 ) -> dict:
-    payload = _base(command, name)
-    payload["enforceable"] = report.enforceable
-    payload["insertable_before"] = sorted(constraints.before)
-    payload["insertable_after"] = sorted(constraints.after)
-    # Staying and admissible pairs are verifier pairs: one name per pair.
     names = {pair: state_display(pair) for pair in report.eic_verifier.states}
-    payload["verifier_states"] = sorted(names.values())
-    staying = [(names[pair], kind) for pair, kind in report.staying_nonblocking.items()]
-    payload["staying_nonblocking"] = dict(sorted(staying, key=lambda item: item[0]))
-    payload["admissible"] = sorted(names[pair] for pair in report.admissible)
-    payload["uncovered_actual_states"] = _displays(report.uncovered_actual_states)
-    payload["unreachable_actual_states"] = _displays(report.unreachable_actual_states)
-    return payload
+    return _pairs_payload(command, name, report, names, names, constraints)
 
 
 def oracle_report(

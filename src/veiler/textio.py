@@ -158,12 +158,33 @@ def emit_document(doc: AutomatonDocument) -> str:
     return emit_automaton(doc.automaton, doc.name, doc.unobservable)
 
 
+def _written(kind: str, value: object, text: str, read) -> str:
+    """``text``, which names ``value`` in a file; a ValueError if it would not read back."""
+    if not text or any(ch.isspace() or ch == "#" for ch in text):
+        problem = "is empty or holds whitespace or '#'"
+    elif read(text) != value:
+        problem = f"reads back as {read(text)!r}"
+    else:
+        return text
+    raise ValueError(f"{kind} {value!r} has no text form: {text!r} {problem}")
+
+
 def emit_automaton(
     a: Automaton, name: str = "g", unobservable: Iterable[str] = ()
 ) -> str:
-    """Canonical text form; parse(emit(a)) equals a for file-representable automata."""
+    """Canonical text form; parse(emit(a)) equals a for file-representable automata.
+
+    A name that would not read back as itself is a ValueError: an empty one,
+    one with whitespace or ``#``, or a state whose display is not its token,
+    such as the string ``'01'`` (read as the integer 1) or the integer -1.
+    """
     if any(e.inserted for e in a.events):
         raise ValueError("only automata over actual events have a text form")
+    _written("automaton name", name, name, str)
+    for e in a.events:
+        _written("event", e.symbol, str(e.symbol), str)
+    for x in a.states:
+        _written("state", x, state_display(x), _state_token)
     lines = [f"automaton {name}"]
     lines.append(("events " + " ".join(sorted(e.symbol for e in a.events))).rstrip())
     unobservable = sorted(unobservable)

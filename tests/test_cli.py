@@ -1,9 +1,9 @@
 from __future__ import annotations
 
-import dataclasses
 import importlib
 import importlib.util
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -20,8 +20,11 @@ from veiler.cli import (
     cli_main,
 )
 from veiler.constrained import (
+    DecoratedState,
+    EicIndicatorState,
     InsertionConstraints,
     _EicKernel,
+    _decide_eic,
     build_eic_indicator,
     build_eic_insertion_automaton,
     check_eic_enforceable,
@@ -29,10 +32,11 @@ from veiler.constrained import (
 from veiler.dot import emit_dot
 from veiler.fsm import Automaton
 from veiler.insertion import (
+    IndicatorState,
     _PairKernel,
+    _decide_ei,
     build_indicator,
     build_insertion_automaton,
-    check_ei_enforceable,
 )
 from veiler.oracle import random_constraints, random_dfa
 from veiler.report import ei_report, eic_report, to_json
@@ -47,9 +51,9 @@ def _count_constructions(monkeypatch, kernel: type) -> list:
     built = []
     init = kernel.__init__
 
-    def counted(self, *args):
+    def counted(self, *args, **kwargs):
         built.append(args)
-        init(self, *args)
+        init(self, *args, **kwargs)
 
     monkeypatch.setattr(kernel, "__init__", counted)
     return built
@@ -331,8 +335,8 @@ def _negated(decide):
     """The decider with its verdict flipped, so that every seed disagrees."""
 
     def decide_wrongly(*args):
-        report = decide(*args)
-        return dataclasses.replace(report, enforceable=not report.enforceable)
+        decision = decide(*args)
+        return decision._replace(enforceable=not decision.enforceable)
 
     return decide_wrongly
 
@@ -344,9 +348,7 @@ class TestOracleCheck:
 
     def test_a_disagreeing_seed_is_reported(self, capsys, monkeypatch):
         # Seed 126 is one the construction and the search both refuse.
-        monkeypatch.setattr(
-            "veiler.cli.check_ei_enforceable", _negated(check_ei_enforceable)
-        )
+        monkeypatch.setattr("veiler.cli._decide_ei", _negated(_decide_ei))
         code = cli_main(["oracle-check", "--seed", "126", "--count", "1"])
         assert code == EXIT_DISAGREE
         out = capsys.readouterr().out
@@ -354,9 +356,7 @@ class TestOracleCheck:
         assert "construction=true search=false" in out
 
     def test_constrained_disagreement(self, capsys, monkeypatch):
-        monkeypatch.setattr(
-            "veiler.cli.check_eic_enforceable", _negated(check_eic_enforceable)
-        )
+        monkeypatch.setattr("veiler.cli._decide_eic", _negated(_decide_eic))
         code = cli_main(["oracle-check", "--eic", "--seed", "25", "--count", "1"])
         assert code == EXIT_DISAGREE
 
@@ -386,9 +386,7 @@ class TestOracleCheck:
         assert cli_main(["oracle-check", "--count", "0"]) == EXIT_ERROR
 
     def test_json_report(self, capsys, monkeypatch):
-        monkeypatch.setattr(
-            "veiler.cli.check_ei_enforceable", _negated(check_ei_enforceable)
-        )
+        monkeypatch.setattr("veiler.cli._decide_ei", _negated(_decide_ei))
         code = cli_main(["oracle-check", "--seed", "126", "--count", "1", "--json"])
         assert code == EXIT_DISAGREE
         payload = json.loads(capsys.readouterr().out)
@@ -427,6 +425,49 @@ class TestTopLevel:
         second = subprocess.run(command, capture_output=True, check=True)
         assert first.stdout == second.stdout
         assert json.loads(first.stdout)["enforceable"] is True
+
+    def test_output_is_byte_identical_across_hash_seeds(self, tmp_path):
+        # String state names hash differently in each process, so this pins
+        # that every sort behind the report and the DOT file is total.
+        named = tmp_path / "named.aut"
+        named.write_text(
+            dedent(
+                """\
+                automaton named
+                events a b c
+                states s0 s1 s2 t
+                initial s0
+                secret t
+                trans s0 a s1
+                trans s0 b t
+                trans s1 a s2
+                trans s1 c t
+                trans s2 b s0
+                trans t a s2
+                trans t c t
+                end
+                """
+            )
+        )
+        commands = {
+            "g1-ei": ["verify-ei", G1],
+            "g1-eic": ["verify-eic", G1, "--insert-before", "b,c", "--insert-after", "a"],
+            "named-ei": ["verify-ei", str(named)],
+            "named-eic": [
+                "verify-eic", str(named), "--insert-before", "a,c", "--insert-after", "b"
+            ],
+        }
+        for key, argv in commands.items():
+            runs = []
+            for seed in ("0", "1"):
+                env = {**os.environ, "PYTHONHASHSEED": seed}
+                dot = tmp_path / f"{key}-{seed}.dot"
+                command = [sys.executable, "-m", "veiler", *argv, "--json", "--dot", str(dot)]
+                done = subprocess.run(command, capture_output=True, env=env)
+                runs.append((done.returncode, done.stdout, dot.read_bytes()))
+            assert runs[0] == runs[1], key
+            if key.startswith("g1"):
+                assert runs[0][2] == (DATA / f"{key}.dot").read_bytes()
 
     def test_module_entry_point_matches_the_api(self, capsys):
         result = subprocess.run(
@@ -476,6 +517,31 @@ class TestDecisionPath:
         assert dot.read_bytes() == (DATA / "g1-eic.dot").read_bytes()
         for mode in ([], ["--eic"]):
             assert cli_main(["oracle-check", *mode, "--seed", "0", "--count", "4"]) == EXIT_OK
+
+    def test_the_verify_commands_build_no_pair_object(self, capsys, monkeypatch, tmp_path):
+        # The CLI renders from pair ids: no pair or decorated state object,
+        # and no automaton beyond the one the parser builds.
+        objects = [
+            _count_constructions(monkeypatch, kind)
+            for kind in (IndicatorState, EicIndicatorState, DecoratedState)
+        ]
+        automata = _count_constructions(monkeypatch, Automaton)
+        parse_document(Path(G1).read_text())
+        parsed = len(automata)
+        eic = ["verify-eic", G1, "--insert-before", "b,c", "--insert-after", "a"]
+        for argv in (
+            ["verify-ei", G1, "--json"],
+            ["verify-ei", G1, "--json", "--dot", str(tmp_path / "ei.dot")],
+            eic + ["--json", "--dot", str(tmp_path / "eic.dot")],
+        ):
+            automata.clear()
+            assert cli_main(argv) == EXIT_OK
+            assert [len(built) for built in objects] == [0, 0, 0], argv
+            assert len(automata) <= parsed, argv
+        # The counters do count: the library report is made of objects.
+        g1 = parse_document(Path(G1).read_text()).automaton
+        check_eic_enforceable(g1, InsertionConstraints.of({"b", "c"}, {"a"}))
+        assert all(objects[1:]) and len(automata) > parsed
 
     def test_every_traced_name_resolves(self, monkeypatch):
         # perfbench/run.py --trace 1 wraps these names by module; a rename or

@@ -2,11 +2,11 @@ from __future__ import annotations
 
 import pytest
 
+from veiler.cli import cli_main
 from veiler.constrained import (
     Decoration,
     EicIndicatorState,
     InsertionConstraints,
-    _decide_eic,
     base_of,
     build_eic_indicator,
     build_eic_insertion_automaton,
@@ -17,8 +17,11 @@ from veiler.constrained import (
     find_eic_trapping_states,
     find_staying_eic_nonblocking,
 )
+from veiler.dot import emit_dot
 from veiler.fsm import Automaton, Tag, sorted_labels, state_display, word
 from veiler.oracle import random_constraints, random_dfa
+from veiler.report import eic_report, to_json
+from veiler.textio import emit_automaton
 
 BC_A = InsertionConstraints.of({"b", "c"}, {"a"})
 
@@ -317,7 +320,7 @@ class TestCheckEicEnforceable:
             assert frozenset(report.staying_nonblocking) <= report.eic_verifier.states
             assert report.admissible <= frozenset(report.staying_nonblocking)
 
-    def test_matches_the_staged_reference(self, staged_eic_report):
+    def test_matches_the_staged_reference(self, staged_eic_report, capsys, tmp_path):
         # The decision runs on interned pair ids; the paper's stages, and a
         # product built pair by pair for the indicator, are the reference.
         def naive_indicator(g, geic):
@@ -356,8 +359,21 @@ class TestCheckEicEnforceable:
             assert eia == naive_indicator(g, geic), seed
             expected = staged_eic_report(g, c)
             assert check_eic_enforceable(g, c) == expected, seed
-            # --dot draws the same indicator, and its pruned pairs, from the decision
-            assert _decide_eic(g, c)[1]() == (eia, eia.states - expected.eic_verifier.states), seed
+            # The CLI renders the same report, and draws the same indicator
+            # and its pruned pairs, from the decision's pair ids.
+            name, path, dot = f"r{seed}", tmp_path / "g.aut", tmp_path / "g.dot"
+            path.write_text(emit_automaton(g, name))
+            argv = ["verify-eic", str(path), "--json", "--dot", str(dot)]
+            argv += ["--insert-before", ",".join(sorted(c.before))]
+            argv += ["--insert-after", ",".join(sorted(c.after))]
+            assert cli_main(argv) == (0 if expected.enforceable else 3), seed
+            assert capsys.readouterr().out == to_json(eic_report(name, expected, c)), seed
+            assert dot.read_text() == emit_dot(
+                eia,
+                name,
+                nonblocking=expected.staying_nonblocking,
+                pruned=eia.states - expected.eic_verifier.states,
+            ), seed
             pruned += expected.eic_verifier.states != eia.states
             emptied += not expected.eic_verifier.states
         # the sample must exercise pruning, down to the empty verifier

@@ -2,10 +2,11 @@ from __future__ import annotations
 
 import pytest
 
+from veiler.cli import cli_main
+from veiler.dot import emit_dot
 from veiler.fsm import Automaton, EventLabel, Tag, as_label, state_display, word
 from veiler.insertion import (
     IndicatorState,
-    _decide_ei,
     admissible_states,
     apply_mask_mi,
     apply_projection_pi,
@@ -19,6 +20,8 @@ from veiler.insertion import (
     partition_subspaces,
 )
 from veiler.oracle import random_dfa
+from veiler.report import ei_report, to_json
+from veiler.textio import emit_automaton
 
 
 def displays(states):
@@ -265,7 +268,7 @@ class TestCheckEiEnforceable:
         g = Automaton.dfa([0], ["a"], {(0, "a"): 0}, 0)
         assert check_ei_enforceable(g).enforceable
 
-    def test_matches_the_staged_reference(self, staged_ei_report):
+    def test_matches_the_staged_reference(self, staged_ei_report, capsys, tmp_path):
         # The decision runs on interned pair ids; the paper's stages, and a
         # product built pair by pair for the indicator, are the reference.
         def naive_indicator(g):
@@ -302,8 +305,19 @@ class TestCheckEiEnforceable:
             assert ia == naive_indicator(g), seed
             expected = staged_ei_report(g)
             assert check_ei_enforceable(g) == expected, seed
-            # --dot draws the same indicator, and its pruned pairs, from the decision
-            assert _decide_ei(g)[1]() == (ia, ia.states - expected.verifier.states), seed
+            # The CLI renders the same report, and draws the same indicator
+            # and its pruned pairs, from the decision's pair ids.
+            name, path, dot = f"r{seed}", tmp_path / "g.aut", tmp_path / "g.dot"
+            path.write_text(emit_automaton(g, name))
+            code = cli_main(["verify-ei", str(path), "--json", "--dot", str(dot)])
+            assert code == (0 if expected.enforceable else 3), seed
+            assert capsys.readouterr().out == to_json(ei_report(name, expected)), seed
+            assert dot.read_text() == emit_dot(
+                ia,
+                name,
+                nonblocking=expected.staying_nonblocking,
+                pruned=ia.states - expected.verifier.states,
+            ), seed
             pruned += expected.verifier.states != ia.states
             emptied += not expected.verifier.states
         # the sample must exercise pruning, down to the empty verifier

@@ -5,6 +5,7 @@ from textwrap import dedent
 
 import pytest
 
+from veiler.fsm import Automaton
 from veiler.insertion import build_insertion_automaton
 from veiler.textio import (
     AutomatonDocument,
@@ -366,3 +367,23 @@ class TestEmit:
         gf = build_insertion_automaton(g1)
         with pytest.raises(ValueError):
             emit_automaton(gf, "gf")
+
+    @pytest.mark.parametrize(
+        "state, offender",
+        [("01", "'01' reads back as 1"), (-1, "'-1' reads back as '-1'"),
+         ("x y", "'x y' is empty"), ("", "'' is empty"), ("a#b", "'a#b' is empty")],
+    )
+    def test_a_state_that_would_not_read_back_is_refused(self, state, offender):
+        a = Automaton.dfa([0, state], ["a"], {(0, "a"): state}, 0)
+        with pytest.raises(ValueError, match=f"state {state!r} has no text form: {offender}"):
+            emit_automaton(a, "g")
+
+    @pytest.mark.parametrize("symbol", ["a b", "#", ""])
+    def test_an_event_that_would_not_read_back_is_refused(self, symbol):
+        a = Automaton.dfa([0], [symbol], {(0, symbol): 0}, 0)
+        with pytest.raises(ValueError, match=f"event {symbol!r} has no text form"):
+            emit_document(AutomatonDocument("g", a, frozenset()))
+
+    def test_names_that_read_back_are_written(self):
+        a = Automaton.dfa(["s0", "-1", 10], ["a"], {("s0", "a"): "-1", ("-1", "a"): 10}, "s0")
+        assert parse_automaton(emit_automaton(a, "g")) == a
