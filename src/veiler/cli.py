@@ -164,11 +164,13 @@ def _report_decision(
 ) -> int:
     """Write the DOT file and the report of a verify run, from its pair ids."""
     kernel, reachable, verifier = decision.kernel, decision.reachable, decision.verifier
-    # Name only the pairs the output shows: all in DOT, the verifier's in JSON.
-    names = kernel.names(reachable if args.dot else verifier if args.json else ())
+    staying = decision.staying_nonblocking
+    # Name only the pairs the output shows: all in DOT; in JSON the verifier's
+    # and the staying ones, which a system that can halt may hold outside it.
+    names = kernel.names(reachable if args.dot else verifier.union(staying) if args.json else ())
     if args.dot:
         edges = kernel.edges(reachable)
-        staying, pruned = decision.staying_nonblocking, reachable - verifier
+        pruned = reachable - verifier
         dot = _digraph(name, names, (kernel.start,), edges, kernel.edge_labels, staying, pruned)
         _write_atomic(args.dot, dot)
     if args.json:

@@ -187,8 +187,9 @@ class _EicKernel(_InternedDfa):
     (dummy d, actual a) the id ``d*4n + a``.  ``moves`` maps every pair
     reachable from (x0, x0) to its moves, (kind, label id, target) triples
     whose kind is solid, before or after; the label index of a move is
-    ``kind*k + e``.  ``EicIndicatorState`` objects are made only by
-    ``automaton``, for library callers.
+    ``kind*k + e``; ``before`` and ``after`` list the label ids insertable
+    on each side.  ``EicIndicatorState`` objects are made only by
+    ``objects``, for library callers.
     """
 
     def __init__(self, g: Automaton, c: InsertionConstraints) -> None:
@@ -204,6 +205,7 @@ class _EicKernel(_InternedDfa):
         self.start = self.x0 * n4 + self.x0
         before = [e for e, label in enumerate(self.labels) if label.symbol in c.before]
         after = [e for e, label in enumerate(self.labels) if label.symbol in c.after]
+        self.before, self.after = before, after
         self.edge_labels = [
             EventLabel(label.symbol, tag)
             for tag in (Tag.ACTUAL, Tag.INSERTED_BEFORE, Tag.INSERTED_AFTER)
@@ -288,89 +290,6 @@ class _EicKernel(_InternedDfa):
                     stack.append(t)
         return seen
 
-    def staying(self, pairs: set[int]) -> dict[int, int]:
-        """The staying-nonblocking pairs of the verifier ``pairs``, with their type.
-
-        The greatest fixpoint of ``find_staying_eic_nonblocking``: a resting
-        pair stays when every event enabled at its actual state has a relay
-        target, a solid move after a before-walk, from which an after-walk
-        reaches a staying pair.  Each (pair, event) watches one relay target
-        that is not stranded, and each relay target one staying pair its
-        after-walk reaches.  Pairs only ever fall and relay targets only
-        ever strand, so a watch whose target does resumes its scan of the
-        candidates where it stopped.
-        """
-        n, n4, moves = self.n, 4 * self.n, self.moves
-        enabled = [sum(y >= 0 for y in row) for row in self.delta]
-        resting = [p for p in pairs if p % n4 < 2 * n]
-        alive = set(resting)
-        dropped = []
-        relay_watchers: dict[int, list] = {}
-        for p in resting:
-            # One before-walk from p, collecting the relay targets per event.
-            found: dict[int, list[int]] = {}
-            reached = [p]
-            seen = {p}
-            for q in reached:
-                for kind, e, t in moves[q]:
-                    if t not in pairs:
-                        continue
-                    if kind == _SOLID:
-                        found.setdefault(e, []).append(t)
-                    elif kind == _BEFORE and t not in seen:
-                        seen.add(t)
-                        reached.append(t)
-            if len(found) < enabled[p % n]:
-                alive.discard(p)
-                dropped.append(p)
-                continue
-            for targets in found.values():
-                relay_watchers.setdefault(targets[0], []).append((p, [targets, 0]))
-
-        settles: dict[int, list] = {}
-        settle_watchers: dict[int, list[int]] = {}
-        stranded: set[int] = set()
-        while dropped:
-            q = dropped.pop()
-            recheck = settle_watchers.pop(q, [])
-            if q % n4 < n:
-                # A plain pair is a relay target that settles on itself.
-                recheck.append(q)
-            for t in recheck:
-                if t in stranded:
-                    continue
-                settle = settles.get(t)
-                if settle is None:
-                    reach = [t]
-                    seen = {t}
-                    for r in reach:
-                        for kind, _, u in moves[r]:
-                            if kind == _AFTER and u in pairs and u not in seen:
-                                seen.add(u)
-                                reach.append(u)
-                    settle = settles[t] = [reach, 0]
-                reach, i = settle
-                while i < len(reach) and reach[i] not in alive:
-                    i += 1
-                settle[1] = i
-                if i < len(reach):
-                    settle_watchers.setdefault(reach[i], []).append(t)
-                    continue
-                stranded.add(t)
-                for p, watch in relay_watchers.pop(t, ()):
-                    if p not in alive:
-                        continue
-                    targets, j = watch
-                    while j < len(targets) and targets[j] in stranded:
-                        j += 1
-                    watch[1] = j
-                    if j < len(targets):
-                        relay_watchers.setdefault(targets[j], []).append((p, watch))
-                    else:
-                        alive.discard(p)
-                        dropped.append(p)
-        return {p: 1 if p % n4 < n else 2 for p in alive}
-
     def pair(self, d: int, a: int) -> EicIndicatorState:
         n = self.n
         return EicIndicatorState(self.states[d], _decorate(self.states[a % n], Decoration(a // n)))
@@ -399,7 +318,7 @@ def build_eic_indicator(g: Automaton, geic: Automaton) -> Automaton:
             "second argument must be a constrained insertion automaton of the first"
         )
     kernel = _EicKernel(g, c)
-    return kernel.automaton(kernel.moves.keys())[0]
+    return kernel.automaton(kernel.moves.keys())
 
 
 def find_eic_trapping_states(eia: Automaton) -> frozenset:
@@ -479,20 +398,31 @@ class EicReport:
 
 
 def _decide_eic(g: Automaton, c: InsertionConstraints) -> _Decision:
-    """The decision of ``check_eic_enforceable``, on pair ids."""
+    """The decision of ``check_eic_enforceable``, on pair ids.
+
+    The staying pairs are the reachable resting pairs the relay game keeps,
+    type 1 when plain and type 2 in the after-phase: both relay the next
+    output after a before-walk.  Pruning only names the paper's verifier.
+    """
     kernel = _EicKernel(g, c)
-    verifier = kernel.verifier()
-    return kernel.decide(kernel.moves.keys(), verifier, kernel.staying(verifier))
+    n, width = kernel.n, kernel.width
+    win = kernel.relay_game(kernel.before, kernel.after)
+    staying = {
+        p: 1 if p % width < n else 2
+        for p in kernel.moves
+        if p % width < 2 * n and win[p % n] >> p // width & 1
+    }
+    return kernel.decide(kernel.moves.keys(), kernel.verifier(), staying)
 
 
 def check_eic_enforceable(g: Automaton, c: InsertionConstraints) -> EicReport:
     """Full pipeline: enforceable iff every actual state's subspace has an
     admissible pair."""
     decision = _decide_eic(g, c)
-    verifier, objects = decision.kernel.automaton(decision.verifier)
+    objects = decision.kernel.objects(decision.staying_nonblocking)
     return EicReport(
         decision.enforceable,
-        verifier,
+        decision.kernel.automaton(decision.verifier),
         {objects[p]: kind for p, kind in decision.staying_nonblocking.items()},
         frozenset(objects[p] for p in decision.admissible),
         decision.uncovered_actual_states,

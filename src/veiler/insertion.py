@@ -1,9 +1,9 @@
 """Unconstrained event-insertion analysis.
 
 Builds the insertion automaton (fictitious self-loops), the indicator product
-tracking (dummy, actual) state pairs, prunes trapping regions into the
-verifier, and decides whether opacity can be enforced by inserting fictitious
-events around every real output.
+tracking (dummy, actual) state pairs and the paper's pruned verifier, and
+decides, by a relay game on the system graph, whether opacity can be enforced
+by inserting fictitious events around every real output.
 
 The dummy component of a pair is the state the outside observer believes the
 system is in; the actual component is where the system really is.  Dashed
@@ -107,22 +107,27 @@ class _InternedDfa:
         (x0,) = g.initial
         self.x0 = index[x0]
         self.secret = {index[x] for x in g.secret}
+        self._reaches: dict[tuple, tuple] = {}
 
     def names(self, pairs: Iterable[int]) -> dict[int, str]:
         """The display name of every pair id in ``pairs``, as its pair object shows it."""
         width, dummy, actual = self.width, self.state_names, self.actual_names
         return {p: f"({dummy[p // width]},{actual[p % width]})" for p in pairs}
 
-    def automaton(self, pairs: Collection[int]) -> tuple[Automaton, dict[int, State]]:
-        """The indicator restricted to ``pairs``, and the pair object of every pair id."""
+    def objects(self, pairs: Iterable[int]) -> dict[int, State]:
+        """The pair object of every pair id in ``pairs``."""
+        return {p: self.pair(*divmod(p, self.width)) for p in pairs}
+
+    def automaton(self, pairs: Collection[int]) -> Automaton:
+        """The indicator restricted to ``pairs``."""
         if not pairs:
-            return Automaton(frozenset(), self.events, {}, frozenset(), frozenset(), False), {}
+            return Automaton(frozenset(), self.events, {}, frozenset(), frozenset(), False)
         width, labels = self.width, self.edge_labels
-        objects = {p: self.pair(*divmod(p, width)) for p in pairs}
+        objects = self.objects(pairs)
         singletons = {p: frozenset((pair,)) for p, pair in objects.items()}
         transitions = {(objects[p], labels[j]): singletons[t] for p, j, t in self.edges(pairs)}
         secret = frozenset(pair for p, pair in objects.items() if p // width in self.secret)
-        automaton = Automaton(
+        return Automaton(
             frozenset(objects.values()),
             self.events,
             transitions,
@@ -130,24 +135,128 @@ class _InternedDfa:
             secret,
             True,
         )
-        return automaton, objects
+
+    def _reach(self, labels: Sequence[int]) -> tuple[list, list[int], list[int]]:
+        """The SCCs of g on the label ids ``labels``, successors first, the
+        SCC of every state, and every SCC's reach set as a bitmask.
+
+        Tarjan's algorithm, iterative, on the integer ids: a component is
+        complete only after every component it reaches, so its reach set is
+        its own states and theirs.  Each label set is solved once.
+        """
+        key = tuple(labels)
+        if key in self._reaches:
+            return self._reaches[key]
+        n = self.n
+        succ = [[row[e] for e in labels if row[e] >= 0] for row in self.delta]
+        index, low, scc = [-1] * n, [0] * n, [-1] * n
+        stack: list[int] = []
+        components: list[list[int]] = []
+        reach: list[int] = []
+        visited = 0
+        for root in range(n):
+            if index[root] >= 0:
+                continue
+            index[root] = low[root] = visited
+            visited += 1
+            stack.append(root)
+            work = [(root, iter(succ[root]))]
+            while work:
+                x, successors = work[-1]
+                for y in successors:
+                    if index[y] < 0:
+                        index[y] = low[y] = visited
+                        visited += 1
+                        stack.append(y)
+                        work.append((y, iter(succ[y])))
+                        break
+                    if scc[y] < 0:
+                        low[x] = min(low[x], index[y])
+                else:
+                    work.pop()
+                    if work:
+                        low[work[-1][0]] = min(low[work[-1][0]], low[x])
+                    if low[x] < index[x]:
+                        continue
+                    c, mask, members = len(components), 0, []
+                    while not members or members[-1] != x:
+                        members.append(stack.pop())
+                        scc[members[-1]] = c
+                        mask |= 1 << members[-1]
+                    for y in members:
+                        for z in succ[y]:
+                            if scc[z] != c:
+                                mask |= reach[scc[z]]
+                    components.append(members)
+                    reach.append(mask)
+        self._reaches[key] = components, scc, reach
+        return components, scc, reach
+
+    def relay_game(self, before: Sequence[int], after: Sequence[int]) -> list[int]:
+        """The staying pairs of g, as one bitmask of dummies per actual state.
+
+        Bit d of entry x is set when the pair (dummy d, actual x) is in W,
+        the greatest set of pairs in which every event e enabled at x has some
+        d'' in T_e(d) = AReach(delta_e(BReach(d))) with (d'', delta_e(x)) in
+        W: the inserter walks the believed state along before-events, relays
+        e, walks on along after-events, and can keep this up forever.
+        BReach and AReach are reach sets in the subgraphs of g on the label
+        ids ``before`` and ``after``.  A halted actual state has no event to
+        relay, so all its pairs stay.  T_e is the same for all dummies of one
+        SCC of the before-subgraph, so each actual state keeps the list of
+        those SCCs still in W, and is re-tested only when a successor's
+        bitmask shrinks.
+        """
+        n, delta = self.n, self.delta
+        components, scc, _ = self._reach(before)
+        _, after_scc, after_reach = self._reach(after)
+        then_after = [after_reach[c] for c in after_scc]
+        # Per event e and before-SCC C, T_e of the dummies of C, successors first.
+        relays = []
+        for e in range(len(self.labels)):
+            row: list[int] = []
+            for c, members in enumerate(components):
+                mask = 0
+                for d in members:
+                    if delta[d][e] >= 0:
+                        mask |= then_after[delta[d][e]]
+                    for b in before:
+                        y = delta[d][b]
+                        if y >= 0 and scc[y] != c:
+                            mask |= row[scc[y]]
+                row.append(mask)
+            relays.append(row)
+        masks = [sum(1 << d for d in members) for members in components]
+        win = [(1 << n) - 1] * n
+        alive = [range(len(components))] * n
+        sources: list[set[int]] = [set() for _ in range(n)]
+        for x, row in enumerate(delta):
+            for y in row:
+                if y >= 0:
+                    sources[y].add(x)
+        queue = set(range(n))
+        while queue:
+            x = queue.pop()
+            moves = [(relays[e], y) for e, y in enumerate(delta[x]) if y >= 0]
+            kept = [c for c in alive[x] if all(row[c] & win[y] for row, y in moves)]
+            if len(kept) < len(alive[x]):
+                alive[x] = kept
+                win[x] = sum(masks[c] for c in kept)
+                queue |= sources[x]
+        return win
 
     def decide(
         self, reachable: Collection[int], verifier: set[int], staying: Collection[int]
     ) -> _Decision:
-        """The verdict on the verifier pairs ``verifier`` and their staying pairs ``staying``."""
-        width, n, delta = self.width, self.n, self.delta
+        """The verdict read off the staying pairs ``staying``; ``reachable``
+        and ``verifier`` are passed through for the report."""
+        width, n = self.width, self.n
         admissible = [p for p in staying if p // width not in self.secret]
         covered = {p % width % n for p in admissible}
-        accessible = {self.x0}
-        stack = [self.x0]
-        while stack:
-            for y in delta[stack.pop()]:
-                if y >= 0 and y not in accessible:
-                    accessible.add(y)
-                    stack.append(y)
+        _, scc, reach = self._reach(range(len(self.labels)))
+        accessible = reach[scc[self.x0]]
         uncovered = frozenset(x for i, x in enumerate(self.states) if i not in covered)
-        unreachable = frozenset(x for i, x in enumerate(self.states) if i not in accessible)
+        unreachable = frozenset(x for i, x in enumerate(self.states) if not accessible >> i & 1)
         return _Decision(
             not uncovered, self, reachable, verifier, staying, admissible, uncovered, unreachable
         )
@@ -161,7 +270,7 @@ class _PairKernel(_InternedDfa):
     closed under dashed moves, so the dashed SCC of (d, x) is exactly
     SCC_g(d) x {x}.  That component is the id ``c*n + x``, where c is the
     SCC of d in g.  ``IndicatorState`` objects are made only by
-    ``automaton``, for library callers.
+    ``objects``, for library callers.
     """
 
     def __init__(self, g: Automaton) -> None:
@@ -173,11 +282,7 @@ class _PairKernel(_InternedDfa):
         self.edge_labels = self.labels + inserted
         self.events = frozenset(self.edge_labels)
         self.start = self.x0 * n + self.x0
-        partition = strongly_connected_components(
-            range(n), ((x, y) for x, row in enumerate(self.delta) for y in row if y >= 0)
-        )
-        self.scc = [partition.component_of[x] for x in range(n)]
-        self.members = [sorted(c) for c in partition.components]
+        self.members, self.scc, _ = self._reach(range(len(self.labels)))
         # SCCs of g one edge of g away from each SCC: the dashed moves out
         # of every component (c, x), whatever x is.
         self.dashed = [
@@ -244,56 +349,6 @@ class _PairKernel(_InternedDfa):
                     falling.append(source)
         return alive
 
-    def staying(self, pairs: set[int]) -> set[int]:
-        """The staying-nonblocking pairs of the verifier ``pairs``.
-
-        The greatest fixpoint of ``find_staying_nonblocking``, on components:
-        every event enabled at x needs a dashed walk inside the verifier and
-        then a solid move onto a staying component.  Each (component, event)
-        watches the first landing it finds, and a falling component re-tests
-        only its watchers.
-        """
-        n, delta, scc = self.n, self.delta, self.scc
-        components = {scc[p // n] * n + p % n for p in pairs}
-        closures: dict[int, list[int]] = {}
-        for key in components:
-            x = key % n
-            closure = [key // n]
-            seen = set(closure)
-            for c in closure:
-                for s in self.dashed[c]:
-                    if s * n + x in components and s not in seen:
-                        seen.add(s)
-                        closure.append(s)
-            closures[key] = closure
-        alive = set(components)
-        watchers: dict[int, list] = {}
-        recheck = [
-            (key, e) for key in components for e, y in enumerate(delta[key % n]) if y >= 0
-        ]
-        while recheck:
-            key, e = recheck.pop()
-            if key not in alive:
-                continue
-            xx = delta[key % n][e]
-            landing = next(
-                (
-                    target
-                    for c in closures[key]
-                    for d in self.members[c]
-                    if delta[d][e] >= 0
-                    for target in (scc[delta[d][e]] * n + xx,)
-                    if target in alive
-                ),
-                None,
-            )
-            if landing is not None:
-                watchers.setdefault(landing, []).append((key, e))
-                continue
-            alive.discard(key)
-            recheck.extend(watchers.pop(key, ()))
-        return {p for p in pairs if scc[p // n] * n + p % n in alive}
-
     def pair(self, d: int, x: int) -> IndicatorState:
         return IndicatorState(self.states[d], self.states[x])
 
@@ -326,7 +381,7 @@ def build_indicator(g: Automaton, gf: Automaton) -> Automaton:
     if gf != build_insertion_automaton(g):
         raise ValueError("second argument must be the insertion automaton of the first")
     kernel = _PairKernel(g)
-    return kernel.automaton(kernel.reachable_pairs())[0]
+    return kernel.automaton(kernel.reachable_pairs())
 
 
 @dataclass(frozen=True)
@@ -511,7 +566,8 @@ class _Decision(NamedTuple):
     """A kernel run's verdict and the pair ids behind it, with no pair object.
 
     ``reachable`` holds the indicator's pairs and ``verifier`` those pruning
-    keeps; the other fields mean what they mean in ``EiReport`` and
+    keeps, which the staying pairs need not lie in when g can halt; the
+    other fields mean what they mean in ``EiReport`` and
     ``EicReport``, with pair ids for pairs.  The CLI renders its report and
     DOT file from these ids.
     """
@@ -527,11 +583,19 @@ class _Decision(NamedTuple):
 
 
 def _decide_ei(g: Automaton) -> _Decision:
-    """The decision of ``check_ei_enforceable``, on pair ids."""
+    """The decision of ``check_ei_enforceable``, on pair ids.
+
+    The staying pairs are the reachable pairs the relay game keeps, with
+    every event insertable before and after a relay.  Pruning only names
+    the paper's verifier.
+    """
     kernel = _PairKernel(g)
-    reachable = kernel.reachable_pairs()
+    n, reachable = kernel.n, kernel.reachable_pairs()
+    everything = range(len(kernel.labels))
+    win = kernel.relay_game(everything, everything)
+    staying = {p for p in reachable if win[p % n] >> p // n & 1}
     verifier = kernel.reachable_pairs(kernel.prune(reachable))
-    return kernel.decide(reachable, verifier, kernel.staying(verifier))
+    return kernel.decide(reachable, verifier, staying)
 
 
 def check_ei_enforceable(g: Automaton) -> EiReport:
@@ -542,10 +606,10 @@ def check_ei_enforceable(g: Automaton) -> EiReport:
     separately to make the verdict legible.
     """
     decision = _decide_ei(g)
-    verifier, objects = decision.kernel.automaton(decision.verifier)
+    objects = decision.kernel.objects(decision.staying_nonblocking)
     return EiReport(
         decision.enforceable,
-        verifier,
+        decision.kernel.automaton(decision.verifier),
         frozenset(objects[p] for p in decision.staying_nonblocking),
         frozenset(objects[p] for p in decision.admissible),
         decision.uncovered_actual_states,

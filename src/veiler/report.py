@@ -70,9 +70,10 @@ def _pairs_payload(
 
 
 def ei_report(name: str, report: EiReport, command: str = "verify-ei") -> dict:
-    # Staying and admissible pairs are verifier pairs: one name per pair.
-    names = {pair: state_display(pair) for pair in report.verifier.states}
-    return _pairs_payload(command, name, report, names, names)
+    # On a system that can halt, staying pairs may lie outside the verifier.
+    pairs = report.verifier.states | report.staying_nonblocking
+    names = {pair: state_display(pair) for pair in pairs}
+    return _pairs_payload(command, name, report, names, report.verifier.states)
 
 
 def eic_report(
@@ -81,8 +82,9 @@ def eic_report(
     constraints: InsertionConstraints,
     command: str = "verify-eic",
 ) -> dict:
-    names = {pair: state_display(pair) for pair in report.eic_verifier.states}
-    return _pairs_payload(command, name, report, names, names, constraints)
+    pairs = report.eic_verifier.states | report.staying_nonblocking.keys()
+    names = {pair: state_display(pair) for pair in pairs}
+    return _pairs_payload(command, name, report, names, report.eic_verifier.states, constraints)
 
 
 def oracle_report(

@@ -43,7 +43,7 @@ class AutomatonDocument:
 
 
 def _state_token(token: str) -> State:
-    return int(token) if token.isdigit() else token
+    return int(token) if token.isdecimal() else token
 
 
 def _declare(lineno: int, kind: str, tokens: list[str], names: list) -> set:

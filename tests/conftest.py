@@ -94,12 +94,14 @@ def staged_ei_report():
     """The unconstrained pipeline run stage by stage, as the paper builds it.
 
     ``check_ei_enforceable`` decides on interned pair ids instead; its
-    report must equal this one field for field.
+    report must equal this one field for field.  The staying stage runs on
+    the whole indicator: pruning names the verifier but decides nothing.
     """
 
     def run(g: Automaton) -> EiReport:
-        v = build_verifier(build_indicator(g, build_insertion_automaton(g)), g)
-        snb = find_staying_nonblocking(v, g)
+        ia = build_indicator(g, build_insertion_automaton(g))
+        v = build_verifier(ia, g)
+        snb = find_staying_nonblocking(ia, g)
         admissible = admissible_states(v, snb, g.secret)
         uncovered = frozenset(g.states - {pair.actual for pair in admissible})
         unreachable = frozenset(g.states - g.accessible_part().states)
@@ -113,12 +115,14 @@ def staged_eic_report():
     """The constrained pipeline run stage by stage, as the paper builds it.
 
     ``check_eic_enforceable`` decides on interned pair ids instead; its
-    report must equal this one field for field.
+    report must equal this one field for field.  The staying stage runs on
+    the whole indicator: pruning names the verifier but decides nothing.
     """
 
     def run(g: Automaton, c: InsertionConstraints) -> EicReport:
-        v = build_eic_verifier(build_eic_indicator(g, build_eic_insertion_automaton(g, c)))
-        nb = find_staying_eic_nonblocking(v, g)
+        eia = build_eic_indicator(g, build_eic_insertion_automaton(g, c))
+        v = build_eic_verifier(eia)
+        nb = find_staying_eic_nonblocking(eia, g)
         admissible = eic_admissible_states(v, nb, g.secret)
         uncovered = frozenset(g.states - {base_of(pair.actual) for pair in admissible})
         unreachable = frozenset(g.states - g.accessible_part().states)

@@ -4,6 +4,8 @@ import importlib
 import importlib.util
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -37,11 +39,13 @@ from veiler.insertion import (
     _decide_ei,
     build_indicator,
     build_insertion_automaton,
+    check_ei_enforceable,
 )
 from veiler.oracle import random_constraints, random_dfa
 from veiler.report import ei_report, eic_report, to_json
 from veiler.textio import emit_automaton, parse_document
 
+ROOT = Path(__file__).resolve().parents[1]
 DATA = Path(__file__).parent / "data"
 G1 = str(DATA / "g1.aut")
 
@@ -214,6 +218,30 @@ class TestVerifyEi:
         assert cli_main(["verify-ei", G1, "--dot", str(tmp_path / "out.dot")]) == EXIT_OK
         assert len(built) == 1
 
+    def test_a_halted_run_reveals_nothing_further(self, capsys, tmp_path, secretless_doc):
+        # 0 -a-> 1, then silence.  Pruning empties the paper's verifier, but
+        # (0,0) and (1,1) stay, and the JSON report and DOT name them.
+        assert cli_main(["verify-ei", secretless_doc]) == EXIT_OK
+        assert capsys.readouterr().out == (
+            "automaton plain: enforceable=true\n"
+            "verifier states: 0\n"
+            "staying-nonblocking pairs: 2\n"
+            "admissible pairs: 2\n"
+        )
+        dot = tmp_path / "out.dot"
+        assert cli_main(["verify-ei", secretless_doc, "--json", "--dot", str(dot)]) == EXIT_OK
+        out = capsys.readouterr().out
+        g = parse_document(Path(secretless_doc).read_text()).automaton
+        assert out == to_json(ei_report("plain", check_ei_enforceable(g)))
+        payload = json.loads(out)
+        assert payload["staying_nonblocking"] == payload["admissible"] == ["(0,0)", "(1,1)"]
+        assert payload["verifier_states"] == []
+        # Every pair was pruned; red wins over green.
+        text = dot.read_text()
+        assert '"(0,0)" [style=filled, fillcolor="#e05a4e"];' in text
+        assert '"(1,1)" [style=filled, fillcolor="#e05a4e"];' in text
+        assert '"(1,0)" [style=filled, fillcolor="#66bb6a"];' in text
+
 
 class TestVerifyEic:
     def test_split_alphabets_keep_the_example_enforceable(self, capsys):
@@ -329,6 +357,45 @@ class TestVerifyEic:
         argv = ["verify-eic", G1, "--insert-before", "b,c", "--insert-after", "a"]
         assert cli_main(argv + ["--dot", str(tmp_path / "out.dot")]) == EXIT_OK
         assert len(built) == 1
+
+    def test_a_halted_run_reveals_nothing_further(self, capsys, tmp_path, secretless_doc):
+        argv = ["verify-eic", secretless_doc, "--insert-before", "a"]
+        assert cli_main(argv) == EXIT_OK
+        assert capsys.readouterr().out == (
+            "automaton plain: enforceable=true\n"
+            "insertable before: a\n"
+            "insertable after: (none)\n"
+            "verifier states: 0\n"
+            "staying-nonblocking pairs: 2\n"
+            "admissible pairs: 2\n"
+        )
+        dot = tmp_path / "out.dot"
+        assert cli_main(argv + ["--json", "--dot", str(dot)]) == EXIT_OK
+        out = capsys.readouterr().out
+        g = parse_document(Path(secretless_doc).read_text()).automaton
+        c = InsertionConstraints.of({"a"}, ())
+        assert out == to_json(eic_report("plain", check_eic_enforceable(g, c), c))
+        payload = json.loads(out)
+        assert payload["staying_nonblocking"] == {"(0,0)": 1, "(1,1)": 1}
+        assert payload["verifier_states"] == []
+        text = dot.read_text()
+        assert '"(0,0)" [style=filled, fillcolor="#e05a4e"];' in text
+        assert '"(1,0_b)" [style=filled, fillcolor="#66bb6a"];' in text
+
+    def test_an_omitted_constraint_flag_means_no_events(self, capsys):
+        pairs = [
+            ([], ["--insert-before", "", "--insert-after", ""]),
+            (["--insert-before", "b,c"], ["--insert-before", "b,c", "--insert-after", ""]),
+            (["--insert-after", "a"], ["--insert-before", "", "--insert-after", "a"]),
+        ]
+        for omitted, spelled in pairs:
+            for flags in ([], ["--json"]):
+                code = cli_main(["verify-eic", G1, *omitted, *flags])
+                out = capsys.readouterr().out
+                assert cli_main(["verify-eic", G1, *spelled, *flags]) == code
+                assert capsys.readouterr().out == out
+        assert cli_main(["verify-eic", G1]) == EXIT_NOT_ENFORCEABLE
+        assert "insertable before: (none)" in capsys.readouterr().out
 
 
 def _negated(decide):
@@ -557,3 +624,16 @@ class TestDecisionPath:
                 assert callable(getattr(module, name, None)), f"veiler.{layer}.{name}"
         for method in tracing.AUTOMATON_METHODS:
             assert callable(getattr(Automaton, method, None)), method
+
+
+class TestReadme:
+    def test_every_transcript_matches_the_cli(self, capsys, monkeypatch):
+        # Each ```text block that opens with `$ veiler ...` is run from the
+        # repository root; the rest of the block is its exact stdout.
+        monkeypatch.chdir(ROOT)
+        readme = (ROOT / "README.md").read_text()
+        transcripts = re.findall(r"```text\n\$ (veiler [^\n]*)\n(.*?)```", readme, re.S)
+        assert len(transcripts) == readme.count("\n$ veiler ") > 0
+        for command, expected in transcripts:
+            cli_main(shlex.split(command)[1:])
+            assert capsys.readouterr().out == expected, command

@@ -19,6 +19,7 @@ from veiler.constrained import (
 )
 from veiler.dot import emit_dot
 from veiler.fsm import Automaton, Tag, sorted_labels, state_display, word
+from veiler.insertion import check_ei_enforceable
 from veiler.oracle import random_constraints, random_dfa
 from veiler.report import eic_report, to_json
 from veiler.textio import emit_automaton
@@ -308,6 +309,24 @@ class TestCheckEicEnforceable:
     def test_constraints_are_validated(self, g1):
         with pytest.raises(ValueError):
             check_eic_enforceable(g1, InsertionConstraints.of({"z"}, ()))
+
+    def test_every_event_on_both_sides_is_ei_once_x0_is_entered(self):
+        # EIC with before = after = all events decides what EI decides, but
+        # for one rule: before the first output nothing has been produced to
+        # insert after, so x0 has an after-phase only when a move enters it.
+        entered = differ = 0
+        for seed in range(1000):
+            g = random_dfa(seed, live=True)
+            symbols = {e.symbol for e in g.events}
+            ei = check_ei_enforceable(g).enforceable
+            eic = check_eic_enforceable(g, InsertionConstraints.of(symbols, symbols)).enforceable
+            if g.incoming_events(*g.initial):
+                entered += 1
+                assert ei == eic, seed
+            else:
+                differ += ei != eic
+        # Most systems re-enter x0, and the rule does decide some others.
+        assert entered > 700 and differ > 0
 
     def test_verifier_states_never_leave_the_indicator(self):
         for seed in range(10):

@@ -4,9 +4,9 @@ import random
 
 import pytest
 
-from veiler.constrained import InsertionConstraints, check_eic_enforceable
+from veiler.constrained import EicIndicatorState, InsertionConstraints, check_eic_enforceable
 from veiler.fsm import Automaton, Tag, word
-from veiler.insertion import check_ei_enforceable
+from veiler.insertion import IndicatorState, check_ei_enforceable
 from veiler.oracle import (
     ExtendedInsertionSequence,
     SearchBudget,
@@ -282,14 +282,23 @@ class TestDocumentedDivergence:
         assert not check_ei_enforceable(g).enforceable
         assert not oracle_ei_enforceable(g)
 
-    def test_halting_states_poison_the_construction_only(self):
-        # The construction assumes the system keeps producing output: a
-        # state with no moves traps its pairs and the pruning cascade
-        # empties the verifier.  The search sees no secret to hide and no
-        # output it fails to relay, so it accepts.
+    def test_a_halted_run_reveals_nothing_further(self):
+        # A state with no moves has no output left to relay, so all its
+        # pairs stay.  Pruning still traps them and empties the paper's
+        # verifier, but the verdict is read off the relay game, and both
+        # sides accept.
         g = Automaton.dfa([0, 1], ["a"], {(0, "a"): 1}, 0)
         report = check_ei_enforceable(g)
-        assert not report.enforceable
+        assert report.enforceable
         assert report.verifier.states == frozenset()
+        assert report.staying_nonblocking == {IndicatorState(0, 0), IndicatorState(1, 1)}
         assert oracle_ei_enforceable(g)
-        assert oracle_eic_enforceable(g, InsertionConstraints.of({"a"}, ()))
+        c = InsertionConstraints.of({"a"}, ())
+        constrained = check_eic_enforceable(g, c)
+        assert constrained.enforceable
+        assert constrained.eic_verifier.states == frozenset()
+        assert constrained.staying_nonblocking == {
+            EicIndicatorState(0, 0): 1,
+            EicIndicatorState(1, 1): 1,
+        }
+        assert oracle_eic_enforceable(g, c)

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import re
 from pathlib import Path
 from textwrap import dedent
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from veiler.fsm import Automaton
 from veiler.insertion import build_insertion_automaton
@@ -17,6 +20,10 @@ from veiler.textio import (
 )
 
 DATA = Path(__file__).parent / "data"
+_G1_PIECES = re.split(r"(\s+)", (DATA / "g1.aut").read_text())
+# Characters the fuzz splices into g1.aut: structure, names, and digits
+# that str.isdigit accepts but int() does not, or that int() reads.
+_FUZZ_CHARS = " \t\n#0123abcdeinst_-\u00b2\u0663\u2028\x0c"
 
 
 def _doc(text: str) -> AutomatonDocument:
@@ -319,6 +326,53 @@ class TestParseErrors:
             """
         )
         assert error.line == 3
+
+    def test_non_ascii_digits_never_crash(self):
+        # A state token is a number only when int() reads it: the
+        # superscript two is a name, the Arabic-Indic three is the number 3.
+        doc = _doc(
+            """\
+            automaton g
+            events a
+            states 0 \u00b2
+            initial 0
+            trans 0 a \u00b2
+            end
+            """
+        )
+        assert doc.automaton.states == {0, "\u00b2"}
+        error = _error(
+            """\
+            automaton g
+            events a
+            states 3 \u0663
+            """
+        )
+        assert error.line == 3
+        assert "declared twice" in str(error)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        edits=st.lists(
+            st.tuples(
+                st.integers(0, len(_G1_PIECES) - 1),
+                st.text(st.sampled_from(_FUZZ_CHARS), max_size=4),
+            ),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    def test_mutated_files_fail_only_with_a_line_number(self, edits):
+        # Each edit replaces one token, or one run of whitespace, of g1.aut.
+        pieces = list(_G1_PIECES)
+        for at, text in edits:
+            pieces[at] = text
+        text = "".join(pieces)
+        try:
+            parse_document(text)
+        except ParseError as error:
+            assert 1 <= error.line <= max(1, len(text.splitlines()))
+            assert str(error).startswith(f"line {error.line}: ")
 
 
 class TestEmit:
