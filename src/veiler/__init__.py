@@ -5,143 +5,20 @@ enforced by inserting fictitious events before and after each real output,
 both with an unrestricted insertion alphabet and under constraints on which
 events may go where.  Verdicts come from verifier constructions over an
 indicator product; an independent bounded search over insertion sequences is
-available to cross-check them on small systems.
+available to cross-check them on small systems.  The construction stages are
+public in their modules.
 """
 from __future__ import annotations
 
 __version__ = "0.1.0"
 
-from .constrained import (
-    Decoration,
-    DecoratedState,
-    EicReport,
-    InsertionConstraints,
-    base_of,
-    build_eic_indicator,
-    build_eic_insertion_automaton,
-    build_eic_verifier,
-    check_eic_enforceable,
-    decoration_of,
-    eic_admissible_states,
-    find_eic_trapping_states,
-    find_staying_eic_nonblocking,
-)
-from .dot import emit_dot
-from .fsm import (
-    Automaton,
-    EventLabel,
-    SccPartition,
-    Tag,
-    as_label,
-    sorted_states,
-    state_display,
-    strongly_connected_components,
-    word,
-)
-from .insertion import (
-    EiReport,
-    IndicatorState,
-    SubspacePartition,
-    admissible_states,
-    apply_mask_mi,
-    apply_projection_pi,
-    apply_projection_pui,
-    build_indicator,
-    build_insertion_automaton,
-    build_verifier,
-    check_ei_enforceable,
-    find_staying_nonblocking,
-    find_trapping_sccs,
-    partition_subspaces,
-)
-from .observer import (
-    Classification,
-    ObserverState,
-    OpacityVerdict,
-    build_observer,
-    check_current_state_opacity,
-    classify_observation,
-    project,
-)
-from .oracle import (
-    ExtendedInsertionSequence,
-    SearchBudget,
-    is_desirable_bounded,
-    is_feasible,
-    oracle_eic_enforceable,
-    oracle_ei_enforceable,
-    random_constraints,
-    random_dfa,
-    random_nfa,
-)
-from .textio import (
-    AutomatonDocument,
-    ParseError,
-    emit_automaton,
-    emit_document,
-    parse_automaton,
-    parse_document,
-)
+from .fsm import Automaton
+from .insertion import check_ei_enforceable
+from .observer import check_current_state_opacity
 
 __all__ = [
     "Automaton",
-    "AutomatonDocument",
-    "Classification",
-    "DecoratedState",
-    "Decoration",
-    "EicReport",
-    "EiReport",
-    "EventLabel",
-    "ExtendedInsertionSequence",
-    "IndicatorState",
-    "InsertionConstraints",
-    "ObserverState",
-    "OpacityVerdict",
-    "ParseError",
-    "SccPartition",
-    "SearchBudget",
-    "SubspacePartition",
-    "Tag",
-    "admissible_states",
-    "apply_mask_mi",
-    "apply_projection_pi",
-    "apply_projection_pui",
-    "as_label",
-    "base_of",
-    "build_eic_indicator",
-    "build_eic_insertion_automaton",
-    "build_eic_verifier",
-    "build_indicator",
-    "build_insertion_automaton",
-    "build_observer",
-    "build_verifier",
     "check_current_state_opacity",
-    "check_eic_enforceable",
     "check_ei_enforceable",
-    "classify_observation",
-    "decoration_of",
-    "eic_admissible_states",
-    "emit_automaton",
-    "emit_document",
-    "emit_dot",
-    "find_eic_trapping_states",
-    "find_staying_eic_nonblocking",
-    "find_staying_nonblocking",
-    "find_trapping_sccs",
-    "is_desirable_bounded",
-    "is_feasible",
-    "oracle_eic_enforceable",
-    "oracle_ei_enforceable",
-    "parse_automaton",
-    "parse_document",
-    "partition_subspaces",
-    "project",
-    "random_constraints",
-    "random_dfa",
-    "random_nfa",
-    "sorted_states",
-    "state_display",
-    "strongly_connected_components",
-    "word",
     "__version__",
 ]

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Collection, Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 from .fsm import (
     Automaton,
@@ -22,7 +22,7 @@ from .fsm import (
     sorted_labels,
     state_display,
 )
-from .insertion import _Decision, _InternedDfa, _greatest_fixpoint, _restrict, _walk
+from .insertion import _Decision, _PairKernel, _greatest_fixpoint, _prune, _restrict, _walk
 
 
 @dataclass(frozen=True)
@@ -125,7 +125,7 @@ def build_eic_insertion_automaton(
     for x in g.states:
         for decoration in Decoration:
             states.add(_decorate(x, decoration))
-    if not g.incoming_events(x0):
+    if not any(x0 in targets for targets in g.transitions.values()):
         states.discard(_decorate(x0, Decoration.A))
         states.discard(_decorate(x0, Decoration.AB))
 
@@ -177,130 +177,53 @@ class EicIndicatorState:
         return f"({state_display(self.dummy)},{state_display(self.actual)})"
 
 
-_SOLID, _BEFORE, _AFTER = range(3)
-
-
-class _EicKernel(_InternedDfa):
+class _EicKernel(_PairKernel):
     """The constrained indicator of a deterministic system on integer ids.
 
-    The decorated actual state (x, dec) is the id ``dec*n + x`` and the pair
-    (dummy d, actual a) the id ``d*4n + a``.  ``moves`` maps every pair
-    reachable from (x0, x0) to its moves, (kind, label id, target) triples
-    whose kind is solid, before or after; the label index of a move is
-    ``kind*k + e``; ``before`` and ``after`` list the label ids insertable
-    on each side.  ``EicIndicatorState`` objects are made only by
-    ``objects``, for library callers.
+    The phases are the four decorations, so the decorated state (x, dec) is
+    the id ``dec*n + x``, and the insertion kinds are before (label ids
+    ``before``) and after (``after``), shifting the decoration as
+    ``_BEFORE_MOVE`` and ``_AFTER_MOVE`` say.  ``EicIndicatorState``
+    objects are made only by ``objects``, for library callers.
     """
 
     def __init__(self, g: Automaton, c: InsertionConstraints) -> None:
         super().__init__(g)
         c.validate_against(g)
-        n, delta = self.n, self.delta
-        n4 = self.width = 4 * n
+        n, k = self.n, self.k
+        n4 = 4 * n
         self.actual_names = [
             name + _DECORATION_SUFFIX[decoration]
             for decoration in Decoration
             for name in self.state_names
         ]
-        self.start = self.x0 * n4 + self.x0
-        before = [e for e, label in enumerate(self.labels) if label.symbol in c.before]
-        after = [e for e, label in enumerate(self.labels) if label.symbol in c.after]
-        self.before, self.after = before, after
-        self.edge_labels = [
-            EventLabel(label.symbol, tag)
-            for tag in (Tag.ACTUAL, Tag.INSERTED_BEFORE, Tag.INSERTED_AFTER)
-            for label in self.labels
-        ]
-        k = len(self.labels)
+        self.before = [e for e, label in enumerate(self.labels) if label.symbol in c.before]
+        self.after = [e for e, label in enumerate(self.labels) if label.symbol in c.after]
+        tags = (Tag.ACTUAL, Tag.INSERTED_BEFORE, Tag.INSERTED_AFTER)
+        self.edge_labels = [EventLabel(label.symbol, tag) for tag in tags for label in self.labels]
         self.events = (
             frozenset(self.labels)
-            | frozenset(self.edge_labels[_BEFORE * k + e] for e in before)
-            | frozenset(self.edge_labels[_AFTER * k + e] for e in after)
+            | frozenset(self.edge_labels[k + e] for e in self.before)
+            | frozenset(self.edge_labels[2 * k + e] for e in self.after)
         )
         # The rule of build_eic_insertion_automaton: x0 has no after-phase
         # unless some move of g leads back to it.
         x0 = self.states[self.x0]
         entered = any(x0 in targets for targets in g.transitions.values())
         absent = () if entered else (Decoration.A * n + self.x0, Decoration.AB * n + self.x0)
-        # Per insertion kind: its symbols and, per decorated state, the
-        # decorated state the insertion leads to, or -1.
-        insertions = []
-        for kind, symbols, table in ((_BEFORE, before, _BEFORE_MOVE), (_AFTER, after, _AFTER_MOVE)):
+        kinds = []
+        for symbols, table in ((self.before, _BEFORE_MOVE), (self.after, _AFTER_MOVE)):
             shift = [-1] * n4
             for decoration, target in table.items():
                 for x in range(n):
                     if target * n + x not in absent:
                         shift[decoration * n + x] = target * n + x
-            insertions.append((kind, symbols, shift))
-
-        moves: dict[int, list] = {self.start: []}
-        stack = [self.start]
-        while stack:
-            p = stack.pop()
-            d, a = divmod(p, n4)
-            row_d, row_x = delta[d], delta[a % n]
-            out = moves[p]
-            for e, dd in enumerate(row_d):
-                if dd >= 0 and row_x[e] >= 0:
-                    out.append((_SOLID, e, dd * n4 + row_x[e]))
-            for kind, symbols, shift in insertions:
-                b = shift[a]
-                if b < 0:
-                    continue
-                for e in symbols:
-                    if row_d[e] >= 0:
-                        out.append((kind, e, row_d[e] * n4 + b))
-            for _, _, t in out:
-                if t not in moves:
-                    moves[t] = []
-                    stack.append(t)
-        self.moves = moves
-
-    def verifier(self) -> set[int]:
-        """Pairs of the EIC verifier: dead ends pruned, then the accessible part.
-
-        A pair dies when it has no move into a pair still alive.  Each pair
-        counts its moves, each pair lists the moves into it, and a dying pair
-        decrements the counts of the pairs those moves come from.  This
-        reaches the same fixpoint as the round-by-round removal of
-        ``build_eic_verifier``.
-        """
-        moves = self.moves
-        escapes = {p: len(out) for p, out in moves.items()}
-        sources: dict[int, list[int]] = {}
-        for p, out in moves.items():
-            for _, _, t in out:
-                sources.setdefault(t, []).append(p)
-        dying = [p for p, count in escapes.items() if not count]
-        dead = set(dying)
-        while dying:
-            for source in sources.get(dying.pop(), ()):
-                escapes[source] -= 1
-                if not escapes[source]:
-                    dead.add(source)
-                    dying.append(source)
-        if self.start in dead:
-            return set()
-        seen = {self.start}
-        stack = [self.start]
-        while stack:
-            for _, _, t in moves[stack.pop()]:
-                if t not in dead and t not in seen:
-                    seen.add(t)
-                    stack.append(t)
-        return seen
+            kinds.append((symbols, shift))
+        self._phases(len(Decoration), kinds)
 
     def pair(self, d: int, a: int) -> EicIndicatorState:
         n = self.n
         return EicIndicatorState(self.states[d], _decorate(self.states[a % n], Decoration(a // n)))
-
-    def edges(self, pairs: Collection[int]) -> Iterator[tuple[int, int, int]]:
-        """The moves between ``pairs``, as (source, label index, target) triples."""
-        moves, k = self.moves, len(self.labels)
-        for p in pairs:
-            for kind, e, t in moves[p]:
-                if t in pairs:
-                    yield p, kind * k + e, t
 
 
 def build_eic_indicator(g: Automaton, geic: Automaton) -> Automaton:
@@ -318,7 +241,7 @@ def build_eic_indicator(g: Automaton, geic: Automaton) -> Automaton:
             "second argument must be a constrained insertion automaton of the first"
         )
     kernel = _EicKernel(g, c)
-    return kernel.automaton(kernel.moves.keys())
+    return kernel.automaton(kernel.search())
 
 
 def find_eic_trapping_states(eia: Automaton) -> frozenset:
@@ -406,13 +329,17 @@ def _decide_eic(g: Automaton, c: InsertionConstraints) -> _Decision:
     """
     kernel = _EicKernel(g, c)
     n, width = kernel.n, kernel.width
+    # Every pair is its own pruning group, with the targets the search records.
+    targets: dict[int, list[int]] = {}
+    reachable = kernel.search(targets)
     win = kernel.relay_game(kernel.before, kernel.after)
     staying = {
         p: 1 if p % width < n else 2
-        for p in kernel.moves
+        for p in reachable
         if p % width < 2 * n and win[p % n] >> p // width & 1
     }
-    return kernel.decide(kernel.moves.keys(), kernel.verifier(), staying)
+    verifier = reachable if all(targets.values()) else _prune(targets, kernel.start)
+    return kernel.decide(reachable, verifier, staying)
 
 
 def check_eic_enforceable(g: Automaton, c: InsertionConstraints) -> EicReport:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Any, Hashable, Iterable, Mapping, Sequence
+from typing import Hashable, Iterable, Mapping, Sequence
 
 State = Hashable
 
@@ -243,21 +243,6 @@ class Automaton:
         self._require_state(x)
         return frozenset(self._outgoing.get(x, {}))
 
-    def incoming_events(self, x: State) -> frozenset:
-        """Labels by which some state can reach x in one step."""
-        self._require_state(x)
-        return frozenset(
-            e for (_, e), targets in self.transitions.items() if x in targets
-        )
-
-    def postset(self, x: State) -> frozenset:
-        """One-step successors of x under any label."""
-        self._require_state(x)
-        out: set = set()
-        for targets in self._outgoing.get(x, {}).values():
-            out |= targets
-        return frozenset(out)
-
     def accessible_part(self) -> Automaton:
         """Restriction to the states reachable from the initial set."""
         reached = set(self.initial)
@@ -290,70 +275,72 @@ class SccPartition:
     component_of: Mapping[State, int]
 
 
+def _tarjan(succ: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int]]:
+    """The SCCs of the graph on nodes 0..n-1 with successor lists ``succ``,
+    and the SCC index of every node.
+
+    Tarjan's algorithm, iterative so deep graphs cannot blow the stack.
+    Roots and successors are visited in list order.  A component is complete
+    only after every component it reaches, so components come successors
+    first.
+    """
+    n = len(succ)
+    index, low, scc = [-1] * n, [0] * n, [-1] * n
+    stack: list[int] = []
+    components: list[list[int]] = []
+    visited = 0
+    for root in range(n):
+        if index[root] >= 0:
+            continue
+        index[root] = low[root] = visited
+        visited += 1
+        stack.append(root)
+        work = [(root, iter(succ[root]))]
+        while work:
+            x, successors = work[-1]
+            for y in successors:
+                if index[y] < 0:
+                    index[y] = low[y] = visited
+                    visited += 1
+                    stack.append(y)
+                    work.append((y, iter(succ[y])))
+                    break
+                if scc[y] < 0:
+                    low[x] = min(low[x], index[y])
+            else:
+                work.pop()
+                if work:
+                    low[work[-1][0]] = min(low[work[-1][0]], low[x])
+                if low[x] < index[x]:
+                    continue
+                c, members = len(components), []
+                while not members or members[-1] != x:
+                    members.append(stack.pop())
+                    scc[members[-1]] = c
+                components.append(members)
+    return components, scc
+
+
 def strongly_connected_components(
     nodes: Iterable[State], edges: Iterable[tuple[State, State]]
 ) -> SccPartition:
-    """Tarjan's algorithm, iterative so deep graphs cannot blow the stack.
+    """Tarjan's algorithm on the nodes, interned in display order.
 
     Nodes and adjacency lists are visited in display order, which makes the
     component order deterministic.  A single node with no self-edge is its
     own component.
     """
-    node_set = set(nodes)
-    adjacency: dict[State, list[State]] = {x: [] for x in node_set}
+    order = sorted_states(set(nodes))
+    ids = {x: i for i, x in enumerate(order)}
+    succ: list[list[int]] = [[] for _ in order]
     for src, dst in edges:
-        if src not in node_set or dst not in node_set:
+        if src not in ids or dst not in ids:
             raise ValueError("edge endpoint outside the node set")
-        adjacency[src].append(dst)
-    for x in adjacency:
-        adjacency[x].sort(key=state_display)
-
-    index: dict[State, int] = {}
-    lowlink: dict[State, int] = {}
-    on_stack: set = set()
-    stack: list[State] = []
-    components: list[frozenset] = []
-    counter = 0
-
-    for root in sorted_states(node_set):
-        if root in index:
-            continue
-        index[root] = lowlink[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack.add(root)
-        work: list[tuple[State, Any]] = [(root, iter(adjacency[root]))]
-        while work:
-            node, successors = work[-1]
-            descended = False
-            for succ in successors:
-                if succ not in index:
-                    index[succ] = lowlink[succ] = counter
-                    counter += 1
-                    stack.append(succ)
-                    on_stack.add(succ)
-                    work.append((succ, iter(adjacency[succ])))
-                    descended = True
-                    break
-                if succ in on_stack:
-                    lowlink[node] = min(lowlink[node], index[succ])
-            if descended:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[node])
-            if lowlink[node] == index[node]:
-                component = set()
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    component.add(member)
-                    if member == node:
-                        break
-                components.append(frozenset(component))
-
-    component_of = {
-        x: i for i, component in enumerate(components) for x in component
-    }
-    return SccPartition(tuple(components), component_of)
+        succ[ids[src]].append(ids[dst])
+    for row in succ:
+        row.sort()
+    components, scc = _tarjan(succ)
+    return SccPartition(
+        tuple(frozenset(order[i] for i in members) for members in components),
+        {x: scc[i] for x, i in ids.items()},
+    )

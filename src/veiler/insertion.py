@@ -19,6 +19,7 @@ from .fsm import (
     EventLabel,
     State,
     Tag,
+    _tarjan,
     sorted_labels,
     sorted_states,
     state_display,
@@ -80,15 +81,22 @@ class IndicatorState:
         return f"({state_display(self.dummy)},{state_display(self.actual)})"
 
 
-class _InternedDfa:
-    """A deterministic system on dense integer ids, shared by the pair kernels.
+class _PairKernel:
+    """The indicator of a deterministic system on dense integer ids.
 
     States of g, in display order, become ids 0..n-1 and its actual labels
     ids 0..k-1; ``delta[x][e]`` is the successor of x on e, or -1 where the
-    move is undefined.  A kernel numbers the pair (dummy d, actual a) as
-    ``d*width + a``, names its actual states ``actual_names`` and lists its
-    moves with ``edges``, as (source, label index, target) triples over
-    ``edge_labels``.
+    move is undefined.  An actual state is a system state x in an insertion
+    phase f, the id ``f*n + x``, and the pair (dummy d, actual a) is the id
+    ``d*width + a``.  A solid move relays e: both components step and the
+    phase resets to plain, 0.  An insertion kind steps only the dummy, on an
+    event of its alphabet, and shifts the phase through its table, where -1
+    means forbidden.  Label index ``j*k + e`` over ``edge_labels`` names a
+    move on e of kind j, kind 0 being solid.  Unconstrained insertion has
+    one phase and one kind: every event, the phase unchanged.  ``moves`` is
+    the one enumeration of a pair's moves, for the search, the pruning input
+    and ``edges``.  Pair objects are made only by ``objects``, for library
+    callers.
     """
 
     def __init__(self, g: Automaton) -> None:
@@ -97,10 +105,10 @@ class _InternedDfa:
         self.states = sorted_states(g.states)
         self.state_names = [state_display(x) for x in self.states]
         self.labels = _actual_labels(g)
-        n = self.n = len(self.states)
+        n, k = self.n, self.k = len(self.states), len(self.labels)
         index = {x: i for i, x in enumerate(self.states)}
         label_index = {e: i for i, e in enumerate(self.labels)}
-        self.delta = [[-1] * len(self.labels) for _ in range(n)]
+        self.delta = [[-1] * k for _ in range(n)]
         for (x, e), (y,) in g.transitions.items():
             if e in label_index:
                 self.delta[index[x]][label_index[e]] = index[y]
@@ -108,6 +116,72 @@ class _InternedDfa:
         self.x0 = index[x0]
         self.secret = {index[x] for x in g.secret}
         self._reaches: dict[tuple, tuple] = {}
+        inserted = [EventLabel(e.symbol, Tag.INSERTED) for e in self.labels]
+        self.edge_labels = self.labels + inserted
+        self.events = frozenset(self.edge_labels)
+        self.actual_names = self.state_names
+        self._phases(1, [(range(k), list(range(n)))])
+
+    def _phases(self, phases: int, kinds: list[tuple[Sequence[int], list[int]]]) -> None:
+        """Give every system state ``phases`` phases and the insertion
+        ``kinds``, numbered from 1 as (label ids, phase table) pairs.
+
+        ``solid[d]`` and a kind's ``inserts`` row d list the moves of dummy d
+        as (label index, target dummy times width).
+        """
+        width = self.width = phases * self.n
+        self.start = self.x0 * width + self.x0
+        self.solid = [[(e, y * width) for e, y in enumerate(row) if y >= 0] for row in self.delta]
+        self.inserts = [
+            (shift, [[(j * self.k + e, row[e] * width) for e in symbols if row[e] >= 0]
+                     for row in self.delta])
+            for j, (symbols, shift) in enumerate(kinds, 1)
+        ]
+
+    def pair(self, d: int, x: int) -> State:
+        return IndicatorState(self.states[d], self.states[x])
+
+    def moves(self, p: int) -> Iterator[tuple[int, int]]:
+        """The moves of the pair ``p``, as (label index, target) pairs."""
+        d, a = divmod(p, self.width)
+        row_x = self.delta[a % self.n]
+        for e, dummy in self.solid[d]:
+            if row_x[e] >= 0:
+                yield e, dummy + row_x[e]
+        for shift, table in self.inserts:
+            b = shift[a]
+            if b >= 0:
+                for j, dummy in table[d]:
+                    yield j, dummy + b
+
+    def search(self, targets: dict[int, list[int]] | None = None) -> set[int]:
+        """The pairs reachable from the initial pair; each pair's move
+        targets are recorded in ``targets`` when it is given."""
+        seen = {self.start}
+        stack = [self.start]
+        while stack:
+            p = stack.pop()
+            # Listing every pair's targets costs EI's search about a quarter
+            # of its time, so only a recording search lists them.
+            if targets is None:
+                for _, t in self.moves(p):
+                    if t not in seen:
+                        seen.add(t)
+                        stack.append(t)
+            else:
+                out = targets[p] = [t for _, t in self.moves(p)]
+                for t in out:
+                    if t not in seen:
+                        seen.add(t)
+                        stack.append(t)
+        return seen
+
+    def edges(self, pairs: Collection[int]) -> Iterator[tuple[int, int, int]]:
+        """The moves between ``pairs``, as (source, label index, target) triples."""
+        for p in pairs:
+            for j, t in self.moves(p):
+                if t in pairs:
+                    yield p, j, t
 
     def names(self, pairs: Iterable[int]) -> dict[int, str]:
         """The display name of every pair id in ``pairs``, as its pair object shows it."""
@@ -140,57 +214,24 @@ class _InternedDfa:
         """The SCCs of g on the label ids ``labels``, successors first, the
         SCC of every state, and every SCC's reach set as a bitmask.
 
-        Tarjan's algorithm, iterative, on the integer ids: a component is
-        complete only after every component it reaches, so its reach set is
-        its own states and theirs.  Each label set is solved once.
+        A component comes after every component it reaches, so its reach set
+        is its own states and theirs.  Each label set is solved once.
         """
         key = tuple(labels)
-        if key in self._reaches:
-            return self._reaches[key]
-        n = self.n
-        succ = [[row[e] for e in labels if row[e] >= 0] for row in self.delta]
-        index, low, scc = [-1] * n, [0] * n, [-1] * n
-        stack: list[int] = []
-        components: list[list[int]] = []
-        reach: list[int] = []
-        visited = 0
-        for root in range(n):
-            if index[root] >= 0:
-                continue
-            index[root] = low[root] = visited
-            visited += 1
-            stack.append(root)
-            work = [(root, iter(succ[root]))]
-            while work:
-                x, successors = work[-1]
-                for y in successors:
-                    if index[y] < 0:
-                        index[y] = low[y] = visited
-                        visited += 1
-                        stack.append(y)
-                        work.append((y, iter(succ[y])))
-                        break
-                    if scc[y] < 0:
-                        low[x] = min(low[x], index[y])
-                else:
-                    work.pop()
-                    if work:
-                        low[work[-1][0]] = min(low[work[-1][0]], low[x])
-                    if low[x] < index[x]:
-                        continue
-                    c, mask, members = len(components), 0, []
-                    while not members or members[-1] != x:
-                        members.append(stack.pop())
-                        scc[members[-1]] = c
-                        mask |= 1 << members[-1]
-                    for y in members:
-                        for z in succ[y]:
-                            if scc[z] != c:
-                                mask |= reach[scc[z]]
-                    components.append(members)
-                    reach.append(mask)
-        self._reaches[key] = components, scc, reach
-        return components, scc, reach
+        if key not in self._reaches:
+            succ = [[row[e] for e in labels if row[e] >= 0] for row in self.delta]
+            components, scc = _tarjan(succ)
+            reach: list[int] = []
+            for c, members in enumerate(components):
+                mask = 0
+                for y in members:
+                    mask |= 1 << y
+                    for z in succ[y]:
+                        if scc[z] != c:
+                            mask |= reach[scc[z]]
+                reach.append(mask)
+            self._reaches[key] = components, scc, reach
+        return self._reaches[key]
 
     def relay_game(self, before: Sequence[int], after: Sequence[int]) -> list[int]:
         """The staying pairs of g, as one bitmask of dummies per actual state.
@@ -262,113 +303,6 @@ class _InternedDfa:
         )
 
 
-class _PairKernel(_InternedDfa):
-    """The indicator of a deterministic system on integer pair ids.
-
-    The pair (dummy d, actual x) is the id ``d*n + x``.  A dashed move
-    changes only the dummy, along an edge of g, and the reachable pairs are
-    closed under dashed moves, so the dashed SCC of (d, x) is exactly
-    SCC_g(d) x {x}.  That component is the id ``c*n + x``, where c is the
-    SCC of d in g.  ``IndicatorState`` objects are made only by
-    ``objects``, for library callers.
-    """
-
-    def __init__(self, g: Automaton) -> None:
-        super().__init__(g)
-        n = self.width = self.n
-        self.actual_names = self.state_names
-        inserted = [EventLabel(e.symbol, Tag.INSERTED) for e in self.labels]
-        # Label index e is the solid move on event e, k + e the dashed one.
-        self.edge_labels = self.labels + inserted
-        self.events = frozenset(self.edge_labels)
-        self.start = self.x0 * n + self.x0
-        self.members, self.scc, _ = self._reach(range(len(self.labels)))
-        # SCCs of g one edge of g away from each SCC: the dashed moves out
-        # of every component (c, x), whatever x is.
-        self.dashed = [
-            {self.scc[y] for d in members for y in self.delta[d] if y >= 0} - {c}
-            for c, members in enumerate(self.members)
-        ]
-
-    def reachable_pairs(self, alive: set | None = None) -> set[int]:
-        """Pairs reachable from (x0, x0); with ``alive``, only through those components."""
-        n, delta, scc = self.n, self.delta, self.scc
-        if alive is not None and scc[self.x0] * n + self.x0 not in alive:
-            return set()
-        seen = {self.start}
-        stack = [self.start]
-        while stack:
-            d, x = divmod(stack.pop(), n)
-            row_x = delta[x]
-            for e, dd in enumerate(delta[d]):
-                if dd < 0:
-                    continue
-                xx = row_x[e]
-                for y in (x, xx) if xx >= 0 else (x,):
-                    if alive is not None and scc[dd] * n + y not in alive:
-                        continue
-                    target = dd * n + y
-                    if target not in seen:
-                        seen.add(target)
-                        stack.append(target)
-        return seen
-
-    def prune(self, pairs: set[int]) -> set[int]:
-        """Components of ``pairs`` that survive trapping-component pruning.
-
-        A component is trapping when it has no dashed move out of itself and
-        no solid move at all, counting only moves into surviving components.
-        Each component counts its moves (its escapes), each component lists
-        the moves into it, and a falling component decrements the counts of
-        the components those moves come from.  This reaches the same fixpoint
-        as the round-by-round removal of ``build_verifier``.
-        """
-        n, delta, scc = self.n, self.delta, self.scc
-        components = {scc[p // n] * n + p % n for p in pairs}
-        escapes: dict[int, int] = {}
-        sources: dict[int, list[int]] = {}
-        for key in components:
-            c, x = divmod(key, n)
-            row_x = delta[x]
-            targets = [s * n + x for s in self.dashed[c]]
-            for d in self.members[c]:
-                for e, dd in enumerate(delta[d]):
-                    if dd >= 0 and row_x[e] >= 0:
-                        targets.append(scc[dd] * n + row_x[e])
-            escapes[key] = len(targets)
-            for target in targets:
-                sources.setdefault(target, []).append(key)
-        falling = [key for key, count in escapes.items() if not count]
-        alive = set(components)
-        while falling:
-            key = falling.pop()
-            alive.discard(key)
-            for source in sources.get(key, ()):
-                escapes[source] -= 1
-                if not escapes[source]:
-                    falling.append(source)
-        return alive
-
-    def pair(self, d: int, x: int) -> IndicatorState:
-        return IndicatorState(self.states[d], self.states[x])
-
-    def edges(self, pairs: Collection[int]) -> Iterator[tuple[int, int, int]]:
-        """The moves between ``pairs``, as (source, label index, target) triples."""
-        n, delta, k = self.n, self.delta, len(self.labels)
-        for p in pairs:
-            d, x = divmod(p, n)
-            row_x = delta[x]
-            for e, dd in enumerate(delta[d]):
-                if dd < 0:
-                    continue
-                # Dashed: the insertion moves only the observer's belief.
-                if dd * n + x in pairs:
-                    yield p, k + e, dd * n + x
-                # Solid: the real event is relayed, both components advance.
-                if row_x[e] >= 0 and dd * n + row_x[e] in pairs:
-                    yield p, e, dd * n + row_x[e]
-
-
 def build_indicator(g: Automaton, gf: Automaton) -> Automaton:
     """Product of the system with its insertion automaton.
 
@@ -381,7 +315,7 @@ def build_indicator(g: Automaton, gf: Automaton) -> Automaton:
     if gf != build_insertion_automaton(g):
         raise ValueError("second argument must be the insertion automaton of the first")
     kernel = _PairKernel(g)
-    return kernel.automaton(kernel.reachable_pairs())
+    return kernel.automaton(kernel.search())
 
 
 @dataclass(frozen=True)
@@ -573,7 +507,7 @@ class _Decision(NamedTuple):
     """
 
     enforceable: bool
-    kernel: _InternedDfa
+    kernel: _PairKernel
     reachable: Collection[int]
     verifier: set[int]
     staying_nonblocking: Collection[int]
@@ -582,19 +516,76 @@ class _Decision(NamedTuple):
     unreachable_actual_states: frozenset
 
 
+def _prune(targets: Mapping[int, list[int]], start: int) -> set[int]:
+    """The groups of ``targets`` that survive pruning and stay accessible
+    from ``start``.
+
+    ``targets`` lists, per group, the group each of its moves leads to,
+    which is a key of ``targets`` too.  A group falls when none of its moves
+    leads into a group still alive.  Each group counts its moves, each lists
+    the moves into it, and a falling group decrements the counts of the
+    groups those moves come from.  This reaches the same fixpoint as the
+    round-by-round removal of ``build_verifier`` and ``build_eic_verifier``.
+    The survivors' target lists then give the accessible part.  When every
+    group has a move, nothing falls, so the callers skip this and keep the
+    reachable pairs as they are.
+    """
+    escapes = {key: len(out) for key, out in targets.items()}
+    sources: dict[int, list[int]] = {key: [] for key in targets}
+    for key, out in targets.items():
+        for t in out:
+            sources[t].append(key)
+    falling = [key for key, count in escapes.items() if not count]
+    dead = set(falling)
+    while falling:
+        for source in sources[falling.pop()]:
+            escapes[source] -= 1
+            if not escapes[source]:
+                dead.add(source)
+                falling.append(source)
+    if start in dead:
+        return set()
+    seen = {start}
+    stack = [start]
+    while stack:
+        for t in targets[stack.pop()]:
+            if t not in dead and t not in seen:
+                seen.add(t)
+                stack.append(t)
+    return seen
+
+
 def _decide_ei(g: Automaton) -> _Decision:
     """The decision of ``check_ei_enforceable``, on pair ids.
 
     The staying pairs are the reachable pairs the relay game keeps, with
     every event insertable before and after a relay.  Pruning only names
-    the paper's verifier.
+    the paper's verifier.  Its groups are the dashed components: the
+    reachable pairs are closed under dashed moves, so the component of
+    (d, x) is SCC_g(d) x {x}, the group ``c*n + x`` for the SCC c of d, and
+    a dashed move inside it is no escape.
     """
     kernel = _PairKernel(g)
-    n, reachable = kernel.n, kernel.reachable_pairs()
-    everything = range(len(kernel.labels))
+    n, k, reachable = kernel.n, kernel.k, kernel.search()
+    everything = range(k)
     win = kernel.relay_game(everything, everything)
     staying = {p for p in reachable if win[p % n] >> p // n & 1}
-    verifier = kernel.reachable_pairs(kernel.prune(reachable))
+    members, scc, _ = kernel._reach(everything)
+
+    def escapes(key: int) -> Iterator[int]:
+        c, x = divmod(key, n)
+        for d in members[c]:
+            for j, t in kernel.moves(d * n + x):
+                target = scc[t // n] * n + t % n
+                if j < k or target != key:
+                    yield target
+
+    groups = {scc[p // n] * n + p % n for p in reachable}
+    verifier = reachable
+    # Nothing falls unless some group has no escape at all.
+    if any(next(escapes(key), None) is None for key in groups):
+        kept = _prune({key: list(escapes(key)) for key in groups}, scc[kernel.x0] * n + kernel.x0)
+        verifier = {p for p in reachable if scc[p // n] * n + p % n in kept}
     return kernel.decide(reachable, verifier, staying)
 
 

@@ -339,7 +339,7 @@ def oracle_eic_enforceable(
                 w.discard(pair)
                 changed = True
 
-    if g.incoming_events(x0):
+    if any(x0 in targets for targets in g.transitions.values()):
         resting = {(d, x0) for d in areach[x0]}
     else:
         resting = {(x0, x0)}

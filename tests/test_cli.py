@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import contextlib
 import importlib
 import importlib.util
+import io
 import json
 import os
 import re
@@ -12,6 +14,8 @@ from pathlib import Path
 from textwrap import dedent
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from veiler.cli import (
     EXIT_DISAGREE,
@@ -610,6 +614,30 @@ class TestDecisionPath:
         check_eic_enforceable(g1, InsertionConstraints.of({"b", "c"}, {"a"}))
         assert all(objects[1:]) and len(automata) > parsed
 
+    def test_each_decision_searches_the_pairs_once(
+        self, capsys, monkeypatch, tmp_path, secretless_doc
+    ):
+        # One search serves the verdict, the pruned verifier and the DOT
+        # file, also when pruning removes pairs (every pair of 0 -a-> 1).
+        searches = []
+        search = _PairKernel.search
+
+        def counted(kernel, *args, **kwargs):
+            searches.append(kernel)
+            return search(kernel, *args, **kwargs)
+
+        monkeypatch.setattr(_PairKernel, "search", counted)
+        dot = tmp_path / "out.dot"
+        for path in (G1, secretless_doc):
+            for argv in (
+                ["verify-ei", path, "--json", "--dot", str(dot)],
+                ["verify-eic", path, "--insert-before", "a", "--dot", str(dot)],
+            ):
+                searches.clear()
+                assert cli_main(argv) in {EXIT_OK, EXIT_NOT_ENFORCEABLE}, argv
+                assert len(searches) == 1, argv
+        assert "#66bb6a" in dot.read_text()
+
     def test_every_traced_name_resolves(self, monkeypatch):
         # perfbench/run.py --trace 1 wraps these names by module; a rename or
         # move would make Tracer.install raise AttributeError.
@@ -624,6 +652,56 @@ class TestDecisionPath:
                 assert callable(getattr(module, name, None)), f"veiler.{layer}.{name}"
         for method in tracing.AUTOMATON_METHODS:
             assert callable(getattr(Automaton, method, None)), method
+
+
+# The tokens of g1.aut with the whitespace between them, and the words a
+# mutation may put in a token's place: the file's own, and ones the grammar
+# or the analyses must refuse.
+G1_TOKENS = re.split(r"(\s+)", Path(G1).read_text())
+MUTANTS = sorted(
+    {t for t in G1_TOKENS if not t.isspace()}
+    | {"", "-1", "01", "²", "x", "#", "a_i", "end", "trans", "secret", "unobservable"}
+)
+
+
+class TestRobustness:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(("replace", "repeat", "break")),
+                st.integers(min_value=0),
+                st.sampled_from(MUTANTS),
+            ),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    def test_a_mutated_file_fails_cleanly(self, tmp_path_factory, mutations):
+        tokens = list(G1_TOKENS)
+        for op, position, word in mutations:
+            words = [i for i, t in enumerate(tokens) if t and not t.isspace()]
+            i = words[position % len(words)]
+            if op == "replace":
+                tokens[i] = word
+            elif op == "repeat":
+                tokens[i] = f"{tokens[i]} {tokens[i]}"
+            else:
+                tokens[i] += "\n"
+        path = tmp_path_factory.getbasetemp() / "mutated.aut"
+        path.write_text("".join(tokens))
+        dot = str(path.with_suffix(".dot"))
+        eic = ["--insert-before", "b,c", "--insert-after", "a"]
+        for argv in (
+            ["check-opacity", str(path)],
+            ["verify-ei", str(path), "--json", "--dot", dot],
+            ["verify-eic", str(path), *eic],
+        ):
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = cli_main(argv)
+            assert code in {EXIT_OK, EXIT_ERROR, EXIT_NOT_OPAQUE, EXIT_NOT_ENFORCEABLE}, argv
+            assert "Traceback" not in err.getvalue(), argv
 
 
 class TestReadme:

@@ -95,19 +95,11 @@ class TestRun:
 
 
 class TestStateMaps:
-    """Enabled events, incoming events, postsets."""
+    """Enabled events."""
 
     def test_enabled_events(self, g1):
         assert {e.symbol for e in g1.enabled_events(0)} == {"a", "b", "c"}
         assert {e.symbol for e in g1.enabled_events(4)} == {"b"}
-
-    def test_incoming_events(self, g1):
-        assert g1.incoming_events(0) == frozenset()
-        assert {e.symbol for e in g1.incoming_events(2)} == {"c", "b"}
-
-    def test_postset(self, g1):
-        assert g1.postset(0) == frozenset({1, 2, 3})
-        assert g1.postset(1) == frozenset({1})
 
 
 class TestAccessiblePart:
