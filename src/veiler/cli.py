@@ -20,7 +20,6 @@ from .fsm import state_display, sorted_states
 from .insertion import _Decision, _decide_ei
 from .observer import check_current_state_opacity
 from .oracle import (
-    SearchBudget,
     oracle_eic_enforceable,
     oracle_ei_enforceable,
     random_constraints,
@@ -174,9 +173,7 @@ def _report_decision(
         dot = _digraph(name, names, (kernel.start,), edges, kernel.edge_labels, staying, pruned)
         _write_atomic(args.dot, dot)
     if args.json:
-        command = "verify-ei" if constraints is None else "verify-eic"
-        payload = _pairs_payload(command, name, decision, names, verifier, constraints)
-        sys.stdout.write(to_json(payload))
+        sys.stdout.write(to_json(_pairs_payload(name, decision, names, verifier, constraints)))
     else:
         print(f"automaton {name}: enforceable={_bool(decision.enforceable)}")
         if constraints is not None:

@@ -22,7 +22,17 @@ from .fsm import (
     sorted_labels,
     state_display,
 )
-from .insertion import _Decision, _PairKernel, _greatest_fixpoint, _prune, _restrict, _walk
+from .insertion import (
+    EnforcementReport,
+    IndicatorState,
+    _Decision,
+    _PairKernel,
+    _greatest_fixpoint,
+    _prune,
+    _report,
+    _restrict,
+    _walk,
+)
 
 
 @dataclass(frozen=True)
@@ -154,7 +164,6 @@ def build_eic_insertion_automaton(
         transitions,
         g.initial,
         g.secret,
-        True,
     )
     return full.accessible_part()
 
@@ -166,25 +175,15 @@ def _constraints_of(geic: Automaton) -> InsertionConstraints:
     )
 
 
-@dataclass(frozen=True)
-class EicIndicatorState:
-    """A (dummy, decorated actual) pair under insertion constraints."""
-
-    dummy: State
-    actual: State
-
-    def display(self) -> str:
-        return f"({state_display(self.dummy)},{state_display(self.actual)})"
-
-
 class _EicKernel(_PairKernel):
     """The constrained indicator of a deterministic system on integer ids.
 
     The phases are the four decorations, so the decorated state (x, dec) is
     the id ``dec*n + x``, and the insertion kinds are before (label ids
     ``before``) and after (``after``), shifting the decoration as
-    ``_BEFORE_MOVE`` and ``_AFTER_MOVE`` say.  ``EicIndicatorState``
-    objects are made only by ``objects``, for library callers.
+    ``_BEFORE_MOVE`` and ``_AFTER_MOVE`` say.  Pair objects, whose actual
+    component is a decorated state, are made only by ``objects``, for
+    library callers.
     """
 
     def __init__(self, g: Automaton, c: InsertionConstraints) -> None:
@@ -221,9 +220,9 @@ class _EicKernel(_PairKernel):
             kinds.append((symbols, shift))
         self._phases(len(Decoration), kinds)
 
-    def pair(self, d: int, a: int) -> EicIndicatorState:
+    def pair(self, d: int, a: int) -> IndicatorState:
         n = self.n
-        return EicIndicatorState(self.states[d], _decorate(self.states[a % n], Decoration(a // n)))
+        return IndicatorState(self.states[d], _decorate(self.states[a % n], Decoration(a // n)))
 
 
 def build_eic_indicator(g: Automaton, geic: Automaton) -> Automaton:
@@ -310,16 +309,6 @@ def eic_admissible_states(
     return frozenset(pair for pair in nb if pair.dummy not in secret)
 
 
-@dataclass(frozen=True)
-class EicReport:
-    enforceable: bool
-    eic_verifier: Automaton
-    staying_nonblocking: Mapping
-    admissible: frozenset
-    uncovered_actual_states: frozenset
-    unreachable_actual_states: frozenset
-
-
 def _decide_eic(g: Automaton, c: InsertionConstraints) -> _Decision:
     """The decision of ``check_eic_enforceable``, on pair ids.
 
@@ -342,16 +331,7 @@ def _decide_eic(g: Automaton, c: InsertionConstraints) -> _Decision:
     return kernel.decide(reachable, verifier, staying)
 
 
-def check_eic_enforceable(g: Automaton, c: InsertionConstraints) -> EicReport:
+def check_eic_enforceable(g: Automaton, c: InsertionConstraints) -> EnforcementReport:
     """Full pipeline: enforceable iff every actual state's subspace has an
     admissible pair."""
-    decision = _decide_eic(g, c)
-    objects = decision.kernel.objects(decision.staying_nonblocking)
-    return EicReport(
-        decision.enforceable,
-        decision.kernel.automaton(decision.verifier),
-        {objects[p]: kind for p, kind in decision.staying_nonblocking.items()},
-        frozenset(objects[p] for p in decision.admissible),
-        decision.uncovered_actual_states,
-        decision.unreachable_actual_states,
-    )
+    return _report(_decide_eic(g, c))

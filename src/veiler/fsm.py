@@ -117,7 +117,8 @@ class Automaton:
     ``transitions`` maps (state, label) to the nonempty set of successors; a
     missing key means the move is undefined.  The secret set rides along on
     the automaton itself so there is one source of truth for it; modules
-    that do not care about secrecy simply never read it.
+    that do not care about secrecy simply never read it.  ``deterministic``
+    is read off the data: one initial state and single-successor moves.
     """
 
     states: frozenset
@@ -125,7 +126,6 @@ class Automaton:
     transitions: Mapping[tuple[State, EventLabel], frozenset]
     initial: frozenset
     secret: frozenset = frozenset()
-    deterministic: bool = False
 
     def __post_init__(self) -> None:
         if not self.initial <= self.states:
@@ -133,6 +133,7 @@ class Automaton:
         if not self.secret <= self.states:
             raise ValueError("secret states must belong to the state set")
         outgoing: dict[State, dict[EventLabel, frozenset]] = {}
+        deterministic = len(self.initial) == 1
         for (x, e), targets in self.transitions.items():
             if x not in self.states:
                 raise ValueError(f"transition source {state_display(x)!r} is not a state")
@@ -142,12 +143,11 @@ class Automaton:
                 raise ValueError("transition entries must be nonempty")
             if not targets <= self.states:
                 raise ValueError("transition target outside the state set")
-            if self.deterministic and len(targets) > 1:
-                raise ValueError("deterministic automaton has a multi-target transition")
+            if len(targets) > 1:
+                deterministic = False
             outgoing.setdefault(x, {})[e] = targets
-        if self.deterministic and len(self.initial) != 1:
-            raise ValueError("deterministic automaton needs exactly one initial state")
         object.__setattr__(self, "_outgoing", outgoing)
+        object.__setattr__(self, "deterministic", deterministic)
 
     @classmethod
     def dfa(
@@ -168,7 +168,6 @@ class Automaton:
             trans,
             frozenset({initial}),
             frozenset(secret),
-            True,
         )
 
     @classmethod
@@ -180,23 +179,18 @@ class Automaton:
         initial: Iterable[State],
         secret: Iterable[State] = (),
     ) -> Automaton:
-        """Build a possibly nondeterministic automaton; determinism is inferred."""
+        """Build a possibly nondeterministic automaton."""
         trans: dict[tuple[State, EventLabel], frozenset] = {}
         for (x, e), ys in transitions.items():
             targets = frozenset(ys)
             if targets:
                 trans[(x, as_label(e))] = targets
-        initial = frozenset(initial)
-        deterministic = len(initial) == 1 and all(
-            len(targets) == 1 for targets in trans.values()
-        )
         return cls(
             frozenset(states),
             frozenset(as_label(e) for e in events),
             trans,
-            initial,
+            frozenset(initial),
             frozenset(secret),
-            deterministic,
         )
 
     # -- lookups ---------------------------------------------------------
@@ -263,7 +257,6 @@ class Automaton:
             transitions,
             self.initial,
             self.secret & frozenset(reached),
-            self.deterministic,
         )
 
 

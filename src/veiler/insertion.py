@@ -66,7 +66,6 @@ def build_insertion_automaton(g: Automaton) -> Automaton:
         transitions,
         g.initial,
         g.secret,
-        True,
     )
 
 
@@ -138,7 +137,7 @@ class _PairKernel:
             for j, (symbols, shift) in enumerate(kinds, 1)
         ]
 
-    def pair(self, d: int, x: int) -> State:
+    def pair(self, d: int, x: int) -> IndicatorState:
         return IndicatorState(self.states[d], self.states[x])
 
     def moves(self, p: int) -> Iterator[tuple[int, int]]:
@@ -195,7 +194,7 @@ class _PairKernel:
     def automaton(self, pairs: Collection[int]) -> Automaton:
         """The indicator restricted to ``pairs``."""
         if not pairs:
-            return Automaton(frozenset(), self.events, {}, frozenset(), frozenset(), False)
+            return Automaton(frozenset(), self.events, {}, frozenset())
         width, labels = self.width, self.edge_labels
         objects = self.objects(pairs)
         singletons = {p: frozenset((pair,)) for p, pair in objects.items()}
@@ -207,7 +206,6 @@ class _PairKernel:
             transitions,
             singletons[self.start],
             secret,
-            True,
         )
 
     def _reach(self, labels: Sequence[int]) -> tuple[list, list[int], list[int]]:
@@ -398,14 +396,7 @@ def _restrict(a: Automaton, keep: frozenset) -> Automaton:
         for (x, e), targets in a.transitions.items()
         if x in keep and targets <= keep
     }
-    return Automaton(
-        keep,
-        a.events,
-        transitions,
-        a.initial & keep,
-        a.secret & keep,
-        a.deterministic if a.initial & keep else False,
-    )
+    return Automaton(keep, a.events, transitions, a.initial & keep, a.secret & keep)
 
 
 def build_verifier(ia: Automaton, g: Automaton) -> Automaton:
@@ -487,10 +478,16 @@ def admissible_states(
 
 
 @dataclass(frozen=True)
-class EiReport:
+class EnforcementReport:
+    """The verdict of ``check_ei_enforceable`` or ``check_eic_enforceable``.
+
+    ``staying_nonblocking`` is a set of pairs, or under constraints a
+    mapping from each staying pair to its type.
+    """
+
     enforceable: bool
     verifier: Automaton
-    staying_nonblocking: frozenset
+    staying_nonblocking: Collection
     admissible: frozenset
     uncovered_actual_states: frozenset
     unreachable_actual_states: frozenset
@@ -501,9 +498,8 @@ class _Decision(NamedTuple):
 
     ``reachable`` holds the indicator's pairs and ``verifier`` those pruning
     keeps, which the staying pairs need not lie in when g can halt; the
-    other fields mean what they mean in ``EiReport`` and
-    ``EicReport``, with pair ids for pairs.  The CLI renders its report and
-    DOT file from these ids.
+    other fields mean what they mean in ``EnforcementReport``, with pair
+    ids for pairs.  The CLI renders its report and DOT file from these ids.
     """
 
     enforceable: bool
@@ -589,20 +585,29 @@ def _decide_ei(g: Automaton) -> _Decision:
     return kernel.decide(reachable, verifier, staying)
 
 
-def check_ei_enforceable(g: Automaton) -> EiReport:
+def _report(decision: _Decision) -> EnforcementReport:
+    """The report of ``decision``, with pair objects for its pair ids."""
+    kernel, staying = decision.kernel, decision.staying_nonblocking
+    objects = kernel.objects(staying)
+    if isinstance(staying, Mapping):
+        staying = {objects[p]: kind for p, kind in staying.items()}
+    else:
+        staying = frozenset(objects[p] for p in staying)
+    return EnforcementReport(
+        decision.enforceable,
+        kernel.automaton(decision.verifier),
+        staying,
+        frozenset(objects[p] for p in decision.admissible),
+        decision.uncovered_actual_states,
+        decision.unreachable_actual_states,
+    )
+
+
+def check_ei_enforceable(g: Automaton) -> EnforcementReport:
     """Full pipeline: enforceable iff every actual state has an admissible pair.
 
     The quantifier runs over all states of g, including ones unreachable in
     g itself; those can never acquire a pair, so they are reported
     separately to make the verdict legible.
     """
-    decision = _decide_ei(g)
-    objects = decision.kernel.objects(decision.staying_nonblocking)
-    return EiReport(
-        decision.enforceable,
-        decision.kernel.automaton(decision.verifier),
-        frozenset(objects[p] for p in decision.staying_nonblocking),
-        frozenset(objects[p] for p in decision.admissible),
-        decision.uncovered_actual_states,
-        decision.unreachable_actual_states,
-    )
+    return _report(_decide_ei(g))

@@ -95,9 +95,7 @@ def build_observer(
     secret = frozenset(
         s for s in states if s.estimate and s.estimate <= n.secret
     )
-    return Automaton(
-        frozenset(states), obs, transitions, frozenset({initial}), secret, True
-    )
+    return Automaton(frozenset(states), obs, transitions, frozenset({initial}), secret)
 
 
 def check_current_state_opacity(

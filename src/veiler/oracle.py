@@ -32,10 +32,9 @@ class SearchBudget:
     horizon: int
 
     @classmethod
-    def default_for(cls, g: Automaton, gf: Optional[Automaton] = None) -> SearchBudget:
+    def default_for(cls, g: Automaton) -> SearchBudget:
         n = len(g.states)
-        m = len(gf.states) if gf is not None else n
-        return cls(n * n, n * m)
+        return cls(n * n, n * n)
 
 
 @dataclass(frozen=True)

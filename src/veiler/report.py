@@ -11,9 +11,9 @@ import json
 from typing import Iterable, Mapping, Optional, Sequence
 
 from . import __version__
-from .constrained import EicReport, InsertionConstraints
+from .constrained import InsertionConstraints
 from .fsm import state_display
-from .insertion import EiReport
+from .insertion import EnforcementReport
 from .observer import OpacityVerdict
 
 _TOOL = "veiler"
@@ -27,8 +27,8 @@ def _base(command: str, name: str) -> dict:
     return {"tool": _TOOL, "version": __version__, "command": command, "automaton": name}
 
 
-def opacity_report(name: str, verdict: OpacityVerdict, command: str = "check-opacity") -> dict:
-    payload = _base(command, name)
+def opacity_report(name: str, verdict: OpacityVerdict) -> dict:
+    payload = _base("check-opacity", name)
     payload["opaque"] = verdict.opaque
     payload["violating_estimates"] = _displays(verdict.violating_estimates)
     if verdict.witness_observation is None:
@@ -39,7 +39,6 @@ def opacity_report(name: str, verdict: OpacityVerdict, command: str = "check-opa
 
 
 def _pairs_payload(
-    command: str,
     name: str,
     report,
     names: Mapping,
@@ -48,11 +47,11 @@ def _pairs_payload(
 ) -> dict:
     """The verify-ei / verify-eic layout of ``report``, with ``names`` naming its pairs.
 
-    ``report`` is an ``EiReport`` or ``EicReport``, whose pairs are pair
-    objects, or the CLI's decision, whose pairs are pair ids.  Under
-    ``constraints``, the staying pairs map to their type.
+    ``report`` is an ``EnforcementReport``, whose pairs are pair objects, or
+    the CLI's decision, whose pairs are pair ids.  Under ``constraints``, the
+    layout is verify-eic's and the staying pairs map to their type.
     """
-    payload = _base(command, name)
+    payload = _base("verify-ei" if constraints is None else "verify-eic", name)
     payload["enforceable"] = report.enforceable
     staying = report.staying_nonblocking
     if constraints is None:
@@ -69,35 +68,29 @@ def _pairs_payload(
     return payload
 
 
-def ei_report(name: str, report: EiReport, command: str = "verify-ei") -> dict:
+def _report_payload(
+    name: str, report: EnforcementReport, constraints: Optional[InsertionConstraints] = None
+) -> dict:
     # On a system that can halt, staying pairs may lie outside the verifier.
-    pairs = report.verifier.states | report.staying_nonblocking
-    names = {pair: state_display(pair) for pair in pairs}
-    return _pairs_payload(command, name, report, names, report.verifier.states)
+    verifier = report.verifier.states
+    names = {pair: state_display(pair) for pair in verifier.union(report.staying_nonblocking)}
+    return _pairs_payload(name, report, names, verifier, constraints)
 
 
-def eic_report(
-    name: str,
-    report: EicReport,
-    constraints: InsertionConstraints,
-    command: str = "verify-eic",
-) -> dict:
-    pairs = report.eic_verifier.states | report.staying_nonblocking.keys()
-    names = {pair: state_display(pair) for pair in pairs}
-    return _pairs_payload(command, name, report, names, report.eic_verifier.states, constraints)
+def ei_report(name: str, report: EnforcementReport) -> dict:
+    return _report_payload(name, report)
 
 
-def oracle_report(
-    name: str,
-    constrained: bool,
-    trials: Sequence[tuple[int, bool, bool]],
-    command: str = "oracle-check",
-) -> dict:
+def eic_report(name: str, report: EnforcementReport, constraints: InsertionConstraints) -> dict:
+    return _report_payload(name, report, constraints)
+
+
+def oracle_report(name: str, constrained: bool, trials: Sequence[tuple[int, bool, bool]]) -> dict:
     """Summarise construction-versus-search comparison runs.
 
     ``trials`` holds (seed, construction verdict, search verdict) triples.
     """
-    payload = _base(command, name)
+    payload = _base("oracle-check", name)
     payload["constrained"] = constrained
     payload["trials"] = [
         {"seed": seed, "construction": lhs, "search": rhs, "agree": lhs == rhs}

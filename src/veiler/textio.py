@@ -20,9 +20,9 @@ hand line up with programmatically built fixtures.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from .fsm import Automaton, EventLabel, State, sorted_states, state_display
+from .fsm import Automaton, State, sorted_states, state_display
 
 
 class ParseError(ValueError):

@@ -6,7 +6,6 @@ from pathlib import Path
 import pytest
 
 from veiler.constrained import (
-    EicReport,
     InsertionConstraints,
     base_of,
     build_eic_indicator,
@@ -17,7 +16,7 @@ from veiler.constrained import (
 )
 from veiler.fsm import Automaton
 from veiler.insertion import (
-    EiReport,
+    EnforcementReport,
     admissible_states,
     build_indicator,
     build_insertion_automaton,
@@ -98,14 +97,14 @@ def staged_ei_report():
     the whole indicator: pruning names the verifier but decides nothing.
     """
 
-    def run(g: Automaton) -> EiReport:
+    def run(g: Automaton) -> EnforcementReport:
         ia = build_indicator(g, build_insertion_automaton(g))
         v = build_verifier(ia, g)
         snb = find_staying_nonblocking(ia, g)
         admissible = admissible_states(v, snb, g.secret)
         uncovered = frozenset(g.states - {pair.actual for pair in admissible})
         unreachable = frozenset(g.states - g.accessible_part().states)
-        return EiReport(not uncovered, v, snb, admissible, uncovered, unreachable)
+        return EnforcementReport(not uncovered, v, snb, admissible, uncovered, unreachable)
 
     return run
 
@@ -119,13 +118,13 @@ def staged_eic_report():
     the whole indicator: pruning names the verifier but decides nothing.
     """
 
-    def run(g: Automaton, c: InsertionConstraints) -> EicReport:
+    def run(g: Automaton, c: InsertionConstraints) -> EnforcementReport:
         eia = build_eic_indicator(g, build_eic_insertion_automaton(g, c))
         v = build_eic_verifier(eia)
         nb = find_staying_eic_nonblocking(eia, g)
         admissible = eic_admissible_states(v, nb, g.secret)
         uncovered = frozenset(g.states - {base_of(pair.actual) for pair in admissible})
         unreachable = frozenset(g.states - g.accessible_part().states)
-        return EicReport(not uncovered, v, nb, admissible, uncovered, unreachable)
+        return EnforcementReport(not uncovered, v, nb, admissible, uncovered, unreachable)
 
     return run

@@ -27,7 +27,6 @@ from veiler.cli import (
 )
 from veiler.constrained import (
     DecoratedState,
-    EicIndicatorState,
     InsertionConstraints,
     _EicKernel,
     _decide_eic,
@@ -345,7 +344,7 @@ class TestVerifyEic:
                 indicator,
                 doc.name,
                 nonblocking=expected.staying_nonblocking,
-                pruned=indicator.states - expected.eic_verifier.states,
+                pruned=indicator.states - expected.verifier.states,
             )
 
     def test_dot_matches_the_golden_file(self, capsys, tmp_path):
@@ -594,7 +593,7 @@ class TestDecisionPath:
         # and no automaton beyond the one the parser builds.
         objects = [
             _count_constructions(monkeypatch, kind)
-            for kind in (IndicatorState, EicIndicatorState, DecoratedState)
+            for kind in (IndicatorState, DecoratedState)
         ]
         automata = _count_constructions(monkeypatch, Automaton)
         parse_document(Path(G1).read_text())
@@ -607,12 +606,12 @@ class TestDecisionPath:
         ):
             automata.clear()
             assert cli_main(argv) == EXIT_OK
-            assert [len(built) for built in objects] == [0, 0, 0], argv
+            assert [len(built) for built in objects] == [0, 0], argv
             assert len(automata) <= parsed, argv
         # The counters do count: the library report is made of objects.
         g1 = parse_document(Path(G1).read_text()).automaton
         check_eic_enforceable(g1, InsertionConstraints.of({"b", "c"}, {"a"}))
-        assert all(objects[1:]) and len(automata) > parsed
+        assert all(objects) and len(automata) > parsed
 
     def test_each_decision_searches_the_pairs_once(
         self, capsys, monkeypatch, tmp_path, secretless_doc

@@ -5,7 +5,6 @@ import pytest
 from veiler.cli import cli_main
 from veiler.constrained import (
     Decoration,
-    EicIndicatorState,
     InsertionConstraints,
     base_of,
     build_eic_indicator,
@@ -19,7 +18,7 @@ from veiler.constrained import (
 )
 from veiler.dot import emit_dot
 from veiler.fsm import Automaton, Tag, sorted_labels, state_display, word
-from veiler.insertion import check_ei_enforceable
+from veiler.insertion import IndicatorState, check_ei_enforceable
 from veiler.oracle import random_constraints, random_dfa
 from veiler.report import eic_report, to_json
 from veiler.textio import emit_automaton
@@ -335,8 +334,8 @@ class TestCheckEicEnforceable:
             c = InsertionConstraints.of(symbols[:2], symbols[2:])
             eia = build_eic_indicator(g, build_eic_insertion_automaton(g, c))
             report = check_eic_enforceable(g, c)
-            assert report.eic_verifier.states <= eia.states
-            assert frozenset(report.staying_nonblocking) <= report.eic_verifier.states
+            assert report.verifier.states <= eia.states
+            assert frozenset(report.staying_nonblocking) <= report.verifier.states
             assert report.admissible <= frozenset(report.staying_nonblocking)
 
     def test_matches_the_staged_reference(self, staged_eic_report, capsys, tmp_path):
@@ -344,7 +343,7 @@ class TestCheckEicEnforceable:
         # product built pair by pair for the indicator, are the reference.
         def naive_indicator(g, geic):
             (x0,) = g.initial
-            start = EicIndicatorState(x0, x0)
+            start = IndicatorState(x0, x0)
             labels = sorted_labels(g.events | geic.events)
             states, frontier, transitions = {start}, [start], {}
             while frontier:
@@ -352,14 +351,14 @@ class TestCheckEicEnforceable:
                 for label in labels:
                     for dummy in g.step(pair.dummy, label.as_actual()):
                         for act in geic.step(pair.actual, label):
-                            target = EicIndicatorState(dummy, act)
+                            target = IndicatorState(dummy, act)
                             transitions[(pair, label)] = frozenset({target})
                             if target not in states:
                                 states.add(target)
                                 frontier.append(target)
             secret = frozenset(p for p in states if p.dummy in g.secret)
             return Automaton(
-                frozenset(states), frozenset(labels), transitions, frozenset({start}), secret, True
+                frozenset(states), frozenset(labels), transitions, frozenset({start}), secret
             )
 
         subsets = [frozenset(s for i, s in enumerate("abc") if mask >> i & 1) for mask in range(8)]
@@ -391,9 +390,9 @@ class TestCheckEicEnforceable:
                 eia,
                 name,
                 nonblocking=expected.staying_nonblocking,
-                pruned=eia.states - expected.eic_verifier.states,
+                pruned=eia.states - expected.verifier.states,
             ), seed
-            pruned += expected.eic_verifier.states != eia.states
-            emptied += not expected.eic_verifier.states
+            pruned += expected.verifier.states != eia.states
+            emptied += not expected.verifier.states
         # the sample must exercise pruning, down to the empty verifier
         assert pruned > 50 and emptied > 5

@@ -60,7 +60,6 @@ class TestEmitDot:
             dict(reversed(list(eia.transitions.items()))),
             eia.initial,
             eia.secret,
-            eia.deterministic,
         )
         assert emit_dot(shuffled, "eia") == emit_dot(eia, "eia")
 

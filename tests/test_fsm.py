@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings
@@ -132,6 +133,21 @@ class TestConstruction:
         assert not nondet.deterministic
         twostart = Automaton.nfa([0, 1], ["a"], {}, [0, 1])
         assert not twostart.deterministic
+
+    def test_determinism_is_read_off_the_data(self, g1):
+        # Determinism is no field, so it is not in the constructor, __eq__ or
+        # __hash__: equal data build equal automata, however they are built.
+        # (The transition dict makes automata unhashable either way.)
+        assert "deterministic" not in {f.name for f in fields(Automaton)}
+        direct = Automaton(g1.states, g1.events, dict(g1.transitions), g1.initial, g1.secret)
+        assert direct == g1 and direct.deterministic
+        a = frozenset({as_label("a")})
+        twostart = Automaton(frozenset({0, 1}), a, {}, frozenset({0, 1}))
+        assert not twostart.deterministic
+        branching = Automaton(
+            frozenset({0, 1}), a, {(0, as_label("a")): frozenset({0, 1})}, frozenset({0})
+        )
+        assert not branching.deterministic
 
     def test_transition_endpoints_must_be_declared(self):
         with pytest.raises(ValueError):

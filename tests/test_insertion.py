@@ -289,9 +289,7 @@ class TestCheckEiEnforceable:
                             frontier.append(target)
             events = g.events | {EventLabel(e.symbol, Tag.INSERTED) for e in g.events}
             secret = frozenset(p for p in states if p.dummy in g.secret)
-            return Automaton(
-                frozenset(states), events, transitions, frozenset({start}), secret, True
-            )
+            return Automaton(frozenset(states), events, transitions, frozenset({start}), secret)
 
         pruned = emptied = 0
         for seed in range(320):

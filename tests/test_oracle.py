@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from veiler.constrained import EicIndicatorState, InsertionConstraints, check_eic_enforceable
+from veiler.constrained import InsertionConstraints, check_eic_enforceable
 from veiler.fsm import Automaton, Tag, word
 from veiler.insertion import IndicatorState, check_ei_enforceable
 from veiler.oracle import (
@@ -192,7 +192,6 @@ class TestOracleVerdicts:
                 },
                 frozenset(rename[x] for x in g.initial),
                 frozenset(rename[x] for x in g.secret),
-                g.deterministic,
             )
 
         systems = [g1] + [random_dfa(seed, live=True) for seed in range(8)]
@@ -296,9 +295,9 @@ class TestDocumentedDivergence:
         c = InsertionConstraints.of({"a"}, ())
         constrained = check_eic_enforceable(g, c)
         assert constrained.enforceable
-        assert constrained.eic_verifier.states == frozenset()
+        assert constrained.verifier.states == frozenset()
         assert constrained.staying_nonblocking == {
-            EicIndicatorState(0, 0): 1,
-            EicIndicatorState(1, 1): 1,
+            IndicatorState(0, 0): 1,
+            IndicatorState(1, 1): 1,
         }
         assert oracle_eic_enforceable(g, c)
