@@ -4,9 +4,9 @@ The package decides whether current-state opacity of a system can be
 enforced by inserting fictitious events before and after each real output,
 both with an unrestricted insertion alphabet and under constraints on which
 events may go where.  Verdicts come from verifier constructions over an
-indicator product; an independent bounded search over insertion sequences is
-available to cross-check them on small systems.  The construction stages are
-public in their modules.
+indicator product; an independent brute-force oracle, whose insertion walks
+are exact reach sets, cross-checks them on small systems.  The construction
+stages are public in their modules.
 """
 from __future__ import annotations
 

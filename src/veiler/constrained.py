@@ -32,6 +32,7 @@ from .insertion import (
     _report,
     _restrict,
     _walk,
+    admissible_states,
 )
 
 
@@ -305,8 +306,7 @@ def eic_admissible_states(
     ev: Automaton, nb: Mapping, secret: Iterable[State]
 ) -> frozenset:
     """Staying-nonblocking pairs whose dummy the observer would not flag."""
-    secret = frozenset(secret)
-    return frozenset(pair for pair in nb if pair.dummy not in secret)
+    return admissible_states(ev, nb, secret)
 
 
 def _decide_eic(g: Automaton, c: InsertionConstraints) -> _Decision:

@@ -127,6 +127,8 @@ class Automaton:
     initial: frozenset
     secret: frozenset = frozenset()
 
+    __hash__ = None  # type: ignore[assignment]  # unhashable: transitions is a dict
+
     def __post_init__(self) -> None:
         if not self.initial <= self.states:
             raise ValueError("initial states must belong to the state set")

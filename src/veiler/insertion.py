@@ -27,21 +27,6 @@ from .fsm import (
 )
 
 
-def apply_mask_mi(s: Sequence[EventLabel]) -> tuple[EventLabel, ...]:
-    """Re-tag every label as actual: inserted and real events look alike outside."""
-    return tuple(label.as_actual() for label in s)
-
-
-def apply_projection_pui(s: Sequence[EventLabel]) -> tuple[EventLabel, ...]:
-    """Keep only the actual labels: what the system really produced."""
-    return tuple(label for label in s if not label.inserted)
-
-
-def apply_projection_pi(s: Sequence[EventLabel]) -> tuple[EventLabel, ...]:
-    """Keep only the inserted labels."""
-    return tuple(label for label in s if label.inserted)
-
-
 def _actual_labels(a: Automaton) -> list[EventLabel]:
     return sorted_labels(e for e in a.events if not e.inserted)
 

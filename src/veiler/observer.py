@@ -1,4 +1,4 @@
-"""Powerset observer construction, current-state opacity, and observation classes.
+"""Powerset observer construction and current-state opacity.
 
 The observer tracks the set of states an outside observer considers possible
 after each observable event.  Opacity holds when no reachable estimate
@@ -8,7 +8,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from enum import Enum
 from typing import Iterable, Optional, Sequence
 
 from .fsm import Automaton, EventLabel, State, as_label, sorted_labels, state_display
@@ -37,12 +36,6 @@ class OpacityVerdict:
     opaque: bool
     violating_estimates: frozenset
     witness_observation: Optional[tuple[EventLabel, ...]]
-
-
-class Classification(Enum):
-    SAFE = "safe"
-    UNSAFE = "unsafe"
-    NOT_IN_LANGUAGE = "not-in-language"
 
 
 def _unobservable_reach(n: Automaton, states: frozenset, observable: frozenset) -> frozenset:
@@ -130,17 +123,3 @@ def check_current_state_opacity(
                 break
             queue.append(nxt)
     return OpacityVerdict(False, violating, witness)
-
-
-def classify_observation(
-    g: Automaton, s: Sequence[str | EventLabel]
-) -> Classification:
-    """Classify a string of a deterministic automaton by where it ends."""
-    if not g.deterministic:
-        raise ValueError("classification requires a deterministic automaton")
-    (initial,) = g.initial
-    endpoint = g.run(initial, s)
-    if not endpoint:
-        return Classification.NOT_IN_LANGUAGE
-    (x,) = endpoint
-    return Classification.UNSAFE if x in g.secret else Classification.SAFE

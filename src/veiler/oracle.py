@@ -1,8 +1,9 @@
 """Brute-force string-level checks used to cross-validate the pipelines.
 
-Everything here is deliberately naive: insertion walks are bounded
-breadth-first searches, sustainability is a fixpoint over (believed, actual)
-state pairs, and inputs are gated to toy sizes.  The whole value of the
+Everything here is deliberately naive: insertion walks are exact reach
+sets, sustainability is a fixpoint over (believed, actual) state pairs, and
+inputs are gated to toy sizes.  Only ``is_desirable_bounded`` takes a bound:
+the depth of the continuations it explores.  The whole value of the
 module is that it reaches verdicts by a route independent of the verifier
 constructions it is meant to check.
 """
@@ -16,25 +17,6 @@ from .constrained import InsertionConstraints
 from .fsm import Automaton, EventLabel, State, Tag, as_label
 
 _ORACLE_STATE_LIMIT = 6
-
-
-@dataclass(frozen=True)
-class SearchBudget:
-    """Bounds for the brute-force searches.
-
-    max_segment_len caps each inserted walk; horizon caps the continuation
-    depth explored by the bounded desirability check.  Walks revisit states
-    once they are longer than the state count, so the defaults are generous
-    enough to make the bounded answers exact.
-    """
-
-    max_segment_len: int
-    horizon: int
-
-    @classmethod
-    def default_for(cls, g: Automaton) -> SearchBudget:
-        n = len(g.states)
-        return cls(n * n, n * n)
 
 
 @dataclass(frozen=True)
@@ -140,24 +122,18 @@ def is_feasible(
     return True
 
 
-def _bounded_reach(
-    g: Automaton, starts: Iterable[State], symbols: Iterable[str], limit: int
-) -> frozenset:
-    """States reachable from starts in at most limit steps over the given symbols."""
+def _reach(g: Automaton, starts: Iterable[State], symbols: Iterable[str]) -> frozenset:
+    """States reachable from starts by any walk over the given symbols."""
     labels = [as_label(sym) for sym in symbols]
     reached = set(starts)
-    frontier = set(starts)
-    for _ in range(limit):
-        if not frontier:
-            break
-        nxt: set = set()
-        for x in frontier:
-            for label in labels:
-                for y in g.step(x, label):
-                    if y not in reached:
-                        reached.add(y)
-                        nxt.add(y)
-        frontier = nxt
+    frontier = list(reached)
+    while frontier:
+        x = frontier.pop()
+        for label in labels:
+            for y in g.step(x, label):
+                if y not in reached:
+                    reached.add(y)
+                    frontier.append(y)
     return frozenset(reached)
 
 
@@ -165,16 +141,17 @@ def is_desirable_bounded(
     g: Automaton,
     s: Sequence[str | EventLabel],
     ei: ExtendedInsertionSequence,
-    b: SearchBudget,
+    horizon: int,
 ) -> bool:
     """Bounded check that an insertion hides the secret and can be kept alive.
 
     Clause one: the masked modified observation must end in a non-secret
-    state.  Clause two: for every continuation of the observation up to the
-    horizon there must exist inserted segments keeping every masked prefix
-    in the language.  The continuation check tracks the set of believed
-    states still consistent with some choice of segments, so the
-    per-continuation existential is answered exactly up to the horizon.
+    state.  Clause two: for every continuation of the observation up to
+    ``horizon`` events there must exist inserted segments, of any length,
+    keeping every masked prefix in the language.  The continuation check
+    tracks the set of believed states still consistent with some choice of
+    segments, so the per-continuation existential is answered exactly up to
+    the horizon.
     """
     if not is_feasible(g, s, ei):
         raise ValueError("the insertion is not feasible for this observation")
@@ -207,18 +184,18 @@ def is_desirable_bounded(
         verdict = True
         for e in sorted(g.enabled_events(actual)):
             (actual_next,) = g.step(actual, e)
-            staged = _bounded_reach(g, believed, before_syms, b.max_segment_len)
+            staged = _reach(g, believed, before_syms)
             relayed: set = set()
             for d in staged:
                 relayed |= g.step(d, e)
-            settled = _bounded_reach(g, relayed, after_syms, b.max_segment_len)
+            settled = _reach(g, relayed, after_syms)
             if not survivable(settled, actual_next, depth - 1):
                 verdict = False
                 break
         memo[key] = verdict
         return verdict
 
-    return survivable(frozenset({dummy_end}), genuine_end, b.horizon)
+    return survivable(frozenset({dummy_end}), genuine_end, horizon)
 
 
 def _guard_size(g: Automaton) -> None:
@@ -228,7 +205,7 @@ def _guard_size(g: Automaton) -> None:
         )
 
 
-def oracle_ei_enforceable(g: Automaton, b: Optional[SearchBudget] = None) -> bool:
+def oracle_ei_enforceable(g: Automaton) -> bool:
     """Fixpoint answer to unconstrained enforceability.
 
     W is the largest set of (believed, actual) pairs such that every event
@@ -238,14 +215,10 @@ def oracle_ei_enforceable(g: Automaton, b: Optional[SearchBudget] = None) -> boo
     believed state inside W.
     """
     _guard_size(g)
-    if b is None:
-        b = SearchBudget.default_for(g)
     x0 = _single_initial(g)
     alphabet = [e for e in sorted(g.events) if not e.inserted]
     symbols = [e.symbol for e in alphabet]
-    walk = {
-        d: _bounded_reach(g, {d}, symbols, b.max_segment_len) for d in g.states
-    }
+    walk = {d: _reach(g, {d}, symbols) for d in g.states}
 
     w = {(d, x) for d in g.states for x in g.states}
     changed = True
@@ -287,9 +260,7 @@ def oracle_ei_enforceable(g: Automaton, b: Optional[SearchBudget] = None) -> boo
     return g.states <= covered
 
 
-def oracle_eic_enforceable(
-    g: Automaton, c: InsertionConstraints, b: Optional[SearchBudget] = None
-) -> bool:
+def oracle_eic_enforceable(g: Automaton, c: InsertionConstraints) -> bool:
     """Fixpoint answer to constrained enforceability.
 
     Same shape as the unconstrained oracle, but a step now means: walk the
@@ -302,15 +273,9 @@ def oracle_eic_enforceable(
     """
     _guard_size(g)
     c.validate_against(g)
-    if b is None:
-        b = SearchBudget.default_for(g)
     x0 = _single_initial(g)
-    breach = {
-        d: _bounded_reach(g, {d}, c.before, b.max_segment_len) for d in g.states
-    }
-    areach = {
-        d: _bounded_reach(g, {d}, c.after, b.max_segment_len) for d in g.states
-    }
+    breach = {d: _reach(g, {d}, c.before) for d in g.states}
+    areach = {d: _reach(g, {d}, c.after) for d in g.states}
 
     w = {(d, x) for d in g.states for x in g.states}
     changed = True

@@ -135,10 +135,11 @@ class TestConstruction:
         assert not twostart.deterministic
 
     def test_determinism_is_read_off_the_data(self, g1):
-        # Determinism is no field, so it is not in the constructor, __eq__ or
-        # __hash__: equal data build equal automata, however they are built.
-        # (The transition dict makes automata unhashable either way.)
+        # Determinism is no field, so it is not in the constructor or __eq__:
+        # equal data build equal automata, however they are built.  Automata
+        # are unhashable by declaration, since the transitions are a dict.
         assert "deterministic" not in {f.name for f in fields(Automaton)}
+        assert Automaton.__hash__ is None
         direct = Automaton(g1.states, g1.events, dict(g1.transitions), g1.initial, g1.secret)
         assert direct == g1 and direct.deterministic
         a = frozenset({as_label("a")})

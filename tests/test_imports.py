@@ -1,8 +1,11 @@
-"""Every name a ``veiler`` module imports is used in that module.
+"""Every name a ``veiler`` module imports is used in that module, and every
+private name a module defines is used somewhere in the package.
 
-No linter ships with the project, so this is its unused-import check.  A
-name counts as used when the module reads it anywhere, annotations
-included, or lists it in ``__all__``.
+No linter ships with the project, so this is its unused-import and
+dead-code check.  A name counts as used when a module reads it anywhere,
+annotations included, or lists it in ``__all__``.  A private definition is
+a module-level function, class or assignment whose name starts with a
+single underscore; reading it as an attribute also counts as a use.
 """
 from __future__ import annotations
 
@@ -33,6 +36,37 @@ def _unused_imports(source: str) -> list[str]:
     return [f"line {line}: {name}" for name, line in imported.items() if name not in used]
 
 
+def _private_definitions(tree: ast.Module) -> dict[str, int]:
+    defined = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                defined[name] = node.lineno
+    return defined
+
+
+def _dead_private_names(sources: dict[str, str]) -> list[str]:
+    defined = {}
+    read = set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for name, line in _private_definitions(tree).items():
+            defined[name] = f"{module} line {line}: {name}"
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return sorted(where for name, where in defined.items() if name not in read)
+
+
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
 def test_every_import_is_used(path):
     assert _unused_imports(path.read_text(encoding="utf-8")) == []
@@ -49,3 +83,32 @@ def test_the_check_sees_unused_and_used_names():
         "    os.getcwd()\n"
     )
     assert _unused_imports(source) == ["line 2: system", "line 3: Sequence"]
+
+
+def test_every_private_definition_is_used():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in SOURCES}
+    assert _dead_private_names(sources) == []
+
+
+def test_the_check_sees_dead_and_live_private_names():
+    sources = {
+        "a.py": (
+            "_LIMIT = 6\n"
+            "_unused = 1\n"
+            "def _helper():\n"
+            "    return _LIMIT\n"
+            "def _orphan():\n"
+            "    pass\n"
+            "class _Kernel:\n"
+            "    pass\n"
+        ),
+        "b.py": (
+            "from . import a\n"
+            "from .a import _helper\n"
+            "def f():\n"
+            "    return _helper(), a._Kernel\n"
+        ),
+    }
+    assert _dead_private_names(sources) == [
+        "a.py line 2: _unused", "a.py line 5: _orphan",
+    ]

@@ -8,9 +8,6 @@ from veiler.fsm import Automaton, EventLabel, Tag, as_label, state_display, word
 from veiler.insertion import (
     IndicatorState,
     admissible_states,
-    apply_mask_mi,
-    apply_projection_pi,
-    apply_projection_pui,
     build_indicator,
     build_insertion_automaton,
     build_verifier,
@@ -35,35 +32,6 @@ X_VSNB = [
 X_VA = [
     "(0,0)", "(1,1)", "(4,1)", "(4,2)", "(4,4)", "(5,1)", "(5,3)", "(5,5)",
 ]
-
-
-class TestMaskAndProjections:
-    """String operators over tagged words."""
-
-    def test_mask_retags_everything_actual(self):
-        w = word("c_i a_i b a_i b_i a")
-        assert [e.display() for e in apply_mask_mi(w)] == list("cababa")
-
-    def test_unobservable_projection_keeps_actual_events(self):
-        w = word("c_i a_i b a_i b_i a")
-        assert [e.display() for e in apply_projection_pui(w)] == ["b", "a"]
-
-    def test_inserted_projection_keeps_inserted_events(self):
-        w = word("c_i a_i b a_i b_i a")
-        assert [e.display() for e in apply_projection_pi(w)] == [
-            "c_i", "a_i", "a_i", "b_i",
-        ]
-
-    def test_operators_are_homomorphisms(self):
-        u, v = word("c_i b"), word("a_i b_i a")
-        for op in (apply_mask_mi, apply_projection_pui, apply_projection_pi):
-            assert op(u + v) == op(u) + op(v)
-            assert op(()) == ()
-
-    def test_masked_example_word_is_in_the_language(self, g1):
-        w = word("c_i a_i b a_i b_i a")
-        assert g1.run(0, apply_mask_mi(w)) == frozenset({4})
-        assert g1.run(0, apply_projection_pui(w)) == frozenset({5})
 
 
 class TestInsertionAutomaton:

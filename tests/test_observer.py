@@ -4,10 +4,8 @@ import pytest
 
 from veiler.fsm import Automaton, as_label, word
 from veiler.observer import (
-    Classification,
     build_observer,
     check_current_state_opacity,
-    classify_observation,
     project,
 )
 from veiler.oracle import random_nfa
@@ -132,21 +130,3 @@ class TestOpacity:
         verdict = check_current_state_opacity(g, ["a"])
         assert not verdict.opaque
         assert verdict.witness_observation == ()
-
-
-class TestClassifyObservation:
-    def test_secret_endpoint_is_unsafe(self, g1):
-        assert classify_observation(g1, "c") is Classification.UNSAFE
-
-    def test_nonsecret_endpoint_is_safe(self, g1):
-        assert classify_observation(g1, "ca") is Classification.SAFE
-
-    def test_undefined_string_is_not_in_language(self, g1):
-        assert classify_observation(g1, "cbaa") is Classification.NOT_IN_LANGUAGE
-
-    def test_requires_deterministic_automaton(self):
-        nondet = Automaton.nfa(
-            [0, 1], ["a"], {(0, "a"): [0, 1]}, [0]
-        )
-        with pytest.raises(ValueError):
-            classify_observation(nondet, "a")

@@ -9,7 +9,6 @@ from veiler.fsm import Automaton, Tag, word
 from veiler.insertion import IndicatorState, check_ei_enforceable
 from veiler.oracle import (
     ExtendedInsertionSequence,
-    SearchBudget,
     is_desirable_bounded,
     is_feasible,
     oracle_eic_enforceable,
@@ -120,30 +119,23 @@ class TestIsFeasible:
 class TestIsDesirableBounded:
     def test_an_insertion_that_hides_the_secret_and_survives(self, g1):
         ei = ExtendedInsertionSequence.ei([()], [("a",)])
-        b = SearchBudget.default_for(g1)
-        assert is_desirable_bounded(g1, "c", ei, b)
+        assert is_desirable_bounded(g1, "c", ei, 36)
 
     def test_an_insertion_that_leaves_the_secret_exposed(self, g1):
         empty = ExtendedInsertionSequence.ei([()], [()])
-        b = SearchBudget.default_for(g1)
-        assert not is_desirable_bounded(g1, "c", empty, b)
+        assert not is_desirable_bounded(g1, "c", empty, 36)
 
     def test_infeasible_insertions_are_rejected_outright(self, g1):
         ei = ExtendedInsertionSequence.ei([("c",), ("a",)], [(), ()])
-        b = SearchBudget.default_for(g1)
         with pytest.raises(ValueError):
-            is_desirable_bounded(g1, "ba", ei, b)
+            is_desirable_bounded(g1, "ba", ei, 36)
 
     def test_deep_horizons_catch_late_strandings(self, tracking_trap):
         c = InsertionConstraints.of({"a"}, ())
         ei = ExtendedInsertionSequence.eic([("a",)], [()], c)
         # disguising b as ab survives one more output but not two
-        assert is_desirable_bounded(
-            tracking_trap, "b", ei, SearchBudget(16, 1)
-        )
-        assert not is_desirable_bounded(
-            tracking_trap, "b", ei, SearchBudget(16, 2)
-        )
+        assert is_desirable_bounded(tracking_trap, "b", ei, 1)
+        assert not is_desirable_bounded(tracking_trap, "b", ei, 2)
 
     def test_verdicts_only_harden_as_the_horizon_grows(self, g1, tracking_trap):
         c = InsertionConstraints.of({"a"}, ())
@@ -153,7 +145,7 @@ class TestIsDesirableBounded:
         ]
         for g, s, ei in cases:
             verdicts = [
-                is_desirable_bounded(g, s, ei, SearchBudget(16, h))
+                is_desirable_bounded(g, s, ei, h)
                 for h in range(1, 7)
             ]
             assert verdicts == sorted(verdicts, reverse=True)
@@ -176,9 +168,6 @@ class TestOracleVerdicts:
 
     def test_unconstrained_verdict_on_the_tracking_trap(self, tracking_trap):
         assert oracle_ei_enforceable(tracking_trap)
-
-    def test_explicit_budgets_are_accepted(self, g1):
-        assert oracle_ei_enforceable(g1, SearchBudget(36, 36))
 
     def test_verdicts_are_stable_under_state_renaming(self, g1):
         def relabel(g: Automaton) -> Automaton:
