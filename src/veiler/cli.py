@@ -17,7 +17,7 @@ from . import __version__
 from .constrained import InsertionConstraints, _decide_eic
 from .dot import _digraph
 from .fsm import state_display, sorted_states
-from .insertion import _Decision, _decide_ei
+from .insertion import _count, _Decision, _decide_ei
 from .observer import check_current_state_opacity
 from .oracle import (
     oracle_eic_enforceable,
@@ -81,7 +81,7 @@ def _build_parser() -> _Parser:
 
     p_or = sub.add_parser(
         "oracle-check",
-        help="compare the constructions against bounded search on random systems",
+        help="compare the constructions against a brute-force oracle on random systems",
     )
     p_or.add_argument("--eic", action="store_true", help="exercise the constrained pipeline")
     p_or.add_argument(
@@ -155,33 +155,38 @@ def _cmd_check_opacity(args: argparse.Namespace) -> int:
     return EXIT_OK if verdict.opaque else EXIT_NOT_OPAQUE
 
 
+# The DOT fill of a ``_Decision.rows`` code: red for a staying pair, else
+# green outside the verifier.
+_FILL_OF_CODE = [1 if code >> 1 & 3 else 0 if code & 1 else 2 for code in range(16)]
+
+
 def _report_decision(
     args: argparse.Namespace,
     name: str,
     decision: _Decision,
     constraints: Optional[InsertionConstraints] = None,
 ) -> int:
-    """Write the DOT file and the report of a verify run, from its pair ids."""
-    kernel, reachable, verifier = decision.kernel, decision.reachable, decision.verifier
-    staying = decision.staying_nonblocking
-    # Name only the pairs the output shows: all in DOT; in JSON the verifier's
-    # and the staying ones, which a system that can halt may hold outside it.
-    names = kernel.names(reachable if args.dot else verifier.union(staying) if args.json else ())
+    """Write the DOT file and the report of a verify run, from its bitmasks."""
+    # Name only the pairs the output shows: all in DOT; in JSON the
+    # verifier's and the staying ones, which a system that can halt may hold
+    # outside it.
+    rows = decision.rows(everything=bool(args.dot)) if args.dot or args.json else []
     if args.dot:
-        edges = kernel.edges(reachable)
-        pruned = reachable - verifier
-        dot = _digraph(name, names, (kernel.start,), edges, kernel.edge_labels, staying, pruned)
+        kernel = decision.kernel
+        dot = _digraph(
+            name, rows, _FILL_OF_CODE, (kernel.start,), kernel.moves, kernel.edge_labels
+        )
         _write_atomic(args.dot, dot)
     if args.json:
-        sys.stdout.write(to_json(_pairs_payload(name, decision, names, verifier, constraints)))
+        sys.stdout.write(to_json(_pairs_payload(name, decision, rows, constraints)))
     else:
         print(f"automaton {name}: enforceable={_bool(decision.enforceable)}")
         if constraints is not None:
             print(f"insertable before: {' '.join(sorted(constraints.before)) or '(none)'}")
             print(f"insertable after: {' '.join(sorted(constraints.after)) or '(none)'}")
-        print(f"verifier states: {len(verifier)}")
-        print(f"staying-nonblocking pairs: {len(decision.staying_nonblocking)}")
-        print(f"admissible pairs: {len(decision.admissible)}")
+        print(f"verifier states: {_count(decision.verifier)}")
+        print(f"staying-nonblocking pairs: {_count(decision.staying_nonblocking)}")
+        print(f"admissible pairs: {_count(decision.admissible)}")
         uncovered = decision.uncovered_actual_states
         if uncovered:
             listed = " ".join(state_display(x) for x in sorted_states(uncovered))

@@ -310,24 +310,20 @@ def eic_admissible_states(
 
 
 def _decide_eic(g: Automaton, c: InsertionConstraints) -> _Decision:
-    """The decision of ``check_eic_enforceable``, on pair ids.
+    """The decision of ``check_eic_enforceable``, on bitmasks.
 
-    The staying pairs are the reachable resting pairs the relay game keeps,
-    type 1 when plain and type 2 in the after-phase: both relay the next
+    The staying pairs are the reachable resting pairs the relay game keeps:
+    plain (type 1) or in the after-phase (type 2), both relay the next
     output after a before-walk.  Pruning only names the paper's verifier.
     """
     kernel = _EicKernel(g, c)
-    n, width = kernel.n, kernel.width
+    n = kernel.n
     # Every pair is its own pruning group, with the targets the search records.
-    targets: dict[int, list[int]] = {}
-    reachable = kernel.search(targets)
-    win = kernel.relay_game(kernel.before, kernel.after)
-    staying = {
-        p: 1 if p % width < n else 2
-        for p in reachable
-        if p % width < 2 * n and win[p % n] >> p // width & 1
-    }
-    verifier = reachable if all(targets.values()) else _prune(targets, kernel.start)
+    targets = kernel.search()
+    reachable = kernel.masks(targets)
+    verifier = reachable if all(targets.values()) else kernel.masks(_prune(targets, kernel.start))
+    win = kernel.relay_game(kernel.before, kernel.relays(kernel.before, kernel.after))
+    staying = [mask & win[a % n] if a < 2 * n else 0 for a, mask in enumerate(reachable)]
     return kernel.decide(reachable, verifier, staying)
 
 

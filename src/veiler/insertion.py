@@ -78,8 +78,10 @@ class _PairKernel:
     means forbidden.  Label index ``j*k + e`` over ``edge_labels`` names a
     move on e of kind j, kind 0 being solid.  Unconstrained insertion has
     one phase and one kind: every event, the phase unchanged.  ``moves`` is
-    the one enumeration of a pair's moves, for the search, the pruning input
-    and ``edges``.  Pair objects are made only by ``objects``, for library
+    the one enumeration of a pair's moves, for the search, the pruning input,
+    the DOT file and ``automaton``.  A set of pairs is held as one bitmask
+    of dummies per actual state, bit d of entry a for the pair
+    ``d*width + a``.  Pair objects are made only by ``objects``, for library
     callers.
     """
 
@@ -138,39 +140,41 @@ class _PairKernel:
                 for j, dummy in table[d]:
                     yield j, dummy + b
 
-    def search(self, targets: dict[int, list[int]] | None = None) -> set[int]:
-        """The pairs reachable from the initial pair; each pair's move
-        targets are recorded in ``targets`` when it is given."""
-        seen = {self.start}
+    def search(self) -> dict[int, list[int]]:
+        """The pairs reachable from the initial pair, each mapped to its
+        move targets."""
+        targets: dict[int, list[int]] = {}
         stack = [self.start]
+        seen = {self.start}
         while stack:
             p = stack.pop()
-            # Listing every pair's targets costs EI's search about a quarter
-            # of its time, so only a recording search lists them.
-            if targets is None:
-                for _, t in self.moves(p):
-                    if t not in seen:
-                        seen.add(t)
-                        stack.append(t)
-            else:
-                out = targets[p] = [t for _, t in self.moves(p)]
-                for t in out:
-                    if t not in seen:
-                        seen.add(t)
-                        stack.append(t)
-        return seen
+            out = targets[p] = [t for _, t in self.moves(p)]
+            for t in out:
+                if t not in seen:
+                    seen.add(t)
+                    stack.append(t)
+        return targets
 
-    def edges(self, pairs: Collection[int]) -> Iterator[tuple[int, int, int]]:
-        """The moves between ``pairs``, as (source, label index, target) triples."""
+    def masks(self, pairs: Iterable[int]) -> list[int]:
+        """``pairs`` as one bitmask of dummies per actual state."""
+        width = self.width
+        masks = [0] * width
         for p in pairs:
-            for j, t in self.moves(p):
-                if t in pairs:
-                    yield p, j, t
+            d, a = divmod(p, width)
+            masks[a] |= 1 << d
+        return masks
 
-    def names(self, pairs: Iterable[int]) -> dict[int, str]:
-        """The display name of every pair id in ``pairs``, as its pair object shows it."""
-        width, dummy, actual = self.width, self.state_names, self.actual_names
-        return {p: f"({dummy[p // width]},{actual[p % width]})" for p in pairs}
+    def ids(self, masks: Sequence[int]) -> list[int]:
+        """The pair ids of ``masks``, one bitmask of dummies per actual state, in increasing order."""
+        width = self.width
+        pairs = []
+        for a, mask in enumerate(masks):
+            while mask:
+                low = mask & -mask
+                mask ^= low
+                pairs.append((low.bit_length() - 1) * width + a)
+        pairs.sort()
+        return pairs
 
     def objects(self, pairs: Iterable[int]) -> dict[int, State]:
         """The pair object of every pair id in ``pairs``."""
@@ -183,7 +187,12 @@ class _PairKernel:
         width, labels = self.width, self.edge_labels
         objects = self.objects(pairs)
         singletons = {p: frozenset((pair,)) for p, pair in objects.items()}
-        transitions = {(objects[p], labels[j]): singletons[t] for p, j, t in self.edges(pairs)}
+        transitions = {
+            (pair, labels[j]): singletons[t]
+            for p, pair in objects.items()
+            for j, t in self.moves(p)
+            if t in pairs
+        }
         secret = frozenset(pair for p, pair in objects.items() if p // width in self.secret)
         return Automaton(
             frozenset(objects.values()),
@@ -216,28 +225,21 @@ class _PairKernel:
             self._reaches[key] = components, scc, reach
         return self._reaches[key]
 
-    def relay_game(self, before: Sequence[int], after: Sequence[int]) -> list[int]:
-        """The staying pairs of g, as one bitmask of dummies per actual state.
+    def relays(self, before: Sequence[int], after: Sequence[int]) -> list[list[int]]:
+        """``relays[e][c]`` is T_e(d) = AReach(delta_e(BReach(d))) for the
+        dummies d of the SCC c of the before-subgraph, as a bitmask.
 
-        Bit d of entry x is set when the pair (dummy d, actual x) is in W,
-        the greatest set of pairs in which every event e enabled at x has some
-        d'' in T_e(d) = AReach(delta_e(BReach(d))) with (d'', delta_e(x)) in
-        W: the inserter walks the believed state along before-events, relays
-        e, walks on along after-events, and can keep this up forever.
-        BReach and AReach are reach sets in the subgraphs of g on the label
-        ids ``before`` and ``after``.  A halted actual state has no event to
-        relay, so all its pairs stay.  T_e is the same for all dummies of one
-        SCC of the before-subgraph, so each actual state keeps the list of
-        those SCCs still in W, and is re-tested only when a successor's
-        bitmask shrinks.
+        The inserter walks the believed state along before-events, relays e
+        and walks on along after-events.  BReach and AReach are reach sets
+        in the subgraphs of g on the label ids ``before`` and ``after``.
         """
-        n, delta = self.n, self.delta
+        delta = self.delta
         components, scc, _ = self._reach(before)
         _, after_scc, after_reach = self._reach(after)
         then_after = [after_reach[c] for c in after_scc]
-        # Per event e and before-SCC C, T_e of the dummies of C, successors first.
         relays = []
-        for e in range(len(self.labels)):
+        for e in range(self.k):
+            # Successors first, so a row reuses the rows of the SCCs it reaches.
             row: list[int] = []
             for c, members in enumerate(components):
                 mask = 0
@@ -250,6 +252,22 @@ class _PairKernel:
                             mask |= row[scc[y]]
                 row.append(mask)
             relays.append(row)
+        return relays
+
+    def relay_game(self, before: Sequence[int], relays: list[list[int]]) -> list[int]:
+        """The staying pairs of g, as one bitmask of dummies per system state.
+
+        Bit d of entry x is set when the pair (dummy d, actual x) is in W,
+        the greatest set of pairs in which every event e enabled at x has some
+        d'' in T_e(d) (``relays``, on the before-subgraph's SCCs over the
+        label ids ``before``) with (d'', delta_e(x)) in W: the inserter can
+        relay every output forever.  A halted actual state has no event to
+        relay, so all its pairs stay.  T_e is the same for all dummies of one
+        SCC, so each actual state keeps the list of those SCCs still in W,
+        and is re-tested only when a successor's bitmask shrinks.
+        """
+        n, delta = self.n, self.delta
+        components = self._reach(before)[0]
         masks = [sum(1 << d for d in members) for members in components]
         win = [(1 << n) - 1] * n
         alive = [range(len(components))] * n
@@ -269,17 +287,56 @@ class _PairKernel:
                 queue |= sources[x]
         return win
 
-    def decide(
-        self, reachable: Collection[int], verifier: set[int], staying: Collection[int]
-    ) -> _Decision:
+    def forward(self, relays: list[list[int]]) -> list[int]:
+        """The pairs of the unconstrained indicator reachable from the
+        initial pair, as one bitmask of dummies per system state.
+
+        Dashed moves walk the dummy anywhere in its reach, so D[x0] starts
+        as Reach(x0), every D[x] is a union of SCCs of g, and a move
+        x -e-> y adds T_e(c) (``relays`` with every event before and after)
+        to D[y] for each SCC c in D[x].  Each SCC is relayed from x once,
+        found by the bit of its first member.
+        """
+        n, delta = self.n, self.delta
+        components, scc, reach = self._reach(range(self.k))
+        firsts = sum(1 << members[0] for members in components)
+        found = [0] * n
+        relayed = [0] * n
+        found[self.x0] = reach[scc[self.x0]]
+        stack = [self.x0]
+        while stack:
+            x = stack.pop()
+            fresh = found[x] & firsts & ~relayed[x]
+            if not fresh:
+                continue
+            relayed[x] |= fresh
+            new = []
+            while fresh:
+                low = fresh & -fresh
+                fresh ^= low
+                new.append(scc[low.bit_length() - 1])
+            for e, y in enumerate(delta[x]):
+                if y >= 0:
+                    row = relays[e]
+                    mask = found[y]
+                    for c in new:
+                        mask |= row[c]
+                    if mask != found[y]:
+                        found[y] = mask
+                        stack.append(y)
+        return found
+
+    def decide(self, reachable: list[int], verifier: list[int], staying: list[int]) -> _Decision:
         """The verdict read off the staying pairs ``staying``; ``reachable``
-        and ``verifier`` are passed through for the report."""
-        width, n = self.width, self.n
-        admissible = [p for p in staying if p // width not in self.secret]
-        covered = {p % width % n for p in admissible}
-        _, scc, reach = self._reach(range(len(self.labels)))
+        and ``verifier`` are passed through for the report.  All three hold
+        one bitmask of dummies per actual state."""
+        n = self.n
+        secret = sum(1 << d for d in self.secret)
+        admissible = [mask & ~secret for mask in staying]
+        _, scc, reach = self._reach(range(self.k))
         accessible = reach[scc[self.x0]]
-        uncovered = frozenset(x for i, x in enumerate(self.states) if i not in covered)
+        # An actual state of g is covered in any of its phases.
+        uncovered = frozenset(x for i, x in enumerate(self.states) if not any(admissible[i::n]))
         unreachable = frozenset(x for i, x in enumerate(self.states) if not accessible >> i & 1)
         return _Decision(
             not uncovered, self, reachable, verifier, staying, admissible, uncovered, unreachable
@@ -478,23 +535,67 @@ class EnforcementReport:
     unreachable_actual_states: frozenset
 
 
-class _Decision(NamedTuple):
-    """A kernel run's verdict and the pair ids behind it, with no pair object.
+# The code of a row of ``_Decision.rows``: ``_IN_VERIFIER`` and
+# ``_ADMISSIBLE`` are flags, and ``code >> 1 & 3`` is the staying type, 0 for
+# a pair that does not stay.
+_IN_VERIFIER, _ADMISSIBLE = 1, 8
 
+
+class _Decision(NamedTuple):
+    """A kernel run's verdict and the pairs behind it, with no pair object.
+
+    Pairs are held as one bitmask of dummies per actual state.
     ``reachable`` holds the indicator's pairs and ``verifier`` those pruning
     keeps, which the staying pairs need not lie in when g can halt; the
-    other fields mean what they mean in ``EnforcementReport``, with pair
-    ids for pairs.  The CLI renders its report and DOT file from these ids.
+    other fields mean what they mean in ``EnforcementReport``.  A staying
+    pair's type is 1 in the plain phase and 2 in the after-phase.  The CLI
+    renders its report and DOT file from ``rows``.
     """
 
     enforceable: bool
     kernel: _PairKernel
-    reachable: Collection[int]
-    verifier: set[int]
-    staying_nonblocking: Collection[int]
+    reachable: list[int]
+    verifier: list[int]
+    staying_nonblocking: list[int]
     admissible: list[int]
     uncovered_actual_states: frozenset
     unreachable_actual_states: frozenset
+
+    def rows(self, everything: bool) -> list[tuple[str, int, int]]:
+        """The pairs the output names, as (name, pair id, code) rows sorted
+        by name, then id: every reachable pair when ``everything``, else the
+        verifier's and the staying ones."""
+        kernel = self.kernel
+        n, width, names = kernel.n, kernel.width, kernel.actual_names
+        opening = [f"({name}," for name in kernel.state_names]
+        # Dummies come in display order, so filling one bucket per dummy in
+        # the display order of the actual states leaves little to sort.
+        buckets: list[list] = [[] for _ in range(n)]
+        for a in sorted(range(width), key=names.__getitem__):
+            verifier, staying = self.verifier[a], self.staying_nonblocking[a]
+            admissible = self.admissible[a]
+            shown = self.reachable[a] if everything else verifier | staying
+            kind = (1 if a < n else 2) << 1
+            closing = names[a] + ")"
+            for part, code in ((shown & verifier, _IN_VERIFIER), (shown & ~verifier, 0)):
+                for mask, flags in (
+                    (part & admissible, code | kind | _ADMISSIBLE),
+                    (part & staying & ~admissible, code | kind),
+                    (part & ~staying, code),
+                ):
+                    while mask:
+                        low = mask & -mask
+                        mask ^= low
+                        d = low.bit_length() - 1
+                        buckets[d].append((opening[d] + closing, d * width + a, flags))
+        rows = [row for bucket in buckets for row in bucket]
+        rows.sort()
+        return rows
+
+
+def _count(masks: Iterable[int]) -> int:
+    """The number of pairs in ``masks``."""
+    return sum(mask.bit_count() for mask in masks)
 
 
 def _prune(targets: Mapping[int, list[int]], start: int) -> set[int]:
@@ -536,22 +637,39 @@ def _prune(targets: Mapping[int, list[int]], start: int) -> set[int]:
     return seen
 
 
-def _decide_ei(g: Automaton) -> _Decision:
-    """The decision of ``check_ei_enforceable``, on pair ids.
+def _stuck(kernel: _PairKernel, reachable: list[int]) -> bool:
+    """Whether some group of the ``reachable`` pairs has no escape, so that
+    pruning removes pairs.
 
-    The staying pairs are the reachable pairs the relay game keeps, with
-    every event insertable before and after a relay.  Pruning only names
-    the paper's verifier.  Its groups are the dashed components: the
-    reachable pairs are closed under dashed moves, so the component of
-    (d, x) is SCC_g(d) x {x}, the group ``c*n + x`` for the SCC c of d, and
-    a dashed move inside it is no escape.
+    The groups are the dashed components: the reachable pairs are closed
+    under dashed moves, so the component of (d, x) is SCC_g(d) x {x}, the
+    group ``c*n + x`` for the SCC c of d, and a dashed move inside it is no
+    escape.  A group has none at all only when c is a bottom SCC of g and
+    no event enabled in c is enabled at x.
     """
-    kernel = _PairKernel(g)
-    n, k, reachable = kernel.n, kernel.k, kernel.search()
-    everything = range(k)
-    win = kernel.relay_game(everything, everything)
-    staying = {p for p in reachable if win[p % n] >> p // n & 1}
-    members, scc, _ = kernel._reach(everything)
+    delta = kernel.delta
+    members, scc, _ = kernel._reach(range(kernel.k))
+    enabled = [sum(1 << e for e, y in enumerate(row) if y >= 0) for row in delta]
+    bottoms = []  # (events enabled in c, dummies of c) per bottom SCC c
+    for c, group in enumerate(members):
+        if all(scc[y] == c for d in group for y in delta[d] if y >= 0):
+            events = mask = 0
+            for d in group:
+                events |= enabled[d]
+                mask |= 1 << d
+            bottoms.append((events, mask))
+    # Per set of events enabled at x, the dummies whose group with x has no escape.
+    trapped = {
+        events: sum(mask for where, mask in bottoms if not where & events)
+        for events in set(enabled)
+    }
+    return any(mask & trapped[enabled[x]] for x, mask in enumerate(reachable))
+
+
+def _pruned(kernel: _PairKernel, reachable: list[int]) -> list[int]:
+    """The ``reachable`` pairs that pruning keeps, grouped as ``_stuck`` says."""
+    n, k = kernel.n, kernel.k
+    members, scc, _ = kernel._reach(range(k))
 
     def escapes(key: int) -> Iterator[int]:
         c, x = divmod(key, n)
@@ -561,28 +679,53 @@ def _decide_ei(g: Automaton) -> _Decision:
                 if j < k or target != key:
                     yield target
 
-    groups = {scc[p // n] * n + p % n for p in reachable}
-    verifier = reachable
-    # Nothing falls unless some group has no escape at all.
-    if any(next(escapes(key), None) is None for key in groups):
-        kept = _prune({key: list(escapes(key)) for key in groups}, scc[kernel.x0] * n + kernel.x0)
-        verifier = {p for p in reachable if scc[p // n] * n + p % n in kept}
+    groups = [
+        c * n + x
+        for x, mask in enumerate(reachable)
+        for c, group in enumerate(members)
+        if mask >> group[0] & 1
+    ]
+    kept = _prune({key: list(escapes(key)) for key in groups}, scc[kernel.x0] * n + kernel.x0)
+    verifier = [0] * n
+    for key in kept:
+        c, x = divmod(key, n)
+        for d in members[c]:
+            verifier[x] |= 1 << d
+    return verifier
+
+
+def _decide_ei(g: Automaton) -> _Decision:
+    """The decision of ``check_ei_enforceable``, on bitmasks.
+
+    The reachable pairs are the forward closure of the relays, and the
+    staying ones those the relay game keeps, with every event insertable
+    before and after a relay.  Pruning only names the paper's verifier, and
+    runs only when some group is stuck.
+    """
+    kernel = _PairKernel(g)
+    everything = range(kernel.k)
+    relays = kernel.relays(everything, everything)
+    reachable = kernel.forward(relays)
+    win = kernel.relay_game(everything, relays)
+    staying = [mask & won for mask, won in zip(reachable, win)]
+    verifier = _pruned(kernel, reachable) if _stuck(kernel, reachable) else reachable
     return kernel.decide(reachable, verifier, staying)
 
 
 def _report(decision: _Decision) -> EnforcementReport:
-    """The report of ``decision``, with pair objects for its pair ids."""
-    kernel, staying = decision.kernel, decision.staying_nonblocking
+    """The report of ``decision``, with pair objects for its pairs."""
+    kernel = decision.kernel
+    n, width = kernel.n, kernel.width
+    staying = kernel.ids(decision.staying_nonblocking)
     objects = kernel.objects(staying)
-    if isinstance(staying, Mapping):
-        staying = {objects[p]: kind for p, kind in staying.items()}
-    else:
-        staying = frozenset(objects[p] for p in staying)
     return EnforcementReport(
         decision.enforceable,
-        kernel.automaton(decision.verifier),
-        staying,
-        frozenset(objects[p] for p in decision.admissible),
+        kernel.automaton(set(kernel.ids(decision.verifier))),
+        # Under constraints, the phase gives each staying pair its type.
+        {objects[p]: 1 if p % width < n else 2 for p in staying}
+        if width > n
+        else frozenset(objects.values()),
+        frozenset(objects[p] for p in kernel.ids(decision.admissible)),
         decision.uncovered_actual_states,
         decision.unreachable_actual_states,
     )

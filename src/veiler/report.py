@@ -8,12 +8,13 @@ ever included.
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii as _string
 from typing import Iterable, Mapping, Optional, Sequence
 
 from . import __version__
 from .constrained import InsertionConstraints
 from .fsm import state_display
-from .insertion import EnforcementReport
+from .insertion import _ADMISSIBLE, _IN_VERIFIER, EnforcementReport
 from .observer import OpacityVerdict
 
 _TOOL = "veiler"
@@ -41,28 +42,30 @@ def opacity_report(name: str, verdict: OpacityVerdict) -> dict:
 def _pairs_payload(
     name: str,
     report,
-    names: Mapping,
-    verifier: Iterable,
+    rows: Sequence[tuple[str, object, int]],
     constraints: Optional[InsertionConstraints] = None,
 ) -> dict:
-    """The verify-ei / verify-eic layout of ``report``, with ``names`` naming its pairs.
+    """The verify-ei / verify-eic layout of ``report``, whose pairs ``rows`` names.
 
-    ``report`` is an ``EnforcementReport``, whose pairs are pair objects, or
-    the CLI's decision, whose pairs are pair ids.  Under ``constraints``, the
-    layout is verify-eic's and the staying pairs map to their type.
+    ``report`` is an ``EnforcementReport`` or the CLI's decision; its
+    verdict and state sets are read, and its pairs come as ``rows``: (name,
+    key, code) triples sorted by name, coded as ``_Decision.rows`` codes
+    them.  Every list is ``rows`` filtered.  Under ``constraints``, the
+    layout is verify-eic's and the staying pairs map to their type; where
+    two pairs share a name, the later row's type is shown.
     """
     payload = _base("verify-ei" if constraints is None else "verify-eic", name)
     payload["enforceable"] = report.enforceable
-    staying = report.staying_nonblocking
     if constraints is None:
-        payload["staying_nonblocking"] = sorted(names[pair] for pair in staying)
+        payload["staying_nonblocking"] = [text for text, _, code in rows if code >> 1 & 3]
     else:
         payload["insertable_before"] = sorted(constraints.before)
         payload["insertable_after"] = sorted(constraints.after)
-        typed = [(names[pair], kind) for pair, kind in staying.items()]
-        payload["staying_nonblocking"] = dict(sorted(typed, key=lambda item: item[0]))
-    payload["verifier_states"] = sorted(names[pair] for pair in verifier)
-    payload["admissible"] = sorted(names[pair] for pair in report.admissible)
+        payload["staying_nonblocking"] = {
+            text: code >> 1 & 3 for text, _, code in rows if code >> 1 & 3
+        }
+    payload["verifier_states"] = [text for text, _, code in rows if code & _IN_VERIFIER]
+    payload["admissible"] = [text for text, _, code in rows if code & _ADMISSIBLE]
     payload["uncovered_actual_states"] = _displays(report.uncovered_actual_states)
     payload["unreachable_actual_states"] = _displays(report.unreachable_actual_states)
     return payload
@@ -72,9 +75,21 @@ def _report_payload(
     name: str, report: EnforcementReport, constraints: Optional[InsertionConstraints] = None
 ) -> dict:
     # On a system that can halt, staying pairs may lie outside the verifier.
+    staying = report.staying_nonblocking
+    kinds = staying if isinstance(staying, Mapping) else dict.fromkeys(staying, 1)
     verifier = report.verifier.states
-    names = {pair: state_display(pair) for pair in verifier.union(report.staying_nonblocking)}
-    return _pairs_payload(name, report, names, verifier, constraints)
+    pairs = [*kinds, *(pair for pair in verifier if pair not in kinds)]
+    rows = sorted(
+        (
+            state_display(pair),
+            i,
+            (_IN_VERIFIER if pair in verifier else 0)
+            | kinds.get(pair, 0) << 1
+            | (_ADMISSIBLE if pair in report.admissible else 0),
+        )
+        for i, pair in enumerate(pairs)
+    )
+    return _pairs_payload(name, report, rows, constraints)
 
 
 def ei_report(name: str, report: EnforcementReport) -> dict:
@@ -101,5 +116,60 @@ def oracle_report(name: str, constrained: bool, trials: Sequence[tuple[int, bool
     return payload
 
 
+def _encode(value: object, indent: str, out: list[str]) -> None:
+    """Append to ``out`` the text ``json.dumps(..., sort_keys=True,
+    indent=2)`` gives ``value`` when nested at ``indent``.
+
+    Dict keys must be strings.  A list of strings, the bulk of every
+    report, and a map to plain ints are each written with one join.
+    """
+    if isinstance(value, str):
+        out.append(_string(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = indent + "  "
+        keys = sorted(value)
+        if all(type(value[key]) is int for key in keys):
+            # A map to plain ints, as the typed staying pairs, is one join.
+            out.append("{\n" + ",\n".join([f"{inner}{_string(key)}: {value[key]}" for key in keys]))
+        else:
+            separator = "{\n"
+            for key in keys:
+                out.append(separator + inner + _string(key) + ": ")
+                _encode(value[key], inner, out)
+                separator = ",\n"
+        out.append("\n" + indent + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = indent + "  "
+        try:
+            out.append("[\n" + inner + (",\n" + inner).join(map(_string, value)))
+        except TypeError:  # an item is no string
+            separator = "[\n"
+            for item in value:
+                out.append(separator + inner)
+                _encode(item, inner, out)
+                separator = ",\n"
+        out.append("\n" + indent + "]")
+    else:
+        out.append(json.dumps(value))
+
+
 def to_json(payload: Mapping) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    """``json.dumps(payload, sort_keys=True, indent=2)`` and a newline."""
+    out: list[str] = []
+    _encode(payload, "", out)
+    out.append("\n")
+    return "".join(out)

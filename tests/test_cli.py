@@ -411,6 +411,46 @@ def _negated(decide):
     return decide_wrongly
 
 
+class TestNameCollisions:
+    # Two pairs can share a display name: a state name holding a comma, or
+    # a plain state named like a decorated one (1_a against 1 in its
+    # after-phase).  The saved files are the output of the renderer that
+    # sorted every node and edge line as a tuple of names, so pairs of one
+    # name must still be drawn as one source, their nodes ordered by fill.
+    CASES = {
+        "comma-ei": ["verify-ei", str(DATA / "comma.aut")],
+        "decorated-eic": [
+            "verify-eic", str(DATA / "decorated.aut"), "--insert-before", "a", "--insert-after", "b"
+        ],
+    }
+
+    @pytest.mark.parametrize("key", sorted(CASES))
+    def test_shared_names_keep_the_saved_output(self, capsys, tmp_path, key):
+        argv, saved = self.CASES[key], (DATA / f"{key}.json").read_text()
+        dot = tmp_path / "out.dot"
+        assert cli_main(argv + ["--json", "--dot", str(dot)]) == EXIT_OK
+        assert capsys.readouterr().out == saved
+        assert dot.read_bytes() == (DATA / f"{key}.dot").read_bytes()
+        assert cli_main(argv + ["--json"]) == EXIT_OK
+        assert capsys.readouterr().out == saved
+        # The files do hold a name drawn twice, in two fills.
+        nodes = re.findall(r'^  ("[^"]*")( \[[^\]]*\])?;$', dot.read_text(), re.M)
+        names = [node for node, _ in nodes]
+        assert len(set(names)) < len(names)
+        assert len(set(nodes)) > len(set(names))
+
+    def test_the_library_report_names_them_alike(self):
+        g = parse_document((DATA / "comma.aut").read_text()).automaton
+        assert to_json(ei_report("comma", check_ei_enforceable(g))) == (
+            DATA / "comma-ei.json"
+        ).read_text()
+        g = parse_document((DATA / "decorated.aut").read_text()).automaton
+        c = InsertionConstraints.of({"a"}, {"b"})
+        assert to_json(eic_report("decorated", check_eic_enforceable(g, c), c)) == (
+            DATA / "decorated-eic.json"
+        ).read_text()
+
+
 class TestOracleCheck:
     def test_agreeing_seeds_exit_cleanly(self, capsys):
         assert cli_main(["oracle-check", "--seed", "0", "--count", "5"]) == EXIT_OK
@@ -613,10 +653,11 @@ class TestDecisionPath:
         check_eic_enforceable(g1, InsertionConstraints.of({"b", "c"}, {"a"}))
         assert all(objects) and len(automata) > parsed
 
-    def test_each_decision_searches_the_pairs_once(
+    def test_only_verify_eic_searches_the_pairs(
         self, capsys, monkeypatch, tmp_path, secretless_doc
     ):
-        # One search serves the verdict, the pruned verifier and the DOT
+        # verify-ei decides on bitmasks and searches no pair; verify-eic's
+        # one search serves the verdict, the pruned verifier and the DOT
         # file, also when pruning removes pairs (every pair of 0 -a-> 1).
         searches = []
         search = _PairKernel.search
@@ -628,14 +669,31 @@ class TestDecisionPath:
         monkeypatch.setattr(_PairKernel, "search", counted)
         dot = tmp_path / "out.dot"
         for path in (G1, secretless_doc):
-            for argv in (
-                ["verify-ei", path, "--json", "--dot", str(dot)],
-                ["verify-eic", path, "--insert-before", "a", "--dot", str(dot)],
+            for argv, expected in (
+                (["verify-ei", path, "--json", "--dot", str(dot)], 0),
+                (["verify-eic", path, "--insert-before", "a", "--dot", str(dot)], 1),
             ):
                 searches.clear()
                 assert cli_main(argv) in {EXIT_OK, EXIT_NOT_ENFORCEABLE}, argv
-                assert len(searches) == 1, argv
+                assert len(searches) == expected, argv
         assert "#66bb6a" in dot.read_text()
+
+    def test_the_ei_verdict_lists_no_pair_move(self, capsys, monkeypatch, tmp_path):
+        # 404,505 reachable pairs, decided without enumerating one move.
+        path = tmp_path / "big.aut"
+        g = random_dfa(1, 640, n_events=3, trans_density=0.5, live=True)
+        path.write_text(emit_automaton(g, "big"))
+        calls = []
+        moves = _PairKernel.moves
+
+        def counted(kernel, *args, **kwargs):
+            calls.append(kernel)
+            return moves(kernel, *args, **kwargs)
+
+        monkeypatch.setattr(_PairKernel, "moves", counted)
+        assert cli_main(["verify-ei", str(path)]) == EXIT_OK
+        assert "verifier states: 404505\n" in capsys.readouterr().out
+        assert calls == []
 
     def test_every_traced_name_resolves(self, monkeypatch):
         # perfbench/run.py --trace 1 wraps these names by module; a rename or

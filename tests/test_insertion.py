@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+from collections import Counter
+from itertools import product
+
 import pytest
 
 from veiler.cli import cli_main
@@ -7,6 +10,8 @@ from veiler.dot import emit_dot
 from veiler.fsm import Automaton, EventLabel, Tag, as_label, state_display, word
 from veiler.insertion import (
     IndicatorState,
+    _PairKernel,
+    _stuck,
     admissible_states,
     build_indicator,
     build_insertion_automaton,
@@ -288,6 +293,34 @@ class TestCheckEiEnforceable:
             emptied += not expected.verifier.states
         # the sample must exercise pruning, down to the empty verifier
         assert pruned > 50 and emptied > 5
+
+
+class TestForwardMasks:
+    def test_the_masks_hold_the_search_and_the_stuck_test_is_exact(self):
+        # verify-ei reads the reachable pairs off per-state dummy bitmasks
+        # and prunes only when a reachable group is stuck; the pair search
+        # and the paper's staged pruning are the reference.
+        outcomes = Counter()
+        for seed in range(400):
+            live = seed % 4 < 2
+            g = random_dfa(
+                seed,
+                n_states=2 + seed % 10,
+                trans_density=(0.2, 0.5, 0.8)[seed % 3],
+                live=live,
+            )
+            kernel = _PairKernel(g)
+            everything = range(kernel.k)
+            masks = kernel.forward(kernel.relays(everything, everything))
+            searched = kernel.search()
+            assert kernel.ids(masks) == sorted(searched), seed
+            assert kernel.masks(searched) == masks, seed
+            ia = build_indicator(g, build_insertion_automaton(g))
+            removed = build_verifier(ia, g).states != ia.states
+            assert _stuck(kernel, masks) == removed, seed
+            outcomes[live, removed] += 1
+        # the sample holds both outcomes, in live and in halting systems
+        assert min(outcomes[key] for key in product((True, False), repeat=2)) > 20
 
 
 class TestPathInvariants:
