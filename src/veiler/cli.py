@@ -174,7 +174,7 @@ def _report_decision(
     if args.dot:
         kernel = decision.kernel
         dot = _digraph(
-            name, rows, _FILL_OF_CODE, (kernel.start,), kernel.moves, kernel.edge_labels
+            name, rows, _FILL_OF_CODE, (kernel.start,), kernel.moves, kernel.edge_labels()
         )
         _write_atomic(args.dot, dot)
     if args.json:

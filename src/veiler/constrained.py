@@ -28,7 +28,6 @@ from .insertion import (
     _Decision,
     _PairKernel,
     _greatest_fixpoint,
-    _prune,
     _report,
     _restrict,
     _walk,
@@ -190,7 +189,7 @@ class _EicKernel(_PairKernel):
     def __init__(self, g: Automaton, c: InsertionConstraints) -> None:
         super().__init__(g)
         c.validate_against(g)
-        n, k = self.n, self.k
+        n = self.n
         n4 = 4 * n
         self.actual_names = [
             name + _DECORATION_SUFFIX[decoration]
@@ -199,13 +198,6 @@ class _EicKernel(_PairKernel):
         ]
         self.before = [e for e, label in enumerate(self.labels) if label.symbol in c.before]
         self.after = [e for e, label in enumerate(self.labels) if label.symbol in c.after]
-        tags = (Tag.ACTUAL, Tag.INSERTED_BEFORE, Tag.INSERTED_AFTER)
-        self.edge_labels = [EventLabel(label.symbol, tag) for tag in tags for label in self.labels]
-        self.events = (
-            frozenset(self.labels)
-            | frozenset(self.edge_labels[k + e] for e in self.before)
-            | frozenset(self.edge_labels[2 * k + e] for e in self.after)
-        )
         # The rule of build_eic_insertion_automaton: x0 has no after-phase
         # unless some move of g leads back to it.
         x0 = self.states[self.x0]
@@ -221,6 +213,8 @@ class _EicKernel(_PairKernel):
             kinds.append((symbols, shift))
         self._phases(len(Decoration), kinds)
 
+    _TAGS = (Tag.ACTUAL, Tag.INSERTED_BEFORE, Tag.INSERTED_AFTER)
+
     def pair(self, d: int, a: int) -> IndicatorState:
         n = self.n
         return IndicatorState(self.states[d], _decorate(self.states[a % n], Decoration(a // n)))
@@ -232,8 +226,8 @@ def build_eic_indicator(g: Automaton, geic: Automaton) -> Automaton:
     Dashed edges require both sides to move: the decoration must allow the
     insertion and the dummy must have a real transition on the inserted
     symbol, because the observer re-runs every event it sees.  Only the
-    accessible part is materialized, by the search that
-    ``check_eic_enforceable`` runs.
+    accessible part is materialized, by a search from the initial pair; it
+    holds the pairs that ``check_eic_enforceable`` reaches on bitmasks.
     """
     c = _constraints_of(geic)
     if geic != build_eic_insertion_automaton(g, c):
@@ -312,16 +306,17 @@ def eic_admissible_states(
 def _decide_eic(g: Automaton, c: InsertionConstraints) -> _Decision:
     """The decision of ``check_eic_enforceable``, on bitmasks.
 
-    The staying pairs are the reachable resting pairs the relay game keeps:
+    The reachable pairs are the kernel's forward closure, and the verifier
+    the accessible part of what dead-end pruning keeps of them.  The
+    staying pairs are the reachable resting pairs the relay game keeps:
     plain (type 1) or in the after-phase (type 2), both relay the next
     output after a before-walk.  Pruning only names the paper's verifier.
     """
     kernel = _EicKernel(g, c)
     n = kernel.n
-    # Every pair is its own pruning group, with the targets the search records.
-    targets = kernel.search()
-    reachable = kernel.masks(targets)
-    verifier = reachable if all(targets.values()) else kernel.masks(_prune(targets, kernel.start))
+    reachable = kernel.closure()
+    kept = kernel.trim(reachable)
+    verifier = reachable if kept is reachable else kernel.closure(kept)
     win = kernel.relay_game(kernel.before, kernel.relays(kernel.before, kernel.after))
     staying = [mask & win[a % n] if a < 2 * n else 0 for a, mask in enumerate(reachable)]
     return kernel.decide(reachable, verifier, staying)

@@ -65,6 +65,30 @@ class IndicatorState:
         return f"({state_display(self.dummy)},{state_display(self.actual)})"
 
 
+def _tables(succ: Sequence[int]) -> list[list[int]]:
+    """Lookup tables for the image of a bitmask under ``succ``, one bitmask
+    of targets per bit: table i maps the value of the mask's bits 8i..8i+7
+    to the union of their targets, and the last one only the bits left."""
+    tables = []
+    for base in range(0, len(succ), 8):
+        table = [0]
+        for mask in succ[base:base + 8]:
+            table += [t | mask for t in table]
+        tables.append(table)
+    return tables
+
+
+def _apply(tables: list[list[int]], mask: int) -> int:
+    """The image of ``mask`` under the lookup ``tables`` of ``_tables``."""
+    if mask < 256:
+        return tables[0][mask]
+    image = 0
+    for i, byte in enumerate(mask.to_bytes((mask.bit_length() + 7) >> 3, "little")):
+        if byte:
+            image |= tables[i][byte]
+    return image
+
+
 class _PairKernel:
     """The indicator of a deterministic system on dense integer ids.
 
@@ -78,11 +102,12 @@ class _PairKernel:
     means forbidden.  Label index ``j*k + e`` over ``edge_labels`` names a
     move on e of kind j, kind 0 being solid.  Unconstrained insertion has
     one phase and one kind: every event, the phase unchanged.  ``moves`` is
-    the one enumeration of a pair's moves, for the search, the pruning input,
-    the DOT file and ``automaton``.  A set of pairs is held as one bitmask
-    of dummies per actual state, bit d of entry a for the pair
-    ``d*width + a``.  Pair objects are made only by ``objects``, for library
-    callers.
+    the one enumeration of a pair's moves, for the library's search, EI's
+    pruning input, the DOT file and ``automaton``; ``relations`` holds the
+    same moves per actual state, for ``closure`` and ``trim``.  A set of
+    pairs is held as one bitmask of dummies per actual state, bit d of
+    entry a for the pair ``d*width + a``.  Pair objects are made only by
+    ``objects``, for library callers.
     """
 
     def __init__(self, g: Automaton) -> None:
@@ -102,11 +127,11 @@ class _PairKernel:
         self.x0 = index[x0]
         self.secret = {index[x] for x in g.secret}
         self._reaches: dict[tuple, tuple] = {}
-        inserted = [EventLabel(e.symbol, Tag.INSERTED) for e in self.labels]
-        self.edge_labels = self.labels + inserted
-        self.events = frozenset(self.edge_labels)
         self.actual_names = self.state_names
         self._phases(1, [(range(k), list(range(n)))])
+
+    # The tag of a move of kind j, kind 0 being solid.
+    _TAGS = (Tag.ACTUAL, Tag.INSERTED)
 
     def _phases(self, phases: int, kinds: list[tuple[Sequence[int], list[int]]]) -> None:
         """Give every system state ``phases`` phases and the insertion
@@ -116,13 +141,19 @@ class _PairKernel:
         as (label index, target dummy times width).
         """
         width = self.width = phases * self.n
+        self.kinds = kinds
         self.start = self.x0 * width + self.x0
+        self._relations: tuple | None = None
         self.solid = [[(e, y * width) for e, y in enumerate(row) if y >= 0] for row in self.delta]
         self.inserts = [
             (shift, [[(j * self.k + e, row[e] * width) for e in symbols if row[e] >= 0]
                      for row in self.delta])
             for j, (symbols, shift) in enumerate(kinds, 1)
         ]
+
+    def edge_labels(self) -> list[EventLabel]:
+        """The label of every label index, made only for output."""
+        return [EventLabel(label.symbol, tag) for tag in self._TAGS for label in self.labels]
 
     def pair(self, d: int, x: int) -> IndicatorState:
         return IndicatorState(self.states[d], self.states[x])
@@ -155,14 +186,124 @@ class _PairKernel:
                     stack.append(t)
         return targets
 
-    def masks(self, pairs: Iterable[int]) -> list[int]:
-        """``pairs`` as one bitmask of dummies per actual state."""
-        width = self.width
-        masks = [0] * width
-        for p in pairs:
-            d, a = divmod(p, width)
-            masks[a] |= 1 << d
-        return masks
+    def relations(self) -> tuple[list[list[int]], list[list[list[int]]], list[list[tuple]]]:
+        """The pairs' moves as relations on dummies, one bitmask of targets
+        per dummy, with their chunked image tables and the moves of every
+        actual state as (relation, target actual state).
+
+        Relation e < k is the solid move on e; relation k + i is insertion
+        kind i + 1, on any event of its alphabet.  Made once per kernel.
+        """
+        if self._relations is not None:
+            return self._relations
+        n, k = self.n, self.k
+        succ = [[1 << y if y >= 0 else 0 for y in column] for column in zip(*self.delta)]
+        kinds = []
+        for i, (symbols, shift) in enumerate(self.kinds):
+            row = [0] * n
+            for e in symbols:
+                row = [mask | step for mask, step in zip(row, succ[e])]
+            succ.append(row)
+            if any(row):
+                kinds.append((k + i, shift))
+        solid = [[(e, y) for e, y in enumerate(row) if y >= 0] for row in self.delta]
+        arcs = [moves[:] for moves in solid * (self.width // n)]
+        for r, shift in kinds:
+            for a, b in enumerate(shift):
+                if b >= 0:
+                    arcs[a].append((r, b))
+        self._relations = succ, [_tables(row) for row in succ], arcs
+        return self._relations
+
+    def closure(self, within: Sequence[int] | None = None) -> list[int]:
+        """The pairs reachable from the initial pair, as one bitmask of
+        dummies per actual state; only through the pairs of ``within``
+        when given, and none if the initial pair is not among them.
+
+        A worklist passes on each actual state's new dummies only.  The
+        pairs outside ``within`` count as found from the start.
+        """
+        width, full = self.width, (1 << self.n) - 1
+        _, images, arcs = self.relations()
+        found = [full & ~mask for mask in within] if within is not None else [0] * width
+        new = [0] * width
+        d, a = divmod(self.start, width)
+        if found[a] >> d & 1:
+            return [0] * width
+        found[a] |= 1 << d
+        new[a] = 1 << d
+        stack = [a]
+        while stack:
+            a = stack.pop()
+            fresh, new[a] = new[a], 0
+            for r, t in arcs[a]:
+                # A single lookup while the new dummies fit in the first chunk.
+                image = images[r][0][fresh] if fresh < 256 else _apply(images[r], fresh)
+                mask = image & ~found[t]
+                if mask:
+                    if not new[t]:
+                        stack.append(t)
+                    new[t] |= mask
+                    found[t] |= mask
+        if within is not None:
+            return [mask & keep for mask, keep in zip(found, within)]
+        return found
+
+    def trim(self, reachable: list[int]) -> list[int]:
+        """The pairs of ``reachable`` that are not dead ends, as one bitmask
+        of dummies per actual state.
+
+        ``reachable`` is closed under moves.  A pair is a dead end when none
+        of its moves leads to a pair that is not, so (d, a) stays while d
+        is in the pre-image of the staying dummies at t of some move (r, t)
+        of a.  Until the dummies at t shrink, that pre-image is the
+        relation's domain; afterwards it is cached per (r, t), and only the
+        sources of t are re-tested.  With no pair lacking a move, this is
+        ``reachable`` itself.
+        """
+        n, width = self.n, self.width
+        succ, _, arcs = self.relations()
+        pre = [[sum(1 << d for d, mask in enumerate(row) if mask)] * width for row in succ]
+        kept = reachable[:]
+        queue: set[int] = set()
+
+        def test(a: int) -> None:
+            live = 0
+            for r, t in arcs[a]:
+                live |= pre[r][t]
+            if kept[a] & ~live:
+                kept[a] &= live
+                queue.add(a)
+
+        for a, mask in enumerate(reachable):
+            if mask:
+                test(a)
+        if not queue:
+            return reachable
+        sources: list[list[int]] = [[] for _ in range(width)]
+        into: list[set[int]] = [set() for _ in range(width)]
+        for a, out in enumerate(arcs):
+            if kept[a]:
+                for r, t in out:
+                    sources[t].append(a)
+                    into[t].add(r)
+        preimages: dict[int, list[list[int]]] = {}
+        while queue:
+            t = queue.pop()
+            for r in into[t]:
+                if r not in preimages:
+                    pred = [0] * n
+                    for d, mask in enumerate(succ[r]):
+                        while mask:
+                            low = mask & -mask
+                            mask ^= low
+                            pred[low.bit_length() - 1] |= 1 << d
+                    preimages[r] = _tables(pred)
+                pre[r][t] = _apply(preimages[r], kept[t])
+            for a in sources[t]:
+                if kept[a]:
+                    test(a)
+        return kept
 
     def ids(self, masks: Sequence[int]) -> list[int]:
         """The pair ids of ``masks``, one bitmask of dummies per actual state, in increasing order."""
@@ -181,10 +322,15 @@ class _PairKernel:
         return {p: self.pair(*divmod(p, self.width)) for p in pairs}
 
     def automaton(self, pairs: Collection[int]) -> Automaton:
-        """The indicator restricted to ``pairs``."""
+        """The indicator restricted to ``pairs``; its labels are every solid
+        one and those of each kind's alphabet."""
+        k, labels = self.k, self.edge_labels()
+        events = frozenset(labels[:k]).union(
+            labels[j * k + e] for j, (symbols, _) in enumerate(self.kinds, 1) for e in symbols
+        )
         if not pairs:
-            return Automaton(frozenset(), self.events, {}, frozenset())
-        width, labels = self.width, self.edge_labels
+            return Automaton(frozenset(), events, {}, frozenset())
+        width = self.width
         objects = self.objects(pairs)
         singletons = {p: frozenset((pair,)) for p, pair in objects.items()}
         transitions = {
@@ -196,7 +342,7 @@ class _PairKernel:
         secret = frozenset(pair for p, pair in objects.items() if p // width in self.secret)
         return Automaton(
             frozenset(objects.values()),
-            self.events,
+            events,
             transitions,
             singletons[self.start],
             secret,
@@ -607,10 +753,11 @@ def _prune(targets: Mapping[int, list[int]], start: int) -> set[int]:
     leads into a group still alive.  Each group counts its moves, each lists
     the moves into it, and a falling group decrements the counts of the
     groups those moves come from.  This reaches the same fixpoint as the
-    round-by-round removal of ``build_verifier`` and ``build_eic_verifier``.
-    The survivors' target lists then give the accessible part.  When every
-    group has a move, nothing falls, so the callers skip this and keep the
-    reachable pairs as they are.
+    round-by-round removal of ``build_verifier``, whose groups are the
+    dashed components, and of ``build_eic_verifier``, whose groups are
+    single pairs (``_PairKernel.trim`` computes that one on bitmasks).  The
+    survivors' target lists then give the accessible part.  ``_decide_ei``
+    runs this only when ``_stuck`` finds a group that falls.
     """
     escapes = {key: len(out) for key, out in targets.items()}
     sources: dict[int, list[int]] = {key: [] for key in targets}

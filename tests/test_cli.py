@@ -653,12 +653,12 @@ class TestDecisionPath:
         check_eic_enforceable(g1, InsertionConstraints.of({"b", "c"}, {"a"}))
         assert all(objects) and len(automata) > parsed
 
-    def test_only_verify_eic_searches_the_pairs(
+    def test_no_verify_command_searches_the_pairs(
         self, capsys, monkeypatch, tmp_path, secretless_doc
     ):
-        # verify-ei decides on bitmasks and searches no pair; verify-eic's
-        # one search serves the verdict, the pruned verifier and the DOT
-        # file, also when pruning removes pairs (every pair of 0 -a-> 1).
+        # verify-ei and verify-eic decide on bitmasks and search no pair,
+        # also when pruning removes pairs (every pair of 0 -a-> 1), and the
+        # DOT file still draws the pruned pairs.
         searches = []
         search = _PairKernel.search
 
@@ -669,13 +669,12 @@ class TestDecisionPath:
         monkeypatch.setattr(_PairKernel, "search", counted)
         dot = tmp_path / "out.dot"
         for path in (G1, secretless_doc):
-            for argv, expected in (
-                (["verify-ei", path, "--json", "--dot", str(dot)], 0),
-                (["verify-eic", path, "--insert-before", "a", "--dot", str(dot)], 1),
+            for argv in (
+                ["verify-ei", path, "--json", "--dot", str(dot)],
+                ["verify-eic", path, "--insert-before", "a", "--dot", str(dot)],
             ):
-                searches.clear()
                 assert cli_main(argv) in {EXIT_OK, EXIT_NOT_ENFORCEABLE}, argv
-                assert len(searches) == expected, argv
+        assert searches == []
         assert "#66bb6a" in dot.read_text()
 
     def test_the_ei_verdict_lists_no_pair_move(self, capsys, monkeypatch, tmp_path):
@@ -693,6 +692,31 @@ class TestDecisionPath:
         monkeypatch.setattr(_PairKernel, "moves", counted)
         assert cli_main(["verify-ei", str(path)]) == EXIT_OK
         assert "verifier states: 404505\n" in capsys.readouterr().out
+        assert calls == []
+
+    def test_the_eic_verdict_lists_no_pair_move(self, capsys, monkeypatch, tmp_path):
+        # The constrained indicator of an n=160 system, reached and pruned
+        # without searching a pair or enumerating one move.
+        path = tmp_path / "big.aut"
+        g = random_dfa(1, 160, n_events=3, live=True)
+        c = random_constraints(1, "abc")
+        path.write_text(emit_automaton(g, "big"))
+        calls = []
+        for name in ("search", "moves"):
+            method = getattr(_PairKernel, name)
+
+            def counted(kernel, *args, method=method, **kwargs):
+                calls.append(method.__name__)
+                return method(kernel, *args, **kwargs)
+
+            monkeypatch.setattr(_PairKernel, name, counted)
+        argv = ["verify-eic", str(path), "--insert-before", ",".join(sorted(c.before))]
+        argv += ["--insert-after", ",".join(sorted(c.after))]
+        assert cli_main(argv) == EXIT_NOT_ENFORCEABLE
+        out = capsys.readouterr().out
+        assert "verifier states: 61480\n" in out
+        assert "staying-nonblocking pairs: 27279\n" in out
+        assert "admissible pairs: 19623\n" in out
         assert calls == []
 
     def test_every_traced_name_resolves(self, monkeypatch):

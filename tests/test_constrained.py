@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from veiler.cli import cli_main
 from veiler.constrained import (
     Decoration,
     InsertionConstraints,
+    _decide_eic,
     base_of,
     build_eic_indicator,
     build_eic_insertion_automaton,
@@ -18,7 +21,7 @@ from veiler.constrained import (
 )
 from veiler.dot import emit_dot
 from veiler.fsm import Automaton, Tag, sorted_labels, state_display, word
-from veiler.insertion import IndicatorState, check_ei_enforceable
+from veiler.insertion import IndicatorState, _prune, check_ei_enforceable
 from veiler.oracle import random_constraints, random_dfa
 from veiler.report import eic_report, to_json
 from veiler.textio import emit_automaton
@@ -43,6 +46,28 @@ X_EVA = [
 
 def displays(states):
     return sorted(state_display(x) for x in states)
+
+
+def naive_indicator(g, geic):
+    """The constrained indicator built pair by pair from g and ``geic``."""
+    (x0,) = g.initial
+    start = IndicatorState(x0, x0)
+    labels = sorted_labels(g.events | geic.events)
+    states, frontier, transitions = {start}, [start], {}
+    while frontier:
+        pair = frontier.pop()
+        for label in labels:
+            for dummy in g.step(pair.dummy, label.as_actual()):
+                for act in geic.step(pair.actual, label):
+                    target = IndicatorState(dummy, act)
+                    transitions[(pair, label)] = frozenset({target})
+                    if target not in states:
+                        states.add(target)
+                        frontier.append(target)
+    secret = frozenset(p for p in states if p.dummy in g.secret)
+    return Automaton(
+        frozenset(states), frozenset(labels), transitions, frozenset({start}), secret
+    )
 
 
 class TestInsertionConstraints:
@@ -221,6 +246,40 @@ class TestEicVerifier:
         assert build_eic_verifier(eia).states == frozenset()
 
 
+class TestDecisionMasks:
+    def test_the_masks_hold_the_search_and_its_pruning(self):
+        # verify-eic reads the reachable pairs and the verifier off
+        # per-state dummy bitmasks; the pair search, the counter loop over
+        # single pairs and the product built pair by pair are the reference.
+        subsets = [frozenset(s for i, s in enumerate("abc") if mask >> i & 1) for mask in range(8)]
+        outcomes = Counter()
+        for seed in range(300):
+            g = random_dfa(
+                seed,
+                n_states=2 + seed % 13,
+                trans_density=(0.2, 0.5, 0.8)[seed % 3],
+                live=seed % 2 == 0,
+            )
+            # every before/after pair of subsets of {a, b, c}
+            c = InsertionConstraints(subsets[seed % 8], subsets[seed // 8 % 8])
+            decision = _decide_eic(g, c)
+            kernel = decision.kernel
+            targets = kernel.search()
+            assert kernel.ids(decision.reachable) == sorted(targets), seed
+            kept = _prune(targets, kernel.start)
+            assert kernel.ids(decision.verifier) == sorted(kept), seed
+            pairs = kernel.objects(targets).values()
+            geic = build_eic_insertion_automaton(g, c)
+            assert frozenset(pairs) == naive_indicator(g, geic).states, seed
+            entered = any(g.initial <= moved for moved in g.transitions.values())
+            outcomes["entered" if entered else "not entered"] += 1
+            outcomes["pruned"] += len(kept) < len(targets)
+            outcomes["emptied"] += not kept
+        # the sample enters x0 and leaves it, and prunes down to nothing
+        assert outcomes["entered"] > 50 and outcomes["not entered"] > 50
+        assert outcomes["pruned"] > 50 and outcomes["emptied"] > 5
+
+
 class TestStayingEicNonblocking:
     def test_g1_matches_the_frozen_eleven_with_types(self, g1):
         eia = build_eic_indicator(g1, build_eic_insertion_automaton(g1, BC_A))
@@ -341,26 +400,6 @@ class TestCheckEicEnforceable:
     def test_matches_the_staged_reference(self, staged_eic_report, capsys, tmp_path):
         # The decision runs on interned pair ids; the paper's stages, and a
         # product built pair by pair for the indicator, are the reference.
-        def naive_indicator(g, geic):
-            (x0,) = g.initial
-            start = IndicatorState(x0, x0)
-            labels = sorted_labels(g.events | geic.events)
-            states, frontier, transitions = {start}, [start], {}
-            while frontier:
-                pair = frontier.pop()
-                for label in labels:
-                    for dummy in g.step(pair.dummy, label.as_actual()):
-                        for act in geic.step(pair.actual, label):
-                            target = IndicatorState(dummy, act)
-                            transitions[(pair, label)] = frozenset({target})
-                            if target not in states:
-                                states.add(target)
-                                frontier.append(target)
-            secret = frozenset(p for p in states if p.dummy in g.secret)
-            return Automaton(
-                frozenset(states), frozenset(labels), transitions, frozenset({start}), secret
-            )
-
         subsets = [frozenset(s for i, s in enumerate("abc") if mask >> i & 1) for mask in range(8)]
         pruned = emptied = 0
         for seed in range(256):

@@ -314,7 +314,6 @@ class TestForwardMasks:
             masks = kernel.forward(kernel.relays(everything, everything))
             searched = kernel.search()
             assert kernel.ids(masks) == sorted(searched), seed
-            assert kernel.masks(searched) == masks, seed
             ia = build_indicator(g, build_insertion_automaton(g))
             removed = build_verifier(ia, g).states != ia.states
             assert _stuck(kernel, masks) == removed, seed
