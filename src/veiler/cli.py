@@ -8,6 +8,7 @@ and 1 means the run itself failed (bad usage, unreadable or malformed input).
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import tempfile
@@ -46,7 +47,9 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> _Parser:
+    """The command-line parser, built on the first call and shared after it."""
     parser = _Parser(prog="veiler", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"veiler {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -17,12 +17,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from veiler import observer
 from veiler.cli import (
     EXIT_DISAGREE,
     EXIT_ERROR,
     EXIT_NOT_ENFORCEABLE,
     EXIT_NOT_OPAQUE,
     EXIT_OK,
+    _build_parser,
     cli_main,
 )
 from veiler.constrained import (
@@ -51,6 +53,7 @@ from veiler.textio import emit_automaton, parse_document
 ROOT = Path(__file__).resolve().parents[1]
 DATA = Path(__file__).parent / "data"
 G1 = str(DATA / "g1.aut")
+PARTIAL = str(DATA / "partial.aut")
 
 
 def _count_constructions(monkeypatch, kernel: type) -> list:
@@ -144,6 +147,29 @@ class TestCheckOpacity:
         assert payload["opaque"] is False
         assert payload["witness_observation"] == ["b"]
         assert payload["violating_estimates"] == ["{2}", "{3}"]
+
+    @pytest.mark.parametrize(
+        "flags, golden", [([], "partial-opacity.txt"), (["--json"], "partial-opacity.json")]
+    )
+    def test_output_matches_the_golden_file(self, capsys, flags, golden):
+        # A partially observed system: the witness b a a passes through
+        # unobservable moves, and three violating estimates hold several states.
+        assert cli_main(["check-opacity", PARTIAL, *flags]) == EXIT_NOT_OPAQUE
+        assert capsys.readouterr().out.encode() == (DATA / golden).read_bytes()
+
+    def test_a_system_without_initial_states_is_opaque(self, capsys, tmp_path):
+        # Its only estimate is empty, and an empty estimate reveals nothing.
+        path = tmp_path / "nostart.aut"
+        path.write_text(
+            "automaton nostart\nevents a\nstates 0 1\ninitial\nsecret 0 1\ntrans 0 a 1\nend\n"
+        )
+        assert cli_main(["check-opacity", str(path)]) == EXIT_OK
+        assert capsys.readouterr().out == "automaton nostart: opaque\n"
+        assert cli_main(["check-opacity", str(path), "--json"]) == EXIT_OK
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["opaque"] is True
+        assert payload["violating_estimates"] == []
+        assert payload["witness_observation"] is None
 
 
 class TestVerifyEi:
@@ -528,6 +554,24 @@ class TestTopLevel:
         assert cli_main(["--version"]) == EXIT_OK
         assert "veiler 0.1.0" in capsys.readouterr().out
 
+    def test_the_parser_is_built_once_and_outlives_usage_errors(self, capsys):
+        _build_parser.cache_clear()
+        assert cli_main(["--version"]) == EXIT_OK
+        assert capsys.readouterr().out == "veiler 0.1.0\n"
+        argv = ["verify-eic", G1, "--insert-before", "b,c", "--json"]
+        expected = (cli_main(argv), capsys.readouterr())
+        for bad in (
+            ["verify-eic", G1, "--bogus"],
+            ["verify-eic", G1, "--insert-before"],
+            ["check-opacity"],
+            ["oracle-check", "--count", "0"],
+            ["frobnicate"],
+        ):
+            assert cli_main(bad) == EXIT_ERROR, bad
+            assert "error:" in capsys.readouterr().err, bad
+            assert (cli_main(argv), capsys.readouterr()) == expected, bad
+        assert _build_parser.cache_info().misses == 1
+
     def test_console_script_output_is_byte_deterministic(self):
         command = [sys.executable, "-m", "veiler", "verify-eic", G1,
                    "--insert-before", "b,c", "--insert-after", "a", "--json"]
@@ -718,6 +762,34 @@ class TestDecisionPath:
         assert "staying-nonblocking pairs: 27279\n" in out
         assert "admissible pairs: 19623\n" in out
         assert calls == []
+
+    def test_check_opacity_builds_no_observer(self, capsys, monkeypatch, tmp_path):
+        # check-opacity decides on bitmask estimates: no observer automaton,
+        # no automaton beyond the parsed one, and an ObserverState only for
+        # each violating estimate (the 2000-state system reaches 2000).
+        def forbidden(*args, **kwargs):
+            raise AssertionError("build_observer ran on the decision path")
+
+        monkeypatch.setattr(observer, "build_observer", forbidden)
+        estimates = _count_constructions(monkeypatch, observer.ObserverState)
+        validated = []
+        post_init = Automaton.__post_init__
+
+        def counted(automaton):
+            validated.append(automaton)
+            post_init(automaton)
+
+        monkeypatch.setattr(Automaton, "__post_init__", counted)
+        big = tmp_path / "big.aut"
+        big.write_text(emit_automaton(random_dfa(1, 2000, live=True), "big"))
+        for path, violating in ((PARTIAL, 4), (str(big), 630)):
+            estimates.clear()
+            validated.clear()
+            assert cli_main(["check-opacity", path, "--json"]) == EXIT_NOT_OPAQUE
+            payload = json.loads(capsys.readouterr().out)
+            assert len(payload["violating_estimates"]) == violating
+            assert len(estimates) == violating
+            assert len(validated) == 1
 
     def test_every_traced_name_resolves(self, monkeypatch):
         # perfbench/run.py --trace 1 wraps these names by module; a rename or

@@ -1,14 +1,17 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from veiler.fsm import Automaton, as_label, word
 from veiler.observer import (
+    OpacityVerdict,
     build_observer,
     check_current_state_opacity,
     project,
 )
-from veiler.oracle import random_nfa
+from veiler.oracle import random_dfa, random_nfa
 
 
 @pytest.fixture
@@ -130,3 +133,83 @@ class TestOpacity:
         verdict = check_current_state_opacity(g, ["a"])
         assert not verdict.opaque
         assert verdict.witness_observation == ()
+
+    def test_a_system_without_initial_states_is_opaque(self):
+        # Its only estimate is empty; a violation needs a nonempty one.
+        g = Automaton.nfa([0, 1], ["a"], {(0, "a"): [1]}, initial=[], secret=[0, 1])
+        verdict = check_current_state_opacity(g, ["a"])
+        assert verdict == OpacityVerdict(True, frozenset(), None)
+        observer = build_observer(g, ["a"])
+        assert {x.estimate for x in observer.states} == {frozenset()}
+        assert observer.secret == frozenset()
+
+    def test_matches_a_naive_powerset_search(self):
+        kinds = dict(multi_initial=0, no_initial=0, secret_start=0, idle_label=0, long_witness=0)
+        for seed in range(400):
+            n, observable = _random_system(seed)
+            verdict = check_current_state_opacity(n, observable)
+            opaque, violating, witness = _naive_opacity(n, observable)
+            assert verdict.opaque == opaque, seed
+            assert {x.estimate for x in verdict.violating_estimates} == violating, seed
+            assert verdict.witness_observation == witness, seed
+            observer = build_observer(n, observable)
+            assert {x.estimate for x in observer.secret} == violating, seed
+            kinds["multi_initial"] += len(n.initial) > 1
+            kinds["no_initial"] += not n.initial
+            kinds["secret_start"] += witness == ()
+            kinds["idle_label"] += as_label("z") in observable
+            kinds["long_witness"] += witness is not None and len(witness) >= 2
+        assert min(kinds.values()) >= 10, kinds
+
+
+def _random_system(seed):
+    """A random NFA or DFA of 2-12 states, a random observable subset of its
+    labels, and sometimes an observable label z that no state can take."""
+    rng = random.Random(seed)
+    size = rng.randrange(2, 13)
+    if seed % 2:
+        g = random_nfa(seed, n_states=min(size, 8), trans_density=rng.choice((0.2, 0.4)),
+                       secret_density=rng.choice((0.3, 0.6)))
+        initial = frozenset(x for x in g.states if rng.random() < 0.3)
+    else:
+        g = random_dfa(seed, size, trans_density=rng.choice((0.3, 0.6)),
+                       secret_density=rng.choice((0.3, 0.7)), live=rng.random() < 0.5)
+        initial = g.initial
+    events = set(g.events)
+    if rng.random() < 0.3:
+        events.add(as_label("z"))
+    n = Automaton(g.states, frozenset(events), g.transitions, initial, g.secret)
+    observable = [e for e in sorted(events) if rng.random() < 0.6]
+    return n, observable
+
+
+def _naive_opacity(n, observable):
+    """Opacity by a level-by-level search over frozenset estimates.
+
+    Each level maps the estimates first reached at its depth to their least
+    observation; the witness is the least observation of an all-secret
+    estimate on the first level that has one.
+    """
+    labels = sorted(as_label(e) for e in observable)
+
+    def closed(states):
+        return frozenset(_silent_closure(n, states, labels))
+
+    level = {closed(n.initial): ()}
+    seen = set(level)
+    violating, witness = set(), None
+    while level:
+        secret = {est: s for est, s in level.items() if est and est <= n.secret}
+        violating |= set(secret)
+        if secret and witness is None:
+            witness = min(secret.values())
+        following: dict = {}
+        for est, s in level.items():
+            for e in labels:
+                moved = {y for x in est for y in n.step(x, e)}
+                nxt = closed(moved) if moved else None
+                if nxt is not None and nxt not in seen:
+                    following[nxt] = min(following.get(nxt, s + (e,)), s + (e,))
+        seen |= set(following)
+        level = following
+    return not violating, violating, witness
