@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Hashable, Iterable, Mapping, Sequence
+from typing import Hashable, Iterable, Mapping, NamedTuple, Sequence
 
 State = Hashable
 
@@ -36,14 +36,13 @@ _SUFFIXES_BY_LENGTH = sorted(
 )
 
 
-@dataclass(frozen=True, order=True)
-class EventLabel:
+class EventLabel(NamedTuple):
     """An event symbol plus the tag saying whether it is real or inserted.
 
-    Ordering is (symbol, tag) so canonical iteration is stable.  Two labels
-    look identical to an outside observer iff their symbols match; the tag
-    only matters to the machinery that distinguishes real from fictitious
-    output.
+    A (symbol, tag) tuple, so hashing, equality and ordering run in C and a
+    label equals its plain tuple.  Two labels look identical to an outside
+    observer iff their symbols match; the tag only matters to the machinery
+    that distinguishes real from fictitious output.
     """
 
     symbol: str
@@ -65,6 +64,11 @@ def as_label(e: str | EventLabel) -> EventLabel:
     if isinstance(e, EventLabel):
         return e
     return EventLabel(e)
+
+
+def _labels(transitions: Iterable[tuple[State, str | EventLabel]]) -> dict:
+    """Each distinct symbol or label of the (state, event) keys, mapped to its label."""
+    return {e: as_label(e) for e in {e for _, e in transitions}}
 
 
 def word(text: str) -> tuple[EventLabel, ...]:
@@ -161,9 +165,8 @@ class Automaton:
         secret: Iterable[State] = (),
     ) -> Automaton:
         """Build a deterministic automaton from single-successor transitions."""
-        trans = {
-            (x, as_label(e)): frozenset({y}) for (x, e), y in transitions.items()
-        }
+        label = _labels(transitions)
+        trans = {(x, label[e]): frozenset({y}) for (x, e), y in transitions.items()}
         return cls(
             frozenset(states),
             frozenset(as_label(e) for e in events),
@@ -182,11 +185,12 @@ class Automaton:
         secret: Iterable[State] = (),
     ) -> Automaton:
         """Build a possibly nondeterministic automaton."""
+        label = _labels(transitions)
         trans: dict[tuple[State, EventLabel], frozenset] = {}
         for (x, e), ys in transitions.items():
             targets = frozenset(ys)
             if targets:
-                trans[(x, as_label(e))] = targets
+                trans[(x, label[e])] = targets
         return cls(
             frozenset(states),
             frozenset(as_label(e) for e in events),

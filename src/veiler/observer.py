@@ -65,11 +65,10 @@ def _search(n: Automaton, observable: Iterable[str | EventLabel]) -> tuple:
     order = sorted_states(n.states)
     ids = {x: i for i, x in enumerate(order)}
     labels = sorted_labels(obs)
-    # Keyed by (symbol, tag): EventLabel's own hash and equality run in Python.
-    index = {(e.symbol, e.tag): k for k, e in enumerate(labels)}
+    index = {e: k for k, e in enumerate(labels)}
     hidden, moves = [0] * len(order), [[] for _ in order]
     for (x, e), targets in n.transitions.items():
-        k = index.get((e.symbol, e.tag))
+        k = index.get(e)
         if k is None:
             hidden[ids[x]] |= sum(1 << ids[y] for y in targets)
         else:

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .fsm import Automaton, State, sorted_states, state_display
+from .fsm import Automaton, EventLabel, State, sorted_states, state_display
 
 
 class ParseError(ValueError):
@@ -57,31 +57,33 @@ def _declare(lineno: int, kind: str, tokens: list[str], names: list) -> set:
 
 
 _SECTION_ORDER = ["automaton", "events", "unobservable", "states", "initial", "secret", "trans", "end"]
+_RANK = {keyword: rank for rank, keyword in enumerate(_SECTION_ORDER)}
 _REQUIRED = {"automaton", "events", "states", "initial", "end"}
 
 
 def parse_document(text: str) -> AutomatonDocument:
     name = ""
-    events: list[str] = []
-    event_set: set = set()
+    labels: dict[str, EventLabel] = {}
     unobservable: list[str] = []
     states: list[State] = []
     state_set: set = set()
     initial: list[State] = []
     secret: list[State] = []
-    trans: list[tuple[State, str, State, int]] = []
+    table: dict[tuple[State, EventLabel], set] = {}
     seen: dict[str, int] = {}
+    top = -1  # rank of the highest section seen so far
     ended = False
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+    lines = text.splitlines()
+    for lineno, raw in enumerate(lines, start=1):
+        tokens = raw.split("#", 1)[0].split()
+        if not tokens:
             continue
-        tokens = line.split()
         keyword, args = tokens[0], tokens[1:]
         if ended:
             raise ParseError(lineno, "text after end")
-        if keyword not in _SECTION_ORDER:
+        rank = _RANK.get(keyword)
+        if rank is None:
             raise ParseError(lineno, f"unknown declaration {keyword!r}")
         if keyword != "trans":
             if keyword in seen:
@@ -89,30 +91,12 @@ def parse_document(text: str) -> AutomatonDocument:
             seen[keyword] = lineno
         elif "trans" not in seen:
             seen["trans"] = lineno
-        later = _SECTION_ORDER[_SECTION_ORDER.index(keyword) + 1 :]
-        out_of_order = [k for k in later if k in seen and seen[k] < lineno]
-        if out_of_order:
-            raise ParseError(
-                lineno, f"{keyword} must come before {out_of_order[0]}"
-            )
+        if rank < top:
+            later = next(k for k in _SECTION_ORDER[rank + 1 :] if k in seen)
+            raise ParseError(lineno, f"{keyword} must come before {later}")
+        top = rank
 
-        if keyword == "automaton":
-            if len(args) != 1:
-                raise ParseError(lineno, "automaton takes exactly one name")
-            name = args[0]
-        elif keyword == "events":
-            events = args
-            event_set = _declare(lineno, "event", args, events)
-        elif keyword == "unobservable":
-            unobservable = args
-        elif keyword == "states":
-            states = [_state_token(t) for t in args]
-            state_set = _declare(lineno, "state", args, states)
-        elif keyword == "initial":
-            initial = [_state_token(t) for t in args]
-        elif keyword == "secret":
-            secret = [_state_token(t) for t in args]
-        elif keyword == "trans":
+        if keyword == "trans":
             if "initial" not in seen:
                 raise ParseError(lineno, "trans must come after initial")
             if len(args) != 3:
@@ -122,31 +106,50 @@ def parse_document(text: str) -> AutomatonDocument:
                 raise ParseError(lineno, f"undeclared state {args[0]!r}")
             if dst not in state_set:
                 raise ParseError(lineno, f"undeclared state {args[2]!r}")
-            if sym not in event_set:
+            label = labels.get(sym)
+            if label is None:
                 raise ParseError(lineno, f"undeclared event {sym!r}")
-            trans.append((src, sym, dst, lineno))
-        elif keyword == "end":
+            table.setdefault((src, label), set()).add(dst)
+        elif keyword == "automaton":
+            if len(args) != 1:
+                raise ParseError(lineno, "automaton takes exactly one name")
+            name = args[0]
+        elif keyword == "events":
+            _declare(lineno, "event", args, args)
+            labels = {sym: EventLabel(sym) for sym in args}
+        elif keyword == "unobservable":
+            unobservable = args
+        elif keyword == "states":
+            states = [_state_token(t) for t in args]
+            state_set = _declare(lineno, "state", args, states)
+        elif keyword == "initial":
+            initial = [_state_token(t) for t in args]
+        elif keyword == "secret":
+            secret = [_state_token(t) for t in args]
+        else:  # end
             ended = True
 
-    last_line = len(text.splitlines())
     missing = [k for k in _SECTION_ORDER if k in _REQUIRED and k not in seen]
     if missing:
-        raise ParseError(last_line or 1, f"missing {missing[0]} section")
+        raise ParseError(len(lines) or 1, f"missing {missing[0]} section")
 
-    for group, label in ((initial, "initial"), (secret, "secret")):
+    for group, section in ((initial, "initial"), (secret, "secret")):
         for x in group:
             if x not in state_set:
                 raise ParseError(
-                    seen[label], f"undeclared state {state_display(x)!r}"
+                    seen[section], f"undeclared state {state_display(x)!r}"
                 )
     for sym in unobservable:
-        if sym not in event_set:
+        if sym not in labels:
             raise ParseError(seen["unobservable"], f"undeclared event {sym!r}")
 
-    table: dict[tuple[State, str], set] = {}
-    for src, sym, dst, _ in trans:
-        table.setdefault((src, sym), set()).add(dst)
-    automaton = Automaton.nfa(states, events, table, initial, secret)
+    automaton = Automaton(
+        frozenset(states),
+        frozenset(labels.values()),
+        {key: frozenset(targets) for key, targets in table.items()},
+        frozenset(initial),
+        frozenset(secret),
+    )
     return AutomatonDocument(name, automaton, frozenset(unobservable))
 
 

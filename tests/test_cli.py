@@ -37,7 +37,7 @@ from veiler.constrained import (
     check_eic_enforceable,
 )
 from veiler.dot import emit_dot
-from veiler.fsm import Automaton
+from veiler.fsm import Automaton, EventLabel
 from veiler.insertion import (
     IndicatorState,
     _PairKernel,
@@ -790,6 +790,24 @@ class TestDecisionPath:
             assert len(payload["violating_estimates"]) == violating
             assert len(estimates) == violating
             assert len(validated) == 1
+
+    def test_parsing_makes_one_label_per_declared_event(self, monkeypatch):
+        # 3 events and 1015 transitions: the table is keyed by the
+        # declared events' own labels.
+        g = random_dfa(1, 500, live=True)
+        text = emit_automaton(g, "big")
+        built = []
+        new = EventLabel.__new__
+
+        def counted(cls, *args, **kwargs):
+            built.append(args)
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(EventLabel, "__new__", staticmethod(counted))
+        a = parse_document(text).automaton
+        assert len(a.transitions) == 1015 and len(a.events) == 3
+        assert sorted(built) == [("a",), ("b",), ("c",)]
+        assert a == g
 
     def test_every_traced_name_resolves(self, monkeypatch):
         # perfbench/run.py --trace 1 wraps these names by module; a rename or

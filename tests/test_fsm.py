@@ -57,6 +57,28 @@ class TestEventLabel:
         assert not label.as_actual().inserted
         assert label.inserted
 
+    def test_a_label_is_its_symbol_tag_tuple(self):
+        for label in word("a b_i a_bi c_ai"):
+            plain = (label.symbol, label.tag)
+            assert label == plain and hash(label) == hash(plain)
+            assert {plain: 1}[label] == 1
+        assert as_label("a") == ("a", 0) != ("a", 1)
+
+    def test_labels_sort_by_symbol_then_tag(self):
+        labels = list(word("b a_ai a_i b_bi a"))
+        random.Random(0).shuffle(labels)
+        assert [e.display() for e in sorted(labels)] == ["a", "a_i", "a_ai", "b", "b_bi"]
+        assert sorted(labels) == sorted((e.symbol, e.tag) for e in labels)
+
+    def test_repr_names_the_fields(self):
+        assert repr(word("a_i")[0]) == "EventLabel(symbol='a', tag=<Tag.INSERTED: 1>)"
+
+    def test_fields_are_read_only(self):
+        label = as_label("a")
+        for name in ("symbol", "tag"):
+            with pytest.raises(AttributeError):
+                setattr(label, name, "b")
+
 
 class TestRun:
     """Transition-function walks."""
