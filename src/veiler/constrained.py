@@ -10,13 +10,13 @@ next output has begun, which is exactly the constraint semantics.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import IntEnum
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .fsm import (
     Automaton,
     EventLabel,
+    FrozenValue,
     State,
     Tag,
     sorted_labels,
@@ -35,8 +35,7 @@ from .insertion import (
 )
 
 
-@dataclass(frozen=True)
-class InsertionConstraints:
+class InsertionConstraints(NamedTuple):
     """Which symbols may be inserted before and after a real output."""
 
     before: frozenset
@@ -70,14 +69,14 @@ _DECORATION_SUFFIX = {
 }
 
 
-@dataclass(frozen=True)
-class DecoratedState:
+class DecoratedState(FrozenValue):
     """A system state carrying an insertion-phase decoration.
 
     Plain states are represented by the bare state itself, so an automaton
     built with no insertion capability collapses back to the original.
     """
 
+    __slots__ = _fields = ("base", "decoration")
     base: State
     decoration: Decoration
 

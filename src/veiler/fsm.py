@@ -7,8 +7,8 @@ partial: a missing (state, label) entry means the move is undefined.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import IntEnum
+from operator import attrgetter
 from typing import Hashable, Iterable, Mapping, NamedTuple, Sequence
 
 State = Hashable
@@ -111,11 +111,54 @@ def sorted_labels(labels: Iterable[EventLabel]) -> list[EventLabel]:
     return sorted(labels)
 
 
+class FrozenValue:
+    """Base of the immutable values that are not tuples: ``_fields`` names
+    their fields, in constructor order.
+
+    Like a frozen dataclass, and unlike a named tuple, a value equals only a
+    value of its own class, so a composite state never equals a plain tuple
+    state.  It hashes like its field tuple, refuses assignment, and pickles
+    and copies through its constructor.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        get = attrgetter(*cls._fields)  # one name gives the value, not a 1-tuple
+        cls._values = property(get if len(cls._fields) > 1 else lambda self: (get(self),))
+
+    def __init__(self, *values) -> None:
+        if len(values) != len(self._fields):
+            raise TypeError(f"{type(self).__name__} takes {len(self._fields)} fields")
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values == other._values
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self._fields, self._values))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._values
+
+
 _EMPTY: frozenset = frozenset()
 
 
-@dataclass(frozen=True)
-class Automaton:
+class Automaton(FrozenValue):
     """A finite automaton with a possibly partial transition relation.
 
     ``transitions`` maps (state, label) to the nonempty set of successors; a
@@ -125,13 +168,18 @@ class Automaton:
     is read off the data: one initial state and single-successor moves.
     """
 
+    _fields = ("states", "events", "transitions", "initial", "secret")
     states: frozenset
     events: frozenset
     transitions: Mapping[tuple[State, EventLabel], frozenset]
     initial: frozenset
-    secret: frozenset = frozenset()
+    secret: frozenset
 
     __hash__ = None  # type: ignore[assignment]  # unhashable: transitions is a dict
+
+    def __init__(self, states, events, transitions, initial, secret=_EMPTY) -> None:
+        super().__init__(states, events, transitions, initial, secret)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if not self.initial <= self.states:
@@ -266,8 +314,7 @@ class Automaton:
         )
 
 
-@dataclass(frozen=True)
-class SccPartition:
+class SccPartition(NamedTuple):
     """Partition of a node set into strongly connected components."""
 
     components: tuple[frozenset, ...]

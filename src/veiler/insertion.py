@@ -11,12 +11,12 @@ system is in; the actual component is where the system really is.  Dashed
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .fsm import (
     Automaton,
     EventLabel,
+    FrozenValue,
     State,
     Tag,
     _tarjan,
@@ -54,10 +54,10 @@ def build_insertion_automaton(g: Automaton) -> Automaton:
     )
 
 
-@dataclass(frozen=True)
-class IndicatorState:
+class IndicatorState(FrozenValue):
     """A (dummy, actual) pair: believed state versus true state."""
 
+    __slots__ = _fields = ("dummy", "actual")
     dummy: State
     actual: State
 
@@ -504,8 +504,7 @@ def build_indicator(g: Automaton, gf: Automaton) -> Automaton:
     return kernel.automaton(kernel.search())
 
 
-@dataclass(frozen=True)
-class SubspacePartition:
+class SubspacePartition(NamedTuple):
     """Indicator states grouped by actual component, then by inserted-edge SCC."""
 
     first_level: Mapping[State, frozenset]
@@ -665,8 +664,7 @@ def admissible_states(
     return frozenset(pair for pair in snb if pair.dummy not in secret)
 
 
-@dataclass(frozen=True)
-class EnforcementReport:
+class EnforcementReport(NamedTuple):
     """The verdict of ``check_ei_enforceable`` or ``check_eic_enforceable``.
 
     ``staying_nonblocking`` is a set of pairs, or under constraints a

@@ -12,12 +12,13 @@ label order.  ``build_observer`` materialises the same search.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from operator import or_
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from .fsm import Automaton, EventLabel, as_label, sorted_labels, sorted_states, state_display
+from .fsm import (
+    Automaton, EventLabel, FrozenValue, as_label, sorted_labels, sorted_states, state_display,
+)
 
 
 def project(
@@ -28,18 +29,17 @@ def project(
     return tuple(label for label in (as_label(e) for e in s) if label in keep)
 
 
-@dataclass(frozen=True)
-class ObserverState:
+class ObserverState(FrozenValue):
     """A state estimate: the set of source states consistent with an observation."""
 
+    __slots__ = _fields = ("estimate",)
     estimate: frozenset
 
     def display(self) -> str:
         return "{" + ",".join(sorted(state_display(x) for x in self.estimate)) + "}"
 
 
-@dataclass(frozen=True)
-class OpacityVerdict:
+class OpacityVerdict(NamedTuple):
     opaque: bool
     violating_estimates: frozenset
     witness_observation: Optional[tuple[EventLabel, ...]]

@@ -10,17 +10,15 @@ constructions it is meant to check.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .constrained import InsertionConstraints
-from .fsm import Automaton, EventLabel, State, Tag, as_label
+from .fsm import Automaton, EventLabel, FrozenValue, State, Tag, as_label
 
 _ORACLE_STATE_LIMIT = 6
 
 
-@dataclass(frozen=True)
-class ExtendedInsertionSequence:
+class ExtendedInsertionSequence(FrozenValue):
     """Per-event inserted segments: symbols inserted before and after each output.
 
     The modified observation interleaves them as
@@ -30,11 +28,13 @@ class ExtendedInsertionSequence:
     and the labels are tagged accordingly.
     """
 
+    __slots__ = _fields = ("before", "after", "constraints")
     before: tuple[tuple[str, ...], ...]
     after: tuple[tuple[str, ...], ...]
-    constraints: Optional[InsertionConstraints] = None
+    constraints: Optional[InsertionConstraints]
 
-    def __post_init__(self) -> None:
+    def __init__(self, before, after, constraints=None) -> None:
+        super().__init__(before, after, constraints)
         if len(self.before) != len(self.after):
             raise ValueError("before- and after-segment counts must match")
         if self.constraints is not None:
@@ -343,15 +343,13 @@ def random_dfa(
     states = list(range(n_states))
     symbols = [chr(ord("a") + i) for i in range(n_events)]
     transitions: dict = {}
+    # Unused (source, symbol) slots with source < x, in (source, symbol)
+    # order, so no earlier spanning edge is overwritten.
+    free: list = []
     for x in states[1:]:
-        # pick an unused slot so no earlier spanning edge is overwritten
-        free = [
-            (src, sym)
-            for src in range(x)
-            for sym in symbols
-            if (src, sym) not in transitions
-        ]
-        transitions[rng.choice(free)] = x
+        free.extend((x - 1, sym) for sym in symbols)
+        # choice() over the indices draws exactly what choice(free) would.
+        transitions[free.pop(rng.choice(range(len(free))))] = x
     for x in states:
         for sym in symbols:
             if (x, sym) not in transitions and rng.random() < trans_density:

@@ -19,8 +19,7 @@ hand line up with programmatically built fixtures.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .fsm import Automaton, EventLabel, State, sorted_states, state_display
 
@@ -33,8 +32,7 @@ class ParseError(ValueError):
         self.line = line
 
 
-@dataclass(frozen=True)
-class AutomatonDocument:
+class AutomatonDocument(NamedTuple):
     """A parsed file: the automaton plus file-level declarations."""
 
     name: str

@@ -1,7 +1,8 @@
 from __future__ import annotations
 
+import copy
+import pickle
 import random
-from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +18,11 @@ from veiler.fsm import (
     strongly_connected_components,
     word,
 )
-from veiler.oracle import random_dfa
+from veiler.constrained import DecoratedState, Decoration, InsertionConstraints
+from veiler.insertion import IndicatorState, SubspacePartition
+from veiler.observer import ObserverState, OpacityVerdict
+from veiler.oracle import ExtendedInsertionSequence, random_dfa
+from veiler.textio import AutomatonDocument
 
 
 class TestEventLabel:
@@ -142,6 +147,100 @@ class TestAccessiblePart:
         assert once.accessible_part() == once
 
 
+class TestValueTypes:
+    """The composite states and the insertion sequence behave as the frozen
+    dataclasses they replaced: equal only within their own class, hashed
+    like their field tuple, read-only, and pickled and copied whole."""
+
+    C = InsertionConstraints.of("a", "")
+    VALUES = [
+        (IndicatorState(0, (1, "a")), (0, (1, "a")),
+         "IndicatorState(dummy=0, actual=(1, 'a'))"),
+        (DecoratedState(0, Decoration.A), (0, Decoration.A),
+         "DecoratedState(base=0, decoration=<Decoration.A: 1>)"),
+        (ObserverState(frozenset({1, 2})), (frozenset({1, 2}),),
+         "ObserverState(estimate=frozenset({1, 2}))"),
+        (ExtendedInsertionSequence((("a",),), ((),), C), ((("a",),), ((),), C),
+         "ExtendedInsertionSequence(before=(('a',),), after=((),), constraints="
+         "InsertionConstraints(before=frozenset({'a'}), after=frozenset()))"),
+    ]
+    IDS = [type(value).__name__ for value, _, _ in VALUES]
+
+    @pytest.mark.parametrize("value, fields, text", VALUES, ids=IDS)
+    def test_equal_only_within_the_class(self, value, fields, text):
+        twin = type(value)(*fields)
+        assert twin == value and not twin != value and twin is not value
+        assert value != fields and fields != value
+        assert {fields: 1}.get(value) is None
+        others = [v for v, _, _ in self.VALUES if type(v) is not type(value)]
+        assert all(value != other for other in others)
+
+    def test_a_decorated_state_never_equals_a_plain_tuple_state(self):
+        # DecoratedState shares automata with the plain states of g.
+        assert DecoratedState(0, Decoration.A) != (0, 1)
+        assert IndicatorState(0, 1) != (0, 1) and ObserverState(1) != (1,)
+        assert len({(0, 1), DecoratedState(0, Decoration.A), IndicatorState(0, 1)}) == 3
+
+    @pytest.mark.parametrize("value, fields, text", VALUES, ids=IDS)
+    def test_hash_and_repr_are_the_dataclass_ones(self, value, fields, text):
+        # Hashing like the field tuple keeps set iteration orders unchanged.
+        assert hash(value) == hash(fields)
+        assert repr(value) == text
+
+    @pytest.mark.parametrize("value, fields, text", VALUES, ids=IDS)
+    def test_fields_are_read_only(self, value, fields, text):
+        for name in value._fields:
+            with pytest.raises(AttributeError):
+                setattr(value, name, None)
+            with pytest.raises(AttributeError):
+                delattr(value, name)
+        with pytest.raises(AttributeError):
+            value.extra = None
+        assert value == type(value)(*fields)
+
+    @pytest.mark.parametrize("value, fields, text", VALUES, ids=IDS)
+    def test_pickle_and_copy_round_trip(self, value, fields, text):
+        for twin in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
+            assert type(twin) is type(value) and twin == value
+            assert hash(twin) == hash(value) and repr(twin) == text
+
+    def test_the_constructor_checks_its_arguments(self):
+        with pytest.raises(TypeError):
+            IndicatorState(0)
+        with pytest.raises(ValueError):
+            ExtendedInsertionSequence((("a",),), ())
+        with pytest.raises(ValueError):
+            ExtendedInsertionSequence((("b",),), ((),), self.C)
+
+    def test_an_automaton_is_a_frozen_unhashable_value(self, g1):
+        twin = pickle.loads(pickle.dumps(g1))
+        assert twin == g1 and twin.deterministic and copy.deepcopy(g1) == g1
+        assert g1 != tuple(getattr(g1, name) for name in g1._fields)
+        assert repr(Automaton.dfa([0, 1], ["a"], {(0, "a"): 1}, 0, [1])) == (
+            "Automaton(states=frozenset({0, 1}), events=frozenset({EventLabel(symbol='a', "
+            "tag=<Tag.ACTUAL: 0>)}), transitions={(0, EventLabel(symbol='a', "
+            "tag=<Tag.ACTUAL: 0>)): frozenset({1})}, initial=frozenset({0}), "
+            "secret=frozenset({1}))"
+        )
+        with pytest.raises(AttributeError):
+            g1.states = frozenset()
+        with pytest.raises(TypeError):
+            hash(g1)
+
+    def test_records_are_named_tuples(self, g1):
+        # Records that are never states equal their field tuples.
+        records = [
+            (InsertionConstraints.of("a", "b"), (frozenset("a"), frozenset("b"))),
+            (OpacityVerdict(True, frozenset(), None), (True, frozenset(), None)),
+            (SubspacePartition({}, {}), ({}, {})),
+            (AutomatonDocument("g1", g1, frozenset()), ("g1", g1, frozenset())),
+        ]
+        for record, fields in records:
+            assert record == fields and tuple(record) == fields
+            with pytest.raises(AttributeError):
+                setattr(record, record._fields[0], None)
+
+
 class TestConstruction:
     """Validation in the dataclass constructors."""
 
@@ -160,10 +259,19 @@ class TestConstruction:
         # Determinism is no field, so it is not in the constructor or __eq__:
         # equal data build equal automata, however they are built.  Automata
         # are unhashable by declaration, since the transitions are a dict.
-        assert "deterministic" not in {f.name for f in fields(Automaton)}
+        fields = (g1.states, g1.events, dict(g1.transitions), g1.initial, g1.secret)
+        with pytest.raises(TypeError):
+            Automaton(*fields, deterministic=True)
+        with pytest.raises(TypeError):
+            Automaton(*fields, True)
         assert Automaton.__hash__ is None
-        direct = Automaton(g1.states, g1.events, dict(g1.transitions), g1.initial, g1.secret)
+        direct = Automaton(*fields)
         assert direct == g1 and direct.deterministic
+        by_nfa = Automaton.nfa(
+            g1.states, g1.events, {key: set(ys) for key, ys in g1.transitions.items()},
+            g1.initial, g1.secret,
+        )
+        assert by_nfa == g1 == g1.accessible_part()
         a = frozenset({as_label("a")})
         twostart = Automaton(frozenset({0, 1}), a, {}, frozenset({0, 1}))
         assert not twostart.deterministic

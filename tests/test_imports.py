@@ -1,5 +1,6 @@
 """Every name a ``veiler`` module imports is used in that module, and every
-private name a module defines is used somewhere in the package.
+private name a module defines is used somewhere in the package; importing
+the CLI loads no introspection machinery.
 
 No linter ships with the project, so this is its unused-import and
 dead-code check.  A name counts as used when a module reads it anywhere,
@@ -10,11 +11,14 @@ single underscore; reading it as an attribute also counts as a use.
 from __future__ import annotations
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "veiler").glob("*.py"))
+SRC = Path(__file__).resolve().parents[1] / "src"
+SOURCES = sorted((SRC / "veiler").glob("*.py"))
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -112,3 +116,17 @@ def test_the_check_sees_dead_and_live_private_names():
     assert _dead_private_names(sources) == [
         "a.py line 2: _unused", "a.py line 5: _orphan",
     ]
+
+
+def test_importing_the_cli_loads_no_introspection_machinery():
+    # dataclasses pulls in inspect, dis, ast and tokenize: most of the time
+    # an isolated interpreter spends importing the CLI before they left.
+    probe = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import veiler, veiler.cli; "
+        "print(' '.join(m for m in ('dataclasses', 'inspect') if m in sys.modules))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-I", "-c", probe, str(SRC)],
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert done.stdout.split() == []

@@ -19,6 +19,42 @@ from veiler.oracle import (
 )
 
 
+def _reference_random_dfa(
+    seed: int,
+    n_states: int = 4,
+    n_events: int = 3,
+    trans_density: float = 0.5,
+    secret_density: float = 0.3,
+    live: bool = False,
+) -> Automaton:
+    """``random_dfa`` as it was before its spanning phase kept the free slots
+    incrementally: it rebuilds the list of free slots for every state."""
+    rng = random.Random(seed)
+    states = list(range(n_states))
+    symbols = [chr(ord("a") + i) for i in range(n_events)]
+    transitions: dict = {}
+    for x in states[1:]:
+        # pick an unused slot so no earlier spanning edge is overwritten
+        free = [
+            (src, sym)
+            for src in range(x)
+            for sym in symbols
+            if (src, sym) not in transitions
+        ]
+        transitions[rng.choice(free)] = x
+    for x in states:
+        for sym in symbols:
+            if (x, sym) not in transitions and rng.random() < trans_density:
+                transitions[(x, sym)] = rng.randrange(n_states)
+    if live:
+        with_out = {x for (x, _) in transitions}
+        for x in states:
+            if x not in with_out:
+                transitions[(x, rng.choice(symbols))] = rng.randrange(n_states)
+    secret = [x for x in states if rng.random() < secret_density]
+    return Automaton.dfa(states, symbols, transitions, 0, secret)
+
+
 def _random_observation(g: Automaton, rng: random.Random, max_len: int = 4):
     (x,) = g.initial
     out = []
@@ -215,6 +251,21 @@ class TestRandomGenerators:
         for seed in range(30):
             g = random_nfa(seed)
             assert g.accessible_part().states == g.states
+
+    def test_random_dfa_draws_what_the_quadratic_reference_draws(self):
+        # The secret set is drawn last, so equal automata mean equal draws
+        # throughout.
+        rng = random.Random(0)
+        for trial in range(80):
+            args = (
+                rng.randrange(1000),
+                rng.choice([1, 2, 3, 5, 17, 64, 120, 300]) if trial % 4 else rng.randrange(1, 300),
+                rng.randrange(1, 5),
+                rng.choice([0.0, 0.1, 0.5, 0.9, 1.0]),
+                rng.random(),
+                rng.random() < 0.5,
+            )
+            assert random_dfa(*args) == _reference_random_dfa(*args), args
 
     def test_generators_are_reproducible(self):
         assert random_dfa(7) == random_dfa(7)
