@@ -27,9 +27,11 @@ from .insertion import (
     IndicatorState,
     _Decision,
     _PairKernel,
+    _closure,
     _greatest_fixpoint,
     _report,
     _restrict,
+    _verifier,
     _walk,
     admissible_states,
 )
@@ -306,16 +308,16 @@ def _decide_eic(g: Automaton, c: InsertionConstraints) -> _Decision:
     """The decision of ``check_eic_enforceable``, on bitmasks.
 
     The reachable pairs are the kernel's forward closure, and the verifier
-    the accessible part of what dead-end pruning keeps of them.  The
-    staying pairs are the reachable resting pairs the relay game keeps:
-    plain (type 1) or in the after-phase (type 2), both relay the next
-    output after a before-walk.  Pruning only names the paper's verifier.
+    what ``_verifier`` keeps of them, pruning single pairs as EI prunes its
+    dashed components.  The staying pairs are the reachable resting pairs
+    the relay game keeps: plain (type 1) or in the after-phase (type 2),
+    both relay the next output after a before-walk.  Pruning only names the
+    paper's verifier.
     """
     kernel = _EicKernel(g, c)
-    n = kernel.n
-    reachable = kernel.closure()
-    kept = kernel.trim(reachable)
-    verifier = reachable if kept is reachable else kernel.closure(kept)
+    n, relations = kernel.n, kernel.relations()
+    reachable = _closure(relations, kernel.start)
+    verifier = _verifier(relations, kernel.start, reachable)
     win = kernel.relay_game(kernel.before, kernel.relays(kernel.before, kernel.after))
     staying = [mask & win[a % n] if a < 2 * n else 0 for a, mask in enumerate(reachable)]
     return kernel.decide(reachable, verifier, staying)

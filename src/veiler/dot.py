@@ -39,7 +39,7 @@ def _digraph(
     """
     lines = [f"digraph {_quote(name)} {{", "  rankdir=LR;", '  node [shape=circle];']
     lines.append('  __start [shape=point, label=""];')
-    width = len(labels)
+    width = len(labels) or 1  # ranks are divided by it, also with no label
     quoted: list[str] = []  # per name
     groups: list[list] = []  # per name, its nodes as (fill, node) pairs
     rank: dict = {}  # per node, the rank of its name times ``width``

@@ -89,6 +89,125 @@ def _apply(tables: list[list[int]], mask: int) -> int:
     return image
 
 
+def _union(mask: int, parts: Sequence[int]) -> int:
+    """The union of ``parts[i]`` over the set bits i of ``mask``."""
+    union = 0
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        union |= parts[low.bit_length() - 1]
+    return union
+
+
+# Moves as relations on dummies: one bitmask of targets per dummy for every
+# relation, the chunked image tables of each, filled by the first
+# ``_closure``, and the moves of every actual state as (relation, target
+# actual state).  A pair is the id ``d*width + a``, width being the number
+# of actual states.
+_Relations = tuple[list[list[int]], list[list[list[int]]], list[list[tuple[int, int]]]]
+
+
+def _closure(relations: _Relations, start: int, within: Sequence[int] | None = None) -> list[int]:
+    """The pairs reachable from the pair ``start``, as one bitmask of
+    dummies per actual state; only through the pairs of ``within`` when
+    given, and none if ``start`` is not among them.
+
+    A worklist passes on each actual state's new dummies only.  The pairs
+    outside ``within`` count as found from the start.
+    """
+    succ, images, arcs = relations
+    if not images:
+        images += map(_tables, succ)
+    width, full = len(arcs), (1 << len(succ[0])) - 1
+    found = [full & ~mask for mask in within] if within is not None else [0] * width
+    new = [0] * width
+    d, a = divmod(start, width)
+    if found[a] >> d & 1:
+        return [0] * width
+    found[a] |= 1 << d
+    new[a] = 1 << d
+    stack = [a]
+    while stack:
+        a = stack.pop()
+        fresh, new[a] = new[a], 0
+        for r, t in arcs[a]:
+            # A single lookup while the new dummies fit in the first chunk.
+            image = images[r][0][fresh] if fresh < 256 else _apply(images[r], fresh)
+            mask = image & ~found[t]
+            if mask:
+                if not new[t]:
+                    stack.append(t)
+                new[t] |= mask
+                found[t] |= mask
+    if within is not None:
+        return [mask & keep for mask, keep in zip(found, within)]
+    return found
+
+
+def _trim(relations: _Relations, reachable: list[int]) -> list[int]:
+    """The pairs of ``reachable`` that are not dead ends, as one bitmask of
+    dummies per actual state.
+
+    ``reachable`` is closed under moves.  A pair is a dead end when none of
+    its moves leads to a pair that is not, so (d, a) stays while d is in the
+    pre-image of the staying dummies at t of some move (r, t) of a.  Until
+    the dummies at t shrink, that pre-image is the relation's domain;
+    afterwards it is cached per (r, t), and only the sources of t are
+    re-tested.  With no pair lacking a move, this is ``reachable`` itself.
+    """
+    succ, _, arcs = relations
+    n, width = len(succ[0]), len(arcs)
+    pre = [[sum(1 << d for d, mask in enumerate(row) if mask)] * width for row in succ]
+    kept = reachable[:]
+    queue: set[int] = set()
+
+    def test(a: int) -> None:
+        live = 0
+        for r, t in arcs[a]:
+            live |= pre[r][t]
+        if kept[a] & ~live:
+            kept[a] &= live
+            queue.add(a)
+
+    for a, mask in enumerate(reachable):
+        if mask:
+            test(a)
+    if not queue:
+        return reachable
+    sources: list[list[int]] = [[] for _ in range(width)]
+    into: list[set[int]] = [set() for _ in range(width)]
+    for a, out in enumerate(arcs):
+        if kept[a]:
+            for r, t in out:
+                sources[t].append(a)
+                into[t].add(r)
+    preimages: dict[int, list[list[int]]] = {}
+    while queue:
+        t = queue.pop()
+        for r in into[t]:
+            if r not in preimages:
+                pred = [0] * n
+                for d, mask in enumerate(succ[r]):
+                    while mask:
+                        low = mask & -mask
+                        mask ^= low
+                        pred[low.bit_length() - 1] |= 1 << d
+                preimages[r] = _tables(pred)
+            pre[r][t] = _apply(preimages[r], kept[t])
+        for a in sources[t]:
+            if kept[a]:
+                test(a)
+    return kept
+
+
+def _verifier(relations: _Relations, start: int, reachable: list[int]) -> list[int]:
+    """The paper's verifier: the pairs of ``reachable`` that dead-end
+    pruning keeps and ``start`` still reaches through them.  This is
+    ``reachable`` itself when no pair falls."""
+    kept = _trim(relations, reachable)
+    return reachable if kept is reachable else _closure(relations, start, kept)
+
+
 class _PairKernel:
     """The indicator of a deterministic system on dense integer ids.
 
@@ -102,12 +221,13 @@ class _PairKernel:
     means forbidden.  Label index ``j*k + e`` over ``edge_labels`` names a
     move on e of kind j, kind 0 being solid.  Unconstrained insertion has
     one phase and one kind: every event, the phase unchanged.  ``moves`` is
-    the one enumeration of a pair's moves, for the library's search, EI's
-    pruning input, the DOT file and ``automaton``; ``relations`` holds the
-    same moves per actual state, for ``closure`` and ``trim``.  A set of
-    pairs is held as one bitmask of dummies per actual state, bit d of
-    entry a for the pair ``d*width + a``.  Pair objects are made only by
-    ``objects``, for library callers.
+    the one enumeration of a pair's moves, for the library's search, the
+    DOT file and ``automaton``; ``relations`` holds the same moves per
+    actual state, and ``condensed`` those of EI's dashed components, for
+    ``_closure``, ``_trim`` and ``_verifier``.  A set of pairs is held as
+    one bitmask of dummies per actual state, bit d of entry a for the pair
+    ``d*width + a``.  Pair objects are made only by ``objects``, for
+    library callers.
     """
 
     def __init__(self, g: Automaton) -> None:
@@ -143,7 +263,6 @@ class _PairKernel:
         width = self.width = phases * self.n
         self.kinds = kinds
         self.start = self.x0 * width + self.x0
-        self._relations: tuple | None = None
         self.solid = [[(e, y * width) for e, y in enumerate(row) if y >= 0] for row in self.delta]
         self.inserts = [
             (shift, [[(j * self.k + e, row[e] * width) for e in symbols if row[e] >= 0]
@@ -186,16 +305,12 @@ class _PairKernel:
                     stack.append(t)
         return targets
 
-    def relations(self) -> tuple[list[list[int]], list[list[list[int]]], list[list[tuple]]]:
-        """The pairs' moves as relations on dummies, one bitmask of targets
-        per dummy, with their chunked image tables and the moves of every
-        actual state as (relation, target actual state).
+    def relations(self) -> _Relations:
+        """The pairs' moves as relations on dummies.
 
         Relation e < k is the solid move on e; relation k + i is insertion
-        kind i + 1, on any event of its alphabet.  Made once per kernel.
+        kind i + 1, on any event of its alphabet.
         """
-        if self._relations is not None:
-            return self._relations
         n, k = self.n, self.k
         succ = [[1 << y if y >= 0 else 0 for y in column] for column in zip(*self.delta)]
         kinds = []
@@ -212,98 +327,35 @@ class _PairKernel:
             for a, b in enumerate(shift):
                 if b >= 0:
                     arcs[a].append((r, b))
-        self._relations = succ, [_tables(row) for row in succ], arcs
-        return self._relations
+        return succ, [], arcs
 
-    def closure(self, within: Sequence[int] | None = None) -> list[int]:
-        """The pairs reachable from the initial pair, as one bitmask of
-        dummies per actual state; only through the pairs of ``within``
-        when given, and none if the initial pair is not among them.
+    def condensed(self) -> _Relations:
+        """The moves of the unconstrained indicator's dashed components as
+        relations on the SCCs of g, the dummies here: the component
+        SCC_g(d) x {x} is the pair ``c*n + x`` for the SCC c of d.
 
-        A worklist passes on each actual state's new dummies only.  The
-        pairs outside ``within`` count as found from the start.
+        Relation e < k maps c to the SCCs of delta(d, e) for d in c, and
+        relation k, insertion, to those one move leaves c for: a dashed move
+        inside c is no escape.  Every system state x moves on (e, delta(x,
+        e)) and (k, x).
         """
-        width, full = self.width, (1 << self.n) - 1
-        _, images, arcs = self.relations()
-        found = [full & ~mask for mask in within] if within is not None else [0] * width
-        new = [0] * width
-        d, a = divmod(self.start, width)
-        if found[a] >> d & 1:
-            return [0] * width
-        found[a] |= 1 << d
-        new[a] = 1 << d
-        stack = [a]
-        while stack:
-            a = stack.pop()
-            fresh, new[a] = new[a], 0
-            for r, t in arcs[a]:
-                # A single lookup while the new dummies fit in the first chunk.
-                image = images[r][0][fresh] if fresh < 256 else _apply(images[r], fresh)
-                mask = image & ~found[t]
-                if mask:
-                    if not new[t]:
-                        stack.append(t)
-                    new[t] |= mask
-                    found[t] |= mask
-        if within is not None:
-            return [mask & keep for mask, keep in zip(found, within)]
-        return found
-
-    def trim(self, reachable: list[int]) -> list[int]:
-        """The pairs of ``reachable`` that are not dead ends, as one bitmask
-        of dummies per actual state.
-
-        ``reachable`` is closed under moves.  A pair is a dead end when none
-        of its moves leads to a pair that is not, so (d, a) stays while d
-        is in the pre-image of the staying dummies at t of some move (r, t)
-        of a.  Until the dummies at t shrink, that pre-image is the
-        relation's domain; afterwards it is cached per (r, t), and only the
-        sources of t are re-tested.  With no pair lacking a move, this is
-        ``reachable`` itself.
-        """
-        n, width = self.n, self.width
-        succ, _, arcs = self.relations()
-        pre = [[sum(1 << d for d, mask in enumerate(row) if mask)] * width for row in succ]
-        kept = reachable[:]
-        queue: set[int] = set()
-
-        def test(a: int) -> None:
-            live = 0
-            for r, t in arcs[a]:
-                live |= pre[r][t]
-            if kept[a] & ~live:
-                kept[a] &= live
-                queue.add(a)
-
-        for a, mask in enumerate(reachable):
-            if mask:
-                test(a)
-        if not queue:
-            return reachable
-        sources: list[list[int]] = [[] for _ in range(width)]
-        into: list[set[int]] = [set() for _ in range(width)]
-        for a, out in enumerate(arcs):
-            if kept[a]:
-                for r, t in out:
-                    sources[t].append(a)
-                    into[t].add(r)
-        preimages: dict[int, list[list[int]]] = {}
-        while queue:
-            t = queue.pop()
-            for r in into[t]:
-                if r not in preimages:
-                    pred = [0] * n
-                    for d, mask in enumerate(succ[r]):
-                        while mask:
-                            low = mask & -mask
-                            mask ^= low
-                            pred[low.bit_length() - 1] |= 1 << d
-                    preimages[r] = _tables(pred)
-                pre[r][t] = _apply(preimages[r], kept[t])
-            for a in sources[t]:
-                if kept[a]:
-                    test(a)
-        return kept
+        k = self.k
+        components, scc, _, _ = self._reach(range(k))
+        succ = [[0] * len(components) for _ in range(k + 1)]
+        escape = succ[k]
+        arcs = []
+        for x, row in enumerate(self.delta):
+            c = scc[x]
+            out = []
+            for e, y in enumerate(row):
+                if y >= 0:
+                    out.append((e, y))
+                    succ[e][c] |= 1 << scc[y]
+                    if scc[y] != c:
+                        escape[c] |= 1 << scc[y]
+            out.append((k, x))
+            arcs.append(out)
+        return succ, [], arcs
 
     def ids(self, masks: Sequence[int]) -> list[int]:
         """The pair ids of ``masks``, one bitmask of dummies per actual state, in increasing order."""
@@ -348,9 +400,10 @@ class _PairKernel:
             secret,
         )
 
-    def _reach(self, labels: Sequence[int]) -> tuple[list, list[int], list[int]]:
+    def _reach(self, labels: Sequence[int]) -> tuple[list, list[int], list[int], list[int]]:
         """The SCCs of g on the label ids ``labels``, successors first, the
-        SCC of every state, and every SCC's reach set as a bitmask.
+        SCC of every state, and every SCC's reach set and members as
+        bitmasks.
 
         A component comes after every component it reaches, so its reach set
         is its own states and theirs.  Each label set is solved once.
@@ -360,15 +413,17 @@ class _PairKernel:
             succ = [[row[e] for e in labels if row[e] >= 0] for row in self.delta]
             components, scc = _tarjan(succ)
             reach: list[int] = []
+            own: list[int] = []
             for c, members in enumerate(components):
-                mask = 0
+                mine = mask = 0
                 for y in members:
-                    mask |= 1 << y
+                    mine |= 1 << y
                     for z in succ[y]:
                         if scc[z] != c:
                             mask |= reach[scc[z]]
-                reach.append(mask)
-            self._reaches[key] = components, scc, reach
+                reach.append(mine | mask)
+                own.append(mine)
+            self._reaches[key] = components, scc, reach, own
         return self._reaches[key]
 
     def relays(self, before: Sequence[int], after: Sequence[int]) -> list[list[int]]:
@@ -380,8 +435,8 @@ class _PairKernel:
         in the subgraphs of g on the label ids ``before`` and ``after``.
         """
         delta = self.delta
-        components, scc, _ = self._reach(before)
-        _, after_scc, after_reach = self._reach(after)
+        components, scc, _, _ = self._reach(before)
+        _, after_scc, after_reach, _ = self._reach(after)
         then_after = [after_reach[c] for c in after_scc]
         relays = []
         for e in range(self.k):
@@ -413,10 +468,9 @@ class _PairKernel:
         and is re-tested only when a successor's bitmask shrinks.
         """
         n, delta = self.n, self.delta
-        components = self._reach(before)[0]
-        masks = [sum(1 << d for d in members) for members in components]
+        masks = self._reach(before)[3]
         win = [(1 << n) - 1] * n
-        alive = [range(len(components))] * n
+        alive = [range(len(masks))] * n
         sources: list[set[int]] = [set() for _ in range(n)]
         for x, row in enumerate(delta):
             for y in row:
@@ -444,7 +498,7 @@ class _PairKernel:
         found by the bit of its first member.
         """
         n, delta = self.n, self.delta
-        components, scc, reach = self._reach(range(self.k))
+        components, scc, reach, _ = self._reach(range(self.k))
         firsts = sum(1 << members[0] for members in components)
         found = [0] * n
         relayed = [0] * n
@@ -479,7 +533,7 @@ class _PairKernel:
         n = self.n
         secret = sum(1 << d for d in self.secret)
         admissible = [mask & ~secret for mask in staying]
-        _, scc, reach = self._reach(range(self.k))
+        _, scc, reach, _ = self._reach(range(self.k))
         accessible = reach[scc[self.x0]]
         # An actual state of g is covered in any of its phases.
         uncovered = frozenset(x for i, x in enumerate(self.states) if not any(admissible[i::n]))
@@ -742,118 +796,28 @@ def _count(masks: Iterable[int]) -> int:
     return sum(mask.bit_count() for mask in masks)
 
 
-def _prune(targets: Mapping[int, list[int]], start: int) -> set[int]:
-    """The groups of ``targets`` that survive pruning and stay accessible
-    from ``start``.
-
-    ``targets`` lists, per group, the group each of its moves leads to,
-    which is a key of ``targets`` too.  A group falls when none of its moves
-    leads into a group still alive.  Each group counts its moves, each lists
-    the moves into it, and a falling group decrements the counts of the
-    groups those moves come from.  This reaches the same fixpoint as the
-    round-by-round removal of ``build_verifier``, whose groups are the
-    dashed components, and of ``build_eic_verifier``, whose groups are
-    single pairs (``_PairKernel.trim`` computes that one on bitmasks).  The
-    survivors' target lists then give the accessible part.  ``_decide_ei``
-    runs this only when ``_stuck`` finds a group that falls.
-    """
-    escapes = {key: len(out) for key, out in targets.items()}
-    sources: dict[int, list[int]] = {key: [] for key in targets}
-    for key, out in targets.items():
-        for t in out:
-            sources[t].append(key)
-    falling = [key for key, count in escapes.items() if not count]
-    dead = set(falling)
-    while falling:
-        for source in sources[falling.pop()]:
-            escapes[source] -= 1
-            if not escapes[source]:
-                dead.add(source)
-                falling.append(source)
-    if start in dead:
-        return set()
-    seen = {start}
-    stack = [start]
-    while stack:
-        for t in targets[stack.pop()]:
-            if t not in dead and t not in seen:
-                seen.add(t)
-                stack.append(t)
-    return seen
-
-
-def _stuck(kernel: _PairKernel, reachable: list[int]) -> bool:
-    """Whether some group of the ``reachable`` pairs has no escape, so that
-    pruning removes pairs.
-
-    The groups are the dashed components: the reachable pairs are closed
-    under dashed moves, so the component of (d, x) is SCC_g(d) x {x}, the
-    group ``c*n + x`` for the SCC c of d, and a dashed move inside it is no
-    escape.  A group has none at all only when c is a bottom SCC of g and
-    no event enabled in c is enabled at x.
-    """
-    delta = kernel.delta
-    members, scc, _ = kernel._reach(range(kernel.k))
-    enabled = [sum(1 << e for e, y in enumerate(row) if y >= 0) for row in delta]
-    bottoms = []  # (events enabled in c, dummies of c) per bottom SCC c
-    for c, group in enumerate(members):
-        if all(scc[y] == c for d in group for y in delta[d] if y >= 0):
-            events = mask = 0
-            for d in group:
-                events |= enabled[d]
-                mask |= 1 << d
-            bottoms.append((events, mask))
-    # Per set of events enabled at x, the dummies whose group with x has no escape.
-    trapped = {
-        events: sum(mask for where, mask in bottoms if not where & events)
-        for events in set(enabled)
-    }
-    return any(mask & trapped[enabled[x]] for x, mask in enumerate(reachable))
-
-
-def _pruned(kernel: _PairKernel, reachable: list[int]) -> list[int]:
-    """The ``reachable`` pairs that pruning keeps, grouped as ``_stuck`` says."""
-    n, k = kernel.n, kernel.k
-    members, scc, _ = kernel._reach(range(k))
-
-    def escapes(key: int) -> Iterator[int]:
-        c, x = divmod(key, n)
-        for d in members[c]:
-            for j, t in kernel.moves(d * n + x):
-                target = scc[t // n] * n + t % n
-                if j < k or target != key:
-                    yield target
-
-    groups = [
-        c * n + x
-        for x, mask in enumerate(reachable)
-        for c, group in enumerate(members)
-        if mask >> group[0] & 1
-    ]
-    kept = _prune({key: list(escapes(key)) for key in groups}, scc[kernel.x0] * n + kernel.x0)
-    verifier = [0] * n
-    for key in kept:
-        c, x = divmod(key, n)
-        for d in members[c]:
-            verifier[x] |= 1 << d
-    return verifier
-
-
 def _decide_ei(g: Automaton) -> _Decision:
     """The decision of ``check_ei_enforceable``, on bitmasks.
 
     The reachable pairs are the forward closure of the relays, and the
     staying ones those the relay game keeps, with every event insertable
-    before and after a relay.  Pruning only names the paper's verifier, and
-    runs only when some group is stuck.
+    before and after a relay.  Pruning only names the paper's verifier.  It
+    runs on the dashed components, ``condensed``'s pairs: a component is
+    reachable when the first member of its SCC is, and kept with all its
+    members.
     """
     kernel = _PairKernel(g)
-    everything = range(kernel.k)
+    n, everything = kernel.n, range(kernel.k)
     relays = kernel.relays(everything, everything)
     reachable = kernel.forward(relays)
     win = kernel.relay_game(everything, relays)
     staying = [mask & won for mask, won in zip(reachable, win)]
-    verifier = _pruned(kernel, reachable) if _stuck(kernel, reachable) else reachable
+    components, scc, _, members = kernel._reach(everything)
+    firsts = sum(1 << group[0] for group in components)
+    bits = [1 << c for c in scc]
+    groups = [_union(mask & firsts, bits) for mask in reachable]
+    kept = _verifier(kernel.condensed(), scc[kernel.x0] * n + kernel.x0, groups)
+    verifier = reachable if kept is groups else [_union(mask, members) for mask in kept]
     return kernel.decide(reachable, verifier, staying)
 
 

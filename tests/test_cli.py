@@ -722,10 +722,9 @@ class TestDecisionPath:
         assert "#66bb6a" in dot.read_text()
 
     def test_the_ei_verdict_lists_no_pair_move(self, capsys, monkeypatch, tmp_path):
-        # 404,505 reachable pairs, decided without enumerating one move.
-        path = tmp_path / "big.aut"
-        g = random_dfa(1, 640, n_events=3, trans_density=0.5, live=True)
-        path.write_text(emit_automaton(g, "big"))
+        # Decided, and pruned, without enumerating one move: a live system
+        # with 404,505 reachable pairs and nothing to prune, and a halting
+        # one whose pruning removes pairs.
         calls = []
         moves = _PairKernel.moves
 
@@ -734,8 +733,20 @@ class TestDecisionPath:
             return moves(kernel, *args, **kwargs)
 
         monkeypatch.setattr(_PairKernel, "moves", counted)
-        assert cli_main(["verify-ei", str(path)]) == EXIT_OK
-        assert "verifier states: 404505\n" in capsys.readouterr().out
+        path = tmp_path / "big.aut"
+        for live, counts in (
+            (True, ["verifier states: 404505"]),
+            (False, [
+                "verifier states: 334093",
+                "staying-nonblocking pairs: 369571",
+                "admissible pairs: 261421",
+            ]),
+        ):
+            g = random_dfa(1, 640, n_events=3, trans_density=0.5, live=live)
+            path.write_text(emit_automaton(g, "big"))
+            assert cli_main(["verify-ei", str(path)]) == EXIT_OK
+            out = capsys.readouterr().out.splitlines()
+            assert all(line in out for line in counts), out
         assert calls == []
 
     def test_the_eic_verdict_lists_no_pair_move(self, capsys, monkeypatch, tmp_path):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 from collections import Counter
+from typing import Mapping
 
 import pytest
 
@@ -21,7 +22,7 @@ from veiler.constrained import (
 )
 from veiler.dot import emit_dot
 from veiler.fsm import Automaton, Tag, sorted_labels, state_display, word
-from veiler.insertion import IndicatorState, _prune, check_ei_enforceable
+from veiler.insertion import IndicatorState, check_ei_enforceable
 from veiler.oracle import random_constraints, random_dfa
 from veiler.report import eic_report, to_json
 from veiler.textio import emit_automaton
@@ -244,6 +245,44 @@ class TestEicVerifier:
         # round one removes the two stuck pairs, which strands the start
         assert displays(find_eic_trapping_states(eia)) == ["(1,0_b)", "(1,1)"]
         assert build_eic_verifier(eia).states == frozenset()
+
+
+def _prune(targets: Mapping[int, list[int]], start: int) -> set[int]:
+    """The groups of ``targets`` that survive pruning and stay accessible
+    from ``start``: the naive reference for the verifier on bitmasks.
+
+    ``targets`` lists, per group, the group each of its moves leads to,
+    which is a key of ``targets`` too.  A group falls when none of its moves
+    leads into a group still alive.  Each group counts its moves, each lists
+    the moves into it, and a falling group decrements the counts of the
+    groups those moves come from.  This reaches the same fixpoint as the
+    round-by-round removal of ``build_eic_verifier``, whose groups are
+    single pairs.  The survivors' target lists then give the accessible
+    part.
+    """
+    escapes = {key: len(out) for key, out in targets.items()}
+    sources: dict[int, list[int]] = {key: [] for key in targets}
+    for key, out in targets.items():
+        for t in out:
+            sources[t].append(key)
+    falling = [key for key, count in escapes.items() if not count]
+    dead = set(falling)
+    while falling:
+        for source in sources[falling.pop()]:
+            escapes[source] -= 1
+            if not escapes[source]:
+                dead.add(source)
+                falling.append(source)
+    if start in dead:
+        return set()
+    seen = {start}
+    stack = [start]
+    while stack:
+        for t in targets[stack.pop()]:
+            if t not in dead and t not in seen:
+                seen.add(t)
+                stack.append(t)
+    return seen
 
 
 class TestDecisionMasks:

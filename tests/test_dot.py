@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from veiler.cli import EXIT_NOT_ENFORCEABLE, cli_main
 from veiler.dot import emit_dot
 from veiler.fsm import Automaton
 from veiler.insertion import build_indicator, build_insertion_automaton
@@ -69,3 +70,17 @@ class TestEmitDot:
         assert 'digraph "quo\\"ted" {' in text
         assert '"he \\"said\\""' in text
         assert '"x\\\\y"' in text
+
+    def test_a_system_with_no_events_draws_its_nodes(self, capsys, tmp_path):
+        # No label to rank edges by: the file still holds every node and
+        # the start arrow.
+        text = emit_dot(Automaton.dfa([0], [], {}, 0))
+        assert '  "0";\n  __start -> "0";\n}\n' in text
+        path = tmp_path / "still.aut"
+        path.write_text("automaton still\nevents\nstates 0 1\ninitial 0\nsecret 1\nend\n")
+        dot = tmp_path / "still.dot"
+        for command in ("verify-ei", "verify-eic"):
+            assert cli_main([command, str(path), "--dot", str(dot)]) == EXIT_NOT_ENFORCEABLE
+            assert dot.read_text().endswith(
+                '  "(0,0)" [style=filled, fillcolor="#e05a4e"];\n  __start -> "(0,0)";\n}\n'
+            )

@@ -10,8 +10,7 @@ from veiler.dot import emit_dot
 from veiler.fsm import Automaton, EventLabel, Tag, as_label, state_display, word
 from veiler.insertion import (
     IndicatorState,
-    _PairKernel,
-    _stuck,
+    _decide_ei,
     admissible_states,
     build_indicator,
     build_insertion_automaton,
@@ -296,10 +295,10 @@ class TestCheckEiEnforceable:
 
 
 class TestForwardMasks:
-    def test_the_masks_hold_the_search_and_the_stuck_test_is_exact(self):
+    def test_the_masks_hold_the_search_and_the_staged_verifier(self):
         # verify-ei reads the reachable pairs off per-state dummy bitmasks
-        # and prunes only when a reachable group is stuck; the pair search
-        # and the paper's staged pruning are the reference.
+        # and prunes the dashed components on them; the pair search and the
+        # paper's staged pruning are the reference.
         outcomes = Counter()
         for seed in range(400):
             live = seed % 4 < 2
@@ -309,14 +308,15 @@ class TestForwardMasks:
                 trans_density=(0.2, 0.5, 0.8)[seed % 3],
                 live=live,
             )
-            kernel = _PairKernel(g)
-            everything = range(kernel.k)
-            masks = kernel.forward(kernel.relays(everything, everything))
+            decision = _decide_ei(g)
+            kernel = decision.kernel
             searched = kernel.search()
-            assert kernel.ids(masks) == sorted(searched), seed
+            assert kernel.ids(decision.reachable) == sorted(searched), seed
             ia = build_indicator(g, build_insertion_automaton(g))
-            removed = build_verifier(ia, g).states != ia.states
-            assert _stuck(kernel, masks) == removed, seed
+            staged = build_verifier(ia, g).states
+            pairs = kernel.objects(kernel.ids(decision.verifier)).values()
+            assert frozenset(pairs) == staged, seed
+            removed = staged != ia.states
             outcomes[live, removed] += 1
         # the sample holds both outcomes, in live and in halting systems
         assert min(outcomes[key] for key in product((True, False), repeat=2)) > 20
