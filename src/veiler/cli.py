@@ -110,19 +110,36 @@ def _split_events(text: str) -> frozenset:
 
 
 def _read_document(path: str) -> AutomatonDocument:
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_document(handle.read())
+    """The document in the UTF-8 file ``path``; a byte that is no UTF-8 is
+    a parse error on its line."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # Lines are numbered as the parser numbers them; the bad byte
+        # continues the last line of the text before it.
+        line = len((data[: exc.start].decode("utf-8") + "?").splitlines())
+        message = f"byte 0x{data[exc.start]:02x} is not UTF-8 ({exc.reason})"
+        raise ParseError(line, message) from exc
+    return parse_document(text)
 
 
 def _write_atomic(path: str, text: str) -> None:
+    """Replace ``path`` by a file holding ``text``, written beside it first.
+    An error of the operating system names ``path``, not that file."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".veiler-tmp-")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".veiler-tmp-")
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             handle.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
+    except BaseException as exc:
+        if tmp is not None:
+            os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise OSError(exc.errno, exc.strerror, path) from exc
         raise
 
 
@@ -176,9 +193,8 @@ def _report_decision(
     rows = decision.rows(everything=bool(args.dot)) if args.dot or args.json else []
     if args.dot:
         kernel = decision.kernel
-        dot = _digraph(
-            name, rows, _FILL_OF_CODE, (kernel.start,), kernel.moves, kernel.edge_labels()
-        )
+        edges = functools.partial(kernel.edge_keys, decision.reachable)
+        dot = _digraph(name, rows, _FILL_OF_CODE, (kernel.start,), kernel.edge_labels(), edges)
         _write_atomic(args.dot, dot)
     if args.json:
         sys.stdout.write(to_json(_pairs_payload(name, decision, rows, constraints)))

@@ -220,9 +220,10 @@ class _PairKernel:
     event of its alphabet, and shifts the phase through its table, where -1
     means forbidden.  Label index ``j*k + e`` over ``edge_labels`` names a
     move on e of kind j, kind 0 being solid.  Unconstrained insertion has
-    one phase and one kind: every event, the phase unchanged.  ``moves`` is
-    the one enumeration of a pair's moves, for the library's search, the
-    DOT file and ``automaton``; ``relations`` holds the same moves per
+    one phase and one kind: every event, the phase unchanged.  ``moves``
+    lists the moves of one pair, for the library's search and
+    ``automaton``; ``edge_keys`` lists those of many pairs, one actual state
+    at a time, for the DOT file; ``relations`` holds the same moves per
     actual state, and ``condensed`` those of EI's dashed components, for
     ``_closure``, ``_trim`` and ``_verifier``.  A set of pairs is held as
     one bitmask of dummies per actual state, bit d of entry a for the pair
@@ -289,6 +290,42 @@ class _PairKernel:
             if b >= 0:
                 for j, dummy in table[d]:
                     yield j, dummy + b
+
+    def edge_keys(
+        self, masks: Sequence[int], rank: list[int], label_rank: list[int], scale: int
+    ) -> list[int]:
+        """The moves of the pairs of ``masks``, one bitmask of dummies per
+        actual state, as ``_digraph``'s edge keys: ``rank[p] * scale +
+        rank[t] + label_rank[j]`` for a move of the pair p to t with label
+        index j.
+
+        One actual state a at a time: every move of a, to the actual state
+        b, pairs each dummy of a that the event moves with its target's
+        entry in column b of ``rank``, in one comprehension.
+        """
+        n, k, width = self.n, self.k, self.width
+        full = (1 << n) - 1
+        # Per event, its defined moves of the dummies as (dummy, target) pairs.
+        steps = [[(d, t) for d, t in enumerate(column) if t >= 0] for column in zip(*self.delta)]
+        keys: list[int] = []
+        for a, mask in enumerate(masks):
+            if not mask:
+                continue
+            mine = steps if mask == full else [
+                [(d, t) for d, t in step if mask >> d & 1] for step in steps
+            ]
+            sources = [r * scale for r in rank[a::width]]
+            # Each target actual state with the (label index, event) of its moves.
+            targets = [(y, [(e, e)]) for e, y in enumerate(self.delta[a % n]) if y >= 0]
+            for kind, (symbols, shift) in enumerate(self.kinds, 1):
+                if shift[a] >= 0:
+                    targets.append((shift[a], [(kind * k + e, e) for e in symbols]))
+            for b, labelled in targets:
+                column = rank[b::width]
+                for j, e in labelled:
+                    label = label_rank[j]
+                    keys += [sources[d] + column[t] + label for d, t in mine[e]]
+        return keys
 
     def search(self) -> dict[int, list[int]]:
         """The pairs reachable from the initial pair, each mapped to its
@@ -738,6 +775,9 @@ class EnforcementReport(NamedTuple):
 # a pair that does not stay.
 _IN_VERIFIER, _ADMISSIBLE = 1, 8
 
+# The value of each lowercase hex digit.
+_HEX_DIGITS = bytes.maketrans(b"0123456789abcdef", bytes(range(16)))
+
 
 class _Decision(NamedTuple):
     """A kernel run's verdict and the pairs behind it, with no pair object.
@@ -765,28 +805,39 @@ class _Decision(NamedTuple):
         verifier's and the staying ones."""
         kernel = self.kernel
         n, width, names = kernel.n, kernel.width, kernel.actual_names
-        opening = [f"({name}," for name in kernel.state_names]
-        # Dummies come in display order, so filling one bucket per dummy in
-        # the display order of the actual states leaves little to sort.
-        buckets: list[list] = [[] for _ in range(n)]
-        for a in sorted(range(width), key=names.__getitem__):
+        order = sorted(range(width), key=names.__getitem__)
+        # Per actual state, in name order, n hex digits, the last for dummy
+        # 0: 0 where the pair is not shown, else its code plus one.  Its
+        # shown, verifier, staying and admissible bitmasks are stacked in
+        # one int and read in base 16, which gives each bit a hex digit of
+        # its own; the four parts, weighted by their flags, add up without
+        # a carry, as a code plus one is below 16.
+        part = (1 << 4 * n) - 1
+        spec = f"0{n}x"
+        digits = []
+        for a in order:
             verifier, staying = self.verifier[a], self.staying_nonblocking[a]
-            admissible = self.admissible[a]
             shown = self.reachable[a] if everything else verifier | staying
-            kind = (1 if a < n else 2) << 1
-            closing = names[a] + ")"
-            for part, code in ((shown & verifier, _IN_VERIFIER), (shown & ~verifier, 0)):
-                for mask, flags in (
-                    (part & admissible, code | kind | _ADMISSIBLE),
-                    (part & staying & ~admissible, code | kind),
-                    (part & ~staying, code),
-                ):
-                    while mask:
-                        low = mask & -mask
-                        mask ^= low
-                        d = low.bit_length() - 1
-                        buckets[d].append((opening[d] + closing, d * width + a, flags))
-        rows = [row for bucket in buckets for row in bucket]
+            stacked = shown | (shown & verifier) << n | staying << 2 * n
+            x = int(f"{stacked | self.admissible[a] << 3 * n:b}", 16)
+            codes = (
+                (x & part)
+                + _IN_VERIFIER * (x >> 4 * n & part)
+                + ((1 if a < n else 2) << 1) * (x >> 8 * n & part)
+                + _ADMISSIBLE * (x >> 12 * n)
+            )
+            digits.append(format(codes, spec))
+        table = "".join(digits).encode().translate(_HEX_DIGITS)
+        closings = [names[a] + ")" for a in order]
+        # A dummy at a time, in display order, leaves little to sort.
+        rows = []
+        for d, name in enumerate(kernel.state_names):
+            opening, base = f"({name},", d * width
+            rows += [
+                (opening + closing, base + a, code - 1)
+                for closing, a, code in zip(closings, order, table[n - 1 - d :: n])
+                if code
+            ]
         rows.sort()
         return rows
 

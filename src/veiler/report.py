@@ -7,8 +7,6 @@ ever included.
 """
 from __future__ import annotations
 
-import json
-from json.encoder import encode_basestring_ascii as _string
 from typing import Iterable, Mapping, Optional, Sequence
 
 from . import __version__
@@ -16,6 +14,11 @@ from .constrained import InsertionConstraints
 from .fsm import state_display
 from .insertion import _ADMISSIBLE, _IN_VERIFIER, EnforcementReport
 from .observer import OpacityVerdict
+
+try:  # json's own C encoder, without the import of json at every CLI start
+    from _json import encode_basestring_ascii as _string
+except ImportError:  # an interpreter without the C accelerator
+    from json.encoder import encode_basestring_ascii as _string
 
 _TOOL = "veiler"
 
@@ -164,6 +167,8 @@ def _encode(value: object, indent: str, out: list[str]) -> None:
                 separator = ",\n"
         out.append("\n" + indent + "]")
     else:
+        import json  # only for the values the branches above leave, as floats
+
         out.append(json.dumps(value))
 
 

@@ -550,6 +550,28 @@ class TestTopLevel:
         assert cli_main(["check-opacity", str(bad)]) == EXIT_ERROR
         assert "line 2" in capsys.readouterr().err
 
+    def test_undecodable_input_reports_the_line(self, capsys, tmp_path):
+        bad = tmp_path / "bad.aut"
+        bad.write_bytes(b"automaton g\r\nevents a\nstates 0 \xff1\ninitial 0\nend\n")
+        for command in ("check-opacity", "verify-ei", "verify-eic"):
+            assert cli_main([command, str(bad)]) == EXIT_ERROR
+            assert capsys.readouterr() == (
+                "", "error: line 3: byte 0xff is not UTF-8 (invalid start byte)\n"
+            )
+
+    def test_dot_into_a_missing_directory_names_the_given_path(self, capsys, tmp_path):
+        # Not the temporary file the DOT text is written to first.
+        dot = str(tmp_path / "missing" / "x.dot")
+        for argv in (
+            ["verify-ei", G1, "--json", "--dot", dot],
+            ["verify-eic", G1, "--insert-before", "a", "--dot", dot],
+        ):
+            assert cli_main(argv) == EXIT_ERROR
+            assert capsys.readouterr() == (
+                "", f"error: [Errno 2] No such file or directory: {dot!r}\n"
+            )
+        assert os.listdir(tmp_path) == []
+
     def test_version_flag(self, capsys):
         assert cli_main(["--version"]) == EXIT_OK
         assert "veiler 0.1.0" in capsys.readouterr().out
@@ -720,6 +742,34 @@ class TestDecisionPath:
                 assert cli_main(argv) in {EXIT_OK, EXIT_NOT_ENFORCEABLE}, argv
         assert searches == []
         assert "#66bb6a" in dot.read_text()
+
+    def test_no_verify_command_draws_through_pair_moves(
+        self, capsys, monkeypatch, tmp_path, secretless_doc
+    ):
+        # The DOT file's edges come from the kernel's tables one actual
+        # state at a time, not from a move generator per pair.
+        calls = []
+        moves = _PairKernel.moves
+
+        def counted(kernel, *args, **kwargs):
+            calls.append(kernel)
+            return moves(kernel, *args, **kwargs)
+
+        monkeypatch.setattr(_PairKernel, "moves", counted)
+        dot = tmp_path / "out.dot"
+        for path in (G1, secretless_doc):
+            for argv in (
+                ["verify-ei", path, "--json", "--dot", str(dot)],
+                ["verify-eic", path, "--insert-before", "a", "--dot", str(dot)],
+            ):
+                dot.unlink(missing_ok=True)
+                assert cli_main(argv) in {EXIT_OK, EXIT_NOT_ENFORCEABLE}, argv
+                assert " -> " in dot.read_text().replace("__start -> ", ""), argv
+        assert calls == []
+        # The counter does count: the library's search lists pair moves.
+        g = parse_document(Path(G1).read_text()).automaton
+        build_indicator(g, build_insertion_automaton(g))
+        assert calls
 
     def test_the_ei_verdict_lists_no_pair_move(self, capsys, monkeypatch, tmp_path):
         # Decided, and pruned, without enumerating one move: a live system

@@ -1,9 +1,23 @@
 from __future__ import annotations
 
-from veiler.cli import EXIT_NOT_ENFORCEABLE, cli_main
-from veiler.dot import emit_dot
-from veiler.fsm import Automaton
-from veiler.insertion import build_indicator, build_insertion_automaton
+import functools
+from pathlib import Path
+
+from veiler.cli import _FILL_OF_CODE, EXIT_NOT_ENFORCEABLE, cli_main
+from veiler.constrained import InsertionConstraints, _decide_eic
+from veiler.dot import _FILLS, _digraph, _quote, emit_dot
+from veiler.fsm import Automaton, sorted_labels, state_display
+from veiler.insertion import (
+    _ADMISSIBLE,
+    _IN_VERIFIER,
+    _decide_ei,
+    build_indicator,
+    build_insertion_automaton,
+)
+from veiler.oracle import random_dfa
+from veiler.textio import parse_document
+
+DATA = Path(__file__).parent / "data"
 
 
 class TestEmitDot:
@@ -83,4 +97,156 @@ class TestEmitDot:
             assert cli_main([command, str(path), "--dot", str(dot)]) == EXIT_NOT_ENFORCEABLE
             assert dot.read_text().endswith(
                 '  "(0,0)" [style=filled, fillcolor="#e05a4e"];\n  __start -> "(0,0)";\n}\n'
+            )
+
+
+def _naive_digraph(name, rows, fills, initial, moves, labels):
+    """The reference for ``_digraph``: node ranks in a dict, the nodes of
+    each name drawn after sorting them by fill, and the edges of each
+    source listed pair by pair through ``moves(x)``, as (label index,
+    target) pairs, and sorted on their own."""
+    lines = [f"digraph {_quote(name)} {{", "  rankdir=LR;", "  node [shape=circle];"]
+    lines.append('  __start [shape=point, label=""];')
+    width = len(labels) or 1
+    quoted, groups, rank = [], [], {}
+    last = None
+    for text, x, code in rows:
+        if text != last:
+            last = text
+            quoted.append(_quote(text))
+            groups.append([])
+        rank[x] = (len(quoted) - 1) * width
+        groups[-1].append((fills[code], x))
+    for q, group in zip(quoted, groups):
+        for fill, _ in sorted(group):
+            lines.append(f"  {q}{_FILLS[fill]};")
+    for r in sorted(rank[x] for x in initial):
+        lines.append(f"  __start -> {quoted[r // width]};")
+    label_rank = [0] * width
+    attrs = []
+    ranked = sorted((e.display(), e.inserted, j) for j, e in enumerate(labels))
+    for r, (text, inserted, j) in enumerate(ranked):
+        label_rank[j] = r
+        attrs.append(f" [label={_quote(text)}{', style=dashed' if inserted else ''}];")
+    for q, group in zip(quoted, groups):
+        keys = sorted(rank[t] + label_rank[j] for _, x in group for j, t in moves(x))
+        for key in keys:
+            lines.append(f"  {q} -> {quoted[key // width]}{attrs[key % width]}")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def _naive_emit_dot(a, name="g", nonblocking=(), pruned=()):
+    """The reference for ``emit_dot``, drawn by ``_naive_digraph``."""
+    labels = sorted_labels(a.events)
+    index = {e: j for j, e in enumerate(labels)}
+    states = list(a.states)
+    ids = {x: i for i, x in enumerate(states)}
+    rows = sorted(
+        (state_display(x), i, 1 if x in nonblocking else 2 if x in pruned else 0)
+        for i, x in enumerate(states)
+    )
+
+    def moves(i):
+        return [(index[e], ids[y]) for e, ys in a.outgoing(states[i]).items() for y in ys]
+
+    return _naive_digraph(name, rows, range(3), [ids[x] for x in a.initial], moves, labels)
+
+
+def _naive_rows(decision, everything):
+    """The reference for ``_Decision.rows``: every shown pair's object
+    named, coded and sorted one pair at a time."""
+    kernel = decision.kernel
+    n, width = kernel.n, kernel.width
+    reachable, verifier, staying, admissible = (
+        set(kernel.ids(masks))
+        for masks in (
+            decision.reachable, decision.verifier,
+            decision.staying_nonblocking, decision.admissible,
+        )
+    )
+    rows = []
+    for p in reachable if everything else verifier | staying:
+        d, a = divmod(p, width)
+        code = _IN_VERIFIER if p in verifier else 0
+        if p in staying:
+            code |= (1 if a < n else 2) << 1
+        if p in admissible:
+            code |= _ADMISSIBLE
+        rows.append((kernel.pair(d, a).display(), p, code))
+    return sorted(rows)
+
+
+# Every subset of the events a, b and c.
+SUBSETS = [frozenset(s for i, s in enumerate("abc") if mask >> i & 1) for mask in range(8)]
+
+
+class TestTheNaiveRenderer:
+    def _decisions(self):
+        for seed in range(256):
+            g = random_dfa(
+                seed,
+                n_states=2 + seed % 13,
+                trans_density=(0.2, 0.5, 0.8)[seed % 3],
+                live=seed % 2 == 0 if seed < 128 else seed < 192,
+            )
+            if seed < 128:
+                yield f"ei{seed}", _decide_ei(g)
+            else:
+                # every (before, after) pair of subsets, live and halting
+                c = InsertionConstraints(SUBSETS[seed % 8], SUBSETS[seed // 8 % 8])
+                yield f"eic{seed}", _decide_eic(g, c)
+        # Pairs that share a display name.
+        comma = parse_document((DATA / "comma.aut").read_text()).automaton
+        yield "comma", _decide_ei(comma)
+        decorated = parse_document((DATA / "decorated.aut").read_text()).automaton
+        yield "decorated", _decide_eic(decorated, InsertionConstraints.of("a", "b"))
+
+    def test_verify_draws_match_it(self):
+        # The kernel's edge keys and the one sort give the per-pair
+        # renderer's bytes, on EI and EIC systems that prune, halt and
+        # collide names.
+        drawn = shared = 0
+        for name, decision in self._decisions():
+            rows = decision.rows(everything=True)
+            assert rows == _naive_rows(decision, True), name
+            assert decision.rows(everything=False) == _naive_rows(decision, False), name
+            kernel = decision.kernel
+            labels = kernel.edge_labels()
+            edges = functools.partial(kernel.edge_keys, decision.reachable)
+            text = _digraph(name, rows, _FILL_OF_CODE, (kernel.start,), labels, edges)
+            expected = _naive_digraph(
+                name, rows, _FILL_OF_CODE, (kernel.start,), kernel.moves, labels
+            )
+            assert text == expected, name
+            drawn += 1
+            shared += len({text for text, _, _ in rows}) < len(rows)
+        assert drawn == 258 and shared >= 2
+
+    def test_emit_dot_matches_it(self, g1):
+        # Any automaton: nondeterministic, with several initial states, no
+        # event or no state, and states whose names collide.
+        ia = build_indicator(g1, build_insertion_automaton(g1))
+        some = sorted(ia.states, key=str)
+        nfa = Automaton(
+            frozenset({0, 1, "1", "x y"}),
+            ia.events,
+            {(0, label): frozenset({1, "1"}) for label in ia.events}
+            | {("1", label): frozenset({0, "x y", "1"}) for label in ia.events},
+            frozenset({0, "1"}),
+        )
+        cases = [
+            (g1, (), ()),
+            (build_insertion_automaton(g1), (), ()),
+            (ia, some[:5], some[3:9]),
+            (nfa, (1,), ("1", 0)),
+            (Automaton.dfa([0], [], {}, 0), (), ()),
+            (Automaton(frozenset(), ia.events, {}, frozenset()), (), ()),
+        ]
+        for seed in range(40):
+            g = random_dfa(seed, n_states=2 + seed % 9, live=seed % 2 == 0)
+            cases.append((build_indicator(g, build_insertion_automaton(g)), (), ()))
+        for a, nonblocking, pruned in cases:
+            assert emit_dot(a, "x", nonblocking, pruned) == _naive_emit_dot(
+                a, "x", set(nonblocking), set(pruned)
             )

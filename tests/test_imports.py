@@ -118,15 +118,26 @@ def test_the_check_sees_dead_and_live_private_names():
     ]
 
 
+def _loaded_by_importing_the_cli(modules: tuple[str, ...]) -> list[str]:
+    """Those of ``modules`` that importing the CLI in a fresh interpreter loads."""
+    probe = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import veiler, veiler.cli; "
+        "print(' '.join(m for m in sys.argv[2:] if m in sys.modules))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-I", "-c", probe, str(SRC), *modules],
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    return done.stdout.split()
+
+
 def test_importing_the_cli_loads_no_introspection_machinery():
     # dataclasses pulls in inspect, dis, ast and tokenize: most of the time
     # an isolated interpreter spends importing the CLI before they left.
-    probe = (
-        "import sys; sys.path.insert(0, sys.argv[1]); import veiler, veiler.cli; "
-        "print(' '.join(m for m in ('dataclasses', 'inspect') if m in sys.modules))"
-    )
-    done = subprocess.run(
-        [sys.executable, "-I", "-c", probe, str(SRC)],
-        capture_output=True, text=True, timeout=60, check=True,
-    )
-    assert done.stdout.split() == []
+    assert _loaded_by_importing_the_cli(("dataclasses", "inspect")) == []
+
+
+def test_importing_the_cli_loads_no_json():
+    # The report encodes strings with the C function json uses; the json
+    # package itself costs every CLI start some 3 ms.
+    assert _loaded_by_importing_the_cli(("json", "json.encoder")) == []
