@@ -110,15 +110,17 @@ def _split_events(text: str) -> frozenset:
 
 
 def _read_document(path: str) -> AutomatonDocument:
-    """The document in the UTF-8 file ``path``; a byte that is no UTF-8 is
-    a parse error on its line."""
+    """The document in the UTF-8 file ``path``, which may start with a byte
+    order mark; a byte that is no UTF-8 is a parse error on its line."""
     with open(path, "rb") as handle:
         data = handle.read()
     try:
-        text = data.decode("utf-8")
+        text = data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         # Lines are numbered as the parser numbers them; the bad byte
-        # continues the last line of the text before it.
+        # continues the last line of the text before it.  The error's
+        # offsets index its own bytes, which lack the mark.
+        data = exc.object
         line = len((data[: exc.start].decode("utf-8") + "?").splitlines())
         message = f"byte 0x{data[exc.start]:02x} is not UTF-8 ({exc.reason})"
         raise ParseError(line, message) from exc

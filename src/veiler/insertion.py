@@ -11,6 +11,7 @@ system is in; the actual component is where the system really is.  Dashed
 """
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .fsm import (
@@ -256,20 +257,24 @@ class _PairKernel:
 
     def _phases(self, phases: int, kinds: list[tuple[Sequence[int], list[int]]]) -> None:
         """Give every system state ``phases`` phases and the insertion
-        ``kinds``, numbered from 1 as (label ids, phase table) pairs.
-
-        ``solid[d]`` and a kind's ``inserts`` row d list the moves of dummy d
-        as (label index, target dummy times width).
-        """
+        ``kinds``, numbered from 1 as (label ids, phase table) pairs."""
         width = self.width = phases * self.n
         self.kinds = kinds
         self.start = self.x0 * width + self.x0
-        self.solid = [[(e, y * width) for e, y in enumerate(row) if y >= 0] for row in self.delta]
-        self.inserts = [
+
+    @cached_property
+    def _move_tables(self) -> tuple[list, list]:
+        """The solid moves of every dummy d, and each kind's phase table with
+        the insertions of every dummy d, as (label index, target dummy times
+        width): built on the first call of ``moves``, the one reader."""
+        width = self.width
+        solid = [[(e, y * width) for e, y in enumerate(row) if y >= 0] for row in self.delta]
+        inserts = [
             (shift, [[(j * self.k + e, row[e] * width) for e in symbols if row[e] >= 0]
                      for row in self.delta])
-            for j, (symbols, shift) in enumerate(kinds, 1)
+            for j, (symbols, shift) in enumerate(self.kinds, 1)
         ]
+        return solid, inserts
 
     def edge_labels(self) -> list[EventLabel]:
         """The label of every label index, made only for output."""
@@ -280,12 +285,13 @@ class _PairKernel:
 
     def moves(self, p: int) -> Iterator[tuple[int, int]]:
         """The moves of the pair ``p``, as (label index, target) pairs."""
+        solid, inserts = self._move_tables
         d, a = divmod(p, self.width)
         row_x = self.delta[a % self.n]
-        for e, dummy in self.solid[d]:
+        for e, dummy in solid[d]:
             if row_x[e] >= 0:
                 yield e, dummy + row_x[e]
-        for shift, table in self.inserts:
+        for shift, table in inserts:
             b = shift[a]
             if b >= 0:
                 for j, dummy in table[d]:

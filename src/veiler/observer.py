@@ -4,21 +4,19 @@ The observer tracks the set of states an outside observer considers possible
 after each observable event.  Opacity holds when no reachable estimate
 consists of secret states only.
 
-One breadth-first search over bitmask estimates decides it: states are
-numbered in display order, each state's observable moves are closed under
-unobservable ones once, and labels are tried in canonical order, so the first
-all-secret estimate reached gives a shortest witness, ties broken by canonical
-label order.  ``build_observer`` materialises the same search.
+One breadth-first search over estimates decides it.  Each state's closure
+under unobservable moves is built once, as one shared frozenset, and so are
+its observable moves, each closed the same way: the successor of a
+one-state estimate is one of those sets, and that of a larger estimate is
+their union.  Labels are tried in canonical order, so the first all-secret
+estimate reached gives a shortest witness, ties broken by canonical label
+order.  ``build_observer`` materialises the same search.
 """
 from __future__ import annotations
 
-from functools import reduce
-from operator import or_
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .fsm import (
-    Automaton, EventLabel, FrozenValue, as_label, sorted_labels, sorted_states, state_display,
-)
+from .fsm import Automaton, EventLabel, FrozenValue, as_label, sorted_labels, state_display
 
 
 def project(
@@ -45,64 +43,75 @@ class OpacityVerdict(NamedTuple):
     witness_observation: Optional[tuple[EventLabel, ...]]
 
 
-def _bits(mask: int) -> Iterator[int]:
-    """The indices of the set bits of ``mask``, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+_EMPTY: frozenset = frozenset()
+
+
+def _union(sets: Sequence[frozenset]) -> frozenset:
+    """The union of ``sets``: the one set itself when there is one."""
+    return sets[0] if len(sets) == 1 else _EMPTY.union(*sets)
 
 
 def _search(n: Automaton, observable: Iterable[str | EventLabel]) -> tuple:
-    """The breadth-first search of the estimates of ``n``, as bitmasks: the
+    """The breadth-first search of the estimates of ``n``, as frozensets: the
     observable labels in canonical order; each estimate, in discovery order,
     mapped to its (parent, label index) or None; every move (estimate, label
-    index, successor) in search order; the nonempty all-secret estimates in
-    discovery order; and the ``ObserverState`` of an estimate."""
+    index, successor) in search order; and the nonempty all-secret estimates
+    in discovery order."""
     obs = frozenset(as_label(e) for e in observable)
     if not obs <= n.events:
         raise ValueError("observable labels must be a subset of the automaton's events")
-    order = sorted_states(n.states)
-    ids = {x: i for i, x in enumerate(order)}
     labels = sorted_labels(obs)
     index = {e: k for k, e in enumerate(labels)}
-    hidden, moves = [0] * len(order), [[] for _ in order]
-    for (x, e), targets in n.transitions.items():
-        k = index.get(e)
-        if k is None:
-            hidden[ids[x]] |= sum(1 << ids[y] for y in targets)
-        else:
-            moves[ids[x]].append((k, targets))
-    closure = [1 << i for i in range(len(order))]
-    for i, reach in enumerate(closure):
-        new = hidden[i]
-        while new:
-            reach |= new
-            new = reduce(or_, [hidden[j] for j in _bits(new)]) & ~reach
-        closure[i] = reach
-    for row in moves:  # by label, closed under unobservable moves
-        row[:] = [(k, reduce(or_, [closure[ids[y]] for y in ys])) for k, ys in sorted(row)]
-    start = reduce(or_, [closure[ids[x]] for x in n.initial], 0)
+    outgoing = n._outgoing
+    # Each state's closure under unobservable moves, one shared set per state.
+    closure = {x: frozenset((x,)) for x in n.states}
+    if obs != n.events:
+        hidden = {}
+        for x, out in outgoing.items():
+            targets = [ys for e, ys in out.items() if e not in index]
+            if targets:
+                hidden[x] = _union(targets)
+        for x in hidden:
+            reach, todo = {x}, [x]
+            while todo:
+                for y in hidden.get(todo.pop(), ()):
+                    if y not in reach:
+                        reach.add(y)
+                        todo.append(y)
+            closure[x] = frozenset(reach)
+    # Each state's observable moves closed under unobservable ones, as its
+    # row of (label index, successors) in label order.
+    rows = {}
+    for x, out in outgoing.items():
+        row = rows[x] = []
+        for e, ys in sorted(out.items()):
+            k = index.get(e)
+            if k is not None:
+                if len(ys) == 1:  # the common case, kept free of calls
+                    (y,) = ys
+                    target = closure[y]
+                else:
+                    target = _EMPTY.union(*[closure[y] for y in ys])
+                row.append((k, target))
+    start = _union([closure[x] for x in n.initial])
     parent, queue, edges = {start: None}, [start], []
     for current in queue:  # the queue grows while it is read
-        if current.bit_count() == 1:
-            step = moves[current.bit_length() - 1]
+        if len(current) == 1:
+            (x,) = current
+            step = rows.get(x, ())
         else:  # none or several states: merge their moves
-            moved = [0] * len(labels)
-            for i in _bits(current):
-                for k, target in moves[i]:
-                    moved[k] |= target
-            step = [(k, target) for k, target in enumerate(moved) if target]
+            moved = [[] for _ in labels]
+            for x in current:
+                for k, target in rows.get(x, ()):
+                    moved[k].append(target)
+            step = [(k, _union(targets)) for k, targets in enumerate(moved) if targets]
         for k, target in step:
             edges.append((current, k, target))
             if target not in parent:
                 parent[target] = (current, k)
                 queue.append(target)
-    public = sum(1 << ids[x] for x in n.states - n.secret)
-    violating = [mask for mask in queue if mask and not mask & public]
-    return labels, parent, edges, violating, lambda mask: ObserverState(
-        frozenset(order[i] for i in _bits(mask))
-    )
+    violating = [estimate for estimate in queue if estimate and estimate <= n.secret]
+    return labels, parent, edges, violating
 
 
 def build_observer(
@@ -115,11 +124,11 @@ def build_observer(
     iff it is nonempty and all secret in the source, so opacity can be read
     off the observer's own secret set.
     """
-    labels, parent, edges, violating, state = _search(n, observable)
-    states = {mask: state(mask) for mask in parent}
+    labels, parent, edges, violating = _search(n, observable)
+    states = {estimate: ObserverState(estimate) for estimate in parent}
     transitions = {(states[m], labels[k]): frozenset({states[t]}) for m, k, t in edges}
     initial = frozenset({next(iter(states.values()))})
-    secret = frozenset(states[mask] for mask in violating)
+    secret = frozenset(states[estimate] for estimate in violating)
     return Automaton(frozenset(states.values()), frozenset(labels), transitions, initial, secret)
 
 
@@ -133,11 +142,11 @@ def check_current_state_opacity(
     ties broken by canonical label order; it is empty when the initial
     estimate itself violates opacity.
     """
-    labels, parent, _, violating, state = _search(n, observable)
+    labels, parent, _, violating = _search(n, observable)
     if not violating:
         return OpacityVerdict(True, frozenset(), None)
     witness, step = [], parent[violating[0]]
     while step is not None:
         witness.append(labels[step[1]])
         step = parent[step[0]]
-    return OpacityVerdict(False, frozenset(map(state, violating)), tuple(reversed(witness)))
+    return OpacityVerdict(False, frozenset(map(ObserverState, violating)), tuple(reversed(witness)))

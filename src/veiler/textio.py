@@ -71,10 +71,20 @@ def parse_document(text: str) -> AutomatonDocument:
     seen: dict[str, int] = {}
     top = -1  # rank of the highest section seen so far
     ended = False
+    # Token text -> state, from the states line, and whether a trans line has
+    # been accepted and no end seen: then a trans line of declared tokens
+    # can break no rule of the grammar and is added at once.
+    state_of: dict[str, State] = {}
+    in_trans = False
 
     lines = text.splitlines()
     for lineno, raw in enumerate(lines, start=1):
         tokens = raw.split("#", 1)[0].split()
+        if in_trans and len(tokens) == 4 and tokens[0] == "trans":
+            _, src, sym, dst = tokens
+            if src in state_of and dst in state_of and sym in labels:
+                table.setdefault((state_of[src], labels[sym]), set()).add(state_of[dst])
+                continue
         if not tokens:
             continue
         keyword, args = tokens[0], tokens[1:]
@@ -108,6 +118,7 @@ def parse_document(text: str) -> AutomatonDocument:
             if label is None:
                 raise ParseError(lineno, f"undeclared event {sym!r}")
             table.setdefault((src, label), set()).add(dst)
+            in_trans = True
         elif keyword == "automaton":
             if len(args) != 1:
                 raise ParseError(lineno, "automaton takes exactly one name")
@@ -120,12 +131,14 @@ def parse_document(text: str) -> AutomatonDocument:
         elif keyword == "states":
             states = [_state_token(t) for t in args]
             state_set = _declare(lineno, "state", args, states)
+            state_of = dict(zip(args, states))
         elif keyword == "initial":
             initial = [_state_token(t) for t in args]
         elif keyword == "secret":
             secret = [_state_token(t) for t in args]
         else:  # end
             ended = True
+            in_trans = False
 
     missing = [k for k in _SECTION_ORDER if k in _REQUIRED and k not in seen]
     if missing:

@@ -48,7 +48,7 @@ from veiler.insertion import (
 )
 from veiler.oracle import random_constraints, random_dfa
 from veiler.report import ei_report, eic_report, to_json
-from veiler.textio import emit_automaton, parse_document
+from veiler.textio import ParseError, emit_automaton, parse_document
 
 ROOT = Path(__file__).resolve().parents[1]
 DATA = Path(__file__).parent / "data"
@@ -149,12 +149,22 @@ class TestCheckOpacity:
         assert payload["violating_estimates"] == ["{2}", "{3}"]
 
     @pytest.mark.parametrize(
-        "flags, golden", [([], "partial-opacity.txt"), (["--json"], "partial-opacity.json")]
+        "flags, golden",
+        [
+            ([], "partial-opacity.txt"),
+            (["--json"], "partial-opacity.json"),
+            ([], "observed-opacity.txt"),
+            (["--json"], "observed-opacity.json"),
+        ],
     )
     def test_output_matches_the_golden_file(self, capsys, flags, golden):
-        # A partially observed system: the witness b a a passes through
-        # unobservable moves, and three violating estimates hold several states.
-        assert cli_main(["check-opacity", PARTIAL, *flags]) == EXIT_NOT_OPAQUE
+        # partial.aut: a partially observed system; the witness b a a passes
+        # through unobservable moves, and three violating estimates hold
+        # several states.  observed.aut: a fully observed 60-state DFA, the
+        # benchmark's large inputs in small; every estimate is one state,
+        # 18 of them violate, and the witness is a a b.
+        path = str(DATA / (golden.split("-")[0] + ".aut"))
+        assert cli_main(["check-opacity", path, *flags]) == EXIT_NOT_OPAQUE
         assert capsys.readouterr().out.encode() == (DATA / golden).read_bytes()
 
     def test_a_system_without_initial_states_is_opaque(self, capsys, tmp_path):
@@ -559,6 +569,26 @@ class TestTopLevel:
                 "", "error: line 3: byte 0xff is not UTF-8 (invalid start byte)\n"
             )
 
+    def test_a_byte_order_mark_is_skipped(self, capsys, tmp_path):
+        plain = Path(G1).read_bytes()
+        marked = tmp_path / "marked.aut"
+        marked.write_bytes(b"\xef\xbb\xbf" + plain)
+        for argv in (["check-opacity"], ["check-opacity", "--json"], ["verify-ei", "--json"],
+                     ["verify-eic", "--insert-before", "a", "--json"]):
+            expected = (cli_main([*argv, G1]), capsys.readouterr())
+            assert (cli_main([*argv, str(marked)]), capsys.readouterr()) == expected, argv
+        # The library's parser takes text, in which the mark is a character.
+        with pytest.raises(ParseError, match=re.escape("line 1: unknown declaration '\\ufeff'")):
+            parse_document("\ufeff" + plain.decode())
+
+    def test_undecodable_input_after_a_byte_order_mark_reports_the_line(self, capsys, tmp_path):
+        bad = tmp_path / "bad.aut"
+        bad.write_bytes(b"\xef\xbb\xbfautomaton g\nevents a\n\nstates 0 \xc31\ninitial 0\nend\n")
+        assert cli_main(["check-opacity", str(bad)]) == EXIT_ERROR
+        assert capsys.readouterr() == (
+            "", "error: line 4: byte 0xc3 is not UTF-8 (invalid continuation byte)\n"
+        )
+
     def test_dot_into_a_missing_directory_names_the_given_path(self, capsys, tmp_path):
         # Not the temporary file the DOT text is written to first.
         dot = str(tmp_path / "missing" / "x.dot")
@@ -825,7 +855,7 @@ class TestDecisionPath:
         assert calls == []
 
     def test_check_opacity_builds_no_observer(self, capsys, monkeypatch, tmp_path):
-        # check-opacity decides on bitmask estimates: no observer automaton,
+        # check-opacity decides on frozenset estimates: no observer automaton,
         # no automaton beyond the parsed one, and an ObserverState only for
         # each violating estimate (the 2000-state system reaches 2000).
         def forbidden(*args, **kwargs):

@@ -161,6 +161,56 @@ class TestOpacity:
             kinds["long_witness"] += witness is not None and len(witness) >= 2
         assert min(kinds.values()) >= 10, kinds
 
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("kind", ["observed_dfa", "hidden_chains", "several_initial", "no_initial"])
+    def test_matches_a_naive_powerset_search_at_scale(self, kind, seed):
+        n, observable = _large_system(kind, seed)
+        opaque, violating, witness, estimates = _naive_opacity(n, observable, every=True)
+        verdict = check_current_state_opacity(n, observable)
+        assert verdict.opaque == opaque
+        assert {x.estimate for x in verdict.violating_estimates} == violating
+        assert verdict.witness_observation == witness
+        observer = build_observer(n, observable)
+        assert {x.estimate for x in observer.states} == estimates
+        assert {x.estimate for x in observer.secret} == violating
+        if kind == "observed_dfa":  # every estimate is one state
+            assert {len(estimate) for estimate in estimates} == {1}
+            assert len(violating) >= 20 and witness is not None
+        elif kind == "hidden_chains":
+            assert min(len(estimate) for estimate in estimates) >= 2
+            assert max(len(estimate) for estimate in estimates) >= 40
+            assert len(estimates) >= 50
+        elif kind == "no_initial":
+            assert (opaque, estimates) == (True, {frozenset()})
+
+
+def _large_system(kind, seed):
+    """A system of 100-300 states and its observable labels.
+
+    ``observed_dfa`` is a fully observed live DFA with a public initial
+    state.  The others are NFAs: half their states form one long chain of
+    the unobservable label u, which every other state enters somewhere by
+    u, so an estimate holds a long piece of it.  ``hidden_chains`` starts
+    from one state, ``several_initial`` from three and ``no_initial`` from
+    none.
+    """
+    rng = random.Random(f"{kind}/{seed}")
+    size = rng.randrange(100, 301)
+    if kind == "observed_dfa":
+        g = random_dfa(seed, size, live=True, secret_density=0.5)
+        n = Automaton(g.states, g.events, g.transitions, g.initial, g.secret - g.initial)
+        return n, sorted(g.events)
+    chain = size // 2
+    transitions = {(x, "u"): [x + 1] for x in range(chain - 1)}
+    for x in range(chain, size):
+        transitions[(x, "u")] = [rng.randrange(chain)]
+        for symbol in "ab":
+            if rng.random() < 0.8:
+                transitions[(x, symbol)] = rng.sample(range(chain, size), 1 + (rng.random() < 0.01))
+    initial = {"hidden_chains": 1, "several_initial": 3, "no_initial": 0}[kind]
+    secret = [x for x in range(size) if rng.random() < 0.9]
+    return Automaton.nfa(range(size), "abu", transitions, rng.sample(range(chain, size), initial), secret), ["a", "b"]
+
 
 def _random_system(seed):
     """A random NFA or DFA of 2-12 states, a random observable subset of its
@@ -183,8 +233,9 @@ def _random_system(seed):
     return n, observable
 
 
-def _naive_opacity(n, observable):
-    """Opacity by a level-by-level search over frozenset estimates.
+def _naive_opacity(n, observable, every=False):
+    """Opacity by a level-by-level search over frozenset estimates, and with
+    ``every`` the set of all reached estimates too.
 
     Each level maps the estimates first reached at its depth to their least
     observation; the witness is the least observation of an all-secret
@@ -212,4 +263,6 @@ def _naive_opacity(n, observable):
                     following[nxt] = min(following.get(nxt, s + (e,)), s + (e,))
         seen |= set(following)
         level = following
+    if every:
+        return not violating, violating, witness, seen
     return not violating, violating, witness

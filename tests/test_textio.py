@@ -624,6 +624,32 @@ def _random_file(seed: int) -> tuple[str, AutomatonDocument]:
 class TestMatchesTheReferenceParser:
     """The parser and the reference agree on every document and every error."""
 
+    # After one accepted trans line, a trans line of four declared tokens is
+    # added at once; every other line takes the checked path.
+    @pytest.mark.parametrize(
+        "tail",
+        [
+            "trans 1 b 01\nend\n",  # 01 names state 1, but is no declared token
+            "trans 01 a s\nend\n",
+            "trans 1 b s   # a trailing comment\nend\n",
+            "trans 1 b s#no space\nend\n",
+            "trans x b s\nend\n",  # undeclared source
+            "trans 1 b x\nend\n",  # undeclared target
+            "trans 1 z s\nend\n",  # undeclared event
+            "trans 1 b\nend\n",
+            "trans 1 b s s\nend\n",
+            "end\ntrans 1 b s\n",
+            "end\ntrans 1 b s # after the end\n",
+            "trans 0 a s\ntrans 0 a 0\nend\n",  # more targets for (0, a)
+            "trans 1 b s\ntrans 1 b s\nend\n",
+            "trans 1 b s\nsecret 1\nend\n",
+            "trans 1 b s\n",
+        ],
+    )
+    def test_lines_after_an_accepted_trans_line(self, tail):
+        text = "automaton g\nevents a b\nstates 0 1 s\ninitial 0\ntrans 0 a 1\n" + tail
+        assert _outcome(parse_document, text) == _outcome(_reference_parse, text)
+
     def test_random_valid_files(self):
         for seed in range(300):
             text, doc = _random_file(seed)
