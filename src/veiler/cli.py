@@ -106,7 +106,8 @@ def _build_parser() -> _Parser:
 
 
 def _split_events(text: str) -> frozenset:
-    return frozenset(part for part in text.split(",") if part)
+    """The comma-separated events of ``text``, stripped; empty ones skipped."""
+    return frozenset(filter(None, map(str.strip, text.split(","))))
 
 
 def _read_document(path: str) -> AutomatonDocument:

@@ -31,7 +31,7 @@ from .insertion import (
     _greatest_fixpoint,
     _report,
     _restrict,
-    _verifier,
+    _trim,
     _walk,
     admissible_states,
 )
@@ -308,7 +308,7 @@ def _decide_eic(g: Automaton, c: InsertionConstraints) -> _Decision:
     """The decision of ``check_eic_enforceable``, on bitmasks.
 
     The reachable pairs are the kernel's forward closure, and the verifier
-    what ``_verifier`` keeps of them, pruning single pairs as EI prunes its
+    what ``_trim`` keeps of them, pruning single pairs as EI prunes its
     dashed components.  The staying pairs are the reachable resting pairs
     the relay game keeps: plain (type 1) or in the after-phase (type 2),
     both relay the next output after a before-walk.  Pruning only names the
@@ -317,7 +317,7 @@ def _decide_eic(g: Automaton, c: InsertionConstraints) -> _Decision:
     kernel = _EicKernel(g, c)
     n, relations = kernel.n, kernel.relations()
     reachable = _closure(relations, kernel.start)
-    verifier = _verifier(relations, kernel.start, reachable)
+    verifier = _trim(relations, reachable)
     win = kernel.relay_game(kernel.before, kernel.relays(kernel.before, kernel.after))
     staying = [mask & win[a % n] if a < 2 * n else 0 for a, mask in enumerate(reachable)]
     return kernel.decide(reachable, verifier, staying)

@@ -108,25 +108,20 @@ def _union(mask: int, parts: Sequence[int]) -> int:
 _Relations = tuple[list[list[int]], list[list[list[int]]], list[list[tuple[int, int]]]]
 
 
-def _closure(relations: _Relations, start: int, within: Sequence[int] | None = None) -> list[int]:
+def _closure(relations: _Relations, start: int) -> list[int]:
     """The pairs reachable from the pair ``start``, as one bitmask of
-    dummies per actual state; only through the pairs of ``within`` when
-    given, and none if ``start`` is not among them.
+    dummies per actual state.
 
-    A worklist passes on each actual state's new dummies only.  The pairs
-    outside ``within`` count as found from the start.
+    A worklist passes on each actual state's new dummies only.
     """
     succ, images, arcs = relations
     if not images:
         images += map(_tables, succ)
-    width, full = len(arcs), (1 << len(succ[0])) - 1
-    found = [full & ~mask for mask in within] if within is not None else [0] * width
+    width = len(arcs)
+    found = [0] * width
     new = [0] * width
     d, a = divmod(start, width)
-    if found[a] >> d & 1:
-        return [0] * width
-    found[a] |= 1 << d
-    new[a] = 1 << d
+    found[a] = new[a] = 1 << d
     stack = [a]
     while stack:
         a = stack.pop()
@@ -140,21 +135,24 @@ def _closure(relations: _Relations, start: int, within: Sequence[int] | None = N
                     stack.append(t)
                 new[t] |= mask
                 found[t] |= mask
-    if within is not None:
-        return [mask & keep for mask, keep in zip(found, within)]
     return found
 
 
 def _trim(relations: _Relations, reachable: list[int]) -> list[int]:
-    """The pairs of ``reachable`` that are not dead ends, as one bitmask of
-    dummies per actual state.
+    """The paper's verifier: the pairs of ``reachable`` that are not dead
+    ends, as one bitmask of dummies per actual state.
 
-    ``reachable`` is closed under moves.  A pair is a dead end when none of
-    its moves leads to a pair that is not, so (d, a) stays while d is in the
-    pre-image of the staying dummies at t of some move (r, t) of a.  Until
-    the dummies at t shrink, that pre-image is the relation's domain;
-    afterwards it is cached per (r, t), and only the sources of t are
-    re-tested.  With no pair lacking a move, this is ``reachable`` itself.
+    ``reachable`` holds the pairs some start reaches, so it is closed under
+    moves.  A pair is a dead end when none of its moves leads to a pair that
+    is not, so a pair is kept iff it has an infinite path; every pair on a
+    path from the start to a kept pair has one too, so the start reaches
+    every kept pair through kept pairs, or falls with all of them.
+
+    (d, a) stays while d is in the pre-image of the staying dummies at t of
+    some move (r, t) of a.  Until the dummies at t shrink, that pre-image is
+    the relation's domain; afterwards it is cached per (r, t), and only the
+    sources of t are re-tested.  With no pair lacking a move, this is
+    ``reachable`` itself.
     """
     succ, _, arcs = relations
     n, width = len(succ[0]), len(arcs)
@@ -187,26 +185,16 @@ def _trim(relations: _Relations, reachable: list[int]) -> list[int]:
         t = queue.pop()
         for r in into[t]:
             if r not in preimages:
-                pred = [0] * n
-                for d, mask in enumerate(succ[r]):
-                    while mask:
-                        low = mask & -mask
-                        mask ^= low
-                        pred[low.bit_length() - 1] |= 1 << d
-                preimages[r] = _tables(pred)
+                # Each row as n binary digits, the last dummy's row first:
+                # the digits at a stride of n from i are then, as a
+                # bitmask, the dummies whose row holds target n-1-i.
+                rows = "".join([format(mask, f"0{n}b") for mask in reversed(succ[r])])
+                preimages[r] = _tables([int(rows[i::n], 2) for i in range(n - 1, -1, -1)])
             pre[r][t] = _apply(preimages[r], kept[t])
         for a in sources[t]:
             if kept[a]:
                 test(a)
     return kept
-
-
-def _verifier(relations: _Relations, start: int, reachable: list[int]) -> list[int]:
-    """The paper's verifier: the pairs of ``reachable`` that dead-end
-    pruning keeps and ``start`` still reaches through them.  This is
-    ``reachable`` itself when no pair falls."""
-    kept = _trim(relations, reachable)
-    return reachable if kept is reachable else _closure(relations, start, kept)
 
 
 class _PairKernel:
@@ -225,10 +213,10 @@ class _PairKernel:
     lists the moves of one pair, for the library's search and
     ``automaton``; ``edge_keys`` lists those of many pairs, one actual state
     at a time, for the DOT file; ``relations`` holds the same moves per
-    actual state, and ``condensed`` those of EI's dashed components, for
-    ``_closure``, ``_trim`` and ``_verifier``.  A set of pairs is held as
-    one bitmask of dummies per actual state, bit d of entry a for the pair
-    ``d*width + a``.  Pair objects are made only by ``objects``, for
+    actual state, each kind's insertions walked out within its alphabet,
+    and ``condensed`` those of EI's dashed components, for ``_closure`` and
+    ``_trim``.  A set of pairs is held as one bitmask of dummies per actual
+    state, bit d of entry a for the pair ``d*width + a``.  Pair objects are made only by ``objects``, for
     library callers.
     """
 
@@ -352,15 +340,22 @@ class _PairKernel:
         """The pairs' moves as relations on dummies.
 
         Relation e < k is the solid move on e; relation k + i is insertion
-        kind i + 1, on any event of its alphabet.
+        kind i + 1, one or more events of its alphabet at once: d goes to
+        the reach of every delta(d, s) in the subgraph of g on that
+        alphabet.  A kind's phase table fixes every phase it leads to, so
+        this reaches the pairs that single insertions reach, and keeps the
+        same of them on an infinite path.
         """
         n, k = self.n, self.k
-        succ = [[1 << y if y >= 0 else 0 for y in column] for column in zip(*self.delta)]
+        columns = list(zip(*self.delta))
+        succ = [[1 << y if y >= 0 else 0 for y in column] for column in columns]
         kinds = []
         for i, (symbols, shift) in enumerate(self.kinds):
+            _, scc, reach, _ = self._reach(symbols)
+            then = [reach[c] for c in scc]
             row = [0] * n
             for e in symbols:
-                row = [mask | step for mask, step in zip(row, succ[e])]
+                row = [mask | then[y] if y >= 0 else mask for mask, y in zip(row, columns[e])]
             succ.append(row)
             if any(row):
                 kinds.append((k + i, shift))
@@ -508,7 +503,8 @@ class _PairKernel:
         relay every output forever.  A halted actual state has no event to
         relay, so all its pairs stay.  T_e is the same for all dummies of one
         SCC, so each actual state keeps the list of those SCCs still in W,
-        and is re-tested only when a successor's bitmask shrinks.
+        filtered by one move at a time, and is re-tested only when a
+        successor's bitmask shrinks.
         """
         n, delta = self.n, self.delta
         masks = self._reach(before)[3]
@@ -522,8 +518,11 @@ class _PairKernel:
         queue = set(range(n))
         while queue:
             x = queue.pop()
-            moves = [(relays[e], y) for e, y in enumerate(delta[x]) if y >= 0]
-            kept = [c for c in alive[x] if all(row[c] & win[y] for row, y in moves)]
+            kept = alive[x]
+            for e, y in enumerate(delta[x]):
+                if y >= 0:
+                    row, won = relays[e], win[y]
+                    kept = [c for c in kept if row[c] & won]
             if len(kept) < len(alive[x]):
                 alive[x] = kept
                 win[x] = sum(masks[c] for c in kept)
@@ -858,13 +857,13 @@ def _decide_ei(g: Automaton) -> _Decision:
 
     The reachable pairs are the forward closure of the relays, and the
     staying ones those the relay game keeps, with every event insertable
-    before and after a relay.  Pruning only names the paper's verifier.  It
-    runs on the dashed components, ``condensed``'s pairs: a component is
-    reachable when the first member of its SCC is, and kept with all its
+    before and after a relay.  Pruning only names the paper's verifier:
+    ``_trim`` of the dashed components, ``condensed``'s pairs.  A component
+    is reachable when the first member of its SCC is, and kept with all its
     members.
     """
     kernel = _PairKernel(g)
-    n, everything = kernel.n, range(kernel.k)
+    everything = range(kernel.k)
     relays = kernel.relays(everything, everything)
     reachable = kernel.forward(relays)
     win = kernel.relay_game(everything, relays)
@@ -873,7 +872,7 @@ def _decide_ei(g: Automaton) -> _Decision:
     firsts = sum(1 << group[0] for group in components)
     bits = [1 << c for c in scc]
     groups = [_union(mask & firsts, bits) for mask in reachable]
-    kept = _verifier(kernel.condensed(), scc[kernel.x0] * n + kernel.x0, groups)
+    kept = _trim(kernel.condensed(), groups)
     verifier = reachable if kept is groups else [_union(mask, members) for mask in kept]
     return kernel.decide(reachable, verifier, staying)
 

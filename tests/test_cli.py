@@ -303,6 +303,41 @@ class TestVerifyEic:
         assert "insertable after: (none)" in out
         assert "uncovered actual states: 2 3" in out
 
+    @pytest.mark.parametrize("spaced", ["b, c", " b ,c ", "b,,c, "])
+    @pytest.mark.parametrize("command", [[], ["oracle-check", "--eic", "--count", "3"]])
+    def test_whitespace_around_an_event_is_ignored(self, capsys, command, spaced):
+        # verify-eic and oracle-check --eic read the flags alike
+        argv = command or ["verify-eic", G1, "--json"]
+        outputs = []
+        for before, after in (("b,c", "a"), (spaced, " a ,")):
+            code = cli_main(argv + ["--insert-before", before, "--insert-after", after])
+            outputs.append((code, *capsys.readouterr()))
+        assert outputs[0] == outputs[1]
+        assert outputs[0][0] == EXIT_OK and not outputs[0][2]
+
+    @pytest.mark.parametrize(
+        "live, lines",
+        [
+            (True, ["automaton pin: enforceable=true", "verifier states: 237928",
+                    "staying-nonblocking pairs: 107695", "admissible pairs: 71860"]),
+            (False, ["automaton pin: enforceable=false", "verifier states: 214918",
+                     "staying-nonblocking pairs: 100723", "admissible pairs: 72406",
+                     "uncovered actual states: 0"]),
+        ],
+        ids=["live", "halting"],
+    )
+    def test_the_counts_at_320_states_are_pinned(self, capsys, tmp_path, live, lines):
+        # a system far past the random tests' 14 states, live and halting
+        path = tmp_path / "pin.aut"
+        g = random_dfa(1, 320, n_events=3, trans_density=0.5, live=live)
+        path.write_text(emit_automaton(g, "pin"))
+        c = random_constraints(1, "abc")
+        argv = ["verify-eic", str(path), "--insert-before", ",".join(sorted(c.before))]
+        code = cli_main(argv + ["--insert-after", ",".join(sorted(c.after))])
+        assert code == (EXIT_OK if live else EXIT_NOT_ENFORCEABLE)
+        out = capsys.readouterr().out.splitlines()
+        assert out == lines[:1] + ["insertable before: a", "insertable after: a b c"] + lines[1:]
+
     def test_constraint_symbols_must_belong_to_the_alphabet(self, capsys):
         assert cli_main(["verify-eic", G1, "--insert-before", "z"]) == EXIT_ERROR
         assert "outside the alphabet" in capsys.readouterr().err

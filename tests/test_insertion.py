@@ -6,11 +6,15 @@ from itertools import product
 import pytest
 
 from veiler.cli import cli_main
+from veiler.constrained import InsertionConstraints, _decide_eic
 from veiler.dot import emit_dot
 from veiler.fsm import Automaton, EventLabel, Tag, as_label, state_display, word
 from veiler.insertion import (
     IndicatorState,
+    _closure,
     _decide_ei,
+    _trim,
+    _union,
     admissible_states,
     build_indicator,
     build_insertion_automaton,
@@ -361,3 +365,110 @@ class TestPathInvariants:
     def test_holds_on_random_systems(self):
         for seed in range(8):
             self.check(random_dfa(seed, live=True))
+
+
+def _one_step_relations(kernel):
+    """The kernel's moves as relations on dummies, each insertion kind one
+    event of its alphabet at a time: the naive reference for
+    ``_PairKernel.relations``, whose kind rows are closed under the kind's
+    alphabet."""
+    succ = [[1 << y if y >= 0 else 0 for y in column] for column in zip(*kernel.delta)]
+    arcs = [[(e, y) for e, y in enumerate(row) if y >= 0] for row in kernel.delta]
+    arcs = [moves[:] for moves in arcs * (kernel.width // kernel.n)]
+    for i, (symbols, shift) in enumerate(kernel.kinds):
+        targets = [{row[e] for e in symbols} - {-1} for row in kernel.delta]
+        succ.append([sum(1 << y for y in ys) for ys in targets])
+        for a, b in enumerate(shift):
+            if b >= 0:
+                arcs[a].append((kernel.k + i, b))
+    return succ, [], arcs
+
+
+def _closure_within(relations, start, kept):
+    """The pairs of ``kept`` that ``start`` reaches through pairs of
+    ``kept``, searched one pair at a time: the reference for reading the
+    verifier off ``_trim`` alone."""
+    succ, _, arcs = relations
+    width = len(arcs)
+    found = [0] * width
+    d, a = divmod(start, width)
+    if kept[a] >> d & 1:
+        found[a] = 1 << d
+    stack = [start] if found[a] else []
+    while stack:
+        d, a = divmod(stack.pop(), width)
+        for r, t in arcs[a]:
+            fresh = succ[r][d] & kept[t] & ~found[t]
+            found[t] |= fresh
+            stack += [y * width + t for y in range(len(succ[r])) if fresh >> y & 1]
+    return found
+
+
+def _relay_game(kernel, before, relays):
+    """The relay game re-testing each surviving SCC against every move at
+    once: the reference for ``_PairKernel.relay_game``."""
+    n, delta = kernel.n, kernel.delta
+    masks = kernel._reach(before)[3]
+    win = [(1 << n) - 1] * n
+    alive = [range(len(masks))] * n
+    queue = set(range(n))
+    while queue:
+        x = queue.pop()
+        moves = [(relays[e], y) for e, y in enumerate(delta[x]) if y >= 0]
+        kept = [c for c in alive[x] if all(row[c] & win[y] for row, y in moves)]
+        if len(kept) < len(alive[x]):
+            alive[x] = kept
+            win[x] = sum(masks[c] for c in kept)
+            queue |= {s for s, row in enumerate(delta) if x in row}
+    return win
+
+
+class TestKernelShortcuts:
+    def test_the_shortcuts_keep_the_masks_of_the_naive_references(self):
+        # The verifier is _trim alone, insertion kinds are closed under
+        # their alphabet, and the relay game filters one move at a time;
+        # each gives the masks the longer route gives.
+        subsets = [frozenset(s for i, s in enumerate("abc") if mask >> i & 1) for mask in range(8)]
+        outcomes = Counter()
+        for seed in range(320):
+            live = seed % 2 == 0
+            g = random_dfa(
+                seed,
+                n_states=2 + seed % 13,
+                trans_density=(0.2, 0.5, 0.8)[seed % 3],
+                live=live,
+            )
+            c = InsertionConstraints(subsets[seed % 8], subsets[seed // 8 % 8])
+            ei, eic = _decide_ei(g), _decide_eic(g, c)
+            for mode, decision in (("EI", ei), ("EIC", eic)):
+                kernel = decision.kernel
+                one_step, closed = _one_step_relations(kernel), kernel.relations()
+                reachable = _closure(one_step, kernel.start)
+                assert _closure(closed, kernel.start) == reachable, (mode, seed)
+                kept = _trim(one_step, reachable)
+                assert _trim(closed, reachable) == kept, (mode, seed)
+                assert _closure_within(one_step, kernel.start, kept) == kept, (mode, seed)
+                before = kernel.before if mode == "EIC" else range(kernel.k)
+                after = kernel.after if mode == "EIC" else before
+                relays = kernel.relays(before, after)
+                game = _relay_game(kernel, before, relays)
+                assert kernel.relay_game(before, relays) == game, (mode, seed)
+            assert eic.reachable == reachable and eic.verifier == kept, seed
+            outcomes["EIC", live, "pruned"] += kept != reachable
+            outcomes["EIC", live, "emptied"] += not any(kept)
+            # EI prunes its dashed components, on g's SCC condensation
+            kernel = ei.kernel
+            components, scc, _, members = kernel._reach(range(kernel.k))
+            firsts = sum(1 << group[0] for group in components)
+            groups = [_union(mask & firsts, [1 << c for c in scc]) for mask in ei.reachable]
+            condensed = kernel.condensed()
+            kept = _trim(condensed, groups)
+            start = scc[kernel.x0] * kernel.n + kernel.x0
+            assert _closure_within(condensed, start, kept) == kept, seed
+            assert [_union(mask, members) for mask in kept] == ei.verifier, seed
+            outcomes["EI", live, "pruned"] += kept != groups
+            outcomes["EI", live, "emptied"] += not any(kept)
+        # both decisions prune, live or halting, and empty halting verifiers
+        for key in product(("EI", "EIC"), (True, False), ["pruned"]):
+            assert outcomes[key] > 20, key
+        assert outcomes["EI", False, "emptied"] > 5 and outcomes["EIC", False, "emptied"] > 5
