@@ -15,10 +15,10 @@ import tempfile
 from typing import Optional, Sequence
 
 from . import __version__
-from .constrained import InsertionConstraints, _decide_eic
+from .constrained import InsertionConstraints, check_eic_enforceable
 from .dot import _digraph
 from .fsm import state_display, sorted_states
-from .insertion import _count, _Decision, _decide_ei
+from .insertion import EnforcementReport, _count, check_ei_enforceable
 from .observer import check_current_state_opacity
 from .oracle import (
     oracle_eic_enforceable,
@@ -178,48 +178,48 @@ def _cmd_check_opacity(args: argparse.Namespace) -> int:
     return EXIT_OK if verdict.opaque else EXIT_NOT_OPAQUE
 
 
-# The DOT fill of a ``_Decision.rows`` code: red for a staying pair, else
-# green outside the verifier.
+# The DOT fill of an ``EnforcementReport.rows`` code: red for a staying
+# pair, else green outside the verifier.
 _FILL_OF_CODE = [1 if code >> 1 & 3 else 0 if code & 1 else 2 for code in range(16)]
 
 
 def _report_decision(
     args: argparse.Namespace,
     name: str,
-    decision: _Decision,
+    report: EnforcementReport,
     constraints: Optional[InsertionConstraints] = None,
 ) -> int:
     """Write the DOT file and the report of a verify run, from its bitmasks."""
     # Name only the pairs the output shows: all in DOT; in JSON the
     # verifier's and the staying ones, which a system that can halt may hold
     # outside it.
-    rows = decision.rows(everything=bool(args.dot)) if args.dot or args.json else []
+    rows = report.rows(everything=bool(args.dot)) if args.dot or args.json else []
     if args.dot:
-        kernel = decision.kernel
-        edges = functools.partial(kernel.edge_keys, decision.reachable)
+        kernel = report.kernel
+        edges = functools.partial(kernel.edge_keys, report.reachable)
         dot = _digraph(name, rows, _FILL_OF_CODE, (kernel.start,), kernel.edge_labels(), edges)
         _write_atomic(args.dot, dot)
     if args.json:
-        sys.stdout.write(to_json(_pairs_payload(name, decision, rows, constraints)))
+        sys.stdout.write(to_json(_pairs_payload(name, report, rows, constraints)))
     else:
-        print(f"automaton {name}: enforceable={_bool(decision.enforceable)}")
+        print(f"automaton {name}: enforceable={_bool(report.enforceable)}")
         if constraints is not None:
             print(f"insertable before: {' '.join(sorted(constraints.before)) or '(none)'}")
             print(f"insertable after: {' '.join(sorted(constraints.after)) or '(none)'}")
-        print(f"verifier states: {_count(decision.verifier)}")
-        print(f"staying-nonblocking pairs: {_count(decision.staying_nonblocking)}")
-        print(f"admissible pairs: {_count(decision.admissible)}")
-        uncovered = decision.uncovered_actual_states
+        print(f"verifier states: {_count(report.verifier_masks)}")
+        print(f"staying-nonblocking pairs: {_count(report.staying_masks)}")
+        print(f"admissible pairs: {_count(report.admissible_masks)}")
+        uncovered = report.uncovered_actual_states
         if uncovered:
             listed = " ".join(state_display(x) for x in sorted_states(uncovered))
             print(f"uncovered actual states: {listed}")
-    return EXIT_OK if decision.enforceable else EXIT_NOT_ENFORCEABLE
+    return EXIT_OK if report.enforceable else EXIT_NOT_ENFORCEABLE
 
 
 def _cmd_verify_ei(args: argparse.Namespace) -> int:
     doc = _read_document(args.file)
     _require_fully_observable(doc)
-    return _report_decision(args, doc.name, _decide_ei(doc.automaton))
+    return _report_decision(args, doc.name, check_ei_enforceable(doc.automaton))
 
 
 def _cmd_verify_eic(args: argparse.Namespace) -> int:
@@ -229,8 +229,7 @@ def _cmd_verify_eic(args: argparse.Namespace) -> int:
     constraints = InsertionConstraints.of(
         _split_events(args.insert_before), _split_events(args.insert_after)
     )
-    constraints.validate_against(g)
-    return _report_decision(args, doc.name, _decide_eic(g, constraints), constraints)
+    return _report_decision(args, doc.name, check_eic_enforceable(g, constraints), constraints)
 
 
 def _cmd_oracle_check(args: argparse.Namespace) -> int:
@@ -249,13 +248,12 @@ def _cmd_oracle_check(args: argparse.Namespace) -> int:
                     _split_events(args.insert_before or ""),
                     _split_events(args.insert_after or ""),
                 )
-                constraints.validate_against(g)
             else:
                 constraints = random_constraints(seed, symbols)
-            lhs = _decide_eic(g, constraints).enforceable
+            lhs = check_eic_enforceable(g, constraints).enforceable
             rhs = oracle_eic_enforceable(g, constraints)
         else:
-            lhs = _decide_ei(g).enforceable
+            lhs = check_ei_enforceable(g).enforceable
             rhs = oracle_ei_enforceable(g)
         trials.append((seed, lhs, rhs))
     name = f"random[{args.seed}:{args.seed + args.count}]"

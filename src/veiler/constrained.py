@@ -25,11 +25,9 @@ from .fsm import (
 from .insertion import (
     EnforcementReport,
     IndicatorState,
-    _Decision,
     _PairKernel,
     _closure,
     _greatest_fixpoint,
-    _report,
     _restrict,
     _trim,
     _walk,
@@ -183,13 +181,13 @@ class _EicKernel(_PairKernel):
     the id ``dec*n + x``, and the insertion kinds are before (label ids
     ``before``) and after (``after``), shifting the decoration as
     ``_BEFORE_MOVE`` and ``_AFTER_MOVE`` say.  Pair objects, whose actual
-    component is a decorated state, are made only by ``objects``, for
-    library callers.
+    component is a decorated state, are made only by ``objects``.  Stray
+    constraint symbols are refused before a nondeterministic system is.
     """
 
     def __init__(self, g: Automaton, c: InsertionConstraints) -> None:
-        super().__init__(g)
         c.validate_against(g)
+        super().__init__(g)
         n = self.n
         n4 = 4 * n
         self.actual_names = [
@@ -304,15 +302,16 @@ def eic_admissible_states(
     return admissible_states(ev, nb, secret)
 
 
-def _decide_eic(g: Automaton, c: InsertionConstraints) -> _Decision:
-    """The decision of ``check_eic_enforceable``, on bitmasks.
+def check_eic_enforceable(g: Automaton, c: InsertionConstraints) -> EnforcementReport:
+    """Full pipeline: enforceable iff every actual state's subspace has an
+    admissible pair.
 
-    The reachable pairs are the kernel's forward closure, and the verifier
-    what ``_trim`` keeps of them, pruning single pairs as EI prunes its
-    dashed components.  The staying pairs are the reachable resting pairs
-    the relay game keeps: plain (type 1) or in the after-phase (type 2),
-    both relay the next output after a before-walk.  Pruning only names the
-    paper's verifier.
+    The decision runs on bitmasks.  The reachable pairs are the kernel's
+    forward closure, and the verifier what ``_trim`` keeps of them, pruning
+    single pairs as EI prunes its dashed components.  The staying pairs are
+    the reachable resting pairs the relay game keeps: plain (type 1) or in
+    the after-phase (type 2), both relay the next output after a
+    before-walk.  Pruning only names the paper's verifier.
     """
     kernel = _EicKernel(g, c)
     n, relations = kernel.n, kernel.relations()
@@ -320,10 +319,4 @@ def _decide_eic(g: Automaton, c: InsertionConstraints) -> _Decision:
     verifier = _trim(relations, reachable)
     win = kernel.relay_game(kernel.before, kernel.relays(kernel.before, kernel.after))
     staying = [mask & win[a % n] if a < 2 * n else 0 for a, mask in enumerate(reachable)]
-    return kernel.decide(reachable, verifier, staying)
-
-
-def check_eic_enforceable(g: Automaton, c: InsertionConstraints) -> EnforcementReport:
-    """Full pipeline: enforceable iff every actual state's subspace has an
-    admissible pair."""
-    return _report(_decide_eic(g, c))
+    return EnforcementReport(kernel, reachable, verifier, staying)

@@ -216,8 +216,8 @@ class _PairKernel:
     actual state, each kind's insertions walked out within its alphabet,
     and ``condensed`` those of EI's dashed components, for ``_closure`` and
     ``_trim``.  A set of pairs is held as one bitmask of dummies per actual
-    state, bit d of entry a for the pair ``d*width + a``.  Pair objects are made only by ``objects``, for
-    library callers.
+    state, bit d of entry a for the pair ``d*width + a``.  Pair objects are
+    made only by ``objects``, when a report's pair field is first read.
     """
 
     def __init__(self, g: Automaton) -> None:
@@ -568,22 +568,6 @@ class _PairKernel:
                         stack.append(y)
         return found
 
-    def decide(self, reachable: list[int], verifier: list[int], staying: list[int]) -> _Decision:
-        """The verdict read off the staying pairs ``staying``; ``reachable``
-        and ``verifier`` are passed through for the report.  All three hold
-        one bitmask of dummies per actual state."""
-        n = self.n
-        secret = sum(1 << d for d in self.secret)
-        admissible = [mask & ~secret for mask in staying]
-        _, scc, reach, _ = self._reach(range(self.k))
-        accessible = reach[scc[self.x0]]
-        # An actual state of g is covered in any of its phases.
-        uncovered = frozenset(x for i, x in enumerate(self.states) if not any(admissible[i::n]))
-        unreachable = frozenset(x for i, x in enumerate(self.states) if not accessible >> i & 1)
-        return _Decision(
-            not uncovered, self, reachable, verifier, staying, admissible, uncovered, unreachable
-        )
-
 
 def build_indicator(g: Automaton, gf: Automaton) -> Automaton:
     """Product of the system with its insertion automaton.
@@ -760,22 +744,7 @@ def admissible_states(
     return frozenset(pair for pair in snb if pair.dummy not in secret)
 
 
-class EnforcementReport(NamedTuple):
-    """The verdict of ``check_ei_enforceable`` or ``check_eic_enforceable``.
-
-    ``staying_nonblocking`` is a set of pairs, or under constraints a
-    mapping from each staying pair to its type.
-    """
-
-    enforceable: bool
-    verifier: Automaton
-    staying_nonblocking: Collection
-    admissible: frozenset
-    uncovered_actual_states: frozenset
-    unreachable_actual_states: frozenset
-
-
-# The code of a row of ``_Decision.rows``: ``_IN_VERIFIER`` and
+# The code of a row of ``EnforcementReport.rows``: ``_IN_VERIFIER`` and
 # ``_ADMISSIBLE`` are flags, and ``code >> 1 & 3`` is the staying type, 0 for
 # a pair that does not stay.
 _IN_VERIFIER, _ADMISSIBLE = 1, 8
@@ -784,25 +753,62 @@ _IN_VERIFIER, _ADMISSIBLE = 1, 8
 _HEX_DIGITS = bytes.maketrans(b"0123456789abcdef", bytes(range(16)))
 
 
-class _Decision(NamedTuple):
-    """A kernel run's verdict and the pairs behind it, with no pair object.
+class EnforcementReport:
+    """The verdict of ``check_ei_enforceable`` or ``check_eic_enforceable``,
+    and the pairs behind it.
 
-    Pairs are held as one bitmask of dummies per actual state.
-    ``reachable`` holds the indicator's pairs and ``verifier`` those pruning
-    keeps, which the staying pairs need not lie in when g can halt; the
-    other fields mean what they mean in ``EnforcementReport``.  A staying
-    pair's type is 1 in the plain phase and 2 in the after-phase.  The CLI
+    The kernel's pairs are held as one bitmask of dummies per actual state:
+    ``reachable`` the indicator's, ``verifier_masks`` those pruning keeps,
+    which the staying pairs need not lie in when g can halt,
+    ``staying_masks`` and ``admissible_masks``.  The verdict and the
+    uncovered and unreachable states of g are read off them at once.  The
+    pair fields ``verifier``, ``staying_nonblocking`` and ``admissible`` are
+    built from the masks on first read, and kept.  ``staying_nonblocking``
+    is a set of pairs, or under constraints a mapping from each staying pair
+    to its type: 1 in the plain phase and 2 in the after-phase.  The CLI
     renders its report and DOT file from ``rows``.
     """
 
-    enforceable: bool
-    kernel: _PairKernel
-    reachable: list[int]
-    verifier: list[int]
-    staying_nonblocking: list[int]
-    admissible: list[int]
-    uncovered_actual_states: frozenset
-    unreachable_actual_states: frozenset
+    def __init__(
+        self, kernel: _PairKernel, reachable: list[int], verifier: list[int], staying: list[int]
+    ) -> None:
+        self.kernel = kernel
+        self.reachable = reachable
+        self.verifier_masks = verifier
+        self.staying_masks = staying
+        n, states = kernel.n, kernel.states
+        secret = sum(1 << d for d in kernel.secret)
+        admissible = self.admissible_masks = [mask & ~secret for mask in staying]
+        _, scc, reach, _ = kernel._reach(range(kernel.k))
+        accessible = reach[scc[kernel.x0]]
+        # An actual state of g is covered in any of its phases.
+        self.uncovered_actual_states = frozenset(
+            x for i, x in enumerate(states) if not any(admissible[i::n])
+        )
+        self.unreachable_actual_states = frozenset(
+            x for i, x in enumerate(states) if not accessible >> i & 1
+        )
+        self.enforceable = not self.uncovered_actual_states
+
+    @cached_property
+    def verifier(self) -> Automaton:
+        kernel = self.kernel
+        return kernel.automaton(set(kernel.ids(self.verifier_masks)))
+
+    @cached_property
+    def staying_nonblocking(self) -> Collection:
+        kernel = self.kernel
+        n, width = kernel.n, kernel.width
+        objects = kernel.objects(kernel.ids(self.staying_masks))
+        if width == n:
+            return frozenset(objects.values())
+        # Under constraints, the phase gives each staying pair its type.
+        return {pair: 1 if p % width < n else 2 for p, pair in objects.items()}
+
+    @cached_property
+    def admissible(self) -> frozenset:
+        kernel = self.kernel
+        return frozenset(kernel.objects(kernel.ids(self.admissible_masks)).values())
 
     def rows(self, everything: bool) -> list[tuple[str, int, int]]:
         """The pairs the output names, as (name, pair id, code) rows sorted
@@ -821,10 +827,10 @@ class _Decision(NamedTuple):
         spec = f"0{n}x"
         digits = []
         for a in order:
-            verifier, staying = self.verifier[a], self.staying_nonblocking[a]
+            verifier, staying = self.verifier_masks[a], self.staying_masks[a]
             shown = self.reachable[a] if everything else verifier | staying
             stacked = shown | (shown & verifier) << n | staying << 2 * n
-            x = int(f"{stacked | self.admissible[a] << 3 * n:b}", 16)
+            x = int(f"{stacked | self.admissible_masks[a] << 3 * n:b}", 16)
             codes = (
                 (x & part)
                 + _IN_VERIFIER * (x >> 4 * n & part)
@@ -852,15 +858,19 @@ def _count(masks: Iterable[int]) -> int:
     return sum(mask.bit_count() for mask in masks)
 
 
-def _decide_ei(g: Automaton) -> _Decision:
-    """The decision of ``check_ei_enforceable``, on bitmasks.
+def check_ei_enforceable(g: Automaton) -> EnforcementReport:
+    """Full pipeline: enforceable iff every actual state has an admissible pair.
 
-    The reachable pairs are the forward closure of the relays, and the
-    staying ones those the relay game keeps, with every event insertable
-    before and after a relay.  Pruning only names the paper's verifier:
-    ``_trim`` of the dashed components, ``condensed``'s pairs.  A component
-    is reachable when the first member of its SCC is, and kept with all its
-    members.
+    The quantifier runs over all states of g, including ones unreachable in
+    g itself; those can never acquire a pair, so they are reported
+    separately to make the verdict legible.
+
+    The decision runs on bitmasks.  The reachable pairs are the forward
+    closure of the relays, and the staying ones those the relay game keeps,
+    with every event insertable before and after a relay.  Pruning only
+    names the paper's verifier: ``_trim`` of the dashed components,
+    ``condensed``'s pairs.  A component is reachable when the first member
+    of its SCC is, and kept with all its members.
     """
     kernel = _PairKernel(g)
     everything = range(kernel.k)
@@ -874,33 +884,4 @@ def _decide_ei(g: Automaton) -> _Decision:
     groups = [_union(mask & firsts, bits) for mask in reachable]
     kept = _trim(kernel.condensed(), groups)
     verifier = reachable if kept is groups else [_union(mask, members) for mask in kept]
-    return kernel.decide(reachable, verifier, staying)
-
-
-def _report(decision: _Decision) -> EnforcementReport:
-    """The report of ``decision``, with pair objects for its pairs."""
-    kernel = decision.kernel
-    n, width = kernel.n, kernel.width
-    staying = kernel.ids(decision.staying_nonblocking)
-    objects = kernel.objects(staying)
-    return EnforcementReport(
-        decision.enforceable,
-        kernel.automaton(set(kernel.ids(decision.verifier))),
-        # Under constraints, the phase gives each staying pair its type.
-        {objects[p]: 1 if p % width < n else 2 for p in staying}
-        if width > n
-        else frozenset(objects.values()),
-        frozenset(objects[p] for p in kernel.ids(decision.admissible)),
-        decision.uncovered_actual_states,
-        decision.unreachable_actual_states,
-    )
-
-
-def check_ei_enforceable(g: Automaton) -> EnforcementReport:
-    """Full pipeline: enforceable iff every actual state has an admissible pair.
-
-    The quantifier runs over all states of g, including ones unreachable in
-    g itself; those can never acquire a pair, so they are reported
-    separately to make the verdict legible.
-    """
-    return _report(_decide_ei(g))
+    return EnforcementReport(kernel, reachable, verifier, staying)

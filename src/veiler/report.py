@@ -44,18 +44,18 @@ def opacity_report(name: str, verdict: OpacityVerdict) -> dict:
 
 def _pairs_payload(
     name: str,
-    report,
+    report: EnforcementReport,
     rows: Sequence[tuple[str, object, int]],
     constraints: Optional[InsertionConstraints] = None,
 ) -> dict:
     """The verify-ei / verify-eic layout of ``report``, whose pairs ``rows`` names.
 
-    ``report`` is an ``EnforcementReport`` or the CLI's decision; its
-    verdict and state sets are read, and its pairs come as ``rows``: (name,
-    key, code) triples sorted by name, coded as ``_Decision.rows`` codes
-    them.  Every list is ``rows`` filtered.  Under ``constraints``, the
-    layout is verify-eic's and the staying pairs map to their type; where
-    two pairs share a name, the later row's type is shown.
+    The verdict and state sets of ``report`` are read, and its pairs come
+    as ``rows``: (name, key, code) triples sorted by name, coded as
+    ``EnforcementReport.rows`` codes them.  Every list is ``rows`` filtered.
+    Under ``constraints``, the layout is verify-eic's and the staying pairs
+    map to their type; where two pairs share a name, the later row's type
+    is shown.
     """
     payload = _base("verify-ei" if constraints is None else "verify-eic", name)
     payload["enforceable"] = report.enforceable
@@ -74,33 +74,12 @@ def _pairs_payload(
     return payload
 
 
-def _report_payload(
-    name: str, report: EnforcementReport, constraints: Optional[InsertionConstraints] = None
-) -> dict:
-    # On a system that can halt, staying pairs may lie outside the verifier.
-    staying = report.staying_nonblocking
-    kinds = staying if isinstance(staying, Mapping) else dict.fromkeys(staying, 1)
-    verifier = report.verifier.states
-    pairs = [*kinds, *(pair for pair in verifier if pair not in kinds)]
-    rows = sorted(
-        (
-            state_display(pair),
-            i,
-            (_IN_VERIFIER if pair in verifier else 0)
-            | kinds.get(pair, 0) << 1
-            | (_ADMISSIBLE if pair in report.admissible else 0),
-        )
-        for i, pair in enumerate(pairs)
-    )
-    return _pairs_payload(name, report, rows, constraints)
-
-
 def ei_report(name: str, report: EnforcementReport) -> dict:
-    return _report_payload(name, report)
+    return _pairs_payload(name, report, report.rows(False))
 
 
 def eic_report(name: str, report: EnforcementReport, constraints: InsertionConstraints) -> dict:
-    return _report_payload(name, report, constraints)
+    return _pairs_payload(name, report, report.rows(False), constraints)
 
 
 def oracle_report(name: str, constrained: bool, trials: Sequence[tuple[int, bool, bool]]) -> dict:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import os
 from pathlib import Path
+from typing import Collection, Mapping, NamedTuple, Optional
 
 import pytest
 
@@ -14,15 +15,53 @@ from veiler.constrained import (
     eic_admissible_states,
     find_staying_eic_nonblocking,
 )
-from veiler.fsm import Automaton
+from veiler.fsm import Automaton, state_display
 from veiler.insertion import (
-    EnforcementReport,
+    _ADMISSIBLE,
+    _IN_VERIFIER,
     admissible_states,
     build_indicator,
     build_insertion_automaton,
     build_verifier,
     find_staying_nonblocking,
 )
+from veiler.report import _pairs_payload
+
+
+class StagedReport(NamedTuple):
+    """The six fields of an ``EnforcementReport``, from the staged pipeline."""
+
+    enforceable: bool
+    verifier: Automaton
+    staying_nonblocking: Collection
+    admissible: frozenset
+    uncovered_actual_states: frozenset
+    unreachable_actual_states: frozenset
+
+    @classmethod
+    def of(cls, report) -> StagedReport:
+        """The six fields of ``report``, read one by one."""
+        return cls(*(getattr(report, field) for field in cls._fields))
+
+    def payload(self, name: str, constraints: Optional[InsertionConstraints] = None) -> dict:
+        """The verify-ei / verify-eic payload, coded pair object by pair
+        object: the reference for ``report.ei_report`` / ``eic_report``."""
+        # On a system that can halt, staying pairs may lie outside the verifier.
+        staying = self.staying_nonblocking
+        kinds = staying if isinstance(staying, Mapping) else dict.fromkeys(staying, 1)
+        verifier = self.verifier.states
+        pairs = [*kinds, *(pair for pair in verifier if pair not in kinds)]
+        rows = sorted(
+            (
+                state_display(pair),
+                i,
+                (_IN_VERIFIER if pair in verifier else 0)
+                | kinds.get(pair, 0) << 1
+                | (_ADMISSIBLE if pair in self.admissible else 0),
+            )
+            for i, pair in enumerate(pairs)
+        )
+        return _pairs_payload(name, self, rows, constraints)
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -93,18 +132,18 @@ def staged_ei_report():
     """The unconstrained pipeline run stage by stage, as the paper builds it.
 
     ``check_ei_enforceable`` decides on interned pair ids instead; its
-    report must equal this one field for field.  The staying stage runs on
-    the whole indicator: pruning names the verifier but decides nothing.
+    report's six fields must equal these one by one.  The staying stage runs
+    on the whole indicator: pruning names the verifier but decides nothing.
     """
 
-    def run(g: Automaton) -> EnforcementReport:
+    def run(g: Automaton) -> StagedReport:
         ia = build_indicator(g, build_insertion_automaton(g))
         v = build_verifier(ia, g)
         snb = find_staying_nonblocking(ia, g)
         admissible = admissible_states(v, snb, g.secret)
         uncovered = frozenset(g.states - {pair.actual for pair in admissible})
         unreachable = frozenset(g.states - g.accessible_part().states)
-        return EnforcementReport(not uncovered, v, snb, admissible, uncovered, unreachable)
+        return StagedReport(not uncovered, v, snb, admissible, uncovered, unreachable)
 
     return run
 
@@ -114,17 +153,17 @@ def staged_eic_report():
     """The constrained pipeline run stage by stage, as the paper builds it.
 
     ``check_eic_enforceable`` decides on interned pair ids instead; its
-    report must equal this one field for field.  The staying stage runs on
-    the whole indicator: pruning names the verifier but decides nothing.
+    report's six fields must equal these one by one.  The staying stage runs
+    on the whole indicator: pruning names the verifier but decides nothing.
     """
 
-    def run(g: Automaton, c: InsertionConstraints) -> EnforcementReport:
+    def run(g: Automaton, c: InsertionConstraints) -> StagedReport:
         eia = build_eic_indicator(g, build_eic_insertion_automaton(g, c))
         v = build_eic_verifier(eia)
         nb = find_staying_eic_nonblocking(eia, g)
         admissible = eic_admissible_states(v, nb, g.secret)
         uncovered = frozenset(g.states - {base_of(pair.actual) for pair in admissible})
         unreachable = frozenset(g.states - g.accessible_part().states)
-        return EnforcementReport(not uncovered, v, nb, admissible, uncovered, unreachable)
+        return StagedReport(not uncovered, v, nb, admissible, uncovered, unreachable)
 
     return run

@@ -31,7 +31,6 @@ from veiler.constrained import (
     DecoratedState,
     InsertionConstraints,
     _EicKernel,
-    _decide_eic,
     build_eic_indicator,
     build_eic_insertion_automaton,
     check_eic_enforceable,
@@ -41,7 +40,6 @@ from veiler.fsm import Automaton, EventLabel
 from veiler.insertion import (
     IndicatorState,
     _PairKernel,
-    _decide_ei,
     build_indicator,
     build_insertion_automaton,
     check_ei_enforceable,
@@ -237,7 +235,7 @@ class TestVerifyEi:
             dot = tmp_path / "out.dot"
             code = cli_main(["verify-ei", str(path), "--json", "--dot", str(dot)])
             assert code == (EXIT_OK if expected.enforceable else EXIT_NOT_ENFORCEABLE)
-            assert capsys.readouterr().out == to_json(ei_report(doc.name, expected))
+            assert capsys.readouterr().out == to_json(expected.payload(doc.name))
             assert dot.read_text() == emit_dot(
                 indicator,
                 doc.name,
@@ -342,6 +340,17 @@ class TestVerifyEic:
         assert cli_main(["verify-eic", G1, "--insert-before", "z"]) == EXIT_ERROR
         assert "outside the alphabet" in capsys.readouterr().err
 
+    def test_stray_symbols_are_named_before_nondeterminism(self, capsys, tmp_path):
+        # The constraints are checked once, by the decision, and first.
+        path = tmp_path / "branching.aut"
+        path.write_text(
+            "automaton n\nevents a\nstates 0 1\ninitial 0\ntrans 0 a 0\ntrans 0 a 1\nend\n"
+        )
+        assert cli_main(["verify-eic", str(path), "--insert-before", "z"]) == EXIT_ERROR
+        assert capsys.readouterr().err == "error: constraint symbols outside the alphabet: z\n"
+        assert cli_main(["verify-eic", str(path), "--insert-before", "a"]) == EXIT_ERROR
+        assert "requires a deterministic automaton" in capsys.readouterr().err
+
     def test_partially_observed_systems_are_rejected(self, capsys, hidden_doc):
         assert cli_main(["verify-eic", hidden_doc]) == EXIT_ERROR
         assert "unobservable" in capsys.readouterr().err
@@ -410,7 +419,7 @@ class TestVerifyEic:
                 ]
             )
             assert code == (EXIT_OK if expected.enforceable else EXIT_NOT_ENFORCEABLE)
-            assert capsys.readouterr().out == to_json(eic_report(doc.name, expected, c))
+            assert capsys.readouterr().out == to_json(expected.payload(doc.name, c))
             assert dot.read_text() == emit_dot(
                 indicator,
                 doc.name,
@@ -476,8 +485,9 @@ def _negated(decide):
     """The decider with its verdict flipped, so that every seed disagrees."""
 
     def decide_wrongly(*args):
-        decision = decide(*args)
-        return decision._replace(enforceable=not decision.enforceable)
+        report = decide(*args)
+        report.enforceable = not report.enforceable
+        return report
 
     return decide_wrongly
 
@@ -529,7 +539,7 @@ class TestOracleCheck:
 
     def test_a_disagreeing_seed_is_reported(self, capsys, monkeypatch):
         # Seed 126 is one the construction and the search both refuse.
-        monkeypatch.setattr("veiler.cli._decide_ei", _negated(_decide_ei))
+        monkeypatch.setattr("veiler.cli.check_ei_enforceable", _negated(check_ei_enforceable))
         code = cli_main(["oracle-check", "--seed", "126", "--count", "1"])
         assert code == EXIT_DISAGREE
         out = capsys.readouterr().out
@@ -537,7 +547,7 @@ class TestOracleCheck:
         assert "construction=true search=false" in out
 
     def test_constrained_disagreement(self, capsys, monkeypatch):
-        monkeypatch.setattr("veiler.cli._decide_eic", _negated(_decide_eic))
+        monkeypatch.setattr("veiler.cli.check_eic_enforceable", _negated(check_eic_enforceable))
         code = cli_main(["oracle-check", "--eic", "--seed", "25", "--count", "1"])
         assert code == EXIT_DISAGREE
 
@@ -567,7 +577,7 @@ class TestOracleCheck:
         assert cli_main(["oracle-check", "--count", "0"]) == EXIT_ERROR
 
     def test_json_report(self, capsys, monkeypatch):
-        monkeypatch.setattr("veiler.cli._decide_ei", _negated(_decide_ei))
+        monkeypatch.setattr("veiler.cli.check_ei_enforceable", _negated(check_ei_enforceable))
         code = cli_main(["oracle-check", "--seed", "126", "--count", "1", "--json"])
         assert code == EXIT_DISAGREE
         payload = json.loads(capsys.readouterr().out)
@@ -779,10 +789,21 @@ class TestDecisionPath:
             assert cli_main(argv) == EXIT_OK
             assert [len(built) for built in objects] == [0, 0], argv
             assert len(automata) <= parsed, argv
-        # The counters do count: the library report is made of objects.
+        # The library returns the same report: it and its JSON build
+        # nothing either, until a pair field is read.  That read builds the
+        # pair objects and the verifier automaton, once.
         g1 = parse_document(Path(G1).read_text()).automaton
-        check_eic_enforceable(g1, InsertionConstraints.of({"b", "c"}, {"a"}))
-        assert all(objects) and len(automata) > parsed
+        automata.clear()
+        c = InsertionConstraints.of({"b", "c"}, {"a"})
+        ei, eic = check_ei_enforceable(g1), check_eic_enforceable(g1, c)
+        to_json(ei_report("g1", ei))
+        to_json(eic_report("g1", eic, c))
+        assert [len(built) for built in objects] == [0, 0] and automata == []
+        verifier = ei.verifier
+        assert ei.verifier is verifier
+        assert objects[0] and not objects[1] and len(automata) == 1
+        assert eic.verifier is eic.verifier
+        assert all(objects) and len(automata) == 2
 
     def test_no_verify_command_searches_the_pairs(
         self, capsys, monkeypatch, tmp_path, secretless_doc

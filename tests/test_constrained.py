@@ -9,7 +9,6 @@ from veiler.cli import cli_main
 from veiler.constrained import (
     Decoration,
     InsertionConstraints,
-    _decide_eic,
     base_of,
     build_eic_indicator,
     build_eic_insertion_automaton,
@@ -301,12 +300,12 @@ class TestDecisionMasks:
             )
             # every before/after pair of subsets of {a, b, c}
             c = InsertionConstraints(subsets[seed % 8], subsets[seed // 8 % 8])
-            decision = _decide_eic(g, c)
-            kernel = decision.kernel
+            report = check_eic_enforceable(g, c)
+            kernel = report.kernel
             targets = kernel.search()
-            assert kernel.ids(decision.reachable) == sorted(targets), seed
+            assert kernel.ids(report.reachable) == sorted(targets), seed
             kept = _prune(targets, kernel.start)
-            assert kernel.ids(decision.verifier) == sorted(kept), seed
+            assert kernel.ids(report.verifier_masks) == sorted(kept), seed
             pairs = kernel.objects(targets).values()
             geic = build_eic_insertion_automaton(g, c)
             assert frozenset(pairs) == naive_indicator(g, geic).states, seed
@@ -407,6 +406,29 @@ class TestCheckEicEnforceable:
         with pytest.raises(ValueError):
             check_eic_enforceable(g1, InsertionConstraints.of({"z"}, ()))
 
+    def test_stray_symbols_are_named_before_nondeterminism(self):
+        nondet = Automaton.nfa([0, 1], ["a"], {(0, "a"): [0, 1]}, [0])
+        with pytest.raises(ValueError, match="constraint symbols outside the alphabet: z"):
+            check_eic_enforceable(nondet, InsertionConstraints.of({"z"}, ()))
+        with pytest.raises(ValueError, match="requires a deterministic automaton"):
+            check_eic_enforceable(nondet, InsertionConstraints.of({"a"}, ()))
+
+    def test_only_an_after_insertion_hides_the_secret(self):
+        # The wider class: 0 -a/c-> 1 -b-> 0 with 1 secret is EI-enforceable,
+        # yet not with every event insertable before and none after.  A
+        # relay of a or c from a believed state in {0, 1} always lands on
+        # 1; only inserting b after it moves the belief back to 0.
+        g = random_dfa(5, 2, live=True)
+        assert g == Automaton.dfa(
+            [0, 1], ["a", "b", "c"], {(0, "a"): 1, (0, "c"): 1, (1, "b"): 0}, 0, secret=[1]
+        )
+        assert check_ei_enforceable(g).enforceable
+        report = check_eic_enforceable(g, InsertionConstraints.of("abc", ()))
+        assert not report.enforceable
+        assert report.uncovered_actual_states == frozenset({1})
+        assert check_eic_enforceable(g, InsertionConstraints.of("a", "b")).enforceable
+        assert not check_eic_enforceable(g, InsertionConstraints.of((), "b")).enforceable
+
     def test_every_event_on_both_sides_is_ei_once_x0_is_entered(self):
         # EIC with before = after = all events decides what EI decides, but
         # for one rule: before the first output nothing has been produced to
@@ -454,16 +476,20 @@ class TestCheckEicEnforceable:
             eia = build_eic_indicator(g, geic)
             assert eia == naive_indicator(g, geic), seed
             expected = staged_eic_report(g, c)
-            assert check_eic_enforceable(g, c) == expected, seed
-            # The CLI renders the same report, and draws the same indicator
-            # and its pruned pairs, from the decision's pair ids.
+            report = check_eic_enforceable(g, c)
+            assert expected.of(report) == expected, seed
+            # The CLI and eic_report render the same report, and the CLI
+            # draws the same indicator and its pruned pairs, from the
+            # decision's pair ids.
             name, path, dot = f"r{seed}", tmp_path / "g.aut", tmp_path / "g.dot"
             path.write_text(emit_automaton(g, name))
             argv = ["verify-eic", str(path), "--json", "--dot", str(dot)]
             argv += ["--insert-before", ",".join(sorted(c.before))]
             argv += ["--insert-after", ",".join(sorted(c.after))]
             assert cli_main(argv) == (0 if expected.enforceable else 3), seed
-            assert capsys.readouterr().out == to_json(eic_report(name, expected, c)), seed
+            out = capsys.readouterr().out
+            assert out == to_json(expected.payload(name, c)), seed
+            assert out == to_json(eic_report(name, report, c)), seed
             assert dot.read_text() == emit_dot(
                 eia,
                 name,
@@ -474,3 +500,30 @@ class TestCheckEicEnforceable:
             emptied += not expected.verifier.states
         # the sample must exercise pruning, down to the empty verifier
         assert pruned > 50 and emptied > 5
+
+
+class TestAlphabetMonotonicity:
+    def test_a_wider_alphabet_never_refuses_an_enforceable_system(self):
+        # A metamorphic check that shares no code with the oracle: every
+        # disguise open under (before, after) stays open when either set
+        # grows, so "enforceable" holds on every pair of supersets.  All 64
+        # pairs of subsets of {a, b, c}, on live and halting systems.
+        subsets = [frozenset(s for i, s in enumerate("abc") if mask >> i & 1) for mask in range(8)]
+        mixed = 0
+        for seed in range(100):
+            g = random_dfa(seed, n_states=2 + seed % 8, live=seed % 3 != 0)
+            verdicts = {}
+            for before in subsets:
+                for after in subsets:
+                    c = InsertionConstraints(before, after)
+                    verdicts[before, after] = check_eic_enforceable(g, c).enforceable
+            for (before, after), enforceable in verdicts.items():
+                if enforceable:
+                    wider = [
+                        pair for pair, ok in verdicts.items()
+                        if before <= pair[0] and after <= pair[1] and not ok
+                    ]
+                    assert wider == [], (seed, sorted(before), sorted(after))
+            mixed += len(set(verdicts.values())) == 2
+        # the alphabets decide the verdict on many of the systems
+        assert mixed > 50, mixed

@@ -4,15 +4,15 @@ import functools
 from pathlib import Path
 
 from veiler.cli import _FILL_OF_CODE, EXIT_NOT_ENFORCEABLE, cli_main
-from veiler.constrained import InsertionConstraints, _decide_eic
+from veiler.constrained import InsertionConstraints, check_eic_enforceable
 from veiler.dot import _FILLS, _digraph, _quote, emit_dot
 from veiler.fsm import Automaton, sorted_labels, state_display
 from veiler.insertion import (
     _ADMISSIBLE,
     _IN_VERIFIER,
-    _decide_ei,
     build_indicator,
     build_insertion_automaton,
+    check_ei_enforceable,
 )
 from veiler.oracle import random_dfa
 from veiler.textio import parse_document
@@ -153,16 +153,16 @@ def _naive_emit_dot(a, name="g", nonblocking=(), pruned=()):
     return _naive_digraph(name, rows, range(3), [ids[x] for x in a.initial], moves, labels)
 
 
-def _naive_rows(decision, everything):
-    """The reference for ``_Decision.rows``: every shown pair's object
+def _naive_rows(report, everything):
+    """The reference for ``EnforcementReport.rows``: every shown pair's object
     named, coded and sorted one pair at a time."""
-    kernel = decision.kernel
+    kernel = report.kernel
     n, width = kernel.n, kernel.width
     reachable, verifier, staying, admissible = (
         set(kernel.ids(masks))
         for masks in (
-            decision.reachable, decision.verifier,
-            decision.staying_nonblocking, decision.admissible,
+            report.reachable, report.verifier_masks,
+            report.staying_masks, report.admissible_masks,
         )
     )
     rows = []
@@ -182,7 +182,7 @@ SUBSETS = [frozenset(s for i, s in enumerate("abc") if mask >> i & 1) for mask i
 
 
 class TestTheNaiveRenderer:
-    def _decisions(self):
+    def _reports(self):
         for seed in range(256):
             g = random_dfa(
                 seed,
@@ -191,29 +191,29 @@ class TestTheNaiveRenderer:
                 live=seed % 2 == 0 if seed < 128 else seed < 192,
             )
             if seed < 128:
-                yield f"ei{seed}", _decide_ei(g)
+                yield f"ei{seed}", check_ei_enforceable(g)
             else:
                 # every (before, after) pair of subsets, live and halting
                 c = InsertionConstraints(SUBSETS[seed % 8], SUBSETS[seed // 8 % 8])
-                yield f"eic{seed}", _decide_eic(g, c)
+                yield f"eic{seed}", check_eic_enforceable(g, c)
         # Pairs that share a display name.
         comma = parse_document((DATA / "comma.aut").read_text()).automaton
-        yield "comma", _decide_ei(comma)
+        yield "comma", check_ei_enforceable(comma)
         decorated = parse_document((DATA / "decorated.aut").read_text()).automaton
-        yield "decorated", _decide_eic(decorated, InsertionConstraints.of("a", "b"))
+        yield "decorated", check_eic_enforceable(decorated, InsertionConstraints.of("a", "b"))
 
     def test_verify_draws_match_it(self):
         # The kernel's edge keys and the one sort give the per-pair
         # renderer's bytes, on EI and EIC systems that prune, halt and
         # collide names.
         drawn = shared = 0
-        for name, decision in self._decisions():
-            rows = decision.rows(everything=True)
-            assert rows == _naive_rows(decision, True), name
-            assert decision.rows(everything=False) == _naive_rows(decision, False), name
-            kernel = decision.kernel
+        for name, report in self._reports():
+            rows = report.rows(everything=True)
+            assert rows == _naive_rows(report, True), name
+            assert report.rows(everything=False) == _naive_rows(report, False), name
+            kernel = report.kernel
             labels = kernel.edge_labels()
-            edges = functools.partial(kernel.edge_keys, decision.reachable)
+            edges = functools.partial(kernel.edge_keys, report.reachable)
             text = _digraph(name, rows, _FILL_OF_CODE, (kernel.start,), labels, edges)
             expected = _naive_digraph(
                 name, rows, _FILL_OF_CODE, (kernel.start,), kernel.moves, labels

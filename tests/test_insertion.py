@@ -6,13 +6,12 @@ from itertools import product
 import pytest
 
 from veiler.cli import cli_main
-from veiler.constrained import InsertionConstraints, _decide_eic
+from veiler.constrained import InsertionConstraints, check_eic_enforceable
 from veiler.dot import emit_dot
 from veiler.fsm import Automaton, EventLabel, Tag, as_label, state_display, word
 from veiler.insertion import (
     IndicatorState,
     _closure,
-    _decide_ei,
     _trim,
     _union,
     admissible_states,
@@ -278,14 +277,18 @@ class TestCheckEiEnforceable:
             ia = build_indicator(g, build_insertion_automaton(g))
             assert ia == naive_indicator(g), seed
             expected = staged_ei_report(g)
-            assert check_ei_enforceable(g) == expected, seed
-            # The CLI renders the same report, and draws the same indicator
-            # and its pruned pairs, from the decision's pair ids.
+            report = check_ei_enforceable(g)
+            assert expected.of(report) == expected, seed
+            # The CLI and ei_report render the same report, and the CLI
+            # draws the same indicator and its pruned pairs, from the
+            # decision's pair ids.
             name, path, dot = f"r{seed}", tmp_path / "g.aut", tmp_path / "g.dot"
             path.write_text(emit_automaton(g, name))
             code = cli_main(["verify-ei", str(path), "--json", "--dot", str(dot)])
             assert code == (0 if expected.enforceable else 3), seed
-            assert capsys.readouterr().out == to_json(ei_report(name, expected)), seed
+            out = capsys.readouterr().out
+            assert out == to_json(expected.payload(name)), seed
+            assert out == to_json(ei_report(name, report)), seed
             assert dot.read_text() == emit_dot(
                 ia,
                 name,
@@ -312,13 +315,13 @@ class TestForwardMasks:
                 trans_density=(0.2, 0.5, 0.8)[seed % 3],
                 live=live,
             )
-            decision = _decide_ei(g)
-            kernel = decision.kernel
+            report = check_ei_enforceable(g)
+            kernel = report.kernel
             searched = kernel.search()
-            assert kernel.ids(decision.reachable) == sorted(searched), seed
+            assert kernel.ids(report.reachable) == sorted(searched), seed
             ia = build_indicator(g, build_insertion_automaton(g))
             staged = build_verifier(ia, g).states
-            pairs = kernel.objects(kernel.ids(decision.verifier)).values()
+            pairs = kernel.objects(kernel.ids(report.verifier_masks)).values()
             assert frozenset(pairs) == staged, seed
             removed = staged != ia.states
             outcomes[live, removed] += 1
@@ -439,9 +442,9 @@ class TestKernelShortcuts:
                 live=live,
             )
             c = InsertionConstraints(subsets[seed % 8], subsets[seed // 8 % 8])
-            ei, eic = _decide_ei(g), _decide_eic(g, c)
-            for mode, decision in (("EI", ei), ("EIC", eic)):
-                kernel = decision.kernel
+            ei, eic = check_ei_enforceable(g), check_eic_enforceable(g, c)
+            for mode, report in (("EI", ei), ("EIC", eic)):
+                kernel = report.kernel
                 one_step, closed = _one_step_relations(kernel), kernel.relations()
                 reachable = _closure(one_step, kernel.start)
                 assert _closure(closed, kernel.start) == reachable, (mode, seed)
@@ -453,7 +456,7 @@ class TestKernelShortcuts:
                 relays = kernel.relays(before, after)
                 game = _relay_game(kernel, before, relays)
                 assert kernel.relay_game(before, relays) == game, (mode, seed)
-            assert eic.reachable == reachable and eic.verifier == kept, seed
+            assert eic.reachable == reachable and eic.verifier_masks == kept, seed
             outcomes["EIC", live, "pruned"] += kept != reachable
             outcomes["EIC", live, "emptied"] += not any(kept)
             # EI prunes its dashed components, on g's SCC condensation
@@ -465,7 +468,7 @@ class TestKernelShortcuts:
             kept = _trim(condensed, groups)
             start = scc[kernel.x0] * kernel.n + kernel.x0
             assert _closure_within(condensed, start, kept) == kept, seed
-            assert [_union(mask, members) for mask in kept] == ei.verifier, seed
+            assert [_union(mask, members) for mask in kept] == ei.verifier_masks, seed
             outcomes["EI", live, "pruned"] += kept != groups
             outcomes["EI", live, "emptied"] += not any(kept)
         # both decisions prune, live or halting, and empty halting verifiers
