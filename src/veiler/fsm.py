@@ -166,6 +166,8 @@ class Automaton(FrozenValue):
     the automaton itself so there is one source of truth for it; modules
     that do not care about secrecy simply never read it.  ``deterministic``
     is read off the data: one initial state and single-successor moves.
+    The per-state index of moves behind ``outgoing``, ``enabled_events``
+    and ``accessible_part`` is built on first use.
     """
 
     _fields = ("states", "events", "transitions", "initial", "secret")
@@ -186,7 +188,6 @@ class Automaton(FrozenValue):
             raise ValueError("initial states must belong to the state set")
         if not self.secret <= self.states:
             raise ValueError("secret states must belong to the state set")
-        outgoing: dict[State, dict[EventLabel, frozenset]] = {}
         deterministic = len(self.initial) == 1
         for (x, e), targets in self.transitions.items():
             if x not in self.states:
@@ -199,8 +200,6 @@ class Automaton(FrozenValue):
                 raise ValueError("transition target outside the state set")
             if len(targets) > 1:
                 deterministic = False
-            outgoing.setdefault(x, {})[e] = targets
-        object.__setattr__(self, "_outgoing", outgoing)
         object.__setattr__(self, "deterministic", deterministic)
 
     @classmethod
@@ -266,7 +265,22 @@ class Automaton(FrozenValue):
 
     def outgoing(self, x: State) -> Mapping[EventLabel, frozenset]:
         """Defined moves at x as a label -> successor-set mapping."""
-        return self._outgoing.get(x, {})
+        try:
+            index = self._outgoing
+        except AttributeError:
+            index = self._index()
+        return index.get(x, {})
+
+    def _index(self) -> dict[State, dict[EventLabel, frozenset]]:
+        """Build and store ``_outgoing``, the per-state index of moves.
+
+        Readers try the plain attribute first, because a class-level lazy
+        property would slow down every later read of it."""
+        index: dict[State, dict[EventLabel, frozenset]] = {}
+        for (x, e), targets in self.transitions.items():
+            index.setdefault(x, {})[e] = targets
+        object.__setattr__(self, "_outgoing", index)
+        return index
 
     def run(self, source: State, s: Sequence[str | EventLabel]) -> frozenset:
         """All states reachable from source via exactly s.
@@ -289,7 +303,11 @@ class Automaton(FrozenValue):
     def enabled_events(self, x: State) -> frozenset:
         """Labels with a transition defined at x."""
         self._require_state(x)
-        return frozenset(self._outgoing.get(x, {}))
+        try:
+            index = self._outgoing
+        except AttributeError:
+            index = self._index()
+        return frozenset(index.get(x, ()))
 
     def accessible_part(self) -> Automaton:
         """Restriction to the states reachable from the initial set."""
@@ -297,7 +315,7 @@ class Automaton(FrozenValue):
         frontier = list(self.initial)
         while frontier:
             x = frontier.pop()
-            for targets in self._outgoing.get(x, {}).values():
+            for targets in self.outgoing(x).values():
                 for y in targets:
                     if y not in reached:
                         reached.add(y)

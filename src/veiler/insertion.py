@@ -108,11 +108,14 @@ def _union(mask: int, parts: Sequence[int]) -> int:
 _Relations = tuple[list[list[int]], list[list[list[int]]], list[list[tuple[int, int]]]]
 
 
-def _closure(relations: _Relations, start: int) -> list[int]:
+def _closure(relations: _Relations, start: int, plain: int) -> list[int]:
     """The pairs reachable from the pair ``start``, as one bitmask of
     dummies per actual state.
 
-    A worklist passes on each actual state's new dummies only.
+    A worklist passes on each actual state's new dummies only.  The actual
+    states from ``plain`` on are in an insertion phase, entered only through
+    one kind's relation, which is closed under the kind's alphabet: a move
+    of such a state to itself adds no dummy, so the worklist skips it.
     """
     succ, images, arcs = relations
     if not images:
@@ -126,7 +129,10 @@ def _closure(relations: _Relations, start: int) -> list[int]:
     while stack:
         a = stack.pop()
         fresh, new[a] = new[a], 0
+        itself = a if a >= plain else -1
         for r, t in arcs[a]:
+            if t == itself:
+                continue
             # A single lookup while the new dummies fit in the first chunk.
             image = images[r][0][fresh] if fresh < 256 else _apply(images[r], fresh)
             mask = image & ~found[t]

@@ -4,13 +4,15 @@ The observer tracks the set of states an outside observer considers possible
 after each observable event.  Opacity holds when no reachable estimate
 consists of secret states only.
 
-One breadth-first search over estimates decides it.  Each state's closure
-under unobservable moves is built once, as one shared frozenset, and so are
-its observable moves, each closed the same way: the successor of a
-one-state estimate is one of those sets, and that of a larger estimate is
-their union.  Labels are tried in canonical order, so the first all-secret
-estimate reached gives a shortest witness, ties broken by canonical label
-order.  ``build_observer`` materialises the same search.
+One breadth-first search over estimates decides it.  Each observable label
+has one successor map, from a state to its estimate after that label: the
+automaton's own target set when no event is hidden, and otherwise its
+closure under unobservable moves, built from one shared closure per state
+that has a hidden move.  The successor of a one-state estimate is one
+lookup, and that of a larger estimate a union.  Labels are tried in
+canonical order, so the first all-secret estimate reached gives a shortest
+witness, ties broken by canonical label order.  ``build_observer``
+materialises the same search.
 """
 from __future__ import annotations
 
@@ -51,67 +53,76 @@ def _union(sets: Sequence[frozenset]) -> frozenset:
     return sets[0] if len(sets) == 1 else _EMPTY.union(*sets)
 
 
-def _search(n: Automaton, observable: Iterable[str | EventLabel]) -> tuple:
+def _search(
+    n: Automaton, observable: Iterable[str | EventLabel], edges: Optional[list] = None
+) -> tuple:
     """The breadth-first search of the estimates of ``n``, as frozensets: the
-    observable labels in canonical order; each estimate, in discovery order,
-    mapped to its (parent, label index) or None; every move (estimate, label
-    index, successor) in search order; and the nonempty all-secret estimates
-    in discovery order."""
+    observable labels in canonical order; the estimates in discovery order;
+    each one's link to its parent, the parent's index times the label count
+    plus the label index, or -1 for the start; and the indices of the
+    nonempty all-secret estimates.  With ``edges`` given, every move is
+    appended to it as (estimate index, label index, successor)."""
     obs = frozenset(as_label(e) for e in observable)
     if not obs <= n.events:
         raise ValueError("observable labels must be a subset of the automaton's events")
     labels = sorted_labels(obs)
     index = {e: k for k, e in enumerate(labels)}
-    outgoing = n._outgoing
-    # Each state's closure under unobservable moves, one shared set per state.
-    closure = {x: frozenset((x,)) for x in n.states}
-    if obs != n.events:
-        hidden = {}
-        for x, out in outgoing.items():
-            targets = [ys for e, ys in out.items() if e not in index]
-            if targets:
-                hidden[x] = _union(targets)
+    moves: list[dict] = [{} for _ in labels]
+    if obs == n.events:
+        for (x, e), ys in n.transitions.items():
+            moves[index[e]][x] = ys
+        start = n.initial
+    else:
+        hidden: dict = {}
+        for (x, e), ys in n.transitions.items():
+            if e not in index:
+                hidden.setdefault(x, []).append(ys)
+        # The closure under unobservable moves of each state that has one.
+        closure = {}
         for x in hidden:
             reach, todo = {x}, [x]
             while todo:
-                for y in hidden.get(todo.pop(), ()):
-                    if y not in reach:
-                        reach.add(y)
-                        todo.append(y)
+                for ys in hidden.get(todo.pop(), ()):
+                    for y in ys:
+                        if y not in reach:
+                            reach.add(y)
+                            todo.append(y)
             closure[x] = frozenset(reach)
-    # Each state's observable moves closed under unobservable ones, as its
-    # row of (label index, successors) in label order.
-    rows = {}
-    for x, out in outgoing.items():
-        row = rows[x] = []
-        for e, ys in sorted(out.items()):
+
+        def closed(ys: frozenset) -> frozenset:
+            if closure.keys().isdisjoint(ys):
+                return ys
+            return _EMPTY.union(*[closure.get(y, (y,)) for y in ys])
+
+        for (x, e), ys in n.transitions.items():
             k = index.get(e)
             if k is not None:
-                if len(ys) == 1:  # the common case, kept free of calls
-                    (y,) = ys
-                    target = closure[y]
-                else:
-                    target = _EMPTY.union(*[closure[y] for y in ys])
-                row.append((k, target))
-    start = _union([closure[x] for x in n.initial])
-    parent, queue, edges = {start: None}, [start], []
-    for current in queue:  # the queue grows while it is read
-        if len(current) == 1:
-            (x,) = current
-            step = rows.get(x, ())
-        else:  # none or several states: merge their moves
-            moved = [[] for _ in labels]
-            for x in current:
-                for k, target in rows.get(x, ()):
-                    moved[k].append(target)
-            step = [(k, _union(targets)) for k, targets in enumerate(moved) if targets]
-        for k, target in step:
-            edges.append((current, k, target))
-            if target not in parent:
-                parent[target] = (current, k)
+                moves[k][x] = closed(ys)
+        start = closed(n.initial)
+    width = len(labels)
+    found, queue, links = {start}, [start], [-1]
+    for i, current in enumerate(queue):  # the queue grows while it is read
+        link = i * width
+        for k, move in enumerate(moves):
+            if len(current) == 1:
+                (x,) = current
+                target = move.get(x)
+                if target is None:
+                    continue
+            else:  # none or several states: merge their moves
+                targets = [move[x] for x in current if x in move]
+                if not targets:
+                    continue
+                target = _union(targets)
+            if target not in found:
+                found.add(target)
                 queue.append(target)
-    violating = [estimate for estimate in queue if estimate and estimate <= n.secret]
-    return labels, parent, edges, violating
+                links.append(link + k)
+            if edges is not None:
+                edges.append((i, k, target))
+    secret = n.secret
+    violating = [i for i, estimate in enumerate(queue) if estimate and estimate <= secret]
+    return labels, queue, links, violating
 
 
 def build_observer(
@@ -124,12 +135,13 @@ def build_observer(
     iff it is nonempty and all secret in the source, so opacity can be read
     off the observer's own secret set.
     """
-    labels, parent, edges, violating = _search(n, observable)
-    states = {estimate: ObserverState(estimate) for estimate in parent}
-    transitions = {(states[m], labels[k]): frozenset({states[t]}) for m, k, t in edges}
-    initial = frozenset({next(iter(states.values()))})
-    secret = frozenset(states[estimate] for estimate in violating)
-    return Automaton(frozenset(states.values()), frozenset(labels), transitions, initial, secret)
+    edges: list = []
+    labels, queue, _, violating = _search(n, observable, edges)
+    states = [ObserverState(estimate) for estimate in queue]
+    state_of = dict(zip(queue, states))
+    transitions = {(states[i], labels[k]): frozenset((state_of[t],)) for i, k, t in edges}
+    secret = frozenset(states[i] for i in violating)
+    return Automaton(frozenset(states), frozenset(labels), transitions, frozenset(states[:1]), secret)
 
 
 def check_current_state_opacity(
@@ -142,11 +154,13 @@ def check_current_state_opacity(
     ties broken by canonical label order; it is empty when the initial
     estimate itself violates opacity.
     """
-    labels, parent, _, violating = _search(n, observable)
+    labels, queue, links, violating = _search(n, observable)
     if not violating:
         return OpacityVerdict(True, frozenset(), None)
-    witness, step = [], parent[violating[0]]
-    while step is not None:
-        witness.append(labels[step[1]])
-        step = parent[step[0]]
-    return OpacityVerdict(False, frozenset(map(ObserverState, violating)), tuple(reversed(witness)))
+    witness, link = [], links[violating[0]]
+    while link >= 0:
+        i, k = divmod(link, len(labels))
+        witness.append(labels[k])
+        link = links[i]
+    estimates = frozenset(ObserverState(queue[i]) for i in violating)
+    return OpacityVerdict(False, estimates, tuple(reversed(witness)))

@@ -67,15 +67,25 @@ def parse_document(text: str) -> AutomatonDocument:
     state_set: set = set()
     initial: list[State] = []
     secret: list[State] = []
-    table: dict[tuple[State, EventLabel], set] = {}
+    # Each target set is stored once: a first target is its state's shared
+    # one-state set, and a key with several targets gathers them in ``more``.
+    table: dict[tuple[State, EventLabel], frozenset] = {}
+    more: dict[tuple[State, EventLabel], set] = {}
     seen: dict[str, int] = {}
     top = -1  # rank of the highest section seen so far
     ended = False
-    # Token text -> state, from the states line, and whether a trans line has
-    # been accepted and no end seen: then a trans line of declared tokens
-    # can break no rule of the grammar and is added at once.
+    # Token text -> state and state -> its one-state target set, from the
+    # states line, and whether a trans line has been accepted and no end
+    # seen: then a trans line of declared tokens can break no rule of the
+    # grammar and is added at once.
     state_of: dict[str, State] = {}
+    single: dict[State, frozenset] = {}
     in_trans = False
+
+    def add(key: tuple[State, EventLabel], y: State) -> None:
+        targets = table.setdefault(key, single[y])
+        if y not in targets:
+            more.setdefault(key, set(targets)).add(y)
 
     lines = text.splitlines()
     for lineno, raw in enumerate(lines, start=1):
@@ -83,7 +93,7 @@ def parse_document(text: str) -> AutomatonDocument:
         if in_trans and len(tokens) == 4 and tokens[0] == "trans":
             _, src, sym, dst = tokens
             if src in state_of and dst in state_of and sym in labels:
-                table.setdefault((state_of[src], labels[sym]), set()).add(state_of[dst])
+                add((state_of[src], labels[sym]), state_of[dst])
                 continue
         if not tokens:
             continue
@@ -117,7 +127,7 @@ def parse_document(text: str) -> AutomatonDocument:
             label = labels.get(sym)
             if label is None:
                 raise ParseError(lineno, f"undeclared event {sym!r}")
-            table.setdefault((src, label), set()).add(dst)
+            add((src, label), dst)
             in_trans = True
         elif keyword == "automaton":
             if len(args) != 1:
@@ -132,6 +142,7 @@ def parse_document(text: str) -> AutomatonDocument:
             states = [_state_token(t) for t in args]
             state_set = _declare(lineno, "state", args, states)
             state_of = dict(zip(args, states))
+            single = {x: frozenset((x,)) for x in states}
         elif keyword == "initial":
             initial = [_state_token(t) for t in args]
         elif keyword == "secret":
@@ -154,10 +165,12 @@ def parse_document(text: str) -> AutomatonDocument:
         if sym not in labels:
             raise ParseError(seen["unobservable"], f"undeclared event {sym!r}")
 
+    for key, targets in more.items():
+        table[key] = frozenset(targets)
     automaton = Automaton(
         frozenset(states),
         frozenset(labels.values()),
-        {key: frozenset(targets) for key, targets in table.items()},
+        table,
         frozenset(initial),
         frozenset(secret),
     )

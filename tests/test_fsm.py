@@ -21,7 +21,7 @@ from veiler.fsm import (
 from veiler.constrained import DecoratedState, Decoration, InsertionConstraints
 from veiler.insertion import IndicatorState, SubspacePartition
 from veiler.observer import ObserverState, OpacityVerdict
-from veiler.oracle import ExtendedInsertionSequence, random_dfa
+from veiler.oracle import ExtendedInsertionSequence, random_dfa, random_nfa
 from veiler.textio import AutomatonDocument
 
 
@@ -145,6 +145,47 @@ class TestAccessiblePart:
     def test_idempotent(self, g1):
         once = g1.accessible_part()
         assert once.accessible_part() == once
+
+
+class TestMoveIndex:
+    """The per-state index of moves, built on first use."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_a_built_index_leaves_the_value_as_it_was(self, seed):
+        size = 2 + seed % 9
+        if seed % 2:
+            g = random_nfa(seed, n_states=size, trans_density=(0.2, 0.5)[seed % 4 // 2])
+        else:
+            g = random_dfa(seed, size, trans_density=(0.3, 0.6)[seed % 4 // 2], live=seed % 4 == 0)
+        fresh = Automaton(*(getattr(g, name) for name in g._fields))
+        assert "_outgoing" not in vars(g)
+        for x in sorted_states(g.states):
+            moves = {e: ys for (y, e), ys in g.transitions.items() if y == x}
+            assert g.outgoing(x) == moves
+            assert g.enabled_events(x) == frozenset(moves)
+        assert "_outgoing" in vars(g)
+        reached, todo = set(g.initial), list(g.initial)
+        while todo:
+            x = todo.pop()
+            for (y, _), ys in g.transitions.items():
+                if y == x:
+                    todo += ys - reached
+                    reached |= ys
+        part = g.accessible_part()
+        assert part == Automaton(
+            frozenset(reached),
+            g.events,
+            {key: ys for key, ys in g.transitions.items() if key[0] in reached},
+            g.initial,
+            g.secret & reached,
+        )
+        assert g == fresh and fresh == g and g.deterministic == fresh.deterministic
+        assert repr(g) == repr(fresh) and pickle.dumps(g) == pickle.dumps(fresh)
+        for twin in (pickle.loads(pickle.dumps(g)), copy.copy(g), copy.deepcopy(g)):
+            assert type(twin) is Automaton and twin == g == fresh
+            assert twin.deterministic == g.deterministic
+            assert "_outgoing" not in vars(twin)
+            assert all(twin.outgoing(x) == g.outgoing(x) for x in g.states)
 
 
 class TestValueTypes:

@@ -429,8 +429,10 @@ def _relay_game(kernel, before, relays):
 class TestKernelShortcuts:
     def test_the_shortcuts_keep_the_masks_of_the_naive_references(self):
         # The verifier is _trim alone, insertion kinds are closed under
-        # their alphabet, and the relay game filters one move at a time;
-        # each gives the masks the longer route gives.
+        # their alphabet, the closure skips the moves of an insertion phase
+        # to itself, and the relay game filters one move at a time; each
+        # gives the masks the longer route gives.  The population covers
+        # all 64 (before, after) pairs over abc, live and halting.
         subsets = [frozenset(s for i, s in enumerate("abc") if mask >> i & 1) for mask in range(8)]
         outcomes = Counter()
         for seed in range(320):
@@ -446,8 +448,13 @@ class TestKernelShortcuts:
             for mode, report in (("EI", ei), ("EIC", eic)):
                 kernel = report.kernel
                 one_step, closed = _one_step_relations(kernel), kernel.relations()
-                reachable = _closure(one_step, kernel.start)
-                assert _closure(closed, kernel.start) == reachable, (mode, seed)
+                # a plain bound of width takes every move
+                reachable = _closure(one_step, kernel.start, kernel.width)
+                assert _closure(closed, kernel.start, kernel.width) == reachable, (mode, seed)
+                assert _closure(closed, kernel.start, kernel.n) == reachable, (mode, seed)
+                outcomes[mode, live, "self-shifts"] += any(
+                    t == a for a in range(kernel.n, kernel.width) for _, t in closed[2][a]
+                )
                 kept = _trim(one_step, reachable)
                 assert _trim(closed, reachable) == kept, (mode, seed)
                 assert _closure_within(one_step, kernel.start, kept) == kept, (mode, seed)
@@ -474,4 +481,6 @@ class TestKernelShortcuts:
         # both decisions prune, live or halting, and empty halting verifiers
         for key in product(("EI", "EIC"), (True, False), ["pruned"]):
             assert outcomes[key] > 20, key
+        # most constrained kernels have a phase that moves to itself
+        assert outcomes["EIC", True, "self-shifts"] > 100 and outcomes["EIC", False, "self-shifts"] > 100
         assert outcomes["EI", False, "emptied"] > 5 and outcomes["EIC", False, "emptied"] > 5

@@ -173,6 +173,19 @@ class TestOpacity:
         observer = build_observer(n, observable)
         assert {x.estimate for x in observer.states} == estimates
         assert {x.estimate for x in observer.secret} == violating
+        # every move is the naive one-step successor, and there is no other
+        labels = sorted(as_label(e) for e in observable)
+        moves = 0
+        for state in observer.states:
+            for e in labels:
+                moved = {y for x in state.estimate for y in n.step(x, e)}
+                successors = {target.estimate for target in observer.step(state, e)}
+                if moved:
+                    assert successors == {frozenset(_silent_closure(n, moved, labels))}
+                    moves += 1
+                else:
+                    assert not successors
+        assert len(observer.transitions) == moves
         if kind == "observed_dfa":  # every estimate is one state
             assert {len(estimate) for estimate in estimates} == {1}
             assert len(violating) >= 20 and witness is not None
