@@ -315,7 +315,7 @@ def check_eic_enforceable(g: Automaton, c: InsertionConstraints) -> EnforcementR
     """
     kernel = _EicKernel(g, c)
     n, relations = kernel.n, kernel.relations()
-    reachable = _closure(relations, kernel.start, n)
+    reachable = _closure(relations, kernel.start)
     verifier = _trim(relations, reachable)
     win = kernel.relay_game(kernel.before, kernel.relays(kernel.before, kernel.after))
     staying = [mask & win[a % n] if a < 2 * n else 0 for a, mask in enumerate(reachable)]

@@ -303,11 +303,7 @@ class Automaton(FrozenValue):
     def enabled_events(self, x: State) -> frozenset:
         """Labels with a transition defined at x."""
         self._require_state(x)
-        try:
-            index = self._outgoing
-        except AttributeError:
-            index = self._index()
-        return frozenset(index.get(x, ()))
+        return frozenset(self.outgoing(x))
 
     def accessible_part(self) -> Automaton:
         """Restriction to the states reachable from the initial set."""

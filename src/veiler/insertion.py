@@ -108,19 +108,19 @@ def _union(mask: int, parts: Sequence[int]) -> int:
 _Relations = tuple[list[list[int]], list[list[list[int]]], list[list[tuple[int, int]]]]
 
 
-def _closure(relations: _Relations, start: int, plain: int) -> list[int]:
+def _closure(relations: _Relations, start: int) -> list[int]:
     """The pairs reachable from the pair ``start``, as one bitmask of
     dummies per actual state.
 
     A worklist passes on each actual state's new dummies only.  The actual
-    states from ``plain`` on are in an insertion phase, entered only through
-    one kind's relation, which is closed under the kind's alphabet: a move
-    of such a state to itself adds no dummy, so the worklist skips it.
+    states from the dummy count n on are in an insertion phase, entered only
+    through one kind's relation, which is closed under the kind's alphabet:
+    a move of such a state to itself adds no dummy, so the worklist skips it.
     """
     succ, images, arcs = relations
     if not images:
         images += map(_tables, succ)
-    width = len(arcs)
+    plain, width = len(succ[0]), len(arcs)
     found = [0] * width
     new = [0] * width
     d, a = divmod(start, width)

@@ -68,37 +68,34 @@ def _search(
     labels = sorted_labels(obs)
     index = {e: k for k, e in enumerate(labels)}
     moves: list[dict] = [{} for _ in labels]
-    if obs == n.events:
-        for (x, e), ys in n.transitions.items():
-            moves[index[e]][x] = ys
-        start = n.initial
-    else:
-        hidden: dict = {}
-        for (x, e), ys in n.transitions.items():
-            if e not in index:
-                hidden.setdefault(x, []).append(ys)
-        # The closure under unobservable moves of each state that has one.
-        closure = {}
-        for x in hidden:
-            reach, todo = {x}, [x]
-            while todo:
-                for ys in hidden.get(todo.pop(), ()):
-                    for y in ys:
-                        if y not in reach:
-                            reach.add(y)
-                            todo.append(y)
-            closure[x] = frozenset(reach)
+    hidden: dict = {}
+    for (x, e), ys in n.transitions.items():
+        if e not in index:
+            hidden.setdefault(x, []).append(ys)
+    # The closure under unobservable moves of each state that has one.
+    closure = {}
+    for x in hidden:
+        reach, todo = {x}, [x]
+        while todo:
+            for ys in hidden.get(todo.pop(), ()):
+                for y in ys:
+                    if y not in reach:
+                        reach.add(y)
+                        todo.append(y)
+        closure[x] = frozenset(reach)
 
-        def closed(ys: frozenset) -> frozenset:
-            if closure.keys().isdisjoint(ys):
-                return ys
-            return _EMPTY.union(*[closure.get(y, (y,)) for y in ys])
+    def closed(ys: frozenset) -> frozenset:
+        """``ys`` closed under unobservable moves: ``ys`` itself, the shared
+        set, when none of its states has one."""
+        if not closure or closure.keys().isdisjoint(ys):
+            return ys
+        return _EMPTY.union(*[closure.get(y, (y,)) for y in ys])
 
-        for (x, e), ys in n.transitions.items():
-            k = index.get(e)
-            if k is not None:
-                moves[k][x] = closed(ys)
-        start = closed(n.initial)
+    for (x, e), ys in n.transitions.items():
+        k = index.get(e)
+        if k is not None:
+            moves[k][x] = closed(ys)
+    start = closed(n.initial)
     width = len(labels)
     found, queue, links = {start}, [start], [-1]
     for i, current in enumerate(queue):  # the queue grows while it is read
