@@ -307,16 +307,16 @@ def check_eic_enforceable(g: Automaton, c: InsertionConstraints) -> EnforcementR
     admissible pair.
 
     The decision runs on bitmasks.  The reachable pairs are the kernel's
-    forward closure, and the verifier what ``_trim`` keeps of them, pruning
-    single pairs as EI prunes its dashed components.  The staying pairs are
-    the reachable resting pairs the relay game keeps: plain (type 1) or in
-    the after-phase (type 2), both relay the next output after a
-    before-walk.  Pruning only names the paper's verifier.
+    forward closure.  The staying pairs are the reachable resting pairs the
+    relay game keeps: plain (type 1) or in the after-phase (type 2), both
+    relay the next output after a before-walk.  Pruning only names the
+    paper's verifier, built when ``verifier_masks`` is first read: what
+    ``_trim`` keeps of the reachable pairs, single pairs as EI prunes its
+    dashed components.
     """
     kernel = _EicKernel(g, c)
     n, relations = kernel.n, kernel.relations()
     reachable = _closure(relations, kernel.start)
-    verifier = _trim(relations, reachable)
     win = kernel.relay_game(kernel.before, kernel.relays(kernel.before, kernel.after))
     staying = [mask & win[a % n] if a < 2 * n else 0 for a, mask in enumerate(reachable)]
-    return EnforcementReport(kernel, reachable, verifier, staying)
+    return EnforcementReport(kernel, reachable, lambda: _trim(relations, reachable), staying)

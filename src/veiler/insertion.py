@@ -12,7 +12,7 @@ system is in; the actual component is where the system really is.  Dashed
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .fsm import (
     Automaton,
@@ -764,37 +764,46 @@ class EnforcementReport:
     and the pairs behind it.
 
     The kernel's pairs are held as one bitmask of dummies per actual state:
-    ``reachable`` the indicator's, ``verifier_masks`` those pruning keeps,
-    which the staying pairs need not lie in when g can halt,
-    ``staying_masks`` and ``admissible_masks``.  The verdict and the
-    uncovered and unreachable states of g are read off them at once.  The
-    pair fields ``verifier``, ``staying_nonblocking`` and ``admissible`` are
-    built from the masks on first read, and kept.  ``staying_nonblocking``
-    is a set of pairs, or under constraints a mapping from each staying pair
-    to its type: 1 in the plain phase and 2 in the after-phase.  The CLI
-    renders its report and DOT file from ``rows``.
+    ``reachable`` the indicator's, ``staying_masks`` and
+    ``admissible_masks``, off which the verdict and the uncovered states of
+    g are read at once.  What only output reads is built on first read and
+    kept: ``verifier_masks``, the pairs pruning keeps (the staying pairs
+    need not lie in them when g can halt), from one call of ``verifier``,
+    then dropped; ``unreachable_actual_states``; and the pair fields
+    ``verifier``, ``staying_nonblocking`` and ``admissible``.
+    ``staying_nonblocking`` is a set of pairs, or under constraints a
+    mapping from each staying pair to its type: 1 in the plain phase and 2
+    in the after-phase.  The CLI renders its report and DOT file from ``rows``.
     """
 
     def __init__(
-        self, kernel: _PairKernel, reachable: list[int], verifier: list[int], staying: list[int]
+        self, kernel: _PairKernel, reachable: list[int], verifier: Callable, staying: list[int]
     ) -> None:
         self.kernel = kernel
         self.reachable = reachable
-        self.verifier_masks = verifier
+        self._verifier = verifier
         self.staying_masks = staying
         n, states = kernel.n, kernel.states
         secret = sum(1 << d for d in kernel.secret)
         admissible = self.admissible_masks = [mask & ~secret for mask in staying]
-        _, scc, reach, _ = kernel._reach(range(kernel.k))
-        accessible = reach[scc[kernel.x0]]
         # An actual state of g is covered in any of its phases.
         self.uncovered_actual_states = frozenset(
             x for i, x in enumerate(states) if not any(admissible[i::n])
         )
-        self.unreachable_actual_states = frozenset(
-            x for i, x in enumerate(states) if not accessible >> i & 1
-        )
         self.enforceable = not self.uncovered_actual_states
+
+    @cached_property
+    def verifier_masks(self) -> list[int]:
+        masks = self._verifier()
+        del self._verifier  # frees what it holds, as EIC's relations and image tables
+        return masks
+
+    @cached_property
+    def unreachable_actual_states(self) -> frozenset:
+        kernel = self.kernel
+        _, scc, reach, _ = kernel._reach(range(kernel.k))
+        accessible = reach[scc[kernel.x0]]
+        return frozenset(x for i, x in enumerate(kernel.states) if not accessible >> i & 1)
 
     @cached_property
     def verifier(self) -> Automaton:
@@ -832,8 +841,9 @@ class EnforcementReport:
         part = (1 << 4 * n) - 1
         spec = f"0{n}x"
         digits = []
+        verifiers = self.verifier_masks
         for a in order:
-            verifier, staying = self.verifier_masks[a], self.staying_masks[a]
+            verifier, staying = verifiers[a], self.staying_masks[a]
             shown = self.reachable[a] if everything else verifier | staying
             stacked = shown | (shown & verifier) << n | staying << 2 * n
             x = int(f"{stacked | self.admissible_masks[a] << 3 * n:b}", 16)
@@ -874,9 +884,10 @@ def check_ei_enforceable(g: Automaton) -> EnforcementReport:
     The decision runs on bitmasks.  The reachable pairs are the forward
     closure of the relays, and the staying ones those the relay game keeps,
     with every event insertable before and after a relay.  Pruning only
-    names the paper's verifier: ``_trim`` of the dashed components,
-    ``condensed``'s pairs.  A component is reachable when the first member
-    of its SCC is, and kept with all its members.
+    names the paper's verifier, built when ``verifier_masks`` is first read:
+    ``_trim`` of the dashed components, ``condensed``'s pairs.  A component
+    is reachable when the first member of its SCC is, and kept with all its
+    members.
     """
     kernel = _PairKernel(g)
     everything = range(kernel.k)
@@ -884,10 +895,13 @@ def check_ei_enforceable(g: Automaton) -> EnforcementReport:
     reachable = kernel.forward(relays)
     win = kernel.relay_game(everything, relays)
     staying = [mask & won for mask, won in zip(reachable, win)]
-    components, scc, _, members = kernel._reach(everything)
-    firsts = sum(1 << group[0] for group in components)
-    bits = [1 << c for c in scc]
-    groups = [_union(mask & firsts, bits) for mask in reachable]
-    kept = _trim(kernel.condensed(), groups)
-    verifier = reachable if kept is groups else [_union(mask, members) for mask in kept]
+
+    def verifier() -> list[int]:
+        components, scc, _, members = kernel._reach(everything)
+        firsts = sum(1 << group[0] for group in components)
+        bits = [1 << c for c in scc]
+        groups = [_union(mask & firsts, bits) for mask in reachable]
+        kept = _trim(kernel.condensed(), groups)
+        return reachable if kept is groups else [_union(mask, members) for mask in kept]
+
     return EnforcementReport(kernel, reachable, verifier, staying)

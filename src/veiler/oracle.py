@@ -1,11 +1,15 @@
 """Brute-force string-level checks used to cross-validate the pipelines.
 
 Everything here is deliberately naive: insertion walks are exact reach
-sets, sustainability is a fixpoint over (believed, actual) state pairs, and
-inputs are gated to toy sizes.  Only ``is_desirable_bounded`` takes a bound:
-the depth of the continuations it explores.  The whole value of the
-module is that it reaches verdicts by a route independent of the verifier
-constructions it is meant to check.
+sets, sustainability is a fixpoint over (believed, actual) state pairs that
+re-tests every pair each round, and inputs are gated to toy sizes.  The
+two deciders first read g into tables, once per call: one successor map
+per label, each state's walk sets and one relay set per (label, believed
+state); the fixpoint and the reachability search then read only those.
+Only ``is_desirable_bounded`` takes a bound: the depth of the
+continuations it explores.  The whole value of the module is that it
+reaches verdicts by a route independent of the verifier constructions it
+is meant to check.
 """
 from __future__ import annotations
 
@@ -38,18 +42,13 @@ class ExtendedInsertionSequence(FrozenValue):
         if len(self.before) != len(self.after):
             raise ValueError("before- and after-segment counts must match")
         if self.constraints is not None:
-            for segment in self.before:
-                stray = set(segment) - self.constraints.before
-                if stray:
-                    raise ValueError(
-                        "not insertable before an output: " + ", ".join(sorted(stray))
-                    )
-            for segment in self.after:
-                stray = set(segment) - self.constraints.after
-                if stray:
-                    raise ValueError(
-                        "not insertable after an output: " + ", ".join(sorted(stray))
-                    )
+            sides = (("before", self.before, self.constraints.before),
+                     ("after", self.after, self.constraints.after))
+            for side, segments, allowed in sides:
+                for segment in segments:
+                    stray = ", ".join(sorted(set(segment) - allowed))
+                    if stray:
+                        raise ValueError(f"not insertable {side} an output: {stray}")
 
     @classmethod
     def ei(
@@ -57,10 +56,7 @@ class ExtendedInsertionSequence(FrozenValue):
         before: Iterable[Iterable[str]],
         after: Iterable[Iterable[str]],
     ) -> ExtendedInsertionSequence:
-        return cls(
-            tuple(tuple(seg) for seg in before),
-            tuple(tuple(seg) for seg in after),
-        )
+        return cls(tuple(map(tuple, before)), tuple(map(tuple, after)))
 
     @classmethod
     def eic(
@@ -69,11 +65,7 @@ class ExtendedInsertionSequence(FrozenValue):
         after: Iterable[Iterable[str]],
         constraints: InsertionConstraints,
     ) -> ExtendedInsertionSequence:
-        return cls(
-            tuple(tuple(seg) for seg in before),
-            tuple(tuple(seg) for seg in after),
-            constraints,
-        )
+        return cls(tuple(map(tuple, before)), tuple(map(tuple, after)), constraints)
 
     def modified_observation(
         self, s: Sequence[str | EventLabel]
@@ -122,15 +114,15 @@ def is_feasible(
     return True
 
 
-def _reach(g: Automaton, starts: Iterable[State], symbols: Iterable[str]) -> frozenset:
-    """States reachable from starts by any walk over the given symbols."""
-    labels = [as_label(sym) for sym in symbols]
+def _reach(succ: dict, starts: Iterable[State], symbols: Iterable[str | EventLabel]) -> frozenset:
+    """States reachable from starts by any walk over the given symbols in ``_successors``."""
+    steps = [succ.get(as_label(sym), {}) for sym in symbols]
     reached = set(starts)
     frontier = list(reached)
     while frontier:
         x = frontier.pop()
-        for label in labels:
-            for y in g.step(x, label):
+        for step in steps:
+            for y in step.get(x, ()):
                 if y not in reached:
                     reached.add(y)
                     frontier.append(y)
@@ -171,6 +163,7 @@ def is_desirable_bounded(
         before_syms = ei.constraints.before
         after_syms = ei.constraints.after
 
+    succ = _successors(g)
     memo: dict = {}
 
     def survivable(believed: frozenset, actual: State, depth: int) -> bool:
@@ -184,11 +177,11 @@ def is_desirable_bounded(
         verdict = True
         for e in sorted(g.enabled_events(actual)):
             (actual_next,) = g.step(actual, e)
-            staged = _reach(g, believed, before_syms)
+            staged = _reach(succ, believed, before_syms)
             relayed: set = set()
             for d in staged:
                 relayed |= g.step(d, e)
-            settled = _reach(g, relayed, after_syms)
+            settled = _reach(succ, relayed, after_syms)
             if not survivable(settled, actual_next, depth - 1):
                 verdict = False
                 break
@@ -200,9 +193,51 @@ def is_desirable_bounded(
 
 def _guard_size(g: Automaton) -> None:
     if len(g.states) > _ORACLE_STATE_LIMIT:
-        raise ValueError(
-            f"oracle checks are gated to at most {_ORACLE_STATE_LIMIT} states"
-        )
+        raise ValueError(f"oracle checks are gated to at most {_ORACLE_STATE_LIMIT} states")
+
+
+def _successors(g: Automaton) -> dict:
+    """g's moves as one {state: successors} map per label, as ``g.transitions`` keys it."""
+    succ: dict = {}
+    for (x, e), targets in g.transitions.items():
+        succ.setdefault(e, {})[x] = targets
+    return succ
+
+
+def _moves(g: Automaton, succ: dict, before: dict, after: dict) -> dict:
+    """Each state's moves as (relay sets of the label, successor) pairs.
+
+    A label has one relay set per believed state d: every state an
+    after-walk reaches from a move on that label of a state a before-walk
+    reaches from d.  ``before`` and ``after`` map each state to its walk's
+    reach set.  An inserted-tag move of g is relayed like any other.
+    """
+    relays = {
+        e: {d: frozenset(z for b in walk for y in step.get(b, ()) for z in after[y])
+            for d, walk in before.items()}
+        for e, step in succ.items()
+    }
+    moves: dict = {x: [] for x in g.states}
+    for (x, e), targets in g.transitions.items():
+        moves[x] += [(relays[e], y) for y in targets]
+    return moves
+
+
+def _staying(moves: dict) -> dict:
+    """W, the largest set of (believed, actual) pairs such that every move
+    of the actual state has a relay from the believed state back into W, as
+    each actual state's believed states.  Every pair still in W is
+    re-tested, round after round, until a round removes none."""
+    w = {x: set(moves) for x in moves}
+    changed = True
+    while changed:
+        changed = False
+        for x, believed in w.items():
+            for d in list(believed):
+                if any(relay[d].isdisjoint(w[y]) for relay, y in moves[x]):
+                    believed.discard(d)
+                    changed = True
+    return w
 
 
 def oracle_ei_enforceable(g: Automaton) -> bool:
@@ -212,52 +247,30 @@ def oracle_ei_enforceable(g: Automaton) -> bool:
     enabled at the actual state can be relayed after some inserted walk of
     the believed state, landing back in W.  Enforceability requires every
     actual state to be paired, somewhere reachable, with a non-secret
-    believed state inside W.
+    believed state inside W.  The reachable pairs are searched one inserted
+    event or one relay at a time.
     """
     _guard_size(g)
     x0 = _single_initial(g)
     alphabet = [e for e in sorted(g.events) if not e.inserted]
-    symbols = [e.symbol for e in alphabet]
-    walk = {d: _reach(g, {d}, symbols) for d in g.states}
+    succ = _successors(g)
+    walk = {d: _reach(succ, (d,), alphabet) for d in g.states}
+    w = _staying(_moves(g, succ, walk, {y: (y,) for y in g.states}))
 
-    w = {(d, x) for d in g.states for x in g.states}
-    changed = True
-    while changed:
-        changed = False
-        for pair in list(w):
-            d, x = pair
-            ok = True
-            for e in g.enabled_events(x):
-                (x_next,) = g.step(x, e)
-                if not any(
-                    (d_next, x_next) in w
-                    for d_relay in walk[d]
-                    for d_next in g.step(d_relay, e)
-                ):
-                    ok = False
-                    break
-            if not ok:
-                w.discard(pair)
-                changed = True
-
+    steps = [succ[e] for e in alphabet if e in succ]
     reachable = {(x0, x0)}
     frontier = [(x0, x0)]
     while frontier:
         d, x = frontier.pop()
-        for e in alphabet:
-            for d_next in g.step(d, e):
-                inserted_pair = (d_next, x)
-                if inserted_pair not in reachable:
-                    reachable.add(inserted_pair)
-                    frontier.append(inserted_pair)
-                for x_next in g.step(x, e):
-                    relayed_pair = (d_next, x_next)
-                    if relayed_pair not in reachable:
-                        reachable.add(relayed_pair)
-                        frontier.append(relayed_pair)
-
-    covered = {x for (d, x) in reachable if d not in g.secret and (d, x) in w}
-    return g.states <= covered
+        for step in steps:
+            for d_next in step.get(d, ()):
+                # Inserting the event moves the believed state alone, relaying it both.
+                for x_next in (x, *step.get(x, ())):
+                    pair = (d_next, x_next)
+                    if pair not in reachable:
+                        reachable.add(pair)
+                        frontier.append(pair)
+    return g.states <= {x for (d, x) in reachable if d not in g.secret and d in w[x]}
 
 
 def oracle_eic_enforceable(g: Automaton, c: InsertionConstraints) -> bool:
@@ -274,34 +287,11 @@ def oracle_eic_enforceable(g: Automaton, c: InsertionConstraints) -> bool:
     _guard_size(g)
     c.validate_against(g)
     x0 = _single_initial(g)
-    breach = {d: _reach(g, {d}, c.before) for d in g.states}
-    areach = {d: _reach(g, {d}, c.after) for d in g.states}
-
-    w = {(d, x) for d in g.states for x in g.states}
-    changed = True
-    while changed:
-        changed = False
-        for pair in list(w):
-            d, x = pair
-            ok = True
-            for e in g.enabled_events(x):
-                (x_next,) = g.step(x, e)
-                served = False
-                for d_staged in breach[d]:
-                    for d_relay in g.step(d_staged, e):
-                        if any(
-                            (d_next, x_next) in w for d_next in areach[d_relay]
-                        ):
-                            served = True
-                            break
-                    if served:
-                        break
-                if not served:
-                    ok = False
-                    break
-            if not ok:
-                w.discard(pair)
-                changed = True
+    succ = _successors(g)
+    breach = {d: _reach(succ, (d,), c.before) for d in g.states}
+    areach = {d: _reach(succ, (d,), c.after) for d in g.states}
+    moves = _moves(g, succ, breach, areach)
+    w = _staying(moves)
 
     if any(x0 in targets for targets in g.transitions.values()):
         resting = {(d, x0) for d in areach[x0]}
@@ -310,18 +300,13 @@ def oracle_eic_enforceable(g: Automaton, c: InsertionConstraints) -> bool:
     frontier = list(resting)
     while frontier:
         d, x = frontier.pop()
-        for e in g.enabled_events(x):
-            (x_next,) = g.step(x, e)
-            for d_staged in breach[d]:
-                for d_relay in g.step(d_staged, e):
-                    for d_next in areach[d_relay]:
-                        pair = (d_next, x_next)
-                        if pair not in resting:
-                            resting.add(pair)
-                            frontier.append(pair)
-
-    covered = {x for (d, x) in resting if d not in g.secret and (d, x) in w}
-    return g.states <= covered
+        for relay, x_next in moves[x]:
+            for d_next in relay[d]:
+                pair = (d_next, x_next)
+                if pair not in resting:
+                    resting.add(pair)
+                    frontier.append(pair)
+    return g.states <= {x for (d, x) in resting if d not in g.secret and d in w[x]}
 
 
 def random_dfa(

@@ -1,16 +1,22 @@
 from __future__ import annotations
 
+import gc
+import sys
 from collections import Counter
 from itertools import product
+from types import ModuleType
 
 import pytest
 
+import veiler.constrained
+import veiler.insertion
 from veiler.cli import cli_main
 from veiler.constrained import InsertionConstraints, check_eic_enforceable
 from veiler.dot import emit_dot
 from veiler.fsm import Automaton, EventLabel, Tag, as_label, state_display, word
 from veiler.insertion import (
     IndicatorState,
+    _PairKernel,
     _closure,
     _trim,
     _union,
@@ -426,24 +432,30 @@ def _relay_game(kernel, before, relays):
     return win
 
 
+def _kernel_population():
+    """(seed, live, g, constraints) for 320 seeded systems of 2 to 14
+    states, live and halting, whose constraints cover all 64 (before,
+    after) pairs over abc."""
+    subsets = [frozenset(s for i, s in enumerate("abc") if mask >> i & 1) for mask in range(8)]
+    for seed in range(320):
+        live = seed % 2 == 0
+        g = random_dfa(
+            seed,
+            n_states=2 + seed % 13,
+            trans_density=(0.2, 0.5, 0.8)[seed % 3],
+            live=live,
+        )
+        yield seed, live, g, InsertionConstraints(subsets[seed % 8], subsets[seed // 8 % 8])
+
+
 class TestKernelShortcuts:
     def test_the_shortcuts_keep_the_masks_of_the_naive_references(self):
         # The verifier is _trim alone, insertion kinds are closed under
         # their alphabet, the closure skips the moves of an insertion phase
         # to itself, and the relay game filters one move at a time; each
-        # gives the masks the longer route gives.  The population covers
-        # all 64 (before, after) pairs over abc, live and halting.
-        subsets = [frozenset(s for i, s in enumerate("abc") if mask >> i & 1) for mask in range(8)]
+        # gives the masks the longer route gives.
         outcomes = Counter()
-        for seed in range(320):
-            live = seed % 2 == 0
-            g = random_dfa(
-                seed,
-                n_states=2 + seed % 13,
-                trans_density=(0.2, 0.5, 0.8)[seed % 3],
-                live=live,
-            )
-            c = InsertionConstraints(subsets[seed % 8], subsets[seed // 8 % 8])
+        for seed, live, g, c in _kernel_population():
             ei, eic = check_ei_enforceable(g), check_eic_enforceable(g, c)
             for mode, report in (("EI", ei), ("EIC", eic)):
                 kernel = report.kernel
@@ -484,3 +496,64 @@ class TestKernelShortcuts:
         # most constrained kernels have a phase that moves to itself
         assert outcomes["EIC", True, "self-shifts"] > 100 and outcomes["EIC", False, "self-shifts"] > 100
         assert outcomes["EI", False, "emptied"] > 5 and outcomes["EIC", False, "emptied"] > 5
+
+
+def _holds(root, target) -> bool:
+    """Whether ``target`` is among the objects ``root`` refers to, directly
+    or through others, leaving out classes and modules."""
+    skipped = {id(m.__dict__) for m in list(sys.modules.values()) if isinstance(m, ModuleType)}
+    seen, stack = set(), [root]
+    while stack:
+        obj = stack.pop()
+        if obj is target:
+            return True
+        if id(obj) in seen or id(obj) in skipped or isinstance(obj, (type, ModuleType)):
+            continue
+        seen.add(id(obj))
+        stack += gc.get_referents(obj)
+    return False
+
+
+class TestOutputOnlyFields:
+    def test_a_verdict_skips_the_verifier_trim(self, monkeypatch):
+        # Pruning only names the paper's verifier, so a report builds it
+        # when verifier_masks is first read, once, and then drops what it
+        # was built from: EIC's relations and their image tables.
+        condensed, relations = _PairKernel.condensed, _PairKernel.relations
+        calls, made = Counter(), {}
+
+        def counted(name, function):
+            def wrapper(*args):
+                calls[name] += 1
+                made[name] = function(*args)
+                return made[name]
+
+            return wrapper
+
+        monkeypatch.setattr(veiler.insertion, "_trim", counted("_trim", _trim))
+        monkeypatch.setattr(veiler.constrained, "_trim", counted("_trim", _trim))
+        monkeypatch.setattr(_PairKernel, "condensed", counted("condensed", condensed))
+        monkeypatch.setattr(_PairKernel, "relations", counted("relations", relations))
+        for seed, _, g, c in _kernel_population():
+            calls.clear()
+            ei, eic = check_ei_enforceable(g), check_eic_enforceable(g, c)
+            closed = made["relations"]
+            for report in (ei, eic):
+                assert report.enforceable == (not report.uncovered_actual_states), seed
+            assert calls == {"relations": 1}, seed
+            assert _holds(eic, closed), seed
+            first = ei.verifier_masks
+            assert ei.verifier_masks is first, seed
+            assert calls == {"relations": 1, "_trim": 1, "condensed": 1}, seed
+            first = eic.verifier_masks
+            assert eic.verifier_masks is first, seed
+            assert calls == {"relations": 1, "_trim": 2, "condensed": 1}, seed
+            assert not _holds(ei, made["condensed"]) and not _holds(eic, closed), seed
+            # the reference: each decision's pruning called directly
+            kernel = ei.kernel
+            components, scc, _, members = kernel._reach(range(kernel.k))
+            firsts = sum(1 << group[0] for group in components)
+            groups = [_union(mask & firsts, [1 << i for i in scc]) for mask in ei.reachable]
+            pruned = _trim(condensed(kernel), groups)
+            assert ei.verifier_masks == [_union(mask, members) for mask in pruned], seed
+            assert eic.verifier_masks == _trim(relations(eic.kernel), eic.reachable), seed

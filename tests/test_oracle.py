@@ -1,11 +1,12 @@
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
 
 from veiler.constrained import InsertionConstraints, check_eic_enforceable
-from veiler.fsm import Automaton, Tag, word
+from veiler.fsm import Automaton, EventLabel, Tag, word
 from veiler.insertion import IndicatorState, check_ei_enforceable
 from veiler.oracle import (
     ExtendedInsertionSequence,
@@ -233,6 +234,77 @@ class TestOracleVerdicts:
             oracle_ei_enforceable(big)
         with pytest.raises(ValueError):
             oracle_eic_enforceable(big, InsertionConstraints.of({"a"}, ()))
+
+
+# An inserted-tag label, a_i, as a move of a system under test.
+_A_I = EventLabel("a", Tag.INSERTED)
+
+
+def _digest(verdicts) -> str:
+    """SHA-256 of the verdicts in order, written as a string of 0s and 1s."""
+    return hashlib.sha256("".join("1" if v else "0" for v in verdicts).encode()).hexdigest()
+
+
+class TestPinnedVerdicts:
+    """Verdicts pinned from the oracle as it was before it read g into
+    tables, when it called ``g.step`` for every pair, event and walk state
+    in every round of its fixpoint.  Any change to what the oracle decides
+    shows here, whichever way the construction goes."""
+
+    @staticmethod
+    def _systems():
+        for seed in range(2000):
+            yield seed, random_dfa(seed, 3 + seed % 4, live=seed % 2 == 0)
+
+    def test_unconstrained_verdicts_on_2000_systems(self):
+        verdicts = [oracle_ei_enforceable(g) for _, g in self._systems()]
+        assert sum(verdicts) == 1726
+        assert _digest(verdicts) == (
+            "21ed871a5211ae9b73e44b3df4a16ba0f6ab793b35235e30f0afb75dfe230bec"
+        )
+
+    def test_constrained_verdicts_on_2000_systems(self):
+        verdicts = [
+            oracle_eic_enforceable(g, random_constraints(seed, sorted(e.symbol for e in g.events)))
+            for seed, g in self._systems()
+        ]
+        assert sum(verdicts) == 1231
+        assert _digest(verdicts) == (
+            "5ab5bb86d5b443a23ac4ecf341c4aca091801d4e6380951cdbbe0d70106e97ee"
+        )
+
+    @pytest.mark.parametrize(
+        "transitions, secret, ei, eic",
+        [
+            (
+                {(0, "a"): 3, (1, "b"): 2, (2, "a"): 2, (2, "b"): 2, (3, "a"): 0,
+                 (3, "b"): 1, (1, _A_I): 2},
+                [0, 3],
+                False,
+                "0000000000000000",
+            ),
+            (
+                {(0, "a"): 0, (0, "b"): 3, (1, "a"): 2, (1, "b"): 0, (2, "a"): 2,
+                 (3, "a"): 2, (0, _A_I): 1},
+                [2],
+                False,
+                "0011001111111111",
+            ),
+        ],
+    )
+    def test_an_inserted_tag_move_is_relayed_under_its_own_label(self, transitions, secret, ei, eic):
+        # A move labelled a_i, between two different states, is relayed as
+        # a_i: an oracle that skipped it, or relayed it as a, would accept
+        # the first system and refuse the second under every constraint.
+        g = Automaton.dfa(range(4), ["a", "b", _A_I], transitions, 0, secret)
+        subsets = ["", "a", "b", "ab"]
+        verdicts = [
+            oracle_eic_enforceable(g, InsertionConstraints.of(before, after))
+            for before in subsets
+            for after in subsets
+        ]
+        assert oracle_ei_enforceable(g) is ei
+        assert "".join("1" if v else "0" for v in verdicts) == eic
 
 
 class TestRandomGenerators:
