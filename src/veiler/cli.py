@@ -26,7 +26,7 @@ from .oracle import (
     random_constraints,
     random_dfa,
 )
-from .report import _pairs_payload, opacity_report, oracle_report, to_json
+from .report import _verify_payload, opacity_report, oracle_report, to_json
 from .textio import AutomatonDocument, ParseError, parse_document
 
 EXIT_OK = 0
@@ -190,17 +190,14 @@ def _report_decision(
     constraints: Optional[InsertionConstraints] = None,
 ) -> int:
     """Write the DOT file and the report of a verify run, from its bitmasks."""
-    # Name only the pairs the output shows: all in DOT; in JSON the
-    # verifier's and the staying ones, which a system that can halt may hold
-    # outside it.
-    rows = report.rows(everything=bool(args.dot)) if args.dot or args.json else []
     if args.dot:
+        rows = report.rows()  # DOT names every reachable pair
         kernel = report.kernel
         edges = functools.partial(kernel.edge_keys, report.reachable)
         dot = _digraph(name, rows, _FILL_OF_CODE, (kernel.start,), kernel.edge_labels(), edges)
         _write_atomic(args.dot, dot)
     if args.json:
-        sys.stdout.write(to_json(_pairs_payload(name, report, rows, constraints)))
+        sys.stdout.write(to_json(_verify_payload(name, report, constraints)))
     else:
         print(f"automaton {name}: enforceable={_bool(report.enforceable)}")
         if constraints is not None:

@@ -773,7 +773,8 @@ class EnforcementReport:
     ``verifier``, ``staying_nonblocking`` and ``admissible``.
     ``staying_nonblocking`` is a set of pairs, or under constraints a
     mapping from each staying pair to its type: 1 in the plain phase and 2
-    in the after-phase.  The CLI renders its report and DOT file from ``rows``.
+    in the after-phase.  The CLI draws its DOT file from ``rows``, and
+    ``veiler.report`` writes the JSON pair lists from the masks.
     """
 
     def __init__(
@@ -825,10 +826,9 @@ class EnforcementReport:
         kernel = self.kernel
         return frozenset(kernel.objects(kernel.ids(self.admissible_masks)).values())
 
-    def rows(self, everything: bool) -> list[tuple[str, int, int]]:
-        """The pairs the output names, as (name, pair id, code) rows sorted
-        by name, then id: every reachable pair when ``everything``, else the
-        verifier's and the staying ones."""
+    def rows(self) -> list[tuple[str, int, int]]:
+        """The pairs the DOT file draws, every reachable one, as (name,
+        pair id, code) rows sorted by name, then id."""
         kernel = self.kernel
         n, width, names = kernel.n, kernel.width, kernel.actual_names
         order = sorted(range(width), key=names.__getitem__)
@@ -843,8 +843,7 @@ class EnforcementReport:
         digits = []
         verifiers = self.verifier_masks
         for a in order:
-            verifier, staying = verifiers[a], self.staying_masks[a]
-            shown = self.reachable[a] if everything else verifier | staying
+            verifier, staying, shown = verifiers[a], self.staying_masks[a], self.reachable[a]
             stacked = shown | (shown & verifier) << n | staying << 2 * n
             x = int(f"{stacked | self.admissible_masks[a] << 3 * n:b}", 16)
             codes = (

@@ -3,16 +3,20 @@
 Every builder returns a plain dict of strings, numbers, bools and sorted
 lists, and ``to_json`` serialises it with sorted keys, so two runs over the
 same input produce byte-identical output.  Nothing time- or id-dependent is
-ever included.
+ever included.  The verify commands' pair lists, the bulk of their output,
+are written as JSON text from the report's bitmasks instead, and the
+library's ``ei_report`` / ``eic_report`` read that text back.
 """
 from __future__ import annotations
 
+from itertools import compress
+from operator import eq
 from typing import Iterable, Mapping, Optional, Sequence
 
 from . import __version__
 from .constrained import InsertionConstraints
 from .fsm import state_display
-from .insertion import _ADMISSIBLE, _IN_VERIFIER, EnforcementReport
+from .insertion import EnforcementReport, _PairKernel
 from .observer import OpacityVerdict
 
 try:  # json's own C encoder, without the import of json at every CLI start
@@ -42,44 +46,123 @@ def opacity_report(name: str, verdict: OpacityVerdict) -> dict:
     return payload
 
 
-def _pairs_payload(
-    name: str,
-    report: EnforcementReport,
-    rows: Sequence[tuple[str, object, int]],
-    constraints: Optional[InsertionConstraints] = None,
-) -> dict:
-    """The verify-ei / verify-eic layout of ``report``, whose pairs ``rows`` names.
+class _Json(str):
+    """Text that is JSON already, which ``to_json`` writes as it is."""
 
-    The verdict and state sets of ``report`` are read, and its pairs come
-    as ``rows``: (name, key, code) triples sorted by name, coded as
-    ``EnforcementReport.rows`` codes them.  Every list is ``rows`` filtered.
-    Under ``constraints``, the layout is verify-eic's and the staying pairs
-    map to their type; where two pairs share a name, the later row's type
-    is shown.
+
+# Each digit of a binary numeral as the byte 0 or 1.
+_BITS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _name_order(kernel: _PairKernel) -> Optional[tuple[list[int], list[int]]]:
+    """The dummies and the actual states of ``kernel`` in the order that
+    sorts the pair names, or None where the names do not sort by their parts.
+
+    The name of the pair (d, a) is its prefix ``"(" + name + ","`` of d,
+    then its suffix ``name + ")"`` of a, and each part is ranked by one
+    stable sort.  When no prefix is a prefix of another, two names of
+    different dummies differ first inside their prefixes, so the names sort
+    as (prefix rank, suffix rank).  A comma in a state name or two states of
+    one display break that; two actual states of one name would give two
+    pairs one name.  Either gives None.  The suffixes keep the ``)``, as a
+    name may hold characters that sort below it.
     """
+    prefixes = [f"({name}," for name in kernel.state_names]
+    suffixes = [name + ")" for name in kernel.actual_names]
+    dummies = sorted(range(kernel.n), key=prefixes.__getitem__)
+    actuals = sorted(range(kernel.width), key=suffixes.__getitem__)
+    firsts = [prefixes[d] for d in dummies]
+    lasts = [suffixes[a] for a in actuals]
+    if any(map(str.startswith, firsts[1:], firsts)) or any(map(eq, lasts[1:], lasts)):
+        return None
+    return dummies, actuals
+
+
+def _pair_lists(report: EnforcementReport, typed: bool) -> list:
+    """The JSON values of the staying, verifier and admissible pairs of
+    ``report``, by name; ``typed`` maps each staying pair to its type.
+
+    Where the names sort by their parts (``_name_order``), each value is
+    its JSON text at the report's top level, written from the masks with no
+    object per pair.  As the escape of a string is its parts' escapes
+    joined, each prefix and suffix is escaped once, and each dummy d, in
+    prefix order, is one join over the suffixes, in suffix order, that a
+    0/1 column of the list's masks picks, joined by the separator and d's
+    prefix.  Where names collide, the pairs are named one by one and sorted
+    by name, then id, and the staying map keeps the type of the later pair.
+    """
+    kernel = report.kernel
+    n, width = kernel.n, kernel.width
+    lists = report.staying_masks, report.verifier_masks, report.admissible_masks
+    ranked = _name_order(kernel)
+    values: list = []
+    if ranked is None:
+        for i, masks in enumerate(lists):
+            named = sorted(
+                (f"({kernel.state_names[p // width]},{kernel.actual_names[p % width]})", p)
+                for p in kernel.ids(masks)
+            )
+            if typed and i == 0:
+                values.append({name: 1 if p % width < n else 2 for name, p in named})
+            else:
+                values.append([name for name, _ in named])
+        return values
+    dummies, actuals = ranked
+    heads = [_string(f"({kernel.state_names[d]},")[:-1] for d in dummies]
+    tails = [_string(kernel.actual_names[a] + ")")[1:] for a in actuals]
+    spec = f"0{n}b"
+    for i, masks in enumerate(lists):
+        # Per actual state, in suffix order, a byte per dummy, the last for
+        # dummy 0: the bytes at a stride of n are then a dummy's column.
+        table = "".join([format(masks[a], spec) for a in actuals]).encode().translate(_BITS)
+        items, brackets = tails, "[]"
+        if typed and i == 0:
+            items = [tail + (": 1" if a < n else ": 2") for tail, a in zip(tails, actuals)]
+            brackets = "{}"
+        chunks = []
+        for head, d in zip(heads, dummies):
+            text = (",\n    " + head).join(compress(items, table[n - 1 - d :: n]))
+            if text:
+                chunks.append(head + text)
+        if chunks:
+            text = f"{brackets[0]}\n    " + ",\n    ".join(chunks) + f"\n  {brackets[1]}"
+        else:
+            text = brackets
+        values.append(_Json(text))
+    return values
+
+
+def _verify_payload(
+    name: str, report: EnforcementReport, constraints: Optional[InsertionConstraints] = None
+) -> dict:
+    """The verify-ei layout of ``report``, or under ``constraints`` the
+    verify-eic one, whose staying pairs map to their type; ``to_json`` of it
+    is the report the CLI prints.  Its pair lists may be JSON text."""
     payload = _base("verify-ei" if constraints is None else "verify-eic", name)
     payload["enforceable"] = report.enforceable
-    if constraints is None:
-        payload["staying_nonblocking"] = [text for text, _, code in rows if code >> 1 & 3]
-    else:
+    if constraints is not None:
         payload["insertable_before"] = sorted(constraints.before)
         payload["insertable_after"] = sorted(constraints.after)
-        payload["staying_nonblocking"] = {
-            text: code >> 1 & 3 for text, _, code in rows if code >> 1 & 3
-        }
-    payload["verifier_states"] = [text for text, _, code in rows if code & _IN_VERIFIER]
-    payload["admissible"] = [text for text, _, code in rows if code & _ADMISSIBLE]
+    lists = _pair_lists(report, constraints is not None)
+    payload["staying_nonblocking"], payload["verifier_states"], payload["admissible"] = lists
     payload["uncovered_actual_states"] = _displays(report.uncovered_actual_states)
     payload["unreachable_actual_states"] = _displays(report.unreachable_actual_states)
     return payload
 
 
+def _read(payload: dict) -> dict:
+    """``payload`` with its JSON text read: the plain values ``to_json`` prints."""
+    import json  # only the library's reports read their text back
+
+    return json.loads(to_json(payload))
+
+
 def ei_report(name: str, report: EnforcementReport) -> dict:
-    return _pairs_payload(name, report, report.rows(False))
+    return _read(_verify_payload(name, report))
 
 
 def eic_report(name: str, report: EnforcementReport, constraints: InsertionConstraints) -> dict:
-    return _pairs_payload(name, report, report.rows(False), constraints)
+    return _read(_verify_payload(name, report, constraints))
 
 
 def oracle_report(name: str, constrained: bool, trials: Sequence[tuple[int, bool, bool]]) -> dict:
@@ -102,11 +185,11 @@ def _encode(value: object, indent: str, out: list[str]) -> None:
     """Append to ``out`` the text ``json.dumps(..., sort_keys=True,
     indent=2)`` gives ``value`` when nested at ``indent``.
 
-    Dict keys must be strings.  A list of strings, the bulk of every
-    report, and a map to plain ints are each written with one join.
+    Dict keys must be strings.  A list of strings and a map to plain ints
+    are each written with one join, and ``_Json`` text as it is.
     """
     if isinstance(value, str):
-        out.append(_string(value))
+        out.append(value if type(value) is _Json else _string(value))
     elif value is None:
         out.append("null")
     elif value is True:

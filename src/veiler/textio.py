@@ -19,7 +19,8 @@ hand line up with programmatically built fixtures.
 """
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple
+import sys
+from typing import Iterable, NamedTuple, Sequence
 
 from .fsm import Automaton, EventLabel, State, sorted_states, state_display
 
@@ -40,8 +41,14 @@ class AutomatonDocument(NamedTuple):
     unobservable: frozenset
 
 
-def _state_token(token: str) -> State:
-    return int(token) if token.isdecimal() else token
+def _state_tokens(tokens: Sequence[str], lineno: int) -> list[State]:
+    """The states ``tokens`` name on line ``lineno``: ints where decimal."""
+    try:
+        return [int(token) if token.isdecimal() else token for token in tokens]
+    except ValueError:  # a number of more digits than the interpreter converts
+        digits = max(len(token) for token in tokens if token.isdecimal())
+        message = f"state of {digits} digits; at most {sys.get_int_max_str_digits()} are read"
+        raise ParseError(lineno, message) from None
 
 
 def _declare(lineno: int, kind: str, tokens: list[str], names: list) -> set:
@@ -119,7 +126,7 @@ def parse_document(text: str) -> AutomatonDocument:
                 raise ParseError(lineno, "trans must come after initial")
             if len(args) != 3:
                 raise ParseError(lineno, "trans takes source, event, target")
-            src, sym, dst = _state_token(args[0]), args[1], _state_token(args[2])
+            (src, dst), sym = _state_tokens((args[0], args[2]), lineno), args[1]
             if src not in state_set:
                 raise ParseError(lineno, f"undeclared state {args[0]!r}")
             if dst not in state_set:
@@ -139,14 +146,14 @@ def parse_document(text: str) -> AutomatonDocument:
         elif keyword == "unobservable":
             unobservable = args
         elif keyword == "states":
-            states = [_state_token(t) for t in args]
+            states = _state_tokens(args, lineno)
             state_set = _declare(lineno, "state", args, states)
             state_of = dict(zip(args, states))
             single = {x: frozenset((x,)) for x in states}
         elif keyword == "initial":
-            initial = [_state_token(t) for t in args]
+            initial = _state_tokens(args, lineno)
         elif keyword == "secret":
-            secret = [_state_token(t) for t in args]
+            secret = _state_tokens(args, lineno)
         else:  # end
             ended = True
             in_trans = False
@@ -211,7 +218,7 @@ def emit_automaton(
     for e in a.events:
         _written("event", e.symbol, str(e.symbol), str)
     for x in a.states:
-        _written("state", x, state_display(x), _state_token)
+        _written("state", x, state_display(x), lambda text: _state_tokens((text,), 0)[0])
     lines = [f"automaton {name}"]
     lines.append(("events " + " ".join(sorted(e.symbol for e in a.events))).rstrip())
     unobservable = sorted(unobservable)

@@ -25,7 +25,7 @@ from veiler.insertion import (
     build_verifier,
     find_staying_nonblocking,
 )
-from veiler.report import _pairs_payload
+from veiler.report import _base, _displays
 
 
 class StagedReport(NamedTuple):
@@ -45,7 +45,13 @@ class StagedReport(NamedTuple):
 
     def payload(self, name: str, constraints: Optional[InsertionConstraints] = None) -> dict:
         """The verify-ei / verify-eic payload, coded pair object by pair
-        object: the reference for ``report.ei_report`` / ``eic_report``."""
+        object: the reference for ``veiler.report``'s renderer.
+
+        Every list is the coded rows, sorted by name, filtered.  Under
+        ``constraints``, the layout is verify-eic's and the staying pairs
+        map to their type; where two pairs share a name, the later row's
+        type is shown.
+        """
         # On a system that can halt, staying pairs may lie outside the verifier.
         staying = self.staying_nonblocking
         kinds = staying if isinstance(staying, Mapping) else dict.fromkeys(staying, 1)
@@ -61,7 +67,32 @@ class StagedReport(NamedTuple):
             )
             for i, pair in enumerate(pairs)
         )
-        return _pairs_payload(name, self, rows, constraints)
+        payload = _base("verify-ei" if constraints is None else "verify-eic", name)
+        payload["enforceable"] = self.enforceable
+        if constraints is None:
+            payload["staying_nonblocking"] = [text for text, _, code in rows if code >> 1 & 3]
+        else:
+            payload["insertable_before"] = sorted(constraints.before)
+            payload["insertable_after"] = sorted(constraints.after)
+            payload["staying_nonblocking"] = {
+                text: code >> 1 & 3 for text, _, code in rows if code >> 1 & 3
+            }
+        payload["verifier_states"] = [text for text, _, code in rows if code & _IN_VERIFIER]
+        payload["admissible"] = [text for text, _, code in rows if code & _ADMISSIBLE]
+        payload["uncovered_actual_states"] = _displays(self.uncovered_actual_states)
+        payload["unreachable_actual_states"] = _displays(self.unreachable_actual_states)
+        return payload
+
+
+@pytest.fixture
+def per_pair_payload():
+    """The verify payload of a report, from its pair objects named and
+    coded one by one: the reference for ``veiler.report``'s renderer."""
+
+    def run(name: str, report, constraints: Optional[InsertionConstraints] = None) -> dict:
+        return StagedReport.of(report).payload(name, constraints)
+
+    return run
 
 
 @pytest.fixture(scope="session", autouse=True)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 from collections import Counter
 from typing import Mapping
 
@@ -527,3 +528,41 @@ class TestAlphabetMonotonicity:
             mixed += len(set(verdicts.values())) == 2
         # the alphabets decide the verdict on many of the systems
         assert mixed > 50, mixed
+
+
+class TestRenamingInvariance:
+    def test_permuted_states_and_events_keep_the_verdicts(self):
+        # A metamorphic check: the verdict is a property of the system, not
+        # of its names.  States are permuted with x0 fixed, which reorders
+        # the kernel's ids, and events are permuted in g and the constraints
+        # together.  The uncovered states follow the permutation.
+        decided = Counter()
+        for seed in range(300):
+            rng = random.Random(seed)
+            g = random_dfa(seed, n_states=2 + seed % 9, live=seed % 3 != 0)
+            (x0,) = g.initial
+            others = sorted(g.states - {x0})
+            state = {x0: x0, **dict(zip(others, rng.sample(others, len(others))))}
+            symbols = sorted(e.symbol for e in g.events)
+            event = dict(zip(symbols, rng.sample(symbols, len(symbols))))
+            twin = Automaton.dfa(
+                [state[x] for x in g.states],
+                [event[s] for s in symbols],
+                {(state[x], event[e.symbol]): state[y] for (x, e), (y,) in g.transitions.items()},
+                x0,
+                [state[x] for x in g.secret],
+            )
+            c = random_constraints(seed, symbols)
+            renamed = InsertionConstraints.of(
+                {event[s] for s in c.before}, {event[s] for s in c.after}
+            )
+            for report, other in (
+                (check_ei_enforceable(g), check_ei_enforceable(twin)),
+                (check_eic_enforceable(g, c), check_eic_enforceable(twin, renamed)),
+            ):
+                assert report.enforceable == other.enforceable, seed
+                uncovered = {state[x] for x in report.uncovered_actual_states}
+                assert uncovered == other.uncovered_actual_states, seed
+                decided[report.enforceable] += 1
+        # both verdicts occur often
+        assert min(decided.values()) > 100, decided

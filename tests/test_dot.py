@@ -153,9 +153,9 @@ def _naive_emit_dot(a, name="g", nonblocking=(), pruned=()):
     return _naive_digraph(name, rows, range(3), [ids[x] for x in a.initial], moves, labels)
 
 
-def _naive_rows(report, everything):
-    """The reference for ``EnforcementReport.rows``: every shown pair's object
-    named, coded and sorted one pair at a time."""
+def _naive_rows(report):
+    """The reference for ``EnforcementReport.rows``: every reachable pair's
+    object named, coded and sorted one pair at a time."""
     kernel = report.kernel
     n, width = kernel.n, kernel.width
     reachable, verifier, staying, admissible = (
@@ -166,7 +166,7 @@ def _naive_rows(report, everything):
         )
     )
     rows = []
-    for p in reachable if everything else verifier | staying:
+    for p in reachable:
         d, a = divmod(p, width)
         code = _IN_VERIFIER if p in verifier else 0
         if p in staying:
@@ -208,9 +208,8 @@ class TestTheNaiveRenderer:
         # collide names.
         drawn = shared = 0
         for name, report in self._reports():
-            rows = report.rows(everything=True)
-            assert rows == _naive_rows(report, True), name
-            assert report.rows(everything=False) == _naive_rows(report, False), name
+            rows = report.rows()
+            assert rows == _naive_rows(report), name
             kernel = report.kernel
             labels = kernel.edge_labels()
             edges = functools.partial(kernel.edge_keys, report.reachable)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 import re
+import sys
 from pathlib import Path
 from textwrap import dedent
 
@@ -375,6 +376,30 @@ class TestParseErrors:
         )
         assert error.line == 3
         assert "declared twice" in str(error)
+
+    @pytest.mark.parametrize(
+        "lines, line",
+        [
+            (["states 0 {big}"], 3),
+            (["states 0", "initial {big}"], 4),
+            (["states 0", "initial 0", "secret {big}"], 5),
+            (["states 0", "initial 0", "trans 0 a {big}"], 5),
+        ],
+    )
+    def test_a_number_too_long_to_read_points_at_its_line(self, lines, line):
+        # A decimal token is an int, and int() refuses more digits than
+        # the interpreter's limit; that is an error of the file's line.
+        limit = sys.get_int_max_str_digits()
+        if not limit:
+            pytest.skip("this interpreter reads integers of any length")
+        big = "9" * (limit + 1)
+        text = "\n".join(["automaton g", "events a", *lines, "end"]).format(big=big)
+        with pytest.raises(ParseError) as caught:
+            parse_document(text)
+        assert caught.value.line == line
+        assert str(caught.value) == (
+            f"line {line}: state of {limit + 1} digits; at most {limit} are read"
+        )
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(edits=_EDITS)
