@@ -11,7 +11,8 @@ next output has begun, which is exactly the constraint semantics.
 from __future__ import annotations
 
 from enum import IntEnum
-from typing import Iterable, Mapping, NamedTuple
+from functools import cached_property
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .fsm import (
     Automaton,
@@ -25,10 +26,12 @@ from .fsm import (
 from .insertion import (
     EnforcementReport,
     IndicatorState,
-    _PairKernel,
-    _closure,
+    _apply,
     _greatest_fixpoint,
+    _PairKernel,
+    _Relations,
     _restrict,
+    _tables,
     _trim,
     _walk,
     admissible_states,
@@ -185,38 +188,79 @@ class _EicKernel(_PairKernel):
     constraint symbols are refused before a nondeterministic system is.
     """
 
+    _PHASES = len(Decoration)
+    _TAGS = (Tag.ACTUAL, Tag.INSERTED_BEFORE, Tag.INSERTED_AFTER)
+
     def __init__(self, g: Automaton, c: InsertionConstraints) -> None:
         c.validate_against(g)
         super().__init__(g)
-        n = self.n
-        n4 = 4 * n
-        self.actual_names = [
-            name + _DECORATION_SUFFIX[decoration]
-            for decoration in Decoration
-            for name in self.state_names
-        ]
         self.before = [e for e, label in enumerate(self.labels) if label.symbol in c.before]
         self.after = [e for e, label in enumerate(self.labels) if label.symbol in c.after]
         # The rule of build_eic_insertion_automaton: x0 has no after-phase
         # unless some move of g leads back to it.
         x0 = self.states[self.x0]
-        entered = any(x0 in targets for targets in g.transitions.values())
-        absent = () if entered else (Decoration.A * n + self.x0, Decoration.AB * n + self.x0)
+        self.entered = any(x0 in targets for targets in g.transitions.values())
+
+    @cached_property
+    def kinds(self) -> list[tuple[Sequence[int], list[int]]]:
+        n = self.n
+        absent = () if self.entered else (Decoration.A * n + self.x0, Decoration.AB * n + self.x0)
         kinds = []
         for symbols, table in ((self.before, _BEFORE_MOVE), (self.after, _AFTER_MOVE)):
-            shift = [-1] * n4
+            shift = [-1] * (4 * n)
             for decoration, target in table.items():
                 for x in range(n):
                     if target * n + x not in absent:
                         shift[decoration * n + x] = target * n + x
             kinds.append((symbols, shift))
-        self._phases(len(Decoration), kinds)
+        return kinds
 
-    _TAGS = (Tag.ACTUAL, Tag.INSERTED_BEFORE, Tag.INSERTED_AFTER)
+    @cached_property
+    def actual_names(self) -> list[str]:
+        return [
+            name + _DECORATION_SUFFIX[decoration]
+            for decoration in Decoration
+            for name in self.state_names
+        ]
 
     def pair(self, d: int, a: int) -> IndicatorState:
         n = self.n
         return IndicatorState(self.states[d], _decorate(self.states[a % n], Decoration(a // n)))
+
+    def phase_masks(self, relations: _Relations, resting: list[int]) -> list[int]:
+        """The reachable pairs, one bitmask of dummies per decorated state,
+        read in one pass off ``resting``, the forward's plain and after-phase
+        pairs U[x] per system state.
+
+        With BReach+ and AReach+ the kind relations k and k + 1 of
+        ``relations``, P[y] holds x0 at x0 and delta_e(BReach*(U[x])) for
+        every move x -e-> y, as a relay leaves any phase of x; A is
+        AReach+(P), empty at x0 when no move enters x0; B is BReach+(P); AB
+        is BReach+(A).
+        """
+        succ, images, _ = relations
+        if not images:
+            images += map(_tables, succ)
+        n, k = self.n, self.k
+        before, after = images[k], images[k + 1]
+        plain = [0] * n
+        plain[self.x0] = 1 << self.x0
+        for x, row in enumerate(self.delta):
+            mask = resting[x]
+            if mask:
+                mask |= _apply(before, mask)
+                for e, y in enumerate(row):
+                    if y >= 0:
+                        plain[y] |= _apply(images[e], mask)
+        after_phase = [_apply(after, mask) for mask in plain]
+        if not self.entered:
+            after_phase[self.x0] = 0
+        return (
+            plain
+            + after_phase
+            + [_apply(before, mask) for mask in plain]
+            + [_apply(before, mask) for mask in after_phase]
+        )
 
 
 def build_eic_indicator(g: Automaton, geic: Automaton) -> Automaton:
@@ -306,17 +350,28 @@ def check_eic_enforceable(g: Automaton, c: InsertionConstraints) -> EnforcementR
     """Full pipeline: enforceable iff every actual state's subspace has an
     admissible pair.
 
-    The decision runs on bitmasks.  The reachable pairs are the kernel's
-    forward closure.  The staying pairs are the reachable resting pairs the
-    relay game keeps: plain (type 1) or in the after-phase (type 2), both
-    relay the next output after a before-walk.  Pruning only names the
-    paper's verifier, built when ``verifier_masks`` is first read: what
-    ``_trim`` keeps of the reachable pairs, single pairs as EI prunes its
-    dashed components.
+    The decision runs on bitmasks, as EI's does: the forward closure of the
+    relays, through the SCCs of the before-subgraph, reaches the resting
+    pairs, plain (type 1) or in the after-phase (type 2), and the relay
+    game keeps the staying ones; both relay the next output after a
+    before-walk.  The four phases' pairs are derived from the resting ones
+    when ``reachable`` is first read, and pruning only names the paper's
+    verifier, built when ``verifier_masks`` is first read: what ``_trim``
+    keeps of the reachable pairs, single pairs as EI prunes its dashed
+    components.  Both read one ``relations``.
     """
     kernel = _EicKernel(g, c)
-    n, relations = kernel.n, kernel.relations()
-    reachable = _closure(relations, kernel.start)
-    win = kernel.relay_game(kernel.before, kernel.relays(kernel.before, kernel.after))
-    staying = [mask & win[a % n] if a < 2 * n else 0 for a, mask in enumerate(reachable)]
-    return EnforcementReport(kernel, reachable, lambda: _trim(relations, reachable), staying)
+    before, after = kernel.before, kernel.after
+    _, scc, reach, _ = kernel._reach(after)
+    start = reach[scc[kernel.x0]] if kernel.entered else 1 << kernel.x0
+    relays = kernel.relays(before, after)
+    resting = kernel.forward(before, relays, start)
+    win = kernel.relay_game(before, relays)
+    relations: _Relations
+
+    def phases() -> list[int]:
+        nonlocal relations
+        relations = kernel.relations()
+        return kernel.phase_masks(relations, resting)
+
+    return EnforcementReport(kernel, resting, win, phases, lambda masks: _trim(relations, masks))

@@ -12,6 +12,7 @@ system is in; the actual component is where the system really is.  Dashed
 from __future__ import annotations
 
 from functools import cached_property
+from operator import itemgetter
 from typing import Callable, Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .fsm import (
@@ -101,47 +102,10 @@ def _union(mask: int, parts: Sequence[int]) -> int:
 
 
 # Moves as relations on dummies: one bitmask of targets per dummy for every
-# relation, the chunked image tables of each, filled by the first
-# ``_closure``, and the moves of every actual state as (relation, target
-# actual state).  A pair is the id ``d*width + a``, width being the number
-# of actual states.
+# relation, the chunked image tables of each, filled by their first reader,
+# and the moves of every actual state as (relation, target actual state).
+# A pair is the id ``d*width + a``, width being the number of actual states.
 _Relations = tuple[list[list[int]], list[list[list[int]]], list[list[tuple[int, int]]]]
-
-
-def _closure(relations: _Relations, start: int) -> list[int]:
-    """The pairs reachable from the pair ``start``, as one bitmask of
-    dummies per actual state.
-
-    A worklist passes on each actual state's new dummies only.  The actual
-    states from the dummy count n on are in an insertion phase, entered only
-    through one kind's relation, which is closed under the kind's alphabet:
-    a move of such a state to itself adds no dummy, so the worklist skips it.
-    """
-    succ, images, arcs = relations
-    if not images:
-        images += map(_tables, succ)
-    plain, width = len(succ[0]), len(arcs)
-    found = [0] * width
-    new = [0] * width
-    d, a = divmod(start, width)
-    found[a] = new[a] = 1 << d
-    stack = [a]
-    while stack:
-        a = stack.pop()
-        fresh, new[a] = new[a], 0
-        itself = a if a >= plain else -1
-        for r, t in arcs[a]:
-            if t == itself:
-                continue
-            # A single lookup while the new dummies fit in the first chunk.
-            image = images[r][0][fresh] if fresh < 256 else _apply(images[r], fresh)
-            mask = image & ~found[t]
-            if mask:
-                if not new[t]:
-                    stack.append(t)
-                new[t] |= mask
-                found[t] |= mask
-    return found
 
 
 def _trim(relations: _Relations, reachable: list[int]) -> list[int]:
@@ -220,17 +184,20 @@ class _PairKernel:
     ``automaton``; ``edge_keys`` lists those of many pairs, one actual state
     at a time, for the DOT file; ``relations`` holds the same moves per
     actual state, each kind's insertions walked out within its alphabet,
-    and ``condensed`` those of EI's dashed components, for ``_closure`` and
-    ``_trim``.  A set of pairs is held as one bitmask of dummies per actual
-    state, bit d of entry a for the pair ``d*width + a``.  Pair objects are
-    made only by ``objects``, when a report's pair field is first read.
+    for ``_trim`` and the phase masks of a constrained report, and
+    ``condensed`` those of EI's dashed components, for ``_trim``.  A set of
+    pairs is held as one bitmask of dummies per actual state, bit d of
+    entry a for the pair ``d*width + a``.  Pair objects are made only by
+    ``objects``, when a report's pair field is first read.
     """
 
     def __init__(self, g: Automaton) -> None:
         if not g.deterministic:
             raise ValueError("insertion analysis requires a deterministic automaton")
-        self.states = sorted_states(g.states)
-        self.state_names = [state_display(x) for x in self.states]
+        # Each state's name once, the states sorted by it as sorted_states does.
+        named = sorted([(state_display(x), x) for x in g.states], key=itemgetter(0))
+        self.state_names = [name for name, _ in named]
+        self.states = [x for _, x in named]
         self.labels = _actual_labels(g)
         n, k = self.n, self.k = len(self.states), len(self.labels)
         index = {x: i for i, x in enumerate(self.states)}
@@ -243,18 +210,24 @@ class _PairKernel:
         self.x0 = index[x0]
         self.secret = {index[x] for x in g.secret}
         self._reaches: dict[tuple, tuple] = {}
-        self.actual_names = self.state_names
-        self._phases(1, [(range(k), list(range(n)))])
+        width = self.width = self._PHASES * n
+        self.start = self.x0 * width + self.x0
 
-    # The tag of a move of kind j, kind 0 being solid.
+    # The phases of every system state, and the tag of a move of kind j,
+    # kind 0 being solid.
+    _PHASES = 1
     _TAGS = (Tag.ACTUAL, Tag.INSERTED)
 
-    def _phases(self, phases: int, kinds: list[tuple[Sequence[int], list[int]]]) -> None:
-        """Give every system state ``phases`` phases and the insertion
-        ``kinds``, numbered from 1 as (label ids, phase table) pairs."""
-        width = self.width = phases * self.n
-        self.kinds = kinds
-        self.start = self.x0 * width + self.x0
+    @cached_property
+    def kinds(self) -> list[tuple[Sequence[int], list[int]]]:
+        """The insertion kinds, numbered from 1 as (label ids, phase table)
+        pairs: for EI one, every event, the phase unchanged."""
+        return [(range(self.k), list(range(self.n)))]
+
+    @cached_property
+    def actual_names(self) -> list[str]:
+        """The display name of every actual state, made only for output."""
+        return self.state_names
 
     @cached_property
     def _move_tables(self) -> tuple[list, list]:
@@ -535,44 +508,71 @@ class _PairKernel:
                 queue |= sources[x]
         return win
 
-    def forward(self, relays: list[list[int]]) -> list[int]:
-        """The pairs of the unconstrained indicator reachable from the
-        initial pair, as one bitmask of dummies per system state.
+    def forward(self, before: Sequence[int], relays: list[list[int]], start: int) -> list[int]:
+        """The resting pairs reachable from the initial pair, plain or in
+        the after-phase, as one bitmask of dummies per system state.
 
-        Dashed moves walk the dummy anywhere in its reach, so D[x0] starts
-        as Reach(x0), every D[x] is a union of SCCs of g, and a move
-        x -e-> y adds T_e(c) (``relays`` with every event before and after)
-        to D[y] for each SCC c in D[x].  Each SCC is relayed from x once,
-        found by the bit of its first member.
+        U[x0] starts as ``start`` and a move x -e-> y adds T_e(d) (``relays``,
+        on the SCCs of the before-subgraph over the label ids ``before``) to
+        U[y] for each d in U[x].  Under constraints the start is AReach(x0),
+        or x0 alone when no move enters x0, which then has no after-phase;
+        without them it is Reach(x0), and U holds every reachable pair.
+
+        T_e is the same for all dummies of one SCC, so the new dummies of x
+        are relayed once per SCC, found by any member's bit: U[x] need not
+        hold all of it.  New dummies of more than ``_FEW`` SCCs, as where
+        many SCCs are single states, are relayed at once instead, through
+        image tables of T_e per dummy, built on that first need; from then
+        on the tables take any state with more than ``_FEW`` new dummies,
+        whose SCCs are not looked up.  A move to a state that holds every
+        dummy is skipped, and the SCCs are found only for a move that is
+        not.
         """
         n, delta = self.n, self.delta
-        components, scc, reach, _ = self._reach(range(self.k))
-        firsts = sum(1 << members[0] for members in components)
+        _, scc, _, own = self._reach(before)
+        full = (1 << n) - 1
         found = [0] * n
         relayed = [0] * n
-        found[self.x0] = reach[scc[self.x0]]
+        found[self.x0] = start
         stack = [self.x0]
+        images: list[list[list[int]]] = []
         while stack:
             x = stack.pop()
-            fresh = found[x] & firsts & ~relayed[x]
+            fresh = found[x] & ~relayed[x]
             if not fresh:
                 continue
-            relayed[x] |= fresh
-            new = []
-            while fresh:
-                low = fresh & -fresh
-                fresh ^= low
-                new.append(scc[low.bit_length() - 1])
+            new = None
             for e, y in enumerate(delta[x]):
-                if y >= 0:
+                if y < 0 or found[y] == full:
+                    continue
+                if new is None:
+                    many = bool(images) and fresh.bit_count() > _FEW
+                    new, left = [], 0 if many else fresh
+                    while left and len(new) <= _FEW:
+                        c = scc[(left & -left).bit_length() - 1]
+                        new.append(c)
+                        left &= ~own[c]
+                        fresh |= own[c]
+                    if len(new) > _FEW:
+                        many = True
+                        if not images:
+                            images += (_tables([row[c] for c in scc]) for row in relays)
+                mask = found[y]
+                if many:
+                    mask |= _apply(images[e], fresh)
+                else:
                     row = relays[e]
-                    mask = found[y]
                     for c in new:
                         mask |= row[c]
-                    if mask != found[y]:
-                        found[y] = mask
-                        stack.append(y)
+                if mask != found[y]:
+                    found[y] = mask
+                    stack.append(y)
+            relayed[x] |= fresh
         return found
+
+
+# The most SCCs ``_PairKernel.forward`` relays one at a time from a state.
+_FEW = 64
 
 
 def build_indicator(g: Automaton, gf: Automaton) -> Automaton:
@@ -763,40 +763,66 @@ class EnforcementReport:
     """The verdict of ``check_ei_enforceable`` or ``check_eic_enforceable``,
     and the pairs behind it.
 
-    The kernel's pairs are held as one bitmask of dummies per actual state:
-    ``reachable`` the indicator's, ``staying_masks`` and
-    ``admissible_masks``, off which the verdict and the uncovered states of
-    g are read at once.  What only output reads is built on first read and
-    kept: ``verifier_masks``, the pairs pruning keeps (the staying pairs
-    need not lie in them when g can halt), from one call of ``verifier``,
-    then dropped; ``unreachable_actual_states``; and the pair fields
-    ``verifier``, ``staying_nonblocking`` and ``admissible``.
-    ``staying_nonblocking`` is a set of pairs, or under constraints a
-    mapping from each staying pair to its type: 1 in the plain phase and 2
-    in the after-phase.  The CLI draws its DOT file from ``rows``, and
-    ``veiler.report`` writes the JSON pair lists from the masks.
+    The verdict (``enforceable``) and the uncovered states of g are read
+    at once off the resting pairs the kernel's ``forward`` reaches, one
+    bitmask of dummies per system state, and the relay game's staying
+    dummies ``win``: a state of g is covered when a resting pair on it
+    stays and has a dummy the observer would not flag.  What only output
+    reads is built on first read and kept.  The pairs, one bitmask of
+    dummies per actual state: ``reachable``, the indicator's, from one call
+    of ``phases``; ``staying_masks``, its resting pairs in ``win``;
+    ``admissible_masks``, those whose dummy is not secret; and
+    ``verifier_masks``, the pairs pruning keeps (the staying pairs need not
+    lie in them when g can halt), from one call of ``verifier`` on
+    ``reachable``.  Each function is dropped after its call, with what it
+    holds, as EIC's relations and image tables.  Then
+    ``unreachable_actual_states`` and the pair fields ``verifier``,
+    ``staying_nonblocking`` and ``admissible``.  ``staying_nonblocking`` is
+    a set of pairs, or under constraints a mapping from each staying pair
+    to its type: 1 in the plain phase and 2 in the after-phase.  The CLI
+    draws its DOT file from ``rows``, and ``veiler.report`` writes the JSON
+    pair lists from the masks.
     """
 
     def __init__(
-        self, kernel: _PairKernel, reachable: list[int], verifier: Callable, staying: list[int]
+        self,
+        kernel: _PairKernel,
+        resting: list[int],
+        win: list[int],
+        phases: Callable[[], list[int]],
+        verifier: Callable[[list[int]], list[int]],
     ) -> None:
         self.kernel = kernel
-        self.reachable = reachable
+        self._win = win
+        self._phases = phases
         self._verifier = verifier
-        self.staying_masks = staying
-        n, states = kernel.n, kernel.states
         secret = sum(1 << d for d in kernel.secret)
-        admissible = self.admissible_masks = [mask & ~secret for mask in staying]
-        # An actual state of g is covered in any of its phases.
         self.uncovered_actual_states = frozenset(
-            x for i, x in enumerate(states) if not any(admissible[i::n])
+            x for x, mask, won in zip(kernel.states, resting, win) if not mask & won & ~secret
         )
         self.enforceable = not self.uncovered_actual_states
 
     @cached_property
+    def reachable(self) -> list[int]:
+        masks = self._phases()
+        del self._phases
+        return masks
+
+    @cached_property
+    def staying_masks(self) -> list[int]:
+        n, win = self.kernel.n, self._win
+        # The resting phases are the first two: plain, then after.
+        return [mask & win[a % n] if a < 2 * n else 0 for a, mask in enumerate(self.reachable)]
+
+    @cached_property
+    def admissible_masks(self) -> list[int]:
+        secret = sum(1 << d for d in self.kernel.secret)
+        return [mask & ~secret for mask in self.staying_masks]
+
+    @cached_property
     def verifier_masks(self) -> list[int]:
-        masks = self._verifier()
-        del self._verifier  # frees what it holds, as EIC's relations and image tables
+        masks = self._verifier(self.reachable)
+        del self._verifier
         return masks
 
     @cached_property
@@ -890,17 +916,16 @@ def check_ei_enforceable(g: Automaton) -> EnforcementReport:
     """
     kernel = _PairKernel(g)
     everything = range(kernel.k)
+    components, scc, reach, members = kernel._reach(everything)
     relays = kernel.relays(everything, everything)
-    reachable = kernel.forward(relays)
+    resting = kernel.forward(everything, relays, reach[scc[kernel.x0]])
     win = kernel.relay_game(everything, relays)
-    staying = [mask & won for mask, won in zip(reachable, win)]
 
-    def verifier() -> list[int]:
-        components, scc, _, members = kernel._reach(everything)
+    def verifier(reachable: list[int]) -> list[int]:
         firsts = sum(1 << group[0] for group in components)
         bits = [1 << c for c in scc]
         groups = [_union(mask & firsts, bits) for mask in reachable]
         kept = _trim(kernel.condensed(), groups)
         return reachable if kept is groups else [_union(mask, members) for mask in kept]
 
-    return EnforcementReport(kernel, reachable, verifier, staying)
+    return EnforcementReport(kernel, resting, win, lambda: resting, verifier)

@@ -196,10 +196,15 @@ def _written(kind: str, value: object, text: str, read) -> str:
     """``text``, which names ``value`` in a file; a ValueError if it would not read back."""
     if not text or any(ch.isspace() or ch == "#" for ch in text):
         problem = "is empty or holds whitespace or '#'"
-    elif read(text) != value:
-        problem = f"reads back as {read(text)!r}"
     else:
-        return text
+        try:
+            back = read(text)
+        except ParseError:  # a number of more digits than the parser reads
+            problem = f"is a number of more than {sys.get_int_max_str_digits()} digits"
+        else:
+            if back == value:
+                return text
+            problem = f"reads back as {back!r}"
     raise ValueError(f"{kind} {value!r} has no text form: {text!r} {problem}")
 
 

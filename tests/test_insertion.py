@@ -17,7 +17,6 @@ from veiler.fsm import Automaton, EventLabel, Tag, as_label, state_display, word
 from veiler.insertion import (
     IndicatorState,
     _PairKernel,
-    _closure,
     _trim,
     _union,
     admissible_states,
@@ -448,30 +447,51 @@ def _kernel_population():
         yield seed, live, g, InsertionConstraints(subsets[seed % 8], subsets[seed // 8 % 8])
 
 
+def _forward(kernel, before, after):
+    """The kernel's forward from the start its decision uses: Reach(x0)
+    for EI, AReach(x0) for EIC, or x0 alone when no move enters x0."""
+    _, scc, reach, _ = kernel._reach(after)
+    start = reach[scc[kernel.x0]] if getattr(kernel, "entered", True) else 1 << kernel.x0
+    return kernel.forward(before, kernel.relays(before, after), start)
+
+
 class TestKernelShortcuts:
-    def test_the_shortcuts_keep_the_masks_of_the_naive_references(self):
-        # The verifier is _trim alone, insertion kinds are closed under
-        # their alphabet, the closure skips the moves of an insertion phase
-        # to itself, and the relay game filters one move at a time; each
-        # gives the masks the longer route gives.
+    def test_the_shortcuts_keep_the_masks_of_the_naive_references(self, monkeypatch):
+        # The forward relays through the before-SCCs, one at a time or many
+        # through image tables, the phase masks are read off it in one
+        # pass, the verifier is _trim alone, insertion kinds are closed
+        # under their alphabet, and the relay game filters one move at a
+        # time; each gives the masks the longer route gives.
         outcomes = Counter()
+        few = veiler.insertion._FEW
         for seed, live, g, c in _kernel_population():
             ei, eic = check_ei_enforceable(g), check_eic_enforceable(g, c)
             for mode, report in (("EI", ei), ("EIC", eic)):
                 kernel = report.kernel
+                n = kernel.n
                 one_step, closed = _one_step_relations(kernel), kernel.relations()
                 # every pair kept: the closure one pair and one move at a time
-                everything = [(1 << kernel.n) - 1] * kernel.width
+                everything = [(1 << n) - 1] * kernel.width
                 reachable = _closure_within(one_step, kernel.start, everything)
-                assert _closure(closed, kernel.start) == reachable, (mode, seed)
-                outcomes[mode, live, "self-shifts"] += any(
-                    t == a for a in range(kernel.n, kernel.width) for _, t in closed[2][a]
+                before = kernel.before if mode == "EIC" else range(kernel.k)
+                after = kernel.after if mode == "EIC" else before
+                # the resting pairs: plain, and under constraints after-phase
+                resting = reachable[:n]
+                if kernel.width > n:
+                    resting = [p | a for p, a in zip(resting, reachable[n : 2 * n])]
+                # these systems have too few SCCs for the relay tables; with
+                # _FEW at 0 or 1 the forward relays through them too
+                for most in (0, 1, few):
+                    monkeypatch.setattr(veiler.insertion, "_FEW", most)
+                    assert _forward(kernel, before, after) == resting, (mode, seed, most)
+                outcomes[mode, live, "partial SCCs"] += any(
+                    0 < mask & members != members
+                    for mask in resting
+                    for members in kernel._reach(before)[3]
                 )
                 kept = _trim(one_step, reachable)
                 assert _trim(closed, reachable) == kept, (mode, seed)
                 assert _closure_within(one_step, kernel.start, kept) == kept, (mode, seed)
-                before = kernel.before if mode == "EIC" else range(kernel.k)
-                after = kernel.after if mode == "EIC" else before
                 relays = kernel.relays(before, after)
                 game = _relay_game(kernel, before, relays)
                 assert kernel.relay_game(before, relays) == game, (mode, seed)
@@ -493,9 +513,28 @@ class TestKernelShortcuts:
         # both decisions prune, live or halting, and empty halting verifiers
         for key in product(("EI", "EIC"), (True, False), ["pruned"]):
             assert outcomes[key] > 20, key
-        # most constrained kernels have a phase that moves to itself
-        assert outcomes["EIC", True, "self-shifts"] > 100 and outcomes["EIC", False, "self-shifts"] > 100
         assert outcomes["EI", False, "emptied"] > 5 and outcomes["EIC", False, "emptied"] > 5
+        # EI's resting pairs are unions of SCCs; many constrained ones hold
+        # part of a before-SCC, which the forward relays all the same
+        assert outcomes["EI", True, "partial SCCs"] == outcomes["EI", False, "partial SCCs"] == 0
+        assert outcomes["EIC", True, "partial SCCs"] > 20 and outcomes["EIC", False, "partial SCCs"] > 20
+
+    def test_a_before_scc_entered_at_a_later_member_is_relayed(self):
+        # 0 -a-> 1 -a-> 0 with a insertable before outputs only: the one
+        # before-SCC is {0, 1}, and the start holds only the initial state.
+        # Whichever member the SCC lists first, one of the two starts enters
+        # it at another; a forward that relays an SCC by its first member
+        # alone would leave the other state with no pair and refuse both.
+        entered_late = 0
+        for x0 in (0, 1):
+            g = Automaton.dfa([0, 1], ["a"], {(0, "a"): 1, (1, "a"): 0}, x0)
+            report = check_eic_enforceable(g, InsertionConstraints.of("a", ""))
+            (members,) = report.kernel._reach(report.kernel.before)[0]
+            entered_late += members[0] != x0
+            assert report.enforceable, x0
+            # plain and before-phase pairs (d, x) for every d and x, none after
+            assert report.reachable == [3, 3, 0, 0, 3, 3, 0, 0], x0
+        assert entered_late == 1
 
 
 def _holds(root, target) -> bool:
@@ -516,9 +555,10 @@ def _holds(root, target) -> bool:
 
 class TestOutputOnlyFields:
     def test_a_verdict_skips_the_verifier_trim(self, monkeypatch):
-        # Pruning only names the paper's verifier, so a report builds it
-        # when verifier_masks is first read, once, and then drops what it
-        # was built from: EIC's relations and their image tables.
+        # A verdict reads the forward's resting pairs only, so a report
+        # builds the phase masks when reachable is first read and the
+        # verifier when verifier_masks is, each once, and then drops what
+        # they were built from: EIC's relations and their image tables.
         condensed, relations = _PairKernel.condensed, _PairKernel.relations
         calls, made = Counter(), {}
 
@@ -537,10 +577,14 @@ class TestOutputOnlyFields:
         for seed, _, g, c in _kernel_population():
             calls.clear()
             ei, eic = check_ei_enforceable(g), check_eic_enforceable(g, c)
-            closed = made["relations"]
             for report in (ei, eic):
                 assert report.enforceable == (not report.uncovered_actual_states), seed
+            assert calls == {}, seed
+            assert "kinds" not in vars(eic.kernel) and "actual_names" not in vars(eic.kernel), seed
+            first = eic.reachable
+            assert eic.reachable is first, seed
             assert calls == {"relations": 1}, seed
+            closed = made["relations"]
             assert _holds(eic, closed), seed
             first = ei.verifier_masks
             assert ei.verifier_masks is first, seed

@@ -469,6 +469,22 @@ class TestEmit:
         with pytest.raises(ValueError, match=f"state {state!r} has no text form: {offender}"):
             emit_automaton(a, "g")
 
+    def test_a_number_too_long_to_read_has_no_text_form(self):
+        # The parser refuses a decimal token of more digits than int()
+        # reads, so the emitter refuses such a state: a plain ValueError,
+        # as there is no line of a file to point at.
+        limit = sys.get_int_max_str_digits()
+        if not limit:
+            pytest.skip("this interpreter reads integers of any length")
+        state = "9" * (limit + 1)
+        a = Automaton.dfa([state], ["a"], {}, state, [])
+        with pytest.raises(ValueError) as caught:
+            emit_automaton(a, "g")
+        assert not isinstance(caught.value, ParseError)
+        assert str(caught.value) == (
+            f"state {state!r} has no text form: {state!r} is a number of more than {limit} digits"
+        )
+
     @pytest.mark.parametrize("symbol", ["a b", "#", ""])
     def test_an_event_that_would_not_read_back_is_refused(self, symbol):
         a = Automaton.dfa([0], [symbol], {(0, symbol): 0}, 0)
