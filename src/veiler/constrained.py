@@ -11,8 +11,8 @@ next output has begun, which is exactly the constraint semantics.
 from __future__ import annotations
 
 from enum import IntEnum
-from functools import cached_property
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from functools import cached_property, partial
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .fsm import (
     Automaton,
@@ -367,11 +367,9 @@ def check_eic_enforceable(g: Automaton, c: InsertionConstraints) -> EnforcementR
     relays = kernel.relays(before, after)
     resting = kernel.forward(before, relays, start)
     win = kernel.relay_game(before, relays)
-    relations: _Relations
 
-    def phases() -> list[int]:
-        nonlocal relations
+    def phases() -> tuple[list[int], Callable[[list[int]], list[int]]]:
         relations = kernel.relations()
-        return kernel.phase_masks(relations, resting)
+        return kernel.phase_masks(relations, resting), partial(_trim, relations)
 
-    return EnforcementReport(kernel, resting, win, phases, lambda masks: _trim(relations, masks))
+    return EnforcementReport(kernel, resting, win, phases)

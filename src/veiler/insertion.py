@@ -520,13 +520,8 @@ class _PairKernel:
 
         T_e is the same for all dummies of one SCC, so the new dummies of x
         are relayed once per SCC, found by any member's bit: U[x] need not
-        hold all of it.  New dummies of more than ``_FEW`` SCCs, as where
-        many SCCs are single states, are relayed at once instead, through
-        image tables of T_e per dummy, built on that first need; from then
-        on the tables take any state with more than ``_FEW`` new dummies,
-        whose SCCs are not looked up.  A move to a state that holds every
-        dummy is skipped, and the SCCs are found only for a move that is
-        not.
+        hold all of it.  A move to a state that holds every dummy is
+        skipped, and the SCCs are found only for a move that is not.
         """
         n, delta = self.n, self.delta
         _, scc, _, own = self._reach(before)
@@ -535,7 +530,6 @@ class _PairKernel:
         relayed = [0] * n
         found[self.x0] = start
         stack = [self.x0]
-        images: list[list[list[int]]] = []
         while stack:
             x = stack.pop()
             fresh = found[x] & ~relayed[x]
@@ -546,33 +540,20 @@ class _PairKernel:
                 if y < 0 or found[y] == full:
                     continue
                 if new is None:
-                    many = bool(images) and fresh.bit_count() > _FEW
-                    new, left = [], 0 if many else fresh
-                    while left and len(new) <= _FEW:
+                    new, left = [], fresh
+                    while left:
                         c = scc[(left & -left).bit_length() - 1]
                         new.append(c)
                         left &= ~own[c]
                         fresh |= own[c]
-                    if len(new) > _FEW:
-                        many = True
-                        if not images:
-                            images += (_tables([row[c] for c in scc]) for row in relays)
-                mask = found[y]
-                if many:
-                    mask |= _apply(images[e], fresh)
-                else:
-                    row = relays[e]
-                    for c in new:
-                        mask |= row[c]
+                row, mask = relays[e], found[y]
+                for c in new:
+                    mask |= row[c]
                 if mask != found[y]:
                     found[y] = mask
                     stack.append(y)
             relayed[x] |= fresh
         return found
-
-
-# The most SCCs ``_PairKernel.forward`` relays one at a time from a state.
-_FEW = 64
 
 
 def build_indicator(g: Automaton, gf: Automaton) -> Automaton:
@@ -770,12 +751,13 @@ class EnforcementReport:
     stays and has a dummy the observer would not flag.  What only output
     reads is built on first read and kept.  The pairs, one bitmask of
     dummies per actual state: ``reachable``, the indicator's, from one call
-    of ``phases``; ``staying_masks``, its resting pairs in ``win``;
-    ``admissible_masks``, those whose dummy is not secret; and
-    ``verifier_masks``, the pairs pruning keeps (the staying pairs need not
-    lie in them when g can halt), from one call of ``verifier`` on
-    ``reachable``.  Each function is dropped after its call, with what it
-    holds, as EIC's relations and image tables.  Then
+    of ``phases``, which returns them with the function that prunes them;
+    ``staying_masks``, its resting pairs in ``win``; ``admissible_masks``,
+    those whose dummy is not secret; and ``verifier_masks``, the pairs
+    pruning keeps (the staying pairs need not lie in them when g can halt),
+    from one call of that function on ``reachable``.  Each function is
+    dropped after its call, with what it holds, as EIC's relations and
+    image tables.  Then
     ``unreachable_actual_states`` and the pair fields ``verifier``,
     ``staying_nonblocking`` and ``admissible``.  ``staying_nonblocking`` is
     a set of pairs, or under constraints a mapping from each staying pair
@@ -789,13 +771,11 @@ class EnforcementReport:
         kernel: _PairKernel,
         resting: list[int],
         win: list[int],
-        phases: Callable[[], list[int]],
-        verifier: Callable[[list[int]], list[int]],
+        phases: Callable[[], tuple[list[int], Callable[[list[int]], list[int]]]],
     ) -> None:
         self.kernel = kernel
         self._win = win
         self._phases = phases
-        self._verifier = verifier
         secret = sum(1 << d for d in kernel.secret)
         self.uncovered_actual_states = frozenset(
             x for x, mask, won in zip(kernel.states, resting, win) if not mask & won & ~secret
@@ -804,7 +784,7 @@ class EnforcementReport:
 
     @cached_property
     def reachable(self) -> list[int]:
-        masks = self._phases()
+        masks, self._verifier = self._phases()
         del self._phases
         return masks
 
@@ -821,7 +801,8 @@ class EnforcementReport:
 
     @cached_property
     def verifier_masks(self) -> list[int]:
-        masks = self._verifier(self.reachable)
+        reachable = self.reachable  # sets the verifier function
+        masks = self._verifier(reachable)
         del self._verifier
         return masks
 
@@ -928,4 +909,4 @@ def check_ei_enforceable(g: Automaton) -> EnforcementReport:
         kept = _trim(kernel.condensed(), groups)
         return reachable if kept is groups else [_union(mask, members) for mask in kept]
 
-    return EnforcementReport(kernel, resting, win, lambda: resting, verifier)
+    return EnforcementReport(kernel, resting, win, lambda: (resting, verifier))
