@@ -11,7 +11,7 @@ next output has begun, which is exactly the constraint semantics.
 from __future__ import annotations
 
 from enum import IntEnum
-from functools import cached_property, partial
+from functools import cached_property
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .fsm import (
@@ -227,6 +227,34 @@ class _EicKernel(_PairKernel):
         n = self.n
         return IndicatorState(self.states[d], _decorate(self.states[a % n], Decoration(a // n)))
 
+    def relations(self) -> _Relations:
+        """The pairs' moves as relations on dummies, over the two classes of
+        phases whose pairs move alike: resting (plain or ``a``), actual state
+        x, and inserting (``b`` or ``ab``), ``n + x``.  Relation e < k is the
+        solid move on e, to a resting pair; relations k and k + 1, the
+        before- and after-walks, take d to the reach of every delta(d, s) in
+        the subgraph of g on the kind's alphabet: to an inserting pair, and to
+        a resting one except at an x0 that no move enters, where plain has no
+        after-move.  So a pair has an infinite path iff its class pair has.
+        """
+        n, k = self.n, self.k
+        columns = list(zip(*self.delta))
+        succ = [[1 << y if y >= 0 else 0 for y in column] for column in columns]
+        for symbols in (self.before, self.after):
+            _, scc, reach, _ = self._reach(symbols)
+            then = [reach[c] for c in scc]
+            row = [0] * n
+            for e in symbols:
+                row = [mask | then[y] if y >= 0 else mask for mask, y in zip(row, columns[e])]
+            succ.append(row)
+        solid = [[(e, y) for e, y in enumerate(row) if y >= 0] for row in self.delta]
+        before, after = any(succ[k]), any(succ[k + 1])
+        resting = [
+            moves + [(k, n + x)] * before + [(k + 1, x)] * (after and (x != self.x0 or self.entered))
+            for x, moves in enumerate(solid)
+        ]
+        return succ, resting + [moves + [(k, n + x)] * before for x, moves in enumerate(solid)]
+
     def phase_masks(self, relations: _Relations, resting: list[int]) -> list[int]:
         """The reachable pairs, one bitmask of dummies per decorated state,
         read in one pass off ``resting``, the forward's plain and after-phase
@@ -236,11 +264,9 @@ class _EicKernel(_PairKernel):
         ``relations``, P[y] holds x0 at x0 and delta_e(BReach*(U[x])) for
         every move x -e-> y, as a relay leaves any phase of x; A is
         AReach+(P), empty at x0 when no move enters x0; B is BReach+(P); AB
-        is BReach+(A).
+        is BReach+(A).  Each relation is applied through its image tables.
         """
-        succ, images, _ = relations
-        if not images:
-            images += map(_tables, succ)
+        images = [_tables(row) for row in relations[0]]
         n, k = self.n, self.k
         before, after = images[k], images[k + 1]
         plain = [0] * n
@@ -255,12 +281,7 @@ class _EicKernel(_PairKernel):
         after_phase = [_apply(after, mask) for mask in plain]
         if not self.entered:
             after_phase[self.x0] = 0
-        return (
-            plain
-            + after_phase
-            + [_apply(before, mask) for mask in plain]
-            + [_apply(before, mask) for mask in after_phase]
-        )
+        return plain + after_phase + [_apply(before, mask) for mask in plain + after_phase]
 
 
 def build_eic_indicator(g: Automaton, geic: Automaton) -> Automaton:
@@ -358,7 +379,8 @@ def check_eic_enforceable(g: Automaton, c: InsertionConstraints) -> EnforcementR
     when ``reachable`` is first read, and pruning only names the paper's
     verifier, built when ``verifier_masks`` is first read: what ``_trim``
     keeps of the reachable pairs, single pairs as EI prunes its dashed
-    components.  Both read one ``relations``.
+    components.  Both read one ``relations``; the trim prunes its two classes
+    of phases, and a phase keeps what its class keeps.
     """
     kernel = _EicKernel(g, c)
     before, after = kernel.before, kernel.after
@@ -370,6 +392,13 @@ def check_eic_enforceable(g: Automaton, c: InsertionConstraints) -> EnforcementR
 
     def phases() -> tuple[list[int], Callable[[list[int]], list[int]]]:
         relations = kernel.relations()
-        return kernel.phase_masks(relations, resting), partial(_trim, relations)
+
+        def verifier(reachable: list[int]) -> list[int]:
+            n = kernel.n
+            merged = [p | q for p, q in zip(reachable, reachable[n:])]  # plain | a, .., b | ab
+            kept = _trim(relations, merged[:n] + merged[2 * n :])
+            return [mask & keep for mask, keep in zip(reachable, kept[:n] * 2 + kept[n:] * 2)]
+
+        return kernel.phase_masks(relations, resting), verifier
 
     return EnforcementReport(kernel, resting, win, phases)

@@ -102,10 +102,9 @@ def _union(mask: int, parts: Sequence[int]) -> int:
 
 
 # Moves as relations on dummies: one bitmask of targets per dummy for every
-# relation, the chunked image tables of each, filled by their first reader,
-# and the moves of every actual state as (relation, target actual state).
-# A pair is the id ``d*width + a``, width being the number of actual states.
-_Relations = tuple[list[list[int]], list[list[list[int]]], list[list[tuple[int, int]]]]
+# relation, and each actual state's moves as (relation, target).  A pair is
+# the id ``d*width + a``, width being the number of actual states.
+_Relations = tuple[list[list[int]], list[list[tuple[int, int]]]]
 
 
 def _trim(relations: _Relations, reachable: list[int]) -> list[int]:
@@ -124,7 +123,7 @@ def _trim(relations: _Relations, reachable: list[int]) -> list[int]:
     sources of t are re-tested.  With no pair lacking a move, this is
     ``reachable`` itself.
     """
-    succ, _, arcs = relations
+    succ, arcs = relations
     n, width = len(succ[0]), len(arcs)
     pre = [[sum(1 << d for d, mask in enumerate(row) if mask)] * width for row in succ]
     kept = reachable[:]
@@ -182,13 +181,12 @@ class _PairKernel:
     one phase and one kind: every event, the phase unchanged.  ``moves``
     lists the moves of one pair, for the library's search and
     ``automaton``; ``edge_keys`` lists those of many pairs, one actual state
-    at a time, for the DOT file; ``relations`` holds the same moves per
-    actual state, each kind's insertions walked out within its alphabet,
-    for ``_trim`` and the phase masks of a constrained report, and
-    ``condensed`` those of EI's dashed components, for ``_trim``.  A set of
-    pairs is held as one bitmask of dummies per actual state, bit d of
-    entry a for the pair ``d*width + a``.  Pair objects are made only by
-    ``objects``, when a report's pair field is first read.
+    at a time, for the DOT file; ``condensed`` holds the moves of EI's
+    dashed components as relations on dummies, for ``_trim``, as the
+    constrained kernel's ``relations`` holds those of its two classes of
+    phases.  A set of pairs is held as one bitmask of dummies per actual
+    state, bit d of entry a for the pair ``d*width + a``.  Pair objects are
+    made only by ``objects``, when a report's pair field is first read.
     """
 
     def __init__(self, g: Automaton) -> None:
@@ -315,37 +313,6 @@ class _PairKernel:
                     stack.append(t)
         return targets
 
-    def relations(self) -> _Relations:
-        """The pairs' moves as relations on dummies.
-
-        Relation e < k is the solid move on e; relation k + i is insertion
-        kind i + 1, one or more events of its alphabet at once: d goes to
-        the reach of every delta(d, s) in the subgraph of g on that
-        alphabet.  A kind's phase table fixes every phase it leads to, so
-        this reaches the pairs that single insertions reach, and keeps the
-        same of them on an infinite path.
-        """
-        n, k = self.n, self.k
-        columns = list(zip(*self.delta))
-        succ = [[1 << y if y >= 0 else 0 for y in column] for column in columns]
-        kinds = []
-        for i, (symbols, shift) in enumerate(self.kinds):
-            _, scc, reach, _ = self._reach(symbols)
-            then = [reach[c] for c in scc]
-            row = [0] * n
-            for e in symbols:
-                row = [mask | then[y] if y >= 0 else mask for mask, y in zip(row, columns[e])]
-            succ.append(row)
-            if any(row):
-                kinds.append((k + i, shift))
-        solid = [[(e, y) for e, y in enumerate(row) if y >= 0] for row in self.delta]
-        arcs = [moves[:] for moves in solid * (self.width // n)]
-        for r, shift in kinds:
-            for a, b in enumerate(shift):
-                if b >= 0:
-                    arcs[a].append((r, b))
-        return succ, [], arcs
-
     def condensed(self) -> _Relations:
         """The moves of the unconstrained indicator's dashed components as
         relations on the SCCs of g, the dummies here: the component
@@ -372,7 +339,7 @@ class _PairKernel:
                         escape[c] |= 1 << scc[y]
             out.append((k, x))
             arcs.append(out)
-        return succ, [], arcs
+        return succ, arcs
 
     def ids(self, masks: Sequence[int]) -> list[int]:
         """The pair ids of ``masks``, one bitmask of dummies per actual state, in increasing order."""
@@ -756,8 +723,8 @@ class EnforcementReport:
     those whose dummy is not secret; and ``verifier_masks``, the pairs
     pruning keeps (the staying pairs need not lie in them when g can halt),
     from one call of that function on ``reachable``.  Each function is
-    dropped after its call, with what it holds, as EIC's relations and
-    image tables.  Then
+    dropped after its call, with what it holds, as EIC's relations over
+    two classes of phases, whose pruning each phase shares.  Then
     ``unreachable_actual_states`` and the pair fields ``verifier``,
     ``staying_nonblocking`` and ``admissible``.  ``staying_nonblocking`` is
     a set of pairs, or under constraints a mapping from each staying pair

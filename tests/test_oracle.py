@@ -413,3 +413,25 @@ class TestDocumentedDivergence:
             IndicatorState(1, 1): 1,
         }
         assert oracle_eic_enforceable(g, c)
+
+
+class TestQuantifierWitnesses:
+    """The smallest systems that split the per-state verdict from the
+    stronger readings in ROADMAP item 3 (which quantifier the verdict
+    states), pinned with today's per-state verdicts.  A change of reading
+    must change these tests on purpose, not pass them by accident."""
+
+    def test_ei_per_state_but_not_per_string(self):
+        # Per-state enforceable, yet no insertion survives the output ab.
+        g = random_dfa(174, 5, live=True)
+        assert g.secret == frozenset({2, 4})
+        assert check_ei_enforceable(g).enforceable
+        assert oracle_ei_enforceable(g)
+
+    def test_eic_per_string_but_not_causal(self):
+        # Every output string has an insertion, but no insertion function
+        # that picks from the outputs so far covers them all.
+        g = random_dfa(1432, 3)
+        c = InsertionConstraints.of("ac", "ab")
+        assert check_eic_enforceable(g, c).enforceable
+        assert oracle_eic_enforceable(g, c)
