@@ -10,9 +10,10 @@ from __future__ import annotations
 import argparse
 import functools
 import os
+import stat
 import sys
 import tempfile
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from . import __version__
 from .constrained import InsertionConstraints, check_eic_enforceable
@@ -128,15 +129,28 @@ def _read_document(path: str) -> AutomatonDocument:
     return parse_document(text)
 
 
-def _write_atomic(path: str, text: str) -> None:
-    """Replace ``path`` by a file holding ``text``, written beside it first.
-    An error of the operating system names ``path``, not that file."""
+def _mode_for(path: str) -> int:
+    """The mode ``open(path, "w")`` leaves: an existing file's own, else
+    0o666 less the umask."""
+    try:
+        return stat.S_IMODE(os.stat(path).st_mode)
+    except FileNotFoundError:
+        umask = os.umask(0)
+        os.umask(umask)
+        return 0o666 & ~umask
+
+
+def _write_atomic(path: str, chunks: Iterable[str]) -> None:
+    """Replace ``path`` by a file holding the text of ``chunks``, written
+    beside it first, one chunk at a time, and given the mode ``_mode_for``
+    says.  An error of the operating system names ``path``, not that file."""
     directory = os.path.dirname(os.path.abspath(path))
     tmp = None
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".veiler-tmp-")
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            handle.writelines(chunks)
+        os.chmod(tmp, _mode_for(path))
         os.replace(tmp, path)
     except BaseException as exc:
         if tmp is not None:

@@ -26,8 +26,8 @@ from .fsm import (
 from .insertion import (
     EnforcementReport,
     IndicatorState,
-    _apply,
     _greatest_fixpoint,
+    _images,
     _PairKernel,
     _Relations,
     _restrict,
@@ -264,24 +264,24 @@ class _EicKernel(_PairKernel):
         ``relations``, P[y] holds x0 at x0 and delta_e(BReach*(U[x])) for
         every move x -e-> y, as a relay leaves any phase of x; A is
         AReach+(P), empty at x0 when no move enters x0; B is BReach+(P); AB
-        is BReach+(A).  Each relation is applied through its image tables.
+        is BReach+(A).  Each relation is applied through its image tables,
+        once per distinct mask.
         """
         images = [_tables(row) for row in relations[0]]
         n, k = self.n, self.k
         before, after = images[k], images[k + 1]
         plain = [0] * n
         plain[self.x0] = 1 << self.x0
-        for x, row in enumerate(self.delta):
-            mask = resting[x]
-            if mask:
-                mask |= _apply(before, mask)
-                for e, y in enumerate(row):
-                    if y >= 0:
-                        plain[y] |= _apply(images[e], mask)
-        after_phase = [_apply(after, mask) for mask in plain]
+        walked = [mask | image for mask, image in zip(resting, _images(before, resting))]
+        for table, column in zip(images[:k], zip(*self.delta)):
+            moved = [mask if y >= 0 else 0 for mask, y in zip(walked, column)]
+            for y, image in zip(column, _images(table, moved)):
+                if image:
+                    plain[y] |= image
+        after_phase = _images(after, plain)
         if not self.entered:
             after_phase[self.x0] = 0
-        return plain + after_phase + [_apply(before, mask) for mask in plain + after_phase]
+        return plain + after_phase + _images(before, plain + after_phase)
 
 
 def build_eic_indicator(g: Automaton, geic: Automaton) -> Automaton:

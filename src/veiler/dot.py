@@ -6,13 +6,14 @@ them.  Output is byte-deterministic: nodes and edges are emitted in sorted
 display order and nothing date- or id-dependent goes into the file.  One
 renderer draws every file, the library's ``emit_dot`` and the CLI's
 indicators alike: its caller lists the edges as integer keys that order
-them by name, and it sorts them once.
+them by name, and it sorts them once.  It gives the text in chunks, so the
+CLI writes a file without holding its whole text.
 """
 from __future__ import annotations
 
 from itertools import compress
 from operator import eq
-from typing import Callable, Collection, Iterable, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Sequence
 
 from .fsm import Automaton, EventLabel, sorted_labels, state_display
 
@@ -34,6 +35,9 @@ def _quote_all(texts: list[str]) -> list[str]:
 # Node attributes: plain, staying-nonblocking (red), pruned (green).
 _FILLS = ("", ' [style=filled, fillcolor="#e05a4e"]', ' [style=filled, fillcolor="#66bb6a"]')
 
+# Edge lines per chunk of ``_digraph``: the text of one chunk is held at a time.
+_EDGES_PER_CHUNK = 4096
+
 
 def _digraph(
     name: str,
@@ -42,8 +46,10 @@ def _digraph(
     initial: Iterable[int],
     labels: Sequence[EventLabel],
     edges: Callable[[list[int], list[int], int], list[int]],
-) -> str:
-    """The DOT text of the nodes ``rows`` names and of the edges ``edges`` keys.
+) -> Iterator[str]:
+    """The DOT text of the nodes ``rows`` names and of the edges ``edges`` keys,
+    in chunks: the header and the nodes, the edges ``_EDGES_PER_CHUNK`` at a
+    time, then the closing brace.  ``edges`` is called after the first chunk.
 
     ``rows`` holds a (name, node, code) row per node, sorted by name, nodes
     being small ints, and node x is filled as ``_FILLS[fills[code]]`` says.
@@ -80,22 +86,23 @@ def _digraph(
         nodes = [f"  {q}{_FILLS[fill]};" for _, fill, q in drawn]
     lines += nodes
     lines += [f"  __start -> {quoted[r // width]};" for r in sorted(rank[x] for x in initial)]
+    yield "\n".join(lines) + "\n"
     # The attributes follow from the label, so they never decide the order.
     label_rank = [0] * width
     attrs = []
     ranked = sorted((e.display(), e.inserted, j) for j, e in enumerate(labels))
     for r, (text, inserted, j) in enumerate(ranked):
         label_rank[j] = r
-        attrs.append(f" [label={_quote(text)}{', style=dashed' if inserted else ''}];")
+        attrs.append(f" [label={_quote(text)}{', style=dashed' if inserted else ''}];\n")
     keys = edges(rank, label_rank, len(rows))
     keys.sort()
     span = len(rows) * width
-    lines += [
-        f"  {quoted[key // span]} -> {quoted[key % span // width]}{attrs[key % width]}"
-        for key in keys
-    ]
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    for start in range(0, len(keys), _EDGES_PER_CHUNK):
+        yield "".join([
+            f"  {quoted[key // span]} -> {quoted[key % span // width]}{attrs[key % width]}"
+            for key in keys[start:start + _EDGES_PER_CHUNK]
+        ])
+    yield "}\n"
 
 
 def emit_dot(
@@ -128,4 +135,4 @@ def emit_dot(
             for y in targets
         ]
 
-    return _digraph(name, rows, range(3), [ids[x] for x in a.initial], labels, edges)
+    return "".join(_digraph(name, rows, range(3), [ids[x] for x in a.initial], labels, edges))

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from functools import cached_property
 from operator import itemgetter
-from typing import Callable, Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .fsm import (
     Automaton,
@@ -67,28 +67,43 @@ class IndicatorState(FrozenValue):
         return f"({state_display(self.dummy)},{state_display(self.actual)})"
 
 
-def _tables(succ: Sequence[int]) -> list[list[int]]:
-    """Lookup tables for the image of a bitmask under ``succ``, one bitmask
-    of targets per bit: table i maps the value of the mask's bits 8i..8i+7
-    to the union of their targets, and the last one only the bits left."""
-    tables = []
-    for base in range(0, len(succ), 8):
-        table = [0]
-        for mask in succ[base:base + 8]:
-            table += [t | mask for t in table]
-        tables.append(table)
-    return tables
+# Lookup tables for the image of a bitmask under a relation: its rows, one
+# bitmask of targets per bit, and per 8 bits of the mask a table i that maps
+# the value of bits 8i..8i+7 to the union of their rows, or holds None until
+# ``_apply`` first looks that value up.
+_Tables = tuple[Sequence[int], list[list[Optional[int]]]]
 
 
-def _apply(tables: list[list[int]], mask: int) -> int:
-    """The image of ``mask`` under the lookup ``tables`` of ``_tables``."""
+def _tables(succ: Sequence[int]) -> _Tables:
+    """Empty lookup tables for the image of a bitmask under ``succ``; the
+    last table is read only at the bits left.  An entry costs its union
+    when it is first read, so a table read for few values costs few unions,
+    not 256."""
+    return succ, [[None] * 256 for _ in range(0, len(succ), 8)]
+
+
+def _apply(tables: _Tables, mask: int) -> int:
+    """The image of ``mask`` under ``tables``, filling the entries it reads."""
+    succ, chunks = tables
     if mask < 256:
-        return tables[0][mask]
+        image = chunks[0][mask]
+        if image is None:
+            image = chunks[0][mask] = _union(mask, succ)
+        return image
     image = 0
     for i, byte in enumerate(mask.to_bytes((mask.bit_length() + 7) >> 3, "little")):
         if byte:
-            image |= tables[i][byte]
+            part = chunks[i][byte]
+            if part is None:
+                part = chunks[i][byte] = _union(byte, succ[8 * i:8 * i + 8])
+            image |= part
     return image
+
+
+def _images(tables: _Tables, masks: list[int]) -> list[int]:
+    """``_apply(tables, mask)`` for each of ``masks``, once per distinct mask."""
+    found = {mask: _apply(tables, mask) for mask in set(masks)}
+    return [found[mask] for mask in masks]
 
 
 def _union(mask: int, parts: Sequence[int]) -> int:
@@ -149,7 +164,7 @@ def _trim(relations: _Relations, reachable: list[int]) -> list[int]:
             for r, t in out:
                 sources[t].append(a)
                 into[t].add(r)
-    preimages: dict[int, list[list[int]]] = {}
+    preimages: dict[int, _Tables] = {}
     while queue:
         t = queue.pop()
         for r in into[t]:

@@ -8,6 +8,7 @@ import json
 import os
 import re
 import shlex
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -646,6 +647,48 @@ class TestTopLevel:
                 "", f"error: [Errno 2] No such file or directory: {dot!r}\n"
             )
         assert os.listdir(tmp_path) == []
+
+    @pytest.mark.skipif(os.name != "posix", reason="file modes are POSIX")
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o027, 0o640)])
+    def test_a_new_dot_file_gets_the_mode_open_would_give(self, capsys, tmp_path, umask, mode):
+        dot = tmp_path / "x.dot"
+        old = os.umask(umask)
+        try:
+            assert cli_main(["verify-ei", G1, "--dot", str(dot)]) == EXIT_OK
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE(dot.stat().st_mode) == mode
+
+    @pytest.mark.skipif(os.name != "posix", reason="file modes are POSIX")
+    def test_a_replaced_dot_file_keeps_its_mode(self, capsys, tmp_path):
+        dot = tmp_path / "x.dot"
+        dot.write_text("old\n")
+        dot.chmod(0o604)
+        assert cli_main(["verify-ei", G1, "--dot", str(dot)]) == EXIT_OK
+        assert dot.read_bytes() == (DATA / "g1-ei.dot").read_bytes()
+        assert stat.S_IMODE(dot.stat().st_mode) == 0o604
+
+    def test_a_failure_while_the_dot_streams_changes_nothing(self, capsys, monkeypatch, tmp_path):
+        # The edge keys are listed after the header is written into the
+        # temporary file; raising there leaves the old file as it was.
+        dot = tmp_path / "x.dot"
+        dot.write_bytes(b"old drawing\n")
+        seen = []
+
+        def edge_keys(self, *args):
+            seen.extend(path.name for path in tmp_path.iterdir())
+            raise ValueError("no edge keys")
+
+        monkeypatch.setattr(_PairKernel, "edge_keys", edge_keys)
+        for argv in (
+            ["verify-ei", G1, "--json", "--dot", str(dot)],
+            ["verify-eic", G1, "--insert-before", "a", "--dot", str(dot)],
+        ):
+            assert cli_main(argv) == EXIT_ERROR
+            assert capsys.readouterr() == ("", "error: no edge keys\n")
+            assert dot.read_bytes() == b"old drawing\n"
+            assert os.listdir(tmp_path) == ["x.dot"]
+        assert len([name for name in seen if name.startswith(".veiler-tmp-")]) == 2
 
     def test_version_flag(self, capsys):
         assert cli_main(["--version"]) == EXIT_OK

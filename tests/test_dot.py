@@ -213,7 +213,7 @@ class TestTheNaiveRenderer:
             kernel = report.kernel
             labels = kernel.edge_labels()
             edges = functools.partial(kernel.edge_keys, report.reachable)
-            text = _digraph(name, rows, _FILL_OF_CODE, (kernel.start,), labels, edges)
+            text = "".join(_digraph(name, rows, _FILL_OF_CODE, (kernel.start,), labels, edges))
             expected = _naive_digraph(
                 name, rows, _FILL_OF_CODE, (kernel.start,), kernel.moves, labels
             )

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import gc
+import random
 import sys
 from collections import Counter
 from itertools import product
@@ -17,6 +18,9 @@ from veiler.fsm import Automaton, EventLabel, Tag, as_label, state_display, word
 from veiler.insertion import (
     IndicatorState,
     _PairKernel,
+    _apply,
+    _images,
+    _tables,
     _trim,
     _union,
     admissible_states,
@@ -304,6 +308,31 @@ class TestCheckEiEnforceable:
             emptied += not expected.verifier.states
         # the sample must exercise pruning, down to the empty verifier
         assert pruned > 50 and emptied > 5
+
+
+class TestImageTables:
+    def test_a_lookup_is_the_union_of_the_rows_it_names(self):
+        # Entries are filled on first lookup.  Row lists of 1 to 33 entries
+        # end on a partial chunk; every value of each chunk is read, and
+        # each mask twice, the second read a hit on what the first filled.
+        rng = random.Random(27)
+        for size in range(1, 34):
+            rows = [rng.getrandbits(40) for _ in range(size)]
+            tables = _tables(rows)
+            masks = [0] + [rng.getrandbits(size) for _ in range(40)]
+            for base in range(0, size, 8):
+                masks += [value << base for value in range(1 << min(8, size - base))]
+            for mask in masks:
+                assert _apply(tables, mask) == _union(mask, rows), (size, mask)
+                assert _apply(tables, mask) == _union(mask, rows), (size, mask)
+            assert _images(_tables(rows), masks) == [_union(mask, rows) for mask in masks]
+
+    def test_a_table_fills_only_what_is_read(self):
+        tables = _tables([1 << i for i in range(20)])
+        assert _apply(tables, 0b101 | 0b11 << 16) == 0b101 | 0b11 << 16
+        _, chunks = tables
+        filled = [[value for value, image in enumerate(chunk) if image is not None] for chunk in chunks]
+        assert filled == [[0b101], [], [0b11]]
 
 
 class TestForwardMasks:
