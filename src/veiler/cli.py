@@ -8,16 +8,17 @@ and 1 means the run itself failed (bad usage, unreadable or malformed input).
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import os
 import stat
 import sys
 import tempfile
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from . import __version__
 from .constrained import InsertionConstraints, check_eic_enforceable
-from .dot import _digraph
+from .dot import _digraph, _ranked_digraph
 from .fsm import state_display, sorted_states
 from .insertion import EnforcementReport, _count, check_ei_enforceable
 from .observer import check_current_state_opacity
@@ -27,7 +28,7 @@ from .oracle import (
     random_constraints,
     random_dfa,
 )
-from .report import _verify_payload, opacity_report, oracle_report, to_json
+from .report import _name_order, _verify_payload, opacity_report, oracle_report, to_json
 from .textio import AutomatonDocument, ParseError, parse_document
 
 EXIT_OK = 0
@@ -143,7 +144,10 @@ def _mode_for(path: str) -> int:
 def _write_atomic(path: str, chunks: Iterable[str]) -> None:
     """Replace ``path`` by a file holding the text of ``chunks``, written
     beside it first, one chunk at a time, and given the mode ``_mode_for``
-    says.  An error of the operating system names ``path``, not that file."""
+    says.  An error of the operating system names ``path``, not that file;
+    an empty path fails as ``open`` fails it, before anything is written."""
+    if not path:
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
     directory = os.path.dirname(os.path.abspath(path))
     tmp = None
     try:
@@ -197,6 +201,20 @@ def _cmd_check_opacity(args: argparse.Namespace) -> int:
 _FILL_OF_CODE = [1 if code >> 1 & 3 else 0 if code & 1 else 2 for code in range(16)]
 
 
+def _drawing(name: str, report: EnforcementReport) -> Iterator[str]:
+    """The DOT text of a verify run's indicator, in chunks: drawn in name
+    order straight from the masks where the pair names sort by their parts
+    (``_name_order``), else from ``rows`` and ``edge_keys``, the one route
+    that draws pairs whose names collide."""
+    kernel = report.kernel
+    ranked = _name_order(kernel)
+    if ranked is not None:
+        return _ranked_digraph(name, report, ranked)
+    rows = report.rows()  # DOT names every reachable pair
+    edges = functools.partial(kernel.edge_keys, report.reachable)
+    return _digraph(name, rows, _FILL_OF_CODE, (kernel.start,), kernel.edge_labels(), edges)
+
+
 def _report_decision(
     args: argparse.Namespace,
     name: str,
@@ -204,12 +222,8 @@ def _report_decision(
     constraints: Optional[InsertionConstraints] = None,
 ) -> int:
     """Write the DOT file and the report of a verify run, from its bitmasks."""
-    if args.dot:
-        rows = report.rows()  # DOT names every reachable pair
-        kernel = report.kernel
-        edges = functools.partial(kernel.edge_keys, report.reachable)
-        dot = _digraph(name, rows, _FILL_OF_CODE, (kernel.start,), kernel.edge_labels(), edges)
-        _write_atomic(args.dot, dot)
+    if args.dot is not None:
+        _write_atomic(args.dot, _drawing(name, report))
     if args.json:
         sys.stdout.write(to_json(_verify_payload(name, report, constraints)))
     else:

@@ -3,11 +3,14 @@
 Solid arrows carry actual events, dashed arrows carry inserted ones, so a
 rendered indicator shows the two move kinds the way the constructions treat
 them.  Output is byte-deterministic: nodes and edges are emitted in sorted
-display order and nothing date- or id-dependent goes into the file.  One
-renderer draws every file, the library's ``emit_dot`` and the CLI's
-indicators alike: its caller lists the edges as integer keys that order
-them by name, and it sorts them once.  It gives the text in chunks, so the
-CLI writes a file without holding its whole text.
+display order and nothing date- or id-dependent goes into the file.  Two
+renderers give the same text.  ``_ranked_digraph`` draws the CLI's
+indicators where the pair names sort by their parts: a dummy at a time, in
+name order, straight from the report's bitmasks, with no sort of the
+edges.  ``_digraph`` draws the library's ``emit_dot`` and indicators whose
+pair names collide: its caller lists the edges as integer keys that order
+them by name, and it sorts them once.  Both give the text in chunks, so
+the CLI writes a file without holding its whole text.
 """
 from __future__ import annotations
 
@@ -16,6 +19,8 @@ from operator import eq
 from typing import Callable, Collection, Iterable, Iterator, Sequence
 
 from .fsm import Automaton, EventLabel, sorted_labels, state_display
+from .insertion import EnforcementReport
+from .report import _column_table
 
 
 def _quote(text: str) -> str:
@@ -37,6 +42,27 @@ _FILLS = ("", ' [style=filled, fillcolor="#e05a4e"]', ' [style=filled, fillcolor
 
 # Edge lines per chunk of ``_digraph``: the text of one chunk is held at a time.
 _EDGES_PER_CHUNK = 4096
+
+
+def _header(name: str) -> str:
+    """The lines of a drawing before its nodes."""
+    return (
+        f"digraph {_quote(name)} {{\n  rankdir=LR;\n  node [shape=circle];\n"
+        '  __start [shape=point, label=""];\n'
+    )
+
+
+def _label_attrs(labels: Sequence[EventLabel]) -> tuple[list[int], list[str]]:
+    """The rank of each of ``labels`` by (text, inserted), and in rank order
+    the end of an edge line over each.  The attributes follow from the
+    label, so they never decide the order."""
+    label_rank = [0] * len(labels)
+    attrs = []
+    ranked = sorted((e.display(), e.inserted, j) for j, e in enumerate(labels))
+    for r, (text, inserted, j) in enumerate(ranked):
+        label_rank[j] = r
+        attrs.append(f" [label={_quote(text)}{', style=dashed' if inserted else ''}];\n")
+    return label_rank, attrs
 
 
 def _digraph(
@@ -62,8 +88,7 @@ def _digraph(
     so one sort of the keys orders the edges.  Nodes of one name share its
     rank, so they are drawn as one source.
     """
-    lines = [f"digraph {_quote(name)} {{", "  rankdir=LR;", '  node [shape=circle];']
-    lines.append('  __start [shape=point, label=""];')
+    lines = [_header(name)[:-1]]
     width = len(labels) or 1  # ranks are divided by it, also with no label
     texts = [text for text, _, _ in rows]
     ids = [x for _, x, _ in rows]
@@ -87,13 +112,7 @@ def _digraph(
     lines += nodes
     lines += [f"  __start -> {quoted[r // width]};" for r in sorted(rank[x] for x in initial)]
     yield "\n".join(lines) + "\n"
-    # The attributes follow from the label, so they never decide the order.
-    label_rank = [0] * width
-    attrs = []
-    ranked = sorted((e.display(), e.inserted, j) for j, e in enumerate(labels))
-    for r, (text, inserted, j) in enumerate(ranked):
-        label_rank[j] = r
-        attrs.append(f" [label={_quote(text)}{', style=dashed' if inserted else ''}];\n")
+    label_rank, attrs = _label_attrs(labels)
     keys = edges(rank, label_rank, len(rows))
     keys.sort()
     span = len(rows) * width
@@ -102,6 +121,99 @@ def _digraph(
             f"  {quoted[key // span]} -> {quoted[key % span // width]}{attrs[key % width]}"
             for key in keys[start:start + _EDGES_PER_CHUNK]
         ])
+    yield "}\n"
+
+
+def _ranked_digraph(
+    name: str, report: EnforcementReport, ranked: tuple[list[int], list[int]]
+) -> Iterator[str]:
+    """The text ``_digraph`` gives the reachable pairs of ``report`` and
+    their moves, where ``ranked``, ``_name_order`` of its kernel, orders
+    their names by (dummy, actual state): the header, then a chunk per
+    dummy d, in order, of d's nodes, the start arrow, a chunk per dummy of
+    d's edges, and the closing brace.
+
+    A quoted pair name is its dummy's opening ``"(name,`` and its actual
+    state's closing ``name)"``, each quoted once.  The nodes of d are one
+    join of closings, with their fills, that d's 0/1 column of the three
+    fill classes' stacked masks picks.  Every move of a pair (d, a) on the
+    event e goes to the dummy delta(d, e), whatever a is, so d's edges to
+    the dummy t are those over the events E that take d to t, and their
+    order, by (actual state, label), depends on a and E alone: each (a, E)
+    list of line ends is made once, and each (source, t) group is one join
+    by ``'  "(d,a)" -> "(t,'``.
+    """
+    kernel = report.kernel
+    n, k, width, delta = kernel.n, kernel.k, kernel.width, kernel.delta
+    dummies, actuals = ranked
+    openings = [_quote(f"({state},")[:-1] for state in kernel.state_names]
+    closings = [_quote(actual + ")")[1:] for actual in kernel.actual_names]
+    yield _header(name)
+    # Staying pairs red, other verifier pairs plain, the rest green: the
+    # three parts of a stacked mask, pruned ones highest.
+    reachable, staying, verifier = report.reachable, report.staying_masks, report.verifier_masks
+    stacked = [
+        (shown & ~(kept | stays)) << 2 * n | stays << n | kept & ~stays
+        for shown, kept, stays in zip(reachable, verifier, staying)
+    ]
+    table = _column_table(stacked, actuals, 3 * n)
+    nodes = [closings[a] + _FILLS[fill] + ";\n" for a in actuals for fill in (2, 1, 0)]
+    for d in dummies:
+        head = "  " + openings[d]
+        text = head.join(compress(nodes, table[n - 1 - d :: n]))
+        if text:
+            yield head + text
+    yield f"  __start -> {openings[kernel.x0]}{closings[kernel.x0]};\n"
+    label_rank, attrs = _label_attrs(kernel.edge_labels())
+    ends = [attrs[r] for r in label_rank]
+    dummy_rank, actual_rank = [0] * n, [0] * width
+    for r, d in enumerate(dummies):
+        dummy_rank[d] = r
+    for r, a in enumerate(actuals):
+        actual_rank[a] = r
+    kinds = [(sum(1 << e for e in symbols), shift) for symbols, shift in kernel.kinds]
+
+    def tails(a: int, events: int) -> list[str]:
+        """The line ends of the edges of a pair (d, a) over ``events``, a
+        bitmask, in order, after an empty one, so a join by a group's
+        opening puts it before each; empty where there is no edge."""
+        row = delta[a % n]
+        found = [
+            (actual_rank[row[e]], label_rank[e], closings[row[e]] + ends[e])
+            for e in range(k)
+            if events >> e & 1 and row[e] >= 0
+        ]
+        for kind, (symbols, shift) in enumerate(kinds, 1):
+            b, common = shift[a], events & symbols
+            if b >= 0 and common:
+                found += [
+                    (actual_rank[b], label_rank[j], closings[b] + ends[j])
+                    for e, j in enumerate(range(kind * k, kind * k + k))
+                    if common >> e & 1
+                ]
+        found.sort()
+        return [""] + [tail for _, _, tail in found] if found else []
+
+    known: list[dict[int, list[str]]] = [{} for _ in range(width)]
+    sources = [(closings[a], a, known[a]) for a in actuals]
+    table = _column_table(reachable, actuals, n)
+    for d in dummies:
+        events: dict[int, int] = {}
+        for e, t in enumerate(delta[d]):
+            if t >= 0:
+                events[t] = events.get(t, 0) | 1 << e
+        targets = sorted(events, key=dummy_rank.__getitem__)
+        groups = [(" -> " + openings[t], events[t]) for t in targets]
+        head = "  " + openings[d]
+        lines = []
+        for closing, a, cache in compress(sources, table[n - 1 - d :: n]):
+            source = head + closing
+            for arrow, mask in groups:
+                found = cache.get(mask)
+                if found is None:
+                    found = cache[mask] = tails(a, mask)
+                lines.append((source + arrow).join(found))
+        yield "".join(lines)
     yield "}\n"
 
 

@@ -78,6 +78,16 @@ def _name_order(kernel: _PairKernel) -> Optional[tuple[list[int], list[int]]]:
     return dummies, actuals
 
 
+def _column_table(masks: Sequence[int], actuals: Sequence[int], bits: int) -> bytes:
+    """The ``bits`` low bits of ``masks[a]`` for each actual state a of
+    ``actuals``, in turn, as the bytes 0 and 1, the highest bit first.  A
+    mask of pairs holds one bit per dummy, n bits, or several such parts
+    stacked; the bytes from ``n - 1 - d`` at a stride of n are then dummy
+    d's column, one byte per (actual state, part), the higher parts first."""
+    spec = f"0{bits}b"
+    return "".join([format(masks[a], spec) for a in actuals]).encode().translate(_BITS)
+
+
 def _pair_lists(report: EnforcementReport, typed: bool) -> list:
     """The JSON values of the staying, verifier and admissible pairs of
     ``report``, by name; ``typed`` maps each staying pair to its type.
@@ -110,11 +120,8 @@ def _pair_lists(report: EnforcementReport, typed: bool) -> list:
     dummies, actuals = ranked
     heads = [_string(f"({kernel.state_names[d]},")[:-1] for d in dummies]
     tails = [_string(kernel.actual_names[a] + ")")[1:] for a in actuals]
-    spec = f"0{n}b"
     for i, masks in enumerate(lists):
-        # Per actual state, in suffix order, a byte per dummy, the last for
-        # dummy 0: the bytes at a stride of n are then a dummy's column.
-        table = "".join([format(masks[a], spec) for a in actuals]).encode().translate(_BITS)
+        table = _column_table(masks, actuals, n)
         items, brackets = tails, "[]"
         if typed and i == 0:
             items = [tail + (": 1" if a < n else ": 2") for tail, a in zip(tails, actuals)]

@@ -669,26 +669,45 @@ class TestTopLevel:
         assert stat.S_IMODE(dot.stat().st_mode) == 0o604
 
     def test_a_failure_while_the_dot_streams_changes_nothing(self, capsys, monkeypatch, tmp_path):
-        # The edge keys are listed after the header is written into the
-        # temporary file; raising there leaves the old file as it was.
+        # Both routes start their edges after the header is written into the
+        # temporary file: the name-ordered route by listing the edge labels,
+        # the route for colliding names (comma.aut) by listing the edge
+        # keys.  Raising there leaves the old file as it was.
         dot = tmp_path / "x.dot"
         dot.write_bytes(b"old drawing\n")
         seen = []
 
-        def edge_keys(self, *args):
+        def fail(self, *args):
             seen.extend(path.name for path in tmp_path.iterdir())
-            raise ValueError("no edge keys")
+            raise ValueError("no edges")
 
-        monkeypatch.setattr(_PairKernel, "edge_keys", edge_keys)
-        for argv in (
-            ["verify-ei", G1, "--json", "--dot", str(dot)],
-            ["verify-eic", G1, "--insert-before", "a", "--dot", str(dot)],
+        for method, argv in (
+            ("edge_labels", ["verify-ei", G1, "--json", "--dot", str(dot)]),
+            ("edge_labels", ["verify-eic", G1, "--insert-before", "a", "--dot", str(dot)]),
+            ("edge_keys", ["verify-ei", str(DATA / "comma.aut"), "--json", "--dot", str(dot)]),
         ):
-            assert cli_main(argv) == EXIT_ERROR
-            assert capsys.readouterr() == ("", "error: no edge keys\n")
+            with monkeypatch.context() as patch:
+                patch.setattr(_PairKernel, method, fail)
+                assert cli_main(argv) == EXIT_ERROR
+            assert capsys.readouterr() == ("", "error: no edges\n")
             assert dot.read_bytes() == b"old drawing\n"
             assert os.listdir(tmp_path) == ["x.dot"]
-        assert len([name for name in seen if name.startswith(".veiler-tmp-")]) == 2
+        assert len([name for name in seen if name.startswith(".veiler-tmp-")]) == 3
+
+    def test_an_empty_dot_path_is_an_error(self, capsys, monkeypatch, tmp_path):
+        # As open("") fails: exit 1, no report, and no temporary file in the
+        # working directory or beside it.
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        for argv in (
+            ["verify-ei", G1, "--json", "--dot", ""],
+            ["verify-eic", G1, "--insert-before", "a", "--dot", ""],
+        ):
+            assert cli_main(argv) == EXIT_ERROR
+            assert capsys.readouterr() == ("", "error: [Errno 2] No such file or directory: ''\n")
+        assert os.listdir(work) == []
+        assert os.listdir(tmp_path) == ["work"]
 
     def test_version_flag(self, capsys):
         assert cli_main(["--version"]) == EXIT_OK

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import functools
+import itertools
+import random
 from pathlib import Path
 
-from veiler.cli import _FILL_OF_CODE, EXIT_NOT_ENFORCEABLE, cli_main
+from veiler.cli import _FILL_OF_CODE, EXIT_NOT_ENFORCEABLE, _drawing, cli_main
 from veiler.constrained import InsertionConstraints, check_eic_enforceable
-from veiler.dot import _FILLS, _digraph, _quote, emit_dot
+from veiler.dot import _FILLS, _digraph, emit_dot
 from veiler.fsm import Automaton, sorted_labels, state_display
 from veiler.insertion import (
     _ADMISSIBLE,
@@ -15,6 +17,7 @@ from veiler.insertion import (
     check_ei_enforceable,
 )
 from veiler.oracle import random_dfa
+from veiler.report import _name_order
 from veiler.textio import parse_document
 
 DATA = Path(__file__).parent / "data"
@@ -100,12 +103,17 @@ class TestEmitDot:
             )
 
 
+def _naive_quote(text):
+    """The reference for ``_quote``: one character at a time."""
+    return '"' + "".join("\\" + c if c in '"\\' else c for c in text) + '"'
+
+
 def _naive_digraph(name, rows, fills, initial, moves, labels):
-    """The reference for ``_digraph``: node ranks in a dict, the nodes of
-    each name drawn after sorting them by fill, and the edges of each
-    source listed pair by pair through ``moves(x)``, as (label index,
-    target) pairs, and sorted on their own."""
-    lines = [f"digraph {_quote(name)} {{", "  rankdir=LR;", "  node [shape=circle];"]
+    """The reference for ``_digraph`` and ``_ranked_digraph``: node ranks in
+    a dict, the nodes of each name drawn after sorting them by fill, and the
+    edges of each source listed pair by pair through ``moves(x)``, as
+    (label index, target) pairs, and sorted on their own."""
+    lines = [f"digraph {_naive_quote(name)} {{", "  rankdir=LR;", "  node [shape=circle];"]
     lines.append('  __start [shape=point, label=""];')
     width = len(labels) or 1
     quoted, groups, rank = [], [], {}
@@ -113,7 +121,7 @@ def _naive_digraph(name, rows, fills, initial, moves, labels):
     for text, x, code in rows:
         if text != last:
             last = text
-            quoted.append(_quote(text))
+            quoted.append(_naive_quote(text))
             groups.append([])
         rank[x] = (len(quoted) - 1) * width
         groups[-1].append((fills[code], x))
@@ -127,7 +135,7 @@ def _naive_digraph(name, rows, fills, initial, moves, labels):
     ranked = sorted((e.display(), e.inserted, j) for j, e in enumerate(labels))
     for r, (text, inserted, j) in enumerate(ranked):
         label_rank[j] = r
-        attrs.append(f" [label={_quote(text)}{', style=dashed' if inserted else ''}];")
+        attrs.append(f" [label={_naive_quote(text)}{', style=dashed' if inserted else ''}];")
     for q, group in zip(quoted, groups):
         keys = sorted(rank[t] + label_rank[j] for _, x in group for j, t in moves(x))
         for key in keys:
@@ -177,6 +185,10 @@ def _naive_rows(report):
     return sorted(rows)
 
 
+# Pieces of state names: DOT escapes, characters below the comma that
+# order prefixes unlike names, non-ASCII, and names that collide.
+FRAGMENTS = ['"', "\\", "{", "}", "é", "中", ",", "1_a", "1", "\x00", "s", "t"]
+
 # Every subset of the events a, b and c.
 SUBSETS = [frozenset(s for i, s in enumerate("abc") if mask >> i & 1) for mask in range(8)]
 
@@ -221,6 +233,55 @@ class TestTheNaiveRenderer:
             drawn += 1
             shared += len({text for text, _, _ in rows}) < len(rows)
         assert drawn == 258 and shared >= 2
+
+    def _hostile_reports(self):
+        """EI and EIC reports, live and halting, of systems whose state
+        names are built from fragments that need escaping, sort below the
+        comma, or make names collide."""
+        for seed in range(128):
+            rng = random.Random(seed)
+            g = random_dfa(seed, n_states=2 + seed % 11, live=seed % 2 == 0)
+            texts = []
+            while len(texts) < len(g.states):
+                text = "".join(rng.choice(FRAGMENTS) for _ in range(rng.randint(1, 3)))
+                if text not in texts:
+                    texts.append(text)
+            names = dict(zip(sorted(g.states), texts))
+            g = Automaton(
+                frozenset(names.values()),
+                g.events,
+                {
+                    (names[x], e): frozenset(names[y] for y in ys)
+                    for (x, e), ys in g.transitions.items()
+                },
+                frozenset(names[x] for x in g.initial),
+                frozenset(names[x] for x in g.secret),
+            )
+            name = f'h"{seed}\\{{'
+            if seed // 2 % 2:
+                c = InsertionConstraints(SUBSETS[seed % 8], SUBSETS[seed // 8 % 8])
+                yield name, check_eic_enforceable(g, c)
+            else:
+                yield name, check_ei_enforceable(g)
+
+    def test_the_cli_route_matches_it(self):
+        # The CLI draws names that sort by their parts from the masks, and
+        # colliding ones from rows and edge keys: both give the per-pair
+        # renderer's bytes.
+        ranked = collided = 0
+        for name, report in itertools.chain(self._reports(), self._hostile_reports()):
+            kernel = report.kernel
+            text = "".join(_drawing(name, report))
+            expected = _naive_digraph(
+                name, _naive_rows(report), _FILL_OF_CODE, (kernel.start,), kernel.moves,
+                kernel.edge_labels(),
+            )
+            assert text == expected, name
+            if _name_order(kernel) is None:
+                collided += 1
+            else:
+                ranked += 1
+        assert ranked >= 200 and collided >= 2
 
     def test_emit_dot_matches_it(self, g1):
         # Any automaton: nondeterministic, with several initial states, no
