@@ -3,9 +3,12 @@
 Everything here is deliberately naive: insertion walks are exact reach
 sets, sustainability is a fixpoint over (believed, actual) state pairs that
 re-tests every pair each round, and inputs are gated to toy sizes.  The
-two deciders first read g into tables, once per call: one successor map
-per label, each state's walk sets and one relay set per (label, believed
-state); the fixpoint and the reachability search then read only those.
+two deciders number g's states in ``g.states`` order and hold every set
+of states as an int bitmask over that numbering.  Once per call they read
+g into one successor row per label, each state's exact walk mask and one
+relay mask per (label, believed state).  The round-robin fixpoint keeps W
+as one mask of believed states per actual state, and the search grows the
+reachable pairs, kept the same way, one event or one relay at a time.
 Only ``is_desirable_bounded`` takes a bound: the depth of the
 continuations it explores.  The whole value of the module is that it
 reaches verdicts by a route independent of the verifier constructions it
@@ -175,9 +178,9 @@ def is_desirable_bounded(
         if key in memo:
             return memo[key]
         verdict = True
+        staged = _reach(succ, believed, before_syms)
         for e in sorted(g.enabled_events(actual)):
             (actual_next,) = g.step(actual, e)
-            staged = _reach(succ, believed, before_syms)
             relayed: set = set()
             for d in staged:
                 relayed |= g.step(d, e)
@@ -204,40 +207,110 @@ def _successors(g: Automaton) -> dict:
     return succ
 
 
-def _moves(g: Automaton, succ: dict, before: dict, after: dict) -> dict:
-    """Each state's moves as (relay sets of the label, successor) pairs.
-
-    A label has one relay set per believed state d: every state an
-    after-walk reaches from a move on that label of a state a before-walk
-    reaches from d.  ``before`` and ``after`` map each state to its walk's
-    reach set.  An inserted-tag move of g is relayed like any other.
-    """
-    relays = {
-        e: {d: frozenset(z for b in walk for y in step.get(b, ()) for z in after[y])
-            for d, walk in before.items()}
-        for e, step in succ.items()
-    }
-    moves: dict = {x: [] for x in g.states}
+def _rows(g: Automaton, index: dict) -> dict:
+    """g's moves as one row per label, as ``g.transitions`` keys it: entry
+    i of a row is the mask of the successors of state number i."""
+    rows: dict = {}
+    blank = [0] * len(index)
     for (x, e), targets in g.transitions.items():
-        moves[x] += [(relays[e], y) for y in targets]
+        row = rows.get(e)
+        if row is None:
+            row = rows[e] = blank.copy()
+        i = index[x]
+        for y in targets:
+            row[i] |= 1 << index[y]
+    return rows
+
+
+def _walks(rows: dict, labels: Iterable[str | EventLabel], n: int) -> list[int]:
+    """Each of n states' walk over the labels, as the exact mask of the
+    states it reaches, found by a plain search from that state alone."""
+    steps = [rows[label] for label in map(as_label, labels) if label in rows]
+    walks = []
+    for start in range(n):
+        reached = todo = 1 << start
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            x = low.bit_length() - 1
+            for step in steps:
+                new = step[x] & ~reached
+                reached |= new
+                todo |= new
+        walks.append(reached)
+    return walks
+
+
+def _relayed_moves(g: Automaton, index: dict, rows: dict, before: list, after: list) -> list:
+    """Each state number's moves as (relay masks of the label, successor) pairs.
+
+    A label has one relay mask per believed state d: every state an
+    after-walk reaches from a move on that label of a state a before-walk
+    reaches from d.  ``before`` and ``after`` hold each state's walk mask.
+    An inserted-tag move of g is relayed like any other.
+    """
+    relays = {}
+    for e, row in rows.items():
+        landing = []
+        for targets in row:
+            mask = 0
+            while targets:
+                low = targets & -targets
+                targets ^= low
+                mask |= after[low.bit_length() - 1]
+            landing.append(mask)
+        relays[e] = relay = []
+        for walk in before:
+            mask = 0
+            while walk:
+                low = walk & -walk
+                walk ^= low
+                mask |= landing[low.bit_length() - 1]
+            relay.append(mask)
+    moves: list = [[] for _ in before]
+    for (x, e), targets in g.transitions.items():
+        moves[index[x]] += [(relays[e], index[y]) for y in targets]
     return moves
 
 
-def _staying(moves: dict) -> dict:
+def _staying(moves: list) -> list[int]:
     """W, the largest set of (believed, actual) pairs such that every move
     of the actual state has a relay from the believed state back into W, as
-    each actual state's believed states.  Every pair still in W is
+    one mask of believed states per actual state.  Every pair still in W is
     re-tested, round after round, until a round removes none."""
-    w = {x: set(moves) for x in moves}
+    w = [(1 << len(moves)) - 1] * len(moves)
     changed = True
     while changed:
         changed = False
-        for x, believed in w.items():
-            for d in list(believed):
-                if any(relay[d].isdisjoint(w[y]) for relay, y in moves[x]):
-                    believed.discard(d)
-                    changed = True
+        for x, out in enumerate(moves):
+            todo = w[x]
+            while todo:
+                low = todo & -todo
+                todo ^= low
+                d = low.bit_length() - 1
+                for relay, y in out:
+                    if not relay[d] & w[y]:
+                        w[x] ^= low
+                        changed = True
+                        break
     return w
+
+
+def _push(frontier: list, believed: int, x: int) -> None:
+    """Put the pair (d, x) on ``frontier`` for each believed state d in the mask."""
+    while believed:
+        low = believed & -believed
+        believed ^= low
+        frontier.append((low.bit_length() - 1, x))
+
+
+def _covered(g: Automaton, index: dict, w: list, found: list) -> bool:
+    """True iff every actual state is paired, in ``found``, with a
+    non-secret believed state inside W."""
+    public = (1 << len(index)) - 1
+    for x in g.secret:
+        public ^= 1 << index[x]
+    return all(kept & reached & public for kept, reached in zip(w, found))
 
 
 def oracle_ei_enforceable(g: Automaton) -> bool:
@@ -252,25 +325,35 @@ def oracle_ei_enforceable(g: Automaton) -> bool:
     """
     _guard_size(g)
     x0 = _single_initial(g)
+    index = {x: i for i, x in enumerate(g.states)}
+    n = len(index)
     alphabet = [e for e in sorted(g.events) if not e.inserted]
-    succ = _successors(g)
-    walk = {d: _reach(succ, (d,), alphabet) for d in g.states}
-    w = _staying(_moves(g, succ, walk, {y: (y,) for y in g.states}))
+    rows = _rows(g, index)
+    walk = _walks(rows, alphabet, n)
+    w = _staying(_relayed_moves(g, index, rows, walk, [1 << y for y in range(n)]))
 
-    steps = [succ[e] for e in alphabet if e in succ]
-    reachable = {(x0, x0)}
-    frontier = [(x0, x0)]
+    steps = [rows[e] for e in alphabet if e in rows]
+    start = index[x0]
+    reachable = [0] * n
+    reachable[start] = 1 << start
+    frontier = [(start, start)]
     while frontier:
         d, x = frontier.pop()
         for step in steps:
-            for d_next in step.get(d, ()):
-                # Inserting the event moves the believed state alone, relaying it both.
-                for x_next in (x, *step.get(x, ())):
-                    pair = (d_next, x_next)
-                    if pair not in reachable:
-                        reachable.add(pair)
-                        frontier.append(pair)
-    return g.states <= {x for (d, x) in reachable if d not in g.secret and d in w[x]}
+            d_next = step[d]
+            if not d_next:
+                continue
+            # Inserting the event moves the believed state alone, relaying it both.
+            targets = 1 << x | step[x]
+            while targets:
+                low = targets & -targets
+                targets ^= low
+                x_next = low.bit_length() - 1
+                new = d_next & ~reachable[x_next]
+                if new:
+                    reachable[x_next] |= new
+                    _push(frontier, new, x_next)
+    return _covered(g, index, w, reachable)
 
 
 def oracle_eic_enforceable(g: Automaton, c: InsertionConstraints) -> bool:
@@ -287,26 +370,27 @@ def oracle_eic_enforceable(g: Automaton, c: InsertionConstraints) -> bool:
     _guard_size(g)
     c.validate_against(g)
     x0 = _single_initial(g)
-    succ = _successors(g)
-    breach = {d: _reach(succ, (d,), c.before) for d in g.states}
-    areach = {d: _reach(succ, (d,), c.after) for d in g.states}
-    moves = _moves(g, succ, breach, areach)
+    index = {x: i for i, x in enumerate(g.states)}
+    n = len(index)
+    rows = _rows(g, index)
+    areach = _walks(rows, c.after, n)
+    moves = _relayed_moves(g, index, rows, _walks(rows, c.before, n), areach)
     w = _staying(moves)
 
-    if any(x0 in targets for targets in g.transitions.values()):
-        resting = {(d, x0) for d in areach[x0]}
-    else:
-        resting = {(x0, x0)}
-    frontier = list(resting)
+    start = index[x0]
+    resting = [0] * n
+    entered = any(x0 in targets for targets in g.transitions.values())
+    resting[start] = areach[start] if entered else 1 << start
+    frontier: list = []
+    _push(frontier, resting[start], start)
     while frontier:
         d, x = frontier.pop()
         for relay, x_next in moves[x]:
-            for d_next in relay[d]:
-                pair = (d_next, x_next)
-                if pair not in resting:
-                    resting.add(pair)
-                    frontier.append(pair)
-    return g.states <= {x for (d, x) in resting if d not in g.secret and d in w[x]}
+            new = relay[d] & ~resting[x_next]
+            if new:
+                resting[x_next] |= new
+                _push(frontier, new, x_next)
+    return _covered(g, index, w, resting)
 
 
 def random_dfa(

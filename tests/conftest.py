@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import os
 from pathlib import Path
-from typing import Collection, Mapping, NamedTuple, Optional
+from typing import Callable, Collection, Mapping, NamedTuple, Optional
 
 import pytest
 
@@ -25,6 +25,7 @@ from veiler.insertion import (
     build_verifier,
     find_staying_nonblocking,
 )
+from veiler.oracle import _reach, _successors
 from veiler.report import _base, _displays
 
 
@@ -93,6 +94,122 @@ def per_pair_payload():
         return StagedReport.of(report).payload(name, constraints)
 
     return run
+
+
+def _reference_checks(g: Automaton, c: Optional[InsertionConstraints] = None):
+    """The reference deciders' input checks, in their order: the size
+    gate, the constraint symbols, then a single initial state."""
+    if len(g.states) > 6:
+        raise ValueError("oracle checks are gated to at most 6 states")
+    if c is not None:
+        c.validate_against(g)
+    if not g.deterministic:
+        raise ValueError("string-level checks require a deterministic automaton")
+    (x0,) = g.initial
+    return x0
+
+
+def _reference_moves(g: Automaton, succ: dict, before: dict, after: dict) -> dict:
+    """Each state's moves as (relay sets of the label, successor) pairs.
+
+    A label has one relay set per believed state d: every state an
+    after-walk reaches from a move on that label of a state a before-walk
+    reaches from d.  ``before`` and ``after`` map each state to its walk's
+    reach set.  An inserted-tag move of g is relayed like any other.
+    """
+    relays = {
+        e: {d: frozenset(z for b in walk for y in step.get(b, ()) for z in after[y])
+            for d, walk in before.items()}
+        for e, step in succ.items()
+    }
+    moves: dict = {x: [] for x in g.states}
+    for (x, e), targets in g.transitions.items():
+        moves[x] += [(relays[e], y) for y in targets]
+    return moves
+
+
+def _reference_staying(moves: dict) -> dict:
+    """W, the largest set of (believed, actual) pairs such that every move
+    of the actual state has a relay from the believed state back into W, as
+    each actual state's believed states.  Every pair still in W is
+    re-tested, round after round, until a round removes none."""
+    w = {x: set(moves) for x in moves}
+    changed = True
+    while changed:
+        changed = False
+        for x, believed in w.items():
+            for d in list(believed):
+                if any(relay[d].isdisjoint(w[y]) for relay, y in moves[x]):
+                    believed.discard(d)
+                    changed = True
+    return w
+
+
+def reference_oracle_ei_enforceable(g: Automaton) -> bool:
+    """``oracle_ei_enforceable`` on Python sets of states and tuple pairs,
+    as it was before it moved to bitmasks: the reference its verdicts and
+    errors are held to."""
+    x0 = _reference_checks(g)
+    alphabet = [e for e in sorted(g.events) if not e.inserted]
+    succ = _successors(g)
+    walk = {d: _reach(succ, (d,), alphabet) for d in g.states}
+    w = _reference_staying(_reference_moves(g, succ, walk, {y: (y,) for y in g.states}))
+
+    steps = [succ[e] for e in alphabet if e in succ]
+    reachable = {(x0, x0)}
+    frontier = [(x0, x0)]
+    while frontier:
+        d, x = frontier.pop()
+        for step in steps:
+            for d_next in step.get(d, ()):
+                # Inserting the event moves the believed state alone, relaying it both.
+                for x_next in (x, *step.get(x, ())):
+                    pair = (d_next, x_next)
+                    if pair not in reachable:
+                        reachable.add(pair)
+                        frontier.append(pair)
+    return g.states <= {x for (d, x) in reachable if d not in g.secret and d in w[x]}
+
+
+def reference_oracle_eic_enforceable(g: Automaton, c: InsertionConstraints) -> bool:
+    """``oracle_eic_enforceable`` on Python sets of states and tuple pairs,
+    as it was before it moved to bitmasks: the reference its verdicts and
+    errors are held to."""
+    x0 = _reference_checks(g, c)
+    succ = _successors(g)
+    breach = {d: _reach(succ, (d,), c.before) for d in g.states}
+    areach = {d: _reach(succ, (d,), c.after) for d in g.states}
+    moves = _reference_moves(g, succ, breach, areach)
+    w = _reference_staying(moves)
+
+    if any(x0 in targets for targets in g.transitions.values()):
+        resting = {(d, x0) for d in areach[x0]}
+    else:
+        resting = {(x0, x0)}
+    frontier = list(resting)
+    while frontier:
+        d, x = frontier.pop()
+        for relay, x_next in moves[x]:
+            for d_next in relay[d]:
+                pair = (d_next, x_next)
+                if pair not in resting:
+                    resting.add(pair)
+                    frontier.append(pair)
+    return g.states <= {x for (d, x) in resting if d not in g.secret and d in w[x]}
+
+
+class ReferenceOracle(NamedTuple):
+    """The set-based search deciders, unconstrained and constrained."""
+
+    ei: Callable[[Automaton], bool]
+    eic: Callable[[Automaton, InsertionConstraints], bool]
+
+
+@pytest.fixture
+def reference_oracle() -> ReferenceOracle:
+    """The search oracle's deciders as they were on Python sets: the
+    reference for the bitmask deciders of ``veiler.oracle``."""
+    return ReferenceOracle(reference_oracle_ei_enforceable, reference_oracle_eic_enforceable)
 
 
 @pytest.fixture(scope="session", autouse=True)

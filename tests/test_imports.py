@@ -1,6 +1,7 @@
 """Every name a ``veiler`` module imports is used in that module, and every
 private name a module defines is used somewhere in the package; importing
-the CLI loads no introspection machinery.
+the CLI loads no introspection machinery; and the search oracle imports
+nothing of the construction it is meant to check.
 
 No linter ships with the project, so this is its unused-import and
 dead-code check.  A name counts as used when a module reads it anywhere,
@@ -141,3 +142,70 @@ def test_importing_the_cli_loads_no_json():
     # The report encodes strings with the C function json uses; the json
     # package itself costs every CLI start some 3 ms.
     assert _loaded_by_importing_the_cli(("json", "json.encoder")) == []
+
+
+# What the search oracle may not import: a mistake it shared with the
+# construction would pass the construction-versus-oracle checks.
+_NOTHING_FROM = {"veiler.insertion", "veiler.report", "veiler.dot", "veiler.observer"}
+_ONLY_FROM = {"veiler.constrained": {"InsertionConstraints"}}
+_NOT_FROM = {"veiler.fsm": {"_tarjan", "strongly_connected_components"}}
+
+
+def _forbidden_to_the_oracle(module: str, name: str | None) -> bool:
+    """Whether the oracle may not import ``name`` from ``module``; a name of
+    None is the module itself, which gives access to all of its names."""
+    if module in _NOTHING_FROM:
+        return True
+    if name is None:
+        return module in _ONLY_FROM or module in _NOT_FROM
+    if module in _ONLY_FROM:
+        return name not in _ONLY_FROM[module]
+    return name in _NOT_FROM.get(module, ())
+
+
+def _shared_with_the_construction(source: str) -> list[str]:
+    """The imports of a ``veiler`` module that the oracle may not make."""
+    imported = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            imported += [(alias.name, None) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = ".".join(filter(None, ("veiler" if node.level else "", node.module)))
+            for alias in node.names:
+                if module == "veiler":
+                    imported.append((f"veiler.{alias.name}", None))
+                else:
+                    imported.append((module, alias.name))
+    return [
+        module if name is None else f"{module}.{name}"
+        for module, name in imported
+        if _forbidden_to_the_oracle(module, name)
+    ]
+
+
+def test_the_oracle_imports_nothing_from_the_construction():
+    source = (SRC / "veiler" / "oracle.py").read_text(encoding="utf-8")
+    assert _shared_with_the_construction(source) == []
+
+
+def test_the_independence_check_sees_shared_imports():
+    source = (
+        "from __future__ import annotations\n"
+        "import random\n"
+        "import veiler.dot\n"
+        "from . import fsm, observer, textio\n"
+        "from .constrained import InsertionConstraints, base_of\n"
+        "from .fsm import Automaton, _tarjan, strongly_connected_components\n"
+        "from veiler.insertion import IndicatorState\n"
+        "from .report import _base\n"
+    )
+    assert _shared_with_the_construction(source) == [
+        "veiler.dot",
+        "veiler.fsm",
+        "veiler.observer",
+        "veiler.constrained.base_of",
+        "veiler.fsm._tarjan",
+        "veiler.fsm.strongly_connected_components",
+        "veiler.insertion.IndicatorState",
+        "veiler.report._base",
+    ]

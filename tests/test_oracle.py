@@ -207,22 +207,9 @@ class TestOracleVerdicts:
         assert oracle_ei_enforceable(tracking_trap)
 
     def test_verdicts_are_stable_under_state_renaming(self, g1):
-        def relabel(g: Automaton) -> Automaton:
-            rename = {x: f"s{x}" for x in g.states}
-            return Automaton(
-                frozenset(rename[x] for x in g.states),
-                g.events,
-                {
-                    (rename[x], e): frozenset(rename[y] for y in ys)
-                    for (x, e), ys in g.transitions.items()
-                },
-                frozenset(rename[x] for x in g.initial),
-                frozenset(rename[x] for x in g.secret),
-            )
-
         systems = [g1] + [random_dfa(seed, live=True) for seed in range(8)]
         for g in systems:
-            twin = relabel(g)
+            twin = _renamed(g)
             assert oracle_ei_enforceable(g) == oracle_ei_enforceable(twin)
             symbols = sorted(e.symbol for e in g.events)
             c = random_constraints(11, symbols)
@@ -238,6 +225,24 @@ class TestOracleVerdicts:
 
 # An inserted-tag label, a_i, as a move of a system under test.
 _A_I = EventLabel("a", Tag.INSERTED)
+
+
+def _renamed(g: Automaton) -> Automaton:
+    """g with each state x renamed to the string ``s{x}``."""
+    rename = {x: f"s{x}" for x in g.states}
+    return Automaton(
+        frozenset(rename[x] for x in g.states),
+        g.events,
+        {(rename[x], e): frozenset(rename[y] for y in ys) for (x, e), ys in g.transitions.items()},
+        frozenset(rename[x] for x in g.initial),
+        frozenset(rename[x] for x in g.secret),
+    )
+
+
+def _with_inserted_move(g: Automaton, x, y) -> Automaton:
+    """g with one more move, x -a_i-> y."""
+    transitions = {**g.transitions, (x, _A_I): frozenset({y})}
+    return Automaton(g.states, g.events | {_A_I}, transitions, g.initial, g.secret)
 
 
 def _digest(verdicts) -> str:
@@ -305,6 +310,71 @@ class TestPinnedVerdicts:
         ]
         assert oracle_ei_enforceable(g) is ei
         assert "".join("1" if v else "0" for v in verdicts) == eic
+
+
+def _outcome(decide, *args):
+    """What a decider does on args: its verdict, or the message it raises."""
+    try:
+        return decide(*args)
+    except ValueError as error:
+        return f"ValueError: {error}"
+
+
+class TestAgainstTheSetBasedReference:
+    """The bitmask deciders against the set-based ones they replaced
+    (``reference_oracle`` in conftest): the same verdicts on random live
+    and halting systems, and the same errors, raised in the same order."""
+
+    # The constraint pairs of the CI's fixed-alphabet oracle-check steps.
+    FIXED = [("", "abc"), ("abc", ""), ("", "")]
+
+    @staticmethod
+    def _systems():
+        # 150 seeds for each size 1-6, live and halting; every third system
+        # has string state names, every third an a_i move.
+        for seed in range(1800):
+            n = 1 + seed % 6
+            g = random_dfa(seed, n, live=seed // 6 % 2 == 0)
+            if seed % 3 == 1:
+                g = _renamed(g)
+            elif seed % 3 == 2:
+                g = _with_inserted_move(g, seed % n, seed // 7 % n)
+            yield seed, g
+
+    def test_verdicts_equal_the_reference(self, reference_oracle):
+        tally = [0, 0]
+        for seed, g in self._systems():
+            verdict = oracle_ei_enforceable(g)
+            assert verdict is reference_oracle.ei(g), seed
+            tally[verdict] += 1
+            pairs = [random_constraints(seed, "abc"), *(
+                InsertionConstraints.of(before, after) for before, after in self.FIXED
+            )]
+            for c in pairs:
+                verdict = oracle_eic_enforceable(g, c)
+                assert verdict is reference_oracle.eic(g, c), (seed, c)
+                tally[verdict] += 1
+        # Both verdicts are common: the comparison is not one-sided.
+        assert min(tally) > 1000, tally
+
+    @pytest.mark.parametrize("n_states", [4, 7])
+    @pytest.mark.parametrize("nondeterministic", [False, True])
+    @pytest.mark.parametrize("stray", [False, True])
+    def test_errors_equal_the_reference(self, reference_oracle, n_states, nondeterministic, stray):
+        g = (random_nfa if nondeterministic else random_dfa)(3, n_states)
+        assert g.deterministic is not nondeterministic
+        c = InsertionConstraints.of({"a", "z"} if stray else {"a"}, {"b"})
+        ei = _outcome(oracle_ei_enforceable, g)
+        eic = _outcome(oracle_eic_enforceable, g, c)
+        assert ei == _outcome(reference_oracle.ei, g)
+        assert eic == _outcome(reference_oracle.eic, g, c)
+        if n_states > 6:
+            assert ei == eic == "ValueError: oracle checks are gated to at most 6 states"
+        elif stray:
+            assert eic == "ValueError: constraint symbols outside the alphabet: z"
+        if nondeterministic and n_states <= 6:
+            assert ei == "ValueError: string-level checks require a deterministic automaton"
+            assert stray or eic == ei
 
 
 class TestRandomGenerators:
