@@ -21,14 +21,14 @@ from .constrained import InsertionConstraints, check_eic_enforceable
 from .dot import _digraph, _ranked_digraph
 from .fsm import state_display, sorted_states
 from .insertion import EnforcementReport, _count, check_ei_enforceable
-from .observer import check_current_state_opacity
+from .observer import _decide, _estimate_name
 from .oracle import (
     oracle_eic_enforceable,
     oracle_ei_enforceable,
     random_constraints,
     random_dfa,
 )
-from .report import _name_order, _verify_payload, opacity_report, oracle_report, to_json
+from .report import _name_order, _opacity_payload, _verify_payload, oracle_report, to_json
 from .textio import AutomatonDocument, ParseError, parse_document
 
 EXIT_OK = 0
@@ -180,20 +180,18 @@ def _bool(value: bool) -> str:
 def _cmd_check_opacity(args: argparse.Namespace) -> int:
     doc = _read_document(args.file)
     observable = frozenset(e.symbol for e in doc.automaton.events) - doc.unobservable
-    verdict = check_current_state_opacity(doc.automaton, observable)
+    estimates, witness = _decide(doc.automaton, observable)
+    names = sorted(map(_estimate_name, estimates))
+    opaque = witness is None
     if args.json:
-        sys.stdout.write(to_json(opacity_report(doc.name, verdict)))
+        sys.stdout.write(to_json(_opacity_payload(doc.name, opaque, names, witness)))
     else:
-        word = "opaque" if verdict.opaque else "not opaque"
-        print(f"automaton {doc.name}: {word}")
-        if verdict.witness_observation is not None:
-            text = " ".join(e.display() for e in verdict.witness_observation) or "(empty)"
+        print(f"automaton {doc.name}: {'opaque' if opaque else 'not opaque'}")
+        if not opaque:
+            text = " ".join(e.display() for e in witness) or "(empty)"
             print(f"witness observation: {text}")
-            estimates = " ".join(
-                state_display(x) for x in sorted_states(verdict.violating_estimates)
-            )
-            print(f"violating estimates: {estimates}")
-    return EXIT_OK if verdict.opaque else EXIT_NOT_OPAQUE
+            print(f"violating estimates: {' '.join(names)}")
+    return EXIT_OK if opaque else EXIT_NOT_OPAQUE
 
 
 # The DOT fill of an ``EnforcementReport.rows`` code: red for a staying

@@ -12,7 +12,9 @@ that has a hidden move.  The successor of a one-state estimate is one
 lookup, and that of a larger estimate a union.  Labels are tried in
 canonical order, so the first all-secret estimate reached gives a shortest
 witness, ties broken by canonical label order.  ``build_observer``
-materialises the same search.
+materialises the same search.  ``check_current_state_opacity`` wraps the
+violating estimates in ``ObserverState`` values; the CLI names the search's
+frozensets directly, through the helper that ``ObserverState.display`` uses.
 """
 from __future__ import annotations
 
@@ -36,7 +38,15 @@ class ObserverState(FrozenValue):
     estimate: frozenset
 
     def display(self) -> str:
-        return "{" + ",".join(sorted(state_display(x) for x in self.estimate)) + "}"
+        return _estimate_name(self.estimate)
+
+
+def _estimate_name(estimate: frozenset) -> str:
+    """The display name of an estimate: its states' names, sorted, in braces."""
+    if len(estimate) == 1:  # every estimate of a fully observed system
+        (x,) = estimate
+        return f"{{{state_display(x)}}}"
+    return "{" + ",".join(sorted(map(state_display, estimate))) + "}"
 
 
 class OpacityVerdict(NamedTuple):
@@ -70,8 +80,11 @@ def _search(
     moves: list[dict] = [{} for _ in labels]
     hidden: dict = {}
     for (x, e), ys in n.transitions.items():
-        if e not in index:
+        k = index.get(e)
+        if k is None:
             hidden.setdefault(x, []).append(ys)
+        else:
+            moves[k][x] = ys
     # The closure under unobservable moves of each state that has one.
     closure = {}
     for x in hidden:
@@ -91,10 +104,10 @@ def _search(
             return ys
         return _EMPTY.union(*[closure.get(y, (y,)) for y in ys])
 
-    for (x, e), ys in n.transitions.items():
-        k = index.get(e)
-        if k is not None:
-            moves[k][x] = closed(ys)
+    if closure:
+        for move in moves:
+            for x, ys in move.items():
+                move[x] = closed(ys)
     start = closed(n.initial)
     width = len(labels)
     found, queue, links = {start}, [start], [-1]
@@ -141,6 +154,21 @@ def build_observer(
     return Automaton(frozenset(states), frozenset(labels), transitions, frozenset(states[:1]), secret)
 
 
+def _decide(n: Automaton, observable: Iterable[str | EventLabel]) -> tuple:
+    """The nonempty all-secret estimates of ``n`` as frozensets, in discovery
+    order, and a shortest observation reaching the first of them, ties broken
+    by canonical label order; the witness is None when there are none."""
+    labels, queue, links, violating = _search(n, observable)
+    if not violating:
+        return [], None
+    witness, link = [], links[violating[0]]
+    while link >= 0:
+        i, k = divmod(link, len(labels))
+        witness.append(labels[k])
+        link = links[i]
+    return [queue[i] for i in violating], tuple(reversed(witness))
+
+
 def check_current_state_opacity(
     n: Automaton, observable: Iterable[str | EventLabel]
 ) -> OpacityVerdict:
@@ -151,13 +179,7 @@ def check_current_state_opacity(
     ties broken by canonical label order; it is empty when the initial
     estimate itself violates opacity.
     """
-    labels, queue, links, violating = _search(n, observable)
-    if not violating:
+    estimates, witness = _decide(n, observable)
+    if witness is None:
         return OpacityVerdict(True, frozenset(), None)
-    witness, link = [], links[violating[0]]
-    while link >= 0:
-        i, k = divmod(link, len(labels))
-        witness.append(labels[k])
-        link = links[i]
-    estimates = frozenset(ObserverState(queue[i]) for i in violating)
-    return OpacityVerdict(False, estimates, tuple(reversed(witness)))
+    return OpacityVerdict(False, frozenset(map(ObserverState, estimates)), witness)

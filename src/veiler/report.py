@@ -15,7 +15,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 from . import __version__
 from .constrained import InsertionConstraints
-from .fsm import state_display
+from .fsm import EventLabel, state_display
 from .insertion import EnforcementReport, _PairKernel
 from .observer import OpacityVerdict
 
@@ -36,13 +36,19 @@ def _base(command: str, name: str) -> dict:
 
 
 def opacity_report(name: str, verdict: OpacityVerdict) -> dict:
+    return _opacity_payload(
+        name, verdict.opaque, _displays(verdict.violating_estimates), verdict.witness_observation
+    )
+
+
+def _opacity_payload(
+    name: str, opaque: bool, estimates: list[str], witness: Optional[Sequence[EventLabel]]
+) -> dict:
+    """The check-opacity report of the sorted estimate names ``estimates``."""
     payload = _base("check-opacity", name)
-    payload["opaque"] = verdict.opaque
-    payload["violating_estimates"] = _displays(verdict.violating_estimates)
-    if verdict.witness_observation is None:
-        payload["witness_observation"] = None
-    else:
-        payload["witness_observation"] = [e.display() for e in verdict.witness_observation]
+    payload["opaque"] = opaque
+    payload["violating_estimates"] = estimates
+    payload["witness_observation"] = None if witness is None else [e.display() for e in witness]
     return payload
 
 

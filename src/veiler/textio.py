@@ -53,11 +53,13 @@ def _state_tokens(tokens: Sequence[str], lineno: int) -> list[State]:
 
 def _declare(lineno: int, kind: str, tokens: list[str], names: list) -> set:
     """The set of ``names``; the line is an error if two tokens name the same one."""
-    declared: set = set()
-    for token, name in zip(tokens, names):
-        if name in declared:
-            raise ParseError(lineno, f"{kind} {token!r} declared twice")
-        declared.add(name)
+    declared = set(names)
+    if len(declared) < len(names):  # walk the tokens to name the first repeat
+        first: set = set()
+        for token, name in zip(tokens, names):
+            if name in first:
+                raise ParseError(lineno, f"{kind} {token!r} declared twice")
+            first.add(name)
     return declared
 
 
@@ -75,32 +77,37 @@ def parse_document(text: str) -> AutomatonDocument:
     initial: list[State] = []
     secret: list[State] = []
     # Each target set is stored once: a first target is its state's shared
-    # one-state set, and a key with several targets gathers them in ``more``.
+    # one-state set (a new one on a checked line), and a key with several
+    # targets gathers them in ``more``.
     table: dict[tuple[State, EventLabel], frozenset] = {}
     more: dict[tuple[State, EventLabel], set] = {}
     seen: dict[str, int] = {}
     top = -1  # rank of the highest section seen so far
     ended = False
-    # Token text -> state and state -> its one-state target set, from the
-    # states line, and whether a trans line has been accepted and no end
-    # seen: then a trans line of declared tokens can break no rule of the
-    # grammar and is added at once.
+    # Token text -> state and token text -> its state's one-state target
+    # set, from the states line, and whether a trans line has been accepted
+    # and no end seen: then a trans line of declared tokens can break no
+    # rule of the grammar and is added at once.
     state_of: dict[str, State] = {}
-    single: dict[State, frozenset] = {}
+    one_of: dict[str, frozenset] = {}
     in_trans = False
 
-    def add(key: tuple[State, EventLabel], y: State) -> None:
-        targets = table.setdefault(key, single[y])
-        if y not in targets:
-            more.setdefault(key, set(targets)).add(y)
-
     lines = text.splitlines()
+    if "#" in text:
+        lines = [raw.split("#", 1)[0] for raw in lines]
     for lineno, raw in enumerate(lines, start=1):
-        tokens = raw.split("#", 1)[0].split()
+        tokens = raw.split()
         if in_trans and len(tokens) == 4 and tokens[0] == "trans":
             _, src, sym, dst = tokens
-            if src in state_of and dst in state_of and sym in labels:
-                add((state_of[src], labels[sym]), state_of[dst])
+            try:
+                key = (state_of[src], labels[sym])
+                one = one_of[dst]
+            except KeyError:
+                pass
+            else:
+                targets = table.setdefault(key, one)
+                if targets is not one and not one <= targets:
+                    more.setdefault(key, set(targets)).update(one)
                 continue
         if not tokens:
             continue
@@ -134,7 +141,10 @@ def parse_document(text: str) -> AutomatonDocument:
             label = labels.get(sym)
             if label is None:
                 raise ParseError(lineno, f"undeclared event {sym!r}")
-            add((src, label), dst)
+            key = (src, label)
+            targets = table.setdefault(key, frozenset((dst,)))
+            if dst not in targets:
+                more.setdefault(key, set(targets)).add(dst)
             in_trans = True
         elif keyword == "automaton":
             if len(args) != 1:
@@ -149,7 +159,7 @@ def parse_document(text: str) -> AutomatonDocument:
             states = _state_tokens(args, lineno)
             state_set = _declare(lineno, "state", args, states)
             state_of = dict(zip(args, states))
-            single = {x: frozenset((x,)) for x in states}
+            one_of = dict(zip(args, map(frozenset, zip(states))))
         elif keyword == "initial":
             initial = _state_tokens(args, lineno)
         elif keyword == "secret":
@@ -163,14 +173,13 @@ def parse_document(text: str) -> AutomatonDocument:
         raise ParseError(len(lines) or 1, f"missing {missing[0]} section")
 
     for group, section in ((initial, "initial"), (secret, "secret")):
-        for x in group:
-            if x not in state_set:
-                raise ParseError(
-                    seen[section], f"undeclared state {state_display(x)!r}"
-                )
-    for sym in unobservable:
-        if sym not in labels:
-            raise ParseError(seen["unobservable"], f"undeclared event {sym!r}")
+        if not state_set.issuperset(group):
+            x = next(x for x in group if x not in state_set)
+            raise ParseError(seen[section], f"undeclared state {state_display(x)!r}")
+    hidden = frozenset(unobservable)
+    if not labels.keys() >= hidden:
+        sym = next(sym for sym in unobservable if sym not in labels)
+        raise ParseError(seen["unobservable"], f"undeclared event {sym!r}")
 
     for key, targets in more.items():
         table[key] = frozenset(targets)
@@ -181,7 +190,7 @@ def parse_document(text: str) -> AutomatonDocument:
         frozenset(initial),
         frozenset(secret),
     )
-    return AutomatonDocument(name, automaton, frozenset(unobservable))
+    return AutomatonDocument(name, automaton, hidden)
 
 
 def parse_automaton(text: str) -> Automaton:

@@ -973,9 +973,9 @@ class TestDecisionPath:
         assert calls == []
 
     def test_check_opacity_builds_no_observer(self, capsys, monkeypatch, tmp_path):
-        # check-opacity decides on frozenset estimates: no observer automaton,
-        # no automaton beyond the parsed one, and an ObserverState only for
-        # each violating estimate (the 2000-state system reaches 2000).
+        # check-opacity decides and names on frozenset estimates: no observer
+        # automaton, no automaton beyond the parsed one, and no ObserverState,
+        # not even for a violating estimate (the 2000-state system has 630).
         def forbidden(*args, **kwargs):
             raise AssertionError("build_observer ran on the decision path")
 
@@ -997,7 +997,7 @@ class TestDecisionPath:
             assert cli_main(["check-opacity", path, "--json"]) == EXIT_NOT_OPAQUE
             payload = json.loads(capsys.readouterr().out)
             assert len(payload["violating_estimates"]) == violating
-            assert len(estimates) == violating
+            assert len(estimates) == 0
             assert len(validated) == 1
 
     def test_parsing_makes_one_label_per_declared_event(self, monkeypatch):

@@ -22,7 +22,7 @@ from veiler.constrained import DecoratedState, Decoration, InsertionConstraints
 from veiler.insertion import IndicatorState, SubspacePartition
 from veiler.observer import ObserverState, OpacityVerdict
 from veiler.oracle import ExtendedInsertionSequence, random_dfa, random_nfa
-from veiler.textio import AutomatonDocument
+from veiler.textio import AutomatonDocument, ParseError, emit_automaton, parse_document
 
 
 class TestEventLabel:
@@ -321,6 +321,84 @@ class TestConstruction:
         )
         assert not branching.deterministic
 
+    @pytest.mark.parametrize(
+        "table, initial, secret, message",
+        [
+            ({}, [5], [], "initial states must belong to the state set"),
+            ({}, [0], [5], "secret states must belong to the state set"),
+            ({(7, "a"): [0]}, [0], [], "transition source '7' is not a state"),
+            ({("x", "a"): [0]}, [0], [], "transition source 'x' is not a state"),
+            ({(0, "b"): [0]}, [0], [], "transition label 'b' is not an event"),
+            ({(0, "a"): [9]}, [0], [], "transition target outside the state set"),
+            # several faults: the initial set is checked first, then the
+            # transitions in order, each entry's source, label and target
+            ({(7, "a"): [0]}, [5], [5], "initial states must belong to the state set"),
+            ({(7, "a"): [0]}, [0], [5], "secret states must belong to the state set"),
+            ({(0, "a"): [9], (7, "a"): [0]}, [0], [], "transition target outside the state set"),
+            ({(7, "a"): [0], (0, "a"): [9]}, [0], [], "transition source '7' is not a state"),
+            ({(0, "a"): [1], (1, "b"): [0], (8, "a"): [0]}, [0], [], "transition label 'b' is not an event"),
+            ({(7, "b"): [9]}, [0], [], "transition source '7' is not a state"),
+            ({(0, "b"): [9]}, [0], [], "transition label 'b' is not an event"),
+        ],
+    )
+    @pytest.mark.parametrize("build", ["frozenset", "set", "dfa", "nfa"])
+    def test_every_rejection_names_its_first_fault(self, build, table, initial, secret, message):
+        with pytest.raises(ValueError) as caught:
+            _build(build, [0, 1], ["a"], table, initial, secret)
+        assert str(caught.value) == message
+
+    @pytest.mark.parametrize(
+        "initial, secret, trans, message",
+        [
+            ("5", "0", "trans 0 a 1", "line 4: undeclared state '5'"),
+            ("0", "5", "trans 0 a 1", "line 5: undeclared state '5'"),
+            ("0", "0", "trans 7 a 0", "line 6: undeclared state '7'"),
+            ("0", "0", "trans 0 b 0", "line 6: undeclared event 'b'"),
+            ("0", "0", "trans 0 a 9", "line 6: undeclared state '9'"),
+            # the parser's own order: a trans line as it is read, its source,
+            # target and then event; the initial and secret lines at the end
+            ("5", "5", "trans 7 a 0", "line 6: undeclared state '7'"),
+            ("0", "0", "trans 7 b 9", "line 6: undeclared state '7'"),
+            ("0", "0", "trans 0 b 9", "line 6: undeclared state '9'"),
+        ],
+    )
+    def test_parsed_input_is_refused_by_the_parser_first(self, initial, secret, trans, message):
+        text = f"automaton g\nevents a\nstates 0 1\ninitial {initial}\nsecret {secret}\n{trans}\nend\n"
+        with pytest.raises(ParseError) as caught:
+            parse_document(text)
+        assert str(caught.value) == message
+
+    @pytest.mark.parametrize("build", ["frozenset", "set"])
+    def test_an_empty_target_set_is_refused_after_the_entries_before_it(self, build):
+        with pytest.raises(ValueError) as caught:
+            _build(build, [0, 1], ["a"], {(0, "a"): [1], (1, "a"): []}, [0], [])
+        assert str(caught.value) == "transition entries must be nonempty"
+        with pytest.raises(ValueError) as caught:
+            _build(build, [0, 1], ["a"], {(1, "a"): [], (0, "a"): [9]}, [0], [])
+        assert str(caught.value) == "transition entries must be nonempty"
+        # Automaton.nfa drops an empty entry instead.
+        a = _build("nfa", [0, 1], ["a"], {(0, "a"): [1], (1, "a"): []}, [0], [])
+        assert list(a.transitions) == [(0, as_label("a"))]
+
+    @pytest.mark.parametrize(
+        "table, initial, deterministic",
+        [
+            ({(0, "a"): [1], (1, "a"): [0]}, [0], True),
+            ({(0, "a"): [1], (1, "a"): [0]}, [0, 1], False),  # two initial states
+            ({(0, "a"): [1], (1, "a"): [0]}, [], False),  # none
+            ({(0, "a"): [1], (1, "a"): [0, 1]}, [0], False),  # a move with two targets
+            ({(0, "a"): [0, 1], (1, "a"): [0, 1]}, [0, 1], False),
+            ({}, [1], True),
+        ],
+    )
+    @pytest.mark.parametrize("build", ["frozenset", "set", "dfa", "nfa", "parsed"])
+    def test_determinism_of_every_way_of_building(self, build, table, initial, deterministic):
+        single = len(initial) == 1 and all(len(ys) == 1 for ys in table.values())
+        if build == "dfa" and not single:
+            return  # a DFA has one initial state and one target per move
+        a = _build(build, [0, 1], ["a"], table, initial, [])
+        assert a.deterministic is deterministic
+
     def test_transition_endpoints_must_be_declared(self):
         with pytest.raises(ValueError):
             Automaton.dfa([0], ["a"], {(0, "a"): 1}, 0)
@@ -332,6 +410,26 @@ class TestConstruction:
             Automaton.dfa([0], ["a"], {}, 1)
         with pytest.raises(ValueError):
             Automaton.dfa([0], ["a"], {}, 0, secret=[5])
+
+
+def _build(how, states, events, table, initial, secret):
+    """The automaton of ``table``, which maps (state, symbol) keys to lists of
+    targets, built with frozenset or plain set targets by the constructor, by
+    ``Automaton.dfa`` or ``Automaton.nfa``, or parsed from its text."""
+    if how == "dfa":
+        (start,) = initial
+        return Automaton.dfa(states, events, {k: ys[0] for k, ys in table.items()}, start, secret)
+    if how == "nfa":
+        return Automaton.nfa(states, events, table, initial, secret)
+    if how == "parsed":
+        g = Automaton.nfa(states, events, table, initial, secret)
+        return parse_document(emit_automaton(g)).automaton
+    targets = frozenset if how == "frozenset" else set
+    transitions = {(x, as_label(e)): targets(ys) for (x, e), ys in table.items()}
+    return Automaton(
+        frozenset(states), frozenset(map(as_label, events)), transitions,
+        frozenset(initial), frozenset(secret),
+    )
 
 
 class TestSortedStates:

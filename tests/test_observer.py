@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from veiler.fsm import Automaton, as_label, word
+from veiler.cli import cli_main
+from veiler.fsm import Automaton, as_label, sorted_states, state_display, word
 from veiler.observer import (
     OpacityVerdict,
     build_observer,
@@ -12,6 +13,8 @@ from veiler.observer import (
     project,
 )
 from veiler.oracle import random_dfa, random_nfa
+from veiler.report import opacity_report, to_json
+from veiler.textio import emit_automaton, parse_document
 
 
 @pytest.fixture
@@ -195,6 +198,44 @@ class TestOpacity:
             assert len(estimates) >= 50
         elif kind == "no_initial":
             assert (opaque, estimates) == (True, {frozenset()})
+
+
+class TestTheCommandLine:
+    """check-opacity names the search's frozensets itself; its text and JSON
+    are what the library's verdict and report give."""
+
+    def test_prints_the_library_report_on_random_systems(self, tmp_path, capsys):
+        kinds = dict(no_initial=0, multi_initial=0, hidden_move=0, secret_start=0, wide_estimate=0)
+        path = tmp_path / "g.aut"
+        for seed in range(400):
+            n, observable = _random_system(seed)
+            observed = {as_label(e) for e in observable}
+            name = f"g{seed}"
+            path.write_text(emit_automaton(n, name, {e.symbol for e in n.events - observed}))
+            assert parse_document(path.read_text()).automaton == n, seed
+            verdict = check_current_state_opacity(n, observable)
+            code = 0 if verdict.opaque else 2
+            assert cli_main(["check-opacity", str(path), "--json"]) == code, seed
+            assert capsys.readouterr().out == to_json(opacity_report(name, verdict)), seed
+            assert cli_main(["check-opacity", str(path)]) == code, seed
+            assert capsys.readouterr().out == _text_report(name, verdict), seed
+            kinds["no_initial"] += not n.initial
+            kinds["multi_initial"] += len(n.initial) > 1
+            kinds["hidden_move"] += any(e not in observed for _, e in n.transitions)
+            kinds["secret_start"] += verdict.witness_observation == ()
+            kinds["wide_estimate"] += any(len(x.estimate) > 1 for x in verdict.violating_estimates)
+        assert min(kinds.values()) >= 10, kinds
+
+
+def _text_report(name, verdict):
+    """check-opacity's text output, written from the library's verdict."""
+    lines = [f"automaton {name}: {'opaque' if verdict.opaque else 'not opaque'}"]
+    if verdict.witness_observation is not None:
+        shown = " ".join(e.display() for e in verdict.witness_observation) or "(empty)"
+        lines.append(f"witness observation: {shown}")
+        names = (state_display(x) for x in sorted_states(verdict.violating_estimates))
+        lines.append(f"violating estimates: {' '.join(names)}")
+    return "".join(line + "\n" for line in lines)
 
 
 def _large_system(kind, seed):

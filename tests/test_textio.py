@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from veiler.fsm import Automaton, State, state_display
+from veiler.fsm import Automaton, EventLabel, State, state_display
 from veiler.insertion import build_insertion_automaton
 from veiler.oracle import random_dfa, random_nfa
 from veiler.textio import (
@@ -690,6 +690,95 @@ class TestMatchesTheReferenceParser:
     def test_lines_after_an_accepted_trans_line(self, tail):
         text = "automaton g\nevents a b\nstates 0 1 s\ninitial 0\ntrans 0 a 1\n" + tail
         assert _outcome(parse_document, text) == _outcome(_reference_parse, text)
+
+    # A '#' anywhere strips comments from every line before any is read;
+    # without one, each line is only split.  The head lines below hold one
+    # while no trans line does.
+    def test_a_comment_only_in_the_head_lines(self):
+        text = (
+            "automaton g # the name\nevents a b#\nstates 0 1 s\ninitial 0\n#\n"
+            "trans 0 a 1\ntrans 1 b s\ntrans s a 0\nend\n"
+        )
+        outcome = _outcome(parse_document, text)
+        assert outcome == _outcome(_reference_parse, text)
+        doc, deterministic = outcome
+        assert (doc.name, len(doc.automaton.transitions), deterministic) == ("g", 3, True)
+
+    @pytest.mark.parametrize(
+        "head, body, transitions",
+        [
+            (  # trans as an event
+                "events trans b\nstates 0 1 s\ninitial 0\n",
+                "trans 0 trans 1\ntrans 1 b s\ntrans s trans 0\ntrans 1 trans 0\n",
+                4,
+            ),
+            (  # trans as a state
+                "events a b\nstates trans 1 s\ninitial trans\n",
+                "trans trans a 1\ntrans 1 b trans\ntrans s a trans\ntrans trans b s\n",
+                4,
+            ),
+            (  # as both, on one line
+                "events trans b\nstates trans 1\ninitial trans\n",
+                "trans trans trans trans\ntrans trans b 1\ntrans 1 trans trans\n",
+                3,
+            ),
+        ],
+    )
+    def test_trans_as_a_state_or_event_name(self, head, body, transitions):
+        text = f"automaton g\n{head}{body}end\n"
+        outcome = _outcome(parse_document, text)
+        assert outcome == _outcome(_reference_parse, text)
+        assert len(outcome[0].automaton.transitions) == transitions
+        # A trans line of three tokens after the accepted ones is refused.
+        text = f"automaton g\n{head}{body}trans trans trans\nend\n"
+        line = len(text.splitlines()) - 1
+        assert _outcome(parse_document, text) == _outcome(_reference_parse, text) == (
+            f"line {line}: trans takes source, event, target", line
+        )
+
+    @pytest.mark.parametrize("repeat", ["trans 0 a 2\n", "trans 0 a 1\n"])
+    def test_a_repeated_key_late_in_a_long_block(self, repeat):
+        # After 300 trans lines, (0, a) gets a second target, or its first again.
+        n = 300
+        states = " ".join(map(str, range(n)))
+        body = "".join(f"trans {x} a {(x + 1) % n}\n" for x in range(n))
+        text = f"automaton g\nevents a\nstates {states}\ninitial 0\n{body}{repeat}end\n"
+        outcome = _outcome(parse_document, text)
+        assert outcome == _outcome(_reference_parse, text)
+        doc, deterministic = outcome
+        assert doc.automaton.transitions[(0, EventLabel("a"))] == {1, int(repeat.split()[3])}
+        assert deterministic == (repeat == "trans 0 a 1\n")
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r", "\x0c", "\x1c", "\x85", "\u2028"])
+    def test_line_ends(self, newline):
+        lines = ["automaton g", "events a b", "states 0 1", "initial 0", "trans 0 a 1",
+                 "trans 1 b 0", "trans 1 b x", "end"]
+        text = newline.join(lines) + newline
+        outcome = _outcome(parse_document, text)
+        assert outcome == _outcome(_reference_parse, text) == ("line 7: undeclared state 'x'", 7)
+        text = text.replace(f"trans 1 b x{newline}", "")
+        assert _outcome(parse_document, text) == _outcome(_reference_parse, text)
+        assert _outcome(parse_document, text)[1] is True
+
+    @pytest.mark.parametrize(
+        "last, message",
+        [
+            ("trans 1999 a x", "undeclared state 'x'"),
+            ("trans x a 0", "undeclared state 'x'"),
+            ("trans 0 z 1", "undeclared event 'z'"),
+            ("trans 0 a", "trans takes source, event, target"),
+        ],
+    )
+    def test_an_error_on_the_last_trans_line_of_a_large_file(self, last, message):
+        # Every trans line before it takes the fast path; the error names
+        # its own line, the one before end.
+        lines = emit_automaton(random_dfa(1, 2000, live=True), "big").splitlines()
+        lines.insert(len(lines) - 1, last)
+        text = "\n".join(lines) + "\n"
+        outcome = _outcome(parse_document, text)
+        assert outcome == _outcome(_reference_parse, text)
+        assert outcome == (f"line {len(lines) - 1}: {message}", len(lines) - 1)
+        assert len(lines) > 4000
 
     def test_random_valid_files(self):
         for seed in range(300):
