@@ -265,7 +265,8 @@ class _EicKernel(_PairKernel):
         every move x -e-> y, as a relay leaves any phase of x; A is
         AReach+(P), empty at x0 when no move enters x0; B is BReach+(P); AB
         is BReach+(A).  Each relation is applied through its image tables,
-        once per distinct mask.
+        once per distinct mask, and one with no nonzero row, as an empty
+        before- or after-alphabet gives, at no lookup.
         """
         images = [_tables(row) for row in relations[0]]
         n, k = self.n, self.k

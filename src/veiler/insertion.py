@@ -102,6 +102,8 @@ def _apply(tables: _Tables, mask: int) -> int:
 
 def _images(tables: _Tables, masks: list[int]) -> list[int]:
     """``_apply(tables, mask)`` for each of ``masks``, once per distinct mask."""
+    if not any(tables[0]):
+        return [0] * len(masks)
     found = {mask: _apply(tables, mask) for mask in set(masks)}
     return [found[mask] for mask in masks]
 
@@ -165,6 +167,7 @@ def _trim(relations: _Relations, reachable: list[int]) -> list[int]:
                 sources[t].append(a)
                 into[t].add(r)
     preimages: dict[int, _Tables] = {}
+    spec = f"0{n}b"
     while queue:
         t = queue.pop()
         for r in into[t]:
@@ -172,7 +175,7 @@ def _trim(relations: _Relations, reachable: list[int]) -> list[int]:
                 # Each row as n binary digits, the last dummy's row first:
                 # the digits at a stride of n from i are then, as a
                 # bitmask, the dummies whose row holds target n-1-i.
-                rows = "".join([format(mask, f"0{n}b") for mask in reversed(succ[r])])
+                rows = "".join([format(mask, spec) for mask in reversed(succ[r])])
                 preimages[r] = _tables([int(rows[i::n], 2) for i in range(n - 1, -1, -1)])
             pre[r][t] = _apply(preimages[r], kept[t])
         for a in sources[t]:
@@ -196,12 +199,13 @@ class _PairKernel:
     one phase and one kind: every event, the phase unchanged.  ``moves``
     lists the moves of one pair, for the library's search and
     ``automaton``; ``edge_keys`` lists those of many pairs, one actual state
-    at a time, for the DOT file; ``condensed`` holds the moves of EI's
-    dashed components as relations on dummies, for ``_trim``, as the
-    constrained kernel's ``relations`` holds those of its two classes of
-    phases.  A set of pairs is held as one bitmask of dummies per actual
-    state, bit d of entry a for the pair ``d*width + a``.  Pair objects are
-    made only by ``objects``, when a report's pair field is first read.
+    at a time, for the DOT file where pair names collide; ``condensed``
+    holds the moves of EI's dashed components as relations on dummies, for
+    ``_trim``, as the constrained kernel's ``relations`` holds those of its
+    two classes of phases.  A set of pairs is held as one bitmask of dummies
+    per actual state, bit d of entry a for the pair ``d*width + a``.  Pair
+    objects are made only by ``objects``, when a report's pair field is
+    first read.
     """
 
     def __init__(self, g: Automaton) -> None:
@@ -463,31 +467,35 @@ class _PairKernel:
         label ids ``before``) with (d'', delta_e(x)) in W: the inserter can
         relay every output forever.  A halted actual state has no event to
         relay, so all its pairs stay.  T_e is the same for all dummies of one
-        SCC, so each actual state keeps the list of those SCCs still in W,
-        filtered by one move at a time, and is re-tested only when a
-        successor's bitmask shrinks.
+        SCC, so each actual state keeps the list of those SCCs still in W.
+        One pass filters each state by all its moves; whenever a bitmask
+        shrinks, each move x -e-> it from a state passed already is
+        re-filtered by ``relays[e]`` alone, until nothing shrinks.
         """
-        n, delta = self.n, self.delta
+        n = self.n
         masks = self._reach(before)[3]
         win = [(1 << n) - 1] * n
         alive = [range(len(masks))] * n
-        sources: list[set[int]] = [set() for _ in range(n)]
-        for x, row in enumerate(delta):
-            for y in row:
-                if y >= 0:
-                    sources[y].add(x)
-        queue = set(range(n))
-        while queue:
-            x = queue.pop()
+        into: list[list[tuple[int, list[int]]]] = [[] for _ in range(n)]
+        for x, row in enumerate(self.delta):
             kept = alive[x]
-            for e, y in enumerate(delta[x]):
+            for e, y in enumerate(row):
                 if y >= 0:
-                    row, won = relays[e], win[y]
-                    kept = [c for c in kept if row[c] & won]
-            if len(kept) < len(alive[x]):
-                alive[x] = kept
-                win[x] = sum(masks[c] for c in kept)
-                queue |= sources[x]
+                    relay, won = relays[e], win[y]
+                    into[y].append((x, relay))
+                    kept = [c for c in kept if relay[c] & won]
+            if len(kept) == len(masks):
+                continue
+            alive[x], win[x] = kept, sum(map(masks.__getitem__, kept))
+            shrunk = [x]
+            while shrunk:
+                y = shrunk.pop()
+                won = win[y]
+                for z, relay in into[y]:
+                    kept = [c for c in alive[z] if relay[c] & won]
+                    if len(kept) < len(alive[z]):
+                        alive[z], win[z] = kept, sum(map(masks.__getitem__, kept))
+                        shrunk.append(z)
         return win
 
     def forward(self, before: Sequence[int], relays: list[list[int]], start: int) -> list[int]:
@@ -744,8 +752,8 @@ class EnforcementReport:
     ``staying_nonblocking`` and ``admissible``.  ``staying_nonblocking`` is
     a set of pairs, or under constraints a mapping from each staying pair
     to its type: 1 in the plain phase and 2 in the after-phase.  The CLI
-    draws its DOT file from ``rows``, and ``veiler.report`` writes the JSON
-    pair lists from the masks.
+    draws its DOT file (from ``rows`` where pair names collide) and
+    ``veiler.report`` writes the JSON pair lists from the masks.
     """
 
     def __init__(
@@ -756,7 +764,7 @@ class EnforcementReport:
         phases: Callable[[], tuple[list[int], Callable[[list[int]], list[int]]]],
     ) -> None:
         self.kernel = kernel
-        self._win = win
+        self._resting, self._win = resting, win
         self._phases = phases
         secret = sum(1 << d for d in kernel.secret)
         self.uncovered_actual_states = frozenset(
@@ -790,10 +798,8 @@ class EnforcementReport:
 
     @cached_property
     def unreachable_actual_states(self) -> frozenset:
-        kernel = self.kernel
-        _, scc, reach, _ = kernel._reach(range(kernel.k))
-        accessible = reach[scc[kernel.x0]]
-        return frozenset(x for i, x in enumerate(kernel.states) if not accessible >> i & 1)
+        # The pair (x, x) of every state x that g reaches rests.
+        return frozenset(x for x, mask in zip(self.kernel.states, self._resting) if not mask)
 
     @cached_property
     def verifier(self) -> Automaton:
@@ -816,8 +822,8 @@ class EnforcementReport:
         return frozenset(kernel.objects(kernel.ids(self.admissible_masks)).values())
 
     def rows(self) -> list[tuple[str, int, int]]:
-        """The pairs the DOT file draws, every reachable one, as (name,
-        pair id, code) rows sorted by name, then id."""
+        """Every reachable pair, for the DOT file where pair names collide,
+        as (name, pair id, code) rows sorted by name, then id."""
         kernel = self.kernel
         n, width, names = kernel.n, kernel.width, kernel.actual_names
         order = sorted(range(width), key=names.__getitem__)

@@ -84,7 +84,7 @@ def _name_order(kernel: _PairKernel) -> Optional[tuple[list[int], list[int]]]:
     return dummies, actuals
 
 
-def _column_table(masks: Sequence[int], actuals: Sequence[int], bits: int) -> bytes:
+def _column_table(masks: Sequence[int], actuals: Iterable[int], bits: int) -> bytes:
     """The ``bits`` low bits of ``masks[a]`` for each actual state a of
     ``actuals``, in turn, as the bytes 0 and 1, the highest bit first.  A
     mask of pairs holds one bit per dummy, n bits, or several such parts
@@ -104,15 +104,17 @@ def _pair_lists(report: EnforcementReport, typed: bool) -> list:
     joined, each prefix and suffix is escaped once, and each dummy d, in
     prefix order, is one join over the suffixes, in suffix order, that a
     0/1 column of the list's masks picks, joined by the separator and d's
-    prefix.  Where names collide, the pairs are named one by one and sorted
-    by name, then id, and the staying map keeps the type of the later pair.
+    prefix, over only the actual states with a pair; the admissible pairs
+    read the staying pairs' table.  Where names collide, the pairs are named
+    one by one and sorted by name, then id, and the staying map keeps the
+    type of the later pair.
     """
     kernel = report.kernel
     n, width = kernel.n, kernel.width
-    lists = report.staying_masks, report.verifier_masks, report.admissible_masks
     ranked = _name_order(kernel)
     values: list = []
     if ranked is None:
+        lists = report.staying_masks, report.verifier_masks, report.admissible_masks
         for i, masks in enumerate(lists):
             named = sorted(
                 (f"({kernel.state_names[p // width]},{kernel.actual_names[p % width]})", p)
@@ -126,14 +128,23 @@ def _pair_lists(report: EnforcementReport, typed: bool) -> list:
     dummies, actuals = ranked
     heads = [_string(f"({kernel.state_names[d]},")[:-1] for d in dummies]
     tails = [_string(kernel.actual_names[a] + ")")[1:] for a in actuals]
-    for i, masks in enumerate(lists):
-        table = _column_table(masks, actuals, n)
+    columns = list(zip(heads, dummies))
+    for i, masks in enumerate((report.staying_masks, report.verifier_masks, None)):
         items, brackets = tails, "[]"
         if typed and i == 0:
             items = [tail + (": 1" if a < n else ": 2") for tail, a in zip(tails, actuals)]
             brackets = "{}"
+        if masks is None:  # the admissible pairs: the staying ones of no secret dummy
+            ordered, table = staying
+            columns = [(head, d) for head, d in columns if d not in kernel.secret]
+        else:
+            ordered = [masks[a] for a in actuals]
+            table = _column_table(masks, compress(actuals, ordered), n)
+            if i == 0:
+                staying = ordered, table
+        items = list(compress(items, ordered))
         chunks = []
-        for head, d in zip(heads, dummies):
+        for head, d in columns:
             text = (",\n    " + head).join(compress(items, table[n - 1 - d :: n]))
             if text:
                 chunks.append(head + text)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import gc
+import json
 import random
 import sys
 from collections import Counter
@@ -627,3 +628,57 @@ class TestOutputOnlyFields:
             pruned = _trim(condensed(kernel), groups)
             assert ei.verifier_masks == [_union(mask, members) for mask in pruned], seed
             assert eic.verifier_masks == _trim(_one_step_relations(eic.kernel), eic.reachable), seed
+
+
+def _with_an_unreachable_part(seed: int, live: bool) -> Automaton:
+    """``random_dfa(seed)`` and a second seeded system on the states 100
+    and up, which no move of the first enters; about a third of the second
+    system's moves lead into the first instead."""
+    rng = random.Random(seed)
+    g = random_dfa(seed, n_states=1 + seed % 8, trans_density=(0.2, 0.5, 0.8)[seed % 3], live=live)
+    h = random_dfa(seed + 10_000, n_states=1 + seed % 5, trans_density=0.5, live=live)
+    transitions = dict(g.transitions)
+    for (x, e), (y,) in h.transitions.items():
+        target = rng.choice(sorted(g.states)) if rng.random() < 0.3 else 100 + y
+        transitions[(100 + x, e)] = frozenset({target})
+    return Automaton(
+        g.states | {100 + x for x in h.states},
+        g.events | h.events,
+        transitions,
+        g.initial,
+        g.secret | {100 + x for x in h.secret},
+    )
+
+
+class TestUnreachableActualStates:
+    def test_they_are_the_states_outside_the_accessible_part(self, capsys, tmp_path):
+        # Every state of the second system is unreachable, with moves of its
+        # own, moves into the reachable part, or (halting) none; EI and EIC
+        # report the states fsm's accessible part leaves out, and so does
+        # the CLI's --json.
+        subsets = ["", "a", "b", "c", "a,b", "a,c", "b,c", "a,b,c"]
+        seen = Counter()
+        for seed in range(160):
+            live = seed % 2 == 0
+            g = _with_an_unreachable_part(seed, live)
+            expected = g.states - g.accessible_part().states
+            before, after = subsets[seed % 8], subsets[seed // 8 % 8]
+            c = InsertionConstraints.of(filter(None, before.split(",")), filter(None, after.split(",")))
+            path = tmp_path / "g.aut"
+            path.write_text(emit_automaton(g, f"u{seed}"))
+            for report, argv in (
+                (check_ei_enforceable(g), ["verify-ei"]),
+                (check_eic_enforceable(g, c), ["verify-eic", "--insert-before", before, "--insert-after", after]),
+            ):
+                assert report.unreachable_actual_states == expected, (seed, argv[0])
+                assert cli_main(argv + [str(path), "--json"]) in (0, 3), seed
+                printed = json.loads(capsys.readouterr().out)["unreachable_actual_states"]
+                assert printed == displays(expected), (seed, argv[0])
+            seen[live, "unreachable"] += bool(expected)
+            seen[live, "into the reachable part"] += any(
+                x in expected and y not in expected for (x, _), (y,) in g.transitions.items()
+            )
+            seen[live, "halted"] += any(not g.enabled_events(x) for x in expected)
+        for live in (True, False):
+            assert seen[live, "unreachable"] == 80 and seen[live, "into the reachable part"] > 30, live
+        assert seen[True, "halted"] == 0 and seen[False, "halted"] > 10

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import random
+from collections import Counter
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -101,3 +102,41 @@ class TestPairLists:
                 ranked += 1
                 reordered += order[1] != bare
         assert collided >= 30 and ranked >= 180 and reordered >= 40
+
+    def test_empty_alphabets_and_lists_match_the_per_pair_reference(self, per_pair_payload):
+        # The lists read only the actual states that hold a pair, the
+        # admissible list reads the staying list's table, and the phase
+        # masks apply no insertion relation without a nonzero row: EIC runs
+        # with no before-symbol, no after-symbol or neither, and reports
+        # with no admissible pair or an empty verifier, written from the
+        # masks in name order.  The staying list is never empty: the
+        # initial pair stays.
+        subsets = [[], ["a"], ["b", "c"], ["a", "b", "c"]]
+        # Names that sort by their parts: no comma, and none a decorated other.
+        pool = [x for x in _NAMES if "," not in x and "_" not in x]
+        seen = Counter()
+        for seed in range(256):
+            rng = random.Random(seed)
+            g = random_dfa(
+                seed,
+                n_states=2 + seed % 9,
+                trans_density=(0.2, 0.5, 0.8)[seed % 3],
+                secret_density=(0.3, 0.7)[seed // 3 % 2],
+                live=seed % 4 < 2,
+            )
+            if seed % 2:
+                g = _named(g, rng.sample(pool, len(g.states)))
+            c = InsertionConstraints.of(subsets[seed // 4 % 4], subsets[seed // 16 % 4])
+            report = check_eic_enforceable(g, c)
+            name = f"e{seed}"
+            expected = per_pair_payload(name, report, c)
+            assert to_json(_verify_payload(name, report, c)) == to_json(expected), seed
+            assert eic_report(name, report, c) == expected, seed
+            assert _name_order(report.kernel) is not None, seed
+            seen["no before"] += not c.before and bool(c.after)
+            seen["no after"] += bool(c.before) and not c.after
+            seen["neither"] += not c.before and not c.after
+            seen["nothing admissible"] += not expected["admissible"]
+            seen["no verifier"] += not expected["verifier_states"]
+        assert seen["no before"] == seen["no after"] == 48 and seen["neither"] == 16, seen
+        assert seen["nothing admissible"] >= 15 and seen["no verifier"] >= 15, seen
