@@ -18,7 +18,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 from . import __version__
 from .constrained import InsertionConstraints, check_eic_enforceable
-from .dot import _digraph, _ranked_digraph
+from .dot import _ranked_digraph
 from .fsm import state_display, sorted_states
 from .insertion import EnforcementReport, _count, check_ei_enforceable
 from .observer import _decide, _estimate_name
@@ -194,23 +194,10 @@ def _cmd_check_opacity(args: argparse.Namespace) -> int:
     return EXIT_OK if opaque else EXIT_NOT_OPAQUE
 
 
-# The DOT fill of an ``EnforcementReport.rows`` code: red for a staying
-# pair, else green outside the verifier.
-_FILL_OF_CODE = [1 if code >> 1 & 3 else 0 if code & 1 else 2 for code in range(16)]
-
-
 def _drawing(name: str, report: EnforcementReport) -> Iterator[str]:
-    """The DOT text of a verify run's indicator, in chunks: drawn in name
-    order straight from the masks where the pair names sort by their parts
-    (``_name_order``), else from ``rows`` and ``edge_keys``, the one route
-    that draws pairs whose names collide."""
-    kernel = report.kernel
-    ranked = _name_order(kernel)
-    if ranked is not None:
-        return _ranked_digraph(name, report, ranked)
-    rows = report.rows()  # DOT names every reachable pair
-    edges = functools.partial(kernel.edge_keys, report.reachable)
-    return _digraph(name, rows, _FILL_OF_CODE, (kernel.start,), kernel.edge_labels(), edges)
+    """The DOT text of a verify run's indicator, in chunks, drawn in name
+    order (``_name_order``) straight from the report's masks."""
+    return _ranked_digraph(name, report, _name_order(report.kernel))
 
 
 def _report_decision(

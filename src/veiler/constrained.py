@@ -83,8 +83,13 @@ class DecoratedState(FrozenValue):
     base: State
     decoration: Decoration
 
+    def phase_parts(self) -> tuple[str, str]:
+        """Its base's name and its decoration's suffix, which a pair's name
+        keeps apart."""
+        return state_display(self.base), _DECORATION_SUFFIX[self.decoration]
+
     def display(self) -> str:
-        return state_display(self.base) + _DECORATION_SUFFIX[self.decoration]
+        return "".join(self.phase_parts())
 
 
 def decoration_of(x: State) -> Decoration:
@@ -188,7 +193,7 @@ class _EicKernel(_PairKernel):
     constraint symbols are refused before a nondeterministic system is.
     """
 
-    _PHASES = len(Decoration)
+    _PHASES = tuple(_DECORATION_SUFFIX.values())
     _TAGS = (Tag.ACTUAL, Tag.INSERTED_BEFORE, Tag.INSERTED_AFTER)
 
     def __init__(self, g: Automaton, c: InsertionConstraints) -> None:
@@ -214,14 +219,6 @@ class _EicKernel(_PairKernel):
                         shift[decoration * n + x] = target * n + x
             kinds.append((symbols, shift))
         return kinds
-
-    @cached_property
-    def actual_names(self) -> list[str]:
-        return [
-            name + _DECORATION_SUFFIX[decoration]
-            for decoration in Decoration
-            for name in self.state_names
-        ]
 
     def pair(self, d: int, a: int) -> IndicatorState:
         n = self.n

@@ -4,19 +4,17 @@ Solid arrows carry actual events, dashed arrows carry inserted ones, so a
 rendered indicator shows the two move kinds the way the constructions treat
 them.  Output is byte-deterministic: nodes and edges are emitted in sorted
 display order and nothing date- or id-dependent goes into the file.  Two
-renderers give the same text.  ``_ranked_digraph`` draws the CLI's
-indicators where the pair names sort by their parts: a dummy at a time, in
-name order, straight from the report's bitmasks, with no sort of the
-edges.  ``_digraph`` draws the library's ``emit_dot`` and indicators whose
-pair names collide: its caller lists the edges as integer keys that order
-them by name, and it sorts them once.  Both give the text in chunks, so
-the CLI writes a file without holding its whole text.
+renderers give the text in one layout.  ``_ranked_digraph`` draws the
+CLI's indicators a dummy at a time, in name order, straight from the
+report's bitmasks, with no sort of the edges, and in chunks, so the CLI
+writes a file without holding its whole text.  The library's ``emit_dot``
+draws any automaton, whose states may share a name, from one sort of its
+edges.
 """
 from __future__ import annotations
 
 from itertools import compress
-from operator import eq
-from typing import Callable, Collection, Iterable, Iterator, Sequence
+from typing import Collection, Iterator, Sequence
 
 from .fsm import Automaton, EventLabel, sorted_labels, state_display
 from .insertion import EnforcementReport
@@ -40,9 +38,6 @@ def _quote_all(texts: list[str]) -> list[str]:
 # Node attributes: plain, staying-nonblocking (red), pruned (green).
 _FILLS = ("", ' [style=filled, fillcolor="#e05a4e"]', ' [style=filled, fillcolor="#66bb6a"]')
 
-# Edge lines per chunk of ``_digraph``: the text of one chunk is held at a time.
-_EDGES_PER_CHUNK = 4096
-
 
 def _header(name: str) -> str:
     """The lines of a drawing before its nodes."""
@@ -65,76 +60,17 @@ def _label_attrs(labels: Sequence[EventLabel]) -> tuple[list[int], list[str]]:
     return label_rank, attrs
 
 
-def _digraph(
-    name: str,
-    rows: Sequence[tuple[str, int, int]],
-    fills: Sequence[int],
-    initial: Iterable[int],
-    labels: Sequence[EventLabel],
-    edges: Callable[[list[int], list[int], int], list[int]],
-) -> Iterator[str]:
-    """The DOT text of the nodes ``rows`` names and of the edges ``edges`` keys,
-    in chunks: the header and the nodes, the edges ``_EDGES_PER_CHUNK`` at a
-    time, then the closing brace.  ``edges`` is called after the first chunk.
-
-    ``rows`` holds a (name, node, code) row per node, sorted by name, nodes
-    being small ints, and node x is filled as ``_FILLS[fills[code]]`` says.
-    Nodes sort by (name, fill) and edges by (source, target, label text,
-    inserted), all by name.  ``rank``, a list over the nodes, ranks x's
-    name, by the index of its first row, times the number of labels (at
-    least 1), and ``label_rank[j]`` ranks ``labels[j]`` by (text, inserted).
-    ``edges(rank, label_rank, scale)`` gives every edge, from s to t over
-    ``labels[j]``, as the int ``rank[s] * scale + rank[t] + label_rank[j]``,
-    so one sort of the keys orders the edges.  Nodes of one name share its
-    rank, so they are drawn as one source.
-    """
-    lines = [_header(name)[:-1]]
-    width = len(labels) or 1  # ranks are divided by it, also with no label
-    texts = [text for text, _, _ in rows]
-    ids = [x for _, x, _ in rows]
-    quoted = _quote_all(texts)
-    ends = [f"{_FILLS[fill]};" for fill in fills]
-    nodes = [f"  {q}{ends[code]}" for q, (_, _, code) in zip(quoted, rows)]
-    # A name's rank is the index of its first row, times ``width``.
-    rank = [0] * (max(ids, default=-1) + 1)
-    for r, x in zip(range(0, len(ids) * width, width), ids):
-        rank[x] = r
-    shared = list(compress(range(1, len(texts)), map(eq, texts, texts[1:])))
-    if shared:
-        # Rows that repeat the name before them take its rank; the nodes of
-        # one name are drawn in fill order.
-        for i in shared:
-            rank[ids[i]] = rank[ids[i - 1]]
-        drawn = sorted(
-            zip([rank[x] for x in ids], [fills[code] for _, _, code in rows], quoted)
-        )
-        nodes = [f"  {q}{_FILLS[fill]};" for _, fill, q in drawn]
-    lines += nodes
-    lines += [f"  __start -> {quoted[r // width]};" for r in sorted(rank[x] for x in initial)]
-    yield "\n".join(lines) + "\n"
-    label_rank, attrs = _label_attrs(labels)
-    keys = edges(rank, label_rank, len(rows))
-    keys.sort()
-    span = len(rows) * width
-    for start in range(0, len(keys), _EDGES_PER_CHUNK):
-        yield "".join([
-            f"  {quoted[key // span]} -> {quoted[key % span // width]}{attrs[key % width]}"
-            for key in keys[start:start + _EDGES_PER_CHUNK]
-        ])
-    yield "}\n"
-
-
 def _ranked_digraph(
     name: str, report: EnforcementReport, ranked: tuple[list[int], list[int]]
 ) -> Iterator[str]:
-    """The text ``_digraph`` gives the reachable pairs of ``report`` and
-    their moves, where ``ranked``, ``_name_order`` of its kernel, orders
-    their names by (dummy, actual state): the header, then a chunk per
-    dummy d, in order, of d's nodes, the start arrow, a chunk per dummy of
-    d's edges, and the closing brace.
+    """The DOT text of the reachable pairs of ``report`` and their moves,
+    in ``emit_dot``'s layout, where ``ranked``, ``_name_order`` of its
+    kernel, orders their names: the header, then a chunk per dummy d, in
+    order, of d's nodes, the start arrow, a chunk per dummy of d's edges,
+    and the closing brace.
 
-    A quoted pair name is its dummy's opening ``"(name,`` and its actual
-    state's closing ``name)"``, each quoted once.  The nodes of d are one
+    A quoted pair name is its dummy's opening and its actual state's
+    closing (``name_parts``), each quoted once.  The nodes of d are one
     join of closings, with their fills, that d's 0/1 column of the three
     fill classes' stacked masks picks.  Every move of a pair (d, a) on the
     event e goes to the dummy delta(d, e), whatever a is, so d's edges to
@@ -146,8 +82,8 @@ def _ranked_digraph(
     kernel = report.kernel
     n, k, width, delta = kernel.n, kernel.k, kernel.width, kernel.delta
     dummies, actuals = ranked
-    openings = [_quote(f"({state},")[:-1] for state in kernel.state_names]
-    closings = [_quote(actual + ")")[1:] for actual in kernel.actual_names]
+    openings = [_quote(opening)[:-1] for opening in kernel.name_parts[0]]
+    closings = [_quote(closing)[1:] for closing in kernel.name_parts[1]]
     yield _header(name)
     # Staying pairs red, other verifier pairs plain, the rest green: the
     # three parts of a stacked mask, pruned ones highest.
@@ -229,22 +165,43 @@ def emit_dot(
     green; the two sets may name states that are not in ``a``, which are not
     drawn (a pruned state is usually absent from the pruned automaton, so
     callers pass the pre-pruning automaton when they want both).
+
+    Nodes sort by (name, fill) and edges by (source, target, label text,
+    inserted), all by name, so states of one name are drawn as one source.
+    A state's rank is that of its name: the index of the name's first node,
+    times the number of labels (at least 1).  An edge from s to t is the int
+    rank(s) times the number of states, plus rank(t) and its label's rank,
+    so one sort of the ints orders the edges.
     """
     labels = sorted_labels(a.events)
-    index = {e: j for j, e in enumerate(labels)}
+    label_rank, attrs = _label_attrs(labels)
+    index = {e: label_rank[j] for j, e in enumerate(labels)}
+    width = len(labels) or 1
     nonblocking, pruned = set(nonblocking), set(pruned)
     states = list(a.states)
-    ids = {x: i for i, x in enumerate(states)}
     rows = sorted(
-        (state_display(x), i, 1 if x in nonblocking else 2 if x in pruned else 0)
+        (state_display(x), 1 if x in nonblocking else 2 if x in pruned else 0, i)
         for i, x in enumerate(states)
     )
-
-    def edges(rank: list[int], label_rank: list[int], scale: int) -> list[int]:
-        return [
-            rank[ids[x]] * scale + rank[ids[y]] + label_rank[index[e]]
-            for (x, e), targets in a.transitions.items()
-            for y in targets
-        ]
-
-    return "".join(_digraph(name, rows, range(3), [ids[x] for x in a.initial], labels, edges))
+    texts = [text for text, _, _ in rows]
+    quoted = _quote_all(texts)
+    rank = [0] * len(rows)
+    for r, (text, _, i) in enumerate(rows):
+        rank[i] = rank[rows[r - 1][2]] if r and text == texts[r - 1] else r * width
+    ids = {x: i for i, x in enumerate(states)}
+    keys = sorted(
+        rank[ids[x]] * len(rows) + rank[ids[y]] + index[e]
+        for (x, e), targets in a.transitions.items()
+        for y in targets
+    )
+    span = len(rows) * width
+    lines = [_header(name)]
+    lines += [f"  {q}{_FILLS[fill]};\n" for q, (_, fill, _) in zip(quoted, rows)]
+    starts = sorted(rank[ids[x]] for x in a.initial)
+    lines += [f"  __start -> {quoted[r // width]};\n" for r in starts]
+    lines += [
+        f"  {quoted[key // span]} -> {quoted[key % span // width]}{attrs[key % width]}"
+        for key in keys
+    ]
+    lines.append("}\n")
+    return "".join(lines)

@@ -56,6 +56,37 @@ def build_insertion_automaton(g: Automaton) -> Automaton:
     )
 
 
+# The escape of a state name inside a pair name.
+_ESCAPES = str.maketrans({"\\": "\\\\", ",": "\\,", "_": "\\_"})
+
+
+def _phase_parts(x: State) -> tuple[str, str]:
+    """The name of the state x and the suffix of its insertion phase: a
+    decorated state, of ``veiler.constrained``, names its base and its
+    phase apart; any other state is in no phase."""
+    parts = getattr(x, "phase_parts", None)
+    return parts() if parts else (state_display(x), "")
+
+
+def _pair_name_parts(
+    dummies: Iterable[str], actuals: Iterable[tuple[str, str]]
+) -> tuple[list[str], list[str]]:
+    """The parts of the names of the pairs over the state names ``dummies``
+    and the actual states ``actuals``, each a (name, phase suffix) pair: the
+    opening ``"(" + d + ","`` of every dummy d, and the closing ``x + phase
+    + ")"`` of every actual state.  A pair's name is its opening, then its
+    closing.
+
+    Inside them a state name has a backslash before each ``\\``, ``,`` and
+    ``_``, and the brackets, the comma and the phase suffix stay bare.  The
+    opening ends at the first bare comma and the phase starts at the first
+    bare ``_``, so where states have names of their own, so does each pair;
+    and as no opening begins another, names sort as (opening, closing).
+    """
+    openings = [f"({name.translate(_ESCAPES)}," for name in dummies]
+    return openings, [f"{name.translate(_ESCAPES)}{phase})" for name, phase in actuals]
+
+
 class IndicatorState(FrozenValue):
     """A (dummy, actual) pair: believed state versus true state."""
 
@@ -64,7 +95,10 @@ class IndicatorState(FrozenValue):
     actual: State
 
     def display(self) -> str:
-        return f"({state_display(self.dummy)},{state_display(self.actual)})"
+        (opening,), (closing,) = _pair_name_parts(
+            [state_display(self.dummy)], [_phase_parts(self.actual)]
+        )
+        return opening + closing
 
 
 # Lookup tables for the image of a bitmask under a relation: its rows, one
@@ -198,14 +232,13 @@ class _PairKernel:
     move on e of kind j, kind 0 being solid.  Unconstrained insertion has
     one phase and one kind: every event, the phase unchanged.  ``moves``
     lists the moves of one pair, for the library's search and
-    ``automaton``; ``edge_keys`` lists those of many pairs, one actual state
-    at a time, for the DOT file where pair names collide; ``condensed``
-    holds the moves of EI's dashed components as relations on dummies, for
-    ``_trim``, as the constrained kernel's ``relations`` holds those of its
-    two classes of phases.  A set of pairs is held as one bitmask of dummies
-    per actual state, bit d of entry a for the pair ``d*width + a``.  Pair
-    objects are made only by ``objects``, when a report's pair field is
-    first read.
+    ``automaton``; ``condensed`` holds the moves of EI's dashed components
+    as relations on dummies, for ``_trim``, as the constrained kernel's
+    ``relations`` holds those of its two classes of phases.  A set of pairs
+    is held as one bitmask of dummies per actual state, bit d of entry a for
+    the pair ``d*width + a``.  Pair objects are made only by ``objects``,
+    when a report's pair field is first read, and pair names only by
+    ``name_parts``, for output.
     """
 
     def __init__(self, g: Automaton) -> None:
@@ -227,12 +260,12 @@ class _PairKernel:
         self.x0 = index[x0]
         self.secret = {index[x] for x in g.secret}
         self._reaches: dict[tuple, tuple] = {}
-        width = self.width = self._PHASES * n
+        width = self.width = len(self._PHASES) * n
         self.start = self.x0 * width + self.x0
 
-    # The phases of every system state, and the tag of a move of kind j,
-    # kind 0 being solid.
-    _PHASES = 1
+    # The phases of every system state, by the suffixes they add to its
+    # name, and the tag of a move of kind j, kind 0 being solid.
+    _PHASES: Sequence[str] = ("",)
     _TAGS = (Tag.ACTUAL, Tag.INSERTED)
 
     @cached_property
@@ -242,9 +275,13 @@ class _PairKernel:
         return [(range(self.k), list(range(self.n)))]
 
     @cached_property
-    def actual_names(self) -> list[str]:
-        """The display name of every actual state, made only for output."""
-        return self.state_names
+    def name_parts(self) -> tuple[list[str], list[str]]:
+        """The opening of every dummy's pair names and the closing of every
+        actual state's (``_pair_name_parts``), made only for output: the
+        plain phase names the states as ``IndicatorState`` does."""
+        actuals = [_phase_parts(x) for x in self.states]
+        actuals += [(name, phase) for phase in self._PHASES[1:] for name in self.state_names]
+        return _pair_name_parts(self.state_names, actuals)
 
     @cached_property
     def _move_tables(self) -> tuple[list, list]:
@@ -280,42 +317,6 @@ class _PairKernel:
             if b >= 0:
                 for j, dummy in table[d]:
                     yield j, dummy + b
-
-    def edge_keys(
-        self, masks: Sequence[int], rank: list[int], label_rank: list[int], scale: int
-    ) -> list[int]:
-        """The moves of the pairs of ``masks``, one bitmask of dummies per
-        actual state, as ``_digraph``'s edge keys: ``rank[p] * scale +
-        rank[t] + label_rank[j]`` for a move of the pair p to t with label
-        index j.
-
-        One actual state a at a time: every move of a, to the actual state
-        b, pairs each dummy of a that the event moves with its target's
-        entry in column b of ``rank``, in one comprehension.
-        """
-        n, k, width = self.n, self.k, self.width
-        full = (1 << n) - 1
-        # Per event, its defined moves of the dummies as (dummy, target) pairs.
-        steps = [[(d, t) for d, t in enumerate(column) if t >= 0] for column in zip(*self.delta)]
-        keys: list[int] = []
-        for a, mask in enumerate(masks):
-            if not mask:
-                continue
-            mine = steps if mask == full else [
-                [(d, t) for d, t in step if mask >> d & 1] for step in steps
-            ]
-            sources = [r * scale for r in rank[a::width]]
-            # Each target actual state with the (label index, event) of its moves.
-            targets = [(y, [(e, e)]) for e, y in enumerate(self.delta[a % n]) if y >= 0]
-            for kind, (symbols, shift) in enumerate(self.kinds, 1):
-                if shift[a] >= 0:
-                    targets.append((shift[a], [(kind * k + e, e) for e in symbols]))
-            for b, labelled in targets:
-                column = rank[b::width]
-                for j, e in labelled:
-                    label = label_rank[j]
-                    keys += [sources[d] + column[t] + label for d, t in mine[e]]
-        return keys
 
     def search(self) -> dict[int, list[int]]:
         """The pairs reachable from the initial pair, each mapped to its
@@ -721,15 +722,6 @@ def admissible_states(
     return frozenset(pair for pair in snb if pair.dummy not in secret)
 
 
-# The code of a row of ``EnforcementReport.rows``: ``_IN_VERIFIER`` and
-# ``_ADMISSIBLE`` are flags, and ``code >> 1 & 3`` is the staying type, 0 for
-# a pair that does not stay.
-_IN_VERIFIER, _ADMISSIBLE = 1, 8
-
-# The value of each lowercase hex digit.
-_HEX_DIGITS = bytes.maketrans(b"0123456789abcdef", bytes(range(16)))
-
-
 class EnforcementReport:
     """The verdict of ``check_ei_enforceable`` or ``check_eic_enforceable``,
     and the pairs behind it.
@@ -752,8 +744,8 @@ class EnforcementReport:
     ``staying_nonblocking`` and ``admissible``.  ``staying_nonblocking`` is
     a set of pairs, or under constraints a mapping from each staying pair
     to its type: 1 in the plain phase and 2 in the after-phase.  The CLI
-    draws its DOT file (from ``rows`` where pair names collide) and
-    ``veiler.report`` writes the JSON pair lists from the masks.
+    draws its DOT file and ``veiler.report`` writes the JSON pair lists
+    from the masks.
     """
 
     def __init__(
@@ -820,47 +812,6 @@ class EnforcementReport:
     def admissible(self) -> frozenset:
         kernel = self.kernel
         return frozenset(kernel.objects(kernel.ids(self.admissible_masks)).values())
-
-    def rows(self) -> list[tuple[str, int, int]]:
-        """Every reachable pair, for the DOT file where pair names collide,
-        as (name, pair id, code) rows sorted by name, then id."""
-        kernel = self.kernel
-        n, width, names = kernel.n, kernel.width, kernel.actual_names
-        order = sorted(range(width), key=names.__getitem__)
-        # Per actual state, in name order, n hex digits, the last for dummy
-        # 0: 0 where the pair is not shown, else its code plus one.  Its
-        # shown, verifier, staying and admissible bitmasks are stacked in
-        # one int and read in base 16, which gives each bit a hex digit of
-        # its own; the four parts, weighted by their flags, add up without
-        # a carry, as a code plus one is below 16.
-        part = (1 << 4 * n) - 1
-        spec = f"0{n}x"
-        digits = []
-        verifiers = self.verifier_masks
-        for a in order:
-            verifier, staying, shown = verifiers[a], self.staying_masks[a], self.reachable[a]
-            stacked = shown | (shown & verifier) << n | staying << 2 * n
-            x = int(f"{stacked | self.admissible_masks[a] << 3 * n:b}", 16)
-            codes = (
-                (x & part)
-                + _IN_VERIFIER * (x >> 4 * n & part)
-                + ((1 if a < n else 2) << 1) * (x >> 8 * n & part)
-                + _ADMISSIBLE * (x >> 12 * n)
-            )
-            digits.append(format(codes, spec))
-        table = "".join(digits).encode().translate(_HEX_DIGITS)
-        closings = [names[a] + ")" for a in order]
-        # A dummy at a time, in display order, leaves little to sort.
-        rows = []
-        for d, name in enumerate(kernel.state_names):
-            opening, base = f"({name},", d * width
-            rows += [
-                (opening + closing, base + a, code - 1)
-                for closing, a, code in zip(closings, order, table[n - 1 - d :: n])
-                if code
-            ]
-        rows.sort()
-        return rows
 
 
 def _count(masks: Iterable[int]) -> int:

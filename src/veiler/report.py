@@ -10,7 +10,6 @@ library's ``ei_report`` / ``eic_report`` read that text back.
 from __future__ import annotations
 
 from itertools import compress
-from operator import eq
 from typing import Iterable, Mapping, Optional, Sequence
 
 from . import __version__
@@ -60,28 +59,15 @@ class _Json(str):
 _BITS = bytes.maketrans(b"01", b"\0\1")
 
 
-def _name_order(kernel: _PairKernel) -> Optional[tuple[list[int], list[int]]]:
+def _name_order(kernel: _PairKernel) -> tuple[list[int], list[int]]:
     """The dummies and the actual states of ``kernel`` in the order that
-    sorts the pair names, or None where the names do not sort by their parts.
-
-    The name of the pair (d, a) is its prefix ``"(" + name + ","`` of d,
-    then its suffix ``name + ")"`` of a, and each part is ranked by one
-    stable sort.  When no prefix is a prefix of another, two names of
-    different dummies differ first inside their prefixes, so the names sort
-    as (prefix rank, suffix rank).  A comma in a state name or two states of
-    one display break that; two actual states of one name would give two
-    pairs one name.  Either gives None.  The suffixes keep the ``)``, as a
-    name may hold characters that sort below it.
+    sorts the pair names: by opening, then by closing (``name_parts``), as
+    no opening begins another.  The closings keep the ``)``, as a name may
+    hold characters that sort below it.
     """
-    prefixes = [f"({name}," for name in kernel.state_names]
-    suffixes = [name + ")" for name in kernel.actual_names]
-    dummies = sorted(range(kernel.n), key=prefixes.__getitem__)
-    actuals = sorted(range(kernel.width), key=suffixes.__getitem__)
-    firsts = [prefixes[d] for d in dummies]
-    lasts = [suffixes[a] for a in actuals]
-    if any(map(str.startswith, firsts[1:], firsts)) or any(map(eq, lasts[1:], lasts)):
-        return None
-    return dummies, actuals
+    openings, closings = kernel.name_parts
+    dummies = sorted(range(kernel.n), key=openings.__getitem__)
+    return dummies, sorted(range(kernel.width), key=closings.__getitem__)
 
 
 def _column_table(masks: Sequence[int], actuals: Iterable[int], bits: int) -> bytes:
@@ -98,37 +84,22 @@ def _pair_lists(report: EnforcementReport, typed: bool) -> list:
     """The JSON values of the staying, verifier and admissible pairs of
     ``report``, by name; ``typed`` maps each staying pair to its type.
 
-    Where the names sort by their parts (``_name_order``), each value is
-    its JSON text at the report's top level, written from the masks with no
-    object per pair.  As the escape of a string is its parts' escapes
-    joined, each prefix and suffix is escaped once, and each dummy d, in
-    prefix order, is one join over the suffixes, in suffix order, that a
-    0/1 column of the list's masks picks, joined by the separator and d's
-    prefix, over only the actual states with a pair; the admissible pairs
-    read the staying pairs' table.  Where names collide, the pairs are named
-    one by one and sorted by name, then id, and the staying map keeps the
-    type of the later pair.
+    Each value is its JSON text at the report's top level, written from the
+    masks in name order (``_name_order``) with no object per pair.  As the
+    JSON escape of a string is its parts' escapes joined, each opening and
+    closing is escaped once, and each dummy d, in order, is one join over
+    the closings, in order, that a 0/1 column of the list's masks picks,
+    joined by the separator and d's opening, over only the actual states
+    with a pair; the admissible pairs read the staying pairs' table.
     """
     kernel = report.kernel
-    n, width = kernel.n, kernel.width
-    ranked = _name_order(kernel)
-    values: list = []
-    if ranked is None:
-        lists = report.staying_masks, report.verifier_masks, report.admissible_masks
-        for i, masks in enumerate(lists):
-            named = sorted(
-                (f"({kernel.state_names[p // width]},{kernel.actual_names[p % width]})", p)
-                for p in kernel.ids(masks)
-            )
-            if typed and i == 0:
-                values.append({name: 1 if p % width < n else 2 for name, p in named})
-            else:
-                values.append([name for name, _ in named])
-        return values
-    dummies, actuals = ranked
-    heads = [_string(f"({kernel.state_names[d]},")[:-1] for d in dummies]
-    tails = [_string(kernel.actual_names[a] + ")")[1:] for a in actuals]
+    n = kernel.n
+    dummies, actuals = _name_order(kernel)
+    openings, closings = kernel.name_parts
+    heads = [_string(openings[d])[:-1] for d in dummies]
+    tails = [_string(closings[a])[1:] for a in actuals]
     columns = list(zip(heads, dummies))
+    values: list = []
     for i, masks in enumerate((report.staying_masks, report.verifier_masks, None)):
         items, brackets = tails, "[]"
         if typed and i == 0:

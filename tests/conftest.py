@@ -17,8 +17,6 @@ from veiler.constrained import (
 )
 from veiler.fsm import Automaton, state_display
 from veiler.insertion import (
-    _ADMISSIBLE,
-    _IN_VERIFIER,
     admissible_states,
     build_indicator,
     build_insertion_automaton,
@@ -27,6 +25,10 @@ from veiler.insertion import (
 )
 from veiler.oracle import _reach, _successors
 from veiler.report import _base, _displays
+
+# The flags of a row's code: the pair is in the verifier, or admissible;
+# ``code >> 1 & 3`` is its staying type, 0 where it does not stay.
+_IN_VERIFIER, _ADMISSIBLE = 1, 8
 
 
 class StagedReport(NamedTuple):
@@ -50,8 +52,7 @@ class StagedReport(NamedTuple):
 
         Every list is the coded rows, sorted by name, filtered.  Under
         ``constraints``, the layout is verify-eic's and the staying pairs
-        map to their type; where two pairs share a name, the later row's
-        type is shown.
+        map to their type.
         """
         # On a system that can halt, staying pairs may lie outside the verifier.
         staying = self.staying_nonblocking

@@ -494,11 +494,11 @@ def _negated(decide):
 
 
 class TestNameCollisions:
-    # Two pairs can share a display name: a state name holding a comma, or
-    # a plain state named like a decorated one (1_a against 1 in its
-    # after-phase).  The saved files are the output of the renderer that
-    # sorted every node and edge line as a tuple of names, so pairs of one
-    # name must still be drawn as one source, their nodes ordered by fill.
+    # Without an escape two pairs would share a name: a state name holding
+    # a comma, or a plain state named like a decorated one (1_a against 1
+    # in its after-phase).  Inside a pair name a backslash goes before each
+    # backslash, comma and underscore of a state name, so every pair has a
+    # name of its own: (p\,q,r) is not (p,q\,r), nor (1,1\_a) (1,1_a).
     CASES = {
         "comma-ei": ["verify-ei", str(DATA / "comma.aut")],
         "decorated-eic": [
@@ -515,11 +515,10 @@ class TestNameCollisions:
         assert dot.read_bytes() == (DATA / f"{key}.dot").read_bytes()
         assert cli_main(argv + ["--json"]) == EXIT_OK
         assert capsys.readouterr().out == saved
-        # The files do hold a name drawn twice, in two fills.
+        # The files declare each node once.
         nodes = re.findall(r'^  ("[^"]*")( \[[^\]]*\])?;$', dot.read_text(), re.M)
         names = [node for node, _ in nodes]
-        assert len(set(names)) < len(names)
-        assert len(set(nodes)) > len(set(names))
+        assert len(set(names)) == len(names)
 
     def test_the_library_report_names_them_alike(self):
         g = parse_document((DATA / "comma.aut").read_text()).automaton
@@ -669,10 +668,10 @@ class TestTopLevel:
         assert stat.S_IMODE(dot.stat().st_mode) == 0o604
 
     def test_a_failure_while_the_dot_streams_changes_nothing(self, capsys, monkeypatch, tmp_path):
-        # Both routes start their edges after the header is written into the
-        # temporary file: the name-ordered route by listing the edge labels,
-        # the route for colliding names (comma.aut) by listing the edge
-        # keys.  Raising there leaves the old file as it was.
+        # The drawing starts its edges after the header and the nodes are
+        # written into the temporary file, by listing the edge labels, also
+        # where state names hold what pair names escape (comma.aut).
+        # Raising there leaves the old file as it was.
         dot = tmp_path / "x.dot"
         dot.write_bytes(b"old drawing\n")
         seen = []
@@ -684,7 +683,7 @@ class TestTopLevel:
         for method, argv in (
             ("edge_labels", ["verify-ei", G1, "--json", "--dot", str(dot)]),
             ("edge_labels", ["verify-eic", G1, "--insert-before", "a", "--dot", str(dot)]),
-            ("edge_keys", ["verify-ei", str(DATA / "comma.aut"), "--json", "--dot", str(dot)]),
+            ("edge_labels", ["verify-ei", str(DATA / "comma.aut"), "--json", "--dot", str(dot)]),
         ):
             with monkeypatch.context() as patch:
                 patch.setattr(_PairKernel, method, fail)

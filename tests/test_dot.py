@@ -1,26 +1,37 @@
 from __future__ import annotations
 
-import functools
 import itertools
+import json
 import random
 from pathlib import Path
 
-from veiler.cli import _FILL_OF_CODE, EXIT_NOT_ENFORCEABLE, _drawing, cli_main
-from veiler.constrained import InsertionConstraints, check_eic_enforceable
-from veiler.dot import _FILLS, _digraph, emit_dot
+from veiler.cli import EXIT_NOT_ENFORCEABLE, _drawing, cli_main
+from veiler.constrained import (
+    DecoratedState,
+    Decoration,
+    InsertionConstraints,
+    check_eic_enforceable,
+)
+from veiler.dot import _FILLS, emit_dot
 from veiler.fsm import Automaton, sorted_labels, state_display
 from veiler.insertion import (
-    _ADMISSIBLE,
-    _IN_VERIFIER,
+    _count,
     build_indicator,
     build_insertion_automaton,
     check_ei_enforceable,
 )
 from veiler.oracle import random_dfa
-from veiler.report import _name_order
+from veiler.report import _name_order, _verify_payload, ei_report, to_json
 from veiler.textio import parse_document
 
 DATA = Path(__file__).parent / "data"
+
+# The flags of a row's code in ``_naive_rows``: the pair is in the verifier,
+# or admissible; ``code >> 1 & 3`` is its staying type, 0 where it does not
+# stay.  A code's fill: red for a staying pair, else green outside the
+# verifier.
+_IN_VERIFIER, _ADMISSIBLE = 1, 8
+_FILL_OF_CODE = [1 if code >> 1 & 3 else 0 if code & 1 else 2 for code in range(16)]
 
 
 class TestEmitDot:
@@ -109,7 +120,7 @@ def _naive_quote(text):
 
 
 def _naive_digraph(name, rows, fills, initial, moves, labels):
-    """The reference for ``_digraph`` and ``_ranked_digraph``: node ranks in
+    """The reference for ``emit_dot`` and ``_ranked_digraph``: node ranks in
     a dict, the nodes of each name drawn after sorting them by fill, and the
     edges of each source listed pair by pair through ``moves(x)``, as
     (label index, target) pairs, and sorted on their own."""
@@ -162,8 +173,8 @@ def _naive_emit_dot(a, name="g", nonblocking=(), pruned=()):
 
 
 def _naive_rows(report):
-    """The reference for ``EnforcementReport.rows``: every reachable pair's
-    object named, coded and sorted one pair at a time."""
+    """The nodes of a verify run's drawing, for ``_naive_digraph``: every
+    reachable pair's object named, coded and sorted one pair at a time."""
     kernel = report.kernel
     n, width = kernel.n, kernel.width
     reachable, verifier, staying, admissible = (
@@ -186,8 +197,26 @@ def _naive_rows(report):
 
 
 # Pieces of state names: DOT escapes, characters below the comma that
-# order prefixes unlike names, non-ASCII, and names that collide.
+# order openings unlike names, non-ASCII, and what pair names escape.
 FRAGMENTS = ['"', "\\", "{", "}", "é", "中", ",", "1_a", "1", "\x00", "s", "t"]
+
+
+def _hostile(g, rng, fragments):
+    """``g`` with its states named by joins of one to three of
+    ``fragments``, drawn by ``rng``, no two alike."""
+    texts = []
+    while len(texts) < len(g.states):
+        text = "".join(rng.choice(fragments) for _ in range(rng.randint(1, 3)))
+        if text not in texts:
+            texts.append(text)
+    names = dict(zip(sorted(g.states), texts))
+    return Automaton(
+        frozenset(names.values()),
+        g.events,
+        {(names[x], e): frozenset(names[y] for y in ys) for (x, e), ys in g.transitions.items()},
+        frozenset(names[x] for x in g.initial),
+        frozenset(names[x] for x in g.secret),
+    )
 
 # Every subset of the events a, b and c.
 SUBSETS = [frozenset(s for i, s in enumerate("abc") if mask >> i & 1) for mask in range(8)]
@@ -208,55 +237,36 @@ class TestTheNaiveRenderer:
                 # every (before, after) pair of subsets, live and halting
                 c = InsertionConstraints(SUBSETS[seed % 8], SUBSETS[seed // 8 % 8])
                 yield f"eic{seed}", check_eic_enforceable(g, c)
-        # Pairs that share a display name.
+        # State names that hold what pair names escape.
         comma = parse_document((DATA / "comma.aut").read_text()).automaton
         yield "comma", check_ei_enforceable(comma)
         decorated = parse_document((DATA / "decorated.aut").read_text()).automaton
         yield "decorated", check_eic_enforceable(decorated, InsertionConstraints.of("a", "b"))
 
     def test_verify_draws_match_it(self):
-        # The kernel's edge keys and the one sort give the per-pair
-        # renderer's bytes, on EI and EIC systems that prune, halt and
-        # collide names.
+        # The CLI's drawing gives the per-pair renderer's bytes, on EI and
+        # EIC systems that prune and halt, and no two of its nodes share a
+        # name.
         drawn = shared = 0
         for name, report in self._reports():
-            rows = report.rows()
-            assert rows == _naive_rows(report), name
+            rows = _naive_rows(report)
             kernel = report.kernel
-            labels = kernel.edge_labels()
-            edges = functools.partial(kernel.edge_keys, report.reachable)
-            text = "".join(_digraph(name, rows, _FILL_OF_CODE, (kernel.start,), labels, edges))
             expected = _naive_digraph(
-                name, rows, _FILL_OF_CODE, (kernel.start,), kernel.moves, labels
+                name, rows, _FILL_OF_CODE, (kernel.start,), kernel.moves, kernel.edge_labels()
             )
-            assert text == expected, name
+            assert "".join(_drawing(name, report)) == expected, name
             drawn += 1
-            shared += len({text for text, _, _ in rows}) < len(rows)
-        assert drawn == 258 and shared >= 2
+            shared += len({row[0] for row in rows}) < len(rows)
+        assert drawn == 258 and shared == 0
 
     def _hostile_reports(self):
         """EI and EIC reports, live and halting, of systems whose state
         names are built from fragments that need escaping, sort below the
-        comma, or make names collide."""
+        comma, or hold what pair names escape."""
         for seed in range(128):
             rng = random.Random(seed)
             g = random_dfa(seed, n_states=2 + seed % 11, live=seed % 2 == 0)
-            texts = []
-            while len(texts) < len(g.states):
-                text = "".join(rng.choice(FRAGMENTS) for _ in range(rng.randint(1, 3)))
-                if text not in texts:
-                    texts.append(text)
-            names = dict(zip(sorted(g.states), texts))
-            g = Automaton(
-                frozenset(names.values()),
-                g.events,
-                {
-                    (names[x], e): frozenset(names[y] for y in ys)
-                    for (x, e), ys in g.transitions.items()
-                },
-                frozenset(names[x] for x in g.initial),
-                frozenset(names[x] for x in g.secret),
-            )
+            g = _hostile(g, rng, FRAGMENTS)
             name = f'h"{seed}\\{{'
             if seed // 2 % 2:
                 c = InsertionConstraints(SUBSETS[seed % 8], SUBSETS[seed // 8 % 8])
@@ -265,23 +275,21 @@ class TestTheNaiveRenderer:
                 yield name, check_ei_enforceable(g)
 
     def test_the_cli_route_matches_it(self):
-        # The CLI draws names that sort by their parts from the masks, and
-        # colliding ones from rows and edge keys: both give the per-pair
-        # renderer's bytes.
+        # The CLI draws every indicator in name order from the masks, with
+        # the per-pair renderer's bytes, also where state names hold what
+        # pair names escape.
         ranked = collided = 0
         for name, report in itertools.chain(self._reports(), self._hostile_reports()):
             kernel = report.kernel
+            rows = _naive_rows(report)
             text = "".join(_drawing(name, report))
             expected = _naive_digraph(
-                name, _naive_rows(report), _FILL_OF_CODE, (kernel.start,), kernel.moves,
-                kernel.edge_labels(),
+                name, rows, _FILL_OF_CODE, (kernel.start,), kernel.moves, kernel.edge_labels(),
             )
             assert text == expected, name
-            if _name_order(kernel) is None:
-                collided += 1
-            else:
-                ranked += 1
-        assert ranked >= 200 and collided >= 2
+            collided += len({row[0] for row in rows}) < len(rows)
+            ranked += 1
+        assert ranked >= 200 and collided == 0
 
     def test_emit_dot_matches_it(self, g1):
         # Any automaton: nondeterministic, with several initial states, no
@@ -310,3 +318,71 @@ class TestTheNaiveRenderer:
             assert emit_dot(a, "x", nonblocking, pruned) == _naive_emit_dot(
                 a, "x", set(nonblocking), set(pruned)
             )
+
+
+class TestPairNames:
+    # Pieces of state names: the fragments above, and the phase suffixes
+    # and brackets that a pair name holds bare.
+    PIECES = FRAGMENTS + ["_a", "_b", "_ab", "(", ")"]
+
+    def _reports(self):
+        """EI and EIC reports, live and halting, every (before, after)
+        pair of alphabets, of systems named from ``PIECES``."""
+        for seed in range(192):
+            rng = random.Random(seed)
+            g = random_dfa(
+                seed,
+                n_states=2 + seed % 9,
+                trans_density=(0.2, 0.5, 0.8)[seed % 3],
+                live=seed % 4 < 2,
+            )
+            g = _hostile(g, rng, self.PIECES)
+            if seed % 3:
+                c = InsertionConstraints(SUBSETS[seed % 8], SUBSETS[seed // 8 % 8])
+                yield f"n{seed}", check_eic_enforceable(g, c), c
+            else:
+                yield f"n{seed}", check_ei_enforceable(g), None
+
+    def test_no_two_pairs_share_a_name(self):
+        for name, report, c in self._reports():
+            kernel = report.kernel
+            # The kernel's order sorts the names of all its pairs, which
+            # are the pair objects' names, no two alike.
+            dummies, actuals = _name_order(kernel)
+            openings, closings = kernel.name_parts
+            names = [kernel.pair(d, a).display() for d in dummies for a in actuals]
+            assert names == [openings[d] + closings[a] for d in dummies for a in actuals], name
+            assert names == sorted(set(names)), name
+            # Each JSON list names each of its pairs once; the EIC staying
+            # map has an entry per staying pair.
+            text = to_json(_verify_payload(name, report, c))
+            payload = dict(json.loads(text, object_pairs_hook=list))
+            staying = payload["staying_nonblocking"]
+            if c is not None:
+                staying = [key for key, _ in staying]
+            for listed, masks in (
+                (staying, report.staying_masks),
+                (payload["verifier_states"], report.verifier_masks),
+                (payload["admissible"], report.admissible_masks),
+            ):
+                assert len(set(listed)) == len(listed) == _count(masks), name
+            # The DOT file declares each reachable pair once.
+            nodes = [
+                line.split(" [")[0].rstrip(";")
+                for line in "".join(_drawing(name, report)).splitlines()
+                if line.startswith('  "') and " -> " not in line
+            ]
+            assert len(set(nodes)) == len(nodes) == _count(report.reachable), name
+
+    def test_pair_objects_are_named_as_the_lists_name_them(self, per_pair_payload):
+        # A state of g that is a decorated state, as the states of the EIC
+        # insertion automaton are, keeps its phase bare where it is the
+        # actual state of an EI pair, as its pair objects do.
+        d = DecoratedState(1, Decoration.A)
+        g = Automaton.dfa(
+            [0, 1, d], ["a"], {(0, "a"): d, (d, "a"): 1, (1, "a"): 0}, 0, secret=[d]
+        )
+        report = check_ei_enforceable(g)
+        expected = per_pair_payload("d", report)
+        assert ei_report("d", report) == expected
+        assert {"(0,1_a)", "(1\\_a,1_a)"} <= set(expected["verifier_states"])

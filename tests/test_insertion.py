@@ -607,7 +607,7 @@ class TestOutputOnlyFields:
             for report in (ei, eic):
                 assert report.enforceable == (not report.uncovered_actual_states), seed
             assert calls == {}, seed
-            assert "kinds" not in vars(eic.kernel) and "actual_names" not in vars(eic.kernel), seed
+            assert "kinds" not in vars(eic.kernel) and "name_parts" not in vars(eic.kernel), seed
             first = eic.reachable
             assert eic.reachable is first, seed
             assert calls == {"relations": 1}, seed

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from veiler.constrained import InsertionConstraints, check_eic_enforceable
 from veiler.fsm import Automaton
-from veiler.insertion import check_ei_enforceable
+from veiler.insertion import _count, check_ei_enforceable
 from veiler.oracle import random_dfa
 from veiler.report import _name_order, _verify_payload, ei_report, eic_report, to_json
 
@@ -62,8 +62,8 @@ def _named(g: Automaton, names: list) -> Automaton:
 
 class TestPairLists:
     def test_hostile_names_match_the_per_pair_reference(self, per_pair_payload):
-        # The JSON lists are written from the masks in (prefix rank, suffix
-        # rank) order, or sorted pair by pair where names collide; the
+        # The JSON lists are written from the masks in (opening rank,
+        # closing rank) order, and no list names two pairs alike; the
         # library's report reads the same text back.
         collided = ranked = reordered = 0
         for seed in range(240):
@@ -74,8 +74,8 @@ class TestPairLists:
                 trans_density=(0.2, 0.5, 0.8)[seed % 3],
                 live=seed % 4 < 2,
             )
-            # Names with a comma, which force the sort, are drawn on a third
-            # of the systems.
+            # Names with a comma, which the pair names escape, are drawn on a
+            # third of the systems.
             pool = _NAMES if seed % 3 == 0 else [x for x in _NAMES if "," not in x]
             g = _named(g, rng.sample(pool, len(g.states)))
             name = f"h{seed}"
@@ -92,16 +92,16 @@ class TestPairLists:
             expected = per_pair_payload(name, report, c)
             assert to_json(_verify_payload(name, report, c)) == to_json(expected), seed
             assert library == expected, seed
+            lists = ("staying_nonblocking", "verifier_states", "admissible")
+            masks = (report.staying_masks, report.verifier_masks, report.admissible_masks)
+            collided += any(len(set(expected[key])) < _count(m) for key, m in zip(lists, masks))
             order = _name_order(report.kernel)
-            if order is None:
-                collided += 1
-            else:
-                # The suffixes rank otherwise than the bare names do.
-                names = report.kernel.actual_names
-                bare = sorted(range(len(names)), key=names.__getitem__)
-                ranked += 1
-                reordered += order[1] != bare
-        assert collided >= 30 and ranked >= 180 and reordered >= 40
+            # The closings rank otherwise than the names without their ")" do.
+            closings = report.kernel.name_parts[1]
+            bare = sorted(range(len(closings)), key=lambda a: closings[a][:-1])
+            ranked += 1
+            reordered += order[1] != bare
+        assert collided == 0 and ranked >= 180 and reordered >= 40
 
     def test_empty_alphabets_and_lists_match_the_per_pair_reference(self, per_pair_payload):
         # The lists read only the actual states that hold a pair, the
