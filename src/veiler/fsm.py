@@ -168,6 +168,11 @@ class Automaton(FrozenValue):
     is read off the data: one initial state and single-successor moves.
     The per-state index of moves behind ``outgoing``, ``enabled_events``
     and ``accessible_part`` is built on first use.
+
+    ``Automaton(...)``, ``dfa`` and ``nfa`` check every transition; only
+    ``_checked``, for a table its caller has checked already (the parser's),
+    does not.  Pickling and copying rebuild through the checking
+    constructor.
     """
 
     _fields = ("states", "events", "transitions", "initial", "secret")
@@ -201,6 +206,18 @@ class Automaton(FrozenValue):
             if len(targets) > 1:
                 deterministic = False
         object.__setattr__(self, "deterministic", deterministic)
+
+    @classmethod
+    def _checked(
+        cls, states, events, transitions, initial, secret, deterministic: bool
+    ) -> Automaton:
+        """An automaton of fields that already pass every check of
+        ``__post_init__``, with the ``deterministic`` its caller read off
+        them: it checks nothing, so it walks no transition."""
+        self = cls.__new__(cls)
+        FrozenValue.__init__(self, states, events, transitions, initial, secret)
+        object.__setattr__(self, "deterministic", deterministic)
+        return self
 
     @classmethod
     def dfa(

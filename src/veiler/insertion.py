@@ -278,10 +278,16 @@ class _PairKernel:
     def name_parts(self) -> tuple[list[str], list[str]]:
         """The opening of every dummy's pair names and the closing of every
         actual state's (``_pair_name_parts``), made only for output: the
-        plain phase names the states as ``IndicatorState`` does."""
+        plain phase names the states as ``IndicatorState`` does.  Two states
+        of one display name would give two pairs one name, so they are a
+        ValueError here, where the verdict is already made."""
+        names = self.state_names  # sorted, so one display's names are adjacent
+        shared = next((a for a, b in zip(names, names[1:]) if a == b), None)
+        if shared is not None:
+            raise ValueError(f"two states display as {shared!r}, so their pairs would share names")
         actuals = [_phase_parts(x) for x in self.states]
-        actuals += [(name, phase) for phase in self._PHASES[1:] for name in self.state_names]
-        return _pair_name_parts(self.state_names, actuals)
+        actuals += [(name, phase) for phase in self._PHASES[1:] for name in names]
+        return _pair_name_parts(names, actuals)
 
     @cached_property
     def _move_tables(self) -> tuple[list, list]:

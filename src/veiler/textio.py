@@ -69,6 +69,12 @@ _REQUIRED = {"automaton", "events", "states", "initial", "end"}
 
 
 def parse_document(text: str) -> AutomatonDocument:
+    """The document ``text`` holds; a ``ParseError`` names the first line
+    that breaks the grammar.
+
+    Every transition is checked as its line is read, so the table becomes
+    the automaton with no second walk (``Automaton._checked``).
+    """
     name = ""
     labels: dict[str, EventLabel] = {}
     unobservable: list[str] = []
@@ -181,14 +187,19 @@ def parse_document(text: str) -> AutomatonDocument:
         sym = next(sym for sym in unobservable if sym not in labels)
         raise ParseError(seen["unobservable"], f"undeclared event {sym!r}")
 
+    # The lines have passed every check of ``Automaton.__post_init__``; the
+    # table is nondeterministic where a key got a second target (``more``)
+    # or where there is not one initial state.
     for key, targets in more.items():
         table[key] = frozenset(targets)
-    automaton = Automaton(
+    initial_set = frozenset(initial)
+    automaton = Automaton._checked(
         frozenset(states),
         frozenset(labels.values()),
         table,
-        frozenset(initial),
+        initial_set,
         frozenset(secret),
+        not more and len(initial_set) == 1,
     )
     return AutomatonDocument(name, automaton, hidden)
 

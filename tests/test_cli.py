@@ -980,24 +980,38 @@ class TestDecisionPath:
 
         monkeypatch.setattr(observer, "build_observer", forbidden)
         estimates = _count_constructions(monkeypatch, observer.ObserverState)
-        validated = []
-        post_init = Automaton.__post_init__
+        # The parsed automaton is built once, through either constructor, and
+        # its table, checked line by line, is not walked again.
+        built, validated = [], []
+        init, checked, post_init = Automaton.__init__, Automaton._checked, Automaton.__post_init__
 
-        def counted(automaton):
+        def counted_init(automaton, *args, **kwargs):
+            built.append("__init__")
+            init(automaton, *args, **kwargs)
+
+        def counted_checked(cls, *args, **kwargs):
+            built.append("_checked")
+            return checked.__func__(cls, *args, **kwargs)
+
+        def counted_post_init(automaton):
             validated.append(automaton)
             post_init(automaton)
 
-        monkeypatch.setattr(Automaton, "__post_init__", counted)
+        monkeypatch.setattr(Automaton, "__init__", counted_init)
+        monkeypatch.setattr(Automaton, "_checked", classmethod(counted_checked))
+        monkeypatch.setattr(Automaton, "__post_init__", counted_post_init)
         big = tmp_path / "big.aut"
         big.write_text(emit_automaton(random_dfa(1, 2000, live=True), "big"))
         for path, violating in ((PARTIAL, 4), (str(big), 630)):
             estimates.clear()
+            built.clear()
             validated.clear()
             assert cli_main(["check-opacity", path, "--json"]) == EXIT_NOT_OPAQUE
             payload = json.loads(capsys.readouterr().out)
             assert len(payload["violating_estimates"]) == violating
             assert len(estimates) == 0
-            assert len(validated) == 1
+            assert len(built) == 1
+            assert len(validated) == 0
 
     def test_parsing_makes_one_label_per_declared_event(self, monkeypatch):
         # 3 events and 1015 transitions: the table is keyed by the

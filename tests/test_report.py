@@ -4,13 +4,15 @@ import json
 import random
 from collections import Counter
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from veiler.cli import _drawing
 from veiler.constrained import InsertionConstraints, check_eic_enforceable
 from veiler.fsm import Automaton
 from veiler.insertion import _count, check_ei_enforceable
-from veiler.oracle import random_dfa
+from veiler.oracle import oracle_ei_enforceable, oracle_eic_enforceable, random_dfa
 from veiler.report import _name_order, _verify_payload, ei_report, eic_report, to_json
 
 SCALARS = st.none() | st.booleans() | st.integers() | st.text()
@@ -102,6 +104,28 @@ class TestPairLists:
             ranked += 1
             reordered += order[1] != bare
         assert collided == 0 and ranked >= 180 and reordered >= 40
+
+    def test_states_of_one_display_name_are_decided_but_never_named(self):
+        # States 1 and "1" both display as "1", so (1, "1") and ("1", 1)
+        # would print alike: the verdict is made, and every pair list and
+        # DOT file refuses to name the pairs.
+        g = Automaton.dfa(
+            [1, "1", 2], ["a"], {(1, "a"): "1", ("1", "a"): 2, (2, "a"): 1}, 1, secret=[2]
+        )
+        c = InsertionConstraints.of({"a"}, {"a"})
+        ei, eic = check_ei_enforceable(g), check_eic_enforceable(g, c)
+        assert ei.enforceable is oracle_ei_enforceable(g) is True
+        assert eic.enforceable is oracle_eic_enforceable(g, c) is True
+        renderers = [
+            lambda: ei_report("g", ei),
+            lambda: eic_report("g", eic, c),
+            lambda: _verify_payload("g", eic, c),
+            lambda: "".join(_drawing("g", ei)),
+            lambda: "".join(_drawing("g", eic)),
+        ]
+        for render in renderers:
+            with pytest.raises(ValueError, match="^two states display as '1'"):
+                render()
 
     def test_empty_alphabets_and_lists_match_the_per_pair_reference(self, per_pair_payload):
         # The lists read only the actual states that hold a pair, the

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 import re
 import sys
@@ -610,11 +612,19 @@ def _reference_parse(text: str) -> AutomatonDocument:
 
 
 def _outcome(parse, text: str) -> tuple:
-    """The document and its determinism, or the error's message and line."""
+    """The document and its determinism, or the error's message and line.
+
+    The automaton of a document must pass the checking constructor as it
+    stands, to an equal automaton of the same determinism: the parser
+    builds it without that constructor's walk of the transitions.
+    """
     try:
         doc = parse(text)
     except ParseError as error:
         return str(error), error.line
+    checked = Automaton(*doc.automaton._values)
+    assert checked == doc.automaton
+    assert checked.deterministic == doc.automaton.deterministic
     return doc, doc.automaton.deterministic
 
 
@@ -748,6 +758,46 @@ class TestMatchesTheReferenceParser:
         doc, deterministic = outcome
         assert doc.automaton.transitions[(0, EventLabel("a"))] == {1, int(repeat.split()[3])}
         assert deterministic == (repeat == "trans 0 a 1\n")
+
+    @pytest.mark.parametrize(
+        "initial, body, deterministic",
+        [
+            ("0", "trans 0 a 1\ntrans 0 a 1\n", True),  # a repeated line
+            ("0", "trans 0 a 1\ntrans 0 a 01\n", True),  # the same target, checked path
+            ("0", "trans 0 a 1\ntrans 1 b s\ntrans 0 a 1\n", True),
+            ("0", "trans 0 a 1\ntrans 0 a 0\n", False),  # a second target on one key
+            ("0", "trans 0 a 1\ntrans 0 a 00\n", False),
+            ("0 1", "trans 0 a 1\n", False),  # two initial states
+            ("0 0", "trans 0 a 1\n", True),  # one initial state, named twice
+            ("", "trans 0 a 1\n", False),  # none
+        ],
+    )
+    def test_determinism(self, initial, body, deterministic):
+        text = f"automaton g\nevents a b\nstates 0 1 s\ninitial {initial}\n{body}end\n"
+        outcome = _outcome(parse_document, text)
+        assert outcome == _outcome(_reference_parse, text)
+        assert outcome[1] is deterministic
+
+    def test_a_parsed_automaton_pickles_and_copies_through_the_checking_constructor(
+        self, monkeypatch
+    ):
+        validated = []
+        post_init = Automaton.__post_init__
+
+        def counted(automaton):
+            validated.append(automaton)
+            post_init(automaton)
+
+        monkeypatch.setattr(Automaton, "__post_init__", counted)
+        for seed in range(40):
+            text = _random_file(seed)[0]
+            validated.clear()
+            a = parse_document(text).automaton
+            assert validated == [], seed
+            for back in (pickle.loads(pickle.dumps(a)), copy.copy(a), copy.deepcopy(a)):
+                assert back == a and back is not a, seed
+                assert back.deterministic == a.deterministic, seed
+            assert len(validated) == 3, seed
 
     @pytest.mark.parametrize("newline", ["\r\n", "\r", "\x0c", "\x1c", "\x85", "\u2028"])
     def test_line_ends(self, newline):
