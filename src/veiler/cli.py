@@ -14,7 +14,7 @@ import os
 import stat
 import sys
 import tempfile
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from . import __version__
 from .constrained import InsertionConstraints, check_eic_enforceable
@@ -28,7 +28,7 @@ from .oracle import (
     random_constraints,
     random_dfa,
 )
-from .report import _name_order, _opacity_payload, _verify_payload, oracle_report, to_json
+from .report import _opacity_payload, _verify_payload, oracle_report, to_json
 from .textio import AutomatonDocument, ParseError, parse_document
 
 EXIT_OK = 0
@@ -194,12 +194,6 @@ def _cmd_check_opacity(args: argparse.Namespace) -> int:
     return EXIT_OK if opaque else EXIT_NOT_OPAQUE
 
 
-def _drawing(name: str, report: EnforcementReport) -> Iterator[str]:
-    """The DOT text of a verify run's indicator, in chunks, drawn in name
-    order (``_name_order``) straight from the report's masks."""
-    return _ranked_digraph(name, report, _name_order(report.kernel))
-
-
 def _report_decision(
     args: argparse.Namespace,
     name: str,
@@ -208,7 +202,7 @@ def _report_decision(
 ) -> int:
     """Write the DOT file and the report of a verify run, from its bitmasks."""
     if args.dot is not None:
-        _write_atomic(args.dot, _drawing(name, report))
+        _write_atomic(args.dot, _ranked_digraph(name, report))
     if args.json:
         sys.stdout.write(to_json(_verify_payload(name, report, constraints)))
     else:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from enum import IntEnum
 from functools import cached_property
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .fsm import (
     Automaton,
@@ -281,6 +281,22 @@ class _EicKernel(_PairKernel):
             after_phase[self.x0] = 0
         return plain + after_phase + _images(before, plain + after_phase)
 
+    def reachable_masks(self, resting: list[int]) -> list[int]:
+        """The four phases' pairs, ``phase_masks`` of the resting ones, over
+        ``relations``, which are kept for ``verifier_masks``."""
+        self._relations = self.relations()
+        return self.phase_masks(self._relations, resting)
+
+    def verifier_masks(self, reachable: list[int]) -> list[int]:
+        """What ``_trim`` keeps of ``reachable``, single pairs, over the two
+        classes of phases: a phase keeps what its class keeps, over the
+        relations that ``reachable_masks`` kept, which are dropped here."""
+        relations = vars(self).pop("_relations")
+        n = self.n
+        merged = [p | q for p, q in zip(reachable, reachable[n:])]  # plain | a, .., b | ab
+        kept = _trim(relations, merged[:n] + merged[2 * n :])
+        return [mask & keep for mask, keep in zip(reachable, kept[:n] * 2 + kept[n:] * 2)]
+
 
 def build_eic_indicator(g: Automaton, geic: Automaton) -> Automaton:
     """Product of the system with its constrained insertion automaton.
@@ -380,23 +396,4 @@ def check_eic_enforceable(g: Automaton, c: InsertionConstraints) -> EnforcementR
     components.  Both read one ``relations``; the trim prunes its two classes
     of phases, and a phase keeps what its class keeps.
     """
-    kernel = _EicKernel(g, c)
-    before, after = kernel.before, kernel.after
-    _, scc, reach, _ = kernel._reach(after)
-    start = reach[scc[kernel.x0]] if kernel.entered else 1 << kernel.x0
-    relays = kernel.relays(before, after)
-    resting = kernel.forward(before, relays, start)
-    win = kernel.relay_game(before, relays)
-
-    def phases() -> tuple[list[int], Callable[[list[int]], list[int]]]:
-        relations = kernel.relations()
-
-        def verifier(reachable: list[int]) -> list[int]:
-            n = kernel.n
-            merged = [p | q for p, q in zip(reachable, reachable[n:])]  # plain | a, .., b | ab
-            kept = _trim(relations, merged[:n] + merged[2 * n :])
-            return [mask & keep for mask, keep in zip(reachable, kept[:n] * 2 + kept[n:] * 2)]
-
-        return kernel.phase_masks(relations, resting), verifier
-
-    return EnforcementReport(kernel, resting, win, phases)
+    return _EicKernel(g, c).decide()

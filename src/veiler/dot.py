@@ -18,7 +18,7 @@ from typing import Collection, Iterator, Sequence
 
 from .fsm import Automaton, EventLabel, sorted_labels, state_display
 from .insertion import EnforcementReport
-from .report import _column_table
+from .report import _column_table, _name_order
 
 
 def _quote(text: str) -> str:
@@ -60,28 +60,26 @@ def _label_attrs(labels: Sequence[EventLabel]) -> tuple[list[int], list[str]]:
     return label_rank, attrs
 
 
-def _ranked_digraph(
-    name: str, report: EnforcementReport, ranked: tuple[list[int], list[int]]
-) -> Iterator[str]:
+def _ranked_digraph(name: str, report: EnforcementReport) -> Iterator[str]:
     """The DOT text of the reachable pairs of ``report`` and their moves,
-    in ``emit_dot``'s layout, where ``ranked``, ``_name_order`` of its
-    kernel, orders their names: the header, then a chunk per dummy d, in
-    order, of d's nodes, the start arrow, a chunk per dummy of d's edges,
-    and the closing brace.
+    in ``emit_dot``'s layout, in the order of their names (``_name_order``
+    of its kernel): the header, then a chunk per dummy d, in order, of d's
+    nodes, the start arrow, a chunk per dummy of d's edges, and the
+    closing brace.
 
     A quoted pair name is its dummy's opening and its actual state's
     closing (``name_parts``), each quoted once.  The nodes of d are one
     join of closings, with their fills, that d's 0/1 column of the three
     fill classes' stacked masks picks.  Every move of a pair (d, a) on the
     event e goes to the dummy delta(d, e), whatever a is, so d's edges to
-    the dummy t are those over the events E that take d to t, and their
-    order, by (actual state, label), depends on a and E alone: each (a, E)
-    list of line ends is made once, and each (source, t) group is one join
-    by ``'  "(d,a)" -> "(t,'``.
+    the dummy t are the kernel's ``arcs`` of a over the events E that take
+    d to t, and their order, by (actual state, label), depends on a and E
+    alone: each (a, E) list of line ends is made once, and each (source, t)
+    group is one join by ``'  "(d,a)" -> "(t,'``.
     """
     kernel = report.kernel
-    n, k, width, delta = kernel.n, kernel.k, kernel.width, kernel.delta
-    dummies, actuals = ranked
+    n, width, delta, arcs = kernel.n, kernel.width, kernel.delta, kernel.arcs
+    dummies, actuals = _name_order(kernel)
     openings = [_quote(opening)[:-1] for opening in kernel.name_parts[0]]
     closings = [_quote(closing)[1:] for closing in kernel.name_parts[1]]
     yield _header(name)
@@ -107,27 +105,16 @@ def _ranked_digraph(
         dummy_rank[d] = r
     for r, a in enumerate(actuals):
         actual_rank[a] = r
-    kinds = [(sum(1 << e for e in symbols), shift) for symbols, shift in kernel.kinds]
 
     def tails(a: int, events: int) -> list[str]:
         """The line ends of the edges of a pair (d, a) over ``events``, a
         bitmask, in order, after an empty one, so a join by a group's
         opening puts it before each; empty where there is no edge."""
-        row = delta[a % n]
-        found = [
-            (actual_rank[row[e]], label_rank[e], closings[row[e]] + ends[e])
-            for e in range(k)
-            if events >> e & 1 and row[e] >= 0
-        ]
-        for kind, (symbols, shift) in enumerate(kinds, 1):
-            b, common = shift[a], events & symbols
-            if b >= 0 and common:
-                found += [
-                    (actual_rank[b], label_rank[j], closings[b] + ends[j])
-                    for e, j in enumerate(range(kind * k, kind * k + k))
-                    if common >> e & 1
-                ]
-        found.sort()
+        found = sorted(
+            (actual_rank[b], label_rank[j], closings[b] + ends[j])
+            for j, e, b in arcs[a]
+            if events >> e & 1
+        )
         return [""] + [tail for _, _, tail in found] if found else []
 
     known: list[dict[int, list[str]]] = [{} for _ in range(width)]

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from functools import cached_property
 from operator import itemgetter
-from typing import Callable, Collection, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
+from typing import Collection, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .fsm import (
     Automaton,
@@ -219,7 +219,8 @@ def _trim(relations: _Relations, reachable: list[int]) -> list[int]:
 
 
 class _PairKernel:
-    """The indicator of a deterministic system on dense integer ids.
+    """The indicator of a deterministic system on dense integer ids, and
+    the one decision of EI and EIC on it (``decide``).
 
     States of g, in display order, become ids 0..n-1 and its actual labels
     ids 0..k-1; ``delta[x][e]`` is the successor of x on e, or -1 where the
@@ -230,15 +231,17 @@ class _PairKernel:
     event of its alphabet, and shifts the phase through its table, where -1
     means forbidden.  Label index ``j*k + e`` over ``edge_labels`` names a
     move on e of kind j, kind 0 being solid.  Unconstrained insertion has
-    one phase and one kind: every event, the phase unchanged.  ``moves``
-    lists the moves of one pair, for the library's search and
-    ``automaton``; ``condensed`` holds the moves of EI's dashed components
-    as relations on dummies, for ``_trim``, as the constrained kernel's
-    ``relations`` holds those of its two classes of phases.  A set of pairs
-    is held as one bitmask of dummies per actual state, bit d of entry a for
-    the pair ``d*width + a``.  Pair objects are made only by ``objects``,
-    when a report's pair field is first read, and pair names only by
-    ``name_parts``, for output.
+    one phase and one kind, every event with the phase unchanged: its
+    ``before`` and ``after`` alphabets are every label, and ``entered`` is
+    true, as the believed state may walk from x0 before the first output.
+    ``arcs`` lists the moves of every actual state, which ``moves`` filters
+    by a dummy, for the library's search and ``automaton``, and the DOT
+    file by event sets.  A report reads its pairs through two methods that
+    the constrained kernel overrides: ``reachable_masks`` and
+    ``verifier_masks``.  A set of pairs is held as one bitmask of dummies
+    per actual state, bit d of entry a for the pair ``d*width + a``.  Pair
+    objects are made only by ``objects``, when a report's pair field is
+    first read, and pair names only by ``name_parts``, for output.
     """
 
     def __init__(self, g: Automaton) -> None:
@@ -260,6 +263,8 @@ class _PairKernel:
         self.x0 = index[x0]
         self.secret = {index[x] for x in g.secret}
         self._reaches: dict[tuple, tuple] = {}
+        self.before = self.after = range(k)
+        self.entered = True
         width = self.width = len(self._PHASES) * n
         self.start = self.x0 * width + self.x0
 
@@ -290,18 +295,18 @@ class _PairKernel:
         return _pair_name_parts(names, actuals)
 
     @cached_property
-    def _move_tables(self) -> tuple[list, list]:
-        """The solid moves of every dummy d, and each kind's phase table with
-        the insertions of every dummy d, as (label index, target dummy times
-        width): built on the first call of ``moves``, the one reader."""
-        width = self.width
-        solid = [[(e, y * width) for e, y in enumerate(row) if y >= 0] for row in self.delta]
-        inserts = [
-            (shift, [[(j * self.k + e, row[e] * width) for e in symbols if row[e] >= 0]
-                     for row in self.delta])
-            for j, (symbols, shift) in enumerate(self.kinds, 1)
-        ]
-        return solid, inserts
+    def arcs(self) -> list[list[tuple[int, int, int]]]:
+        """The moves of every actual state a, as (label index, event, target
+        actual state): the pair (d, a) makes each whose event d enables, to
+        the dummy delta(d, event).  Built on first read."""
+        k = self.k
+        arcs = [[(e, e, y) for e, y in enumerate(self.delta[a % self.n]) if y >= 0]
+                for a in range(self.width)]
+        for j, (symbols, shift) in enumerate(self.kinds, 1):
+            for a, b in enumerate(shift):
+                if b >= 0:
+                    arcs[a] += [(j * k + e, e, b) for e in symbols]
+        return arcs
 
     def edge_labels(self) -> list[EventLabel]:
         """The label of every label index, made only for output."""
@@ -312,17 +317,12 @@ class _PairKernel:
 
     def moves(self, p: int) -> Iterator[tuple[int, int]]:
         """The moves of the pair ``p``, as (label index, target) pairs."""
-        solid, inserts = self._move_tables
-        d, a = divmod(p, self.width)
-        row_x = self.delta[a % self.n]
-        for e, dummy in solid[d]:
-            if row_x[e] >= 0:
-                yield e, dummy + row_x[e]
-        for shift, table in inserts:
-            b = shift[a]
-            if b >= 0:
-                for j, dummy in table[d]:
-                    yield j, dummy + b
+        width = self.width
+        d, a = divmod(p, width)
+        row = self.delta[d]
+        for j, e, b in self.arcs[a]:
+            if row[e] >= 0:
+                yield j, row[e] * width + b
 
     def search(self) -> dict[int, list[int]]:
         """The pairs reachable from the initial pair, each mapped to its
@@ -552,6 +552,34 @@ class _PairKernel:
             relayed[x] |= fresh
         return found
 
+    def decide(self) -> EnforcementReport:
+        """The verdict on g, with the pairs behind it: the resting pairs
+        that ``forward`` reaches from AReach(x0), or from x0 alone where
+        ``entered`` is false, and the staying dummies of ``relay_game``,
+        both over the relays of the ``before`` and ``after`` alphabets."""
+        before, after = self.before, self.after
+        _, scc, reach, _ = self._reach(after)
+        start = reach[scc[self.x0]] if self.entered else 1 << self.x0
+        relays = self.relays(before, after)
+        resting, win = self.forward(before, relays, start), self.relay_game(before, relays)
+        return EnforcementReport(self, resting, win)
+
+    def reachable_masks(self, resting: list[int]) -> list[int]:
+        """The reachable pairs, from the resting ones: without constraints
+        every pair rests."""
+        return resting
+
+    def verifier_masks(self, reachable: list[int]) -> list[int]:
+        """The pairs of ``reachable`` that pruning keeps: ``_trim`` of the
+        dashed components, ``condensed``'s pairs.  A component is reachable
+        when the first member of its SCC is, and kept with all its members."""
+        components, scc, _, members = self._reach(range(self.k))
+        firsts = sum(1 << group[0] for group in components)
+        bits = [1 << c for c in scc]
+        groups = [_union(mask & firsts, bits) for mask in reachable]
+        kept = _trim(self.condensed(), groups)
+        return reachable if kept is groups else [_union(mask, members) for mask in kept]
+
 
 def build_indicator(g: Automaton, gf: Automaton) -> Automaton:
     """Product of the system with its insertion automaton.
@@ -738,14 +766,12 @@ class EnforcementReport:
     dummies ``win``: a state of g is covered when a resting pair on it
     stays and has a dummy the observer would not flag.  What only output
     reads is built on first read and kept.  The pairs, one bitmask of
-    dummies per actual state: ``reachable``, the indicator's, from one call
-    of ``phases``, which returns them with the function that prunes them;
-    ``staying_masks``, its resting pairs in ``win``; ``admissible_masks``,
-    those whose dummy is not secret; and ``verifier_masks``, the pairs
-    pruning keeps (the staying pairs need not lie in them when g can halt),
-    from one call of that function on ``reachable``.  Each function is
-    dropped after its call, with what it holds, as EIC's relations over
-    two classes of phases, whose pruning each phase shares.  Then
+    dummies per actual state: ``reachable``, the indicator's, the kernel's
+    ``reachable_masks`` of the resting pairs; ``staying_masks``, its
+    resting pairs in ``win``; ``admissible_masks``, those whose dummy is
+    not secret; and ``verifier_masks``, the pairs pruning keeps (the
+    staying pairs need not lie in them when g can halt), the kernel's
+    ``verifier_masks`` of ``reachable``.  Then
     ``unreachable_actual_states`` and the pair fields ``verifier``,
     ``staying_nonblocking`` and ``admissible``.  ``staying_nonblocking`` is
     a set of pairs, or under constraints a mapping from each staying pair
@@ -754,16 +780,9 @@ class EnforcementReport:
     from the masks.
     """
 
-    def __init__(
-        self,
-        kernel: _PairKernel,
-        resting: list[int],
-        win: list[int],
-        phases: Callable[[], tuple[list[int], Callable[[list[int]], list[int]]]],
-    ) -> None:
+    def __init__(self, kernel: _PairKernel, resting: list[int], win: list[int]) -> None:
         self.kernel = kernel
         self._resting, self._win = resting, win
-        self._phases = phases
         secret = sum(1 << d for d in kernel.secret)
         self.uncovered_actual_states = frozenset(
             x for x, mask, won in zip(kernel.states, resting, win) if not mask & won & ~secret
@@ -772,9 +791,7 @@ class EnforcementReport:
 
     @cached_property
     def reachable(self) -> list[int]:
-        masks, self._verifier = self._phases()
-        del self._phases
-        return masks
+        return self.kernel.reachable_masks(self._resting)
 
     @cached_property
     def staying_masks(self) -> list[int]:
@@ -789,10 +806,7 @@ class EnforcementReport:
 
     @cached_property
     def verifier_masks(self) -> list[int]:
-        reachable = self.reachable  # sets the verifier function
-        masks = self._verifier(reachable)
-        del self._verifier
-        return masks
+        return self.kernel.verifier_masks(self.reachable)
 
     @cached_property
     def unreachable_actual_states(self) -> frozenset:
@@ -840,18 +854,4 @@ def check_ei_enforceable(g: Automaton) -> EnforcementReport:
     is reachable when the first member of its SCC is, and kept with all its
     members.
     """
-    kernel = _PairKernel(g)
-    everything = range(kernel.k)
-    components, scc, reach, members = kernel._reach(everything)
-    relays = kernel.relays(everything, everything)
-    resting = kernel.forward(everything, relays, reach[scc[kernel.x0]])
-    win = kernel.relay_game(everything, relays)
-
-    def verifier(reachable: list[int]) -> list[int]:
-        firsts = sum(1 << group[0] for group in components)
-        bits = [1 << c for c in scc]
-        groups = [_union(mask & firsts, bits) for mask in reachable]
-        kept = _trim(kernel.condensed(), groups)
-        return reachable if kept is groups else [_union(mask, members) for mask in kept]
-
-    return EnforcementReport(kernel, resting, win, lambda: (resting, verifier))
+    return _PairKernel(g).decide()

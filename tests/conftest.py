@@ -15,8 +15,9 @@ from veiler.constrained import (
     eic_admissible_states,
     find_staying_eic_nonblocking,
 )
-from veiler.fsm import Automaton, state_display
+from veiler.fsm import Automaton, sorted_labels, state_display
 from veiler.insertion import (
+    IndicatorState,
     admissible_states,
     build_indicator,
     build_insertion_automaton,
@@ -84,6 +85,37 @@ class StagedReport(NamedTuple):
         payload["uncovered_actual_states"] = _displays(self.uncovered_actual_states)
         payload["unreachable_actual_states"] = _displays(self.unreachable_actual_states)
         return payload
+
+
+def _naive_indicator(g: Automaton, gi: Automaton) -> Automaton:
+    """The indicator of g and ``gi``, its insertion automaton, EI's or
+    EIC's, built pair by pair: on each label of either, the dummy steps in
+    g on the label's event and the actual state steps in ``gi``."""
+    (x0,) = g.initial
+    start = IndicatorState(x0, x0)
+    labels = sorted_labels(g.events | gi.events)
+    states, frontier, transitions = {start}, [start], {}
+    while frontier:
+        pair = frontier.pop()
+        for label in labels:
+            for dummy in g.step(pair.dummy, label.as_actual()):
+                for act in gi.step(pair.actual, label):
+                    target = IndicatorState(dummy, act)
+                    transitions[(pair, label)] = frozenset({target})
+                    if target not in states:
+                        states.add(target)
+                        frontier.append(target)
+    secret = frozenset(p for p in states if p.dummy in g.secret)
+    return Automaton(
+        frozenset(states), frozenset(labels), transitions, frozenset({start}), secret
+    )
+
+
+@pytest.fixture
+def naive_indicator() -> Callable[[Automaton, Automaton], Automaton]:
+    """The indicator built pair by pair: the reference for
+    ``build_indicator`` and ``build_eic_indicator``."""
+    return _naive_indicator
 
 
 @pytest.fixture

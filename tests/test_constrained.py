@@ -21,8 +21,8 @@ from veiler.constrained import (
     find_staying_eic_nonblocking,
 )
 from veiler.dot import emit_dot
-from veiler.fsm import Automaton, Tag, sorted_labels, state_display, word
-from veiler.insertion import IndicatorState, check_ei_enforceable
+from veiler.fsm import Automaton, Tag, state_display, word
+from veiler.insertion import check_ei_enforceable
 from veiler.oracle import random_constraints, random_dfa
 from veiler.report import eic_report, to_json
 from veiler.textio import emit_automaton
@@ -47,28 +47,6 @@ X_EVA = [
 
 def displays(states):
     return sorted(state_display(x) for x in states)
-
-
-def naive_indicator(g, geic):
-    """The constrained indicator built pair by pair from g and ``geic``."""
-    (x0,) = g.initial
-    start = IndicatorState(x0, x0)
-    labels = sorted_labels(g.events | geic.events)
-    states, frontier, transitions = {start}, [start], {}
-    while frontier:
-        pair = frontier.pop()
-        for label in labels:
-            for dummy in g.step(pair.dummy, label.as_actual()):
-                for act in geic.step(pair.actual, label):
-                    target = IndicatorState(dummy, act)
-                    transitions[(pair, label)] = frozenset({target})
-                    if target not in states:
-                        states.add(target)
-                        frontier.append(target)
-    secret = frozenset(p for p in states if p.dummy in g.secret)
-    return Automaton(
-        frozenset(states), frozenset(labels), transitions, frozenset({start}), secret
-    )
 
 
 class TestInsertionConstraints:
@@ -286,7 +264,7 @@ def _prune(targets: Mapping[int, list[int]], start: int) -> set[int]:
 
 
 class TestDecisionMasks:
-    def test_the_masks_hold_the_search_and_its_pruning(self):
+    def test_the_masks_hold_the_search_and_its_pruning(self, naive_indicator):
         # verify-eic reads the reachable pairs and the verifier off
         # per-state dummy bitmasks; the pair search, the counter loop over
         # single pairs and the product built pair by pair are the reference.
@@ -436,15 +414,17 @@ class TestCheckEicEnforceable:
         # insert after, so x0 has an after-phase only when a move enters it.
         entered = differ = 0
         for seed in range(1000):
-            g = random_dfa(seed, live=True)
-            symbols = {e.symbol for e in g.events}
-            ei = check_ei_enforceable(g).enforceable
-            eic = check_eic_enforceable(g, InsertionConstraints.of(symbols, symbols)).enforceable
-            if any(g.initial <= targets for targets in g.transitions.values()):
-                entered += 1
-                assert ei == eic, seed
-            else:
-                differ += ei != eic
+            for live in (True, False):
+                g = random_dfa(seed, live=live)
+                symbols = {e.symbol for e in g.events}
+                ei = check_ei_enforceable(g)
+                eic = check_eic_enforceable(g, InsertionConstraints.of(symbols, symbols))
+                if any(g.initial <= targets for targets in g.transitions.values()):
+                    entered += 1
+                    assert ei.enforceable == eic.enforceable, (seed, live)
+                    assert ei.uncovered_actual_states == eic.uncovered_actual_states, (seed, live)
+                else:
+                    differ += ei.enforceable != eic.enforceable
         # Most systems re-enter x0, and the rule does decide some others.
         assert entered > 700 and differ > 0
 
@@ -459,7 +439,7 @@ class TestCheckEicEnforceable:
             assert frozenset(report.staying_nonblocking) <= report.verifier.states
             assert report.admissible <= frozenset(report.staying_nonblocking)
 
-    def test_matches_the_staged_reference(self, staged_eic_report, capsys, tmp_path):
+    def test_matches_the_staged_reference(self, staged_eic_report, naive_indicator, capsys, tmp_path):
         # The decision runs on interned pair ids; the paper's stages, and a
         # product built pair by pair for the indicator, are the reference.
         subsets = [frozenset(s for i, s in enumerate("abc") if mask >> i & 1) for mask in range(8)]

@@ -5,14 +5,14 @@ import json
 import random
 from pathlib import Path
 
-from veiler.cli import EXIT_NOT_ENFORCEABLE, _drawing, cli_main
+from veiler.cli import EXIT_NOT_ENFORCEABLE, cli_main
 from veiler.constrained import (
     DecoratedState,
     Decoration,
     InsertionConstraints,
     check_eic_enforceable,
 )
-from veiler.dot import _FILLS, emit_dot
+from veiler.dot import _FILLS, _ranked_digraph, emit_dot
 from veiler.fsm import Automaton, sorted_labels, state_display
 from veiler.insertion import (
     _count,
@@ -254,7 +254,7 @@ class TestTheNaiveRenderer:
             expected = _naive_digraph(
                 name, rows, _FILL_OF_CODE, (kernel.start,), kernel.moves, kernel.edge_labels()
             )
-            assert "".join(_drawing(name, report)) == expected, name
+            assert "".join(_ranked_digraph(name, report)) == expected, name
             drawn += 1
             shared += len({row[0] for row in rows}) < len(rows)
         assert drawn == 258 and shared == 0
@@ -282,7 +282,7 @@ class TestTheNaiveRenderer:
         for name, report in itertools.chain(self._reports(), self._hostile_reports()):
             kernel = report.kernel
             rows = _naive_rows(report)
-            text = "".join(_drawing(name, report))
+            text = "".join(_ranked_digraph(name, report))
             expected = _naive_digraph(
                 name, rows, _FILL_OF_CODE, (kernel.start,), kernel.moves, kernel.edge_labels(),
             )
@@ -369,7 +369,7 @@ class TestPairNames:
             # The DOT file declares each reachable pair once.
             nodes = [
                 line.split(" [")[0].rstrip(";")
-                for line in "".join(_drawing(name, report)).splitlines()
+                for line in "".join(_ranked_digraph(name, report)).splitlines()
                 if line.startswith('  "') and " -> " not in line
             ]
             assert len(set(nodes)) == len(nodes) == _count(report.reachable), name

@@ -337,7 +337,7 @@ class TestImageTables:
 
 
 class TestForwardMasks:
-    def test_the_masks_hold_the_search_and_the_staged_verifier(self):
+    def test_the_masks_hold_the_search_and_the_staged_verifier(self, naive_indicator):
         # verify-ei reads the reachable pairs off per-state dummy bitmasks
         # and prunes the dashed components on them; the pair search and the
         # paper's staged pruning are the reference.
@@ -355,6 +355,7 @@ class TestForwardMasks:
             searched = kernel.search()
             assert kernel.ids(report.reachable) == sorted(searched), seed
             ia = build_indicator(g, build_insertion_automaton(g))
+            assert ia == naive_indicator(g, build_insertion_automaton(g)), seed
             staged = build_verifier(ia, g).states
             pairs = kernel.objects(kernel.ids(report.verifier_masks)).values()
             assert frozenset(pairs) == staged, seed

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from veiler.cli import _drawing
 from veiler.constrained import InsertionConstraints, check_eic_enforceable
+from veiler.dot import _ranked_digraph
 from veiler.fsm import Automaton
 from veiler.insertion import _count, check_ei_enforceable
 from veiler.oracle import oracle_ei_enforceable, oracle_eic_enforceable, random_dfa
@@ -120,8 +120,8 @@ class TestPairLists:
             lambda: ei_report("g", ei),
             lambda: eic_report("g", eic, c),
             lambda: _verify_payload("g", eic, c),
-            lambda: "".join(_drawing("g", ei)),
-            lambda: "".join(_drawing("g", eic)),
+            lambda: "".join(_ranked_digraph("g", ei)),
+            lambda: "".join(_ranked_digraph("g", eic)),
         ]
         for render in renderers:
             with pytest.raises(ValueError, match="^two states display as '1'"):
