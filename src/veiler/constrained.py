@@ -29,8 +29,8 @@ from .insertion import (
     _greatest_fixpoint,
     _images,
     _PairKernel,
+    _prune,
     _Relations,
-    _restrict,
     _tables,
     _trim,
     _walk,
@@ -328,15 +328,7 @@ def build_eic_verifier(eia: Automaton) -> Automaton:
     Deleting a state deletes its incoming edges, which can leave a
     predecessor with no moves; the loop runs until nothing more dies.
     """
-    current = eia
-    while True:
-        trapping = find_eic_trapping_states(current)
-        if not trapping:
-            break
-        current = _restrict(current, current.states - trapping)
-        if not current.initial:
-            return _restrict(current, frozenset())
-    return current.accessible_part()
+    return _prune(eia, find_eic_trapping_states)
 
 
 def find_staying_eic_nonblocking(ev: Automaton, g: Automaton) -> Mapping:

@@ -8,12 +8,13 @@ renderers give the text in one layout.  ``_ranked_digraph`` draws the
 CLI's indicators a dummy at a time, in name order, straight from the
 report's bitmasks, with no sort of the edges, and in chunks, so the CLI
 writes a file without holding its whole text.  The library's ``emit_dot``
-draws any automaton, whose states may share a name, from one sort of its
-edges.
+draws any automaton, whose states may share a name, by sorting its nodes
+by name and then its edges by the ranks of their ends and labels.
 """
 from __future__ import annotations
 
 from itertools import compress
+from operator import itemgetter
 from typing import Collection, Iterator, Sequence
 
 from .fsm import Automaton, EventLabel, sorted_labels, state_display
@@ -23,16 +24,6 @@ from .report import _column_table, _name_order
 
 def _quote(text: str) -> str:
     return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
-
-
-def _quote_all(texts: list[str]) -> list[str]:
-    """``_quote`` of every text; in one pass over their join when no text
-    holds the newline that joins them."""
-    joined = "\n".join(texts)
-    if joined.count("\n") != len(texts) - 1:
-        return [_quote(text) for text in texts]
-    escaped = joined.replace("\\", "\\\\").replace('"', '\\"')
-    return ('"' + escaped.replace("\n", '"\n"') + '"').split("\n")
 
 
 # Node attributes: plain, staying-nonblocking (red), pruned (green).
@@ -153,42 +144,30 @@ def emit_dot(
     drawn (a pruned state is usually absent from the pruned automaton, so
     callers pass the pre-pruning automaton when they want both).
 
-    Nodes sort by (name, fill) and edges by (source, target, label text,
-    inserted), all by name, so states of one name are drawn as one source.
-    A state's rank is that of its name: the index of the name's first node,
-    times the number of labels (at least 1).  An edge from s to t is the int
-    rank(s) times the number of states, plus rank(t) and its label's rank,
-    so one sort of the ints orders the edges.
+    Nodes sort by (name, fill).  A state's rank is that of its name: the
+    index of the name's first node, so states of one name are drawn as one
+    source.  Edges sort by (source rank, target rank, label rank).
     """
     labels = sorted_labels(a.events)
     label_rank, attrs = _label_attrs(labels)
-    index = {e: label_rank[j] for j, e in enumerate(labels)}
-    width = len(labels) or 1
+    rank_of_label = dict(zip(labels, label_rank))
     nonblocking, pruned = set(nonblocking), set(pruned)
-    states = list(a.states)
-    rows = sorted(
-        (state_display(x), 1 if x in nonblocking else 2 if x in pruned else 0, i)
-        for i, x in enumerate(states)
-    )
-    texts = [text for text, _, _ in rows]
-    quoted = _quote_all(texts)
-    rank = [0] * len(rows)
-    for r, (text, _, i) in enumerate(rows):
-        rank[i] = rank[rows[r - 1][2]] if r and text == texts[r - 1] else r * width
-    ids = {x: i for i, x in enumerate(states)}
-    keys = sorted(
-        rank[ids[x]] * len(rows) + rank[ids[y]] + index[e]
+    nodes = [
+        (state_display(x), 1 if x in nonblocking else 2 if x in pruned else 0, x)
+        for x in a.states
+    ]
+    nodes.sort(key=itemgetter(0, 1))
+    quoted = [_quote(text) for text, _, _ in nodes]
+    first: dict[str, int] = {}
+    rank = {x: first.setdefault(text, r) for r, (text, _, x) in enumerate(nodes)}
+    edges = sorted(
+        (rank[x], rank[y], rank_of_label[e])
         for (x, e), targets in a.transitions.items()
         for y in targets
     )
-    span = len(rows) * width
     lines = [_header(name)]
-    lines += [f"  {q}{_FILLS[fill]};\n" for q, (_, fill, _) in zip(quoted, rows)]
-    starts = sorted(rank[ids[x]] for x in a.initial)
-    lines += [f"  __start -> {quoted[r // width]};\n" for r in starts]
-    lines += [
-        f"  {quoted[key // span]} -> {quoted[key % span // width]}{attrs[key % width]}"
-        for key in keys
-    ]
+    lines += [f"  {q}{_FILLS[fill]};\n" for q, (_, fill, _) in zip(quoted, nodes)]
+    lines += [f"  __start -> {quoted[r]};\n" for r in sorted(rank[x] for x in a.initial)]
+    lines += [f"  {quoted[s]} -> {quoted[t]}{attrs[j]}" for s, t, j in edges]
     lines.append("}\n")
     return "".join(lines)

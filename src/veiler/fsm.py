@@ -8,6 +8,7 @@ partial: a missing (state, label) entry means the move is undefined.
 from __future__ import annotations
 
 from enum import IntEnum
+from functools import cached_property
 from operator import attrgetter
 from typing import Hashable, Iterable, Mapping, NamedTuple, Sequence
 
@@ -280,24 +281,17 @@ class Automaton(FrozenValue):
         """Successors of x under label e; empty when undefined."""
         return self.transitions.get((x, e), _EMPTY)
 
-    def outgoing(self, x: State) -> Mapping[EventLabel, frozenset]:
-        """Defined moves at x as a label -> successor-set mapping."""
-        try:
-            index = self._outgoing
-        except AttributeError:
-            index = self._index()
-        return index.get(x, {})
-
-    def _index(self) -> dict[State, dict[EventLabel, frozenset]]:
-        """Build and store ``_outgoing``, the per-state index of moves.
-
-        Readers try the plain attribute first, because a class-level lazy
-        property would slow down every later read of it."""
+    @cached_property
+    def _outgoing(self) -> dict[State, dict[EventLabel, frozenset]]:
+        """The per-state index of moves, built on first read."""
         index: dict[State, dict[EventLabel, frozenset]] = {}
         for (x, e), targets in self.transitions.items():
             index.setdefault(x, {})[e] = targets
-        object.__setattr__(self, "_outgoing", index)
         return index
+
+    def outgoing(self, x: State) -> Mapping[EventLabel, frozenset]:
+        """Defined moves at x as a label -> successor-set mapping."""
+        return self._outgoing.get(x, {})
 
     def run(self, source: State, s: Sequence[str | EventLabel]) -> frozenset:
         """All states reachable from source via exactly s.

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from functools import cached_property
 from operator import itemgetter
-from typing import Collection, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .fsm import (
     Automaton,
@@ -436,7 +436,7 @@ class _PairKernel:
             self._reaches[key] = components, scc, reach, own
         return self._reaches[key]
 
-    def relays(self, before: Sequence[int], after: Sequence[int]) -> list[list[int]]:
+    def relays(self) -> list[list[int]]:
         """``relays[e][c]`` is T_e(d) = AReach(delta_e(BReach(d))) for the
         dummies d of the SCC c of the before-subgraph, as a bitmask.
 
@@ -444,7 +444,7 @@ class _PairKernel:
         and walks on along after-events.  BReach and AReach are reach sets
         in the subgraphs of g on the label ids ``before`` and ``after``.
         """
-        delta = self.delta
+        delta, before, after = self.delta, self.before, self.after
         components, scc, _, _ = self._reach(before)
         _, after_scc, after_reach, _ = self._reach(after)
         then_after = [after_reach[c] for c in after_scc]
@@ -465,22 +465,22 @@ class _PairKernel:
             relays.append(row)
         return relays
 
-    def relay_game(self, before: Sequence[int], relays: list[list[int]]) -> list[int]:
+    def relay_game(self, relays: list[list[int]]) -> list[int]:
         """The staying pairs of g, as one bitmask of dummies per system state.
 
         Bit d of entry x is set when the pair (dummy d, actual x) is in W,
         the greatest set of pairs in which every event e enabled at x has some
-        d'' in T_e(d) (``relays``, on the before-subgraph's SCCs over the
-        label ids ``before``) with (d'', delta_e(x)) in W: the inserter can
-        relay every output forever.  A halted actual state has no event to
-        relay, so all its pairs stay.  T_e is the same for all dummies of one
-        SCC, so each actual state keeps the list of those SCCs still in W.
+        d'' in T_e(d) (``relays``, on the SCCs of the before-subgraph) with
+        (d'', delta_e(x)) in W: the inserter can relay every output forever.
+        A halted actual state has no event to relay, so all its pairs stay.
+        T_e is the same for all dummies of one SCC, so each actual state
+        keeps the list of those SCCs still in W.
         One pass filters each state by all its moves; whenever a bitmask
         shrinks, each move x -e-> it from a state passed already is
         re-filtered by ``relays[e]`` alone, until nothing shrinks.
         """
         n = self.n
-        masks = self._reach(before)[3]
+        masks = self._reach(self.before)[3]
         win = [(1 << n) - 1] * n
         alive = [range(len(masks))] * n
         into: list[list[tuple[int, list[int]]]] = [[] for _ in range(n)]
@@ -505,15 +505,15 @@ class _PairKernel:
                         shrunk.append(z)
         return win
 
-    def forward(self, before: Sequence[int], relays: list[list[int]], start: int) -> list[int]:
+    def forward(self, relays: list[list[int]], start: int) -> list[int]:
         """The resting pairs reachable from the initial pair, plain or in
         the after-phase, as one bitmask of dummies per system state.
 
         U[x0] starts as ``start`` and a move x -e-> y adds T_e(d) (``relays``,
-        on the SCCs of the before-subgraph over the label ids ``before``) to
-        U[y] for each d in U[x].  Under constraints the start is AReach(x0),
-        or x0 alone when no move enters x0, which then has no after-phase;
-        without them it is Reach(x0), and U holds every reachable pair.
+        on the SCCs of the before-subgraph) to U[y] for each d in U[x].
+        Under constraints the start is AReach(x0), or x0 alone when no move
+        enters x0, which then has no after-phase; without them it is
+        Reach(x0), and U holds every reachable pair.
 
         T_e is the same for all dummies of one SCC, so the new dummies of x
         are relayed once per SCC, found by any member's bit: U[x] need not
@@ -521,7 +521,7 @@ class _PairKernel:
         skipped, and the SCCs are found only for a move that is not.
         """
         n, delta = self.n, self.delta
-        _, scc, _, own = self._reach(before)
+        _, scc, _, own = self._reach(self.before)
         full = (1 << n) - 1
         found = [0] * n
         relayed = [0] * n
@@ -557,12 +557,10 @@ class _PairKernel:
         that ``forward`` reaches from AReach(x0), or from x0 alone where
         ``entered`` is false, and the staying dummies of ``relay_game``,
         both over the relays of the ``before`` and ``after`` alphabets."""
-        before, after = self.before, self.after
-        _, scc, reach, _ = self._reach(after)
+        _, scc, reach, _ = self._reach(self.after)
         start = reach[scc[self.x0]] if self.entered else 1 << self.x0
-        relays = self.relays(before, after)
-        resting, win = self.forward(before, relays, start), self.relay_game(before, relays)
-        return EnforcementReport(self, resting, win)
+        relays = self.relays()
+        return EnforcementReport(self, self.forward(relays, start), self.relay_game(relays))
 
     def reachable_masks(self, resting: list[int]) -> list[int]:
         """The reachable pairs, from the resting ones: without constraints
@@ -678,6 +676,16 @@ def _restrict(a: Automaton, keep: frozenset) -> Automaton:
     return Automaton(keep, a.events, transitions, a.initial & keep, a.secret & keep)
 
 
+def _prune(a: Automaton, dead: Callable[[Automaton], frozenset]) -> Automaton:
+    """Remove the states ``dead`` names until it names none, then keep the
+    accessible part; empty once the initial state falls."""
+    while doomed := dead(a):
+        a = _restrict(a, a.states - doomed)
+        if not a.initial:
+            return _restrict(a, frozenset())
+    return a.accessible_part()
+
+
 def build_verifier(ia: Automaton, g: Automaton) -> Automaton:
     """Iteratively prune trapping SCCs, then keep the accessible part.
 
@@ -685,19 +693,11 @@ def build_verifier(ia: Automaton, g: Automaton) -> Automaton:
     SCC; the loop runs to a fixpoint.  If the initial pair itself is pruned
     the verifier is empty and enforceability fails downstream.
     """
-    current = ia
-    while True:
-        partition = partition_subspaces(current)
-        trapping = find_trapping_sccs(current, partition, g)
-        if not trapping:
-            break
-        doomed = set()
-        for component in trapping:
-            doomed |= component
-        current = _restrict(current, current.states - frozenset(doomed))
-        if not current.initial:
-            return _restrict(current, frozenset())
-    return current.accessible_part()
+
+    def trapped(a: Automaton) -> frozenset:
+        return frozenset().union(*find_trapping_sccs(a, partition_subspaces(a), g))
+
+    return _prune(ia, trapped)
 
 
 def _walk(a: Automaton, start: State, keep: Tag) -> set:

@@ -180,8 +180,8 @@ def _encode(value: object, indent: str, out: list[str]) -> None:
     """Append to ``out`` the text ``json.dumps(..., sort_keys=True,
     indent=2)`` gives ``value`` when nested at ``indent``.
 
-    Dict keys must be strings.  A list of strings and a map to plain ints
-    are each written with one join, and ``_Json`` text as it is.
+    Dict keys must be strings.  A list of strings is written with one
+    join, and ``_Json`` text as it is.
     """
     if isinstance(value, str):
         out.append(value if type(value) is _Json else _string(value))
@@ -198,16 +198,11 @@ def _encode(value: object, indent: str, out: list[str]) -> None:
             out.append("{}")
             return
         inner = indent + "  "
-        keys = sorted(value)
-        if all(type(value[key]) is int for key in keys):
-            # A map to plain ints, as the typed staying pairs, is one join.
-            out.append("{\n" + ",\n".join([f"{inner}{_string(key)}: {value[key]}" for key in keys]))
-        else:
-            separator = "{\n"
-            for key in keys:
-                out.append(separator + inner + _string(key) + ": ")
-                _encode(value[key], inner, out)
-                separator = ",\n"
+        separator = "{\n"
+        for key in sorted(value):
+            out.append(separator + inner + _string(key) + ": ")
+            _encode(value[key], inner, out)
+            separator = ",\n"
         out.append("\n" + indent + "}")
     elif isinstance(value, (list, tuple)):
         if not value:

@@ -806,29 +806,55 @@ STAGED = {
 }
 
 
+def _forbid(monkeypatch, original, forbidden) -> None:
+    """Put ``forbidden`` in place of ``original`` under every name a veiler
+    module holds it by."""
+    modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "veiler"]
+    for module in modules:
+        for attr, value in list(vars(module).items()):
+            if value is original:
+                monkeypatch.setattr(module, attr, forbidden)
+
+
+def _run_every_command(tmp_path) -> None:
+    """The four commands on g1 and partial, with and without ``--json``,
+    each verify command's DOT file equal to its golden."""
+    dot = tmp_path / "ei.dot"
+    assert cli_main(["verify-ei", G1, "--json", "--dot", str(dot)]) == EXIT_OK
+    assert dot.read_bytes() == (DATA / "g1-ei.dot").read_bytes()
+    dot = tmp_path / "eic.dot"
+    argv = ["verify-eic", G1, "--insert-before", "b,c", "--insert-after", "a"]
+    assert cli_main(argv + ["--dot", str(dot)]) == EXIT_OK
+    assert dot.read_bytes() == (DATA / "g1-eic.dot").read_bytes()
+    for mode in ([], ["--eic"]):
+        assert cli_main(["oracle-check", *mode, "--seed", "0", "--count", "4"]) == EXIT_OK
+    for path in (G1, PARTIAL):
+        for mode in ([], ["--json"]):
+            assert cli_main(["check-opacity", path, *mode]) == EXIT_NOT_OPAQUE
+
+
 class TestDecisionPath:
     def test_no_command_calls_a_staged_stage(self, capsys, monkeypatch, tmp_path):
         def forbidden(*args, **kwargs):
             raise AssertionError("a staged stage ran on the decision path")
 
-        modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "veiler"]
         for layer, names in STAGED.items():
             for name in names:
                 original = getattr(importlib.import_module(f"veiler.{layer}"), name)
-                for module in modules:
-                    for attr, value in list(vars(module).items()):
-                        if value is original:
-                            monkeypatch.setattr(module, attr, forbidden)
+                _forbid(monkeypatch, original, forbidden)
+        _run_every_command(tmp_path)
 
-        dot = tmp_path / "ei.dot"
-        assert cli_main(["verify-ei", G1, "--json", "--dot", str(dot)]) == EXIT_OK
-        assert dot.read_bytes() == (DATA / "g1-ei.dot").read_bytes()
-        dot = tmp_path / "eic.dot"
-        argv = ["verify-eic", G1, "--insert-before", "b,c", "--insert-after", "a"]
-        assert cli_main(argv + ["--dot", str(dot)]) == EXIT_OK
-        assert dot.read_bytes() == (DATA / "g1-eic.dot").read_bytes()
-        for mode in ([], ["--eic"]):
-            assert cli_main(["oracle-check", *mode, "--seed", "0", "--count", "4"]) == EXIT_OK
+    def test_no_command_calls_a_library_only_path(self, capsys, monkeypatch, tmp_path):
+        # emit_dot and the automaton's move index serve library callers
+        # only, and are written plainly, not for speed: a command that
+        # calls one of them again must show on the benchmark first.
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a library-only path ran in a command")
+
+        _forbid(monkeypatch, emit_dot, forbidden)
+        for method in ("outgoing", "enabled_events", "accessible_part"):
+            monkeypatch.setattr(Automaton, method, forbidden)
+        _run_every_command(tmp_path)
 
     def test_the_verify_commands_build_no_pair_object(self, capsys, monkeypatch, tmp_path):
         # The CLI renders from pair ids: no pair or decorated state object,

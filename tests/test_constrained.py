@@ -23,7 +23,7 @@ from veiler.constrained import (
 from veiler.dot import emit_dot
 from veiler.fsm import Automaton, Tag, state_display, word
 from veiler.insertion import check_ei_enforceable
-from veiler.oracle import random_constraints, random_dfa
+from veiler.oracle import oracle_ei_enforceable, random_constraints, random_dfa
 from veiler.report import eic_report, to_json
 from veiler.textio import emit_automaton
 
@@ -546,3 +546,77 @@ class TestRenamingInvariance:
                 decided[report.enforceable] += 1
         # both verdicts occur often
         assert min(decided.values()) > 100, decided
+
+
+def _decide(g, c):
+    """The EI report of g when ``c`` is None, else the EIC one under ``c``."""
+    return check_ei_enforceable(g) if c is None else check_eic_enforceable(g, c)
+
+
+def _split(g, move, copy):
+    """``g`` with the target y of ``move``, an (x, symbol) pair, split in
+    two bisimilar states: the move now enters ``copy``, a new state with
+    y's secret flag and y's moves.  Every observer sees the same system."""
+    moves = {(x, e.symbol): y for (x, e), (y,) in g.transitions.items()}
+    y = moves[move]
+    split = {**moves, move: copy}
+    split.update({(copy, e): z for (x, e), z in moves.items() if x == y})
+    secret = g.secret | ({copy} if y in g.secret else set())
+    (x0,) = g.initial
+    return Automaton.dfa(g.states | {copy}, g.events, split, x0, secret)
+
+
+class TestSecretAntitonicity:
+    def test_a_smaller_secret_never_uncovers_a_state(self):
+        # A metamorphic check that needs no second decider: every disguise
+        # that hides a state still hides it when a secret state turns
+        # public, so no state becomes uncovered.  EI, and EIC under random
+        # constraints, on live and halting systems of 2 to 10 states.
+        decided = Counter()
+        for seed in range(400):
+            g = random_dfa(seed, n_states=2 + seed % 9, live=seed % 2 == 0)
+            for c in (None, random_constraints(seed, "abc")):
+                uncovered = _decide(g, c).uncovered_actual_states
+                for x in sorted(g.secret):
+                    fewer = Automaton(g.states, g.events, g.transitions, g.initial, g.secret - {x})
+                    smaller = _decide(fewer, c).uncovered_actual_states
+                    assert smaller <= uncovered, (seed, c, x)
+                    decided[smaller < uncovered] += 1
+        # dropping a secret state often covers another
+        assert decided[True] > 100 and sum(decided.values()) > 1200, decided
+
+
+class TestBisimilarSplit:
+    def test_the_verdict_depends_on_how_g_is_presented(self):
+        # 0-a->2, 0-b->1, 0-c->1, 1-c->1, 2-a->2 and 2-b->0, secret {1}, is
+        # EI-enforceable.  Redirect 0-b to 3, a secret copy of 1: an
+        # observer sees the same system, yet 1 is now uncovered.  The
+        # oracle agrees on both, so the per-state reading causes it.
+        g = random_dfa(401, 3, live=True)
+        moves = {(x, e.symbol): y for (x, e), (y,) in g.transitions.items()}
+        assert moves == {
+            (0, "a"): 2, (0, "b"): 1, (0, "c"): 1, (1, "c"): 1, (2, "a"): 2, (2, "b"): 0
+        }
+        assert g.secret == {1}
+        split = _split(g, (0, "b"), 3)
+        assert check_ei_enforceable(g).enforceable and oracle_ei_enforceable(g)
+        report = check_ei_enforceable(split)
+        assert not report.enforceable and not oracle_ei_enforceable(split)
+        assert report.uncovered_actual_states == {1}
+
+    def test_an_enforceable_split_has_an_enforceable_original(self):
+        # The direction that holds: splitting a state never turns "not
+        # enforceable" into "enforceable".  One move of each system, drawn
+        # at random, is redirected into a copy of its target; EI, and EIC
+        # under random constraints, on live and halting systems.
+        outcomes = Counter()
+        for seed in range(600):
+            g = random_dfa(seed, 2 + seed % 8, live=seed % 2 == 1)
+            move = random.Random(seed).choice(sorted((x, e.symbol) for x, e in g.transitions))
+            split = _split(g, move, len(g.states))
+            for mode, c in (("EI", None), ("EIC", random_constraints(seed, "abc"))):
+                original, twin = _decide(g, c).enforceable, _decide(split, c).enforceable
+                assert original or not twin, (mode, seed, move)
+                outcomes[mode, original, twin] += 1
+        # the other direction fails, under EI and EIC
+        assert outcomes["EI", True, False] and outcomes["EIC", True, False], outcomes

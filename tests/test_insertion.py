@@ -445,11 +445,11 @@ def _closure_within(relations, start, kept):
     return found
 
 
-def _relay_game(kernel, before, relays):
+def _relay_game(kernel, relays):
     """The relay game re-testing each surviving SCC against every move at
     once: the reference for ``_PairKernel.relay_game``."""
     n, delta = kernel.n, kernel.delta
-    masks = kernel._reach(before)[3]
+    masks = kernel._reach(kernel.before)[3]
     win = [(1 << n) - 1] * n
     alive = [range(len(masks))] * n
     queue = set(range(n))
@@ -481,12 +481,12 @@ def _kernel_population():
         yield seed, live, g, InsertionConstraints(subsets[seed % 8], subsets[seed // 8 % 8])
 
 
-def _forward(kernel, before, after):
+def _forward(kernel):
     """The kernel's forward from the start its decision uses: Reach(x0)
     for EI, AReach(x0) for EIC, or x0 alone when no move enters x0."""
-    _, scc, reach, _ = kernel._reach(after)
-    start = reach[scc[kernel.x0]] if getattr(kernel, "entered", True) else 1 << kernel.x0
-    return kernel.forward(before, kernel.relays(before, after), start)
+    _, scc, reach, _ = kernel._reach(kernel.after)
+    start = reach[scc[kernel.x0]] if kernel.entered else 1 << kernel.x0
+    return kernel.forward(kernel.relays(), start)
 
 
 class TestKernelShortcuts:
@@ -506,23 +506,21 @@ class TestKernelShortcuts:
                 # every pair kept: the closure one pair and one move at a time
                 everything = [(1 << n) - 1] * kernel.width
                 reachable = _closure_within(one_step, kernel.start, everything)
-                before = kernel.before if mode == "EIC" else range(kernel.k)
-                after = kernel.after if mode == "EIC" else before
                 # the resting pairs: plain, and under constraints after-phase
                 resting = reachable[:n]
                 if kernel.width > n:
                     resting = [p | a for p, a in zip(resting, reachable[n : 2 * n])]
-                assert _forward(kernel, before, after) == resting, (mode, seed)
+                assert _forward(kernel) == resting, (mode, seed)
                 outcomes[mode, live, "partial SCCs"] += any(
                     0 < mask & members != members
                     for mask in resting
-                    for members in kernel._reach(before)[3]
+                    for members in kernel._reach(kernel.before)[3]
                 )
                 kept = _trim(one_step, reachable)
                 assert _closure_within(one_step, kernel.start, kept) == kept, (mode, seed)
-                relays = kernel.relays(before, after)
-                game = _relay_game(kernel, before, relays)
-                assert kernel.relay_game(before, relays) == game, (mode, seed)
+                relays = kernel.relays()
+                game = _relay_game(kernel, relays)
+                assert kernel.relay_game(relays) == game, (mode, seed)
             assert eic.reachable == reachable and eic.verifier_masks == kept, seed
             outcomes["EIC", live, "pruned"] += kept != reachable
             outcomes["EIC", live, "emptied"] += not any(kept)
