@@ -2,15 +2,17 @@
 accessible 3-state, 2-event DFA with every secret set, 13,056 systems.
 
 For each system the EI verdict and the EIC verdicts under all 16 (before,
-after) constraint pairs over {a, b} must equal the oracle's.  The EIC
-report's reachable pairs must equal the pairs the kernel's one-pair search
-reaches, and its verifier the ones a pair-by-pair dead-end removal on that
-search keeps; neither reference shares code with the bitmask phase masks
-or trim.  Two counts are printed: the systems that are EI- but not
-EIC(S, {})-enforceable, S being the whole alphabet, and the violations of
-alphabet monotonicity (a constraint pair enforceable, a pair with one more
-symbol not), which must be 0.  So must the systems that are
-EIC(S, {})- but not EI-enforceable.
+after) constraint pairs over {a, b} must equal the oracle's.  The EI
+report's verifier must hold the states of the paper's staged verifier,
+``build_verifier`` of the staged indicator, which prunes trapping SCCs
+round by round.  The EIC report's reachable pairs must equal the pairs the
+kernel's one-pair search reaches, and its verifier the ones a pair-by-pair
+dead-end removal on that search keeps.  No reference shares code with the
+bitmask relays, phase masks or trim.  Two counts are printed: the systems
+that are EI- but not EIC(S, {})-enforceable, S being the whole alphabet,
+and the violations of alphabet monotonicity (a constraint pair
+enforceable, a pair with one more symbol not), which must be 0.  So must
+the systems that are EIC(S, {})- but not EI-enforceable.
 
 Run from the repository root:
 
@@ -25,7 +27,12 @@ from itertools import product
 
 from veiler.constrained import InsertionConstraints, check_eic_enforceable
 from veiler.fsm import Automaton
-from veiler.insertion import check_ei_enforceable
+from veiler.insertion import (
+    build_indicator,
+    build_insertion_automaton,
+    build_verifier,
+    check_ei_enforceable,
+)
 from veiler.oracle import oracle_ei_enforceable, oracle_eic_enforceable
 
 STATES = range(3)
@@ -85,9 +92,14 @@ def pruned(targets: dict[int, list[int]]) -> set[int]:
 def check(g: Automaton) -> tuple[list[str], dict, bool]:
     """The disagreements on ``g``, its EIC verdicts and its EI verdict."""
     faults = []
-    ei = check_ei_enforceable(g).enforceable
+    report = check_ei_enforceable(g)
+    ei = report.enforceable
     if ei != oracle_ei_enforceable(g):
         faults.append(f"EI verdict {ei}, oracle {not ei}")
+    kernel = report.kernel
+    verifier = kernel.objects(kernel.ids(report.verifier_masks)).values()
+    if set(verifier) != build_verifier(build_indicator(g, build_insertion_automaton(g)), g).states:
+        faults.append("EI verifier differs from the staged verifier")
     verdicts = {}
     for key, c in CONSTRAINTS.items():
         report = check_eic_enforceable(g, c)

@@ -281,17 +281,19 @@ class _EicKernel(_PairKernel):
             after_phase[self.x0] = 0
         return plain + after_phase + _images(before, plain + after_phase)
 
-    def reachable_masks(self, resting: list[int]) -> list[int]:
-        """The four phases' pairs, ``phase_masks`` of the resting ones, over
-        ``relations``, which are kept for ``verifier_masks``."""
-        self._relations = self.relations()
-        return self.phase_masks(self._relations, resting)
+    def reachable_masks(
+        self, resting: list[int], relays: list[list[int]]
+    ) -> tuple[list[int], _Relations]:
+        """The four phases' pairs, ``phase_masks`` of the resting ones, and
+        the ``relations`` they are read over, which their pruning reads
+        too, in place of the relays."""
+        relations = self.relations()
+        return self.phase_masks(relations, resting), relations
 
-    def verifier_masks(self, reachable: list[int]) -> list[int]:
+    def verifier_masks(self, reachable: list[int], relations: _Relations) -> list[int]:
         """What ``_trim`` keeps of ``reachable``, single pairs, over the two
-        classes of phases: a phase keeps what its class keeps, over the
-        relations that ``reachable_masks`` kept, which are dropped here."""
-        relations = vars(self).pop("_relations")
+        classes of phases of ``relations``: a phase keeps what its class
+        keeps."""
         n = self.n
         merged = [p | q for p, q in zip(reachable, reachable[n:])]  # plain | a, .., b | ab
         kept = _trim(relations, merged[:n] + merged[2 * n :])
@@ -385,7 +387,8 @@ def check_eic_enforceable(g: Automaton, c: InsertionConstraints) -> EnforcementR
     when ``reachable`` is first read, and pruning only names the paper's
     verifier, built when ``verifier_masks`` is first read: what ``_trim``
     keeps of the reachable pairs, single pairs as EI prunes its dashed
-    components.  Both read one ``relations``; the trim prunes its two classes
-    of phases, and a phase keeps what its class keeps.
+    components.  Both read one ``relations``, which the report holds from
+    the first read to the second; the trim prunes its two classes of
+    phases, and a phase keeps what its class keeps.
     """
     return _EicKernel(g, c).decide()

@@ -172,10 +172,11 @@ def _trim(relations: _Relations, reachable: list[int]) -> list[int]:
     some move (r, t) of a.  Until the dummies at t shrink, that pre-image is
     the relation's domain; afterwards it is cached per (r, t), and only the
     sources of t are re-tested.  With no pair lacking a move, this is
-    ``reachable`` itself.
+    ``reachable`` itself; with no relation, as a system with no events
+    has, every pair is a dead end.
     """
     succ, arcs = relations
-    n, width = len(succ[0]), len(arcs)
+    width = len(arcs)
     pre = [[sum(1 << d for d, mask in enumerate(row) if mask)] * width for row in succ]
     kept = reachable[:]
     queue: set[int] = set()
@@ -201,7 +202,6 @@ def _trim(relations: _Relations, reachable: list[int]) -> list[int]:
                 sources[t].append(a)
                 into[t].add(r)
     preimages: dict[int, _Tables] = {}
-    spec = f"0{n}b"
     while queue:
         t = queue.pop()
         for r in into[t]:
@@ -209,6 +209,8 @@ def _trim(relations: _Relations, reachable: list[int]) -> list[int]:
                 # Each row as n binary digits, the last dummy's row first:
                 # the digits at a stride of n from i are then, as a
                 # bitmask, the dummies whose row holds target n-1-i.
+                n = len(succ[r])
+                spec = f"0{n}b"
                 rows = "".join([format(mask, spec) for mask in reversed(succ[r])])
                 preimages[r] = _tables([int(rows[i::n], 2) for i in range(n - 1, -1, -1)])
             pre[r][t] = _apply(preimages[r], kept[t])
@@ -237,11 +239,13 @@ class _PairKernel:
     ``arcs`` lists the moves of every actual state, which ``moves`` filters
     by a dummy, for the library's search and ``automaton``, and the DOT
     file by event sets.  A report reads its pairs through two methods that
-    the constrained kernel overrides: ``reachable_masks`` and
-    ``verifier_masks``.  A set of pairs is held as one bitmask of dummies
-    per actual state, bit d of entry a for the pair ``d*width + a``.  Pair
-    objects are made only by ``objects``, when a report's pair field is
-    first read, and pair names only by ``name_parts``, for output.
+    the constrained kernel overrides: ``reachable_masks``, which also gives
+    the basis of their pruning, and ``verifier_masks``, which prunes on it;
+    the report, not the kernel, holds that basis in between.  A set of
+    pairs is held as one bitmask of dummies per actual state, bit d of
+    entry a for the pair ``d*width + a``.  Pair objects are made only by
+    ``objects``, when a report's pair field is first read, and pair names
+    only by ``name_parts``, for output.
     """
 
     def __init__(self, g: Automaton) -> None:
@@ -338,34 +342,6 @@ class _PairKernel:
                     seen.add(t)
                     stack.append(t)
         return targets
-
-    def condensed(self) -> _Relations:
-        """The moves of the unconstrained indicator's dashed components as
-        relations on the SCCs of g, the dummies here: the component
-        SCC_g(d) x {x} is the pair ``c*n + x`` for the SCC c of d.
-
-        Relation e < k maps c to the SCCs of delta(d, e) for d in c, and
-        relation k, insertion, to those one move leaves c for: a dashed move
-        inside c is no escape.  Every system state x moves on (e, delta(x,
-        e)) and (k, x).
-        """
-        k = self.k
-        components, scc, _, _ = self._reach(range(k))
-        succ = [[0] * len(components) for _ in range(k + 1)]
-        escape = succ[k]
-        arcs = []
-        for x, row in enumerate(self.delta):
-            c = scc[x]
-            out = []
-            for e, y in enumerate(row):
-                if y >= 0:
-                    out.append((e, y))
-                    succ[e][c] |= 1 << scc[y]
-                    if scc[y] != c:
-                        escape[c] |= 1 << scc[y]
-            out.append((k, x))
-            arcs.append(out)
-        return succ, arcs
 
     def ids(self, masks: Sequence[int]) -> list[int]:
         """The pair ids of ``masks``, one bitmask of dummies per actual state, in increasing order."""
@@ -556,26 +532,35 @@ class _PairKernel:
         """The verdict on g, with the pairs behind it: the resting pairs
         that ``forward`` reaches from AReach(x0), or from x0 alone where
         ``entered`` is false, and the staying dummies of ``relay_game``,
-        both over the relays of the ``before`` and ``after`` alphabets."""
+        both over the relays of the ``before`` and ``after`` alphabets, which
+        the report keeps for pruning."""
         _, scc, reach, _ = self._reach(self.after)
         start = reach[scc[self.x0]] if self.entered else 1 << self.x0
         relays = self.relays()
-        return EnforcementReport(self, self.forward(relays, start), self.relay_game(relays))
+        return EnforcementReport(self, self.forward(relays, start), self.relay_game(relays), relays)
 
-    def reachable_masks(self, resting: list[int]) -> list[int]:
-        """The reachable pairs, from the resting ones: without constraints
-        every pair rests."""
-        return resting
+    def reachable_masks(
+        self, resting: list[int], relays: list[list[int]]
+    ) -> tuple[list[int], object]:
+        """The reachable pairs, from the resting ones, and the basis of
+        their pruning: without constraints every pair rests, and the trim
+        reads the relays."""
+        return resting, relays
 
-    def verifier_masks(self, reachable: list[int]) -> list[int]:
-        """The pairs of ``reachable`` that pruning keeps: ``_trim`` of the
-        dashed components, ``condensed``'s pairs.  A component is reachable
-        when the first member of its SCC is, and kept with all its members."""
-        components, scc, _, members = self._reach(range(self.k))
+    def verifier_masks(self, reachable: list[int], relays: list[list[int]]) -> list[int]:
+        """The pairs of ``reachable`` that pruning keeps: the dashed
+        components SCC_g(d) x {x} with an infinite path.  Dashed moves only
+        descend g's SCCs, so such a path relays outputs forever, and this is
+        ``_trim`` over the relays, g's SCCs as dummies and each state's
+        moves as arcs.  A component is reachable when the first member of
+        its SCC is, and kept with all its members."""
+        components, scc, _, members = self._reach(self.before)
         firsts = sum(1 << group[0] for group in components)
         bits = [1 << c for c in scc]
+        succ = [[_union(mask & firsts, bits) for mask in row] for row in relays]
+        arcs = [[(e, y) for e, y in enumerate(row) if y >= 0] for row in self.delta]
         groups = [_union(mask & firsts, bits) for mask in reachable]
-        kept = _trim(self.condensed(), groups)
+        kept = _trim((succ, arcs), groups)
         return reachable if kept is groups else [_union(mask, members) for mask in kept]
 
 
@@ -771,7 +756,9 @@ class EnforcementReport:
     resting pairs in ``win``; ``admissible_masks``, those whose dummy is
     not secret; and ``verifier_masks``, the pairs pruning keeps (the
     staying pairs need not lie in them when g can halt), the kernel's
-    ``verifier_masks`` of ``reachable``.  Then
+    ``verifier_masks`` of ``reachable``, on the basis the report holds
+    until then: the decision's relays, or under constraints the relations
+    ``reachable_masks`` swaps them for.  Then
     ``unreachable_actual_states`` and the pair fields ``verifier``,
     ``staying_nonblocking`` and ``admissible``.  ``staying_nonblocking`` is
     a set of pairs, or under constraints a mapping from each staying pair
@@ -780,9 +767,12 @@ class EnforcementReport:
     from the masks.
     """
 
-    def __init__(self, kernel: _PairKernel, resting: list[int], win: list[int]) -> None:
+    def __init__(
+        self, kernel: _PairKernel, resting: list[int], win: list[int], relays: list[list[int]]
+    ) -> None:
         self.kernel = kernel
         self._resting, self._win = resting, win
+        self._basis: object = relays
         secret = sum(1 << d for d in kernel.secret)
         self.uncovered_actual_states = frozenset(
             x for x, mask, won in zip(kernel.states, resting, win) if not mask & won & ~secret
@@ -791,7 +781,8 @@ class EnforcementReport:
 
     @cached_property
     def reachable(self) -> list[int]:
-        return self.kernel.reachable_masks(self._resting)
+        reachable, self._basis = self.kernel.reachable_masks(self._resting, self._basis)
+        return reachable
 
     @cached_property
     def staying_masks(self) -> list[int]:
@@ -806,7 +797,9 @@ class EnforcementReport:
 
     @cached_property
     def verifier_masks(self) -> list[int]:
-        return self.kernel.verifier_masks(self.reachable)
+        reachable = self.reachable
+        basis, self._basis = self._basis, None
+        return self.kernel.verifier_masks(reachable, basis)
 
     @cached_property
     def unreachable_actual_states(self) -> frozenset:
@@ -850,8 +843,7 @@ def check_ei_enforceable(g: Automaton) -> EnforcementReport:
     closure of the relays, and the staying ones those the relay game keeps,
     with every event insertable before and after a relay.  Pruning only
     names the paper's verifier, built when ``verifier_masks`` is first read:
-    ``_trim`` of the dashed components, ``condensed``'s pairs.  A component
-    is reachable when the first member of its SCC is, and kept with all its
-    members.
+    ``_trim`` over the same relays keeps the dashed components that can
+    relay outputs forever.
     """
     return _PairKernel(g).decide()

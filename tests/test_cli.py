@@ -280,6 +280,25 @@ class TestVerifyEi:
         assert '"(1,1)" [style=filled, fillcolor="#e05a4e"];' in text
         assert '"(1,0)" [style=filled, fillcolor="#66bb6a"];' in text
 
+    @pytest.mark.parametrize(
+        "live, lines",
+        [
+            (True, ["automaton pin: enforceable=true", "verifier states: 94640",
+                    "staying-nonblocking pairs: 94640", "admissible pairs: 65166"]),
+            (False, ["automaton pin: enforceable=true", "verifier states: 82439",
+                     "staying-nonblocking pairs: 88535", "admissible pairs: 63762"]),
+        ],
+        ids=["live", "halting"],
+    )
+    def test_the_counts_at_320_states_are_pinned(self, capsys, tmp_path, live, lines):
+        # a system far past the random tests' 14 states, live and halting;
+        # the halting one's verifier prunes staying pairs too
+        path = tmp_path / "pin.aut"
+        g = random_dfa(1, 320, n_events=3, trans_density=0.5, live=live)
+        path.write_text(emit_automaton(g, "pin"))
+        assert cli_main(["verify-ei", str(path)]) == EXIT_OK
+        assert capsys.readouterr().out.splitlines() == lines
+
 
 class TestVerifyEic:
     def test_split_alphabets_keep_the_example_enforceable(self, capsys):

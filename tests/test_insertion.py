@@ -33,7 +33,7 @@ from veiler.insertion import (
     find_trapping_sccs,
     partition_subspaces,
 )
-from veiler.oracle import random_dfa
+from veiler.oracle import random_constraints, random_dfa
 from veiler.report import ei_report, to_json
 from veiler.textio import emit_automaton
 
@@ -445,6 +445,36 @@ def _closure_within(relations, start, kept):
     return found
 
 
+def _condensed(kernel):
+    """The moves of the unconstrained indicator's dashed components as
+    relations on the SCCs of g, the dummies here: the component
+    SCC_g(d) x {x} is the pair ``c*n + x`` for the SCC c of d.
+
+    Relation e < k maps c to the SCCs of delta(d, e) for d in c, and
+    relation k, insertion, to those one move leaves c for: a dashed move
+    inside c is no escape.  Every system state x moves on (e, delta(x,
+    e)) and (k, x).  The reference for EI's verifier, which trims over
+    the relays instead.
+    """
+    k = kernel.k
+    components, scc, _, _ = kernel._reach(range(k))
+    succ = [[0] * len(components) for _ in range(k + 1)]
+    escape = succ[k]
+    arcs = []
+    for x, row in enumerate(kernel.delta):
+        c = scc[x]
+        out = []
+        for e, y in enumerate(row):
+            if y >= 0:
+                out.append((e, y))
+                succ[e][c] |= 1 << scc[y]
+                if scc[y] != c:
+                    escape[c] |= 1 << scc[y]
+        out.append((k, x))
+        arcs.append(out)
+    return succ, arcs
+
+
 def _relay_game(kernel, relays):
     """The relay game re-testing each surviving SCC against every move at
     once: the reference for ``_PairKernel.relay_game``."""
@@ -524,12 +554,13 @@ class TestKernelShortcuts:
             assert eic.reachable == reachable and eic.verifier_masks == kept, seed
             outcomes["EIC", live, "pruned"] += kept != reachable
             outcomes["EIC", live, "emptied"] += not any(kept)
-            # EI prunes its dashed components, on g's SCC condensation
+            # EI prunes its dashed components, on g's SCC condensation: the
+            # trim over the relays keeps what the condensation's trim keeps
             kernel = ei.kernel
             components, scc, _, members = kernel._reach(range(kernel.k))
             firsts = sum(1 << group[0] for group in components)
             groups = [_union(mask & firsts, [1 << c for c in scc]) for mask in ei.reachable]
-            condensed = kernel.condensed()
+            condensed = _condensed(kernel)
             kept = _trim(condensed, groups)
             start = scc[kernel.x0] * kernel.n + kernel.x0
             assert _closure_within(condensed, start, kept) == kept, seed
@@ -584,8 +615,9 @@ class TestOutputOnlyFields:
         # A verdict reads the forward's resting pairs only, so a report
         # builds the phase masks when reachable is first read and the
         # verifier when verifier_masks is, each once, and then drops what
-        # they were built from: EIC's relations.
-        condensed, relations = _PairKernel.condensed, _EicKernel.relations
+        # they were built from: EI's relays, which the decision built, and
+        # EIC's relations.  The report holds them, not the kernel.
+        relays, relations = _PairKernel.relays, _EicKernel.relations
         calls, made = Counter(), {}
 
         def counted(name, function):
@@ -598,35 +630,62 @@ class TestOutputOnlyFields:
 
         monkeypatch.setattr(veiler.insertion, "_trim", counted("_trim", _trim))
         monkeypatch.setattr(veiler.constrained, "_trim", counted("_trim", _trim))
-        monkeypatch.setattr(_PairKernel, "condensed", counted("condensed", condensed))
+        monkeypatch.setattr(_PairKernel, "relays", counted("relays", relays))
         monkeypatch.setattr(_EicKernel, "relations", counted("relations", relations))
         for seed, _, g, c in _kernel_population():
             calls.clear()
-            ei, eic = check_ei_enforceable(g), check_eic_enforceable(g, c)
+            ei = check_ei_enforceable(g)
+            relayed = made["relays"]
+            eic = check_eic_enforceable(g, c)
             for report in (ei, eic):
                 assert report.enforceable == (not report.uncovered_actual_states), seed
-            assert calls == {}, seed
+            assert calls == {"relays": 2}, seed
+            assert _holds(ei, relayed) and not _holds(ei.kernel, relayed), seed
             assert "kinds" not in vars(eic.kernel) and "name_parts" not in vars(eic.kernel), seed
             first = eic.reachable
             assert eic.reachable is first, seed
-            assert calls == {"relations": 1}, seed
+            assert calls == {"relays": 2, "relations": 1}, seed
             closed = made["relations"]
-            assert _holds(eic, closed), seed
+            assert _holds(eic, closed) and not _holds(eic.kernel, closed), seed
             first = ei.verifier_masks
             assert ei.verifier_masks is first, seed
-            assert calls == {"relations": 1, "_trim": 1, "condensed": 1}, seed
+            assert calls == {"relays": 2, "relations": 1, "_trim": 1}, seed
             first = eic.verifier_masks
             assert eic.verifier_masks is first, seed
-            assert calls == {"relations": 1, "_trim": 2, "condensed": 1}, seed
-            assert not _holds(ei, made["condensed"]) and not _holds(eic, closed), seed
-            # the reference: each decision's pruning called directly
+            assert calls == {"relays": 2, "relations": 1, "_trim": 2}, seed
+            assert not _holds(ei, relayed) and not _holds(eic, closed), seed
+            # the reference: each decision's pruning called directly, EI's
+            # on the condensation that its trim over the relays replaces
             kernel = ei.kernel
             components, scc, _, members = kernel._reach(range(kernel.k))
             firsts = sum(1 << group[0] for group in components)
             groups = [_union(mask & firsts, [1 << i for i in scc]) for mask in ei.reachable]
-            pruned = _trim(condensed(kernel), groups)
+            pruned = _trim(_condensed(kernel), groups)
             assert ei.verifier_masks == [_union(mask, members) for mask in pruned], seed
             assert eic.verifier_masks == _trim(_one_step_relations(eic.kernel), eic.reachable), seed
+
+
+    @pytest.mark.parametrize("constrained", [False, True], ids=["EI", "EIC"])
+    def test_two_reports_of_one_kernel_prune_apart(self, constrained):
+        # Each report holds the basis of its own pruning, so two decisions
+        # of one kernel, read interleaved, give a fresh decision's pairs.
+        # random_dfa(3, 6, live=True) under random_constraints(3, "abc") is
+        # where the kernel once held one basis for all its reports.
+        fields = ("enforceable", "uncovered_actual_states", "staying_masks",
+                  "admissible_masks", "unreachable_actual_states")
+        for seed in range(3, 43):
+            g = random_dfa(seed, n_states=3 + seed % 10, live=seed % 2 == 1)
+            if constrained:
+                c = random_constraints(seed, "abc")
+                kernel, fresh = _EicKernel(g, c), check_eic_enforceable(g, c)
+            else:
+                kernel, fresh = _PairKernel(g), check_ei_enforceable(g)
+            r1, r2 = kernel.decide(), kernel.decide()
+            read = [r1.reachable, r2.reachable, r1.verifier_masks, r2.verifier_masks]
+            assert read == [fresh.reachable] * 2 + [fresh.verifier_masks] * 2, seed
+            for report in (r1, r2):
+                for field in fields:
+                    assert getattr(report, field) == getattr(fresh, field), (seed, field)
 
 
 def _with_an_unreachable_part(seed: int, live: bool) -> Automaton:
