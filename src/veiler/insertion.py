@@ -12,6 +12,7 @@ system is in; the actual component is where the system really is.  Dashed
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import compress
 from operator import itemgetter
 from typing import Callable, Collection, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
@@ -449,36 +450,35 @@ class _PairKernel:
         d'' in T_e(d) (``relays``, on the SCCs of the before-subgraph) with
         (d'', delta_e(x)) in W: the inserter can relay every output forever.
         A halted actual state has no event to relay, so all its pairs stay.
-        T_e is the same for all dummies of one SCC, so each actual state
-        keeps the list of those SCCs still in W.
-        One pass filters each state by all its moves; whenever a bitmask
-        shrinks, each move x -e-> it from a state passed already is
-        re-filtered by ``relays[e]`` alone, until nothing shrinks.
+
+        T_e(d) depends on d's before-SCC and e, not on x, so a move x -e-> y
+        keeps the dummies ``ok[e][W[y]]``: the SCCs whose row of
+        ``relays[e]`` meets W[y], found once per distinct mask.  A first
+        pass keeps at each state the SCCs with a relay on each of its
+        events; whenever a mask shrinks, the moves into it are re-tested.
         """
         n = self.n
-        masks = self._reach(self.before)[3]
-        win = [(1 << n) - 1] * n
-        alive = [range(len(masks))] * n
-        into: list[list[tuple[int, list[int]]]] = [[] for _ in range(n)]
+        own = self._reach(self.before)[3]
+        full = (1 << n) - 1
+        ok = [{full: sum(compress(own, row))} for row in relays]
+        win = [full] * n
+        into: list[list[tuple[int, int]]] = [[] for _ in range(n)]
         for x, row in enumerate(self.delta):
-            kept = alive[x]
             for e, y in enumerate(row):
                 if y >= 0:
-                    relay, won = relays[e], win[y]
-                    into[y].append((x, relay))
-                    kept = [c for c in kept if relay[c] & won]
-            if len(kept) == len(masks):
-                continue
-            alive[x], win[x] = kept, sum(map(masks.__getitem__, kept))
-            shrunk = [x]
-            while shrunk:
-                y = shrunk.pop()
-                won = win[y]
-                for z, relay in into[y]:
-                    kept = [c for c in alive[z] if relay[c] & won]
-                    if len(kept) < len(alive[z]):
-                        alive[z], win[z] = kept, sum(map(masks.__getitem__, kept))
-                        shrunk.append(z)
+                    into[y].append((x, e))
+                    win[x] &= ok[e][full]
+        shrunk = [x for x in range(n) if win[x] != full]
+        while shrunk:
+            y = shrunk.pop()
+            won = win[y]
+            for x, e in into[y]:
+                meets = ok[e].get(won)
+                if meets is None:
+                    meets = ok[e][won] = sum(compress(own, map(won.__and__, relays[e])))
+                if win[x] & ~meets:
+                    win[x] &= meets
+                    shrunk.append(x)
         return win
 
     def forward(self, relays: list[list[int]], start: int) -> list[int]:
@@ -491,16 +491,17 @@ class _PairKernel:
         enters x0, which then has no after-phase; without them it is
         Reach(x0), and U holds every reachable pair.
 
-        T_e is the same for all dummies of one SCC, so the new dummies of x
-        are relayed once per SCC, found by any member's bit: U[x] need not
-        hold all of it.  A move to a state that holds every dummy is
-        skipped, and the SCCs are found only for a move that is not.
+        T_e(d) depends on d's before-SCC and e, not on x, so the image of
+        the new dummies of x under e is ``images[e]`` of that mask, found
+        once per distinct mask as the OR of the rows of its SCCs, each found
+        by any member's bit.  A move to a state holding every dummy is skipped.
         """
         n, delta = self.n, self.delta
         _, scc, _, own = self._reach(self.before)
         full = (1 << n) - 1
         found = [0] * n
         relayed = [0] * n
+        images: list[dict[int, int]] = [{} for _ in relays]
         found[self.x0] = start
         stack = [self.x0]
         while stack:
@@ -508,24 +509,26 @@ class _PairKernel:
             fresh = found[x] & ~relayed[x]
             if not fresh:
                 continue
-            new = None
+            relayed[x] |= fresh
+            sccs = None
             for e, y in enumerate(delta[x]):
                 if y < 0 or found[y] == full:
                     continue
-                if new is None:
-                    new, left = [], fresh
-                    while left:
-                        c = scc[(left & -left).bit_length() - 1]
-                        new.append(c)
-                        left &= ~own[c]
-                        fresh |= own[c]
-                row, mask = relays[e], found[y]
-                for c in new:
-                    mask |= row[c]
-                if mask != found[y]:
-                    found[y] = mask
+                image = images[e].get(fresh)
+                if image is None:
+                    if sccs is None:
+                        sccs, left = [], fresh
+                        while left:
+                            c = scc[(left & -left).bit_length() - 1]
+                            sccs.append(c)
+                            left &= ~own[c]
+                    image, row = 0, relays[e]
+                    for c in sccs:
+                        image |= row[c]
+                    images[e][fresh] = image
+                if found[y] | image != found[y]:
+                    found[y] |= image
                     stack.append(y)
-            relayed[x] |= fresh
         return found
 
     def decide(self) -> EnforcementReport:
@@ -629,25 +632,14 @@ def find_trapping_sccs(
     pair that would otherwise witness them.
     """
     trapping = set()
-    for (actual, index), component in p.second_level.items():
+    for (actual, _), component in p.second_level.items():
         enabled = g.enabled_events(actual)
-        solid_possible = any(
-            ia.step(pair, e) for pair in component for e in enabled
-        )
-        if solid_possible:
+        if any(ia.step(pair, e) for pair in component for e in enabled):
             continue
-        contained = True
-        for pair in component:
-            for label, targets in ia.outgoing(pair).items():
-                if not label.inserted:
-                    continue
-                (target,) = targets
-                if target not in component:
-                    contained = False
-                    break
-            if not contained:
-                break
-        if contained:
+        dashed = (
+            targets for pair in component for label, targets in ia.outgoing(pair).items() if label.inserted
+        )
+        if all(target in component for (target,) in dashed):
             trapping.add(component)
     return frozenset(trapping)
 

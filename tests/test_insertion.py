@@ -576,6 +576,34 @@ class TestKernelShortcuts:
         assert outcomes["EI", True, "partial SCCs"] == outcomes["EI", False, "partial SCCs"] == 0
         assert outcomes["EIC", True, "partial SCCs"] > 20 and outcomes["EIC", False, "partial SCCs"] > 20
 
+    def test_the_memos_keep_the_masks_where_masks_repeat(self):
+        # With one event insertable before an output and all three after,
+        # the relays reach far, so many states relay one mask of new dummies
+        # and many moves are tested against one win mask: the forward and
+        # the game look each such mask up in their memos, and must give
+        # the masks of the one-step closure and of the per-SCC game.
+        population = [("a40", random_dfa(1, 40, live=True), "a")]
+        population += [
+            (f"{n}{'live' if live else 'halting'}", random_dfa(seed, n, live=live), "abc"[seed % 3])
+            for seed, (n, live) in enumerate(product((40, 80), (True, False)))
+        ]
+        for name, g, before in population:
+            kernel = check_eic_enforceable(g, InsertionConstraints.of(before, "abc")).kernel
+            n = kernel.n
+            everything = [(1 << n) - 1] * kernel.width
+            reachable = _closure_within(_one_step_relations(kernel), kernel.start, everything)
+            resting = [p | a for p, a in zip(reachable[:n], reachable[n : 2 * n])]
+            assert _forward(kernel) == resting, name
+            relays = kernel.relays()
+            game = kernel.relay_game(relays)
+            assert game == _relay_game(kernel, relays), name
+            # the masks repeat: a quarter of the states or fewer hold distinct ones
+            assert len(set(resting)) <= n // 4 and 1 < len(set(game)) <= n // 4, name
+            if name == "a40":
+                # every relay row is full or empty, and W takes 5 values
+                assert {mask for row in relays for mask in row} == {0, (1 << n) - 1}
+                assert len(set(game)) == 5
+
     def test_a_before_scc_entered_at_a_later_member_is_relayed(self):
         # 0 -a-> 1 -a-> 0 with a insertable before outputs only: the one
         # before-SCC is {0, 1}, and the start holds only the initial state.
