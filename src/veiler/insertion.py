@@ -61,31 +61,38 @@ def build_insertion_automaton(g: Automaton) -> Automaton:
 _ESCAPES = str.maketrans({"\\": "\\\\", ",": "\\,", "_": "\\_"})
 
 
-def _phase_parts(x: State) -> tuple[str, str]:
-    """The name of the state x and the suffix of its insertion phase: a
-    decorated state, of ``veiler.constrained``, names its base and its
-    phase apart; any other state is in no phase."""
+def _plain_closing(x: State, escaped: str) -> str:
+    """The closing of the pair names of the actual state x in its plain
+    phase, given its escaped display name: a decorated state, of
+    ``veiler.constrained``, names its base and its phase apart; any other
+    state is in no phase."""
     parts = getattr(x, "phase_parts", None)
-    return parts() if parts else (state_display(x), "")
+    if parts is None:
+        return escaped + ")"
+    name, phase = parts()
+    return f"{name.translate(_ESCAPES)}{phase})"
 
 
 def _pair_name_parts(
-    dummies: Iterable[str], actuals: Iterable[tuple[str, str]]
+    states: Sequence[State], names: Sequence[str], phases: Sequence[str] = ("",)
 ) -> tuple[list[str], list[str]]:
-    """The parts of the names of the pairs over the state names ``dummies``
-    and the actual states ``actuals``, each a (name, phase suffix) pair: the
-    opening ``"(" + d + ","`` of every dummy d, and the closing ``x + phase
-    + ")"`` of every actual state.  A pair's name is its opening, then its
-    closing.
+    """The parts of the names of the pairs over ``states``, whose display
+    names are ``names``: the opening ``"(" + d + ","`` of every state d as a
+    dummy, and the closing ``x + phase + ")"`` of every state x in each of
+    the phases ``phases``, phase by phase, the first being the plain phase.
+    A pair's name is its opening, then its closing.
 
     Inside them a state name has a backslash before each ``\\``, ``,`` and
     ``_``, and the brackets, the comma and the phase suffix stay bare.  The
     opening ends at the first bare comma and the phase starts at the first
     bare ``_``, so where states have names of their own, so does each pair;
     and as no opening begins another, names sort as (opening, closing).
+    Each name is escaped once, for its opening and all its phases.
     """
-    openings = [f"({name.translate(_ESCAPES)}," for name in dummies]
-    return openings, [f"{name.translate(_ESCAPES)}{phase})" for name, phase in actuals]
+    escaped = [name.translate(_ESCAPES) for name in names]
+    closings = [_plain_closing(x, name) for x, name in zip(states, escaped)]
+    closings += [f"{name}{phase})" for phase in phases[1:] for name in escaped]
+    return [f"({name}," for name in escaped], closings
 
 
 class IndicatorState(FrozenValue):
@@ -96,10 +103,9 @@ class IndicatorState(FrozenValue):
     actual: State
 
     def display(self) -> str:
-        (opening,), (closing,) = _pair_name_parts(
-            [state_display(self.dummy)], [_phase_parts(self.actual)]
-        )
-        return opening + closing
+        states = (self.dummy, self.actual)
+        openings, closings = _pair_name_parts(states, [state_display(x) for x in states])
+        return openings[0] + closings[1]
 
 
 # Lookup tables for the image of a bitmask under a relation: its rows, one
@@ -295,9 +301,7 @@ class _PairKernel:
         shared = next((a for a, b in zip(names, names[1:]) if a == b), None)
         if shared is not None:
             raise ValueError(f"two states display as {shared!r}, so their pairs would share names")
-        actuals = [_phase_parts(x) for x in self.states]
-        actuals += [(name, phase) for phase in self._PHASES[1:] for name in names]
-        return _pair_name_parts(names, actuals)
+        return _pair_name_parts(self.states, names, self._PHASES)
 
     @cached_property
     def arcs(self) -> list[list[tuple[int, int, int]]]:

@@ -8,10 +8,12 @@ One breadth-first search over estimates decides it.  Each observable label
 has one successor map, from a state to its estimate after that label: the
 automaton's own target set when no event is hidden, and otherwise its
 closure under unobservable moves, built from one shared closure per state
-that has a hidden move.  The successor of a one-state estimate is one
-lookup, and that of a larger estimate a union.  Labels are tried in
-canonical order, so the first all-secret estimate reached gives a shortest
-witness, ties broken by canonical label order.  ``build_observer``
+that has a hidden move.  Each estimate's size is tested once: the
+successor of a one-state estimate on each label is one lookup, and that of
+a larger estimate a union.  A nonempty all-secret estimate is flagged when
+it is first found.  Labels are tried in canonical order, so the first
+all-secret estimate reached gives a shortest witness, ties broken by
+canonical label order.  ``build_observer``
 materialises the same search.  ``check_current_state_opacity`` wraps the
 violating estimates in ``ObserverState`` values; the CLI names the search's
 frozensets directly, through the helper that ``ObserverState.display`` uses.
@@ -70,21 +72,22 @@ def _search(
     observable labels in canonical order; the estimates in discovery order;
     each one's link to its parent, the parent's index times the label count
     plus the label index, or -1 for the start; and the indices of the
-    nonempty all-secret estimates.  With ``edges`` given, every move is
-    appended to it as (estimate index, label index, successor)."""
+    nonempty all-secret estimates, in discovery order.  With ``edges``
+    given, every move is appended to it as (estimate index, label index,
+    successor)."""
     obs = frozenset(as_label(e) for e in observable)
     if not obs <= n.events:
         raise ValueError("observable labels must be a subset of the automaton's events")
     labels = sorted_labels(obs)
-    index = {e: k for k, e in enumerate(labels)}
-    moves: list[dict] = [{} for _ in labels]
+    by_label: dict = {e: {} for e in labels}
     hidden: dict = {}
     for (x, e), ys in n.transitions.items():
-        k = index.get(e)
-        if k is None:
+        move = by_label.get(e)
+        if move is None:
             hidden.setdefault(x, []).append(ys)
         else:
-            moves[k][x] = ys
+            move[x] = ys
+    moves = list(by_label.values())  # in canonical label order
     # The closure under unobservable moves of each state that has one.
     closure = {}
     for x in hidden:
@@ -109,29 +112,42 @@ def _search(
             for x, ys in move.items():
                 move[x] = closed(ys)
     start = closed(n.initial)
+    secret = n.secret
     width = len(labels)
+    gets = list(enumerate(move.get for move in moves))  # (label index, lookup)
     found, queue, links = {start}, [start], [-1]
+    # Every successor is nonempty, as target sets are; only the start may be empty.
+    violating = [0] if start and start <= secret else []
     for i, current in enumerate(queue):  # the queue grows while it is read
         link = i * width
-        for k, move in enumerate(moves):
-            if len(current) == 1:
-                (x,) = current
-                target = move.get(x)
+        if len(current) == 1:  # every estimate of a fully observed system
+            (x,) = current
+            for k, get in gets:
+                target = get(x)
                 if target is None:
                     continue
-            else:  # none or several states: merge their moves
+                if target not in found:
+                    found.add(target)
+                    if target <= secret:
+                        violating.append(len(queue))
+                    queue.append(target)
+                    links.append(link + k)
+                if edges is not None:
+                    edges.append((i, k, target))
+        else:  # none or several states: merge their moves
+            for k, move in enumerate(moves):
                 targets = [move[x] for x in current if x in move]
                 if not targets:
                     continue
                 target = _union(targets)
-            if target not in found:
-                found.add(target)
-                queue.append(target)
-                links.append(link + k)
-            if edges is not None:
-                edges.append((i, k, target))
-    secret = n.secret
-    violating = [i for i, estimate in enumerate(queue) if estimate and estimate <= secret]
+                if target not in found:
+                    found.add(target)
+                    if target <= secret:
+                        violating.append(len(queue))
+                    queue.append(target)
+                    links.append(link + k)
+                if edges is not None:
+                    edges.append((i, k, target))
     return labels, queue, links, violating
 
 

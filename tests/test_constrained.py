@@ -586,6 +586,36 @@ class TestSecretAntitonicity:
         assert decided[True] > 100 and sum(decided.values()) > 1200, decided
 
 
+class TestUnreachableComponent:
+    def test_a_component_x0_cannot_reach_changes_no_old_state(self):
+        # A metamorphic check that needs no second decider: a disjoint
+        # component over g's events, which x0 cannot reach, holds no pair
+        # the forward reaches.  Every old state keeps its verdict, and every
+        # new state is unreachable, so uncovered.  EI, and EIC under random
+        # constraints, on live and halting systems and components.
+        decided = Counter()
+        for seed in range(300):
+            g = random_dfa(seed, n_states=2 + seed % 8, live=seed % 2 == 0)
+            h = random_dfa(seed + 1000, n_states=1 + seed % 5, live=seed % 3 == 0)
+            new = {x: f"new{x}" for x in h.states}
+            moves = {(new[x], e): frozenset({new[y]}) for (x, e), (y,) in h.transitions.items()}
+            wider = Automaton(
+                g.states | frozenset(new.values()),
+                g.events,
+                {**g.transitions, **moves},
+                g.initial,
+                g.secret | {new[x] for x in h.secret},
+            )
+            for c in (None, random_constraints(seed, "abc")):
+                report, other = _decide(g, c), _decide(wider, c)
+                assert other.uncovered_actual_states & g.states == report.uncovered_actual_states, (seed, c)
+                added = other.uncovered_actual_states - g.states
+                assert added == other.unreachable_actual_states == set(new.values()), (seed, c)
+                decided[report.enforceable] += 1
+        # both verdicts occur on the old states
+        assert min(decided.values()) > 100, decided
+
+
 class TestBisimilarSplit:
     def test_the_verdict_depends_on_how_g_is_presented(self):
         # 0-a->2, 0-b->1, 0-c->1, 1-c->1, 2-a->2 and 2-b->0, secret {1}, is

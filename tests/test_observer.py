@@ -8,6 +8,7 @@ from veiler.cli import cli_main
 from veiler.fsm import Automaton, as_label, sorted_states, state_display, word
 from veiler.observer import (
     OpacityVerdict,
+    _search,
     build_observer,
     check_current_state_opacity,
     project,
@@ -146,6 +147,20 @@ class TestOpacity:
         assert {x.estimate for x in observer.states} == {frozenset()}
         assert observer.secret == frozenset()
 
+    def test_the_search_lists_violations_in_queue_order(self):
+        # _search flags each nonempty all-secret estimate when it first
+        # finds it, so the indices follow the queue, the start first when it
+        # is one; the witness walks back from the first of them.
+        secret_starts = 0
+        for seed in range(400):
+            n, observable = _random_system(seed)
+            _, queue, _, violating = _search(n, observable)
+            assert violating == [i for i, e in enumerate(queue) if e and e <= n.secret], seed
+            secret_start = bool(queue[0]) and queue[0] <= n.secret
+            assert (violating[:1] == [0]) == secret_start, seed
+            secret_starts += secret_start
+        assert secret_starts >= 10, secret_starts
+
     def test_matches_a_naive_powerset_search(self):
         kinds = dict(multi_initial=0, no_initial=0, secret_start=0, idle_label=0, long_witness=0)
         for seed in range(400):
@@ -165,7 +180,10 @@ class TestOpacity:
         assert min(kinds.values()) >= 10, kinds
 
     @pytest.mark.parametrize("seed", range(3))
-    @pytest.mark.parametrize("kind", ["observed_dfa", "hidden_chains", "several_initial", "no_initial"])
+    @pytest.mark.parametrize(
+        "kind",
+        ["observed_dfa", "hidden_chains", "several_initial", "no_initial", "sparse_observed", "sparse_hidden"],
+    )
     def test_matches_a_naive_powerset_search_at_scale(self, kind, seed):
         n, observable = _large_system(kind, seed)
         opaque, violating, witness, estimates = _naive_opacity(n, observable, every=True)
@@ -198,6 +216,11 @@ class TestOpacity:
             assert len(estimates) >= 50
         elif kind == "no_initial":
             assert (opaque, estimates) == (True, {frozenset()})
+        elif kind.startswith("sparse"):  # 25 or 26 labels, about 2 moves per state
+            assert moves * 4 < len(estimates) * len(labels)  # most lookups miss
+            sizes = {len(estimate) for estimate in estimates}
+            assert (sizes == {1}) if kind == "sparse_observed" else (max(sizes) >= 2)
+            assert len(violating) >= 20
 
 
 class TestTheCommandLine:
@@ -242,7 +265,9 @@ def _large_system(kind, seed):
     """A system of 100-300 states and its observable labels.
 
     ``observed_dfa`` is a fully observed live DFA with a public initial
-    state.  The others are NFAs: half their states form one long chain of
+    state.  ``sparse_observed`` is one over 26 events with about 2 moves per
+    state, and ``sparse_hidden`` the same with ``a`` unobservable.  The
+    others are NFAs: half their states form one long chain of
     the unobservable label u, which every other state enters somewhere by
     u, so an estimate holds a long piece of it.  ``hidden_chains`` starts
     from one state, ``several_initial`` from three and ``no_initial`` from
@@ -250,10 +275,13 @@ def _large_system(kind, seed):
     """
     rng = random.Random(f"{kind}/{seed}")
     size = rng.randrange(100, 301)
-    if kind == "observed_dfa":
-        g = random_dfa(seed, size, live=True, secret_density=0.5)
+    if kind in ("observed_dfa", "sparse_observed", "sparse_hidden"):
+        if kind == "observed_dfa":
+            g = random_dfa(seed, size, live=True, secret_density=0.5)
+        else:
+            g = random_dfa(seed, size, n_events=26, trans_density=1 / 26, live=True, secret_density=0.5)
         n = Automaton(g.states, g.events, g.transitions, g.initial, g.secret - g.initial)
-        return n, sorted(g.events)
+        return n, sorted(e for e in g.events if kind != "sparse_hidden" or e.symbol != "a")
     chain = size // 2
     transitions = {(x, "u"): [x + 1] for x in range(chain - 1)}
     for x in range(chain, size):

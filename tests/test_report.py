@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from veiler.constrained import InsertionConstraints, check_eic_enforceable
 from veiler.dot import _ranked_digraph
-from veiler.fsm import Automaton
+from veiler.fsm import Automaton, state_display
 from veiler.insertion import _count, check_ei_enforceable
 from veiler.oracle import oracle_ei_enforceable, oracle_eic_enforceable, random_dfa
 from veiler.report import _name_order, _verify_payload, ei_report, eic_report, to_json
@@ -116,6 +116,13 @@ class TestPairLists:
         ei, eic = check_ei_enforceable(g), check_eic_enforceable(g, c)
         assert ei.enforceable is oracle_ei_enforceable(g) is True
         assert eic.enforceable is oracle_eic_enforceable(g, c) is True
+        # The library's pair objects are not refused, and display alike:
+        # nine distinct pairs under four names, "(1,1)" four times.
+        staying = ei.staying_nonblocking
+        assert len(staying) == 9
+        assert Counter(state_display(pair) for pair in staying) == {
+            "(1,1)": 4, "(1,2)": 2, "(2,1)": 2, "(2,2)": 1
+        }
         renderers = [
             lambda: ei_report("g", ei),
             lambda: eic_report("g", eic, c),
