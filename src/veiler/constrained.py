@@ -224,6 +224,7 @@ class _EicKernel(_PairKernel):
         n = self.n
         return IndicatorState(self.states[d], _decorate(self.states[a % n], Decoration(a // n)))
 
+    @cached_property
     def relations(self) -> _Relations:
         """The pairs' moves as relations on dummies, over the two classes of
         phases whose pairs move alike: resting (plain or ``a``), actual state
@@ -252,7 +253,7 @@ class _EicKernel(_PairKernel):
         ]
         return succ, resting + [moves + [(k, n + x)] * before for x, moves in enumerate(solid)]
 
-    def phase_masks(self, relations: _Relations, resting: list[int]) -> list[int]:
+    def phase_masks(self, resting: list[int]) -> list[int]:
         """The reachable pairs, one bitmask of dummies per decorated state,
         read in one pass off ``resting``, the forward's plain and after-phase
         pairs U[x] per system state.
@@ -265,7 +266,7 @@ class _EicKernel(_PairKernel):
         once per distinct mask, and one with no nonzero row, as an empty
         before- or after-alphabet gives, at no lookup.
         """
-        images = [_tables(row) for row in relations[0]]
+        images = [_tables(row) for row in self.relations[0]]
         n, k = self.n, self.k
         before, after = images[k], images[k + 1]
         plain = [0] * n
@@ -281,22 +282,17 @@ class _EicKernel(_PairKernel):
             after_phase[self.x0] = 0
         return plain + after_phase + _images(before, plain + after_phase)
 
-    def reachable_masks(
-        self, resting: list[int], relays: list[list[int]]
-    ) -> tuple[list[int], _Relations]:
-        """The four phases' pairs, ``phase_masks`` of the resting ones, and
-        the ``relations`` they are read over, which their pruning reads
-        too, in place of the relays."""
-        relations = self.relations()
-        return self.phase_masks(relations, resting), relations
+    def reachable_masks(self, resting: list[int]) -> list[int]:
+        """The four phases' pairs, ``phase_masks`` of the resting ones."""
+        return self.phase_masks(resting)
 
-    def verifier_masks(self, reachable: list[int], relations: _Relations) -> list[int]:
+    def verifier_masks(self, reachable: list[int]) -> list[int]:
         """What ``_trim`` keeps of ``reachable``, single pairs, over the two
         classes of phases of ``relations``: a phase keeps what its class
         keeps."""
         n = self.n
         merged = [p | q for p, q in zip(reachable, reachable[n:])]  # plain | a, .., b | ab
-        kept = _trim(relations, merged[:n] + merged[2 * n :])
+        kept = _trim(self.relations, merged[:n] + merged[2 * n :])
         return [mask & keep for mask, keep in zip(reachable, kept[:n] * 2 + kept[n:] * 2)]
 
 
@@ -387,8 +383,7 @@ def check_eic_enforceable(g: Automaton, c: InsertionConstraints) -> EnforcementR
     when ``reachable`` is first read, and pruning only names the paper's
     verifier, built when ``verifier_masks`` is first read: what ``_trim``
     keeps of the reachable pairs, single pairs as EI prunes its dashed
-    components.  Both read one ``relations``, which the report holds from
-    the first read to the second; the trim prunes its two classes of
-    phases, and a phase keeps what its class keeps.
+    components.  Both read the kernel's ``relations``; the trim prunes its
+    two classes of phases, and a phase keeps what its class keeps.
     """
     return _EicKernel(g, c).decide()

@@ -245,10 +245,9 @@ class _PairKernel:
     true, as the believed state may walk from x0 before the first output.
     ``arcs`` lists the moves of every actual state, which ``moves`` filters
     by a dummy, for the library's search and ``automaton``, and the DOT
-    file by event sets.  A report reads its pairs through two methods that
-    the constrained kernel overrides: ``reachable_masks``, which also gives
-    the basis of their pruning, and ``verifier_masks``, which prunes on it;
-    the report, not the kernel, holds that basis in between.  A set of
+    file by event sets.  ``relays`` is built once, on first read, and a
+    report reads its pairs through two methods that the constrained kernel
+    overrides, ``reachable_masks`` and ``verifier_masks``.  A set of
     pairs is held as one bitmask of dummies per actual state, bit d of
     entry a for the pair ``d*width + a``.  Pair objects are made only by
     ``objects``, when a report's pair field is first read, and pair names
@@ -417,6 +416,7 @@ class _PairKernel:
             self._reaches[key] = components, scc, reach, own
         return self._reaches[key]
 
+    @cached_property
     def relays(self) -> list[list[int]]:
         """``relays[e][c]`` is T_e(d) = AReach(delta_e(BReach(d))) for the
         dummies d of the SCC c of the before-subgraph, as a bitmask.
@@ -446,7 +446,7 @@ class _PairKernel:
             relays.append(row)
         return relays
 
-    def relay_game(self, relays: list[list[int]]) -> list[int]:
+    def relay_game(self) -> list[int]:
         """The staying pairs of g, as one bitmask of dummies per system state.
 
         Bit d of entry x is set when the pair (dummy d, actual x) is in W,
@@ -461,7 +461,7 @@ class _PairKernel:
         pass keeps at each state the SCCs with a relay on each of its
         events; whenever a mask shrinks, the moves into it are re-tested.
         """
-        n = self.n
+        n, relays = self.n, self.relays
         own = self._reach(self.before)[3]
         full = (1 << n) - 1
         ok = [{full: sum(compress(own, row))} for row in relays]
@@ -485,7 +485,7 @@ class _PairKernel:
                     shrunk.append(x)
         return win
 
-    def forward(self, relays: list[list[int]], start: int) -> list[int]:
+    def forward(self, start: int) -> list[int]:
         """The resting pairs reachable from the initial pair, plain or in
         the after-phase, as one bitmask of dummies per system state.
 
@@ -500,7 +500,7 @@ class _PairKernel:
         once per distinct mask as the OR of the rows of its SCCs, each found
         by any member's bit.  A move to a state holding every dummy is skipped.
         """
-        n, delta = self.n, self.delta
+        n, delta, relays = self.n, self.delta, self.relays
         _, scc, _, own = self._reach(self.before)
         full = (1 << n) - 1
         found = [0] * n
@@ -539,22 +539,17 @@ class _PairKernel:
         """The verdict on g, with the pairs behind it: the resting pairs
         that ``forward`` reaches from AReach(x0), or from x0 alone where
         ``entered`` is false, and the staying dummies of ``relay_game``,
-        both over the relays of the ``before`` and ``after`` alphabets, which
-        the report keeps for pruning."""
+        both over the relays of the ``before`` and ``after`` alphabets."""
         _, scc, reach, _ = self._reach(self.after)
         start = reach[scc[self.x0]] if self.entered else 1 << self.x0
-        relays = self.relays()
-        return EnforcementReport(self, self.forward(relays, start), self.relay_game(relays), relays)
+        return EnforcementReport(self, self.forward(start), self.relay_game())
 
-    def reachable_masks(
-        self, resting: list[int], relays: list[list[int]]
-    ) -> tuple[list[int], object]:
-        """The reachable pairs, from the resting ones, and the basis of
-        their pruning: without constraints every pair rests, and the trim
-        reads the relays."""
-        return resting, relays
+    def reachable_masks(self, resting: list[int]) -> list[int]:
+        """The reachable pairs, from the resting ones: without constraints
+        every pair rests."""
+        return resting
 
-    def verifier_masks(self, reachable: list[int], relays: list[list[int]]) -> list[int]:
+    def verifier_masks(self, reachable: list[int]) -> list[int]:
         """The pairs of ``reachable`` that pruning keeps: the dashed
         components SCC_g(d) x {x} with an infinite path.  Dashed moves only
         descend g's SCCs, so such a path relays outputs forever, and this is
@@ -564,7 +559,7 @@ class _PairKernel:
         components, scc, _, members = self._reach(self.before)
         firsts = sum(1 << group[0] for group in components)
         bits = [1 << c for c in scc]
-        succ = [[_union(mask & firsts, bits) for mask in row] for row in relays]
+        succ = [[_union(mask & firsts, bits) for mask in row] for row in self.relays]
         arcs = [[(e, y) for e, y in enumerate(row) if y >= 0] for row in self.delta]
         groups = [_union(mask & firsts, bits) for mask in reachable]
         kept = _trim((succ, arcs), groups)
@@ -752,9 +747,7 @@ class EnforcementReport:
     resting pairs in ``win``; ``admissible_masks``, those whose dummy is
     not secret; and ``verifier_masks``, the pairs pruning keeps (the
     staying pairs need not lie in them when g can halt), the kernel's
-    ``verifier_masks`` of ``reachable``, on the basis the report holds
-    until then: the decision's relays, or under constraints the relations
-    ``reachable_masks`` swaps them for.  Then
+    ``verifier_masks`` of ``reachable``.  Then
     ``unreachable_actual_states`` and the pair fields ``verifier``,
     ``staying_nonblocking`` and ``admissible``.  ``staying_nonblocking`` is
     a set of pairs, or under constraints a mapping from each staying pair
@@ -763,12 +756,9 @@ class EnforcementReport:
     from the masks.
     """
 
-    def __init__(
-        self, kernel: _PairKernel, resting: list[int], win: list[int], relays: list[list[int]]
-    ) -> None:
+    def __init__(self, kernel: _PairKernel, resting: list[int], win: list[int]) -> None:
         self.kernel = kernel
         self._resting, self._win = resting, win
-        self._basis: object = relays
         secret = sum(1 << d for d in kernel.secret)
         self.uncovered_actual_states = frozenset(
             x for x, mask, won in zip(kernel.states, resting, win) if not mask & won & ~secret
@@ -777,8 +767,7 @@ class EnforcementReport:
 
     @cached_property
     def reachable(self) -> list[int]:
-        reachable, self._basis = self.kernel.reachable_masks(self._resting, self._basis)
-        return reachable
+        return self.kernel.reachable_masks(self._resting)
 
     @cached_property
     def staying_masks(self) -> list[int]:
@@ -793,9 +782,7 @@ class EnforcementReport:
 
     @cached_property
     def verifier_masks(self) -> list[int]:
-        reachable = self.reachable
-        basis, self._basis = self._basis, None
-        return self.kernel.verifier_masks(reachable, basis)
+        return self.kernel.verifier_masks(self.reachable)
 
     @cached_property
     def unreachable_actual_states(self) -> frozenset:

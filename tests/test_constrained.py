@@ -23,7 +23,7 @@ from veiler.constrained import (
 from veiler.dot import emit_dot
 from veiler.fsm import Automaton, Tag, state_display, word
 from veiler.insertion import check_ei_enforceable
-from veiler.oracle import oracle_ei_enforceable, random_constraints, random_dfa
+from veiler.oracle import oracle_ei_enforceable, oracle_eic_enforceable, random_constraints, random_dfa
 from veiler.report import eic_report, to_json
 from veiler.textio import emit_automaton
 
@@ -614,6 +614,37 @@ class TestUnreachableComponent:
                 decided[report.enforceable] += 1
         # both verdicts occur on the old states
         assert min(decided.values()) > 100, decided
+
+    def test_an_unreachable_move_into_x0_gives_x0_its_after_phase(self):
+        # EIC's x0 rule counts x0 as entered when any move enters it,
+        # reachable or not, in the kernel and in the staged construction
+        # alike.  0-a->1, 0-c->1, 1-a->2, 1-c->2, 2-b->2 and 2-c->1, secret
+        # {0}, before {b, c} and after {a, c}, leaves 0 uncovered.  Add an
+        # unreachable u -a-> 0: x0 gains its after-phases, so 0 is covered
+        # and only u is uncovered.  The verdict, and the oracle's, stays
+        # False, and EI's uncovered set keeps its old states.  This pins
+        # today's output; ROADMAP item 3 decides the rule.
+        g = random_dfa(70, 3, live=True)
+        moves = {(x, e.symbol): y for (x, e), (y,) in g.transitions.items()}
+        assert moves == {
+            (0, "a"): 1, (0, "c"): 1, (1, "a"): 2, (1, "c"): 2, (2, "b"): 2, (2, "c"): 1
+        }
+        assert g.secret == {0}
+        c = random_constraints(70, "abc")
+        assert c == InsertionConstraints.of("bc", "ac")
+        entered = Automaton.dfa(g.states | {"u"}, "abc", {**moves, ("u", "a"): 0}, 0, g.secret)
+        for system, uncovered in ((g, {0}), (entered, {"u"})):
+            report = check_eic_enforceable(system, c)
+            assert report.kernel.entered == (system is entered)
+            assert report.uncovered_actual_states == uncovered
+            assert not report.enforceable and not oracle_eic_enforceable(system, c)
+            assert check_ei_enforceable(system).uncovered_actual_states <= {"u"}
+            phases = {
+                decoration_of(x)
+                for x in build_eic_insertion_automaton(system, c).states
+                if base_of(x) == 0
+            }
+            assert (Decoration.A in phases) == (system is entered)
 
 
 class TestBisimilarSplit:

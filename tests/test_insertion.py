@@ -1,12 +1,9 @@
 from __future__ import annotations
 
-import gc
 import json
 import random
-import sys
 from collections import Counter
 from itertools import product
-from types import ModuleType
 
 import pytest
 
@@ -516,7 +513,7 @@ def _forward(kernel):
     for EI, AReach(x0) for EIC, or x0 alone when no move enters x0."""
     _, scc, reach, _ = kernel._reach(kernel.after)
     start = reach[scc[kernel.x0]] if kernel.entered else 1 << kernel.x0
-    return kernel.forward(kernel.relays(), start)
+    return kernel.forward(start)
 
 
 class TestKernelShortcuts:
@@ -548,9 +545,9 @@ class TestKernelShortcuts:
                 )
                 kept = _trim(one_step, reachable)
                 assert _closure_within(one_step, kernel.start, kept) == kept, (mode, seed)
-                relays = kernel.relays()
+                relays = kernel.relays
                 game = _relay_game(kernel, relays)
-                assert kernel.relay_game(relays) == game, (mode, seed)
+                assert kernel.relay_game() == game, (mode, seed)
             assert eic.reachable == reachable and eic.verifier_masks == kept, seed
             outcomes["EIC", live, "pruned"] += kept != reachable
             outcomes["EIC", live, "emptied"] += not any(kept)
@@ -594,8 +591,8 @@ class TestKernelShortcuts:
             reachable = _closure_within(_one_step_relations(kernel), kernel.start, everything)
             resting = [p | a for p, a in zip(reachable[:n], reachable[n : 2 * n])]
             assert _forward(kernel) == resting, name
-            relays = kernel.relays()
-            game = kernel.relay_game(relays)
+            relays = kernel.relays
+            game = kernel.relay_game()
             assert game == _relay_game(kernel, relays), name
             # the masks repeat: a quarter of the states or fewer hold distinct ones
             assert len(set(resting)) <= n // 4 and 1 < len(set(game)) <= n // 4, name
@@ -622,66 +619,49 @@ class TestKernelShortcuts:
         assert entered_late == 1
 
 
-def _holds(root, target) -> bool:
-    """Whether ``target`` is among the objects ``root`` refers to, directly
-    or through others, leaving out classes and modules."""
-    skipped = {id(m.__dict__) for m in list(sys.modules.values()) if isinstance(m, ModuleType)}
-    seen, stack = set(), [root]
-    while stack:
-        obj = stack.pop()
-        if obj is target:
-            return True
-        if id(obj) in seen or id(obj) in skipped or isinstance(obj, (type, ModuleType)):
-            continue
-        seen.add(id(obj))
-        stack += gc.get_referents(obj)
-    return False
-
-
 class TestOutputOnlyFields:
     def test_a_verdict_skips_the_verifier_trim(self, monkeypatch):
         # A verdict reads the forward's resting pairs only, so a report
         # builds the phase masks when reachable is first read and the
-        # verifier when verifier_masks is, each once, and then drops what
-        # they were built from: EI's relays, which the decision built, and
-        # EIC's relations.  The report holds them, not the kernel.
-        relays, relations = _PairKernel.relays, _EicKernel.relations
-        calls, made = Counter(), {}
+        # verifier when verifier_masks is, each once.  The kernel builds
+        # EI's relays and EIC's relations once, on first read, however many
+        # decisions and reports read them.
+        calls = Counter()
 
         def counted(name, function):
             def wrapper(*args):
                 calls[name] += 1
-                made[name] = function(*args)
-                return made[name]
+                return function(*args)
 
             return wrapper
 
         monkeypatch.setattr(veiler.insertion, "_trim", counted("_trim", _trim))
         monkeypatch.setattr(veiler.constrained, "_trim", counted("_trim", _trim))
-        monkeypatch.setattr(_PairKernel, "relays", counted("relays", relays))
-        monkeypatch.setattr(_EicKernel, "relations", counted("relations", relations))
+        for table in (_PairKernel.relays, _EicKernel.relations):
+            monkeypatch.setattr(table, "func", counted(table.attrname, table.func))
         for seed, _, g, c in _kernel_population():
             calls.clear()
             ei = check_ei_enforceable(g)
-            relayed = made["relays"]
             eic = check_eic_enforceable(g, c)
             for report in (ei, eic):
                 assert report.enforceable == (not report.uncovered_actual_states), seed
             assert calls == {"relays": 2}, seed
-            assert _holds(ei, relayed) and not _holds(ei.kernel, relayed), seed
             assert "kinds" not in vars(eic.kernel) and "name_parts" not in vars(eic.kernel), seed
             first = eic.reachable
             assert eic.reachable is first, seed
             assert calls == {"relays": 2, "relations": 1}, seed
-            closed = made["relations"]
-            assert _holds(eic, closed) and not _holds(eic.kernel, closed), seed
             first = ei.verifier_masks
             assert ei.verifier_masks is first, seed
             assert calls == {"relays": 2, "relations": 1, "_trim": 1}, seed
             first = eic.verifier_masks
             assert eic.verifier_masks is first, seed
             assert calls == {"relays": 2, "relations": 1, "_trim": 2}, seed
-            assert not _holds(ei, relayed) and not _holds(eic, closed), seed
+            # a second decision of each kernel builds neither table again
+            for report in (ei, eic):
+                again = report.kernel.decide()
+                assert again.reachable == report.reachable, seed
+                assert again.verifier_masks == report.verifier_masks, seed
+            assert calls == {"relays": 2, "relations": 1, "_trim": 4}, seed
             # the reference: each decision's pruning called directly, EI's
             # on the condensation that its trim over the relays replaces
             kernel = ei.kernel
