@@ -2,15 +2,14 @@
 
 Everything here is deliberately naive: insertion walks are exact reach
 sets, sustainability is a fixpoint over (believed, actual) state pairs that
-re-tests every pair each round, and inputs are gated to toy sizes.  The
-two deciders number g's states in ``g.states`` order and hold every set
-of states as an int bitmask over that numbering.  Once per call they read
-g into one successor row per label, each state's exact walk mask and one
-relay mask per (label, believed state).  The round-robin fixpoint keeps W
-as one mask of believed states per actual state, and the search grows the
-reachable pairs, kept the same way, one event or one relay at a time.
-Only ``is_desirable_bounded`` takes a bound: the depth of the
-continuations it explores.  The whole value of the module is that it
+re-tests every pair each round, and the deciders are gated to toy sizes.
+Every check numbers g's states in ``g.states`` order and holds every set of
+states as an int bitmask over that numbering.  Once per call the deciders
+and ``is_desirable_bounded`` read g into one successor row per label, each
+state's exact walk mask and one relay mask per (label, believed state).
+W and the reachable pairs are kept as one mask of believed states per
+actual state.  Only ``is_desirable_bounded`` takes a bound: the depth of
+the continuations it explores.  The whole value of the module is that it
 reaches verdicts by a route independent of the verifier constructions it
 is meant to check.
 """
@@ -99,37 +98,14 @@ def is_feasible(
     """True iff every masked prefix of the modified observation stays in the language.
 
     The observer replays everything it sees through its model of the system,
-    so one dead prefix means the insertion has given the game away.
+    so one dead prefix means the insertion has given the game away.  The
+    language is prefix-closed: one run of the masked string decides.
     """
     x0 = _single_initial(g)
-    events = [as_label(e) for e in s]
-    if not g.run(x0, events):
+    if not g.run(x0, s):
         raise ValueError("the observation itself is not in the language")
-    current: frozenset = frozenset({x0})
-    for label in ei.modified_observation(events):
-        stepped: set = set()
-        masked = label.as_actual()
-        for x in current:
-            stepped |= g.step(x, masked)
-        if not stepped:
-            return False
-        current = frozenset(stepped)
-    return True
-
-
-def _reach(succ: dict, starts: Iterable[State], symbols: Iterable[str | EventLabel]) -> frozenset:
-    """States reachable from starts by any walk over the given symbols in ``_successors``."""
-    steps = [succ.get(as_label(sym), {}) for sym in symbols]
-    reached = set(starts)
-    frontier = list(reached)
-    while frontier:
-        x = frontier.pop()
-        for step in steps:
-            for y in step.get(x, ()):
-                if y not in reached:
-                    reached.add(y)
-                    frontier.append(y)
-    return frozenset(reached)
+    masked = [label.as_actual() for label in ei.modified_observation(s)]
+    return g.events.issuperset(masked) and bool(g.run(x0, masked))
 
 
 def is_desirable_bounded(
@@ -144,67 +120,54 @@ def is_desirable_bounded(
     state.  Clause two: for every continuation of the observation up to
     ``horizon`` events there must exist inserted segments, of any length,
     keeping every masked prefix in the language.  The continuation check
-    tracks the set of believed states still consistent with some choice of
+    relays the mask of believed states still consistent with some choice of
     segments, so the per-continuation existential is answered exactly up to
     the horizon.
     """
     if not is_feasible(g, s, ei):
         raise ValueError("the insertion is not feasible for this observation")
     x0 = _single_initial(g)
-    events = [as_label(e) for e in s]
-    (genuine_end,) = g.run(x0, events)
-    masked = [label.as_actual() for label in ei.modified_observation(events)]
-    (dummy_end,) = g.run(x0, masked)
+    (genuine_end,) = g.run(x0, s)
+    (dummy_end,) = g.run(x0, [label.as_actual() for label in ei.modified_observation(s)])
     if dummy_end in g.secret:
         return False
 
-    alphabet = {e.symbol for e in g.events if not e.inserted}
     if ei.constraints is None:
-        before_syms: frozenset = frozenset(alphabet)
-        after_syms: frozenset = frozenset(alphabet)
+        before = after = [e for e in g.events if not e.inserted]
     else:
-        before_syms = ei.constraints.before
-        after_syms = ei.constraints.after
+        before, after = ei.constraints.before, ei.constraints.after
+    index = {x: i for i, x in enumerate(g.states)}
+    n = len(index)
+    rows = _rows(g, index)
+    moves = _relayed_moves(g, index, rows, _walks(rows, before, n), _walks(rows, after, n))
 
-    succ = _successors(g)
+    # Not functools.cache: its C wrapper would halve the deepest horizon.
     memo: dict = {}
 
-    def survivable(believed: frozenset, actual: State, depth: int) -> bool:
-        if not believed:
-            return False
-        if depth == 0:
-            return True
-        key = (believed, actual, depth)
-        if key in memo:
-            return memo[key]
-        verdict = True
-        staged = _reach(succ, believed, before_syms)
-        for e in sorted(g.enabled_events(actual)):
-            (actual_next,) = g.step(actual, e)
-            relayed: set = set()
-            for d in staged:
-                relayed |= g.step(d, e)
-            settled = _reach(succ, relayed, after_syms)
-            if not survivable(settled, actual_next, depth - 1):
-                verdict = False
-                break
-        memo[key] = verdict
-        return verdict
+    def survivable(believed: int, x: int, depth: int) -> bool:
+        if not believed or not depth:
+            return bool(believed)
+        key = (believed, x, depth)
+        if key not in memo:
+            memo[key] = True
+            for relay, y in moves[x]:
+                settled = 0
+                todo = believed
+                while todo:
+                    low = todo & -todo
+                    todo ^= low
+                    settled |= relay[low.bit_length() - 1]
+                if not survivable(settled, y, depth - 1):
+                    memo[key] = False
+                    break
+        return memo[key]
 
-    return survivable(frozenset({dummy_end}), genuine_end, horizon)
+    return survivable(1 << index[dummy_end], index[genuine_end], horizon)
 
 
 def _guard_size(g: Automaton) -> None:
     if len(g.states) > _ORACLE_STATE_LIMIT:
         raise ValueError(f"oracle checks are gated to at most {_ORACLE_STATE_LIMIT} states")
-
-
-def _successors(g: Automaton) -> dict:
-    """g's moves as one {state: successors} map per label, as ``g.transitions`` keys it."""
-    succ: dict = {}
-    for (x, e), targets in g.transitions.items():
-        succ.setdefault(e, {})[x] = targets
-    return succ
 
 
 def _rows(g: Automaton, index: dict) -> dict:
@@ -362,10 +325,10 @@ def oracle_eic_enforceable(g: Automaton, c: InsertionConstraints) -> bool:
     Same shape as the unconstrained oracle, but a step now means: walk the
     believed state over before-insertable symbols, relay the event, then
     walk over after-insertable symbols.  Pairs are tracked at the resting
-    points between outputs.  When something can lead back to the initial
-    state the believed state may also take an after-walk before the first
-    output, mirroring what the constrained product construction allows
-    there.
+    points between outputs, from (x0, x0).  An after-walk before the first
+    output would change no verdict: a move x -e-> x0 from an accessible x
+    relays the reached pair (x, x) onto every (d, x0) with d in the
+    after-walk of x0, and an inaccessible state is never covered.
     """
     _guard_size(g)
     c.validate_against(g)
@@ -373,16 +336,13 @@ def oracle_eic_enforceable(g: Automaton, c: InsertionConstraints) -> bool:
     index = {x: i for i, x in enumerate(g.states)}
     n = len(index)
     rows = _rows(g, index)
-    areach = _walks(rows, c.after, n)
-    moves = _relayed_moves(g, index, rows, _walks(rows, c.before, n), areach)
+    moves = _relayed_moves(g, index, rows, _walks(rows, c.before, n), _walks(rows, c.after, n))
     w = _staying(moves)
 
     start = index[x0]
     resting = [0] * n
-    entered = any(x0 in targets for targets in g.transitions.values())
-    resting[start] = areach[start] if entered else 1 << start
-    frontier: list = []
-    _push(frontier, resting[start], start)
+    resting[start] = 1 << start
+    frontier = [(start, start)]
     while frontier:
         d, x = frontier.pop()
         for relay, x_next in moves[x]:

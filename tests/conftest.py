@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import os
 from pathlib import Path
-from typing import Callable, Collection, Mapping, NamedTuple, Optional
+from typing import Callable, Collection, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 import pytest
 
@@ -15,7 +15,7 @@ from veiler.constrained import (
     eic_admissible_states,
     find_staying_eic_nonblocking,
 )
-from veiler.fsm import Automaton, sorted_labels, state_display
+from veiler.fsm import Automaton, EventLabel, as_label, sorted_labels, state_display
 from veiler.insertion import (
     IndicatorState,
     admissible_states,
@@ -24,7 +24,7 @@ from veiler.insertion import (
     build_verifier,
     find_staying_nonblocking,
 )
-from veiler.oracle import _reach, _successors
+from veiler.oracle import ExtendedInsertionSequence
 from veiler.report import _base, _displays
 
 # The flags of a row's code: the pair is in the verifier, or admissible;
@@ -129,6 +129,14 @@ def per_pair_payload():
     return run
 
 
+def _reference_initial(g: Automaton):
+    """g's single initial state; a nondeterministic g is refused."""
+    if not g.deterministic:
+        raise ValueError("string-level checks require a deterministic automaton")
+    (x0,) = g.initial
+    return x0
+
+
 def _reference_checks(g: Automaton, c: Optional[InsertionConstraints] = None):
     """The reference deciders' input checks, in their order: the size
     gate, the constraint symbols, then a single initial state."""
@@ -136,10 +144,107 @@ def _reference_checks(g: Automaton, c: Optional[InsertionConstraints] = None):
         raise ValueError("oracle checks are gated to at most 6 states")
     if c is not None:
         c.validate_against(g)
-    if not g.deterministic:
-        raise ValueError("string-level checks require a deterministic automaton")
-    (x0,) = g.initial
-    return x0
+    return _reference_initial(g)
+
+
+def _successors(g: Automaton) -> dict:
+    """g's moves as one {state: successors} map per label, as ``g.transitions`` keys it."""
+    succ: dict = {}
+    for (x, e), targets in g.transitions.items():
+        succ.setdefault(e, {})[x] = targets
+    return succ
+
+
+def _reach(succ: dict, starts: Iterable, symbols: Iterable[str | EventLabel]) -> frozenset:
+    """States reachable from starts by any walk over the given symbols in ``_successors``."""
+    steps = [succ.get(as_label(sym), {}) for sym in symbols]
+    reached = set(starts)
+    frontier = list(reached)
+    while frontier:
+        x = frontier.pop()
+        for step in steps:
+            for y in step.get(x, ()):
+                if y not in reached:
+                    reached.add(y)
+                    frontier.append(y)
+    return frozenset(reached)
+
+
+def reference_is_feasible(
+    g: Automaton, s: Sequence[str | EventLabel], ei: ExtendedInsertionSequence
+) -> bool:
+    """``is_feasible`` on Python sets of states, one ``g.step`` per believed
+    state per masked label, as it was before it read g into bitmask tables:
+    the reference its results and errors are held to."""
+    x0 = _reference_initial(g)
+    events = [as_label(e) for e in s]
+    if not g.run(x0, events):
+        raise ValueError("the observation itself is not in the language")
+    current: frozenset = frozenset({x0})
+    for label in ei.modified_observation(events):
+        stepped: set = set()
+        masked = label.as_actual()
+        for x in current:
+            stepped |= g.step(x, masked)
+        if not stepped:
+            return False
+        current = frozenset(stepped)
+    return True
+
+
+def reference_is_desirable_bounded(
+    g: Automaton,
+    s: Sequence[str | EventLabel],
+    ei: ExtendedInsertionSequence,
+    horizon: int,
+) -> bool:
+    """``is_desirable_bounded`` on Python sets of believed states, walked by
+    ``_reach`` and stepped by ``g.step``, as it was before it read g into
+    bitmask tables: the reference its results and errors are held to."""
+    if not reference_is_feasible(g, s, ei):
+        raise ValueError("the insertion is not feasible for this observation")
+    x0 = _reference_initial(g)
+    events = [as_label(e) for e in s]
+    (genuine_end,) = g.run(x0, events)
+    masked = [label.as_actual() for label in ei.modified_observation(events)]
+    (dummy_end,) = g.run(x0, masked)
+    if dummy_end in g.secret:
+        return False
+
+    alphabet = {e.symbol for e in g.events if not e.inserted}
+    if ei.constraints is None:
+        before_syms: frozenset = frozenset(alphabet)
+        after_syms: frozenset = frozenset(alphabet)
+    else:
+        before_syms = ei.constraints.before
+        after_syms = ei.constraints.after
+
+    succ = _successors(g)
+    memo: dict = {}
+
+    def survivable(believed: frozenset, actual, depth: int) -> bool:
+        if not believed:
+            return False
+        if depth == 0:
+            return True
+        key = (believed, actual, depth)
+        if key in memo:
+            return memo[key]
+        verdict = True
+        staged = _reach(succ, believed, before_syms)
+        for e in sorted(g.enabled_events(actual)):
+            (actual_next,) = g.step(actual, e)
+            relayed: set = set()
+            for d in staged:
+                relayed |= g.step(d, e)
+            settled = _reach(succ, relayed, after_syms)
+            if not survivable(settled, actual_next, depth - 1):
+                verdict = False
+                break
+        memo[key] = verdict
+        return verdict
+
+    return survivable(frozenset({dummy_end}), genuine_end, horizon)
 
 
 def _reference_moves(g: Automaton, succ: dict, before: dict, after: dict) -> dict:
@@ -232,17 +337,23 @@ def reference_oracle_eic_enforceable(g: Automaton, c: InsertionConstraints) -> b
 
 
 class ReferenceOracle(NamedTuple):
-    """The set-based search deciders, unconstrained and constrained."""
+    """The set-based search deciders, unconstrained and constrained, and
+    the set-based string checks."""
 
     ei: Callable[[Automaton], bool]
     eic: Callable[[Automaton, InsertionConstraints], bool]
+    feasible: Callable[..., bool]
+    desirable: Callable[..., bool]
 
 
 @pytest.fixture
 def reference_oracle() -> ReferenceOracle:
-    """The search oracle's deciders as they were on Python sets: the
-    reference for the bitmask deciders of ``veiler.oracle``."""
-    return ReferenceOracle(reference_oracle_ei_enforceable, reference_oracle_eic_enforceable)
+    """The search oracle's deciders and string checks as they were on
+    Python sets: the reference for the bitmask ones of ``veiler.oracle``."""
+    return ReferenceOracle(
+        reference_oracle_ei_enforceable, reference_oracle_eic_enforceable,
+        reference_is_feasible, reference_is_desirable_bounded,
+    )
 
 
 @pytest.fixture(scope="session", autouse=True)

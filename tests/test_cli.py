@@ -45,7 +45,7 @@ from veiler.insertion import (
     build_insertion_automaton,
     check_ei_enforceable,
 )
-from veiler.oracle import random_constraints, random_dfa
+from veiler.oracle import is_desirable_bounded, is_feasible, random_constraints, random_dfa
 from veiler.report import ei_report, eic_report, to_json
 from veiler.textio import ParseError, emit_automaton, parse_document
 
@@ -864,13 +864,15 @@ class TestDecisionPath:
         _run_every_command(tmp_path)
 
     def test_no_command_calls_a_library_only_path(self, capsys, monkeypatch, tmp_path):
-        # emit_dot and the automaton's move index serve library callers
-        # only, and are written plainly, not for speed: a command that
-        # calls one of them again must show on the benchmark first.
+        # emit_dot, the string-level checks and the automaton's move index
+        # serve library callers only, and are written plainly, not for
+        # speed: a command that calls one of them again must show on the
+        # benchmark first.
         def forbidden(*args, **kwargs):
             raise AssertionError("a library-only path ran in a command")
 
-        _forbid(monkeypatch, emit_dot, forbidden)
+        for original in (emit_dot, is_feasible, is_desirable_bounded):
+            _forbid(monkeypatch, original, forbidden)
         for method in ("outgoing", "enabled_events", "accessible_part"):
             monkeypatch.setattr(Automaton, method, forbidden)
         _run_every_command(tmp_path)

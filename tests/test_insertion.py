@@ -675,10 +675,11 @@ class TestOutputOnlyFields:
 
     @pytest.mark.parametrize("constrained", [False, True], ids=["EI", "EIC"])
     def test_two_reports_of_one_kernel_prune_apart(self, constrained):
-        # Each report holds the basis of its own pruning, so two decisions
-        # of one kernel, read interleaved, give a fresh decision's pairs.
-        # random_dfa(3, 6, live=True) under random_constraints(3, "abc") is
-        # where the kernel once held one basis for all its reports.
+        # The kernel holds the relays and relations, and its reports share
+        # them: two decisions of one kernel, read interleaved, still give a
+        # fresh decision's pairs.  random_dfa(3, 6, live=True) under
+        # random_constraints(3, "abc") is where the second report once
+        # raised a KeyError, when the kernel handed its relations to one.
         fields = ("enforceable", "uncovered_actual_states", "staying_masks",
                   "admissible_masks", "unreachable_actual_states")
         for seed in range(3, 43):

@@ -2,11 +2,12 @@ from __future__ import annotations
 
 import hashlib
 import random
+from collections import Counter
 
 import pytest
 
 from veiler.constrained import InsertionConstraints, check_eic_enforceable
-from veiler.fsm import Automaton, EventLabel, Tag, word
+from veiler.fsm import Automaton, EventLabel, Tag, as_label, word
 from veiler.insertion import IndicatorState, check_ei_enforceable
 from veiler.oracle import (
     ExtendedInsertionSequence,
@@ -186,6 +187,12 @@ class TestIsDesirableBounded:
                 for h in range(1, 7)
             ]
             assert verdicts == sorted(verdicts, reverse=True)
+
+    def test_a_horizon_costs_one_frame_per_output(self, g1):
+        # With functools.cache for its memo, each output explored would
+        # cost a second frame, and this horizon a RecursionError.
+        ei = ExtendedInsertionSequence.ei([()], [("a",)])
+        assert is_desirable_bounded(g1, "c", ei, 800)
 
 
 class TestOracleVerdicts:
@@ -375,6 +382,92 @@ class TestAgainstTheSetBasedReference:
         if nondeterministic and n_states <= 6:
             assert ei == "ValueError: string-level checks require a deterministic automaton"
             assert stray or eic == ei
+
+
+def _guided_segments(g: Automaton, rng: random.Random, s, pools) -> tuple:
+    """Before- and after-segments of 0-2 symbols around each output of s,
+    from the two pools; nine symbols in ten are ones the masked modified
+    observation can take next, where the pool has one."""
+    current = set(g.initial)
+
+    def grow(pool) -> tuple:
+        nonlocal current
+        segment = []
+        for _ in range(rng.randrange(3) if pool else 0):
+            open_ = [sym for sym in pool if any(g.step(x, EventLabel(sym)) for x in current)]
+            sym = rng.choice(open_ if open_ and rng.random() < 0.9 else pool)
+            segment.append(sym)
+            current = {y for x in current for y in g.step(x, EventLabel(sym))}
+        return tuple(segment)
+
+    before, after = [], []
+    for event in s:
+        before.append(grow(pools[0]))
+        current = {y for x in current for y in g.step(x, as_label(event).as_actual())}
+        after.append(grow(pools[1]))
+    return before, after
+
+
+def _string_check_draw(seed: int):
+    """A seeded (g, s, ei) for the string checks: g has 2-8 states, live or
+    halting, now and then an a_i move, one time in ten is nondeterministic;
+    ei is EI or EIC, one time in four its segments may insert z, outside
+    every alphabet, and one observation in eight leaves the language."""
+    rng = random.Random(seed)
+    n = rng.randrange(2, 9)
+    if rng.random() < 0.1:
+        g = random_nfa(seed, n)
+        s = [rng.choice("abc") for _ in range(rng.randrange(4))]
+    else:
+        g = random_dfa(seed, n, live=rng.random() < 0.5)
+        if rng.random() < 0.2:
+            g = _with_inserted_move(g, rng.randrange(n), rng.randrange(n))
+        s = _random_observation(g, rng)
+    if rng.random() < 0.125:
+        s.append(rng.choice("abcz"))
+    symbols = "abcz" if rng.random() < 0.25 else "abc"
+    if rng.random() < 0.5:
+        pools = (symbols, symbols)
+        return g, s, ExtendedInsertionSequence.ei(*_guided_segments(g, rng, s, pools))
+    c = random_constraints(seed, symbols)
+    pools = (sorted(c.before), sorted(c.after))
+    return g, s, ExtendedInsertionSequence.eic(*_guided_segments(g, rng, s, pools), c)
+
+
+class TestStringChecksAgainstTheSetBasedReference:
+    """The bitmask string checks against the set-based ones they replaced
+    (``reference_oracle`` in conftest): the same results and the same
+    errors on 2400 seeded draws, each at horizons 0, 1, 3 and 8."""
+
+    HORIZONS = (0, 1, 3, 8)
+
+    def test_results_and_errors_equal_the_reference(self, reference_oracle):
+        tally: Counter = Counter()
+        for seed in range(2400):
+            g, s, ei = _string_check_draw(seed)
+            feasible = _outcome(is_feasible, g, s, ei)
+            assert feasible == _outcome(reference_oracle.feasible, g, s, ei), seed
+            tally[feasible] += 1
+            desirable = [_outcome(is_desirable_bounded, g, s, ei, h) for h in self.HORIZONS]
+            expected = [_outcome(reference_oracle.desirable, g, s, ei, h) for h in self.HORIZONS]
+            assert desirable == expected, seed
+            tally.update(zip(self.HORIZONS, desirable))
+            # Clause two decides: the end is not secret, yet the insertion strands.
+            tally["stranded"] += desirable[0] is True and desirable[-1] is False
+        # Both verdicts of each check are common, at every horizon, clause
+        # two decides often, and is_desirable_bounded raises every error,
+        # is_feasible's among them: the comparison is not one-sided.
+        assert min(tally[True], tally[False], *(
+            tally[h, verdict] for h in self.HORIZONS for verdict in (True, False)
+        )) > 300, tally
+        assert tally["stranded"] > 30, tally
+        for message in (
+            "the observation itself is not in the language",
+            "unknown event label 'z'",
+            "the insertion is not feasible for this observation",
+            "string-level checks require a deterministic automaton",
+        ):
+            assert tally[8, f"ValueError: {message}"] > 50, tally
 
 
 class TestRandomGenerators:

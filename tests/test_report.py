@@ -15,7 +15,7 @@ from veiler.insertion import _count, check_ei_enforceable
 from veiler.oracle import oracle_ei_enforceable, oracle_eic_enforceable, random_dfa
 from veiler.report import _name_order, _verify_payload, ei_report, eic_report, to_json
 
-SCALARS = st.none() | st.booleans() | st.integers() | st.text()
+SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text()
 PAYLOADS = st.recursive(
     SCALARS,
     lambda children: st.lists(children) | st.dictionaries(st.text(), children),
