@@ -14,18 +14,9 @@ from enum import IntEnum
 from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .fsm import (
-    Automaton,
-    EventLabel,
-    FrozenValue,
-    State,
-    Tag,
-    sorted_labels,
-    state_display,
-)
+from .fsm import Automaton, FrozenValue, State, Tag, state_display
 from .insertion import (
     EnforcementReport,
-    IndicatorState,
     _greatest_fixpoint,
     _images,
     _PairKernel,
@@ -119,62 +110,6 @@ _AFTER_MOVE = {
 }
 
 
-def build_eic_insertion_automaton(
-    g: Automaton, c: InsertionConstraints
-) -> Automaton:
-    """The system enriched with decorated copies tracking the insertion phase.
-
-    Every decoration relays a real event back to the plain target state.
-    After-insertions are possible at the initial state only when something
-    can actually lead there, since before the first output nothing has been
-    produced to insert after; the two decorations that would claim otherwise
-    are dropped in that case.
-    """
-    if not g.deterministic:
-        raise ValueError("insertion analysis requires a deterministic automaton")
-    c.validate_against(g)
-    (x0,) = g.initial
-    actual = sorted_labels(e for e in g.events if not e.inserted)
-    before_labels = [EventLabel(sym, Tag.INSERTED_BEFORE) for sym in sorted(c.before)]
-    after_labels = [EventLabel(sym, Tag.INSERTED_AFTER) for sym in sorted(c.after)]
-
-    states: set = set()
-    for x in g.states:
-        for decoration in Decoration:
-            states.add(_decorate(x, decoration))
-    if not any(x0 in targets for targets in g.transitions.values()):
-        states.discard(_decorate(x0, Decoration.A))
-        states.discard(_decorate(x0, Decoration.AB))
-
-    transitions: dict[tuple[State, EventLabel], frozenset] = {}
-    for state in states:
-        base = base_of(state)
-        decoration = decoration_of(state)
-        for e in actual:
-            target = g.step(base, e)
-            if target:
-                (y,) = target
-                transitions[(state, e)] = frozenset({y})
-        for label in before_labels:
-            nxt = _decorate(base, _BEFORE_MOVE[decoration])
-            if nxt in states:
-                transitions[(state, label)] = frozenset({nxt})
-        if decoration in _AFTER_MOVE:
-            for label in after_labels:
-                nxt = _decorate(base, _AFTER_MOVE[decoration])
-                if nxt in states:
-                    transitions[(state, label)] = frozenset({nxt})
-
-    full = Automaton(
-        frozenset(states),
-        g.events | frozenset(before_labels) | frozenset(after_labels),
-        transitions,
-        g.initial,
-        g.secret,
-    )
-    return full.accessible_part()
-
-
 def _constraints_of(geic: Automaton) -> InsertionConstraints:
     return InsertionConstraints(
         frozenset(e.symbol for e in geic.events if e.tag is Tag.INSERTED_BEFORE),
@@ -188,9 +123,11 @@ class _EicKernel(_PairKernel):
     The phases are the four decorations, so the decorated state (x, dec) is
     the id ``dec*n + x``, and the insertion kinds are before (label ids
     ``before``) and after (``after``), shifting the decoration as
-    ``_BEFORE_MOVE`` and ``_AFTER_MOVE`` say.  Pair objects, whose actual
-    component is a decorated state, are made only by ``objects``.  Stray
-    constraint symbols are refused before a nondeterministic system is.
+    ``_BEFORE_MOVE`` and ``_AFTER_MOVE`` say, which only ``kinds`` reads;
+    only ``__init__`` reads g for the x0 rule, ``entered``.  Pair objects,
+    whose actual component is a decorated state (``actual``), are made only
+    by ``objects``.  Stray constraint symbols are refused before a
+    nondeterministic system is.
     """
 
     _PHASES = tuple(_DECORATION_SUFFIX.values())
@@ -201,8 +138,7 @@ class _EicKernel(_PairKernel):
         super().__init__(g)
         self.before = [e for e, label in enumerate(self.labels) if label.symbol in c.before]
         self.after = [e for e, label in enumerate(self.labels) if label.symbol in c.after]
-        # The rule of build_eic_insertion_automaton: x0 has no after-phase
-        # unless some move of g leads back to it.
+        # x0 has no after-phase unless some move of g leads back to it.
         x0 = self.states[self.x0]
         self.entered = any(x0 in targets for targets in g.transitions.values())
 
@@ -220,9 +156,8 @@ class _EicKernel(_PairKernel):
             kinds.append((symbols, shift))
         return kinds
 
-    def pair(self, d: int, a: int) -> IndicatorState:
-        n = self.n
-        return IndicatorState(self.states[d], _decorate(self.states[a % n], Decoration(a // n)))
+    def actual(self, a: int) -> State:
+        return _decorate(self.states[a % self.n], Decoration(a // self.n))
 
     @cached_property
     def relations(self) -> _Relations:
@@ -296,6 +231,28 @@ class _EicKernel(_PairKernel):
         return [mask & keep for mask, keep in zip(reachable, kept[:n] * 2 + kept[n:] * 2)]
 
 
+def _staged_kernel(g: Automaton, c: InsertionConstraints) -> _EicKernel:
+    """The kernel of the staged functions, which refuse a nondeterministic
+    system before stray constraint symbols."""
+    if not g.deterministic:
+        raise ValueError("insertion analysis requires a deterministic automaton")
+    return _EicKernel(g, c)
+
+
+def build_eic_insertion_automaton(g: Automaton, c: InsertionConstraints) -> Automaton:
+    """The system enriched with decorated copies tracking the insertion phase.
+
+    Every decoration relays a real event back to the plain target state.
+    After-insertions are possible at the initial state only when something
+    can actually lead there, since before the first output nothing has been
+    produced to insert after; the two decorations that would claim otherwise
+    are then unreachable.  It is the accessible part of the kernel's drawing
+    of its two insertion kinds, whose ``kinds`` and ``entered`` state these
+    rules.
+    """
+    return _staged_kernel(g, c).insertion_automaton().accessible_part()
+
+
 def build_eic_indicator(g: Automaton, geic: Automaton) -> Automaton:
     """Product of the system with its constrained insertion automaton.
 
@@ -305,12 +262,11 @@ def build_eic_indicator(g: Automaton, geic: Automaton) -> Automaton:
     accessible part is materialized, by a search from the initial pair; it
     holds the pairs that ``check_eic_enforceable`` reaches on bitmasks.
     """
-    c = _constraints_of(geic)
-    if geic != build_eic_insertion_automaton(g, c):
+    kernel = _staged_kernel(g, _constraints_of(geic))
+    if geic != kernel.insertion_automaton().accessible_part():
         raise ValueError(
             "second argument must be a constrained insertion automaton of the first"
         )
-    kernel = _EicKernel(g, c)
     return kernel.automaton(kernel.search())
 
 

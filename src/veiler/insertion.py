@@ -38,23 +38,10 @@ def build_insertion_automaton(g: Automaton) -> Automaton:
     """The system plus a fictitious self-loop for every symbol at every state.
 
     The self-loops model the fact that an inserted event never moves the
-    system itself, only the observer's belief.
+    system itself, only the observer's belief.  It is the kernel's drawing
+    of its one insertion kind, every event with the phase unchanged.
     """
-    if not g.deterministic:
-        raise ValueError("insertion analysis requires a deterministic automaton")
-    actual = _actual_labels(g)
-    inserted = [EventLabel(e.symbol, Tag.INSERTED) for e in actual]
-    transitions = dict(g.transitions)
-    for x in g.states:
-        for label in inserted:
-            transitions[(x, label)] = frozenset({x})
-    return Automaton(
-        g.states,
-        g.events | frozenset(inserted),
-        transitions,
-        g.initial,
-        g.secret,
-    )
+    return _PairKernel(g).insertion_automaton()
 
 
 # The escape of a state name inside a pair name.
@@ -243,15 +230,16 @@ class _PairKernel:
     one phase and one kind, every event with the phase unchanged: its
     ``before`` and ``after`` alphabets are every label, and ``entered`` is
     true, as the believed state may walk from x0 before the first output.
-    ``arcs`` lists the moves of every actual state, which ``moves`` filters
-    by a dummy, for the library's search and ``automaton``, and the DOT
-    file by event sets.  ``relays`` is built once, on first read, and a
-    report reads its pairs through two methods that the constrained kernel
-    overrides, ``reachable_masks`` and ``verifier_masks``.  A set of
-    pairs is held as one bitmask of dummies per actual state, bit d of
-    entry a for the pair ``d*width + a``.  Pair objects are made only by
-    ``objects``, when a report's pair field is first read, and pair names
-    only by ``name_parts``, for output.
+    ``arcs`` lists the moves of every actual state (object: ``actual``),
+    which ``insertion_automaton`` draws, ``moves`` filters by a dummy, for
+    the library's search and ``automaton``, and the DOT file by event sets.
+    ``relays`` is built once, on first read, and a report reads its pairs
+    through two methods that the constrained kernel overrides,
+    ``reachable_masks`` and ``verifier_masks``.  A set of pairs is held as
+    one bitmask of dummies per actual state, bit d of entry a for the pair
+    ``d*width + a``.  Pair objects are made only by ``objects``, when a
+    report's pair field is first read, and pair names only by
+    ``name_parts``, for output.
     """
 
     def __init__(self, g: Automaton) -> None:
@@ -261,6 +249,7 @@ class _PairKernel:
         named = sorted([(state_display(x), x) for x in g.states], key=itemgetter(0))
         self.state_names = [name for name, _ in named]
         self.states = [x for _, x in named]
+        self.system_events = g.events
         self.labels = _actual_labels(g)
         n, k = self.n, self.k = len(self.states), len(self.labels)
         index = {x: i for i, x in enumerate(self.states)}
@@ -320,8 +309,33 @@ class _PairKernel:
         """The label of every label index, made only for output."""
         return [EventLabel(label.symbol, tag) for tag in self._TAGS for label in self.labels]
 
-    def pair(self, d: int, x: int) -> IndicatorState:
-        return IndicatorState(self.states[d], self.states[x])
+    @cached_property
+    def events(self) -> frozenset:
+        """The events of ``automaton`` and ``insertion_automaton``: g's own
+        and the labels of each kind's alphabet."""
+        k, labels = self.k, self.edge_labels()
+        return self.system_events.union(
+            labels[j * k + e] for j, (symbols, _) in enumerate(self.kinds, 1) for e in symbols
+        )
+
+    def actual(self, a: int) -> State:
+        """The object of the actual state ``a``."""
+        return self.states[a]
+
+    def pair(self, d: int, a: int) -> IndicatorState:
+        return IndicatorState(self.states[d], self.actual(a))
+
+    def insertion_automaton(self) -> Automaton:
+        """The insertion automaton: every actual state with its ``arcs``."""
+        labels = self.edge_labels()
+        states = [self.actual(a) for a in range(self.width)]
+        transitions = {
+            (states[a], labels[j]): frozenset((states[b],))
+            for a, out in enumerate(self.arcs)
+            for j, _, b in out
+        }
+        initial, secret = frozenset((states[self.x0],)), frozenset(states[x] for x in self.secret)
+        return Automaton(frozenset(states), self.events, transitions, initial, secret)
 
     def moves(self, p: int) -> Iterator[tuple[int, int]]:
         """The moves of the pair ``p``, as (label index, target) pairs."""
@@ -364,12 +378,8 @@ class _PairKernel:
         return {p: self.pair(*divmod(p, self.width)) for p in pairs}
 
     def automaton(self, pairs: Collection[int]) -> Automaton:
-        """The indicator restricted to ``pairs``; its labels are every solid
-        one and those of each kind's alphabet."""
-        k, labels = self.k, self.edge_labels()
-        events = frozenset(labels[:k]).union(
-            labels[j * k + e] for j, (symbols, _) in enumerate(self.kinds, 1) for e in symbols
-        )
+        """The indicator restricted to ``pairs``, over ``events``."""
+        labels, events = self.edge_labels(), self.events
         if not pairs:
             return Automaton(frozenset(), events, {}, frozenset())
         width = self.width
@@ -555,13 +565,14 @@ class _PairKernel:
         descend g's SCCs, so such a path relays outputs forever, and this is
         ``_trim`` over the relays, g's SCCs as dummies and each state's
         moves as arcs.  A component is reachable when the first member of
-        its SCC is, and kept with all its members."""
+        its SCC is, and kept with all its members; the masks of SCCs are
+        looked up in image tables over those first members."""
         components, scc, _, members = self._reach(self.before)
         firsts = sum(1 << group[0] for group in components)
         bits = [1 << c for c in scc]
         succ = [[_union(mask & firsts, bits) for mask in row] for row in self.relays]
         arcs = [[(e, y) for e, y in enumerate(row) if y >= 0] for row in self.delta]
-        groups = [_union(mask & firsts, bits) for mask in reachable]
+        groups = _images(_tables(bits), [mask & firsts for mask in reachable])
         kept = _trim((succ, arcs), groups)
         return reachable if kept is groups else [_union(mask, members) for mask in kept]
 
@@ -575,9 +586,9 @@ def build_indicator(g: Automaton, gf: Automaton) -> Automaton:
     accessible part is materialized.  A pair is marked secret when its dummy
     is a secret system state.
     """
-    if gf != build_insertion_automaton(g):
-        raise ValueError("second argument must be the insertion automaton of the first")
     kernel = _PairKernel(g)
+    if gf != kernel.insertion_automaton():
+        raise ValueError("second argument must be the insertion automaton of the first")
     return kernel.automaton(kernel.search())
 
 

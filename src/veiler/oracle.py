@@ -122,7 +122,10 @@ def is_desirable_bounded(
     keeping every masked prefix in the language.  The continuation check
     relays the mask of believed states still consistent with some choice of
     segments, so the per-continuation existential is answered exactly up to
-    the horizon.
+    the horizon: clause two fails iff some (believed mask, state) pair at
+    most ``horizon`` outputs from the end of the observation has an empty
+    mask.  The pairs are walked depth by depth, each once, and the walk
+    stops early at a depth that finds no new pair.
     """
     if not is_feasible(g, s, ei):
         raise ValueError("the insertion is not feasible for this observation")
@@ -141,15 +144,11 @@ def is_desirable_bounded(
     rows = _rows(g, index)
     moves = _relayed_moves(g, index, rows, _walks(rows, before, n), _walks(rows, after, n))
 
-    # Not functools.cache: its C wrapper would halve the deepest horizon.
-    memo: dict = {}
-
-    def survivable(believed: int, x: int, depth: int) -> bool:
-        if not believed or not depth:
-            return bool(believed)
-        key = (believed, x, depth)
-        if key not in memo:
-            memo[key] = True
+    layer = [(1 << index[dummy_end], index[genuine_end])]
+    seen = set(layer)
+    for _ in range(horizon):
+        found = []
+        for believed, x in layer:
             for relay, y in moves[x]:
                 settled = 0
                 todo = believed
@@ -157,12 +156,15 @@ def is_desirable_bounded(
                     low = todo & -todo
                     todo ^= low
                     settled |= relay[low.bit_length() - 1]
-                if not survivable(settled, y, depth - 1):
-                    memo[key] = False
-                    break
-        return memo[key]
-
-    return survivable(1 << index[dummy_end], index[genuine_end], horizon)
+                if not settled:
+                    return False
+                if (settled, y) not in seen:
+                    seen.add((settled, y))
+                    found.append((settled, y))
+        if not found:
+            break
+        layer = found
+    return True
 
 
 def _guard_size(g: Automaton) -> None:

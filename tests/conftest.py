@@ -7,17 +7,21 @@ from typing import Callable, Collection, Iterable, Mapping, NamedTuple, Optional
 import pytest
 
 from veiler.constrained import (
+    Decoration,
     InsertionConstraints,
+    _decorate,
     base_of,
     build_eic_indicator,
     build_eic_insertion_automaton,
     build_eic_verifier,
+    decoration_of,
     eic_admissible_states,
     find_staying_eic_nonblocking,
 )
-from veiler.fsm import Automaton, EventLabel, as_label, sorted_labels, state_display
+from veiler.fsm import Automaton, EventLabel, State, Tag, as_label, sorted_labels, state_display
 from veiler.insertion import (
     IndicatorState,
+    _actual_labels,
     admissible_states,
     build_indicator,
     build_insertion_automaton,
@@ -109,6 +113,106 @@ def _naive_indicator(g: Automaton, gi: Automaton) -> Automaton:
     return Automaton(
         frozenset(states), frozenset(labels), transitions, frozenset({start}), secret
     )
+
+
+def reference_build_insertion_automaton(g: Automaton) -> Automaton:
+    """``build_insertion_automaton`` as it was before it was drawn from the
+    kernel's move table: the reference its automata and errors are held to."""
+    if not g.deterministic:
+        raise ValueError("insertion analysis requires a deterministic automaton")
+    actual = _actual_labels(g)
+    inserted = [EventLabel(e.symbol, Tag.INSERTED) for e in actual]
+    transitions = dict(g.transitions)
+    for x in g.states:
+        for label in inserted:
+            transitions[(x, label)] = frozenset({x})
+    return Automaton(
+        g.states,
+        g.events | frozenset(inserted),
+        transitions,
+        g.initial,
+        g.secret,
+    )
+
+
+# The decoration tables of ``reference_build_eic_insertion_automaton``, kept
+# apart from the kernel's: where a before- or after-insertion leads.
+_BEFORE_MOVE = {
+    Decoration.PLAIN: Decoration.B,
+    Decoration.A: Decoration.AB,
+    Decoration.B: Decoration.B,
+    Decoration.AB: Decoration.AB,
+}
+_AFTER_MOVE = {
+    Decoration.PLAIN: Decoration.A,
+    Decoration.A: Decoration.A,
+}
+
+
+def reference_build_eic_insertion_automaton(
+    g: Automaton, c: InsertionConstraints
+) -> Automaton:
+    """``build_eic_insertion_automaton`` as it was before it was drawn from
+    the kernel's move table, decoration by decoration with its own x0 rule:
+    the reference its automata and errors are held to."""
+    if not g.deterministic:
+        raise ValueError("insertion analysis requires a deterministic automaton")
+    c.validate_against(g)
+    (x0,) = g.initial
+    actual = sorted_labels(e for e in g.events if not e.inserted)
+    before_labels = [EventLabel(sym, Tag.INSERTED_BEFORE) for sym in sorted(c.before)]
+    after_labels = [EventLabel(sym, Tag.INSERTED_AFTER) for sym in sorted(c.after)]
+
+    states: set = set()
+    for x in g.states:
+        for decoration in Decoration:
+            states.add(_decorate(x, decoration))
+    if not any(x0 in targets for targets in g.transitions.values()):
+        states.discard(_decorate(x0, Decoration.A))
+        states.discard(_decorate(x0, Decoration.AB))
+
+    transitions: dict[tuple[State, EventLabel], frozenset] = {}
+    for state in states:
+        base = base_of(state)
+        decoration = decoration_of(state)
+        for e in actual:
+            target = g.step(base, e)
+            if target:
+                (y,) = target
+                transitions[(state, e)] = frozenset({y})
+        for label in before_labels:
+            nxt = _decorate(base, _BEFORE_MOVE[decoration])
+            if nxt in states:
+                transitions[(state, label)] = frozenset({nxt})
+        if decoration in _AFTER_MOVE:
+            for label in after_labels:
+                nxt = _decorate(base, _AFTER_MOVE[decoration])
+                if nxt in states:
+                    transitions[(state, label)] = frozenset({nxt})
+
+    full = Automaton(
+        frozenset(states),
+        g.events | frozenset(before_labels) | frozenset(after_labels),
+        transitions,
+        g.initial,
+        g.secret,
+    )
+    return full.accessible_part()
+
+
+class ReferenceBuilders(NamedTuple):
+    """The insertion automata's builders, unconstrained and constrained, as
+    they were before the kernel drew them."""
+
+    ei: Callable[[Automaton], Automaton]
+    eic: Callable[[Automaton, InsertionConstraints], Automaton]
+
+
+@pytest.fixture
+def reference_builders() -> ReferenceBuilders:
+    """The two insertion automaton builders as they were, each state and
+    decoration by hand: the reference for the kernel's drawing."""
+    return ReferenceBuilders(reference_build_insertion_automaton, reference_build_eic_insertion_automaton)
 
 
 @pytest.fixture

@@ -861,6 +861,9 @@ class TestDecisionPath:
             for name in names:
                 original = getattr(importlib.import_module(f"veiler.{layer}"), name)
                 _forbid(monkeypatch, original, forbidden)
+        # The staged builders' drawing of the kernel's move table, which
+        # the constrained kernel inherits.
+        monkeypatch.setattr(_PairKernel, "insertion_automaton", forbidden)
         _run_every_command(tmp_path)
 
     def test_no_command_calls_a_library_only_path(self, capsys, monkeypatch, tmp_path):

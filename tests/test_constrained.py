@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import random
 from collections import Counter
+from itertools import chain, combinations, product
+from pathlib import Path
 from typing import Mapping
 
 import pytest
@@ -22,10 +24,12 @@ from veiler.constrained import (
 )
 from veiler.dot import emit_dot
 from veiler.fsm import Automaton, Tag, state_display, word
-from veiler.insertion import check_ei_enforceable
+from veiler.insertion import build_indicator, build_insertion_automaton, check_ei_enforceable
 from veiler.oracle import oracle_ei_enforceable, oracle_eic_enforceable, random_constraints, random_dfa
 from veiler.report import eic_report, to_json
-from veiler.textio import emit_automaton
+from veiler.textio import emit_automaton, parse_document
+
+DATA = Path(__file__).parent / "data"
 
 BC_A = InsertionConstraints.of({"b", "c"}, {"a"})
 
@@ -125,6 +129,98 @@ class TestEicInsertionAutomaton:
         assert decoration_of(one_a) is Decoration.A
         assert base_of(1) == 1
         assert decoration_of(1) is Decoration.PLAIN
+
+
+def _outcome(build, *args):
+    """What a builder does on args: its automaton, or the message it raises."""
+    try:
+        return build(*args)
+    except ValueError as error:
+        return f"ValueError: {error}"
+
+
+def _with_unreachable(g: Automaton, into_x0: bool) -> Automaton:
+    """g with a component x0 cannot reach, u -a-> v, and with ``into_x0``
+    a move v -b-> x0 back into g's initial state."""
+    (x0,) = g.initial
+    moves = {(x, e.symbol): y for (x, e), (y,) in g.transitions.items()}
+    moves[("u", "a")] = "v"
+    if into_x0:
+        moves[("v", "b")] = x0
+    symbols = {e.symbol for e in g.events} | {"a", "b"}
+    return Automaton.dfa(g.states | {"u", "v"}, sorted(symbols), moves, x0, g.secret | {"v"})
+
+
+def _drawing_population():
+    """(name, system) pairs for the drawn insertion automata: the data
+    files, one of them nondeterministic, live and halting random systems,
+    unreachable components with and without a move into x0, and insertion
+    automata of random systems."""
+    for path in sorted(DATA.glob("*.aut")):
+        yield path.name, parse_document(path.read_text()).automaton
+    for seed in range(48):
+        live = seed % 2 == 0
+        g = random_dfa(seed, 1 + seed % 8, n_events=2 + seed // 2 % 2, live=live)
+        yield f"{'live' if live else 'halting'} {seed}", g
+        if seed % 3 == 0:
+            for into_x0 in (False, True):
+                yield f"unreachable {seed} {into_x0}", _with_unreachable(g, into_x0)
+        if seed % 4 == 1:
+            yield f"insertion automaton {seed}", build_insertion_automaton(g)
+
+
+class TestDrawnInsertionAutomata:
+    """The insertion automata drawn from the kernel's move table against the
+    builders they replaced (``reference_builders`` in conftest): the same
+    automata and the same errors, EIC under all 64 pairs of subsets of abc."""
+
+    SUBSETS = [frozenset(s) for s in chain.from_iterable(combinations("abc", r) for r in range(4))]
+
+    def test_the_drawings_equal_the_reference_builders(self, reference_builders):
+        tally: Counter = Counter()
+        for name, g in _drawing_population():
+            drawn = _outcome(build_insertion_automaton, g)
+            assert drawn == _outcome(reference_builders.ei, g), name
+            if isinstance(drawn, Automaton):
+                assert build_indicator(g, drawn).states, name
+            (x0,) = g.initial
+            entered = any(x0 in targets for targets in g.transitions.values())
+            tally["x0 entered only from an unreachable state"] += entered and not any(
+                x0 in targets for targets in g.accessible_part().transitions.values()
+            )
+            for before, after in product(self.SUBSETS, repeat=2):
+                c = InsertionConstraints(before, after)
+                drawn = _outcome(build_eic_insertion_automaton, g, c)
+                assert drawn == _outcome(reference_builders.eic, g, c), (name, c)
+                if isinstance(drawn, Automaton):
+                    tally["automaton", entered] += 1
+                    if before == after:
+                        assert build_eic_indicator(g, drawn).states, (name, c)
+                else:
+                    tally[drawn] += 1
+        # x0 is entered or not, an unreachable move is the only way in, and
+        # both errors occur: the comparison is not one-sided
+        assert min(tally["automaton", False], tally["automaton", True]) > 500, tally
+        assert tally["x0 entered only from an unreachable state"] >= 4, tally
+        assert tally["ValueError: insertion analysis requires a deterministic automaton"] == 64, tally
+        assert tally["ValueError: constraint symbols outside the alphabet: c"] > 500, tally
+
+    def test_nondeterminism_is_named_before_stray_symbols(self, reference_builders):
+        # The staged builders refuse a nondeterministic system before stray
+        # constraint symbols; the decision, on every command's path, names
+        # the symbols first.
+        g = parse_document((DATA / "partial.aut").read_text()).automaton
+        assert not g.deterministic
+        c = InsertionConstraints.of({"a", "z"}, {"y"})
+        message = "ValueError: insertion analysis requires a deterministic automaton"
+        assert _outcome(build_eic_insertion_automaton, g, c) == message
+        assert _outcome(reference_builders.eic, g, c) == message
+        assert _outcome(build_insertion_automaton, g) == _outcome(reference_builders.ei, g) == message
+        geic = reference_builders.eic(random_dfa(0, 3), InsertionConstraints.of({"a"}, ()))
+        assert _outcome(build_eic_indicator, g, geic) == message
+        assert _outcome(check_eic_enforceable, g, c) == (
+            "ValueError: constraint symbols outside the alphabet: y, z"
+        )
 
 
 class TestEicIndicator:

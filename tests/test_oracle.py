@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+import sys
 from collections import Counter
 
 import pytest
@@ -189,10 +190,26 @@ class TestIsDesirableBounded:
             assert verdicts == sorted(verdicts, reverse=True)
 
     def test_a_horizon_costs_one_frame_per_output(self, g1):
-        # With functools.cache for its memo, each output explored would
-        # cost a second frame, and this horizon a RecursionError.
+        # The check walks the continuations depth by depth in one frame, so
+        # a deep horizon costs no stack: this one once took 800 nested
+        # frames, a frame per output explored.
         ei = ExtendedInsertionSequence.ei([()], [("a",)])
         assert is_desirable_bounded(g1, "c", ei, 800)
+
+    def test_a_horizon_past_the_recursion_limit_gives_a_verdict(self, g1):
+        # Horizon 5000 is past the default recursion limit, so a check that
+        # recursed once per output would raise RecursionError here.  The
+        # walk finds no new pair long before, so the verdict is that of a
+        # horizon that has already seen every pair.
+        assert sys.getrecursionlimit() < 5000
+        cases = [
+            (g1, "c", ExtendedInsertionSequence.ei([()], [("a",)])),
+            (random_dfa(0, 4, live=True), "", ExtendedInsertionSequence.ei([], [])),
+        ]
+        for g, s, ei in cases:
+            verdict = is_desirable_bounded(g, s, ei, 5000)
+            assert isinstance(verdict, bool)
+            assert verdict is is_desirable_bounded(g, s, ei, 64)
 
 
 class TestOracleVerdicts:
