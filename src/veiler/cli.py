@@ -112,6 +112,11 @@ def _split_events(text: str) -> frozenset:
     return frozenset(filter(None, map(str.strip, text.split(","))))
 
 
+def _constraints(before: str, after: str) -> InsertionConstraints:
+    """The constraints of the comma-separated events ``before`` and ``after``."""
+    return InsertionConstraints.of(_split_events(before), _split_events(after))
+
+
 def _read_document(path: str) -> AutomatonDocument:
     """The document in the UTF-8 file ``path``, which may start with a byte
     order mark; a byte that is no UTF-8 is a parse error on its line."""
@@ -229,31 +234,27 @@ def _cmd_verify_ei(args: argparse.Namespace) -> int:
 def _cmd_verify_eic(args: argparse.Namespace) -> int:
     doc = _read_document(args.file)
     _require_fully_observable(doc)
-    g = doc.automaton
-    constraints = InsertionConstraints.of(
-        _split_events(args.insert_before), _split_events(args.insert_after)
-    )
-    return _report_decision(args, doc.name, check_eic_enforceable(g, constraints), constraints)
+    constraints = _constraints(args.insert_before, args.insert_after)
+    report = check_eic_enforceable(doc.automaton, constraints)
+    return _report_decision(args, doc.name, report, constraints)
 
 
 def _cmd_oracle_check(args: argparse.Namespace) -> int:
     if args.count < 1:
         raise _UsageError("--count must be at least 1")
-    fixed = args.insert_before is not None or args.insert_after is not None
-    if fixed and not args.eic:
-        raise _UsageError("--insert-before/--insert-after only apply with --eic")
+    fixed = None
+    if args.insert_before is not None or args.insert_after is not None:
+        if not args.eic:
+            raise _UsageError("--insert-before/--insert-after only apply with --eic")
+        fixed = _constraints(args.insert_before or "", args.insert_after or "")
     trials = []
     for seed in range(args.seed, args.seed + args.count):
         g = random_dfa(seed, live=True)
         if args.eic:
-            symbols = sorted(e.symbol for e in g.events)
-            if fixed:
-                constraints = InsertionConstraints.of(
-                    _split_events(args.insert_before or ""),
-                    _split_events(args.insert_after or ""),
-                )
+            if fixed is None:
+                constraints = random_constraints(seed, sorted(e.symbol for e in g.events))
             else:
-                constraints = random_constraints(seed, symbols)
+                constraints = fixed
             lhs = check_eic_enforceable(g, constraints).enforceable
             rhs = oracle_eic_enforceable(g, constraints)
         else:

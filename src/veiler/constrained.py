@@ -126,16 +126,16 @@ class _EicKernel(_PairKernel):
     ``_BEFORE_MOVE`` and ``_AFTER_MOVE`` say, which only ``kinds`` reads;
     only ``__init__`` reads g for the x0 rule, ``entered``.  Pair objects,
     whose actual component is a decorated state (``actual``), are made only
-    by ``objects``.  Stray constraint symbols are refused before a
-    nondeterministic system is.
+    by ``objects``.  A nondeterministic system is refused before stray
+    constraint symbols are.
     """
 
     _PHASES = tuple(_DECORATION_SUFFIX.values())
     _TAGS = (Tag.ACTUAL, Tag.INSERTED_BEFORE, Tag.INSERTED_AFTER)
 
     def __init__(self, g: Automaton, c: InsertionConstraints) -> None:
-        c.validate_against(g)
         super().__init__(g)
+        c.validate_against(g)
         self.before = [e for e, label in enumerate(self.labels) if label.symbol in c.before]
         self.after = [e for e, label in enumerate(self.labels) if label.symbol in c.after]
         # x0 has no after-phase unless some move of g leads back to it.
@@ -231,14 +231,6 @@ class _EicKernel(_PairKernel):
         return [mask & keep for mask, keep in zip(reachable, kept[:n] * 2 + kept[n:] * 2)]
 
 
-def _staged_kernel(g: Automaton, c: InsertionConstraints) -> _EicKernel:
-    """The kernel of the staged functions, which refuse a nondeterministic
-    system before stray constraint symbols."""
-    if not g.deterministic:
-        raise ValueError("insertion analysis requires a deterministic automaton")
-    return _EicKernel(g, c)
-
-
 def build_eic_insertion_automaton(g: Automaton, c: InsertionConstraints) -> Automaton:
     """The system enriched with decorated copies tracking the insertion phase.
 
@@ -250,7 +242,7 @@ def build_eic_insertion_automaton(g: Automaton, c: InsertionConstraints) -> Auto
     of its two insertion kinds, whose ``kinds`` and ``entered`` state these
     rules.
     """
-    return _staged_kernel(g, c).insertion_automaton().accessible_part()
+    return _EicKernel(g, c).insertion_automaton().accessible_part()
 
 
 def build_eic_indicator(g: Automaton, geic: Automaton) -> Automaton:
@@ -262,7 +254,7 @@ def build_eic_indicator(g: Automaton, geic: Automaton) -> Automaton:
     accessible part is materialized, by a search from the initial pair; it
     holds the pairs that ``check_eic_enforceable`` reaches on bitmasks.
     """
-    kernel = _staged_kernel(g, _constraints_of(geic))
+    kernel = _EicKernel(g, _constraints_of(geic))
     if geic != kernel.insertion_automaton().accessible_part():
         raise ValueError(
             "second argument must be a constrained insertion automaton of the first"
@@ -342,4 +334,8 @@ def check_eic_enforceable(g: Automaton, c: InsertionConstraints) -> EnforcementR
     components.  Both read the kernel's ``relations``; the trim prunes its
     two classes of phases, and a phase keeps what its class keeps.
     """
+    # The kernel refuses a nondeterministic system first, as the staged
+    # builders always have; the decision, on every command's path, names
+    # stray constraint symbols first.
+    c.validate_against(g)
     return _EicKernel(g, c).decide()

@@ -67,11 +67,6 @@ def as_label(e: str | EventLabel) -> EventLabel:
     return EventLabel(e)
 
 
-def _labels(transitions: Iterable[tuple[State, str | EventLabel]]) -> dict:
-    """Each distinct symbol or label of the (state, event) keys, mapped to its label."""
-    return {e: as_label(e) for e in {e for _, e in transitions}}
-
-
 def word(text: str) -> tuple[EventLabel, ...]:
     """Parse a test-friendly string of labels.
 
@@ -230,15 +225,8 @@ class Automaton(FrozenValue):
         secret: Iterable[State] = (),
     ) -> Automaton:
         """Build a deterministic automaton from single-successor transitions."""
-        label = _labels(transitions)
-        trans = {(x, label[e]): frozenset({y}) for (x, e), y in transitions.items()}
-        return cls(
-            frozenset(states),
-            frozenset(as_label(e) for e in events),
-            trans,
-            frozenset({initial}),
-            frozenset(secret),
-        )
+        singles = {key: (y,) for key, y in transitions.items()}
+        return cls.nfa(states, events, singles, (initial,), secret)
 
     @classmethod
     def nfa(
@@ -250,7 +238,7 @@ class Automaton(FrozenValue):
         secret: Iterable[State] = (),
     ) -> Automaton:
         """Build a possibly nondeterministic automaton."""
-        label = _labels(transitions)
+        label = {e: as_label(e) for e in {e for _, e in transitions}}
         trans: dict[tuple[State, EventLabel], frozenset] = {}
         for (x, e), ys in transitions.items():
             targets = frozenset(ys)
@@ -327,16 +315,17 @@ class Automaton(FrozenValue):
                     if y not in reached:
                         reached.add(y)
                         frontier.append(y)
-        transitions = {
-            key: targets for key, targets in self.transitions.items() if key[0] in reached
-        }
-        return Automaton(
-            frozenset(reached),
-            self.events,
-            transitions,
-            self.initial,
-            self.secret & frozenset(reached),
-        )
+        return _restrict(self, frozenset(reached))
+
+
+def _restrict(a: Automaton, keep: frozenset) -> Automaton:
+    """a on the states ``keep`` and the moves among them."""
+    transitions = {
+        (x, e): targets
+        for (x, e), targets in a.transitions.items()
+        if x in keep and targets <= keep
+    }
+    return Automaton(keep, a.events, transitions, a.initial & keep, a.secret & keep)
 
 
 class SccPartition(NamedTuple):

@@ -22,6 +22,7 @@ from .fsm import (
     FrozenValue,
     State,
     Tag,
+    _restrict,
     _tarjan,
     sorted_labels,
     sorted_states,
@@ -652,15 +653,6 @@ def find_trapping_sccs(
         if all(target in component for (target,) in dashed):
             trapping.add(component)
     return frozenset(trapping)
-
-
-def _restrict(a: Automaton, keep: frozenset) -> Automaton:
-    transitions = {
-        (x, e): targets
-        for (x, e), targets in a.transitions.items()
-        if x in keep and targets <= keep
-    }
-    return Automaton(keep, a.events, transitions, a.initial & keep, a.secret & keep)
 
 
 def _prune(a: Automaton, dead: Callable[[Automaton], frozenset]) -> Automaton:

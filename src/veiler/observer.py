@@ -43,12 +43,19 @@ class ObserverState(FrozenValue):
         return _estimate_name(self.estimate)
 
 
+def _escaped(name: str) -> str:
+    """A state name inside an estimate name: a backslash before each ``\\``
+    and ``,``, so distinct estimates have distinct names."""
+    return name.replace("\\", "\\\\").replace(",", "\\,")
+
+
 def _estimate_name(estimate: frozenset) -> str:
-    """The display name of an estimate: its states' names, sorted, in braces."""
+    """The display name of an estimate: its states' escaped names, sorted,
+    joined by commas in braces."""
     if len(estimate) == 1:  # every estimate of a fully observed system
         (x,) = estimate
-        return f"{{{state_display(x)}}}"
-    return "{" + ",".join(sorted(map(state_display, estimate))) + "}"
+        return "{" + _escaped(state_display(x)) + "}"
+    return "{" + ",".join(map(_escaped, sorted(map(state_display, estimate)))) + "}"
 
 
 class OpacityVerdict(NamedTuple):

@@ -139,10 +139,7 @@ def is_desirable_bounded(
         before = after = [e for e in g.events if not e.inserted]
     else:
         before, after = ei.constraints.before, ei.constraints.after
-    index = {x: i for i, x in enumerate(g.states)}
-    n = len(index)
-    rows = _rows(g, index)
-    moves = _relayed_moves(g, index, rows, _walks(rows, before, n), _walks(rows, after, n))
+    index, _, moves = _read(g, before, after)
 
     layer = [(1 << index[dummy_end], index[genuine_end])]
     seen = set(layer)
@@ -150,12 +147,7 @@ def is_desirable_bounded(
         found = []
         for believed, x in layer:
             for relay, y in moves[x]:
-                settled = 0
-                todo = believed
-                while todo:
-                    low = todo & -todo
-                    todo ^= low
-                    settled |= relay[low.bit_length() - 1]
+                settled = _union(believed, relay)
                 if not settled:
                     return False
                 if (settled, y) not in seen:
@@ -206,36 +198,39 @@ def _walks(rows: dict, labels: Iterable[str | EventLabel], n: int) -> list[int]:
     return walks
 
 
-def _relayed_moves(g: Automaton, index: dict, rows: dict, before: list, after: list) -> list:
-    """Each state number's moves as (relay masks of the label, successor) pairs.
+def _union(mask: int, parts: Sequence[int]) -> int:
+    """The union of ``parts[i]`` over the set bits i of ``mask``."""
+    union = 0
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        union |= parts[low.bit_length() - 1]
+    return union
 
-    A label has one relay mask per believed state d: every state an
-    after-walk reaches from a move on that label of a state a before-walk
-    reaches from d.  ``before`` and ``after`` hold each state's walk mask.
-    An inserted-tag move of g is relayed like any other.
+
+def _read(
+    g: Automaton, before: Iterable[str | EventLabel], after: Iterable[str | EventLabel]
+) -> tuple[dict, dict, list]:
+    """g read once: its state numbering, its rows (``_rows``) and each state
+    number's moves as (relay masks of the label, successor) pairs.
+
+    A label has one relay mask per believed state d: every state a walk
+    over ``after`` reaches from a move on that label of a state that a walk
+    over ``before`` reaches from d.  An inserted-tag move of g is relayed
+    like any other.
     """
+    index = {x: i for i, x in enumerate(g.states)}
+    n = len(index)
+    rows = _rows(g, index)
+    walks, settles = _walks(rows, before, n), _walks(rows, after, n)
     relays = {}
     for e, row in rows.items():
-        landing = []
-        for targets in row:
-            mask = 0
-            while targets:
-                low = targets & -targets
-                targets ^= low
-                mask |= after[low.bit_length() - 1]
-            landing.append(mask)
-        relays[e] = relay = []
-        for walk in before:
-            mask = 0
-            while walk:
-                low = walk & -walk
-                walk ^= low
-                mask |= landing[low.bit_length() - 1]
-            relay.append(mask)
-    moves: list = [[] for _ in before]
+        landing = [_union(targets, settles) for targets in row]
+        relays[e] = [_union(walk, landing) for walk in walks]
+    moves: list = [[] for _ in range(n)]
     for (x, e), targets in g.transitions.items():
         moves[index[x]] += [(relays[e], index[y]) for y in targets]
-    return moves
+    return index, rows, moves
 
 
 def _staying(moves: list) -> list[int]:
@@ -290,16 +285,13 @@ def oracle_ei_enforceable(g: Automaton) -> bool:
     """
     _guard_size(g)
     x0 = _single_initial(g)
-    index = {x: i for i, x in enumerate(g.states)}
-    n = len(index)
     alphabet = [e for e in sorted(g.events) if not e.inserted]
-    rows = _rows(g, index)
-    walk = _walks(rows, alphabet, n)
-    w = _staying(_relayed_moves(g, index, rows, walk, [1 << y for y in range(n)]))
+    index, rows, moves = _read(g, alphabet, ())
+    w = _staying(moves)
 
     steps = [rows[e] for e in alphabet if e in rows]
     start = index[x0]
-    reachable = [0] * n
+    reachable = [0] * len(index)
     reachable[start] = 1 << start
     frontier = [(start, start)]
     while frontier:
@@ -335,14 +327,11 @@ def oracle_eic_enforceable(g: Automaton, c: InsertionConstraints) -> bool:
     _guard_size(g)
     c.validate_against(g)
     x0 = _single_initial(g)
-    index = {x: i for i, x in enumerate(g.states)}
-    n = len(index)
-    rows = _rows(g, index)
-    moves = _relayed_moves(g, index, rows, _walks(rows, c.before, n), _walks(rows, c.after, n))
+    index, _, moves = _read(g, c.before, c.after)
     w = _staying(moves)
 
     start = index[x0]
-    resting = [0] * n
+    resting = [0] * len(index)
     resting[start] = 1 << start
     frontier = [(start, start)]
     while frontier:

@@ -45,6 +45,7 @@ from veiler.insertion import (
     build_insertion_automaton,
     check_ei_enforceable,
 )
+from veiler.observer import check_current_state_opacity
 from veiler.oracle import is_desirable_bounded, is_feasible, random_constraints, random_dfa
 from veiler.report import ei_report, eic_report, to_json
 from veiler.textio import ParseError, emit_automaton, parse_document
@@ -538,6 +539,37 @@ class TestNameCollisions:
         nodes = re.findall(r'^  ("[^"]*")( \[[^\]]*\])?;$', dot.read_text(), re.M)
         names = [node for node, _ in nodes]
         assert len(set(names)) == len(names)
+
+    def test_estimates_over_such_names_have_names_of_their_own(self, capsys, tmp_path):
+        # Inside an estimate's name a backslash goes before each backslash
+        # and comma of a state name: {a\,b} is the state a,b and {a,b} the
+        # states a and b; {a\\\,b} is the state a\,b and {a\\,b} the states
+        # a\ and b.  Unescaped, each pair would share one name.
+        path = tmp_path / "escapes.aut"
+        path.write_text(dedent(r"""
+            automaton escapes
+            events e f g h
+            states s a,b a b a\,b a\
+            initial s
+            secret a,b a b a\,b a\
+            trans s e a,b
+            trans s f a
+            trans s f b
+            trans s g a\,b
+            trans s h a\
+            trans s h b
+            end
+        """).lstrip())
+        names = ["{a,b}", r"{a\,b}", r"{a\\,b}", r"{a\\\,b}"]
+        assert cli_main(["check-opacity", str(path)]) == EXIT_NOT_OPAQUE
+        assert capsys.readouterr().out.splitlines()[-1] == "violating estimates: " + " ".join(names)
+        assert cli_main(["check-opacity", str(path), "--json"]) == EXIT_NOT_OPAQUE
+        assert json.loads(capsys.readouterr().out)["violating_estimates"] == names
+        g = parse_document(path.read_text()).automaton
+        verdict = check_current_state_opacity(g, g.events)
+        assert sorted(x.display() for x in verdict.violating_estimates) == names
+        assert cli_main(["check-opacity", str(DATA / "comma.aut")]) == EXIT_NOT_OPAQUE
+        assert capsys.readouterr().out.splitlines()[-1] == r"violating estimates: {q\,r}"
 
     def test_the_library_report_names_them_alike(self):
         g = parse_document((DATA / "comma.aut").read_text()).automaton

@@ -23,7 +23,7 @@ from veiler.constrained import (
     find_staying_eic_nonblocking,
 )
 from veiler.dot import emit_dot
-from veiler.fsm import Automaton, Tag, state_display, word
+from veiler.fsm import Automaton, EventLabel, Tag, state_display, word
 from veiler.insertion import build_indicator, build_insertion_automaton, check_ei_enforceable
 from veiler.oracle import oracle_ei_enforceable, oracle_eic_enforceable, random_constraints, random_dfa
 from veiler.report import eic_report, to_json
@@ -221,6 +221,29 @@ class TestDrawnInsertionAutomata:
         assert _outcome(check_eic_enforceable, g, c) == (
             "ValueError: constraint symbols outside the alphabet: y, z"
         )
+
+    def test_a_system_with_inserted_tag_moves(self):
+        # The kernel reads only g's actual labels.  So the drawings omit g's
+        # own a_i move, EI's self-loop taking its key, and both indicators
+        # list a_i among their events; the verdicts are g's without the move.
+        a_i = EventLabel("a", Tag.INSERTED)
+        moves = {(0, "a"): 1, (1, "a"): 0}
+        g = Automaton.dfa([0, 1], ["a", a_i], {**moves, (0, a_i): 1}, 0, secret=[1])
+        plain = Automaton.dfa([0, 1], ["a", a_i], moves, 0, secret=[1])
+        c = InsertionConstraints.of("a", "a")
+        ia = build_insertion_automaton(g)
+        assert ia.step(0, a_i) == frozenset({0})
+        eia = build_eic_insertion_automaton(g, c)
+        assert not eia.step(0, a_i) and a_i in eia.events
+        assert a_i in build_indicator(g, ia).events
+        assert a_i in build_eic_indicator(g, eia).events
+
+        def verdict(report):
+            masks = (report.reachable, report.staying_masks, report.admissible_masks)
+            return report.enforceable, report.uncovered_actual_states, masks, report.verifier_masks
+
+        assert verdict(check_ei_enforceable(g)) == verdict(check_ei_enforceable(plain))
+        assert verdict(check_eic_enforceable(g, c)) == verdict(check_eic_enforceable(plain, c))
 
 
 class TestEicIndicator:
