@@ -174,19 +174,17 @@ class _EicKernel(_PairKernel):
         columns = list(zip(*self.delta))
         succ = [[1 << y if y >= 0 else 0 for y in column] for column in columns]
         for symbols in (self.before, self.after):
-            _, scc, reach, _ = self._reach(symbols)
-            then = [reach[c] for c in scc]
+            walk = self._reach(symbols)[2]
             row = [0] * n
             for e in symbols:
-                row = [mask | then[y] if y >= 0 else mask for mask, y in zip(row, columns[e])]
+                row = [mask | walk[y] if y >= 0 else mask for mask, y in zip(row, columns[e])]
             succ.append(row)
-        solid = [[(e, y) for e, y in enumerate(row) if y >= 0] for row in self.delta]
         before, after = any(succ[k]), any(succ[k + 1])
         resting = [
             moves + [(k, n + x)] * before + [(k + 1, x)] * (after and (x != self.x0 or self.entered))
-            for x, moves in enumerate(solid)
+            for x, moves in enumerate(self.solid)
         ]
-        return succ, resting + [moves + [(k, n + x)] * before for x, moves in enumerate(solid)]
+        return succ, resting + [moves + [(k, n + x)] * before for x, moves in enumerate(self.solid)]
 
     def phase_masks(self, resting: list[int]) -> list[int]:
         """The reachable pairs, one bitmask of dummies per decorated state,

@@ -19,7 +19,7 @@ from typing import Collection, Iterator, Sequence
 
 from .fsm import Automaton, EventLabel, sorted_labels, state_display
 from .insertion import EnforcementReport
-from .report import _column_table, _name_order
+from .report import _column_table
 
 
 def _quote(text: str) -> str:
@@ -53,8 +53,8 @@ def _label_attrs(labels: Sequence[EventLabel]) -> tuple[list[int], list[str]]:
 
 def _ranked_digraph(name: str, report: EnforcementReport) -> Iterator[str]:
     """The DOT text of the reachable pairs of ``report`` and their moves,
-    in ``emit_dot``'s layout, in the order of their names (``_name_order``
-    of its kernel): the header, then a chunk per dummy d, in order, of d's
+    in ``emit_dot``'s layout, in the order of their names (its kernel's
+    ``name_order``): the header, then a chunk per dummy d, in order, of d's
     nodes, the start arrow, a chunk per dummy of d's edges, and the
     closing brace.
 
@@ -69,8 +69,8 @@ def _ranked_digraph(name: str, report: EnforcementReport) -> Iterator[str]:
     group is one join by ``'  "(d,a)" -> "(t,'``.
     """
     kernel = report.kernel
-    n, width, delta, arcs = kernel.n, kernel.width, kernel.delta, kernel.arcs
-    dummies, actuals = _name_order(kernel)
+    n, width, solid, arcs = kernel.n, kernel.width, kernel.solid, kernel.arcs
+    dummies, actuals = kernel.name_order
     openings = [_quote(opening)[:-1] for opening in kernel.name_parts[0]]
     closings = [_quote(closing)[1:] for closing in kernel.name_parts[1]]
     yield _header(name)
@@ -113,9 +113,8 @@ def _ranked_digraph(name: str, report: EnforcementReport) -> Iterator[str]:
     table = _column_table(reachable, actuals, n)
     for d in dummies:
         events: dict[int, int] = {}
-        for e, t in enumerate(delta[d]):
-            if t >= 0:
-                events[t] = events.get(t, 0) | 1 << e
+        for e, t in solid[d]:
+            events[t] = events.get(t, 0) | 1 << e
         targets = sorted(events, key=dummy_rank.__getitem__)
         groups = [(" -> " + openings[t], events[t]) for t in targets]
         head = "  " + openings[d]

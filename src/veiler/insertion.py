@@ -240,7 +240,7 @@ class _PairKernel:
     one bitmask of dummies per actual state, bit d of entry a for the pair
     ``d*width + a``.  Pair objects are made only by ``objects``, when a
     report's pair field is first read, and pair names only by
-    ``name_parts``, for output.
+    ``name_parts``, and sorted only by ``name_order``, for output.
     """
 
     def __init__(self, g: Automaton) -> None:
@@ -293,13 +293,27 @@ class _PairKernel:
         return _pair_name_parts(self.states, names, self._PHASES)
 
     @cached_property
+    def name_order(self) -> tuple[list[int], list[int]]:
+        """The dummies and the actual states in the order that sorts the
+        pair names: by opening, then by closing (``name_parts``), as no
+        opening begins another.  The closings keep the ``)``, as a name may
+        hold characters that sort below it.  Made only for output."""
+        openings, closings = self.name_parts
+        dummies = sorted(range(self.n), key=openings.__getitem__)
+        return dummies, sorted(range(self.width), key=closings.__getitem__)
+
+    @cached_property
+    def solid(self) -> list[list[tuple[int, int]]]:
+        """Each system state's solid moves, as (event, target) pairs."""
+        return [[(e, y) for e, y in enumerate(row) if y >= 0] for row in self.delta]
+
+    @cached_property
     def arcs(self) -> list[list[tuple[int, int, int]]]:
         """The moves of every actual state a, as (label index, event, target
         actual state): the pair (d, a) makes each whose event d enables, to
         the dummy delta(d, event).  Built on first read."""
-        k = self.k
-        arcs = [[(e, e, y) for e, y in enumerate(self.delta[a % self.n]) if y >= 0]
-                for a in range(self.width)]
+        k, n, solid = self.k, self.n, self.solid
+        arcs = [[(e, e, y) for e, y in solid[a % n]] for a in range(self.width)]
         for j, (symbols, shift) in enumerate(self.kinds, 1):
             for a, b in enumerate(shift):
                 if b >= 0:
@@ -403,8 +417,8 @@ class _PairKernel:
 
     def _reach(self, labels: Sequence[int]) -> tuple[list, list[int], list[int], list[int]]:
         """The SCCs of g on the label ids ``labels``, successors first, the
-        SCC of every state, and every SCC's reach set and members as
-        bitmasks.
+        SCC of every state, and as bitmasks every state's walk, the states
+        a walk on ``labels`` reaches from it, and every SCC's members.
 
         A component comes after every component it reaches, so its reach set
         is its own states and theirs.  Each label set is solved once.
@@ -424,7 +438,7 @@ class _PairKernel:
                             mask |= reach[scc[z]]
                 reach.append(mine | mask)
                 own.append(mine)
-            self._reaches[key] = components, scc, reach, own
+            self._reaches[key] = components, scc, [reach[c] for c in scc], own
         return self._reaches[key]
 
     @cached_property
@@ -438,8 +452,7 @@ class _PairKernel:
         """
         delta, before, after = self.delta, self.before, self.after
         components, scc, _, _ = self._reach(before)
-        _, after_scc, after_reach, _ = self._reach(after)
-        then_after = [after_reach[c] for c in after_scc]
+        after_walk = self._reach(after)[2]
         relays = []
         for e in range(self.k):
             # Successors first, so a row reuses the rows of the SCCs it reaches.
@@ -448,7 +461,7 @@ class _PairKernel:
                 mask = 0
                 for d in members:
                     if delta[d][e] >= 0:
-                        mask |= then_after[delta[d][e]]
+                        mask |= after_walk[delta[d][e]]
                     for b in before:
                         y = delta[d][b]
                         if y >= 0 and scc[y] != c:
@@ -551,8 +564,7 @@ class _PairKernel:
         that ``forward`` reaches from AReach(x0), or from x0 alone where
         ``entered`` is false, and the staying dummies of ``relay_game``,
         both over the relays of the ``before`` and ``after`` alphabets."""
-        _, scc, reach, _ = self._reach(self.after)
-        start = reach[scc[self.x0]] if self.entered else 1 << self.x0
+        start = self._reach(self.after)[2][self.x0] if self.entered else 1 << self.x0
         return EnforcementReport(self, self.forward(start), self.relay_game())
 
     def reachable_masks(self, resting: list[int]) -> list[int]:
@@ -572,9 +584,8 @@ class _PairKernel:
         firsts = sum(1 << group[0] for group in components)
         bits = [1 << c for c in scc]
         succ = [[_union(mask & firsts, bits) for mask in row] for row in self.relays]
-        arcs = [[(e, y) for e, y in enumerate(row) if y >= 0] for row in self.delta]
         groups = _images(_tables(bits), [mask & firsts for mask in reachable])
-        kept = _trim((succ, arcs), groups)
+        kept = _trim((succ, self.solid), groups)
         return reachable if kept is groups else [_union(mask, members) for mask in kept]
 
 
@@ -762,7 +773,7 @@ class EnforcementReport:
     def __init__(self, kernel: _PairKernel, resting: list[int], win: list[int]) -> None:
         self.kernel = kernel
         self._resting, self._win = resting, win
-        secret = sum(1 << d for d in kernel.secret)
+        self._secret = secret = sum(1 << d for d in kernel.secret)
         self.uncovered_actual_states = frozenset(
             x for x, mask, won in zip(kernel.states, resting, win) if not mask & won & ~secret
         )
@@ -780,8 +791,7 @@ class EnforcementReport:
 
     @cached_property
     def admissible_masks(self) -> list[int]:
-        secret = sum(1 << d for d in self.kernel.secret)
-        return [mask & ~secret for mask in self.staying_masks]
+        return [mask & ~self._secret for mask in self.staying_masks]
 
     @cached_property
     def verifier_masks(self) -> list[int]:

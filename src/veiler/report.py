@@ -15,7 +15,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 from . import __version__
 from .constrained import InsertionConstraints
 from .fsm import EventLabel, state_display
-from .insertion import EnforcementReport, _PairKernel
+from .insertion import EnforcementReport
 from .observer import OpacityVerdict
 
 try:  # json's own C encoder, without the import of json at every CLI start
@@ -59,17 +59,6 @@ class _Json(str):
 _BITS = bytes.maketrans(b"01", b"\0\1")
 
 
-def _name_order(kernel: _PairKernel) -> tuple[list[int], list[int]]:
-    """The dummies and the actual states of ``kernel`` in the order that
-    sorts the pair names: by opening, then by closing (``name_parts``), as
-    no opening begins another.  The closings keep the ``)``, as a name may
-    hold characters that sort below it.
-    """
-    openings, closings = kernel.name_parts
-    dummies = sorted(range(kernel.n), key=openings.__getitem__)
-    return dummies, sorted(range(kernel.width), key=closings.__getitem__)
-
-
 def _column_table(masks: Sequence[int], actuals: Iterable[int], bits: int) -> bytes:
     """The ``bits`` low bits of ``masks[a]`` for each actual state a of
     ``actuals``, in turn, as the bytes 0 and 1, the highest bit first.  A
@@ -80,12 +69,13 @@ def _column_table(masks: Sequence[int], actuals: Iterable[int], bits: int) -> by
     return "".join([format(masks[a], spec) for a in actuals]).encode().translate(_BITS)
 
 
-def _pair_lists(report: EnforcementReport, typed: bool) -> list:
+def _pair_lists(report: EnforcementReport) -> list:
     """The JSON values of the staying, verifier and admissible pairs of
-    ``report``, by name; ``typed`` maps each staying pair to its type.
+    ``report``, by name; where the kernel has more actual states than
+    system states, the constrained one's, each staying pair maps to its type.
 
     Each value is its JSON text at the report's top level, written from the
-    masks in name order (``_name_order``) with no object per pair.  As the
+    masks in the kernel's ``name_order`` with no object per pair.  As the
     JSON escape of a string is its parts' escapes joined, each opening and
     closing is escaped once, and each dummy d, in order, is one join over
     the closings, in order, that a 0/1 column of the list's masks picks,
@@ -94,7 +84,7 @@ def _pair_lists(report: EnforcementReport, typed: bool) -> list:
     """
     kernel = report.kernel
     n = kernel.n
-    dummies, actuals = _name_order(kernel)
+    dummies, actuals = kernel.name_order
     openings, closings = kernel.name_parts
     heads = [_string(openings[d])[:-1] for d in dummies]
     tails = [_string(closings[a])[1:] for a in actuals]
@@ -102,7 +92,7 @@ def _pair_lists(report: EnforcementReport, typed: bool) -> list:
     values: list = []
     for i, masks in enumerate((report.staying_masks, report.verifier_masks, None)):
         items, brackets = tails, "[]"
-        if typed and i == 0:
+        if i == 0 and kernel.width > n:
             items = [tail + (": 1" if a < n else ": 2") for tail, a in zip(tails, actuals)]
             brackets = "{}"
         if masks is None:  # the admissible pairs: the staying ones of no secret dummy
@@ -138,7 +128,7 @@ def _verify_payload(
     if constraints is not None:
         payload["insertable_before"] = sorted(constraints.before)
         payload["insertable_after"] = sorted(constraints.after)
-    lists = _pair_lists(report, constraints is not None)
+    lists = _pair_lists(report)
     payload["staying_nonblocking"], payload["verifier_states"], payload["admissible"] = lists
     payload["uncovered_actual_states"] = _displays(report.uncovered_actual_states)
     payload["unreachable_actual_states"] = _displays(report.unreachable_actual_states)

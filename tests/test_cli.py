@@ -11,6 +11,8 @@ import shlex
 import stat
 import subprocess
 import sys
+import threading
+from collections import Counter
 from pathlib import Path
 from textwrap import dedent
 
@@ -18,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import veiler.insertion
 from veiler import observer
 from veiler.cli import (
     EXIT_DISAGREE,
@@ -37,7 +40,7 @@ from veiler.constrained import (
     check_eic_enforceable,
 )
 from veiler.dot import emit_dot
-from veiler.fsm import Automaton, EventLabel
+from veiler.fsm import Automaton, EventLabel, _tarjan
 from veiler.insertion import (
     IndicatorState,
     _PairKernel,
@@ -718,6 +721,44 @@ class TestTopLevel:
         assert dot.read_bytes() == (DATA / "g1-ei.dot").read_bytes()
         assert stat.S_IMODE(dot.stat().st_mode) == 0o604
 
+    @pytest.mark.skipif(os.name != "posix", reason="symbolic links are POSIX")
+    def test_a_dot_path_through_a_symbolic_link_writes_its_target(self, capsys, tmp_path):
+        # As open(path, "w") would: the links stay links, an existing target
+        # gets the drawing and keeps its mode, and a dangling link's target
+        # is made, each with no temporary file left beside it.
+        out = tmp_path / "out"
+        out.mkdir()
+        old, new = out / "old.dot", out / "new.dot"
+        old.write_text("old\n")
+        old.chmod(0o604)
+        (tmp_path / "to-old.dot").symlink_to(old)
+        (tmp_path / "to-new.dot").symlink_to(Path("out") / "new.dot")
+        for link in ("to-old.dot", "to-new.dot"):
+            assert cli_main(["verify-ei", G1, "--dot", str(tmp_path / link)]) == EXIT_OK
+            assert (tmp_path / link).is_symlink(), link
+        for target in (old, new):
+            assert target.read_bytes() == (DATA / "g1-ei.dot").read_bytes(), target
+        assert stat.S_IMODE(old.stat().st_mode) == 0o604
+        assert sorted(os.listdir(tmp_path)) == ["out", "to-new.dot", "to-old.dot"]
+        assert sorted(os.listdir(out)) == ["new.dot", "old.dot"]
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="FIFOs are POSIX")
+    def test_a_dot_path_naming_a_fifo_writes_into_it(self, capsys, tmp_path):
+        # A FIFO is written in place, not replaced by a regular file.  The
+        # reader is a daemon thread, so a run that never opens the FIFO
+        # fails the test without holding the process open.
+        fifo = tmp_path / "drawing"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        assert cli_main(["verify-ei", G1, "--dot", str(fifo)]) == EXIT_OK
+        reader.join(timeout=60)
+        assert not reader.is_alive()
+        assert received == [(DATA / "g1-ei.dot").read_bytes()]
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        assert os.listdir(tmp_path) == ["drawing"]
+
     def test_a_failure_while_the_dot_streams_changes_nothing(self, capsys, monkeypatch, tmp_path):
         # The drawing starts its edges after the header and the nodes are
         # written into the temporary file, by listing the edge labels, also
@@ -1052,6 +1093,36 @@ class TestDecisionPath:
         assert "staying-nonblocking pairs: 27279\n" in out
         assert "admissible pairs: 19623\n" in out
         assert calls == []
+
+    def test_each_fact_about_g_is_read_once(self, capsys, monkeypatch, tmp_path):
+        # A verify run with --json and --dot solves each distinct insertion
+        # alphabet's SCCs once, and sorts the pair names and lists the solid
+        # moves once, for the report and the drawing alike.
+        calls = Counter()
+
+        def counted(name, function):
+            def wrapper(*args):
+                calls[name] += 1
+                return function(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(veiler.insertion, "_tarjan", counted("_tarjan", _tarjan))
+        for table in (_PairKernel.name_order, _PairKernel.solid):
+            monkeypatch.setattr(table, "func", counted(table.attrname, table.func))
+        dot = tmp_path / "out.dot"
+        eic = ["verify-eic", G1, "--json", "--dot", str(dot)]
+        for argv, alphabets, golden in (
+            (["verify-ei", G1, "--json", "--dot", str(dot)], 1, "g1-ei.dot"),
+            (eic + ["--insert-before", "b,c", "--insert-after", "a"], 2, "g1-eic.dot"),
+            (eic + ["--insert-before", "a", "--insert-after", "a"], 1, None),
+            (eic, 1, None),
+        ):
+            calls.clear()
+            assert cli_main(argv) in {EXIT_OK, EXIT_NOT_ENFORCEABLE}, argv
+            assert calls == {"_tarjan": alphabets, "name_order": 1, "solid": 1}, argv
+            if golden is not None:
+                assert dot.read_bytes() == (DATA / golden).read_bytes(), argv
 
     def test_check_opacity_builds_no_observer(self, capsys, monkeypatch, tmp_path):
         # check-opacity decides and names on frozenset estimates: no observer

@@ -21,7 +21,7 @@ from veiler.insertion import (
     check_ei_enforceable,
 )
 from veiler.oracle import random_dfa
-from veiler.report import _name_order, _verify_payload, ei_report, to_json
+from veiler.report import _verify_payload, ei_report, to_json
 from veiler.textio import parse_document
 
 DATA = Path(__file__).parent / "data"
@@ -348,7 +348,7 @@ class TestPairNames:
             kernel = report.kernel
             # The kernel's order sorts the names of all its pairs, which
             # are the pair objects' names, no two alike.
-            dummies, actuals = _name_order(kernel)
+            dummies, actuals = kernel.name_order
             openings, closings = kernel.name_parts
             names = [kernel.pair(d, a).display() for d in dummies for a in actuals]
             assert names == [openings[d] + closings[a] for d in dummies for a in actuals], name

@@ -13,7 +13,7 @@ from veiler.dot import _ranked_digraph
 from veiler.fsm import Automaton, state_display
 from veiler.insertion import _count, check_ei_enforceable
 from veiler.oracle import oracle_ei_enforceable, oracle_eic_enforceable, random_dfa
-from veiler.report import _name_order, _verify_payload, ei_report, eic_report, to_json
+from veiler.report import _verify_payload, ei_report, eic_report, to_json
 
 SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text()
 PAYLOADS = st.recursive(
@@ -97,7 +97,7 @@ class TestPairLists:
             lists = ("staying_nonblocking", "verifier_states", "admissible")
             masks = (report.staying_masks, report.verifier_masks, report.admissible_masks)
             collided += any(len(set(expected[key])) < _count(m) for key, m in zip(lists, masks))
-            order = _name_order(report.kernel)
+            order = report.kernel.name_order
             # The closings rank otherwise than the names without their ")" do.
             closings = report.kernel.name_parts[1]
             bare = sorted(range(len(closings)), key=lambda a: closings[a][:-1])
@@ -163,7 +163,7 @@ class TestPairLists:
             expected = per_pair_payload(name, report, c)
             assert to_json(_verify_payload(name, report, c)) == to_json(expected), seed
             assert eic_report(name, report, c) == expected, seed
-            assert _name_order(report.kernel) is not None, seed
+            assert report.kernel.name_order is not None, seed
             seen["no before"] += not c.before and bool(c.after)
             seen["no after"] += bool(c.before) and not c.after
             seen["neither"] += not c.before and not c.after
