@@ -126,8 +126,8 @@ class _EicKernel(_PairKernel):
     ``_BEFORE_MOVE`` and ``_AFTER_MOVE`` say, which only ``kinds`` reads;
     only ``__init__`` reads g for the x0 rule, ``entered``.  Pair objects,
     whose actual component is a decorated state (``actual``), are made only
-    by ``objects``.  A nondeterministic system is refused before stray
-    constraint symbols are.
+    by ``objects``.  It does not check the constraints against g; its
+    callers do, each in the order its errors are named.
     """
 
     _PHASES = tuple(_DECORATION_SUFFIX.values())
@@ -135,7 +135,6 @@ class _EicKernel(_PairKernel):
 
     def __init__(self, g: Automaton, c: InsertionConstraints) -> None:
         super().__init__(g)
-        c.validate_against(g)
         self.before = [e for e, label in enumerate(self.labels) if label.symbol in c.before]
         self.after = [e for e, label in enumerate(self.labels) if label.symbol in c.after]
         # x0 has no after-phase unless some move of g leads back to it.
@@ -186,7 +185,7 @@ class _EicKernel(_PairKernel):
         ]
         return succ, resting + [moves + [(k, n + x)] * before for x, moves in enumerate(self.solid)]
 
-    def phase_masks(self, resting: list[int]) -> list[int]:
+    def reachable_masks(self, resting: list[int]) -> list[int]:
         """The reachable pairs, one bitmask of dummies per decorated state,
         read in one pass off ``resting``, the forward's plain and after-phase
         pairs U[x] per system state.
@@ -215,10 +214,6 @@ class _EicKernel(_PairKernel):
             after_phase[self.x0] = 0
         return plain + after_phase + _images(before, plain + after_phase)
 
-    def reachable_masks(self, resting: list[int]) -> list[int]:
-        """The four phases' pairs, ``phase_masks`` of the resting ones."""
-        return self.phase_masks(resting)
-
     def verifier_masks(self, reachable: list[int]) -> list[int]:
         """What ``_trim`` keeps of ``reachable``, single pairs, over the two
         classes of phases of ``relations``: a phase keeps what its class
@@ -238,9 +233,12 @@ def build_eic_insertion_automaton(g: Automaton, c: InsertionConstraints) -> Auto
     produced to insert after; the two decorations that would claim otherwise
     are then unreachable.  It is the accessible part of the kernel's drawing
     of its two insertion kinds, whose ``kinds`` and ``entered`` state these
-    rules.
+    rules.  A nondeterministic system is refused before stray constraint
+    symbols are.
     """
-    return _EicKernel(g, c).insertion_automaton().accessible_part()
+    kernel = _EicKernel(g, c)
+    c.validate_against(g)
+    return kernel.insertion_automaton().accessible_part()
 
 
 def build_eic_indicator(g: Automaton, geic: Automaton) -> Automaton:
@@ -252,7 +250,9 @@ def build_eic_indicator(g: Automaton, geic: Automaton) -> Automaton:
     accessible part is materialized, by a search from the initial pair; it
     holds the pairs that ``check_eic_enforceable`` reaches on bitmasks.
     """
-    kernel = _EicKernel(g, _constraints_of(geic))
+    c = _constraints_of(geic)
+    kernel = _EicKernel(g, c)
+    c.validate_against(g)
     if geic != kernel.insertion_automaton().accessible_part():
         raise ValueError(
             "second argument must be a constrained insertion automaton of the first"
@@ -332,8 +332,7 @@ def check_eic_enforceable(g: Automaton, c: InsertionConstraints) -> EnforcementR
     components.  Both read the kernel's ``relations``; the trim prunes its
     two classes of phases, and a phase keeps what its class keeps.
     """
-    # The kernel refuses a nondeterministic system first, as the staged
-    # builders always have; the decision, on every command's path, names
-    # stray constraint symbols first.
+    # On every command's path, stray constraint symbols are named before a
+    # nondeterministic system; the staged builders name them after it.
     c.validate_against(g)
     return _EicKernel(g, c).decide()

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import ast
 import contextlib
 import importlib
 import importlib.util
@@ -19,6 +20,7 @@ from textwrap import dedent
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_imports import SOURCES, _private_definitions
 
 import veiler.insertion
 from veiler import observer
@@ -1261,3 +1263,35 @@ class TestReadme:
         for command, expected in transcripts:
             cli_main(shlex.split(command)[1:])
             assert capsys.readouterr().out == expected, command
+
+    def test_every_named_test_exists_and_every_semantic_names_one(self):
+        # A node is `tests/<file>.py::<class or function>[::<method>]`.
+        readme = (ROOT / "README.md").read_text()
+        named = re.findall(r"`(tests/\w+\.py(?:::\w+)+)`", readme)
+        missing = []
+        for node in named:
+            path, *names = node.split("::")
+            scope = ast.parse((ROOT / path).read_text(encoding="utf-8")).body
+            for name in names:
+                found = [n for n in scope if isinstance(n, (ast.ClassDef, ast.FunctionDef))]
+                scope = next((n.body for n in found if n.name == name), None)
+                if scope is None:
+                    missing.append(node)
+                    break
+        assert named and not missing, f"no such test: {missing}"
+        semantics = readme.split("\n## Semantics\n")[1].split("\n## ")[0]
+        bullets = re.split(r"\n- ", semantics)[1:]
+        unpinned = [b.split(".")[0] for b in bullets if "`tests/" not in b]
+        assert bullets and not unpinned, f"Semantics bullets naming no test: {unpinned}"
+
+    def test_names_no_private_definition_of_the_package(self):
+        # Private module- and class-level names, found as test_imports finds
+        # them; a pair name's phase suffixes _a, _b and _ab are not names.
+        readme = (ROOT / "README.md").read_text()
+        private = set()
+        for path in SOURCES:
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            for scope in [tree, *(n for n in tree.body if isinstance(n, ast.ClassDef))]:
+                private |= _private_definitions(scope).keys()
+        named = [name for name in private if re.search(rf"(?<!\w){re.escape(name)}\b", readme)]
+        assert not named, f"README names private definitions: {sorted(named)}"

@@ -6,6 +6,7 @@ from collections import Counter
 from itertools import product
 
 import pytest
+from digests import kernel_population as _kernel_population
 
 import veiler.constrained
 import veiler.insertion
@@ -491,23 +492,6 @@ def _relay_game(kernel, relays):
     return win
 
 
-def _kernel_population():
-    """(seed, live, g, constraints) for 320 seeded systems of 2 to 14
-    states, live and halting, whose constraints cover all 64 (before,
-    after) pairs over abc, and 16 of 17 and 33 states, whose bitmasks span
-    three or more 8-bit chunks; no move enters x0 in six of those."""
-    subsets = [frozenset(s for i, s in enumerate("abc") if mask >> i & 1) for mask in range(8)]
-    for seed in range(336):
-        live = seed % 2 == 0
-        g = random_dfa(
-            seed,
-            n_states=2 + seed % 13 if seed < 320 else (17, 17, 33, 33)[seed % 4],
-            trans_density=(0.2, 0.5, 0.8)[seed % 3],
-            live=live,
-        )
-        yield seed, live, g, InsertionConstraints(subsets[seed % 8], subsets[seed // 8 % 8])
-
-
 def _forward(kernel):
     """The kernel's forward from the start its decision uses: Reach(x0)
     for EI, AReach(x0) for EIC, or x0 alone when no move enters x0."""
@@ -673,6 +657,14 @@ class TestOutputOnlyFields:
             assert ei.verifier_masks == [_union(mask, members) for mask in pruned], seed
             assert eic.verifier_masks == _trim(_one_step_relations(eic.kernel), eic.reachable), seed
 
+    def test_a_report_equals_only_itself(self, g1):
+        # Unlike the records that are never states, a report is no named
+        # tuple: two decisions of one system are two reports.
+        ei, again = check_ei_enforceable(g1), check_ei_enforceable(g1)
+        assert ei == ei and ei != again and again.reachable == ei.reachable
+        eic = check_eic_enforceable(g1, InsertionConstraints.of("bc", "a"))
+        assert eic != check_eic_enforceable(g1, InsertionConstraints.of("bc", "a"))
+        assert ei != (ei.enforceable, ei.uncovered_actual_states)
 
     @pytest.mark.parametrize("constrained", [False, True], ids=["EI", "EIC"])
     def test_two_reports_of_one_kernel_prune_apart(self, constrained):
@@ -719,6 +711,17 @@ def _with_an_unreachable_part(seed: int, live: bool) -> Automaton:
 
 
 class TestUnreachableActualStates:
+    def test_an_unreachable_state_is_never_covered(self):
+        # The verdict quantifies over every state of g: one that x0 cannot
+        # reach has no pair, so it is uncovered and g is not enforceable.
+        for seed in range(160):
+            g = _with_an_unreachable_part(seed, live=seed % 2 == 0)
+            unreachable = g.states - g.accessible_part().states
+            c = InsertionConstraints.of("abc", "abc")
+            for report in (check_ei_enforceable(g), check_eic_enforceable(g, c)):
+                assert unreachable and unreachable <= report.uncovered_actual_states, seed
+                assert not report.enforceable, seed
+
     def test_they_are_the_states_outside_the_accessible_part(self, capsys, tmp_path):
         # Every state of the second system is unreachable, with moves of its
         # own, moves into the reachable part, or (halting) none; EI and EIC
