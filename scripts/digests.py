@@ -1,6 +1,6 @@
 """Output digests: what the CLI and the deciders give, one SHA-256 a line.
 
-Three blocks, each line a name, `` | ``-separated fields and a hash:
+Four blocks, each line a name, `` | ``-separated fields and a hash:
 
 - ``run``: one CLI run, in process, from a directory holding the system
   files.  Its fields are the system, the argv, the exit code, and one
@@ -12,6 +12,9 @@ Three blocks, each line a name, `` | ``-separated fields and a hash:
 - ``masks``: the four mask lists of the EI and the EIC report (reachable,
   staying, admissible and verifier) of each system of
   ``kernel_population``.
+- ``oracle``: one ``oracle-check`` run of ``ORACLE_RUNS``, in process.  Its
+  fields are the argv, the exit code and one SHA-256 of its stdout and its
+  stderr.
 
 ``tests/test_digests.py`` recomputes the lines and names each one that
 differs from ``tests/data/digests.txt``.  A change meant to alter output
@@ -51,6 +54,25 @@ MODES = (
     ("verify-eic", "--insert-before", "a", "--insert-after", "a,b", "--json", "--dot", DOT),
 )
 
+# oracle-check over 300 seeds, in text and JSON: EI, EIC under random pairs
+# (an empty before or after alphabet among them) and under two fixed pairs;
+# then one seed, and the two usage errors.
+ORACLE_RUNS = tuple(
+    ["oracle-check", "--count", "300", *options, *output]
+    for options in (
+        (),
+        ("--eic",),
+        ("--eic", "--insert-before", "a", "--insert-after", "a,b,c"),
+        ("--eic", "--insert-before", "", "--insert-after", ""),
+    )
+    for output in ((), ("--json",))
+) + (
+    ["oracle-check", "--seed", "7", "--count", "1"],
+    ["oracle-check", "--seed", "7", "--count", "1", "--json"],
+    ["oracle-check", "--count", "0"],
+    ["oracle-check", "--insert-before", "a"],
+)
+
 
 def generated() -> Iterator[tuple[str, str]]:
     """(name, text) of 40 ``random_dfa`` systems of 4 to 160 states, live
@@ -81,7 +103,8 @@ def kernel_population():
 def _sha256(*parts: bytes) -> str:
     digest = hashlib.sha256()
     for part in parts:
-        digest.update(b"%d:" % len(part) + part)
+        digest.update(b"%d:" % len(part))
+        digest.update(part)
     return digest.hexdigest()
 
 
@@ -115,6 +138,10 @@ def digest_lines() -> list[str]:
                     argv = [command, file, *options]
                     code, digest = _run(argv)
                     lines.append(f"run {file} | {shlex.join(argv)} | {code} | {digest}")
+            oracle = []
+            for argv in ORACLE_RUNS:
+                code, digest = _run(argv)
+                oracle.append(f"oracle {shlex.join(argv)} | {code} | {digest}")
         finally:
             os.chdir(home)
     for seed, _, g, c in kernel_population():
@@ -123,7 +150,7 @@ def digest_lines() -> list[str]:
             (r.reachable, r.staying_masks, r.admissible_masks, r.verifier_masks) for r in (ei, eic)
         ]
         lines.append(f"masks {seed} | {_sha256(repr(masks).encode())}")
-    return lines
+    return lines + oracle
 
 
 if __name__ == "__main__":
