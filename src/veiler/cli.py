@@ -28,7 +28,7 @@ from .oracle import (
     random_constraints,
     random_dfa,
 )
-from .report import _opacity_payload, _verify_payload, oracle_report, to_json
+from .report import _opacity_payload, _oracle_payload, _verify_payload, to_json
 from .textio import AutomatonDocument, ParseError, parse_document
 
 EXIT_OK = 0
@@ -265,7 +265,7 @@ def _cmd_oracle_check(args: argparse.Namespace) -> int:
         trials.append((seed, lhs, rhs))
     name = f"random[{args.seed}:{args.seed + args.count}]"
     if args.json:
-        sys.stdout.write(to_json(oracle_report(name, args.eic, trials)))
+        sys.stdout.write(to_json(_oracle_payload(name, args.eic, trials)))
     else:
         for seed, lhs, rhs in trials:
             mark = "" if lhs == rhs else "  <- disagree"

@@ -224,9 +224,19 @@ class Automaton(FrozenValue):
         initial: State,
         secret: Iterable[State] = (),
     ) -> Automaton:
-        """Build a deterministic automaton from single-successor transitions."""
-        singles = {key: (y,) for key, y in transitions.items()}
-        return cls.nfa(states, events, singles, (initial,), secret)
+        """Build a deterministic automaton from single-successor transitions.
+
+        As ``nfa`` of the one-target table, in one pass: each declared event
+        is coerced once, and an event only a move names through ``as_label``.
+        """
+        label = {e: as_label(e) for e in events}
+        trans = {
+            (x, label.get(e) or as_label(e)): frozenset((y,)) for (x, e), y in transitions.items()
+        }
+        return cls(
+            frozenset(states), frozenset(label.values()), trans, frozenset((initial,)),
+            frozenset(secret),
+        )
 
     @classmethod
     def nfa(

@@ -179,10 +179,13 @@ def _rows(g: Automaton, index: dict) -> dict:
     return rows
 
 
-def _walks(rows: dict, labels: Iterable[str | EventLabel], n: int) -> list[int]:
+def _walks(rows: dict, labels: Iterable[str | EventLabel], n: int) -> Optional[list[int]]:
     """Each of n states' walk over the labels, as the exact mask of the
-    states it reaches, found by a plain search from that state alone."""
+    states it reaches, found by a plain search from that state alone; None
+    when no label moves, as each walk then reaches its own state alone."""
     steps = [rows[label] for label in map(as_label, labels) if label in rows]
+    if not steps:
+        return None
     walks = []
     for start in range(n):
         reached = todo = 1 << start
@@ -217,7 +220,8 @@ def _read(
     A label has one relay mask per believed state d: every state a walk
     over ``after`` reaches from a move on that label of a state that a walk
     over ``before`` reaches from d.  An inserted-tag move of g is relayed
-    like any other.
+    like any other.  A walk over labels none of which moves is skipped: it
+    leaves each state where it is.
     """
     index = {x: i for i, x in enumerate(g.states)}
     n = len(index)
@@ -225,8 +229,8 @@ def _read(
     walks, settles = _walks(rows, before, n), _walks(rows, after, n)
     relays = {}
     for e, row in rows.items():
-        landing = [_union(targets, settles) for targets in row]
-        relays[e] = [_union(walk, landing) for walk in walks]
+        landing = row if settles is None else [_union(targets, settles) for targets in row]
+        relays[e] = landing if walks is None else [_union(walk, landing) for walk in walks]
     moves: list = [[] for _ in range(n)]
     for (x, e), targets in g.transitions.items():
         moves[index[x]] += [(relays[e], index[y]) for y in targets]

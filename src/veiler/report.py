@@ -4,8 +4,9 @@ Every builder returns a plain dict of strings, numbers, bools and sorted
 lists, and ``to_json`` serialises it with sorted keys, so two runs over the
 same input produce byte-identical output.  Nothing time- or id-dependent is
 ever included.  The verify commands' pair lists, the bulk of their output,
-are written as JSON text from the report's bitmasks instead, and the
-library's ``ei_report`` / ``eic_report`` read that text back.
+are written as JSON text from the report's bitmasks instead, and
+oracle-check's trials as JSON text from its triples; the library's
+``ei_report``, ``eic_report`` and ``oracle_report`` read that text back.
 """
 from __future__ import annotations
 
@@ -155,12 +156,28 @@ def oracle_report(name: str, constrained: bool, trials: Sequence[tuple[int, bool
 
     ``trials`` holds (seed, construction verdict, search verdict) triples.
     """
+    return _read(_oracle_payload(name, constrained, trials))
+
+
+# One trial's object, nested in the report's list; its keys in sorted order.
+_TRIAL = (
+    '{\n      "agree": %s,\n      "construction": %s,\n      "search": %s,\n'
+    '      "seed": %d\n    }'
+)
+_BOOLS = ("false", "true")
+
+
+def _oracle_payload(
+    name: str, constrained: bool, trials: Sequence[tuple[int, bool, bool]]
+) -> dict:
+    """The oracle-check layout of ``trials``; ``to_json`` of it is the report
+    the CLI prints.  The trials are written as JSON text, one object each."""
     payload = _base("oracle-check", name)
     payload["constrained"] = constrained
-    payload["trials"] = [
-        {"seed": seed, "construction": lhs, "search": rhs, "agree": lhs == rhs}
-        for seed, lhs, rhs in trials
+    objects = [
+        _TRIAL % (_BOOLS[lhs == rhs], _BOOLS[lhs], _BOOLS[rhs], seed) for seed, lhs, rhs in trials
     ]
+    payload["trials"] = _Json("[\n    " + ",\n    ".join(objects) + "\n  ]" if objects else "[]")
     payload["disagreements"] = sorted(seed for seed, lhs, rhs in trials if lhs != rhs)
     payload["agree"] = not payload["disagreements"]
     return payload

@@ -339,6 +339,8 @@ class TestConstruction:
             ({(0, "a"): [1], (1, "b"): [0], (8, "a"): [0]}, [0], [], "transition label 'b' is not an event"),
             ({(7, "b"): [9]}, [0], [], "transition source '7' is not a state"),
             ({(0, "b"): [9]}, [0], [], "transition label 'b' is not an event"),
+            # an undeclared label is named by its display, tag and all
+            ({(0, EventLabel("a", Tag.INSERTED)): [0]}, [0], [], "transition label 'a_i' is not an event"),
         ],
     )
     @pytest.mark.parametrize("build", ["frozenset", "set", "dfa", "nfa"])
@@ -398,6 +400,40 @@ class TestConstruction:
             return  # a DFA has one initial state and one target per move
         a = _build(build, [0, 1], ["a"], table, initial, [])
         assert a.deterministic is deterministic
+
+    @pytest.mark.parametrize(
+        "events, table",
+        [
+            # declared as str and as EventLabel, moves keyed by either
+            (
+                ["a", EventLabel("b"), EventLabel("a", Tag.INSERTED)],
+                {(0, "a"): 1, (1, EventLabel("a")): 0, (0, EventLabel("a", Tag.INSERTED)): 0,
+                 (1, "b"): 1},
+            ),
+            # a move keyed by str and one by its label: the later one stays
+            (["a"], {(0, "a"): 1, (0, EventLabel("a")): 0}),
+            # an event only a move names, as str or as a tagged label
+            (["a"], {(0, "a"): 1, (1, "c"): 0}),
+            ([EventLabel("a")], {(0, EventLabel("c", Tag.INSERTED_AFTER)): 0}),
+        ],
+        ids=["mixed", "both-keys", "move-only-str", "move-only-label"],
+    )
+    def test_dfa_is_nfa_of_the_one_target_table(self, events, table):
+        def outcome(build):
+            try:  # the events given once, as an iterator
+                return build([0, 1], iter(events), table, 0)
+            except ValueError as exc:
+                return str(exc)
+
+        by_dfa = outcome(Automaton.dfa)
+        by_nfa = outcome(lambda states, events, table, x0: Automaton.nfa(
+            states, events, {key: [y] for key, y in table.items()}, [x0]
+        ))
+        assert by_dfa == by_nfa
+        if isinstance(by_dfa, Automaton):
+            assert by_dfa.deterministic
+            assert all(type(e) is EventLabel for e in by_dfa.events)
+            assert all(type(e) is EventLabel for _, e in by_dfa.transitions)
 
     def test_transition_endpoints_must_be_declared(self):
         with pytest.raises(ValueError):

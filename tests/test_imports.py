@@ -7,7 +7,8 @@ No linter ships with the project, so this is its unused-import and
 dead-code check.  A name counts as used when a module reads it anywhere,
 annotations included, or lists it in ``__all__``.  A private definition is
 a module-level function, class or assignment whose name starts with a
-single underscore; reading it as an attribute also counts as a use.
+single underscore; it is used when its own module reads it, or another
+module imports it from that module or reads it as an attribute of it.
 """
 from __future__ import annotations
 
@@ -57,19 +58,46 @@ def _private_definitions(tree: ast.Module) -> dict[str, int]:
     return defined
 
 
+def _package_module(node: ast.ImportFrom) -> str | None:
+    """The ``veiler`` module an import reads from, by its name in the
+    package, "" for the package itself; None for a module outside it."""
+    if node.level:
+        return node.module or ""
+    if node.module == "veiler":
+        return ""
+    if node.module and node.module.startswith("veiler."):
+        return node.module[len("veiler."):]
+    return None
+
+
 def _dead_private_names(sources: dict[str, str]) -> list[str]:
+    """Each private definition of ``sources`` (file name -> text) that no
+    module uses.  Definitions are keyed by module: one is used when its own
+    module reads it, or when another module imports it from that module or
+    reads it as an attribute of that module."""
     defined = {}
-    read = set()
-    for module, source in sources.items():
+    used = set()
+    for file, source in sources.items():
+        module = file.removesuffix(".py")
         tree = ast.parse(source)
         for name, line in _private_definitions(tree).items():
-            defined[name] = f"{module} line {line}: {name}"
+            defined[module, name] = f"{file} line {line}: {name}"
+        modules = {}  # the names this module binds to package modules
+        attributes = []
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
-                read.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                read.add(node.attr)
-    return sorted(where for name, where in defined.items() if name not in read)
+                used.add((module, node.id))
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                attributes.append((node.value.id, node.attr))
+            elif isinstance(node, ast.ImportFrom):
+                home = _package_module(node)
+                for alias in node.names if home is not None else ():
+                    if home:
+                        used.add((home, alias.name))
+                    else:
+                        modules[alias.asname or alias.name] = alias.name
+        used.update((modules[owner], attr) for owner, attr in attributes if owner in modules)
+    return sorted(where for key, where in defined.items() if key not in used)
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
@@ -116,6 +144,27 @@ def test_the_check_sees_dead_and_live_private_names():
     }
     assert _dead_private_names(sources) == [
         "a.py line 2: _unused", "a.py line 5: _orphan",
+    ]
+    # A name defined in two modules is used in each only as that module
+    # reads it, or as another imports it from or reads it off that module.
+    shadowed = {
+        "x.py": "_union = 1\n_shared = 2\n_drawn = 3\n",
+        "y.py": (
+            "def _union():\n"
+            "    pass\n"
+            "def _shared():\n"
+            "    return _union()\n"
+            "_drawn = 4\n"
+        ),
+        "z.py": (
+            "from veiler import x\n"
+            "from .x import _shared\n"
+            "def g():\n"
+            "    return _shared, x._drawn\n"
+        ),
+    }
+    assert _dead_private_names(shadowed) == [
+        "x.py line 1: _union", "y.py line 3: _shared", "y.py line 5: _drawn",
     ]
 
 

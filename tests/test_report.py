@@ -13,7 +13,15 @@ from veiler.dot import _ranked_digraph
 from veiler.fsm import Automaton, state_display
 from veiler.insertion import _count, check_ei_enforceable
 from veiler.oracle import oracle_ei_enforceable, oracle_eic_enforceable, random_dfa
-from veiler.report import _verify_payload, ei_report, eic_report, to_json
+from veiler.report import (
+    _base,
+    _oracle_payload,
+    _verify_payload,
+    ei_report,
+    eic_report,
+    oracle_report,
+    to_json,
+)
 
 SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text()
 PAYLOADS = st.recursive(
@@ -40,6 +48,29 @@ class TestToJson:
         # Lists of strings and maps to ints take the one-join paths; a map
         # holding a bool must not.
         assert to_json(payload) == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.booleans(),
+        st.lists(st.tuples(st.integers(), st.booleans(), st.booleans()), max_size=40),
+    )
+    def test_the_trials_text_is_what_json_dumps_writes(self, constrained, trials):
+        # oracle-check writes its trials as JSON text; oracle_report reads
+        # it back into the plain payload, one dict per trial.
+        name = f"random[0:{len(trials)}]"
+        plain = _base("oracle-check", name)
+        plain["constrained"] = constrained
+        plain["trials"] = [
+            {"seed": seed, "construction": lhs, "search": rhs, "agree": lhs == rhs}
+            for seed, lhs, rhs in trials
+        ]
+        plain["disagreements"] = sorted(seed for seed, lhs, rhs in trials if lhs != rhs)
+        plain["agree"] = not plain["disagreements"]
+        text = to_json(_oracle_payload(name, constrained, trials))
+        assert text == json.dumps(plain, sort_keys=True, indent=2) + "\n"
+        report = oracle_report(name, constrained, trials)
+        assert report == plain
+        assert all(type(trial) is dict for trial in report["trials"])
 
 
 # State names for the renderer: characters JSON escapes, characters that
