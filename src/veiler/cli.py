@@ -19,7 +19,6 @@ from typing import Iterable, Optional, Sequence
 from . import __version__
 from .constrained import InsertionConstraints, check_eic_enforceable
 from .dot import _ranked_digraph
-from .fsm import state_display, sorted_states
 from .insertion import EnforcementReport, _count, check_ei_enforceable
 from .observer import _decide, _estimate_name
 from .oracle import (
@@ -28,7 +27,7 @@ from .oracle import (
     random_constraints,
     random_dfa,
 )
-from .report import _opacity_payload, _oracle_payload, _verify_payload, to_json
+from .report import _BOOLS, _displays, _opacity_payload, _oracle_payload, _verify_payload, to_json
 from .textio import AutomatonDocument, ParseError, parse_document
 
 EXIT_OK = 0
@@ -180,10 +179,6 @@ def _require_fully_observable(doc: AutomatonDocument) -> None:
         )
 
 
-def _bool(value: bool) -> str:
-    return "true" if value else "false"
-
-
 def _cmd_check_opacity(args: argparse.Namespace) -> int:
     doc = _read_document(args.file)
     observable = frozenset(e.symbol for e in doc.automaton.events) - doc.unobservable
@@ -213,7 +208,7 @@ def _report_decision(
     if args.json:
         sys.stdout.write(to_json(_verify_payload(name, report, constraints)))
     else:
-        print(f"automaton {name}: enforceable={_bool(report.enforceable)}")
+        print(f"automaton {name}: enforceable={_BOOLS[report.enforceable]}")
         if constraints is not None:
             print(f"insertable before: {' '.join(sorted(constraints.before)) or '(none)'}")
             print(f"insertable after: {' '.join(sorted(constraints.after)) or '(none)'}")
@@ -222,8 +217,7 @@ def _report_decision(
         print(f"admissible pairs: {_count(report.admissible_masks)}")
         uncovered = report.uncovered_actual_states
         if uncovered:
-            listed = " ".join(state_display(x) for x in sorted_states(uncovered))
-            print(f"uncovered actual states: {listed}")
+            print(f"uncovered actual states: {' '.join(_displays(uncovered))}")
     return EXIT_OK if report.enforceable else EXIT_NOT_ENFORCEABLE
 
 
@@ -269,7 +263,7 @@ def _cmd_oracle_check(args: argparse.Namespace) -> int:
     else:
         for seed, lhs, rhs in trials:
             mark = "" if lhs == rhs else "  <- disagree"
-            print(f"seed {seed}: construction={_bool(lhs)} search={_bool(rhs)}{mark}")
+            print(f"seed {seed}: construction={_BOOLS[lhs]} search={_BOOLS[rhs]}{mark}")
         agreeing = sum(1 for _, lhs, rhs in trials if lhs == rhs)
         print(f"{agreeing}/{len(trials)} agree")
     return EXIT_OK if all(lhs == rhs for _, lhs, rhs in trials) else EXIT_DISAGREE

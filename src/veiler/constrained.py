@@ -55,12 +55,8 @@ class Decoration(IntEnum):
     AB = 3
 
 
-_DECORATION_SUFFIX = {
-    Decoration.PLAIN: "",
-    Decoration.A: "_a",
-    Decoration.B: "_b",
-    Decoration.AB: "_ab",
-}
+# The suffix of each decoration's state names, indexed by ``Decoration``.
+_DECORATION_SUFFIX = ("", "_a", "_b", "_ab")
 
 
 class DecoratedState(FrozenValue):
@@ -130,7 +126,7 @@ class _EicKernel(_PairKernel):
     callers do, each in the order its errors are named.
     """
 
-    _PHASES = tuple(_DECORATION_SUFFIX.values())
+    _PHASES = _DECORATION_SUFFIX
     _TAGS = (Tag.ACTUAL, Tag.INSERTED_BEFORE, Tag.INSERTED_AFTER)
 
     def __init__(self, g: Automaton, c: InsertionConstraints) -> None:
@@ -310,11 +306,7 @@ def find_staying_eic_nonblocking(ev: Automaton, g: Automaton) -> Mapping:
     }
 
 
-def eic_admissible_states(
-    ev: Automaton, nb: Mapping, secret: Iterable[State]
-) -> frozenset:
-    """Staying-nonblocking pairs whose dummy the observer would not flag."""
-    return admissible_states(ev, nb, secret)
+eic_admissible_states = admissible_states  # EIC's admissible pairs are chosen as EI's
 
 
 def check_eic_enforceable(g: Automaton, c: InsertionConstraints) -> EnforcementReport:

@@ -114,11 +114,6 @@ def _tables(succ: Sequence[int]) -> _Tables:
 def _apply(tables: _Tables, mask: int) -> int:
     """The image of ``mask`` under ``tables``, filling the entries it reads."""
     succ, chunks = tables
-    if mask < 256:
-        image = chunks[0][mask]
-        if image is None:
-            image = chunks[0][mask] = _union(mask, succ)
-        return image
     image = 0
     for i, byte in enumerate(mask.to_bytes((mask.bit_length() + 7) >> 3, "little")):
         if byte:
@@ -394,10 +389,7 @@ class _PairKernel:
 
     def automaton(self, pairs: Collection[int]) -> Automaton:
         """The indicator restricted to ``pairs``, over ``events``."""
-        labels, events = self.edge_labels(), self.events
-        if not pairs:
-            return Automaton(frozenset(), events, {}, frozenset())
-        width = self.width
+        labels, width = self.edge_labels(), self.width
         objects = self.objects(pairs)
         singletons = {p: frozenset((pair,)) for p, pair in objects.items()}
         transitions = {
@@ -409,9 +401,9 @@ class _PairKernel:
         secret = frozenset(pair for p, pair in objects.items() if p // width in self.secret)
         return Automaton(
             frozenset(objects.values()),
-            events,
+            self.events,
             transitions,
-            singletons[self.start],
+            singletons.get(self.start, frozenset()),
             secret,
         )
 

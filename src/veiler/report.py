@@ -194,10 +194,8 @@ def _encode(value: object, indent: str, out: list[str]) -> None:
         out.append(value if type(value) is _Json else _string(value))
     elif value is None:
         out.append("null")
-    elif value is True:
-        out.append("true")
-    elif value is False:
-        out.append("false")
+    elif isinstance(value, bool):
+        out.append(_BOOLS[value])
     elif isinstance(value, int):
         out.append(int.__repr__(value))
     elif isinstance(value, dict):

@@ -87,23 +87,23 @@ def parse_document(text: str) -> AutomatonDocument:
     # targets gathers them in ``more``.
     table: dict[tuple[State, EventLabel], frozenset] = {}
     more: dict[tuple[State, EventLabel], set] = {}
-    seen: dict[str, int] = {}
-    top = -1  # rank of the highest section seen so far
-    ended = False
-    # Token text -> state and token text -> its state's one-state target
-    # set, from the states line, and whether a trans line has been accepted
-    # and no end seen: then a trans line of declared tokens can break no
-    # rule of the grammar and is added at once.
+    seen: dict[str, int] = {}  # each section's first line
+    # The rank of the highest section seen so far: at the trans rank a trans
+    # line has been accepted and no end seen, and then a trans line of
+    # declared tokens (token text -> state and token text -> its state's
+    # one-state target set, from the states line) can break no rule of the
+    # grammar and is added at once.
+    top = -1
+    trans_rank, end_rank = _RANK["trans"], _RANK["end"]
     state_of: dict[str, State] = {}
     one_of: dict[str, frozenset] = {}
-    in_trans = False
 
     lines = text.splitlines()
     if "#" in text:
         lines = [raw.split("#", 1)[0] for raw in lines]
     for lineno, raw in enumerate(lines, start=1):
         tokens = raw.split()
-        if in_trans and len(tokens) == 4 and tokens[0] == "trans":
+        if top == trans_rank and len(tokens) == 4 and tokens[0] == "trans":
             _, src, sym, dst = tokens
             try:
                 key = (state_of[src], labels[sym])
@@ -118,17 +118,14 @@ def parse_document(text: str) -> AutomatonDocument:
         if not tokens:
             continue
         keyword, args = tokens[0], tokens[1:]
-        if ended:
+        if top == end_rank:
             raise ParseError(lineno, "text after end")
         rank = _RANK.get(keyword)
         if rank is None:
             raise ParseError(lineno, f"unknown declaration {keyword!r}")
-        if keyword != "trans":
-            if keyword in seen:
-                raise ParseError(lineno, f"duplicate {keyword} section")
-            seen[keyword] = lineno
-        elif "trans" not in seen:
-            seen["trans"] = lineno
+        if keyword in seen and rank != trans_rank:
+            raise ParseError(lineno, f"duplicate {keyword} section")
+        seen.setdefault(keyword, lineno)
         if rank < top:
             later = next(k for k in _SECTION_ORDER[rank + 1 :] if k in seen)
             raise ParseError(lineno, f"{keyword} must come before {later}")
@@ -151,7 +148,6 @@ def parse_document(text: str) -> AutomatonDocument:
             targets = table.setdefault(key, frozenset((dst,)))
             if dst not in targets:
                 more.setdefault(key, set(targets)).add(dst)
-            in_trans = True
         elif keyword == "automaton":
             if len(args) != 1:
                 raise ParseError(lineno, "automaton takes exactly one name")
@@ -170,9 +166,6 @@ def parse_document(text: str) -> AutomatonDocument:
             initial = _state_tokens(args, lineno)
         elif keyword == "secret":
             secret = _state_tokens(args, lineno)
-        else:  # end
-            ended = True
-            in_trans = False
 
     missing = [k for k in _SECTION_ORDER if k in _REQUIRED and k not in seen]
     if missing:

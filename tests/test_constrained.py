@@ -4,7 +4,7 @@ import random
 from collections import Counter
 from itertools import chain, combinations, product
 from pathlib import Path
-from typing import Mapping
+from typing import Mapping, Optional
 
 import pytest
 
@@ -225,7 +225,9 @@ class TestDrawnInsertionAutomata:
     def test_a_system_with_inserted_tag_moves(self):
         # The kernel reads only g's actual labels.  So the drawings omit g's
         # own a_i move, EI's self-loop taking its key, and both indicators
-        # list a_i among their events; the verdicts are g's without the move.
+        # list a_i among their events; the verdicts are g's without the move,
+        # as it does not enter x0.  An a_i move into x0 would still count for
+        # EIC's x0 rule (``entered``), and could change the EIC verdict.
         a_i = EventLabel("a", Tag.INSERTED)
         moves = {(0, "a"): 1, (1, "a"): 0}
         g = Automaton.dfa([0, 1], ["a", a_i], {**moves, (0, a_i): 1}, 0, secret=[1])
@@ -703,6 +705,67 @@ class TestSecretAntitonicity:
                     decided[smaller < uncovered] += 1
         # dropping a secret state often covers another
         assert decided[True] > 100 and sum(decided.values()) > 1200, decided
+
+
+# The pairs (before, after) of a chain of growing alphabets, Σ being g's.
+_GROWING = (((), ()), ({"a"}, ()), ({"a"}, {"a", "b"}), (None, None))
+
+
+def _relation_violations(g: Automaton) -> tuple[int, list[str]]:
+    """The number of checks of three relations that need no second decider
+    on ``g``, and a line for each that fails: EIC's uncovered states shrink
+    along ``_GROWING``; dropping the least secret state uncovers no state,
+    under EI and under ({a}, ∅) and (Σ, Σ); and where some move enters x0,
+    EI and EIC(Σ, Σ) uncover the same states."""
+    sigma = {e.symbol for e in g.events}
+    chain = [
+        InsertionConstraints.of(sigma if b is None else b, sigma if a is None else a)
+        for b, a in _GROWING
+    ]
+    uncovered = {c: _decide(g, c).uncovered_actual_states for c in [None, *chain]}
+    checks, violations = 0, []
+
+    def name(c: Optional[InsertionConstraints]) -> str:
+        if c is None:
+            return "EI"
+        return f"EIC({{{','.join(sorted(c.before))}}}, {{{','.join(sorted(c.after))}}})"
+
+    def check(ok: bool, line: str) -> None:
+        nonlocal checks
+        checks += 1
+        if not ok:
+            violations.append(line)
+
+    for narrow, wide in zip(chain, chain[1:]):
+        more = uncovered[wide] - uncovered[narrow]
+        check(not more, f"{name(wide)} uncovers {sorted(more)}, which {name(narrow)} covers")
+    if g.secret:
+        least = min(g.secret)
+        fewer = Automaton(g.states, g.events, g.transitions, g.initial, g.secret - {least})
+        for c in (None, chain[1], chain[3]):
+            more = _decide(fewer, c).uncovered_actual_states - uncovered[c]
+            check(not more, f"{name(c)} uncovers {sorted(more)} once {least} is not secret")
+    (x0,) = g.initial
+    if any(x0 in targets for targets in g.transitions.values()):
+        differ = uncovered[None] ^ uncovered[chain[3]]
+        check(not differ, f"EI and {name(chain[3])} differ on {sorted(differ)}")
+    return checks, violations
+
+
+class TestRelationsAtScale:
+    def test_relations_hold_up_to_160_states(self):
+        # The relations of TestAlphabetMonotonicity, TestSecretAntitonicity
+        # and the x0 rule on systems of 64 to 160 states.  The workflow's
+        # relations step runs the same checks at 320 to 1280 states.
+        checks = 0
+        for n in (64, 128, 160):
+            for live in (True, False):
+                done, violations = _relation_violations(random_dfa(n, n, live=live))
+                assert violations == [], (n, live)
+                checks += done
+        # six checks on each system, and one more on the five whose x0 some
+        # move enters
+        assert checks == 41, checks
 
 
 class TestUnreachableComponent:

@@ -191,19 +191,20 @@ class TestParseErrors:
         assert error.line == 6
         assert "secret must come before trans" in str(error)
 
-    def test_text_after_end(self):
-        error = _error(
-            """\
-            automaton g
-            events a
-            states 0
-            initial 0
-            end
-            trans 0 a 0
-            """
-        )
-        assert error.line == 6
-        assert "after end" in str(error)
+    @pytest.mark.parametrize(
+        "sections, line",
+        [
+            (["end", "trans 0 a 0"], 6),
+            # After a trans line, a trans line of declared tokens takes the
+            # fast path until end is read, and not after it.
+            (["trans 0 a 0", "end", "trans 0 a 0"], 7),
+        ],
+    )
+    def test_text_after_end(self, sections, line):
+        text = "\n".join(["automaton g", "events a", "states 0", "initial 0", *sections])
+        error = _error(text + "\n")
+        assert error.line == line
+        assert str(error) == f"line {line}: text after end"
 
     def test_missing_required_section(self):
         error = _error(
@@ -237,17 +238,13 @@ class TestParseErrors:
         )
         assert error.line == 5
 
-    def test_trans_requires_initial_first(self):
-        error = _error(
-            """\
-            automaton g
-            events a
-            states 0
-            trans 0 a 0
-            """
-        )
-        assert error.line == 4
-        assert "after initial" in str(error)
+    @pytest.mark.parametrize("sections", [["states 0"], ["states 0", "secret 0"]])
+    def test_trans_requires_initial_first(self, sections):
+        # A trans line of declared tokens before initial is checked in full.
+        text = "\n".join(["automaton g", "events a", *sections, "trans 0 a 0"])
+        error = _error(text + "\n")
+        line = 3 + len(sections)
+        assert str(error) == f"line {line}: trans must come after initial"
 
     def test_undeclared_trans_state(self):
         error = _error(
