@@ -135,7 +135,7 @@ class _EicKernel(_PairKernel):
         self.after = [e for e, label in enumerate(self.labels) if label.symbol in c.after]
         # x0 has no after-phase unless some move of g leads back to it.
         x0 = self.states[self.x0]
-        self.entered = any(x0 in targets for targets in g.transitions.values())
+        self.entered = any(x0 in targets for row in g.moves.values() for targets in row.values())
 
     @cached_property
     def kinds(self) -> list[tuple[Sequence[int], list[int]]]:
@@ -258,8 +258,7 @@ def build_eic_indicator(g: Automaton, geic: Automaton) -> Automaton:
 
 def find_eic_trapping_states(eia: Automaton) -> frozenset:
     """States with no outgoing move of any kind: nothing can be relayed or inserted."""
-    have_out = {x for (x, _) in eia.transitions}
-    return frozenset(eia.states - have_out)
+    return eia.states.difference(*eia.moves.values())
 
 
 def build_eic_verifier(eia: Automaton) -> Automaton:

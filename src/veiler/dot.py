@@ -161,7 +161,8 @@ def emit_dot(
     rank = {x: first.setdefault(text, r) for r, (text, _, x) in enumerate(nodes)}
     edges = sorted(
         (rank[x], rank[y], rank_of_label[e])
-        for (x, e), targets in a.transitions.items()
+        for e, move in a.moves.items()
+        for x, targets in move.items()
         for y in targets
     )
     lines = [_header(name)]

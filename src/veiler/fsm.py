@@ -2,8 +2,9 @@
 
 States are opaque hashable values with a stable display name; events are
 (symbol, tag) labels so that fictitious copies of an event can be told apart
-from the real one while still sorting next to it.  Transition functions are
-partial: a missing (state, label) entry means the move is undefined.
+from the real one while still sorting next to it.  An automaton stores its
+moves once, per label, as every reader steps one event at a time; moves
+are partial: a state missing from a label's map has no move on it.
 """
 from __future__ import annotations
 
@@ -157,63 +158,61 @@ _EMPTY: frozenset = frozenset()
 class Automaton(FrozenValue):
     """A finite automaton with a possibly partial transition relation.
 
-    ``transitions`` maps (state, label) to the nonempty set of successors; a
-    missing key means the move is undefined.  The secret set rides along on
-    the automaton itself so there is one source of truth for it; modules
-    that do not care about secrecy simply never read it.  ``deterministic``
-    is read off the data: one initial state and single-successor moves.
-    The per-state index of moves behind ``outgoing``, ``enabled_events``
-    and ``accessible_part`` is built on first use.
+    ``moves`` maps each label to its successor map, from a state to the
+    nonempty set of its successors on that label, and holds no empty map.
+    ``transitions`` keys the same moves by (state, label): the table a
+    caller passes to ``Automaton(...)``, kept as given, or else derived
+    from ``moves`` on first read.  The secret set rides along on the
+    automaton itself so there is one source of truth for it; modules that
+    do not care about secrecy simply never read it.  ``deterministic`` is
+    read off the data: one initial state and single-successor moves.  The
+    per-state index of moves behind ``outgoing``, ``enabled_events`` and
+    ``accessible_part`` is built on first use.
 
-    ``Automaton(...)``, ``dfa`` and ``nfa`` check every transition; only
-    ``_checked``, for a table its caller has checked already (the parser's),
-    does not.  Pickling and copying rebuild through the checking
-    constructor.
+    ``Automaton(...)``, ``dfa`` and ``nfa`` check every move as they add it
+    to ``moves``; only ``_checked``, for moves its caller has checked
+    already (the parser's), does not.  Pickling and copying rebuild
+    through the checking constructor.
     """
 
     _fields = ("states", "events", "transitions", "initial", "secret")
     states: frozenset
     events: frozenset
-    transitions: Mapping[tuple[State, EventLabel], frozenset]
+    moves: Mapping[EventLabel, Mapping[State, frozenset]]
     initial: frozenset
     secret: frozenset
 
-    __hash__ = None  # type: ignore[assignment]  # unhashable: transitions is a dict
+    __hash__ = None  # type: ignore[assignment]  # unhashable: moves is a dict
 
     def __init__(self, states, events, transitions, initial, secret=_EMPTY) -> None:
         super().__init__(states, events, transitions, initial, secret)
         self.__post_init__()
 
     def __post_init__(self) -> None:
-        if not self.initial <= self.states:
-            raise ValueError("initial states must belong to the state set")
-        if not self.secret <= self.states:
-            raise ValueError("secret states must belong to the state set")
-        deterministic = len(self.initial) == 1
-        for (x, e), targets in self.transitions.items():
-            if x not in self.states:
-                raise ValueError(f"transition source {state_display(x)!r} is not a state")
-            if e not in self.events:
-                raise ValueError(f"transition label {e.display()!r} is not an event")
-            if not targets:
-                raise ValueError("transition entries must be nonempty")
-            if not targets <= self.states:
-                raise ValueError("transition target outside the state set")
-            if len(targets) > 1:
-                deterministic = False
-        object.__setattr__(self, "deterministic", deterministic)
+        entries = ((x, e, targets) for (x, e), targets in self.transitions.items())
+        moves, deterministic = _checked_moves(
+            self.states, self.events, self.initial, self.secret, entries
+        )
+        vars(self).update(moves=moves, deterministic=deterministic)
 
     @classmethod
     def _checked(
-        cls, states, events, transitions, initial, secret, deterministic: bool
+        cls, states, events, moves, initial, secret, deterministic: bool
     ) -> Automaton:
-        """An automaton of fields that already pass every check of
-        ``__post_init__``, with the ``deterministic`` its caller read off
-        them: it checks nothing, so it walks no transition."""
+        """An automaton of fields and per-label ``moves`` that already pass
+        every check of ``__post_init__``, with the ``deterministic`` its
+        caller read off them: it checks nothing, so it walks no move."""
         self = cls.__new__(cls)
-        FrozenValue.__init__(self, states, events, transitions, initial, secret)
-        object.__setattr__(self, "deterministic", deterministic)
+        vars(self).update(
+            states=states, events=events, moves=moves, initial=initial, secret=secret,
+            deterministic=deterministic,
+        )
         return self
+
+    @cached_property
+    def transitions(self) -> Mapping[tuple[State, EventLabel], frozenset]:
+        """The moves keyed by (state, label), derived on first read."""
+        return {(x, e): targets for e, row in self.moves.items() for x, targets in row.items()}
 
     @classmethod
     def dfa(
@@ -230,13 +229,10 @@ class Automaton(FrozenValue):
         is coerced once, and an event only a move names through ``as_label``.
         """
         label = {e: as_label(e) for e in events}
-        trans = {
-            (x, label.get(e) or as_label(e)): frozenset((y,)) for (x, e), y in transitions.items()
-        }
-        return cls(
-            frozenset(states), frozenset(label.values()), trans, frozenset((initial,)),
-            frozenset(secret),
+        entries = (
+            (x, label.get(e) or as_label(e), frozenset((y,))) for (x, e), y in transitions.items()
         )
+        return cls._of(states, label.values(), entries, (initial,), secret)
 
     @classmethod
     def nfa(
@@ -247,20 +243,24 @@ class Automaton(FrozenValue):
         initial: Iterable[State],
         secret: Iterable[State] = (),
     ) -> Automaton:
-        """Build a possibly nondeterministic automaton."""
+        """Build a possibly nondeterministic automaton; an empty entry is dropped."""
         label = {e: as_label(e) for e in {e for _, e in transitions}}
-        trans: dict[tuple[State, EventLabel], frozenset] = {}
-        for (x, e), ys in transitions.items():
-            targets = frozenset(ys)
-            if targets:
-                trans[(x, label[e])] = targets
-        return cls(
-            frozenset(states),
-            frozenset(as_label(e) for e in events),
-            trans,
-            frozenset(initial),
-            frozenset(secret),
+        entries = (
+            (x, label[e], targets)
+            for (x, e), ys in transitions.items()
+            if (targets := frozenset(ys))
         )
+        return cls._of(states, map(as_label, events), entries, initial, secret)
+
+    @classmethod
+    def _of(cls, states, events, entries, initial, secret) -> Automaton:
+        """The automaton of the (state, label, targets) ``entries``, each
+        checked as it is added to ``moves``: ``dfa``, ``nfa`` and
+        ``_restrict`` build through it, as they hold no table."""
+        states, events = frozenset(states), frozenset(events)
+        initial, secret = frozenset(initial), frozenset(secret)
+        moves, deterministic = _checked_moves(states, events, initial, secret, entries)
+        return cls._checked(states, events, moves, initial, secret, deterministic)
 
     # -- lookups ---------------------------------------------------------
 
@@ -277,14 +277,16 @@ class Automaton(FrozenValue):
 
     def step(self, x: State, e: EventLabel) -> frozenset:
         """Successors of x under label e; empty when undefined."""
-        return self.transitions.get((x, e), _EMPTY)
+        row = self.moves.get(e)
+        return row.get(x, _EMPTY) if row else _EMPTY
 
     @cached_property
     def _outgoing(self) -> dict[State, dict[EventLabel, frozenset]]:
         """The per-state index of moves, built on first read."""
         index: dict[State, dict[EventLabel, frozenset]] = {}
-        for (x, e), targets in self.transitions.items():
-            index.setdefault(x, {})[e] = targets
+        for e, row in self.moves.items():
+            for x, targets in row.items():
+                index.setdefault(x, {})[e] = targets
         return index
 
     def outgoing(self, x: State) -> Mapping[EventLabel, frozenset]:
@@ -328,14 +330,45 @@ class Automaton(FrozenValue):
         return _restrict(self, frozenset(reached))
 
 
+def _checked_moves(states, events, initial, secret, entries) -> tuple[dict, bool]:
+    """The per-label moves of ``entries``, (state, label, targets) triples,
+    where a later entry of a state and label replaces an earlier one, and
+    whether they and ``initial`` are deterministic.  A ValueError names the
+    first fault: the initial set, the secret set, then the entries in
+    order, each entry's source, label and targets."""
+    if not initial <= states:
+        raise ValueError("initial states must belong to the state set")
+    if not secret <= states:
+        raise ValueError("secret states must belong to the state set")
+    moves: dict = {}
+    deterministic = len(initial) == 1
+    for x, e, targets in entries:
+        if x not in states:
+            raise ValueError(f"transition source {state_display(x)!r} is not a state")
+        if e not in events:
+            raise ValueError(f"transition label {e.display()!r} is not an event")
+        if not targets:
+            raise ValueError("transition entries must be nonempty")
+        if not targets <= states:
+            raise ValueError("transition target outside the state set")
+        if len(targets) > 1:
+            deterministic = False
+        row = moves.get(e)
+        if row is None:
+            row = moves[e] = {}
+        row[x] = targets
+    return moves, deterministic
+
+
 def _restrict(a: Automaton, keep: frozenset) -> Automaton:
     """a on the states ``keep`` and the moves among them."""
-    transitions = {
-        (x, e): targets
-        for (x, e), targets in a.transitions.items()
+    entries = (
+        (x, e, targets)
+        for e, row in a.moves.items()
+        for x, targets in row.items()
         if x in keep and targets <= keep
-    }
-    return Automaton(keep, a.events, transitions, a.initial & keep, a.secret & keep)
+    )
+    return Automaton._of(keep, a.events, entries, a.initial & keep, a.secret & keep)
 
 
 class SccPartition(NamedTuple):

@@ -249,11 +249,10 @@ class _PairKernel:
         self.labels = _actual_labels(g)
         n, k = self.n, self.k = len(self.states), len(self.labels)
         index = {x: i for i, x in enumerate(self.states)}
-        label_index = {e: i for i, e in enumerate(self.labels)}
         self.delta = [[-1] * k for _ in range(n)]
-        for (x, e), (y,) in g.transitions.items():
-            if e in label_index:
-                self.delta[index[x]][label_index[e]] = index[y]
+        for e, label in enumerate(self.labels):
+            for x, (y,) in g.moves.get(label, {}).items():
+                self.delta[index[x]][e] = index[y]
         (x0,) = g.initial
         self.x0 = index[x0]
         self.secret = {index[x] for x in g.secret}

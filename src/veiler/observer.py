@@ -6,14 +6,15 @@ consists of secret states only.
 
 One breadth-first search over estimates decides it.  Each observable label
 has one successor map, from a state to its estimate after that label: the
-automaton's own target set when no event is hidden, and otherwise its
-closure under unobservable moves, built from one shared closure per state
-that has a hidden move.  Each estimate's size is tested once: the
-successor of a one-state estimate on each label is one lookup, and that of
-a larger estimate a union.  A nonempty all-secret estimate is flagged when
-it is first found.  Labels are tried in canonical order, so the first
-all-secret estimate reached gives a shortest witness, ties broken by
-canonical label order.  ``build_observer``
+automaton's own map of that label (``Automaton.moves``), read as it is,
+when no state has a hidden move, and otherwise a new map of the closures
+of its target sets under unobservable moves, built from one shared
+closure per state that has a hidden move.  Each estimate's size is
+tested once: the successor of a one-state estimate on each label is one
+lookup, and that of a larger estimate a union.  A nonempty all-secret
+estimate is flagged when it is first found.  Labels are tried in
+canonical order, so the first all-secret estimate reached gives a
+shortest witness, ties broken by canonical label order.  ``build_observer``
 materialises the same search.  ``check_current_state_opacity`` wraps the
 violating estimates in ``ObserverState`` values; the CLI names the search's
 frozensets directly, through the helper that ``ObserverState.display`` uses.
@@ -86,22 +87,16 @@ def _search(
     if not obs <= n.events:
         raise ValueError("observable labels must be a subset of the automaton's events")
     labels = sorted_labels(obs)
-    by_label: dict = {e: {} for e in labels}
-    hidden: dict = {}
-    for (x, e), ys in n.transitions.items():
-        move = by_label.get(e)
-        if move is None:
-            hidden.setdefault(x, []).append(ys)
-        else:
-            move[x] = ys
-    moves = list(by_label.values())  # in canonical label order
+    moves = [n.moves.get(e, {}) for e in labels]  # n's own maps, in canonical label order
+    hidden = [row for e, row in n.moves.items() if e not in obs]
     # The closure under unobservable moves of each state that has one.
     closure = {}
-    for x in hidden:
+    for x in {x for row in hidden for x in row}:
         reach, todo = {x}, [x]
         while todo:
-            for ys in hidden.get(todo.pop(), ()):
-                for y in ys:
+            z = todo.pop()
+            for row in hidden:
+                for y in row.get(z, ()):
                     if y not in reach:
                         reach.add(y)
                         todo.append(y)
@@ -114,10 +109,8 @@ def _search(
             return ys
         return _EMPTY.union(*[closure.get(y, (y,)) for y in ys])
 
-    if closure:
-        for move in moves:
-            for x, ys in move.items():
-                move[x] = closed(ys)
+    if closure:  # the closed maps are new: n's own stay as they are
+        moves = [{x: closed(ys) for x, ys in move.items()} for move in moves]
     start = closed(n.initial)
     secret = n.secret
     width = len(labels)

@@ -165,17 +165,15 @@ def _guard_size(g: Automaton) -> None:
 
 
 def _rows(g: Automaton, index: dict) -> dict:
-    """g's moves as one row per label, as ``g.transitions`` keys it: entry
-    i of a row is the mask of the successors of state number i."""
+    """g's moves as one row per label of ``g.moves``, inserted tags and
+    all: entry i of a row is the mask of the successors of state number i."""
     rows: dict = {}
-    blank = [0] * len(index)
-    for (x, e), targets in g.transitions.items():
-        row = rows.get(e)
-        if row is None:
-            row = rows[e] = blank.copy()
-        i = index[x]
-        for y in targets:
-            row[i] |= 1 << index[y]
+    for e, move in g.moves.items():
+        row = rows[e] = [0] * len(index)
+        for x, targets in move.items():
+            i = index[x]
+            for y in targets:
+                row[i] |= 1 << index[y]
     return rows
 
 
@@ -232,8 +230,9 @@ def _read(
         landing = row if settles is None else [_union(targets, settles) for targets in row]
         relays[e] = landing if walks is None else [_union(walk, landing) for walk in walks]
     moves: list = [[] for _ in range(n)]
-    for (x, e), targets in g.transitions.items():
-        moves[index[x]] += [(relays[e], index[y]) for y in targets]
+    for e, move in g.moves.items():
+        for x, targets in move.items():
+            moves[index[x]] += [(relays[e], index[y]) for y in targets]
     return index, rows, moves
 
 

@@ -72,27 +72,28 @@ def parse_document(text: str) -> AutomatonDocument:
     """The document ``text`` holds; a ``ParseError`` names the first line
     that breaks the grammar.
 
-    Every transition is checked as its line is read, so the table becomes
-    the automaton with no second walk (``Automaton._checked``).
+    Every transition is checked as its line is read and added to its
+    label's successor map, so the maps become the automaton's ``moves``
+    with no second walk (``Automaton._checked``).
     """
     name = ""
     labels: dict[str, EventLabel] = {}
+    rows: dict[str, dict[State, frozenset]] = {}  # each event's successor map
     unobservable: list[str] = []
     states: list[State] = []
     state_set: set = set()
     initial: list[State] = []
     secret: list[State] = []
     # Each target set is stored once: a first target is its state's shared
-    # one-state set (a new one on a checked line), and a key with several
-    # targets gathers them in ``more``.
-    table: dict[tuple[State, EventLabel], frozenset] = {}
-    more: dict[tuple[State, EventLabel], set] = {}
+    # one-state set (a new one on a checked line), and a (symbol, state)
+    # move with several targets gathers them in ``more``.
+    more: dict[tuple[str, State], set] = {}
     seen: dict[str, int] = {}  # each section's first line
     # The rank of the highest section seen so far: at the trans rank a trans
     # line has been accepted and no end seen, and then a trans line of
     # declared tokens (token text -> state and token text -> its state's
-    # one-state target set, from the states line) can break no rule of the
-    # grammar and is added at once.
+    # one-state target set, from the states line; event token -> its row)
+    # can break no rule of the grammar and is added at once.
     top = -1
     trans_rank, end_rank = _RANK["trans"], _RANK["end"]
     state_of: dict[str, State] = {}
@@ -106,14 +107,13 @@ def parse_document(text: str) -> AutomatonDocument:
         if top == trans_rank and len(tokens) == 4 and tokens[0] == "trans":
             _, src, sym, dst = tokens
             try:
-                key = (state_of[src], labels[sym])
-                one = one_of[dst]
+                row, x, one = rows[sym], state_of[src], one_of[dst]
             except KeyError:
                 pass
             else:
-                targets = table.setdefault(key, one)
+                targets = row.setdefault(x, one)
                 if targets is not one and not one <= targets:
-                    more.setdefault(key, set(targets)).update(one)
+                    more.setdefault((sym, x), set(targets)).update(one)
                 continue
         if not tokens:
             continue
@@ -141,13 +141,12 @@ def parse_document(text: str) -> AutomatonDocument:
                 raise ParseError(lineno, f"undeclared state {args[0]!r}")
             if dst not in state_set:
                 raise ParseError(lineno, f"undeclared state {args[2]!r}")
-            label = labels.get(sym)
-            if label is None:
+            row = rows.get(sym)
+            if row is None:
                 raise ParseError(lineno, f"undeclared event {sym!r}")
-            key = (src, label)
-            targets = table.setdefault(key, frozenset((dst,)))
+            targets = row.setdefault(src, frozenset((dst,)))
             if dst not in targets:
-                more.setdefault(key, set(targets)).add(dst)
+                more.setdefault((sym, src), set(targets)).add(dst)
         elif keyword == "automaton":
             if len(args) != 1:
                 raise ParseError(lineno, "automaton takes exactly one name")
@@ -155,6 +154,7 @@ def parse_document(text: str) -> AutomatonDocument:
         elif keyword == "events":
             _declare(lineno, "event", args, args)
             labels = {sym: EventLabel(sym) for sym in args}
+            rows = {sym: {} for sym in args}
         elif keyword == "unobservable":
             unobservable = args
         elif keyword == "states":
@@ -181,15 +181,15 @@ def parse_document(text: str) -> AutomatonDocument:
         raise ParseError(seen["unobservable"], f"undeclared event {sym!r}")
 
     # The lines have passed every check of ``Automaton.__post_init__``; the
-    # table is nondeterministic where a key got a second target (``more``)
+    # moves are nondeterministic where one got a second target (``more``)
     # or where there is not one initial state.
-    for key, targets in more.items():
-        table[key] = frozenset(targets)
+    for (sym, x), targets in more.items():
+        rows[sym][x] = frozenset(targets)
     initial_set = frozenset(initial)
     automaton = Automaton._checked(
         frozenset(states),
         frozenset(labels.values()),
-        table,
+        {labels[sym]: row for sym, row in rows.items() if row},
         initial_set,
         frozenset(secret),
         not more and len(initial_set) == 1,
@@ -250,10 +250,12 @@ def emit_automaton(
         lines.append(
             "secret " + " ".join(state_display(x) for x in sorted_states(a.secret))
         )
-    rows = []
-    for (src, label), targets in a.transitions.items():
-        for dst in targets:
-            rows.append((state_display(src), label.symbol, state_display(dst)))
+    rows = [
+        (state_display(src), label.symbol, state_display(dst))
+        for label, move in a.moves.items()
+        for src, targets in move.items()
+        for dst in targets
+    ]
     for src, sym, dst in sorted(rows):
         lines.append(f"trans {src} {sym} {dst}")
     lines.append("end")

@@ -955,6 +955,16 @@ class TestDecisionPath:
             monkeypatch.setattr(Automaton, method, forbidden)
         _run_every_command(tmp_path)
 
+    def test_no_command_builds_the_transition_table(self, capsys, monkeypatch, tmp_path):
+        # Every command reads the per-label moves as the parser and
+        # Automaton.dfa store them; the (state, label) table, derived from
+        # them on first read, serves library callers only.
+        def forbidden(automaton):
+            raise AssertionError("a command derived the (state, label) table")
+
+        monkeypatch.setattr(Automaton.transitions, "func", forbidden)
+        _run_every_command(tmp_path)
+
     def test_the_verify_commands_build_no_pair_object(self, capsys, monkeypatch, tmp_path):
         # The CLI renders from pair ids: no pair or decorated state object,
         # and no automaton beyond the one the parser builds.

@@ -24,7 +24,7 @@ from veiler.constrained import (
 )
 from veiler.dot import emit_dot
 from veiler.fsm import Automaton, EventLabel, Tag, state_display, word
-from veiler.insertion import build_indicator, build_insertion_automaton, check_ei_enforceable
+from veiler.insertion import _count, build_indicator, build_insertion_automaton, check_ei_enforceable
 from veiler.oracle import oracle_ei_enforceable, oracle_eic_enforceable, random_constraints, random_dfa
 from veiler.report import eic_report, to_json
 from veiler.textio import emit_automaton, parse_document
@@ -711,18 +711,42 @@ class TestSecretAntitonicity:
 _GROWING = (((), ()), ({"a"}, ()), ({"a"}, {"a", "b"}), (None, None))
 
 
+def _renamed(g: Automaton) -> tuple[Automaton, dict, dict]:
+    """``g`` with its states named ``s{x}``, the middle one ``s_{x},`` (a
+    name holding the characters pair names escape), and its symbols
+    rotated in sorted order; and the two renamings."""
+    states = sorted(g.states)
+    middle = states[len(states) // 2]
+    new = {x: f"s_{x}," if x == middle else f"s{x}" for x in states}
+    symbols = sorted(e.symbol for e in g.events)
+    event = dict(zip(symbols, symbols[1:] + symbols[:1]))
+    (x0,) = g.initial
+    twin = Automaton.dfa(
+        new.values(),
+        event.values(),
+        {(new[x], event[e.symbol]): new[y] for (x, e), (y,) in g.transitions.items()},
+        new[x0],
+        [new[x] for x in g.secret],
+    )
+    return twin, new, event
+
+
 def _relation_violations(g: Automaton) -> tuple[int, list[str]]:
-    """The number of checks of three relations that need no second decider
+    """The number of checks of four relations that need no second decider
     on ``g``, and a line for each that fails: EIC's uncovered states shrink
     along ``_GROWING``; dropping the least secret state uncovers no state,
-    under EI and under ({a}, ∅) and (Σ, Σ); and where some move enters x0,
-    EI and EIC(Σ, Σ) uncover the same states."""
+    under EI and under ({a}, ∅) and (Σ, Σ); where some move enters x0, EI
+    and EIC(Σ, Σ) uncover the same states; and renaming the states and
+    events (``_renamed``), and the constraints alike, keeps the verdict and
+    the three pair counts of EI and of EIC({a}, {a, b}), and maps the
+    uncovered states name for name."""
     sigma = {e.symbol for e in g.events}
     chain = [
         InsertionConstraints.of(sigma if b is None else b, sigma if a is None else a)
         for b, a in _GROWING
     ]
-    uncovered = {c: _decide(g, c).uncovered_actual_states for c in [None, *chain]}
+    reports = {c: _decide(g, c) for c in [None, *chain]}
+    uncovered = {c: report.uncovered_actual_states for c, report in reports.items()}
     checks, violations = 0, []
 
     def name(c: Optional[InsertionConstraints]) -> str:
@@ -749,23 +773,45 @@ def _relation_violations(g: Automaton) -> tuple[int, list[str]]:
     if any(x0 in targets for targets in g.transitions.values()):
         differ = uncovered[None] ^ uncovered[chain[3]]
         check(not differ, f"EI and {name(chain[3])} differ on {sorted(differ)}")
+    twin, new, event = _renamed(g)
+    for c in (None, chain[2]):
+        if c is None:
+            other = check_ei_enforceable(twin)
+        else:
+            renamed = InsertionConstraints.of(
+                {event[s] for s in c.before}, {event[s] for s in c.after}
+            )
+            other = check_eic_enforceable(twin, renamed)
+        was, now = (_verdict_and_counts(report) for report in (reports[c], other))
+        moved = {new[x] for x in uncovered[c]} ^ other.uncovered_actual_states
+        check(
+            was == now and not moved,
+            f"renamed, {name(c)} reads {now}, not {was}, and differs on {sorted(moved)}",
+        )
     return checks, violations
+
+
+def _verdict_and_counts(report) -> tuple:
+    """The verdict and the verifier, staying and admissible pair counts."""
+    masks = (report.verifier_masks, report.staying_masks, report.admissible_masks)
+    return (report.enforceable, *map(_count, masks))
 
 
 class TestRelationsAtScale:
     def test_relations_hold_up_to_160_states(self):
-        # The relations of TestAlphabetMonotonicity, TestSecretAntitonicity
-        # and the x0 rule on systems of 64 to 160 states.  The workflow's
-        # relations step runs the same checks at 320 to 1280 states.
+        # The relations of TestAlphabetMonotonicity, TestSecretAntitonicity,
+        # the x0 rule and TestRenamingInvariance on systems of 64 to 160
+        # states.  The workflow's relations step runs the same checks at 320
+        # to 1280 states.
         checks = 0
         for n in (64, 128, 160):
             for live in (True, False):
                 done, violations = _relation_violations(random_dfa(n, n, live=live))
                 assert violations == [], (n, live)
                 checks += done
-        # six checks on each system, and one more on the five whose x0 some
-        # move enters
-        assert checks == 41, checks
+        # eight checks on each system, and one more on the five whose x0
+        # some move enters
+        assert checks == 53, checks
 
 
 class TestUnreachableComponent:

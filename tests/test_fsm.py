@@ -18,10 +18,10 @@ from veiler.fsm import (
     strongly_connected_components,
     word,
 )
-from veiler.constrained import DecoratedState, Decoration, InsertionConstraints
-from veiler.insertion import IndicatorState, SubspacePartition
-from veiler.observer import ObserverState, OpacityVerdict
-from veiler.oracle import ExtendedInsertionSequence, random_dfa, random_nfa
+from veiler.constrained import DecoratedState, Decoration, InsertionConstraints, _EicKernel
+from veiler.insertion import IndicatorState, SubspacePartition, _PairKernel
+from veiler.observer import ObserverState, OpacityVerdict, build_observer
+from veiler.oracle import ExtendedInsertionSequence, random_constraints, random_dfa, random_nfa
 from veiler.textio import AutomatonDocument, ParseError, emit_automaton, parse_document
 
 
@@ -186,6 +186,64 @@ class TestMoveIndex:
             assert twin.deterministic == g.deterministic
             assert "_outgoing" not in vars(twin)
             assert all(twin.outgoing(x) == g.outgoing(x) for x in g.states)
+
+
+def _stored_form_faults(a: Automaton) -> list[str]:
+    """What breaks the stored form of ``a``: ``moves`` must be the per-label
+    split of ``transitions``, hold no empty map, and equal the moves of
+    the automaton rebuilt from ``a``'s fields."""
+    split: dict = {}
+    for (x, e), ys in a.transitions.items():
+        split.setdefault(e, {})[x] = ys
+    faults = []
+    if a.moves != split:
+        faults.append("moves is not the per-label split of transitions")
+    if not all(a.moves.values()):
+        faults.append("moves holds an empty map")
+    if Automaton(*(getattr(a, name) for name in a._fields)).moves != a.moves:
+        faults.append("the rebuilt automaton has other moves")
+    return faults
+
+
+class TestStoredMoves:
+    """Every way of building an automaton stores its moves once, per label;
+    ``transitions`` is their (state, label) view."""
+
+    TABLES = [
+        ({(0, "a"): [1], (1, "a"): [0], (1, "b"): [1]}, [0]),
+        ({(0, "a"): [1], (1, "a"): [0, 1]}, [0, 1]),  # two targets, two initial states
+        ({(1, "b"): [0]}, [1]),  # a, and state 0, have no move
+        ({}, [0]),
+    ]
+
+    @pytest.mark.parametrize("table, initial", TABLES)
+    @pytest.mark.parametrize("build", ["frozenset", "set", "dfa", "nfa", "parsed"])
+    def test_every_constructor_stores_the_per_label_split(self, build, table, initial):
+        if build == "dfa" and (len(initial) != 1 or any(len(ys) > 1 for ys in table.values())):
+            return  # a DFA has one initial state and one target per move
+        a = _build(build, [0, 1], ["a", "b"], table, initial, [1])
+        built = [a, a.accessible_part()]
+        if build != "set":  # the observer hashes target sets as estimates
+            built.append(build_observer(a, a.events))
+        for b in built:
+            assert _stored_form_faults(b) == [], build
+        assert all(type(e) is EventLabel for e in a.moves)
+
+    def test_a_later_key_of_one_move_replaces_the_earlier(self):
+        a = Automaton.dfa([0, 1], ["a"], {(0, "a"): 1, (0, EventLabel("a")): 0}, 0)
+        assert a.moves == {EventLabel("a"): {0: frozenset({0})}}
+        assert _stored_form_faults(a) == []
+
+    def test_random_systems_and_their_constructions(self):
+        for seed in range(200):
+            size = 2 + seed % 6
+            g = random_dfa(seed, size, live=seed % 2 == 0)
+            built = [g, random_nfa(seed, n_states=size), g.accessible_part()]
+            built.append(build_observer(built[1], "ab"))
+            for kernel in (_PairKernel(g), _EicKernel(g, random_constraints(seed, "abc"))):
+                built += [kernel.insertion_automaton(), kernel.automaton(kernel.search())]
+            for a in built:
+                assert _stored_form_faults(a) == [], seed
 
 
 class TestValueTypes:
