@@ -40,11 +40,13 @@ class InsertionConstraints(NamedTuple):
         return cls(frozenset(before), frozenset(after))
 
     def validate_against(self, g: Automaton) -> None:
+        """Refuse, by name, every symbol that names no actual event of g; a
+        label given in place of a symbol is refused too."""
         alphabet = {e.symbol for e in g.events if not e.inserted}
         stray = (self.before | self.after) - alphabet
         if stray:
             raise ValueError(
-                "constraint symbols outside the alphabet: " + ", ".join(sorted(stray))
+                "constraint symbols outside the alphabet: " + ", ".join(sorted(map(str, stray)))
             )
 
 

@@ -4,7 +4,8 @@ States are opaque hashable values with a stable display name; events are
 (symbol, tag) labels so that fictitious copies of an event can be told apart
 from the real one while still sorting next to it.  An automaton stores its
 moves once, per label, as every reader steps one event at a time; moves
-are partial: a state missing from a label's map has no move on it.
+are partial: a state missing from a label's map has no move on it.  Every
+checking constructor reads an event given as its symbol as its actual label.
 """
 from __future__ import annotations
 
@@ -160,19 +161,20 @@ class Automaton(FrozenValue):
 
     ``moves`` maps each label to its successor map, from a state to the
     nonempty set of its successors on that label, and holds no empty map.
-    ``transitions`` keys the same moves by (state, label): the table a
-    caller passes to ``Automaton(...)``, kept as given, or else derived
-    from ``moves`` on first read.  The secret set rides along on the
-    automaton itself so there is one source of truth for it; modules that
-    do not care about secrecy simply never read it.  ``deterministic`` is
-    read off the data: one initial state and single-successor moves.  The
-    per-state index of moves behind ``outgoing``, ``enabled_events`` and
+    It is the one copy of the moves: ``transitions`` keys them by (state,
+    label), derived on first read, and a table given to ``Automaton(...)``
+    is read, never kept.  The secret set rides along on the automaton
+    itself so there is one source of truth for it; modules that do not
+    care about secrecy simply never read it.  ``deterministic`` is read off
+    the data: one initial state and single-successor moves.  The per-state
+    index of moves behind ``outgoing``, ``enabled_events`` and
     ``accessible_part`` is built on first use.
 
-    ``Automaton(...)``, ``dfa`` and ``nfa`` check every move as they add it
-    to ``moves``; only ``_checked``, for moves its caller has checked
-    already (the parser's), does not.  Pickling and copying rebuild
-    through the checking constructor.
+    ``Automaton(...)``, ``dfa`` and ``nfa`` freeze the sets and targets
+    they are given, read a symbol as its actual label and check every
+    move, by ``_checked_moves``; only ``_checked``, for moves its caller
+    has checked already (the parser's), does not.  Pickling and copying
+    rebuild through the checking constructor.
     """
 
     _fields = ("states", "events", "transitions", "initial", "secret")
@@ -185,22 +187,15 @@ class Automaton(FrozenValue):
     __hash__ = None  # type: ignore[assignment]  # unhashable: moves is a dict
 
     def __init__(self, states, events, transitions, initial, secret=_EMPTY) -> None:
-        super().__init__(states, events, transitions, initial, secret)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        entries = ((x, e, targets) for (x, e), targets in self.transitions.items())
-        moves, deterministic = _checked_moves(
-            self.states, self.events, self.initial, self.secret, entries
-        )
-        vars(self).update(moves=moves, deterministic=deterministic)
+        entries = ((x, e, targets) for (x, e), targets in transitions.items())
+        vars(self).update(_checked_moves(states, events, initial, secret, entries))
 
     @classmethod
     def _checked(
         cls, states, events, moves, initial, secret, deterministic: bool
     ) -> Automaton:
         """An automaton of fields and per-label ``moves`` that already pass
-        every check of ``__post_init__``, with the ``deterministic`` its
+        every check of ``_checked_moves``, with the ``deterministic`` its
         caller read off them: it checks nothing, so it walks no move."""
         self = cls.__new__(cls)
         vars(self).update(
@@ -225,14 +220,12 @@ class Automaton(FrozenValue):
     ) -> Automaton:
         """Build a deterministic automaton from single-successor transitions.
 
-        As ``nfa`` of the one-target table, in one pass: each declared event
-        is coerced once, and an event only a move names through ``as_label``.
+        As ``nfa`` of the one-target table, with each declared event's label
+        made once and looked up by the moves that name it.
         """
         label = {e: as_label(e) for e in events}
-        entries = (
-            (x, label.get(e) or as_label(e), frozenset((y,))) for (x, e), y in transitions.items()
-        )
-        return cls._of(states, label.values(), entries, (initial,), secret)
+        entries = ((x, label.get(e, e), frozenset((y,))) for (x, e), y in transitions.items())
+        return cls._checked(**_checked_moves(states, label.values(), (initial,), secret, entries))
 
     @classmethod
     def nfa(
@@ -244,23 +237,10 @@ class Automaton(FrozenValue):
         secret: Iterable[State] = (),
     ) -> Automaton:
         """Build a possibly nondeterministic automaton; an empty entry is dropped."""
-        label = {e: as_label(e) for e in {e for _, e in transitions}}
         entries = (
-            (x, label[e], targets)
-            for (x, e), ys in transitions.items()
-            if (targets := frozenset(ys))
+            (x, e, targets) for (x, e), ys in transitions.items() if (targets := frozenset(ys))
         )
-        return cls._of(states, map(as_label, events), entries, initial, secret)
-
-    @classmethod
-    def _of(cls, states, events, entries, initial, secret) -> Automaton:
-        """The automaton of the (state, label, targets) ``entries``, each
-        checked as it is added to ``moves``: ``dfa``, ``nfa`` and
-        ``_restrict`` build through it, as they hold no table."""
-        states, events = frozenset(states), frozenset(events)
-        initial, secret = frozenset(initial), frozenset(secret)
-        moves, deterministic = _checked_moves(states, events, initial, secret, entries)
-        return cls._checked(states, events, moves, initial, secret, deterministic)
+        return cls._checked(**_checked_moves(states, events, initial, secret, entries))
 
     # -- lookups ---------------------------------------------------------
 
@@ -275,9 +255,10 @@ class Automaton(FrozenValue):
             raise ValueError(f"unknown event label {label.display()!r}")
         return label
 
-    def step(self, x: State, e: EventLabel) -> frozenset:
-        """Successors of x under label e; empty when undefined."""
-        row = self.moves.get(e)
+    def step(self, x: State, e: str | EventLabel) -> frozenset:
+        """Successors of x under label e, or its symbol's actual label;
+        empty when undefined."""
+        row = self.moves.get(as_label(e))
         return row.get(x, _EMPTY) if row else _EMPTY
 
     @cached_property
@@ -330,12 +311,18 @@ class Automaton(FrozenValue):
         return _restrict(self, frozenset(reached))
 
 
-def _checked_moves(states, events, initial, secret, entries) -> tuple[dict, bool]:
-    """The per-label moves of ``entries``, (state, label, targets) triples,
-    where a later entry of a state and label replaces an earlier one, and
-    whether they and ``initial`` are deterministic.  A ValueError names the
-    first fault: the initial set, the secret set, then the entries in
-    order, each entry's source, label and targets."""
+def _checked_moves(states, events, initial, secret, entries) -> dict:
+    """The fields, as ``Automaton._checked`` takes them, of the automaton of
+    ``entries``, (state, label, targets) triples, read by one rule: a symbol
+    is its actual label, targets are frozen, and a later entry of a state
+    and label replaces an earlier one.  A set of events that are all labels
+    is kept as it is, so a rebuild iterates it in the same order.  A
+    ValueError names the first fault: the initial set, the secret set, then
+    the entries in order, each entry's source, label and targets."""
+    states, initial, secret = frozenset(states), frozenset(initial), frozenset(secret)
+    events = frozenset(events)
+    if not all(isinstance(e, EventLabel) for e in events):
+        events = frozenset(map(as_label, events))
     if not initial <= states:
         raise ValueError("initial states must belong to the state set")
     if not secret <= states:
@@ -345,8 +332,12 @@ def _checked_moves(states, events, initial, secret, entries) -> tuple[dict, bool
     for x, e, targets in entries:
         if x not in states:
             raise ValueError(f"transition source {state_display(x)!r} is not a state")
-        if e not in events:
-            raise ValueError(f"transition label {e.display()!r} is not an event")
+        if e not in events:  # a symbol never equals a label
+            e = as_label(e)
+            if e not in events:
+                raise ValueError(f"transition label {e.display()!r} is not an event")
+        if targets.__class__ is not frozenset:
+            targets = frozenset(targets)
         if not targets:
             raise ValueError("transition entries must be nonempty")
         if not targets <= states:
@@ -357,7 +348,10 @@ def _checked_moves(states, events, initial, secret, entries) -> tuple[dict, bool
         if row is None:
             row = moves[e] = {}
         row[x] = targets
-    return moves, deterministic
+    return dict(
+        states=states, events=events, moves=moves, initial=initial, secret=secret,
+        deterministic=deterministic,
+    )
 
 
 def _restrict(a: Automaton, keep: frozenset) -> Automaton:
@@ -368,7 +362,8 @@ def _restrict(a: Automaton, keep: frozenset) -> Automaton:
         for x, targets in row.items()
         if x in keep and targets <= keep
     )
-    return Automaton._of(keep, a.events, entries, a.initial & keep, a.secret & keep)
+    fields = _checked_moves(keep, a.events, a.initial & keep, a.secret & keep, entries)
+    return Automaton._checked(**fields)
 
 
 class SccPartition(NamedTuple):

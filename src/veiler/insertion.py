@@ -343,8 +343,8 @@ class _PairKernel:
             for a, out in enumerate(self.arcs)
             for j, _, b in out
         }
-        initial, secret = frozenset((states[self.x0],)), frozenset(states[x] for x in self.secret)
-        return Automaton(frozenset(states), self.events, transitions, initial, secret)
+        secret = [states[x] for x in self.secret]
+        return Automaton(states, self.events, transitions, (states[self.x0],), secret)
 
     def moves(self, p: int) -> Iterator[tuple[int, int]]:
         """The moves of the pair ``p``, as (label index, target) pairs."""
@@ -397,14 +397,9 @@ class _PairKernel:
             for j, t in self.moves(p)
             if t in pairs
         }
-        secret = frozenset(pair for p, pair in objects.items() if p // width in self.secret)
-        return Automaton(
-            frozenset(objects.values()),
-            self.events,
-            transitions,
-            singletons.get(self.start, frozenset()),
-            secret,
-        )
+        secret = [pair for p, pair in objects.items() if p // width in self.secret]
+        initial = singletons.get(self.start, ())
+        return Automaton(objects.values(), self.events, transitions, initial, secret)
 
     def _reach(self, labels: Sequence[int]) -> tuple[list, list[int], list[int], list[int]]:
         """The SCCs of g on the label ids ``labels``, successors first, the

@@ -166,8 +166,8 @@ def build_observer(
     states = [ObserverState(estimate) for estimate in queue]
     state_of = dict(zip(queue, states))
     transitions = {(states[i], labels[k]): frozenset((state_of[t],)) for i, k, t in edges}
-    secret = frozenset(states[i] for i in violating)
-    return Automaton(frozenset(states), frozenset(labels), transitions, frozenset(states[:1]), secret)
+    secret = [states[i] for i in violating]
+    return Automaton(states, labels, transitions, states[:1], secret)
 
 
 def _decide(n: Automaton, observable: Iterable[str | EventLabel]) -> tuple:

@@ -180,7 +180,7 @@ def parse_document(text: str) -> AutomatonDocument:
         sym = next(sym for sym in unobservable if sym not in labels)
         raise ParseError(seen["unobservable"], f"undeclared event {sym!r}")
 
-    # The lines have passed every check of ``Automaton.__post_init__``; the
+    # The lines have passed every check of ``fsm._checked_moves``; the
     # moves are nondeterministic where one got a second target (``more``)
     # or where there is not one initial state.
     for (sym, x), targets in more.items():

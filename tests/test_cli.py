@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 from test_imports import SOURCES, _private_definitions
 
 import veiler.insertion
-from veiler import observer
+from veiler import fsm, observer
 from veiler.cli import (
     EXIT_DISAGREE,
     EXIT_ERROR,
@@ -1148,7 +1148,7 @@ class TestDecisionPath:
         # The parsed automaton is built once, through either constructor, and
         # its table, checked line by line, is not walked again.
         built, validated = [], []
-        init, checked, post_init = Automaton.__init__, Automaton._checked, Automaton.__post_init__
+        init, checked, checked_moves = Automaton.__init__, Automaton._checked, fsm._checked_moves
 
         def counted_init(automaton, *args, **kwargs):
             built.append("__init__")
@@ -1158,13 +1158,13 @@ class TestDecisionPath:
             built.append("_checked")
             return checked.__func__(cls, *args, **kwargs)
 
-        def counted_post_init(automaton):
-            validated.append(automaton)
-            post_init(automaton)
+        def counted_checked_moves(*args):
+            validated.append(args)
+            return checked_moves(*args)
 
         monkeypatch.setattr(Automaton, "__init__", counted_init)
         monkeypatch.setattr(Automaton, "_checked", classmethod(counted_checked))
-        monkeypatch.setattr(Automaton, "__post_init__", counted_post_init)
+        monkeypatch.setattr(fsm, "_checked_moves", counted_checked_moves)
         big = tmp_path / "big.aut"
         big.write_text(emit_automaton(random_dfa(1, 2000, live=True), "big"))
         for path, violating in ((PARTIAL, 4), (str(big), 630)):

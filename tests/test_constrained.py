@@ -63,6 +63,17 @@ class TestInsertionConstraints:
         with pytest.raises(ValueError):
             InsertionConstraints.of({"z"}, ()).validate_against(g1)
 
+    def test_a_label_in_place_of_a_symbol_is_refused_by_name(self, g1):
+        c = InsertionConstraints.of([EventLabel("a")], ["z"])
+        with pytest.raises(ValueError) as caught:
+            c.validate_against(g1)
+        assert str(caught.value) == (
+            "constraint symbols outside the alphabet: "
+            "EventLabel(symbol='a', tag=<Tag.ACTUAL: 0>), z"
+        )
+        with pytest.raises(ValueError):
+            check_eic_enforceable(random_dfa(1, 4), InsertionConstraints.of([EventLabel("a")], []))
+
     def test_empty_sets_are_valid(self, g1):
         InsertionConstraints.of((), ()).validate_against(g1)
 

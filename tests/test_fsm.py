@@ -18,10 +18,29 @@ from veiler.fsm import (
     strongly_connected_components,
     word,
 )
-from veiler.constrained import DecoratedState, Decoration, InsertionConstraints, _EicKernel
-from veiler.insertion import IndicatorState, SubspacePartition, _PairKernel
-from veiler.observer import ObserverState, OpacityVerdict, build_observer
-from veiler.oracle import ExtendedInsertionSequence, random_constraints, random_dfa, random_nfa
+from veiler.constrained import (
+    DecoratedState,
+    Decoration,
+    InsertionConstraints,
+    _EicKernel,
+    check_eic_enforceable,
+)
+from veiler.insertion import IndicatorState, SubspacePartition, _PairKernel, check_ei_enforceable
+from veiler.observer import (
+    ObserverState,
+    OpacityVerdict,
+    build_observer,
+    check_current_state_opacity,
+)
+from veiler.oracle import (
+    ExtendedInsertionSequence,
+    oracle_ei_enforceable,
+    oracle_eic_enforceable,
+    random_constraints,
+    random_dfa,
+    random_nfa,
+)
+from veiler.report import ei_report, eic_report
 from veiler.textio import AutomatonDocument, ParseError, emit_automaton, parse_document
 
 
@@ -107,6 +126,15 @@ class TestRun:
     def test_unknown_label_rejected(self, g1):
         with pytest.raises(ValueError):
             g1.run(0, "z")
+
+    def test_step_reads_a_symbol_as_run_does(self):
+        g = random_dfa(1, 4)
+        for x in sorted_states(g.states):
+            for sym in "abcz":
+                assert g.step(x, sym) == g.step(x, EventLabel(sym)), (x, sym)
+                if sym != "z":
+                    assert g.step(x, sym) == g.run(x, sym), (x, sym)
+        assert g.run(0, "a") == g.step(0, "a") == frozenset({1})
 
     @settings(max_examples=60, derandomize=True)
     @given(seed=st.integers(0, 10**6), split=st.integers(0, 6), data=st.data())
@@ -222,10 +250,7 @@ class TestStoredMoves:
         if build == "dfa" and (len(initial) != 1 or any(len(ys) > 1 for ys in table.values())):
             return  # a DFA has one initial state and one target per move
         a = _build(build, [0, 1], ["a", "b"], table, initial, [1])
-        built = [a, a.accessible_part()]
-        if build != "set":  # the observer hashes target sets as estimates
-            built.append(build_observer(a, a.events))
-        for b in built:
+        for b in (a, a.accessible_part(), build_observer(a, a.events)):
             assert _stored_form_faults(b) == [], build
         assert all(type(e) is EventLabel for e in a.moves)
 
@@ -504,6 +529,106 @@ class TestConstruction:
             Automaton.dfa([0], ["a"], {}, 1)
         with pytest.raises(ValueError):
             Automaton.dfa([0], ["a"], {}, 0, secret=[5])
+
+
+class TestCallerTable:
+    """``Automaton(...)`` reads the table it is given and keeps none of it."""
+
+    def test_mutating_the_table_afterwards_changes_nothing(self):
+        a = as_label("a")
+        table = {(0, a): frozenset({1})}
+        built = Automaton(frozenset({0, 1}), frozenset({a}), table, frozenset({0}))
+        twin = Automaton(frozenset({0, 1}), frozenset({a}), dict(table), frozenset({0}))
+        table[(1, a)] = frozenset({0})
+        table[(0, a)] = frozenset({0})
+        assert built.transitions == {(0, a): frozenset({1})} == twin.transitions
+        assert built.moves == {a: {0: frozenset({1})}}
+        assert built == twin
+        back = pickle.loads(pickle.dumps(built))
+        assert back.transitions == built.transitions and back.moves == built.moves
+        assert pickle.dumps(built) == pickle.dumps(twin)
+
+
+SYMBOLS = "abc"
+SYMBOL_OR_LABEL = st.sampled_from(SYMBOLS) | st.builds(EventLabel, st.sampled_from(SYMBOLS))
+LABELS = SYMBOL_OR_LABEL | st.builds(EventLabel, st.sampled_from(SYMBOLS), st.sampled_from(Tag))
+NAMES = st.integers(0, 6)  # 6 is never declared below, so some names are unknown
+TARGETS = st.tuples(st.sampled_from([set, frozenset, list, tuple]), st.lists(NAMES, max_size=3))
+
+
+def _first_fault(states, events, table, initial, secret):
+    """What ``Automaton(...)`` must refuse first, read by the rule the
+    constructor documents, or None for an input it must build."""
+    labels = set(map(as_label, events))
+    if not set(initial) <= states:
+        return "initial states must belong to the state set"
+    if not set(secret) <= states:
+        return "secret states must belong to the state set"
+    for (x, e), ys in table.items():
+        if x not in states:
+            return f"transition source {state_display(x)!r} is not a state"
+        if as_label(e) not in labels:
+            return f"transition label {as_label(e).display()!r} is not an event"
+        if not ys:
+            return "transition entries must be nonempty"
+        if not set(ys) <= states:
+            return "transition target outside the state set"
+    return None
+
+
+# The ValueErrors the deciders document: a nondeterministic system, stray
+# constraint symbols and unknown observable labels.
+DOCUMENTED = (
+    "insertion analysis requires a deterministic automaton",
+    "string-level checks require a deterministic automaton",
+    "constraint symbols outside the alphabet: ",
+    "observable labels must be a subset of the automaton's events",
+)
+
+
+class TestEveryInputEndsInAVerdictOrANamedError:
+    """Whatever table, events and constraints a caller gives, the
+    constructor refuses the first fault by name or every decider answers
+    or raises only the ValueError it documents."""
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(
+        states=st.sets(st.integers(0, 5), max_size=5),
+        events=st.lists(LABELS, max_size=4),
+        table=st.dictionaries(st.tuples(NAMES, LABELS), TARGETS, max_size=8),
+        initial=st.sets(NAMES, max_size=2),
+        secret=st.sets(NAMES, max_size=2),
+        before=st.lists(SYMBOL_OR_LABEL, max_size=2),
+        after=st.lists(SYMBOL_OR_LABEL, max_size=2),
+        observable=st.lists(SYMBOL_OR_LABEL, max_size=3),
+    )
+    def test_any_input(self, states, events, table, initial, secret, before, after, observable):
+        table = {key: kind(ys) for key, (kind, ys) in table.items()}
+        fault = _first_fault(states, events, table, initial, secret)
+        try:
+            g = Automaton(
+                frozenset(states), frozenset(events), table, frozenset(initial), frozenset(secret)
+            )
+        except ValueError as exc:
+            assert str(exc) == fault
+            return
+        assert fault is None
+        assert all(type(e) is EventLabel for e in g.events | set(g.moves))
+        assert all(type(ys) is frozenset for row in g.moves.values() for ys in row.values())
+        assert g.transitions == {(x, as_label(e)): frozenset(ys) for (x, e), ys in table.items()}
+        c = InsertionConstraints.of(before, after)
+        deciders = [
+            lambda: check_current_state_opacity(g, observable),
+            lambda: ei_report("g", check_ei_enforceable(g)),
+            lambda: eic_report("g", check_eic_enforceable(g, c), c),
+            lambda: oracle_ei_enforceable(g),
+            lambda: oracle_eic_enforceable(g, c),
+        ]
+        for decide in deciders:
+            try:
+                decide()
+            except ValueError as exc:
+                assert str(exc).startswith(DOCUMENTED), exc
 
 
 def _build(how, states, events, table, initial, secret):

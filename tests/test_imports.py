@@ -1,7 +1,8 @@
 """Every name a ``veiler`` module imports is used in that module, and every
 private name a module defines is used somewhere in the package; importing
-the CLI loads no introspection machinery; and the search oracle imports
-nothing of the construction it is meant to check.
+the CLI loads no introspection machinery; the search oracle imports
+nothing of the construction it is meant to check; and the inline Python of
+the CI workflow compiles and imports only names that exist.
 
 No linter ships with the project, so this is its unused-import and
 dead-code check.  A name counts as used when a module reads it anywhere,
@@ -13,14 +14,18 @@ module imports it from that module or reads it as an attribute of it.
 from __future__ import annotations
 
 import ast
+import importlib
+import re
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 SOURCES = sorted((SRC / "veiler").glob("*.py"))
+WORKFLOW = SRC.parent / ".github" / "workflows" / "tier1.yml"
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -258,3 +263,71 @@ def test_the_independence_check_sees_shared_imports():
         "veiler.insertion.IndicatorState",
         "veiler.report._base",
     ]
+
+
+def _inline_scripts(workflow: str) -> list[tuple[int, str]]:
+    """Each ``python - <<'EOF'`` block of ``workflow`` as (the line number of
+    its heredoc, its dedented source): the lines up to the one that holds
+    only ``EOF``.  Read as text, since no YAML parser ships with the project."""
+    lines = workflow.splitlines()
+    scripts = []
+    for i, line in enumerate(lines):
+        if re.search(r"\bpython - .*<<'EOF'$", line):
+            end = next(j for j in range(i + 1, len(lines)) if lines[j].strip() == "EOF")
+            scripts.append((i + 1, textwrap.dedent("\n".join(lines[i + 1 : end]))))
+    return scripts
+
+
+def _unresolved_imports(source: str, filename: str) -> list[str]:
+    """Compile ``source``, and give each ``from X import name`` of it whose
+    module does not import or has no such name, as ``X.name``."""
+    compile(source, filename, "exec")
+    missing = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        try:
+            module = importlib.import_module(node.module)
+        except ImportError:
+            missing += [f"{node.module}.{alias.name}" for alias in node.names]
+            continue
+        missing += [
+            f"{node.module}.{alias.name}" for alias in node.names if not hasattr(module, alias.name)
+        ]
+    return missing
+
+
+def test_every_inline_script_of_the_workflow_compiles_and_imports(monkeypatch):
+    # The steps put tests/ on sys.path before importing from the tests.
+    monkeypatch.syspath_prepend(str(SRC.parent / "tests"))
+    workflow = WORKFLOW.read_text(encoding="utf-8")
+    scripts = _inline_scripts(workflow)
+    assert len(scripts) == workflow.count("<<'EOF'") > 0
+    for line, source in scripts:
+        assert _unresolved_imports(source, f"tier1.yml line {line}") == [], line
+
+
+def test_the_workflow_check_sees_broken_scripts():
+    workflow = (
+        "      - name: one\n"
+        "        run: |\n"
+        "          PYTHONPATH=src python - \"$name\" <<'EOF'\n"
+        "          from veiler.fsm import Automaton, NoSuchName\n"
+        "          from veiler.nowhere import anything\n"
+        "\n"
+        "          Automaton\n"
+        "          EOF\n"
+        "          echo done\n"
+        "          python - <<'EOF'\n"
+        "          return\n"
+        "            EOF\n"
+    )
+    (first, one), (second, two) = _inline_scripts(workflow)
+    assert (first, second) == (3, 10)
+    assert one == (
+        "from veiler.fsm import Automaton, NoSuchName\nfrom veiler.nowhere import anything\n\n"
+        "Automaton"
+    )
+    assert _unresolved_imports(one, "one") == ["veiler.fsm.NoSuchName", "veiler.nowhere.anything"]
+    with pytest.raises(SyntaxError):
+        _unresolved_imports(two, "two")

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from veiler import fsm
 from veiler.fsm import Automaton, EventLabel, State, state_display
 from veiler.insertion import build_insertion_automaton
 from veiler.oracle import random_dfa, random_nfa
@@ -779,13 +780,13 @@ class TestMatchesTheReferenceParser:
         self, monkeypatch
     ):
         validated = []
-        post_init = Automaton.__post_init__
+        checked_moves = fsm._checked_moves
 
-        def counted(automaton):
-            validated.append(automaton)
-            post_init(automaton)
+        def counted(*args):
+            validated.append(args)
+            return checked_moves(*args)
 
-        monkeypatch.setattr(Automaton, "__post_init__", counted)
+        monkeypatch.setattr(fsm, "_checked_moves", counted)
         for seed in range(40):
             text = _random_file(seed)[0]
             validated.clear()
