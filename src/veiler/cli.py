@@ -19,7 +19,7 @@ from typing import Iterable, Optional, Sequence
 from . import __version__
 from .constrained import InsertionConstraints, check_eic_enforceable
 from .dot import _ranked_digraph
-from .insertion import EnforcementReport, _count, check_ei_enforceable
+from .insertion import _count, check_ei_enforceable
 from .observer import _decide, _estimate_name
 from .oracle import (
     oracle_eic_enforceable,
@@ -170,15 +170,6 @@ def _write_atomic(path: str, chunks: Iterable[str]) -> None:
         raise
 
 
-def _require_fully_observable(doc: AutomatonDocument) -> None:
-    if doc.unobservable:
-        names = " ".join(sorted(doc.unobservable))
-        raise _UsageError(
-            f"insertion verification needs a fully observable system;"
-            f" unobservable events declared: {names}"
-        )
-
-
 def _cmd_check_opacity(args: argparse.Namespace) -> int:
     doc = _read_document(args.file)
     observable = frozenset(e.symbol for e in doc.automaton.events) - doc.unobservable
@@ -196,19 +187,28 @@ def _cmd_check_opacity(args: argparse.Namespace) -> int:
     return EXIT_OK if opaque else EXIT_NOT_OPAQUE
 
 
-def _report_decision(
-    args: argparse.Namespace,
-    name: str,
-    report: EnforcementReport,
-    constraints: Optional[InsertionConstraints] = None,
-) -> int:
-    """Write the DOT file and the report of a verify run, from its bitmasks."""
-    if args.dot is not None:
-        _write_atomic(args.dot, _ranked_digraph(name, report))
-    if args.json:
-        sys.stdout.write(to_json(_verify_payload(name, report, constraints)))
+def _cmd_verify(args: argparse.Namespace) -> int:
+    """Decide EI, or EIC for ``verify-eic``, then write the DOT file and the
+    report, both from the report's bitmasks."""
+    doc = _read_document(args.file)
+    if doc.unobservable:
+        names = " ".join(sorted(doc.unobservable))
+        raise _UsageError(
+            f"insertion verification needs a fully observable system;"
+            f" unobservable events declared: {names}"
+        )
+    if args.command == "verify-eic":
+        constraints = _constraints(args.insert_before, args.insert_after)
+        report = check_eic_enforceable(doc.automaton, constraints)
     else:
-        print(f"automaton {name}: enforceable={_BOOLS[report.enforceable]}")
+        constraints = None
+        report = check_ei_enforceable(doc.automaton)
+    if args.dot is not None:
+        _write_atomic(args.dot, _ranked_digraph(doc.name, report))
+    if args.json:
+        sys.stdout.write(to_json(_verify_payload(doc.name, report, constraints)))
+    else:
+        print(f"automaton {doc.name}: enforceable={_BOOLS[report.enforceable]}")
         if constraints is not None:
             print(f"insertable before: {' '.join(sorted(constraints.before)) or '(none)'}")
             print(f"insertable after: {' '.join(sorted(constraints.after)) or '(none)'}")
@@ -219,20 +219,6 @@ def _report_decision(
         if uncovered:
             print(f"uncovered actual states: {' '.join(_displays(uncovered))}")
     return EXIT_OK if report.enforceable else EXIT_NOT_ENFORCEABLE
-
-
-def _cmd_verify_ei(args: argparse.Namespace) -> int:
-    doc = _read_document(args.file)
-    _require_fully_observable(doc)
-    return _report_decision(args, doc.name, check_ei_enforceable(doc.automaton))
-
-
-def _cmd_verify_eic(args: argparse.Namespace) -> int:
-    doc = _read_document(args.file)
-    _require_fully_observable(doc)
-    constraints = _constraints(args.insert_before, args.insert_after)
-    report = check_eic_enforceable(doc.automaton, constraints)
-    return _report_decision(args, doc.name, report, constraints)
 
 
 def _cmd_oracle_check(args: argparse.Namespace) -> int:
@@ -271,8 +257,8 @@ def _cmd_oracle_check(args: argparse.Namespace) -> int:
 
 _COMMANDS = {
     "check-opacity": _cmd_check_opacity,
-    "verify-ei": _cmd_verify_ei,
-    "verify-eic": _cmd_verify_eic,
+    "verify-ei": _cmd_verify,
+    "verify-eic": _cmd_verify,
     "oracle-check": _cmd_oracle_check,
 }
 

@@ -5,7 +5,8 @@ States are opaque hashable values with a stable display name; events are
 from the real one while still sorting next to it.  An automaton stores its
 moves once, per label, as every reader steps one event at a time; moves
 are partial: a state missing from a label's map has no move on it.  Every
-checking constructor reads an event given as its symbol as its actual label.
+checking constructor reads an event given as its symbol, a ``str``, as its
+actual label, and refuses by name one that is neither a ``str`` nor a label.
 """
 from __future__ import annotations
 
@@ -63,10 +64,13 @@ class EventLabel(NamedTuple):
 
 
 def as_label(e: str | EventLabel) -> EventLabel:
-    """Coerce a bare symbol to an actual-event label."""
+    """A label as it is, and a symbol, a ``str``, as its actual-event label;
+    anything else is a ValueError naming it."""
     if isinstance(e, EventLabel):
         return e
-    return EventLabel(e)
+    if isinstance(e, str):
+        return EventLabel(e)
+    raise ValueError(f"event {e!r} is neither a str symbol nor an EventLabel")
 
 
 def word(text: str) -> tuple[EventLabel, ...]:
@@ -171,9 +175,10 @@ class Automaton(FrozenValue):
     ``accessible_part`` is built on first use.
 
     ``Automaton(...)``, ``dfa`` and ``nfa`` freeze the sets and targets
-    they are given, read a symbol as its actual label and check every
-    move, by ``_checked_moves``; only ``_checked``, for moves its caller
-    has checked already (the parser's), does not.  Pickling and copying
+    they are given, read a symbol, a ``str``, as its actual label, refuse
+    by name an event that is neither, and check every move, by
+    ``_checked_moves``; only ``_checked``, for moves its caller has
+    checked already (the parser's), does not.  Pickling and copying
     rebuild through the checking constructor.
     """
 
@@ -317,8 +322,10 @@ def _checked_moves(states, events, initial, secret, entries) -> dict:
     is its actual label, targets are frozen, and a later entry of a state
     and label replaces an earlier one.  A set of events that are all labels
     is kept as it is, so a rebuild iterates it in the same order.  A
-    ValueError names the first fault: the initial set, the secret set, then
-    the entries in order, each entry's source, label and targets."""
+    ValueError names the first fault: an event that is neither a symbol
+    nor a label, the initial set, the secret set, then the entries in
+    order, each entry's source, label (neither, or undeclared) and
+    targets."""
     states, initial, secret = frozenset(states), frozenset(initial), frozenset(secret)
     events = frozenset(events)
     if not all(isinstance(e, EventLabel) for e in events):

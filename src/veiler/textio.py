@@ -51,9 +51,9 @@ def _state_tokens(tokens: Sequence[str], lineno: int) -> list[State]:
         raise ParseError(lineno, message) from None
 
 
-def _declare(lineno: int, kind: str, tokens: list[str], names: list) -> set:
+def _declare(lineno: int, kind: str, tokens: list[str], names: list) -> frozenset:
     """The set of ``names``; the line is an error if two tokens name the same one."""
-    declared = set(names)
+    declared = frozenset(names)
     if len(declared) < len(names):  # walk the tokens to name the first repeat
         first: set = set()
         for token, name in zip(tokens, names):
@@ -80,8 +80,7 @@ def parse_document(text: str) -> AutomatonDocument:
     labels: dict[str, EventLabel] = {}
     rows: dict[str, dict[State, frozenset]] = {}  # each event's successor map
     unobservable: list[str] = []
-    states: list[State] = []
-    state_set: set = set()
+    states: frozenset = frozenset()
     initial: list[State] = []
     secret: list[State] = []
     # Each target set is stored once: a first target is its state's shared
@@ -137,9 +136,9 @@ def parse_document(text: str) -> AutomatonDocument:
             if len(args) != 3:
                 raise ParseError(lineno, "trans takes source, event, target")
             (src, dst), sym = _state_tokens((args[0], args[2]), lineno), args[1]
-            if src not in state_set:
+            if src not in states:
                 raise ParseError(lineno, f"undeclared state {args[0]!r}")
-            if dst not in state_set:
+            if dst not in states:
                 raise ParseError(lineno, f"undeclared state {args[2]!r}")
             row = rows.get(sym)
             if row is None:
@@ -158,10 +157,10 @@ def parse_document(text: str) -> AutomatonDocument:
         elif keyword == "unobservable":
             unobservable = args
         elif keyword == "states":
-            states = _state_tokens(args, lineno)
-            state_set = _declare(lineno, "state", args, states)
-            state_of = dict(zip(args, states))
-            one_of = dict(zip(args, map(frozenset, zip(states))))
+            names = _state_tokens(args, lineno)
+            states = _declare(lineno, "state", args, names)
+            state_of = dict(zip(args, names))
+            one_of = dict(zip(args, map(frozenset, zip(names))))
         elif keyword == "initial":
             initial = _state_tokens(args, lineno)
         elif keyword == "secret":
@@ -172,8 +171,8 @@ def parse_document(text: str) -> AutomatonDocument:
         raise ParseError(len(lines) or 1, f"missing {missing[0]} section")
 
     for group, section in ((initial, "initial"), (secret, "secret")):
-        if not state_set.issuperset(group):
-            x = next(x for x in group if x not in state_set)
+        if not states.issuperset(group):
+            x = next(x for x in group if x not in states)
             raise ParseError(seen[section], f"undeclared state {state_display(x)!r}")
     hidden = frozenset(unobservable)
     if not labels.keys() >= hidden:
@@ -187,7 +186,7 @@ def parse_document(text: str) -> AutomatonDocument:
         rows[sym][x] = frozenset(targets)
     initial_set = frozenset(initial)
     automaton = Automaton._checked(
-        frozenset(states),
+        states,
         frozenset(labels.values()),
         {labels[sym]: row for sym, row in rows.items() if row},
         initial_set,

@@ -802,6 +802,21 @@ class TestTopLevel:
         assert os.listdir(work) == []
         assert os.listdir(tmp_path) == ["work"]
 
+    @pytest.mark.parametrize("command", ["verify-ei", "verify-eic"])
+    def test_a_partially_observed_system_is_refused_before_any_output(
+        self, capsys, tmp_path, command
+    ):
+        # Both verify commands refuse the hidden events with one error
+        # line, before the decision, the DOT file and the report.
+        dot = tmp_path / "indicator.dot"
+        assert cli_main([command, PARTIAL, "--dot", str(dot), "--json"]) == EXIT_ERROR
+        assert capsys.readouterr() == (
+            "",
+            "error: insertion verification needs a fully observable system;"
+            " unobservable events declared: c\n",
+        )
+        assert os.listdir(tmp_path) == []
+
     def test_version_flag(self, capsys):
         assert cli_main(["--version"]) == EXIT_OK
         assert "veiler 0.1.0" in capsys.readouterr().out

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import random
+import subprocess
+import sys
 from collections import Counter
 from itertools import chain, combinations, product
 from pathlib import Path
@@ -742,15 +744,35 @@ def _renamed(g: Automaton) -> tuple[Automaton, dict, dict]:
     return twin, new, event
 
 
+def _with_component(g: Automaton) -> tuple[Automaton, frozenset]:
+    """``g`` beside a disjoint five-state component over its events, which
+    x0 cannot reach: ``random_dfa`` seeded by g's size, its states named
+    ``u{x}``; and the component's states."""
+    h = random_dfa(len(g.states), 5)
+    new = {x: f"u{x}" for x in h.states}
+    moves = {(new[x], e): frozenset({new[y]}) for (x, e), (y,) in h.transitions.items()}
+    wider = Automaton(
+        g.states | frozenset(new.values()),
+        g.events,
+        {**g.transitions, **moves},
+        g.initial,
+        g.secret | {new[x] for x in h.secret},
+    )
+    return wider, frozenset(new.values())
+
+
 def _relation_violations(g: Automaton) -> tuple[int, list[str]]:
-    """The number of checks of four relations that need no second decider
+    """The number of checks of five relations that need no second decider
     on ``g``, and a line for each that fails: EIC's uncovered states shrink
     along ``_GROWING``; dropping the least secret state uncovers no state,
     under EI and under ({a}, ∅) and (Σ, Σ); where some move enters x0, EI
-    and EIC(Σ, Σ) uncover the same states; and renaming the states and
-    events (``_renamed``), and the constraints alike, keeps the verdict and
-    the three pair counts of EI and of EIC({a}, {a, b}), and maps the
-    uncovered states name for name."""
+    and EIC(Σ, Σ) uncover the same states; a disjoint component that x0
+    cannot reach (``_with_component``) leaves every old state's coverage as
+    it was, and its own states are exactly the new uncovered and
+    unreachable ones, under EI and EIC({a}, {a, b}); and renaming the
+    states and events (``_renamed``), and the constraints alike, keeps the
+    verdict and the three pair counts of EI and of EIC({a}, {a, b}), and
+    maps the uncovered states name for name."""
     sigma = {e.symbol for e in g.events}
     chain = [
         InsertionConstraints.of(sigma if b is None else b, sigma if a is None else a)
@@ -784,6 +806,17 @@ def _relation_violations(g: Automaton) -> tuple[int, list[str]]:
     if any(x0 in targets for targets in g.transitions.values()):
         differ = uncovered[None] ^ uncovered[chain[3]]
         check(not differ, f"EI and {name(chain[3])} differ on {sorted(differ)}")
+    wider, component = _with_component(g)
+    for c in (None, chain[2]):
+        report = _decide(wider, c)
+        kept = report.uncovered_actual_states & g.states
+        added = report.uncovered_actual_states - g.states
+        check(
+            kept == uncovered[c] and added == report.unreachable_actual_states == component,
+            f"with a component x0 cannot reach, {name(c)} uncovers {sorted(kept)} of g,"
+            f" not {sorted(uncovered[c])}, and {sorted(added, key=str)} of the component"
+            f" {sorted(component)}, {sorted(report.unreachable_actual_states, key=str)} unreachable",
+        )
     twin, new, event = _renamed(g)
     for c in (None, chain[2]):
         if c is None:
@@ -811,18 +844,32 @@ def _verdict_and_counts(report) -> tuple:
 class TestRelationsAtScale:
     def test_relations_hold_up_to_160_states(self):
         # The relations of TestAlphabetMonotonicity, TestSecretAntitonicity,
-        # the x0 rule and TestRenamingInvariance on systems of 64 to 160
-        # states.  The workflow's relations step runs the same checks at 320
-        # to 1280 states.
+        # the x0 rule, TestUnreachableComponent and TestRenamingInvariance on
+        # systems of 64 to 160 states.  The workflow's relations step runs
+        # the same checks at 320 to 1280 states (scripts/ci/relations.py).
         checks = 0
         for n in (64, 128, 160):
             for live in (True, False):
                 done, violations = _relation_violations(random_dfa(n, n, live=live))
                 assert violations == [], (n, live)
                 checks += done
-        # eight checks on each system, and one more on the five whose x0
+        # ten checks on each system, and one more on the five whose x0
         # some move enters
-        assert checks == 53, checks
+        assert checks == 65, checks
+
+    def test_the_workflow_script_runs_them(self):
+        # scripts/ci/relations.py, the workflow's relations step, at sizes
+        # given in place of its own.
+        script = DATA.parents[1] / "scripts" / "ci" / "relations.py"
+        done = subprocess.run(
+            [sys.executable, str(script), "8", "24"], capture_output=True, text=True
+        )
+        assert (done.returncode, done.stderr) == (0, "")
+        lines = done.stdout.splitlines()
+        assert [line.split(":")[0] for line in lines] == [
+            f"random_dfa({n}, {n}, live={live})" for n in (8, 24) for live in (True, False)
+        ]
+        assert all(line.endswith(" checks, 0 violations") for line in lines)
 
 
 class TestUnreachableComponent:

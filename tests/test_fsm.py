@@ -550,15 +550,26 @@ class TestCallerTable:
 
 
 SYMBOLS = "abc"
-SYMBOL_OR_LABEL = st.sampled_from(SYMBOLS) | st.builds(EventLabel, st.sampled_from(SYMBOLS))
+# An int or bytes symbol is neither a str nor a label: one SYMBOL_OR_LABEL draw in twenty.
+STRANGE = st.sampled_from([0, 2, b"a", b"c"])
+SYMBOL_OR_LABEL = st.sampled_from([False] * 19 + [True]).flatmap(
+    lambda strange: STRANGE
+    if strange
+    else st.sampled_from(SYMBOLS) | st.builds(EventLabel, st.sampled_from(SYMBOLS))
+)
 LABELS = SYMBOL_OR_LABEL | st.builds(EventLabel, st.sampled_from(SYMBOLS), st.sampled_from(Tag))
+NEITHER = " is neither a str symbol nor an EventLabel"
 NAMES = st.integers(0, 6)  # 6 is never declared below, so some names are unknown
 TARGETS = st.tuples(st.sampled_from([set, frozenset, list, tuple]), st.lists(NAMES, max_size=3))
 
 
 def _first_fault(states, events, table, initial, secret):
     """What ``Automaton(...)`` must refuse first, read by the rule the
-    constructor documents, or None for an input it must build."""
+    constructor documents, or None for an input it must build: the events
+    as ``events`` iterates them, then the sets, then each entry."""
+    strange = [e for e in events if not isinstance(e, (str, EventLabel))]
+    if strange:
+        return f"event {strange[0]!r}{NEITHER}"
     labels = set(map(as_label, events))
     if not set(initial) <= states:
         return "initial states must belong to the state set"
@@ -567,6 +578,8 @@ def _first_fault(states, events, table, initial, secret):
     for (x, e), ys in table.items():
         if x not in states:
             return f"transition source {state_display(x)!r} is not a state"
+        if not isinstance(e, (str, EventLabel)):
+            return f"event {e!r}{NEITHER}"
         if as_label(e) not in labels:
             return f"transition label {as_label(e).display()!r} is not an event"
         if not ys:
@@ -577,7 +590,8 @@ def _first_fault(states, events, table, initial, secret):
 
 
 # The ValueErrors the deciders document: a nondeterministic system, stray
-# constraint symbols and unknown observable labels.
+# constraint symbols and unknown observable labels; and an observable
+# symbol that is neither a str nor a label ends with NEITHER.
 DOCUMENTED = (
     "insertion analysis requires a deterministic automaton",
     "string-level checks require a deterministic automaton",
@@ -604,11 +618,10 @@ class TestEveryInputEndsInAVerdictOrANamedError:
     )
     def test_any_input(self, states, events, table, initial, secret, before, after, observable):
         table = {key: kind(ys) for key, (kind, ys) in table.items()}
+        events = frozenset(events)
         fault = _first_fault(states, events, table, initial, secret)
         try:
-            g = Automaton(
-                frozenset(states), frozenset(events), table, frozenset(initial), frozenset(secret)
-            )
+            g = Automaton(frozenset(states), events, table, frozenset(initial), frozenset(secret))
         except ValueError as exc:
             assert str(exc) == fault
             return
@@ -628,7 +641,7 @@ class TestEveryInputEndsInAVerdictOrANamedError:
             try:
                 decide()
             except ValueError as exc:
-                assert str(exc).startswith(DOCUMENTED), exc
+                assert str(exc).startswith(DOCUMENTED) or str(exc).endswith(NEITHER), exc
 
 
 def _build(how, states, events, table, initial, secret):
