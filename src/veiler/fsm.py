@@ -319,9 +319,11 @@ class Automaton(FrozenValue):
 def _checked_moves(states, events, initial, secret, entries) -> dict:
     """The fields, as ``Automaton._checked`` takes them, of the automaton of
     ``entries``, (state, label, targets) triples, read by one rule: a symbol
-    is its actual label, targets are frozen, and a later entry of a state
-    and label replaces an earlier one.  A set of events that are all labels
-    is kept as it is, so a rebuild iterates it in the same order.  A
+    is its actual label, a move keeps the declared label it equals (so a
+    plain (symbol, tag) tuple becomes that label), targets are frozen, and
+    a later entry of a state and label replaces an earlier one.  A set of
+    events that are all labels is kept as it is, so a rebuild iterates it
+    in the same order.  A
     ValueError names the first fault: an event that is neither a symbol
     nor a label, the initial set, the secret set, then the entries in
     order, each entry's source, label (neither, or undeclared) and
@@ -334,14 +336,17 @@ def _checked_moves(states, events, initial, secret, entries) -> dict:
         raise ValueError("initial states must belong to the state set")
     if not secret <= states:
         raise ValueError("secret states must belong to the state set")
+    declared = {e: e for e in events}
     moves: dict = {}
     deterministic = len(initial) == 1
     for x, e, targets in entries:
         if x not in states:
             raise ValueError(f"transition source {state_display(x)!r} is not a state")
-        if e not in events:  # a symbol never equals a label
+        label = declared.get(e)
+        if label is None:  # a symbol never equals a label
             e = as_label(e)
-            if e not in events:
+            label = declared.get(e)
+            if label is None:
                 raise ValueError(f"transition label {e.display()!r} is not an event")
         if targets.__class__ is not frozenset:
             targets = frozenset(targets)
@@ -351,9 +356,9 @@ def _checked_moves(states, events, initial, secret, entries) -> dict:
             raise ValueError("transition target outside the state set")
         if len(targets) > 1:
             deterministic = False
-        row = moves.get(e)
+        row = moves.get(label)
         if row is None:
-            row = moves[e] = {}
+            row = moves[label] = {}
         row[x] = targets
     return dict(
         states=states, events=events, moves=moves, initial=initial, secret=secret,

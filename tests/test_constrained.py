@@ -845,8 +845,8 @@ class TestRelationsAtScale:
     def test_relations_hold_up_to_160_states(self):
         # The relations of TestAlphabetMonotonicity, TestSecretAntitonicity,
         # the x0 rule, TestUnreachableComponent and TestRenamingInvariance on
-        # systems of 64 to 160 states.  The workflow's relations step runs
-        # the same checks at 320 to 1280 states (scripts/ci/relations.py).
+        # systems of 64 to 160 states.  CI's relations step runs the same
+        # checks at 320 to 1280 states (scripts/ci/relations.py).
         checks = 0
         for n in (64, 128, 160):
             for live in (True, False):
@@ -858,8 +858,8 @@ class TestRelationsAtScale:
         assert checks == 65, checks
 
     def test_the_workflow_script_runs_them(self):
-        # scripts/ci/relations.py, the workflow's relations step, at sizes
-        # given in place of its own.
+        # scripts/ci/relations.py, CI's relations step, at sizes given in
+        # place of its own.
         script = DATA.parents[1] / "scripts" / "ci" / "relations.py"
         done = subprocess.run(
             [sys.executable, str(script), "8", "24"], capture_output=True, text=True

@@ -5,7 +5,7 @@ import pickle
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from veiler.fsm import (
@@ -548,6 +548,14 @@ class TestCallerTable:
         assert back.transitions == built.transitions and back.moves == built.moves
         assert pickle.dumps(built) == pickle.dumps(twin)
 
+    def test_a_plain_tuple_key_becomes_the_declared_label(self):
+        # A (symbol, tag) tuple equals the label it spells; the move keeps
+        # the declared label object, so the text writer reads its symbol.
+        g = Automaton(frozenset({0, 1}), frozenset({"a"}), {(0, ("a", 0)): {1}}, frozenset({0}))
+        (key,) = g.moves
+        assert type(key) is EventLabel and key == as_label("a")
+        assert "\ntrans 0 a 1\n" in emit_automaton(g)
+
 
 SYMBOLS = "abc"
 # An int or bytes symbol is neither a str nor a label: one SYMBOL_OR_LABEL draw in twenty.
@@ -558,6 +566,8 @@ SYMBOL_OR_LABEL = st.sampled_from([False] * 19 + [True]).flatmap(
     else st.sampled_from(SYMBOLS) | st.builds(EventLabel, st.sampled_from(SYMBOLS))
 )
 LABELS = SYMBOL_OR_LABEL | st.builds(EventLabel, st.sampled_from(SYMBOLS), st.sampled_from(Tag))
+# A plain (symbol, tag) tuple, equal to the label it spells, as a move's key.
+MOVE_LABELS = LABELS | st.tuples(st.sampled_from(SYMBOLS), st.sampled_from(range(len(Tag))))
 NEITHER = " is neither a str symbol nor an EventLabel"
 NAMES = st.integers(0, 6)  # 6 is never declared below, so some names are unknown
 TARGETS = st.tuples(st.sampled_from([set, frozenset, list, tuple]), st.lists(NAMES, max_size=3))
@@ -578,10 +588,11 @@ def _first_fault(states, events, table, initial, secret):
     for (x, e), ys in table.items():
         if x not in states:
             return f"transition source {state_display(x)!r} is not a state"
-        if not isinstance(e, (str, EventLabel)):
-            return f"event {e!r}{NEITHER}"
-        if as_label(e) not in labels:
-            return f"transition label {as_label(e).display()!r} is not an event"
+        if e not in labels:  # a plain tuple equal to a declared label is that label
+            if not isinstance(e, (str, EventLabel)):
+                return f"event {e!r}{NEITHER}"
+            if as_label(e) not in labels:
+                return f"transition label {as_label(e).display()!r} is not an event"
         if not ys:
             return "transition entries must be nonempty"
         if not set(ys) <= states:
@@ -609,12 +620,17 @@ class TestEveryInputEndsInAVerdictOrANamedError:
     @given(
         states=st.sets(st.integers(0, 5), max_size=5),
         events=st.lists(LABELS, max_size=4),
-        table=st.dictionaries(st.tuples(NAMES, LABELS), TARGETS, max_size=8),
+        table=st.dictionaries(st.tuples(NAMES, MOVE_LABELS), TARGETS, max_size=8),
         initial=st.sets(NAMES, max_size=2),
         secret=st.sets(NAMES, max_size=2),
         before=st.lists(SYMBOL_OR_LABEL, max_size=2),
         after=st.lists(SYMBOL_OR_LABEL, max_size=2),
         observable=st.lists(SYMBOL_OR_LABEL, max_size=3),
+    )
+    # Random tables seldom build, so the plain tuple key is also given.
+    @example(
+        states={0, 1}, events=["a"], table={(0, ("a", 0)): (set, [1])}, initial={0},
+        secret=set(), before=[], after=[], observable=[],
     )
     def test_any_input(self, states, events, table, initial, secret, before, after, observable):
         table = {key: kind(ys) for key, (kind, ys) in table.items()}
@@ -626,9 +642,13 @@ class TestEveryInputEndsInAVerdictOrANamedError:
             assert str(exc) == fault
             return
         assert fault is None
-        assert all(type(e) is EventLabel for e in g.events | set(g.moves))
+        # a list, not a set union, which would keep the declared label and
+        # drop an equal plain tuple that moves held
+        assert all(type(e) is EventLabel for e in [*g.events, *g.moves])
         assert all(type(ys) is frozenset for row in g.moves.values() for ys in row.values())
-        assert g.transitions == {(x, as_label(e)): frozenset(ys) for (x, e), ys in table.items()}
+        # a plain tuple key equals the label it spells
+        labels = {e: e if isinstance(e, tuple) else as_label(e) for _, e in table}
+        assert g.transitions == {(x, labels[e]): frozenset(ys) for (x, e), ys in table.items()}
         c = InsertionConstraints.of(before, after)
         deciders = [
             lambda: check_current_state_opacity(g, observable),
